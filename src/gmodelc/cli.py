@@ -104,6 +104,11 @@ def _write(out_dir: str, file_name: str, contents: str) -> str:
     return path
 
 
+def _solution_text(solution: np.ndarray) -> str:
+    """One value per line, as repr of the float64 value, so that it reads back exactly."""
+    return "".join([f"{v!r}\n" for v in np.asarray(solution, dtype=np.float64).tolist()])
+
+
 def _matrix_bindings(model: Model, A: refexec.CsrMatrix,
                      rhs: np.ndarray) -> dict[str, np.ndarray]:
     """Bind root input ports structurally: CSR ports via their connection to
@@ -223,9 +228,7 @@ def _cmd_run(config: RunConfig) -> int:
         # zero right-hand side: the exact solution is zero, no iterations
         result_line = "iters=0 relres=0.0 converged=true\n"
         _write(config.out_dir, f"{name}_result.txt", result_line)
-        solution = np.zeros(A.n)
-        _write(config.out_dir, f"{name}_solution.txt",
-               "".join(f"{float(v)!r}\n" for v in solution))
+        _write(config.out_dir, f"{name}_solution.txt", _solution_text(np.zeros(A.n)))
         sys.stdout.write(result_line)
         return EXIT_OK
 
@@ -244,9 +247,8 @@ def _cmd_run(config: RunConfig) -> int:
     _write(config.out_dir, f"{name}_result.txt", result_line)
     outputs = sorted(result.outputs.items())
     if outputs:
-        port, solution = outputs[0]
-        _write(config.out_dir, f"{name}_solution.txt",
-               "".join(f"{float(v)!r}\n" for v in solution))
+        _, solution = outputs[0]
+        _write(config.out_dir, f"{name}_solution.txt", _solution_text(solution))
     sys.stdout.write(result_line)
     if not result.converged or not np.isfinite(relres):
         return EXIT_NUMERIC

@@ -9,7 +9,9 @@ multi-device runs agree up to reduction rounding.
 
 from __future__ import annotations
 
+import io
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +40,10 @@ class MissingBinding(KeyError):
 
 class MalformedHeader(ValueError):
     pass
+
+
+class NonFiniteValue(MalformedHeader):
+    """A matrix value reads as nan or infinite (overflow such as 1e400 included)."""
 
 
 class NonSquare(ValueError):
@@ -79,15 +85,23 @@ class CsrMatrix:
             raise ValueError("col_idx and values lengths differ")
         if len(self.col_idx) and (self.col_idx.min() < 0 or self.col_idx.max() >= self.n):
             raise ValueError("column index out of range")
-        for i in range(self.n):
-            cols = self.col_idx[self.row_ptr[i]:self.row_ptr[i + 1]]
-            if np.any(np.diff(cols) <= 0):
-                raise ValueError(f"row {i}: column indices not strictly increasing")
+        # each entry's column must exceed the previous one, except where a row begins
+        rising = np.diff(self.col_idx) > 0
+        starts = self.row_ptr[1:-1]
+        rising[starts[(starts > 0) & (starts < len(self.col_idx))] - 1] = True
+        if not rising.all():
+            k = int(np.argmin(rising))
+            i = int(np.searchsorted(self.row_ptr, k, side="right")) - 1
+            raise ValueError(f"row {i}: column indices not strictly increasing")
 
     def plan(self, lo: int, hi: int):
+        """The sweep plan of rows lo..hi-1 with each level's values and column
+        indices gathered once into contiguous arrays; cached per range, so
+        valid while the matrix arrays are not written."""
         key = (lo, hi)
         if key not in self._plans:
-            self._plans[key] = build_sweep_plan(self.row_ptr, lo, hi)
+            self._plans[key] = _gathered(build_sweep_plan(self.row_ptr, lo, hi),
+                                         self.col_idx, self.values)
         return self._plans[key]
 
 
@@ -95,7 +109,8 @@ def build_sweep_plan(row_ptr: np.ndarray, lo: int, hi: int):
     """Precomputed gather indices for a row range: one level per entry position.
 
     Level j holds (relative rows with > j entries, flat index of their
-    j-th entry); accumulating level by level reproduces a strict
+    j-th entry); the rows are slice(None) when the level covers every row
+    of the range.  Accumulating level by level reproduces a strict
     left-to-right per-row summation.
     """
     starts = row_ptr[lo:hi].astype(np.int64)
@@ -103,21 +118,32 @@ def build_sweep_plan(row_ptr: np.ndarray, lo: int, hi: int):
     plan = []
     max_len = int(lens.max()) if len(lens) else 0
     for j in range(max_len):
-        rows = np.nonzero(lens > j)[0]
-        plan.append((rows, starts[rows] + j))
+        rows = np.flatnonzero(lens > j)
+        plan.append((slice(None) if len(rows) == hi - lo else rows, starts[rows] + j))
     return plan
 
 
+def _gathered(plan, col_idx, values):
+    """Levels of (rows, values, column indices) from a build_sweep_plan plan."""
+    return [(rows, values[idx], col_idx[idx].astype(np.intp)) for rows, idx in plan]
+
+
 def spmv_range(row_ptr, col_idx, values, x, lo, hi, plan=None, out=None):
-    """y[i] for rows lo..hi-1, each row accumulated left to right in float64."""
+    """y[i] for rows lo..hi-1, each row accumulated left to right in float64.
+
+    plan is build_sweep_plan(row_ptr, lo, hi), built here when omitted, or
+    CsrMatrix.plan(lo, hi), whose levels carry their entries already gathered.
+    """
     if plan is None:
         plan = build_sweep_plan(row_ptr, lo, hi)
+    if plan and len(plan[0]) == 2:
+        plan = _gathered(plan, col_idx, values)
     if out is None:
         out = np.zeros(hi - lo)
     else:
         out[:] = 0.0
-    for rows, idx in plan:
-        out[rows] += values[idx] * x[col_idx[idx]]
+    for rows, vals, cols in plan:
+        out[rows] += vals * x[cols]
     return out
 
 
@@ -218,12 +244,14 @@ def load_matrix_market(text: str) -> CsrMatrix:
     """Parse Matrix Market coordinate text (real, general or symmetric).
 
     Symmetric inputs are expanded to full storage, duplicates are summed
-    and each row is sorted by column.
+    and each row is sorted by column.  Raises MalformedHeader (NonFiniteValue
+    for a nan or infinite value), NonSquare or IndexOutOfRange; an error in
+    an entry line names that line.
     """
-    lines = text.split("\n")
-    if not lines or not lines[0].startswith("%%MatrixMarket"):
+    banner_line, start = _line_at(text, 0)
+    if not banner_line.startswith("%%MatrixMarket"):
         raise MalformedHeader("missing %%MatrixMarket banner")
-    banner = lines[0].split()
+    banner = banner_line.split()
     if len(banner) != 5:
         raise MalformedHeader(f"banner needs 5 fields, got {len(banner)}")
     _, obj, fmt, fld, sym = (w.lower() for w in banner)
@@ -234,12 +262,16 @@ def load_matrix_market(text: str) -> CsrMatrix:
     if sym not in ("general", "symmetric"):
         raise MalformedHeader(f"only general or symmetric, got '{sym}'")
 
-    pos = 1
-    while pos < len(lines) and (not lines[pos].strip() or lines[pos].lstrip().startswith("%")):
+    pos = 1     # 0-based line number of `line`
+    while True:
+        if start > len(text):
+            raise MalformedHeader("missing size line")
+        line, body = _line_at(text, start)
+        if line.strip() and not line.lstrip().startswith("%"):
+            break
         pos += 1
-    if pos >= len(lines):
-        raise MalformedHeader("missing size line")
-    size_fields = lines[pos].split()
+        start = body
+    size_fields = line.split()
     if len(size_fields) != 3:
         raise MalformedHeader(f"line {pos + 1}: size line needs 'rows cols nnz'")
     try:
@@ -251,11 +283,63 @@ def load_matrix_market(text: str) -> CsrMatrix:
     if rows < 1:
         raise MalformedHeader("matrix size must be positive")
 
+    entries = _entries_vectorised(text, body, rows, declared)
+    if entries is None:
+        entries = _entries_by_line(text.split("\n"), pos + 1, rows, declared)
+    ii, jj, vv = entries
+    if sym == "symmetric":
+        ii, jj, vv = _with_mirrors(ii, jj, vv)
+    return csr_from_coo(rows, ii, jj, vv)
+
+
+def _line_at(text: str, start: int) -> tuple[str, int]:
+    """The line that begins at offset start, and the offset after its newline."""
+    stop = text.find("\n", start)
+    if stop < 0:
+        stop = len(text)
+    return text[start:stop], stop + 1
+
+
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+
+
+def _entries_vectorised(text: str, body: int, n: int, declared: int):
+    """0-based (rows, cols, values) of the entries from offset body on, parsed
+    in one pass.
+
+    Returns None, leaving the result or the error to _entries_by_line, on
+    any doubt: a `%` in the body, a numpy parse error or warning (numpy
+    refuses, rather than misreads, the tokens that int() and float() accept
+    and it does not, such as `1_0`, `1.0` as an index and non-ASCII digits),
+    a wrong count, an index out of range or a value that is not finite.
+    """
+    if text.find("%", body) >= 0:
+        return None
+    try:
+        stream = io.BytesIO(text.encode("ascii"))
+        stream.seek(body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entries = np.loadtxt(stream, dtype=_ENTRY, comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    ii, jj, vv = entries["i"] - 1, entries["j"] - 1, entries["v"].copy()
+    if len(entries) != declared or not np.isfinite(vv).all() \
+            or ((ii < 0) | (ii >= n) | (jj < 0) | (jj >= n)).any():
+        return None
+    return ii, jj, vv
+
+
+def _entries_by_line(lines: list[str], first: int, n: int, declared: int):
+    """0-based (rows, cols, values) of the entries in lines[first:], line by line.
+
+    The reference parser: every error in the entries is raised here, with
+    its 1-based line number.
+    """
     ii: list[int] = []
     jj: list[int] = []
     vv: list[float] = []
-    count = 0
-    for line_no in range(pos + 1, len(lines)):
+    for line_no in range(first, len(lines)):
         raw = lines[line_no].strip()
         if not raw or raw.startswith("%"):
             continue
@@ -266,20 +350,27 @@ def load_matrix_market(text: str) -> CsrMatrix:
             i, j, v = int(fields[0]), int(fields[1]), float(fields[2])
         except ValueError:
             raise MalformedHeader(f"line {line_no + 1}: expected 'i j value'") from None
-        if not (1 <= i <= rows and 1 <= j <= cols):
-            raise IndexOutOfRange(line_no + 1, f"entry ({i},{j}) outside {rows}x{cols}")
-        count += 1
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise IndexOutOfRange(line_no + 1, f"entry ({i},{j}) outside {n}x{n}")
+        if not math.isfinite(v):
+            raise NonFiniteValue(f"line {line_no + 1}: value '{fields[2]}' is not finite")
         ii.append(i - 1)
         jj.append(j - 1)
         vv.append(v)
-        if sym == "symmetric" and i != j:
-            ii.append(j - 1)
-            jj.append(i - 1)
-            vv.append(v)
-    if count != declared:
-        raise MalformedHeader(f"declared {declared} entries, found {count}")
-    return csr_from_coo(rows, np.array(ii, dtype=np.int64), np.array(jj, dtype=np.int64),
-                        np.array(vv, dtype=np.float64))
+    if len(vv) != declared:
+        raise MalformedHeader(f"declared {declared} entries, found {len(vv)}")
+    return (np.array(ii, dtype=np.int64), np.array(jj, dtype=np.int64),
+            np.array(vv, dtype=np.float64))
+
+
+def _with_mirrors(ii: np.ndarray, jj: np.ndarray, vv: np.ndarray):
+    """Symmetric storage expanded: each off-diagonal entry followed by its mirror."""
+    off = ii != jj
+    copies = off + 1
+    ii2, jj2, vv2 = np.repeat(ii, copies), np.repeat(jj, copies), np.repeat(vv, copies)
+    mirrors = np.cumsum(copies)[off] - 1
+    ii2[mirrors], jj2[mirrors] = jj[off], ii[off]
+    return ii2, jj2, vv2
 
 
 def csr_from_coo(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> CsrMatrix:
@@ -288,12 +379,14 @@ def csr_from_coo(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -
         keys = rows.astype(np.int64) * n + cols
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
-        vals = vals[order]
-        uniq, start = np.unique(keys, return_index=True)
-        summed = np.add.reduceat(vals, start) if len(start) else vals
-        rows = (uniq // n).astype(np.int64)
-        cols = (uniq % n).astype(np.int32)
-        vals = summed
+        first = np.empty(len(keys), dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        start = np.flatnonzero(first)
+        vals = np.add.reduceat(vals[order], start)
+        keys = keys[start]
+        rows = keys // n
+        cols = (keys % n).astype(np.int32)
     counts = np.bincount(rows, minlength=n) if len(rows) else np.zeros(n, dtype=np.int64)
     row_ptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(counts, out=row_ptr[1:])
@@ -402,7 +495,7 @@ class _Storage:
                 self.arrays[group] = np.zeros(port.shape.total,
                                               dtype=_NUMPY_TYPES[port.data_type])
         # groups whose every member is an input port are never written;
-        # spmv gather plans built over them stay valid across iterations
+        # spmv plans gathered from them stay valid across iterations
         self.immutable = {
             group for group in set(self.groups.values())
             if all(self.ports[n].direction is Direction.IN for n in group)
@@ -451,10 +544,15 @@ def execute_schedule(model: Model, schedule: Schedule, bindings: dict[str, np.nd
                         raise IntrinsicShapeMismatch(
                             f"task '{task_path}': output port '{port.name}' aliases "
                             f"input port '{other.name}'")
-            task_cache[task_path] = (comp, arrays, spec)
+            csr = None
+            if spec.name == "spmv_csr" and all(
+                    storage.groups[f"{task_path}.{p}"] in storage.immutable
+                    for p in ("rowptr", "colidx", "values")):
+                csr = CsrMatrix(n=len(arrays["rowptr"]) - 1, row_ptr=arrays["rowptr"],
+                                col_idx=arrays["colidx"], values=arrays["values"])
+            task_cache[task_path] = (comp, arrays, csr)
         return task_cache[task_path]
 
-    plans: dict[tuple, list] = {}
     iterations = 0
     final_relres: float | None = None
     converged = True
@@ -474,7 +572,7 @@ def execute_schedule(model: Model, schedule: Schedule, bindings: dict[str, np.nd
                 f"intrinsic '{impl.name}' cannot run as a host scalar op")
 
     def run_device(step: DeviceStep):
-        comp, arrays, _ = task_info(step.task_path)
+        comp, arrays, csr = task_info(step.task_path)
         if step.op == "dot_partial":
             a, b_ = arrays["a"], arrays["b"]
             partials = [float(np.dot(a[l.range.offset:l.range.offset + l.range.count],
@@ -489,18 +587,9 @@ def execute_schedule(model: Model, schedule: Schedule, bindings: dict[str, np.nd
             lo = launch.range.offset
             hi = lo + launch.range.count
             if step.op == "spmv_csr":
-                rowptr, colidx, values = arrays["rowptr"], arrays["colidx"], arrays["values"]
-                structural = all(
-                    storage.groups[f"{step.task_path}.{p}"] in storage.immutable
-                    for p in ("rowptr", "colidx", "values"))
-                key = (step.task_path, lo, hi)
-                plan = None
-                if structural:
-                    if key not in plans:
-                        plans[key] = build_sweep_plan(rowptr, lo, hi)
-                    plan = plans[key]
-                spmv_range(rowptr, colidx, values, arrays["x"], lo, hi,
-                           plan=plan, out=arrays["y"][lo:hi])
+                spmv_range(arrays["rowptr"], arrays["colidx"], arrays["values"], arrays["x"],
+                           lo, hi, plan=csr.plan(lo, hi) if csr is not None else None,
+                           out=arrays["y"][lo:hi])
             elif step.op == "axpy":
                 if comp.port("a") is not None:
                     arrays["y"][lo:hi] += float(arrays["a"][0]) * arrays["x"][lo:hi]

@@ -163,6 +163,16 @@ def test_run_bad_matrix_exit_two(workdir, capsys):
     assert capsys.readouterr().err
 
 
+def test_run_non_finite_matrix_exit_two(workdir, capsys):
+    tmp_path, model_path = workdir
+    mtx = tmp_path / "nan.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n"
+                   "2 2 2\n1 1 1.0\n2 2 nan\n")
+    assert main(["run", model_path, "--matrix", str(mtx),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "line 4: value 'nan' is not finite" in capsys.readouterr().err
+
+
 def test_run_rhs_size_mismatch_exit_two(workdir, capsys):
     tmp_path, model_path = workdir
     mtx, _ = _write_poisson(tmp_path, 5)

@@ -1,18 +1,22 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gmodelc
+from gmodelc import refexec
 from gmodelc.intrinsics import IntrinsicShapeMismatch
 from gmodelc.partition import build_schedule
 from gmodelc.refexec import (BreakdownDetected, CsrMatrix, DimensionMismatch,
                              IndexOutOfRange, MalformedHeader, MissingBinding,
-                             NonSquare, NonSymmetricMatrix, SolverConfig, csr_from_dense,
-                             csr_to_dense, execute_schedule, instantiate_for_matrix,
-                             load_matrix_market, matrix_to_coordinate_text, poisson_1d,
-                             poisson_2d, random_spd, run_cg, spmv_csr)
+                             NonFiniteValue, NonSquare, NonSymmetricMatrix, SolverConfig,
+                             build_sweep_plan, csr_from_dense, csr_to_dense,
+                             execute_schedule, instantiate_for_matrix, load_matrix_market,
+                             matrix_to_coordinate_text, poisson_1d, poisson_2d, random_spd,
+                             run_cg, spmv_csr, spmv_range)
 
 from oracles import reference_cg, spmv_loop
 
@@ -68,6 +72,15 @@ def test_duplicates_summed():
         "1 1 2.0\n"
         "1 1 3.0\n")
     assert A.nnz == 1 and A.values[0] == 5.0
+    # a symmetric file sums like the general file with each mirror written
+    # right after its entry; the order matters at these magnitudes
+    lines = ["2 1 1.0", "1 2 1e-16", "1 2 1e-16"]
+    mirrored = [f"{i} {j} {v}\n{j} {i} {v}" for i, j, v in (l.split() for l in lines)]
+    A = load_matrix_market("%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n"
+                           + "\n".join(lines))
+    B = load_matrix_market("%%MatrixMarket matrix coordinate real general\n2 2 6\n"
+                           + "\n".join(mirrored))
+    assert A.nnz == B.nnz == 2 and A.values.tobytes() == B.values.tobytes()
 
 
 def test_rows_sorted_by_column():
@@ -92,6 +105,130 @@ def test_loader_round_trip():
         assert np.array_equal(B.row_ptr, A.row_ptr)
         assert np.array_equal(B.col_idx, A.col_idx)
         assert np.array_equal(B.values, A.values)
+
+
+@pytest.mark.parametrize("token", ["nan", "-inf", "inf", "1e400"])
+def test_non_finite_value_rejected_with_line(token):
+    with pytest.raises(NonFiniteValue, match="line 5:"):
+        load_matrix_market(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "% a comment\n"
+            "2 2 2\n"
+            "1 1 1.0\n"
+            f"2 2 {token}\n")
+
+
+FLOAT_FORMATS = (repr, "{:.17g}".format, "{:.4e}".format, "{:.6f}".format)
+BAD_LINES = (
+    lambda i, j, v, n: f"{i} {j}",
+    lambda i, j, v, n: f"{i} {j} {v} 1",
+    lambda i, j, v, n: f"{i}.0 {j} {v}",
+    lambda i, j, v, n: f"1_0 {j} {v}",
+    lambda i, j, v, n: f"{i} {n + 1} {v}",
+    lambda i, j, v, n: f"0 {j} {v}",
+    lambda i, j, v, n: f"{i} {j} nan",
+    lambda i, j, v, n: f"{i} {j} -inf",
+    lambda i, j, v, n: f"{i} {j} 1e400",
+)
+
+
+@st.composite
+def matrix_market_texts(draw):
+    """(text, clean): small coordinate files in varied layouts; clean when the
+    body has entries, no comment line and no bad line or count."""
+    n = draw(st.integers(1, 5))
+    sym = draw(st.sampled_from(["general", "symmetric"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    entries = draw(st.lists(st.tuples(
+        st.integers(1, n), st.integers(1, n),
+        # values of mixed magnitude make duplicate sums depend on their order
+        st.sampled_from([1.0, -1.0, 0.1, 3.0, 1e-16, -0.0, 5e-324])
+        | st.floats(allow_nan=False, allow_infinity=False)),
+        max_size=12))
+    lines = []
+    clean = bool(entries)
+    for i, j, v in entries:
+        filler = draw(st.sampled_from(["", "", "", "  ", "\t", "% comment"]))
+        if filler:
+            lines.append(filler)
+            clean = clean and not filler.startswith("%")
+        sep = draw(st.sampled_from([" ", "\t", "  ", " \t "]))
+        tail = draw(st.sampled_from(["", " ", "\t"]))
+        value = draw(st.sampled_from(FLOAT_FORMATS))(v)
+        clean = clean and math.isfinite(float(value))   # "{:.4e}" can round up to 1.8e+308
+        lines.append(f"{i}{sep}{j}{sep}{value}{tail}")
+    declared = len(entries)
+    if lines and draw(st.booleans()):
+        at = draw(st.integers(0, len(lines) - 1))
+        i, j, v = draw(st.sampled_from(entries))
+        lines[at] = draw(st.sampled_from(BAD_LINES))(i, j, v, n)
+        clean = False
+    if draw(st.integers(0, 5)) == 0:
+        declared += draw(st.sampled_from([-1, 1]))
+        clean = False
+    head = [f"%%MatrixMarket matrix coordinate real {sym}"]
+    if draw(st.booleans()):
+        head.append("% header comment")
+    head.append(f"{n} {n} {declared}")
+    return newline.join(head + lines) + newline * draw(st.integers(0, 2)), clean
+
+
+def _load_outcome(text):
+    try:
+        A = load_matrix_market(text)
+    except (MalformedHeader, IndexOutOfRange) as exc:
+        return type(exc), str(exc)
+    return A.row_ptr.tobytes(), A.col_idx.tobytes(), A.values.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrix_market_texts())
+def test_vectorised_loader_matches_line_loop(case):
+    text, clean = case
+    original = refexec._entries_vectorised
+    parsed = []
+
+    def spy(*args):
+        entries = original(*args)
+        parsed.append(entries is not None)
+        return entries
+
+    with mock.patch.object(refexec, "_entries_vectorised", spy):
+        got = _load_outcome(text)
+    with mock.patch.object(refexec, "_entries_vectorised", return_value=None):
+        want = _load_outcome(text)
+    assert got == want
+    if clean and parsed:
+        assert parsed == [True], "a clean body fell back to the line loop"
+
+
+@pytest.mark.parametrize("n,row_ptr,col_idx,nnz,error", [
+    (0, [0], [], 0, "row_ptr length must be n \\+ 1"),
+    (2, [0, 1], [0], 1, "row_ptr length must be n \\+ 1"),
+    (2, [1, 1, 2], [0, 1], 2, "must start at 0 and end at nnz"),
+    (2, [0, 1, 3], [0, 1], 2, "must start at 0 and end at nnz"),
+    (3, [0, 2, 1, 3], [0, 1, 2], 3, "non-decreasing"),
+    (2, [0, 1, 2], [0, 1, 1], 2, "lengths differ"),
+    (2, [0, 1, 2], [0, 2], 2, "column index out of range"),
+    (2, [0, 1, 2], [-1, 1], 2, "column index out of range"),
+    (3, [0, 3, 3, 3], [0, 2, 1], 3, "^row 0: column indices not strictly increasing"),
+    (4, [0, 0, 2, 2, 4], [3, 1, 0, 2], 4, "^row 1: column indices not strictly increasing"),
+    (4, [0, 1, 1, 2, 4], [2, 0, 3, 3], 4, "^row 3: column indices not strictly increasing"),
+    (3, [0, 0, 1, 3], [0, 2, 1], 3, "^row 2: column indices not strictly increasing"),
+    # a row may start left of where the previous row ends
+    (3, [0, 2, 4, 5], [1, 2, 0, 1, 0], 5, None),
+    # empty rows: the first, the last, and all of them
+    (4, [0, 0, 2, 2, 2], [1, 3], 2, None),
+    (3, [0, 0, 0, 0], [], 0, None),
+])
+def test_csr_validate(n, row_ptr, col_idx, nnz, error):
+    A = CsrMatrix(n=n, row_ptr=np.array(row_ptr, dtype=np.int32),
+                  col_idx=np.array(col_idx, dtype=np.int32), values=np.ones(nnz))
+    if error is None:
+        A.validate()
+    else:
+        with pytest.raises(ValueError, match=error):
+            A.validate()
 
 
 # -- spmv ----------------------------------------------------------------------
@@ -125,15 +262,48 @@ def test_spmv_matches_dense_oracle():
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, scale)
 
 
-def test_spmv_left_to_right_accumulation():
+def _accumulation_cases():
+    """Random matrices, then shapes that stress the level-by-level sweep."""
     rng = np.random.default_rng(12)
     for trial in range(25):
         n = int(rng.integers(1, 40))
         dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4)
-        A = csr_from_dense(dense)
-        x = rng.standard_normal(n)
-        assert np.array_equal(spmv_csr(A, x),
-                              spmv_loop(A.row_ptr, A.col_idx, A.values, x))
+        yield csr_from_dense(dense), rng.standard_normal(n)
+    rng = np.random.default_rng(13)
+    empty_rows = rng.standard_normal((7, 7)) * (rng.random((7, 7)) < 0.6)
+    empty_rows[[0, 3, 6]] = 0.0     # the first, a middle and the last row
+    yield csr_from_dense(empty_rows), rng.standard_normal(7)
+    long_row = np.eye(30)
+    long_row[12] = rng.standard_normal(30)
+    yield csr_from_dense(long_row), rng.standard_normal(30)
+    # three entries in every row, so every level covers every row
+    circulant = sum(np.roll(np.eye(9), k, axis=1) * rng.uniform(1.0, 2.0, 9)
+                    for k in (0, 1, 4))
+    yield csr_from_dense(circulant), rng.standard_normal(9)
+    # every product is a signed zero, some of them -0.0: summed left to right
+    # from +0.0 each row gives +0.0, where a sum that starts from the row's
+    # first product would keep a -0.0
+    signed = np.array([[-1.0, 2.0, 0.0, 0.0],
+                       [0.0, -3.0, 0.0, 0.0],
+                       [4.0, 0.0, 0.0, -1.0],
+                       [0.0, 0.0, 5.0, 0.0]])
+    yield csr_from_dense(signed), np.array([0.0, -0.0, -0.0, 0.0])
+
+
+def test_spmv_left_to_right_accumulation():
+    rng = np.random.default_rng(14)
+    for A, x in _accumulation_cases():
+        want = spmv_loop(A.row_ptr, A.col_idx, A.values, x)
+        got = spmv_csr(A, x)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        for _ in range(4):
+            lo, hi = sorted(int(v) for v in rng.integers(0, A.n + 1, 2))
+            for plan in (A.plan(lo, hi), build_sweep_plan(A.row_ptr, lo, hi)):
+                part = spmv_range(A.row_ptr, A.col_idx, A.values, x, lo, hi,
+                                  plan=plan, out=np.full(hi - lo, np.nan))
+                assert np.array_equal(part, want[lo:hi])
+                assert np.array_equal(np.signbit(part), np.signbit(want[lo:hi]))
 
 
 # -- run_cg --------------------------------------------------------------------
