@@ -206,6 +206,11 @@ def _cmd_run(config: RunConfig) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO
+        bad = np.flatnonzero(~np.isfinite(rhs))
+        if len(bad):
+            print(f"error: {config.rhs_path}: value {bad[0] + 1} ({float(rhs[bad[0]])!r}) "
+                  "is not finite", file=sys.stderr)
+            return EXIT_IO
     else:
         rhs = np.ones(A.n)
     if len(rhs) != A.n:

@@ -1,10 +1,19 @@
-"""Reference CPU executor: CSR linear algebra and schedule interpretation.
+"""Reference CPU executor: CSR linear algebra and schedule execution.
 
 Runs a schedule over concrete numpy arrays with exactly the partitioning
-the generated OpenCL would use.  Simulated devices share nothing except
-through explicit host reductions (dot partials are summed in ascending
-device order), so a single-device run reproduces run_cg bit for bit and
-multi-device runs agree up to reduction rounding.
+the generated OpenCL would use.  execute_schedule first compiles the
+schedule into a flat list of closures, one per device launch (one per step
+for a dot reduction), host op and loop, each with its task's arrays,
+checks, [lo:hi] views and spmv plan bound once; the run then only calls
+closures.  An spmv launch holds its rows in jagged-diagonal form (rows
+sorted by descending length, entries stored level by level) and does one
+gather-multiply, one slice add per level and one scatter back to row
+order; every row is still summed left to right from +0.0 over the same
+products, so results match a plain CSR loop bit for bit.  Simulated
+devices share nothing except through explicit host reductions (dot
+partials are summed in ascending device order), so a single-device run
+reproduces run_cg bit for bit and multi-device runs agree up to reduction
+rounding.
 """
 
 from __future__ import annotations
@@ -16,10 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .intrinsics import INTRINSICS, IntrinsicShapeMismatch, check_task_signature
+from .intrinsics import IntrinsicShapeMismatch, check_task_signature
 from .metamodel import (Component, ComponentKind, DataType, Direction, FlowPort, Model,
                         Shape, connected_port_groups, iter_instances)
-from .partition import DeviceStep, HostOp, LoopStep, Schedule
+from .partition import HostOp, LoopStep, Schedule
 
 
 class DimensionMismatch(ValueError):
@@ -94,14 +103,12 @@ class CsrMatrix:
             i = int(np.searchsorted(self.row_ptr, k, side="right")) - 1
             raise ValueError(f"row {i}: column indices not strictly increasing")
 
-    def plan(self, lo: int, hi: int):
-        """The sweep plan of rows lo..hi-1 with each level's values and column
-        indices gathered once into contiguous arrays; cached per range, so
+    def plan(self, lo: int, hi: int) -> JaggedPlan:
+        """The jagged-diagonal plan of rows lo..hi-1; cached per range, so
         valid while the matrix arrays are not written."""
         key = (lo, hi)
         if key not in self._plans:
-            self._plans[key] = _gathered(build_sweep_plan(self.row_ptr, lo, hi),
-                                         self.col_idx, self.values)
+            self._plans[key] = _jagged_plan(self.row_ptr, lo, hi, self.col_idx, self.values)
         return self._plans[key]
 
 
@@ -123,27 +130,75 @@ def build_sweep_plan(row_ptr: np.ndarray, lo: int, hi: int):
     return plan
 
 
-def _gathered(plan, col_idx, values):
-    """Levels of (rows, values, column indices) from a build_sweep_plan plan."""
-    return [(rows, values[idx], col_idx[idx].astype(np.intp)) for rows, idx in plan]
+@dataclass(frozen=True, eq=False)
+class JaggedPlan:
+    """A row range of a CSR matrix in jagged-diagonal form.
+
+    The range's rows are stably sorted by descending length, so level j (the
+    j-th entry of every row that has one) covers a prefix of the sorted rows.
+    vals and cols hold the levels one after another; levels gives each
+    level's (row count, start, stop) in them; perm maps sorted positions to
+    rows.
+    """
+
+    rows: int
+    vals: np.ndarray
+    cols: np.ndarray
+    levels: tuple[tuple[int, int, int], ...]
+    perm: np.ndarray
+
+    def bind(self, x: np.ndarray, out: np.ndarray):
+        """A closure that sets out[i] to the range's row i times x, summed
+        left to right from +0.0.  Its scratch arrays and the views into them
+        are made here, once: x and out must be written only in place while
+        the closure is in use."""
+        if len(self.cols) and not (0 <= self.cols.min() and self.cols.max() < len(x)):
+            raise IndexError(f"column index outside a vector of length {len(x)}")
+        vals, cols, perm = self.vals, self.cols, self.perm
+        gathered = np.empty(len(vals), dtype=x.dtype)
+        products = gathered if gathered.dtype == np.result_type(vals, x) \
+            else np.empty(len(vals), dtype=np.result_type(vals, x))
+        acc = np.empty(self.rows, dtype=out.dtype)
+        adds = [(acc[:count], products[start:stop]) for count, start, stop in self.levels]
+
+        def run():
+            x.take(cols, out=gathered, mode="clip")     # no column is clipped: checked above
+            np.multiply(vals, gathered, out=products)
+            acc.fill(0.0)
+            for level_acc, level_products in adds:
+                level_acc += level_products
+            out[perm] = acc
+        return run
+
+
+def _jagged_plan(row_ptr: np.ndarray, lo: int, hi: int, col_idx: np.ndarray,
+                 values: np.ndarray) -> JaggedPlan:
+    """The JaggedPlan of rows lo..hi-1 of a CSR matrix."""
+    starts = row_ptr[lo:hi].astype(np.int64)
+    lens = row_ptr[lo + 1:hi + 1].astype(np.int64) - starts
+    perm = np.argsort(-lens, kind="stable")
+    starts, lens = starts[perm], lens[perm]
+    # level j covers the sorted rows with more than j entries
+    counts = np.searchsorted(-lens, -np.arange(lens[0] if len(lens) else 0), side="left")
+    stops = np.cumsum(counts)
+    flat = np.concatenate([np.zeros(0, dtype=np.int64)]    # empty with no levels
+                          + [starts[:count] + j for j, count in enumerate(counts)])
+    return JaggedPlan(rows=hi - lo, vals=values[flat], cols=col_idx[flat].astype(np.intp),
+                      levels=tuple((int(c), int(e - c), int(e)) for c, e in zip(counts, stops)),
+                      perm=perm)
 
 
 def spmv_range(row_ptr, col_idx, values, x, lo, hi, plan=None, out=None):
     """y[i] for rows lo..hi-1, each row accumulated left to right in float64.
 
-    plan is build_sweep_plan(row_ptr, lo, hi), built here when omitted, or
-    CsrMatrix.plan(lo, hi), whose levels carry their entries already gathered.
+    plan is CsrMatrix.plan(lo, hi); a build_sweep_plan(row_ptr, lo, hi) plan,
+    or none, is replaced by the same range's JaggedPlan, built here.
     """
-    if plan is None:
-        plan = build_sweep_plan(row_ptr, lo, hi)
-    if plan and len(plan[0]) == 2:
-        plan = _gathered(plan, col_idx, values)
+    if not isinstance(plan, JaggedPlan):
+        plan = _jagged_plan(row_ptr, lo, hi, col_idx, values)
     if out is None:
-        out = np.zeros(hi - lo)
-    else:
-        out[:] = 0.0
-    for rows, vals, cols in plan:
-        out[rows] += vals * x[cols]
+        out = np.empty(hi - lo)
+    plan.bind(x, out)()
     return out
 
 
@@ -463,6 +518,7 @@ class ExecutionResult:
     iterations: int
     final_relres: float | None
     converged: bool
+    residual_history: list[float]
 
 
 class _Storage:
@@ -505,137 +561,211 @@ class _Storage:
         return self.arrays[self.groups[node]]
 
 
-def _task_arrays(storage: _Storage, model: Model, task_path: str):
-    part = None
+def _resolve_task(storage: _Storage, model: Model, task_path: str):
+    """A leaf task's arrays by port name, checked against its intrinsic and
+    with no output aliasing an input, and, for an spmv whose CSR ports are
+    never written, its matrix (None otherwise)."""
     comp = model.root(ComponentKind.APPLICATION)
     for seg in task_path.split("."):
-        part = comp.part(seg)
-        comp = model.component(ComponentKind.APPLICATION, part.type_ref)
-    arrays = {}
+        comp = model.component(ComponentKind.APPLICATION, comp.part(seg).type_ref)
+    spec = check_task_signature(task_path, comp)
+    groups = {port.name: storage.groups[f"{task_path}.{port.name}"] for port in comp.ports}
     for port in comp.ports:
-        arrays[port.name] = storage.array(f"{task_path}.{port.name}")
-    return comp, arrays
+        if port.direction is not Direction.OUT:
+            continue
+        for other in comp.ports:
+            if other.direction is Direction.IN and groups[other.name] is groups[port.name]:
+                raise IntrinsicShapeMismatch(
+                    f"task '{task_path}': output port '{port.name}' aliases "
+                    f"input port '{other.name}'")
+    arrays = {name: storage.arrays[group] for name, group in groups.items()}
+    csr = None
+    if spec.name == "spmv_csr" and all(
+            groups[p] in storage.immutable for p in ("rowptr", "colidx", "values")):
+        csr = CsrMatrix(n=len(arrays["rowptr"]) - 1, row_ptr=arrays["rowptr"],
+                        col_idx=arrays["colidx"], values=arrays["values"])
+    return arrays, csr
+
+
+# Host intrinsics: arrays by port name -> a closure computing the scalar.
+# div stays numpy float64 arithmetic, so a zero denominator gives inf or nan.
+
+def _host_div(a):
+    q, num, den = a["q"], a["num"], a["den"]
+
+    def run():
+        q[0] = num[0] / den[0]
+    return run
+
+
+def _host_neg(a):
+    z, x = a["z"], a["a"]
+
+    def run():
+        z[0] = -x[0]
+    return run
+
+
+def _host_rel_residual(a):
+    z, num, den = a["z"], a["num"], a["den"]
+
+    def run():
+        z[0] = math.sqrt(float(num[0])) / math.sqrt(float(den[0]))
+    return run
+
+
+_HOST_OPS = {"div": _host_div, "neg": _host_neg, "rel_residual": _host_rel_residual}
+
+
+# Device intrinsics: (arrays by port name, task matrix, lo, hi) -> a closure
+# running one launch over rows lo..hi-1.  dot_partial is built per step,
+# since its launches' partials meet in one host sum.  The closures bind
+# views of the storage arrays once; that holds because storage arrays are
+# written only in place and never rebound while the schedule runs.
+
+def _launch_spmv_csr(a, csr, lo, hi):
+    x, y = a["x"], a["y"][lo:hi]
+    if csr is not None:
+        return csr.plan(lo, hi).bind(x, y)
+    # a task writes the matrix, so its plan is rebuilt on every launch
+    rowptr, colidx, values = a["rowptr"], a["colidx"], a["values"]
+
+    def run():
+        spmv_range(rowptr, colidx, values, x, lo, hi, out=y)
+    return run
+
+
+def _launch_axpy(a, csr, lo, hi):
+    y, x = a["y"][lo:hi], a["x"][lo:hi]
+    if "a" not in a:
+        def run():
+            np.add(y, x, out=y)
+    else:
+        scalar, scaled = a["a"], np.empty_like(x)
+
+        def run():
+            np.multiply(float(scalar[0]), x, out=scaled)
+            np.add(y, scaled, out=y)
+    return run
+
+
+def _launch_scale(a, csr, lo, hi):
+    y, scalar = a["y"][lo:hi], a["a"]
+
+    def run():
+        np.multiply(y, float(scalar[0]), out=y)
+    return run
+
+
+def _launch_copy(a, csr, lo, hi):
+    src, dst = a["src"][lo:hi], a["dst"][lo:hi]
+
+    def run():
+        dst[...] = src
+    return run
+
+
+def _launch_sub(a, csr, lo, hi):
+    x, y, z = a["x"][lo:hi], a["y"][lo:hi], a["z"][lo:hi]
+
+    def run():
+        np.subtract(x, y, out=z)
+    return run
+
+
+_DEVICE_LAUNCHES = {"spmv_csr": _launch_spmv_csr, "axpy": _launch_axpy,
+                    "scale": _launch_scale, "copy": _launch_copy, "sub": _launch_sub}
+
+
+def _dot_partial(a, ranges):
+    """Per-launch partial dots, summed from 0.0 in ascending device order."""
+    pairs = [(a["a"][lo:hi], a["b"][lo:hi]) for lo, hi in ranges]
+    s = a["s"]
+
+    def run():
+        total = 0.0
+        for u, v in pairs:
+            total += float(u.dot(v))
+        s[0] = total
+    return run
+
+
+class _Compiler:
+    """Compiles schedule steps once into a flat list of closures: one per
+    device launch, host op or dot step, and one per loop, which runs its
+    body's list and records each iteration's relative residual."""
+
+    def __init__(self, model: Model, storage: _Storage, tol: float | None,
+                 max_iter: int | None):
+        self.model, self.storage = model, storage
+        self.tol, self.max_iter = tol, max_iter
+        self.history: list[float] = []            # each loop iteration's relres
+        self.loops_converged: list[bool] = []
+
+    def steps(self, steps) -> list:
+        program = []
+        for step in steps:
+            if isinstance(step, LoopStep):
+                program.append(self.loop(step))
+                continue
+            arrays, csr = _resolve_task(self.storage, self.model, step.task_path)
+            if isinstance(step, HostOp):
+                if step.op not in _HOST_OPS:
+                    raise IntrinsicShapeMismatch(
+                        f"intrinsic '{step.op}' cannot run as a host scalar op")
+                program.append(_HOST_OPS[step.op](arrays))
+                continue
+            ranges = [(l.range.offset, l.range.offset + l.range.count) for l in step.launches]
+            if step.op == "dot_partial":
+                program.append(_dot_partial(arrays, ranges))
+            elif step.op in _DEVICE_LAUNCHES:
+                launch = _DEVICE_LAUNCHES[step.op]
+                program.extend(launch(arrays, csr, lo, hi) for lo, hi in ranges)
+            else:
+                raise IntrinsicShapeMismatch(f"no device implementation for '{step.op}'")
+        return program
+
+    def loop(self, step: LoopStep):
+        body = self.steps(step.body)
+        tol = self.tol if self.tol is not None else step.tolerance
+        max_iter = self.max_iter if self.max_iter is not None else step.max_iterations
+        relres = self.storage.array(step.relres_port)
+        history, loops_converged = self.history, self.loops_converged
+
+        def run():
+            for _ in range(max(1, max_iter)):     # the body runs at least once
+                for launch in body:
+                    launch()
+                history.append(float(relres[0]))
+                if history[-1] <= tol:
+                    loops_converged.append(True)
+                    return
+            loops_converged.append(False)
+        return run
 
 
 def execute_schedule(model: Model, schedule: Schedule, bindings: dict[str, np.ndarray],
                      device_count: int, tol: float | None = None,
                      max_iter: int | None = None) -> ExecutionResult:
-    """Interpret a schedule over bound arrays with device_count simulated devices.
+    """Run a schedule over bound arrays with device_count simulated devices.
 
     Produces the arrays of the application root's out ports plus loop
     bookkeeping.  tol and max_iter, when given, override every loop
     step's own continue-condition.
     """
     storage = _Storage(model, bindings)
-
-    task_cache: dict[str, tuple] = {}
-
-    def task_info(task_path: str):
-        if task_path not in task_cache:
-            comp, arrays = _task_arrays(storage, model, task_path)
-            spec = check_task_signature(task_path, comp)
-            for port in comp.ports:
-                if port.direction is not Direction.OUT:
-                    continue
-                out_group = storage.groups[f"{task_path}.{port.name}"]
-                for other in comp.ports:
-                    if other.direction is Direction.IN and \
-                            storage.groups[f"{task_path}.{other.name}"] is out_group:
-                        raise IntrinsicShapeMismatch(
-                            f"task '{task_path}': output port '{port.name}' aliases "
-                            f"input port '{other.name}'")
-            csr = None
-            if spec.name == "spmv_csr" and all(
-                    storage.groups[f"{task_path}.{p}"] in storage.immutable
-                    for p in ("rowptr", "colidx", "values")):
-                csr = CsrMatrix(n=len(arrays["rowptr"]) - 1, row_ptr=arrays["rowptr"],
-                                col_idx=arrays["colidx"], values=arrays["values"])
-            task_cache[task_path] = (comp, arrays, csr)
-        return task_cache[task_path]
-
-    iterations = 0
-    final_relres: float | None = None
-    converged = True
-
-    def run_host(step: HostOp):
-        _, arrays, _ = task_info(step.task_path)
-        if step.op == "div":
-            arrays["q"][0] = arrays["num"][0] / arrays["den"][0]
-        elif step.op == "neg":
-            arrays["z"][0] = -arrays["a"][0]
-        elif step.op == "rel_residual":
-            arrays["z"][0] = math.sqrt(float(arrays["num"][0])) \
-                / math.sqrt(float(arrays["den"][0]))
-        else:
-            impl = INTRINSICS[step.op]
-            raise IntrinsicShapeMismatch(
-                f"intrinsic '{impl.name}' cannot run as a host scalar op")
-
-    def run_device(step: DeviceStep):
-        comp, arrays, csr = task_info(step.task_path)
-        if step.op == "dot_partial":
-            a, b_ = arrays["a"], arrays["b"]
-            partials = [float(np.dot(a[l.range.offset:l.range.offset + l.range.count],
-                                     b_[l.range.offset:l.range.offset + l.range.count]))
-                        for l in step.launches]
-            total = 0.0
-            for p in partials:
-                total += p
-            arrays["s"][0] = total
-            return
-        for launch in step.launches:
-            lo = launch.range.offset
-            hi = lo + launch.range.count
-            if step.op == "spmv_csr":
-                spmv_range(arrays["rowptr"], arrays["colidx"], arrays["values"], arrays["x"],
-                           lo, hi, plan=csr.plan(lo, hi) if csr is not None else None,
-                           out=arrays["y"][lo:hi])
-            elif step.op == "axpy":
-                if comp.port("a") is not None:
-                    arrays["y"][lo:hi] += float(arrays["a"][0]) * arrays["x"][lo:hi]
-                else:
-                    arrays["y"][lo:hi] += arrays["x"][lo:hi]
-            elif step.op == "scale":
-                arrays["y"][lo:hi] *= float(arrays["a"][0])
-            elif step.op == "copy":
-                arrays["dst"][lo:hi] = arrays["src"][lo:hi]
-            elif step.op == "sub":
-                arrays["z"][lo:hi] = arrays["x"][lo:hi] - arrays["y"][lo:hi]
-            else:
-                raise IntrinsicShapeMismatch(f"no device implementation for '{step.op}'")
-
-    def run_steps(steps):
-        nonlocal iterations, final_relres, converged
-        for step in steps:
-            if isinstance(step, HostOp):
-                run_host(step)
-            elif isinstance(step, DeviceStep):
-                run_device(step)
-            elif isinstance(step, LoopStep):
-                loop_tol = tol if tol is not None else step.tolerance
-                loop_max = max_iter if max_iter is not None else step.max_iterations
-                loop_converged = False
-                loop_iters = 0
-                while True:
-                    run_steps(step.body)
-                    loop_iters += 1
-                    iterations += 1
-                    relres = float(storage.array(step.relres_port)[0])
-                    final_relres = relres
-                    if relres <= loop_tol:
-                        loop_converged = True
-                        break
-                    if loop_iters >= loop_max:
-                        break
-                converged = converged and loop_converged
-
-    run_steps(schedule.steps)
+    compiler = _Compiler(model, storage, tol, max_iter)
+    for run in compiler.steps(schedule.steps):
+        run()
 
     root = model.root(ComponentKind.APPLICATION)
     outputs = {port.name: storage.array(port.name).copy()
                for port in root.ports if port.direction is Direction.OUT}
-    return ExecutionResult(outputs=outputs, iterations=iterations,
-                           final_relres=final_relres, converged=converged)
+    history = compiler.history
+    return ExecutionResult(outputs=outputs, iterations=len(history),
+                           final_relres=history[-1] if history else None,
+                           converged=all(compiler.loops_converged),
+                           residual_history=history)
 
 
 def instantiate_for_matrix(model: Model, n: int, nnz: int) -> Model:

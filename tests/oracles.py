@@ -71,3 +71,38 @@ def balanced_split(total: int, devices: int) -> list[int]:
             counts[counts.index(min(counts))] += 1
         return counts
     return np.bincount(np.arange(total) % used, minlength=used).tolist()
+
+
+def partitioned_cg(row_ptr, col_idx, values, b, tol, max_iter, ranges):
+    """Conjugate gradient with every dot product split over device ranges.
+
+    Each dot is one np.dot partial per (offset, count) range, summed from
+    0.0 in ascending range order, as the schedule's host reduction does;
+    the loop stops when ||r||/||b|| <= tol, checked after each iteration.
+    Returns (x, iterations, final relative residual).
+    """
+    def dot(u, v):
+        total = 0.0
+        for offset, count in ranges:
+            total += float(np.dot(u[offset:offset + count], v[offset:offset + count]))
+        return total
+
+    b = np.array(b, dtype=float)
+    x = np.zeros(len(b))
+    r = b.copy()
+    p = r.copy()
+    bb = dot(b, b)
+    relres = None
+    for iters in range(1, max_iter + 1):
+        rr = dot(r, r)
+        Ap = spmv_loop(row_ptr, col_idx, values, p)
+        alpha = rr / dot(p, Ap)
+        x += alpha * p
+        r += (-alpha) * Ap
+        rr_new = dot(r, r)
+        relres = math.sqrt(rr_new) / math.sqrt(bb)
+        if relres <= tol:
+            break
+        p *= rr_new / rr
+        p += r
+    return x, iters, relres

@@ -173,6 +173,18 @@ def test_run_non_finite_matrix_exit_two(workdir, capsys):
     assert "line 4: value 'nan' is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["nan", "-inf", "1e400"])
+def test_run_non_finite_rhs_exit_two(workdir, capsys, token):
+    tmp_path, model_path = workdir
+    mtx, A = _write_poisson(tmp_path, 5)
+    rhs_path = tmp_path / "rhs.txt"
+    rhs_path.write_text(f"{token}\n" + "1.0\n" * (A.n - 1))
+    assert main(["run", model_path, "--matrix", mtx, "--rhs", str(rhs_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {rhs_path}: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_rhs_size_mismatch_exit_two(workdir, capsys):
     tmp_path, model_path = workdir
     mtx, _ = _write_poisson(tmp_path, 5)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import gmodelc
 from gmodelc import refexec
 from gmodelc.intrinsics import IntrinsicShapeMismatch
-from gmodelc.partition import build_schedule
+from gmodelc.partition import build_schedule, partition_equally
 from gmodelc.refexec import (BreakdownDetected, CsrMatrix, DimensionMismatch,
                              IndexOutOfRange, MalformedHeader, MissingBinding,
                              NonFiniteValue, NonSquare, NonSymmetricMatrix, SolverConfig,
@@ -18,7 +18,7 @@ from gmodelc.refexec import (BreakdownDetected, CsrMatrix, DimensionMismatch,
                              matrix_to_coordinate_text, poisson_1d, poisson_2d, random_spd,
                              run_cg, spmv_csr, spmv_range)
 
-from oracles import reference_cg, spmv_loop
+from oracles import partitioned_cg, reference_cg, spmv_loop
 
 
 # -- matrix market -------------------------------------------------------------
@@ -304,6 +304,18 @@ def test_spmv_left_to_right_accumulation():
                                   plan=plan, out=np.full(hi - lo, np.nan))
                 assert np.array_equal(part, want[lo:hi])
                 assert np.array_equal(np.signbit(part), np.signbit(want[lo:hi]))
+    # rows 0..7 of a 4x4 grid have 3, 4, 4, 3, 4, 5, 5, 4 entries, so their
+    # sorted order is a real permutation; rows 5..6 have 5 each, so theirs
+    # is the identity
+    A = poisson_2d(4)
+    x = rng.standard_normal(A.n)
+    want = spmv_loop(A.row_ptr, A.col_idx, A.values, x)
+    for lo, hi, permuted in ((0, 8, True), (5, 7, False)):
+        assert np.array_equal(A.plan(lo, hi).perm, np.arange(hi - lo)) != permuted
+        for plan in (A.plan(lo, hi), build_sweep_plan(A.row_ptr, lo, hi)):
+            part = spmv_range(A.row_ptr, A.col_idx, A.values, x, lo, hi,
+                              plan=plan, out=np.full(hi - lo, np.nan))
+            assert part.tobytes() == want[lo:hi].tobytes()
 
 
 # -- run_cg --------------------------------------------------------------------
@@ -404,6 +416,29 @@ def test_schedule_matches_run_cg_bitwise_single_device():
     assert res.final_relres == ref.residual_history[-1]
 
 
+@pytest.mark.parametrize("devices", [1, 2, 3, 4, 16])
+def test_schedule_matches_partitioned_cg_bitwise(devices):
+    sized, A, b, bindings = _cg_setup(20)
+    res = execute_schedule(sized, build_schedule(sized, devices), bindings, devices)
+    ranges = [(r.offset, r.count) for r in partition_equally(A.n, devices)]
+    x, iters, relres = partitioned_cg(A.row_ptr, A.col_idx, A.values, b, 1e-10, A.n,
+                                      ranges)
+    assert res.converged
+    assert res.iterations == iters
+    assert res.final_relres == relres
+    assert res.outputs["x"].tobytes() == x.tobytes()
+
+
+def test_schedule_residual_history():
+    sized, A, b, bindings = _cg_setup(20)
+    res = execute_schedule(sized, build_schedule(sized, 1), bindings, 1)
+    ref = run_cg(A, b, SolverConfig(tol=1e-10, max_iter=A.n))
+    assert res.residual_history == ref.residual_history
+    res = execute_schedule(sized, build_schedule(sized, 4), bindings, 4)
+    assert len(res.residual_history) == res.iterations
+    assert res.residual_history[-1] == res.final_relres
+
+
 def test_device_count_invariance_desk_scale():
     sized, A, b, bindings = _cg_setup(20)
     results = [execute_schedule(sized, build_schedule(sized, d), bindings, d)
@@ -451,13 +486,15 @@ application m {{
 """
 
 
-def _single_task_model(op, ports, root_ports, conns, allocs, n=64):
+def _single_task_model(op, ports, root_ports, conns, allocs, n=64, edit=None):
     text = SINGLE_TASK.format(
         op=op, n=n,
         ports="\n".join(f"    port {p}" for p in ports),
         root_ports="\n".join(f"    port {p}" for p in root_ports),
         conns="\n".join(f"    connect {c}" for c in conns),
         allocs="\n".join(allocs))
+    if edit is not None:
+        text = edit(text)
     model = gmodelc.parse_model(text)
     assert gmodelc.validate_conformance(model) == [], text
     return model
@@ -519,6 +556,40 @@ def test_partition_transparency_elementwise(op, ports, root_ports, conns, allocs
 
 def test_partition_transparency_spmv_bitwise():
     A = poisson_2d(8)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(A.n)
+    # with a float32 vector the products and sums are still float64
+    for xtype in ("float64", "float32"):
+        model = _single_task_model(
+            "spmv_csr",
+            [f"rowptr in int32 [{A.n + 1}]", f"colidx in int32 [{A.nnz}]",
+             f"values in float64 [{A.nnz}]", f"x in {xtype} [{A.n}]",
+             f"y out float64 [{A.n}]"],
+            [f"rp in int32 [{A.n + 1}]", f"ci in int32 [{A.nnz}]",
+             f"va in float64 [{A.nnz}]", f"vx in {xtype} [{A.n}]",
+             f"o out float64 [{A.n}]"],
+            ["rp -> t.rowptr", "ci -> t.colidx", "va -> t.values", "vx -> t.x",
+             "t.y -> o"],
+            ["allocate data rp onto dev.gmem", "allocate data ci onto dev.gmem",
+             "allocate data va onto dev.gmem", "allocate data vx onto dev.gmem",
+             "allocate data t.y onto dev.gmem", "allocate task t onto dev.cu"],
+            n=A.n)
+        vx = x.astype(xtype)
+        bindings = {"rp": A.row_ptr, "ci": A.col_idx, "va": A.values, "vx": vx}
+        outs = [execute_schedule(model, build_schedule(model, d), dict(bindings), d)
+                .outputs["o"] for d in (1, 3)]
+        assert np.array_equal(outs[0], outs[1])
+        assert np.array_equal(outs[0], spmv_csr(A, vx))
+        assert outs[0].tobytes() == spmv_loop(A.row_ptr, A.col_idx, A.values, vx).tobytes()
+
+
+def test_spmv_of_written_csr_ports_bitwise():
+    """A copy task writes the values that spmv reads, so the spmv cannot
+    cache its plan and takes the per-launch path."""
+    A = poisson_2d(8)
+    copy_task = ("  component C {{\n    port src in float64 [{nnz}]\n"
+                 "    port dst out float64 [{nnz}]\n    repeat [{nnz}]\n"
+                 "    deploy copy\n  }}\n  component m {{").format(nnz=A.nnz)
     model = _single_task_model(
         "spmv_csr",
         [f"rowptr in int32 [{A.n + 1}]", f"colidx in int32 [{A.nnz}]",
@@ -527,18 +598,21 @@ def test_partition_transparency_spmv_bitwise():
         [f"rp in int32 [{A.n + 1}]", f"ci in int32 [{A.nnz}]",
          f"va in float64 [{A.nnz}]", f"vx in float64 [{A.n}]",
          f"o out float64 [{A.n}]"],
-        ["rp -> t.rowptr", "ci -> t.colidx", "va -> t.values", "vx -> t.x", "t.y -> o"],
+        ["rp -> t.rowptr", "ci -> t.colidx", "va -> c.src", "c.dst -> t.values",
+         "vx -> t.x", "t.y -> o"],
         ["allocate data rp onto dev.gmem", "allocate data ci onto dev.gmem",
          "allocate data va onto dev.gmem", "allocate data vx onto dev.gmem",
-         "allocate data t.y onto dev.gmem", "allocate task t onto dev.cu"],
-        n=A.n)
-    rng = np.random.default_rng(5)
+         "allocate data c.dst onto dev.gmem", "allocate data t.y onto dev.gmem",
+         "allocate task c onto dev.cu", "allocate task t onto dev.cu"],
+        n=A.n, edit=lambda text: text.replace("  component m {", copy_task, 1)
+        .replace("    part t : T", "    part c : C\n    part t : T", 1))
+    rng = np.random.default_rng(6)
     x = rng.standard_normal(A.n)
     bindings = {"rp": A.row_ptr, "ci": A.col_idx, "va": A.values, "vx": x}
-    outs = [execute_schedule(model, build_schedule(model, d), dict(bindings), d)
-            .outputs["o"] for d in (1, 3)]
-    assert np.array_equal(outs[0], outs[1])
-    assert np.array_equal(outs[0], spmv_csr(A, x))
+    want = spmv_csr(A, x)
+    for d in (1, 3):
+        got = execute_schedule(model, build_schedule(model, d), dict(bindings), d)
+        assert got.outputs["o"].tobytes() == want.tobytes()
 
 
 def test_partition_transparency_dot_tolerance():
