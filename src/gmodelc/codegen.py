@@ -431,32 +431,43 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
 
     def emit_device_step(step: DeviceStep):
         kname = kernel_name(step.task_path)
-        params = task_params[step.task_path]
+        pad = "    " * w.depth
+        inner = pad + "    "
+        # The argument lines are built once per step.  Only the partials
+        # buffer depends on the device; _task_params puts it last.
+        args = ""
+        partials = None     # its argument index
+        for i, param in enumerate(task_params[step.task_path]):
+            if param.kind == "range":
+                arg = f"sizeof(cl_int), &{param.name}"
+            elif param.kind == "scalar":
+                arg = f"sizeof(double), &h_{param.alloc.name}"
+            elif param.kind == "local":
+                arg = f"{param.alloc.size_bytes}, NULL"
+            elif param.kind == "partials":
+                partials = i
+                continue
+            else:
+                arg = f"sizeof(cl_mem), &buf_{param.alloc.name}"
+            args += f"{inner}clSetKernelArg({kname}, {i}, {arg});\n"
         for launch in step.launches:
             d = launch.device_index
-            w.open("{")
-            w.put(f"const cl_int first = {launch.range.offset};")
-            w.put(f"const cl_int count = {launch.range.count};")
-            w.put(f"const size_t global_size = {launch.global_size};")
-            w.put(f"const size_t local_size = {launch.local_size};")
-            for i, param in enumerate(params):
-                if param.kind == "range":
-                    w.put(f"clSetKernelArg({kname}, {i}, sizeof(cl_int), &{param.name});")
-                elif param.kind == "scalar":
-                    w.put(f"clSetKernelArg({kname}, {i}, sizeof(double), "
-                          f"&h_{param.alloc.name});")
-                elif param.kind == "local":
-                    w.put(f"clSetKernelArg({kname}, {i}, {param.alloc.size_bytes}, NULL);")
-                elif param.kind == "partials":
-                    w.put(f"clSetKernelArg({kname}, {i}, sizeof(cl_mem), "
-                          f"&part_{kname}_d{d});")
-                else:
-                    w.put(f"clSetKernelArg({kname}, {i}, sizeof(cl_mem), "
-                          f"&buf_{param.alloc.name});")
-            w.put(f"err = clEnqueueNDRangeKernel(queues[{d}], {kname}, 1, NULL, "
-                  f"&global_size, &local_size, 0, NULL, NULL);")
-            w.put(f'CHECK(err, "enqueue {kname}");')
-            w.close()
+            if partials is not None:
+                device_args = (f"{args}{inner}clSetKernelArg({kname}, {partials}, "
+                               f"sizeof(cl_mem), &part_{kname}_d{d});\n")
+            else:
+                device_args = args
+            # one pre-indented block per launch
+            w.lines.append(f"{pad}{{\n"
+                           f"{inner}const cl_int first = {launch.range.offset};\n"
+                           f"{inner}const cl_int count = {launch.range.count};\n"
+                           f"{inner}const size_t global_size = {launch.global_size};\n"
+                           f"{inner}const size_t local_size = {launch.local_size};\n"
+                           f"{device_args}"
+                           f"{inner}err = clEnqueueNDRangeKernel(queues[{d}], {kname}, 1, NULL, "
+                           f"&global_size, &local_size, 0, NULL, NULL);\n"
+                           f'{inner}CHECK(err, "enqueue {kname}");\n'
+                           f"{pad}}}")
         for launch in step.launches:
             w.put(f"clFinish(queues[{launch.device_index}]);")
         if step.op == "dot_partial":

@@ -28,6 +28,11 @@ the block.  A part whose type position holds a hardware keyword
 anonymous leaf component named `<Owner>_<part>` carrying the stereotype;
 `serialize_model` folds such components back into the inline form.
 Capacity accepts K (1024) and M (1048576) suffixes.
+
+Each line is tokenized in one pass of a single regex: every match is a
+token, a comment or one illegal character.  Names resolve through dicts:
+the parser's component table while parsing, and the metamodel's
+name-indexed `Component.part`/`.port` once the model is built.
 """
 
 from __future__ import annotations
@@ -69,13 +74,18 @@ class ParseFailure(ValueError):
         self.errors = errors
 
 
+# One match per token or per error: leading blanks are absorbed, a `#`
+# comment runs to the end of the line, and `bad` takes one character that
+# starts no token.  `bad` excludes blanks so that a line's trailing blanks
+# match nothing instead of backtracking into an error.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>[ \t\r]+)"
-    r"|(?P<comment>#.*)"
-    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+    r"[ \t\r]*(?:"
+    r"(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?[KM]?)"
     r"|(?P<arrow>->)"
     r"|(?P<sym>[{}\[\]:=,.<])"
+    r"|(?P<comment>#.*)"
+    r"|(?P<bad>[^ \t\r]))"
 )
 
 _SUFFIX = {"K": 1024, "M": 1048576}
@@ -88,7 +98,7 @@ _TYPES = {t.value: t for t in DataType}
 _ROLES = {r.value: r for r in MemoryRole}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Tok:
     kind: str   # word | num | arrow | sym
     text: str
@@ -110,25 +120,21 @@ class _StmtError(Exception):
 
 def _tokenize_line(text: str, line_no: int, errors: list[ParseError]) -> list[_Tok]:
     toks: list[_Tok] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            errors.append(ParseError(SourceSpan(line_no, pos + 1, 1),
-                                     "a token", repr(text[pos])))
-            pos += 1
-            continue
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        lexeme = m.group()
-        if kind == "num":
+        if kind == "comment":
+            continue
+        lexeme = m[kind]
+        col = m.start(kind) + 1
+        if kind == "bad":
+            errors.append(ParseError(SourceSpan(line_no, col, 1), "a token", repr(lexeme)))
+        elif kind == "num":
             suffix = lexeme[-1] if lexeme[-1] in "KM" else ""
             body = lexeme[:-1] if suffix else lexeme
-            is_float = any(c in body for c in ".eE")
-            toks.append(_Tok("num", lexeme, line_no, pos + 1,
-                             is_float=is_float, value=float(body), suffix=suffix))
-        elif kind not in ("ws", "comment"):
-            toks.append(_Tok(kind, lexeme, line_no, pos + 1))
-        pos = m.end()
+            is_float = "." in body or "e" in body or "E" in body
+            toks.append(_Tok("num", lexeme, line_no, col, is_float, float(body), suffix))
+        else:
+            toks.append(_Tok(kind, lexeme, line_no, col))
     return toks
 
 

@@ -4,11 +4,15 @@ A model describes a hardware platform (processors, memories, buses), an
 application (a hierarchy of tasks with typed data ports), and allocation
 links binding application data to memories and tasks to processors.  All
 values are immutable after construction and safe to share between threads.
+``Component.part`` and ``Component.port`` are name-indexed lookups (a dict
+built once per component), so walking a dotted path costs one lookup per
+segment whatever the number of siblings.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 
@@ -140,6 +144,14 @@ class UntilCondition:
     tolerance: float
 
 
+def _first_by_name(elements) -> dict:
+    """Name -> element; a duplicated name keeps its first declaration."""
+    index: dict = {}
+    for element in elements:
+        index.setdefault(element.name, element)
+    return index
+
+
 @dataclass(frozen=True)
 class Component:
     name: str
@@ -153,16 +165,20 @@ class Component:
     until: UntilCondition | None = None
 
     def port(self, name: str) -> FlowPort | None:
-        for p in self.ports:
-            if p.name == name:
-                return p
-        return None
+        return self._ports_by_name.get(name)
 
     def part(self, name: str) -> PartInstance | None:
-        for p in self.parts:
-            if p.name == name:
-                return p
-        return None
+        return self._parts_by_name.get(name)
+
+    # Built on first lookup and kept in the instance __dict__, outside the
+    # dataclass fields, so equality, hash, repr and replace() never see it.
+    @functools.cached_property
+    def _ports_by_name(self) -> dict[str, FlowPort]:
+        return _first_by_name(self.ports)
+
+    @functools.cached_property
+    def _parts_by_name(self) -> dict[str, PartInstance]:
+        return _first_by_name(self.parts)
 
     @property
     def is_leaf_task(self) -> bool:

@@ -9,6 +9,7 @@ the task that updates it in place.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .metamodel import (AllocKind, Component, ComponentKind, Direction, Model,
@@ -158,13 +159,13 @@ def derive_launch_config(task: Component, platform: Model, ranges: list[WorkRang
                          task_path: str = "", device_path: str | None = None
                          ) -> list[KernelLaunch]:
     """One launch per work range, with the global size rounded up to the work-group size."""
-    local = _pe_local_size(platform, device_path)
-    launches = []
-    for i, rng in enumerate(ranges):
-        global_size = (rng.count + local - 1) // local * local
-        launches.append(KernelLaunch(task_path=task_path or task.name, device_index=i,
-                                     range=rng, global_size=global_size, local_size=local))
-    return launches
+    return _launches(task_path or task.name, ranges, _pe_local_size(platform, device_path))
+
+
+def _launches(task_path: str, ranges: list[WorkRange], local: int) -> list[KernelLaunch]:
+    return [KernelLaunch(task_path=task_path, device_index=i, range=rng,
+                         global_size=(rng.count + local - 1) // local * local, local_size=local)
+            for i, rng in enumerate(ranges)]
 
 
 def _order_parts(model: Model, comp: Component, path_prefix: str) -> list:
@@ -206,20 +207,29 @@ def _order_parts(model: Model, comp: Component, path_prefix: str) -> list:
             for earlier, later in zip(writers, writers[1:]):
                 edges[index[later]].add(index[earlier])
 
-    remaining = dict(edges)
-    done: set[int] = set()
+    # Kahn's algorithm; the heap pops the lowest ready index first, which is
+    # the declaration-order tie-break
+    waiting = {i: len(deps) for i, deps in edges.items()}
+    dependents: dict[int, list[int]] = {i: [] for i in edges}
+    for i, deps in edges.items():
+        for dep in deps:
+            dependents[dep].append(i)
+    ready = [i for i, count in waiting.items() if count == 0]
+    heapq.heapify(ready)
     order: list = []
-    while remaining:
-        ready = [i for i, deps in remaining.items() if deps <= done]
-        if not ready:
-            stuck = sorted(comp.parts[i].name for i in remaining)
-            where = path_prefix or "<root>"
-            raise CyclicTaskGraph(
-                f"connector cycle among tasks of '{where}': {', '.join(stuck)}")
-        i = min(ready)  # declaration-order tie-break
+    while ready:
+        i = heapq.heappop(ready)
         order.append(comp.parts[i])
-        done.add(i)
-        del remaining[i]
+        del waiting[i]
+        for later in dependents[i]:
+            waiting[later] -= 1
+            if waiting[later] == 0:
+                heapq.heappush(ready, later)
+    if waiting:
+        stuck = sorted(comp.parts[i].name for i in waiting)
+        where = path_prefix or "<root>"
+        raise CyclicTaskGraph(
+            f"connector cycle among tasks of '{where}': {', '.join(stuck)}")
     return order
 
 
@@ -229,6 +239,14 @@ def build_schedule(model: Model, device_count: int) -> Schedule:
         raise ValueError("device_count must be positive")
     task_targets = {link.source_path: link.target_path
                     for link in model.allocations if link.kind is AllocKind.TASK}
+    # allocation target -> work-group size of its processor, None on the host
+    local_sizes: dict[str, int | None] = {}
+
+    def local_size(target: str) -> int | None:
+        if target not in local_sizes:
+            local_sizes[target] = (None if is_host_processor(model, target)
+                                   else _pe_local_size(model, target))
+        return local_sizes[target]
 
     def schedule_component(comp: Component, prefix: str) -> list:
         steps: list = []
@@ -239,15 +257,14 @@ def build_schedule(model: Model, device_count: int) -> Schedule:
                 target = task_targets.get(path)
                 if target is None:
                     raise UnallocatedTask(path)
-                if is_host_processor(model, target):
+                local = local_size(target)
+                if local is None:
                     steps.append(HostOp(task_path=path, op=sub.elementary_op))
                 else:
                     total = sub.repetition_space.total if sub.repetition_space else 1
                     ranges = partition_equally(total, device_count)
-                    launches = derive_launch_config(sub, model, ranges,
-                                                    task_path=path, device_path=target)
                     steps.append(DeviceStep(task_path=path, op=sub.elementary_op,
-                                            launches=tuple(launches)))
+                                            launches=tuple(_launches(path, ranges, local))))
             elif sub.until is not None:
                 body = schedule_component(sub, path)
                 steps.append(LoopStep(task_path=path, body=tuple(body),

@@ -429,7 +429,11 @@ def _with_mirrors(ii: np.ndarray, jj: np.ndarray, vv: np.ndarray):
 
 
 def csr_from_coo(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> CsrMatrix:
-    """CSR from coordinate triplets; duplicate positions are summed."""
+    """CSR from coordinate triplets; duplicate positions are summed.
+
+    Raises NonFiniteValue, naming the 1-based row and column, when a summed
+    value is nan or infinite, such as two finite entries whose sum overflows.
+    """
     if len(rows):
         keys = rows.astype(np.int64) * n + cols
         order = np.argsort(keys, kind="stable")
@@ -438,10 +442,16 @@ def csr_from_coo(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -
         first[0] = True
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
         start = np.flatnonzero(first)
-        vals = np.add.reduceat(vals[order], start)
+        with np.errstate(over="ignore"):
+            vals = np.add.reduceat(vals[order], start)
         keys = keys[start]
         rows = keys // n
         cols = (keys % n).astype(np.int32)
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if len(bad):
+            k = bad[0]
+            raise NonFiniteValue(f"entry ({rows[k] + 1},{cols[k] + 1}): "
+                                 f"summed value {float(vals[k])!r} is not finite")
     counts = np.bincount(rows, minlength=n) if len(rows) else np.zeros(n, dtype=np.int64)
     row_ptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(counts, out=row_ptr[1:])

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import math
+import re
+from dataclasses import dataclass
 
 import numpy as np
+
+from gmodelc.dsl import ParseError, SourceSpan
 
 
 def dense_matvec(dense: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -106,3 +110,53 @@ def partitioned_cg(row_ptr, col_idx, values, b, tol, max_iter, ranges):
         p *= rr_new / rr
         p += r
     return x, iters, relres
+
+
+# -- DSL tokenizer ------------------------------------------------------------
+# The original tokenizer, kept as the reference: one regex match per token or
+# whitespace run from the current position, one error per character that
+# starts no token.
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"(?P<ws>[ \t\r]+)"
+    r"|(?P<comment>#.*)"
+    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?[KM]?)"
+    r"|(?P<arrow>->)"
+    r"|(?P<sym>[{}\[\]:=,.<])"
+)
+
+
+@dataclass(frozen=True)
+class ReferenceTok:
+    kind: str   # word | num | arrow | sym
+    text: str
+    line: int
+    col: int
+    is_float: bool = False
+    value: float = 0.0
+    suffix: str = ""
+
+
+def reference_tokenize_line(text: str, line_no: int, errors: list[ParseError]) -> list[ReferenceTok]:
+    toks: list[ReferenceTok] = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            errors.append(ParseError(SourceSpan(line_no, pos + 1, 1),
+                                     "a token", repr(text[pos])))
+            pos += 1
+            continue
+        kind = m.lastgroup
+        lexeme = m.group()
+        if kind == "num":
+            suffix = lexeme[-1] if lexeme[-1] in "KM" else ""
+            body = lexeme[:-1] if suffix else lexeme
+            is_float = any(c in body for c in ".eE")
+            toks.append(ReferenceTok("num", lexeme, line_no, pos + 1,
+                                is_float=is_float, value=float(body), suffix=suffix))
+        elif kind not in ("ws", "comment"):
+            toks.append(ReferenceTok(kind, lexeme, line_no, pos + 1))
+        pos = m.end()
+    return toks

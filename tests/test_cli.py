@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,20 @@ def test_run_non_finite_matrix_exit_two(workdir, capsys):
     assert main(["run", model_path, "--matrix", str(mtx),
                  "--out", str(tmp_path / "out")]) == 2
     assert "line 4: value 'nan' is not finite" in capsys.readouterr().err
+
+
+def test_run_duplicate_sum_overflow_exit_two(workdir, capsys):
+    tmp_path, model_path = workdir
+    mtx = tmp_path / "overflow.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n"
+                   "2 2 3\n1 1 1e308\n2 2 1.0\n1 1 1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", model_path, "--matrix", str(mtx),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {mtx}: entry (1,1): summed value inf is not finite\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("token", ["nan", "-inf", "1e400"])

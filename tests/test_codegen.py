@@ -44,6 +44,12 @@ def test_golden_host_d1(cg_model, cg_maps, cg_schedule_d1):
     assert host.contents == golden_path("cg_host_d1.c").read_text()
 
 
+def test_golden_host_d16(cg_model, cg_maps):
+    schedule = build_schedule(cg_model, 16)
+    host = generate_host(cg_model, cg_maps, schedule, 16)
+    assert host.contents == golden_path("cg_host_d16.c").read_text()
+
+
 def test_kernels_independent_of_device_count(cg_model, cg_maps, cg_schedule_d1,
                                              cg_schedule_d4):
     k1 = generate_kernels(cg_model, cg_maps, cg_schedule_d1)

@@ -1,13 +1,15 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gmodelc
-from gmodelc.dsl import ParseFailure, parse_model, serialize_model
+from gmodelc.dsl import ParseFailure, _tokenize_line, parse_model, serialize_model
 from gmodelc.metamodel import (MemoryRole, Shape, StereotypeKind, validate_conformance)
 
 from conftest import golden_path
 from modelgen import random_model
+from oracles import reference_tokenize_line
 
 
 def test_inline_memory_part_carries_stereotype():
@@ -202,3 +204,33 @@ platform p {
     assert model.platform_root == "p" and model.application_root == "a"
     # canonical form always leads with the platform section
     assert serialize_model(model).startswith("platform p {")
+
+
+_TOKEN_FIELDS = ("kind", "text", "line", "col", "is_float", "value", "suffix")
+
+# Fragments that tokenize differently depending on their neighbours: blanks
+# and carriage returns, comments, illegal characters, the arrow and its
+# halves, numbers with fractions, exponents and K/M suffixes, identifiers
+# with digits and underscores.
+_FRAGMENTS = st.sampled_from([
+    " ", "  ", "\t", "\r", " \t ", "#", "# note -> x", "@", "$", "!", "?", "-", ">",
+    "->", "{", "}", "[", "]", ":", "=", ",", ".", "<", "0", "7", "12", "1.5", "3.",
+    ".5", "2e3", "2E-3", "4e+", "1.25e10", "16K", "2M", "1.5K", "7e2M", "K", "M",
+    "e", "E", "x", "_", "a1", "port_9", "_b2_", "hwMemory", "capacity=16K",
+    "a.b.c", "x -> y.z", "\u00e9", "\u00a0",
+])
+
+
+@settings(max_examples=400, deadline=None)
+@example(["", "   ", "\t\r", "port x in float64 [4]  \r", "a@", "@@@ b", "x -> y # c",
+          "1.5e3K", "deploy  spmv_csr\t# trailing comment\t", "until r < 1e-10", "$"], 3)
+@given(st.lists(st.lists(_FRAGMENTS, max_size=12).map("".join), min_size=1, max_size=4),
+       st.integers(1, 500))
+def test_tokenizer_matches_reference_tokenizer(lines, first_line):
+    for line_no, text in enumerate(lines, start=first_line):
+        errors, ref_errors = [], []
+        toks = _tokenize_line(text, line_no, errors)
+        ref_toks = reference_tokenize_line(text, line_no, ref_errors)
+        assert ([tuple(getattr(t, f) for f in _TOKEN_FIELDS) for t in toks]
+                == [tuple(getattr(t, f) for f in _TOKEN_FIELDS) for t in ref_toks]), repr(text)
+        assert errors == ref_errors, repr(text)

@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 import gmodelc
 from gmodelc.metamodel import (AllocKind, AllocationLink, Component, ComponentKind,
-                               Connector, DataType, Direction, FlowPort, HwStereotype,
-                               MemoryRole, PartInstance, PathNotFound, Shape,
+                               Connector, DataType, Diagnostic, Direction, FlowPort,
+                               HwStereotype, MemoryRole, PartInstance, PathNotFound, Shape,
                                StereotypeKind, UntilCondition, resolve_path, shape_total,
                                validate_conformance)
 
@@ -264,3 +264,43 @@ def test_diagnostics_sorted_by_path_then_message(cg_model):
     diags = validate_conformance(broken)
     keys = [(d.path, d.message) for d in diags]
     assert keys == sorted(keys)
+
+
+def test_duplicate_names_resolve_to_first_declaration():
+    text = MINI_MODEL.replace("""\
+    port z out float64 [16]
+    repeat [16]""", """\
+    port z out float64 [16]
+    port a out float64 [4]
+    repeat [16]""").replace("""\
+    part t : Task
+""", """\
+    part t : Task
+    part t : Other
+    part src : Task
+""").replace("""\
+  component a {""", """\
+  component Other {
+    port a in float64 [16]
+  }
+  component a {""")
+    model = gmodelc.parse_model(text)
+    task = model.application_components["Task"]
+    root = model.application_components["a"]
+    assert task.port("a") is task.ports[0]
+    assert root.part("t") is root.parts[0] and root.part("t").type_ref == "Task"
+    # The first 't' and the first 'a' are the ones connected: a later
+    # declaration winning would add dangling-endpoint or type-mismatch errors.
+    assert validate_conformance(model) == [
+        Diagnostic("error", "allocation[0]", "data allocation source must be a port"),
+        Diagnostic("error", "application.Task.a", "duplicate port name 'a'"),
+        Diagnostic("error", "application.a.src", "name 'src' is used by both a part and a port"),
+        Diagnostic("error", "application.a.t", "duplicate part name 't'"),
+    ]
+
+    # the lookup index lives outside the dataclass fields
+    fresh = dataclasses.replace(root)
+    assert root == fresh and hash(root) == hash(fresh) and repr(root) == repr(fresh)
+    swapped = dataclasses.replace(root, parts=root.parts[::-1])
+    assert swapped.part("t").type_ref == "Other"
+    assert root.part("t").type_ref == "Task"

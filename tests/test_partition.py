@@ -209,17 +209,24 @@ application a {
     deploy copy
   }
   component a {
+    part t0 : T
     part t1 : T
     part t2 : T
+    part t3 : T
     connect t1.z -> t2.a
     connect t2.z -> t1.a
+    connect t2.z -> t3.a
   }
 }
+allocate task t0 onto host.cpu
 allocate task t1 onto host.cpu
 allocate task t2 onto host.cpu
+allocate task t3 onto host.cpu
 """)
     assert gmodelc.validate_conformance(model) == []
-    with pytest.raises(CyclicTaskGraph):
+    # t0 runs; t3 waits on the cycle and is reported with it
+    with pytest.raises(CyclicTaskGraph,
+                       match=r"^connector cycle among tasks of '<root>': t1, t2, t3$"):
         build_schedule(model, 1)
 
 
