@@ -10,13 +10,12 @@ from importlib import resources
 
 from .codegen import GeneratedUnit, generate_host, generate_kernels
 from .dsl import ParseError, ParseFailure, SourceSpan, parse_model, serialize_model
-from .memmap import (CapacityExceeded, DataAllocate, MemoryMap, allocation_size_bytes,
-                     build_memory_maps, emit_memory_map_report)
+from .memmap import (CapacityExceeded, DataAllocate, MemoryMap, build_memory_maps,
+                     emit_memory_map_report)
 from .metamodel import (AddressSpace, AllocKind, AllocationLink, Component, ComponentKind,
                         Connector, DataType, Diagnostic, Direction, FlowPort, HwStereotype,
                         MemoryRole, Model, PartInstance, PathNotFound, Shape,
-                        StereotypeKind, UntilCondition, resolve_path, shape_total,
-                        validate_conformance)
+                        StereotypeKind, UntilCondition, resolve_path, validate_conformance)
 from .partition import (CyclicTaskGraph, DeviceStep, HostOp, KernelLaunch, LoopStep,
                         MissingGeometry, Schedule, UnallocatedTask, WorkRange,
                         build_schedule, derive_launch_config, partition_equally)

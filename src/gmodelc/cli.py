@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codegen, dsl, memmap, refexec
+from .intrinsics import deployment_diagnostics
 from .metamodel import ComponentKind, Direction, Model, connected_port_groups, validate_conformance
 from .partition import build_schedule
 
@@ -89,6 +90,8 @@ def _validated_model(config: RunConfig) -> tuple[Model | None, int]:
             print(f"{config.model_path}:{err}", file=sys.stderr)
         return None, EXIT_IO
     diags = validate_conformance(model)
+    if not any(d.severity == "error" for d in diags):
+        diags += deployment_diagnostics(model)
     for diag in diags:
         print(str(diag), file=sys.stderr)
     if any(d.severity == "error" for d in diags):
@@ -113,24 +116,9 @@ def _matrix_bindings(model: Model, A: refexec.CsrMatrix,
                      rhs: np.ndarray) -> dict[str, np.ndarray]:
     """Bind root input ports structurally: CSR ports via their connection to
     the spmv task, the remaining float input as the right-hand side."""
-    spmv_path = None
     groups = connected_port_groups(model)
     root = model.root(ComponentKind.APPLICATION)
-
-    def find_spmv(comp, prefix):
-        for part in comp.parts:
-            sub = model.component(ComponentKind.APPLICATION, part.type_ref)
-            path = f"{prefix}.{part.name}" if prefix else part.name
-            if sub.elementary_op == "spmv_csr":
-                return path
-            found = find_spmv(sub, path)
-            if found:
-                return found
-        return None
-
-    spmv_path = find_spmv(root, "")
-    if spmv_path is None:
-        raise ValueError("model has no spmv_csr task; `run` needs a matrix consumer")
+    spmv_path, _ = refexec.spmv_task(model)
     csr_arrays = {f"{spmv_path}.rowptr": A.row_ptr,
                   f"{spmv_path}.colidx": A.col_idx,
                   f"{spmv_path}.values": A.values}
@@ -221,7 +209,11 @@ def _cmd_run(config: RunConfig) -> int:
     model, status = _validated_model(config)
     if model is None:
         return status
-    model = refexec.instantiate_for_matrix(model, A.n, A.nnz)
+    try:
+        model = refexec.instantiate_for_matrix(model, A.n, A.nnz)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     diags = validate_conformance(model)
     if any(d.severity == "error" for d in diags):
         for diag in diags:
@@ -240,7 +232,7 @@ def _cmd_run(config: RunConfig) -> int:
     try:
         schedule = build_schedule(model, config.devices)
         bindings = _matrix_bindings(model, A, rhs)
-        result = refexec.execute_schedule(model, schedule, bindings, config.devices,
+        result = refexec.execute_schedule(model, schedule, bindings,
                                           tol=config.tol, max_iter=config.max_iter)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

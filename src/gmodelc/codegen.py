@@ -1,10 +1,11 @@
 """OpenCL 1.1 source generation: one kernel file and one host file per model.
 
-Kernels are instantiated from a fixed template per intrinsic; parameter
-address-space keywords come from the port's data allocation.  Dot
-products are two-stage: per-work-group partials on the device, final
-sum on the host in ascending device order.  Output is byte-deterministic
-for identical inputs and is locked by golden files in the test suite.
+A device task's kernel body and a host op's statement are looked up in
+its intrinsic's entry of intrinsics.INTRINSICS; parameter address-space
+keywords come from the port's data allocation.  A reduction intrinsic is
+two-stage: per-work-group partials on the device, final sum on the host
+in ascending device order.  Output is byte-deterministic for identical
+inputs and is locked by golden files in the test suite.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ import hashlib
 from dataclasses import dataclass
 
 from .dsl import serialize_model
-from .intrinsics import UnknownIntrinsic, check_task_signature
+from .intrinsics import IntrinsicSpec, deployed_intrinsic
 from .memmap import DataAllocate, MemoryMap
-from .metamodel import (AddressSpace, ComponentKind, DataType, Direction, MemoryRole,
-                        Model, memory_role_of)
+from .metamodel import (AddressSpace, Component, ComponentKind, DataType, Direction,
+                        MemoryRole, Model, component_at, memory_role_of)
 from .partition import DeviceStep, HostOp, KernelLaunch, LoopStep, Schedule
 
 
@@ -66,14 +67,6 @@ class _AllocIndex:
         return None
 
 
-def _task_component(model: Model, task_path: str):
-    comp = model.root(ComponentKind.APPLICATION)
-    for seg in task_path.split("."):
-        part = comp.part(seg)
-        comp = model.component(ComponentKind.APPLICATION, part.type_ref)
-    return comp
-
-
 @dataclass(frozen=True)
 class _Param:
     name: str
@@ -82,7 +75,7 @@ class _Param:
     alloc: DataAllocate | None
 
 
-def _port_param(model: Model, index: _AllocIndex, task_path: str, port) -> _Param:
+def _port_param(index: _AllocIndex, task_path: str, port) -> _Param:
     node = f"{task_path}.{port.name}"
     ctype = _C_TYPES[port.data_type]
     device = index.device_alloc(node)
@@ -102,9 +95,8 @@ def _port_param(model: Model, index: _AllocIndex, task_path: str, port) -> _Para
     return _Param(port.name, f"{ctype}* {port.name}", "buffer", alloc)
 
 
-def _task_params(model: Model, index: _AllocIndex, task_path: str) -> list[_Param]:
-    comp = _task_component(model, task_path)
-    spec = check_task_signature(task_path, comp)
+def _task_params(index: _AllocIndex, task_path: str, comp: Component,
+                 spec: IntrinsicSpec) -> list[_Param]:
     params = [_Param("first", "const int first", "range", None),
               _Param("count", "const int count", "range", None)]
     for pspec in spec.ports:
@@ -113,79 +105,27 @@ def _task_params(model: Model, index: _AllocIndex, task_path: str) -> list[_Para
             continue
         node = f"{task_path}.{port.name}"
         if port.direction is Direction.OUT and index.device_alloc(node) is None:
-            # host-resident result (dot scalar): delivered via the partials
-            # buffer and the host reduction, not a kernel parameter
+            # host-resident result (a reduction's scalar): delivered via the
+            # partials buffer and the host reduction, not a kernel parameter
             continue
-        params.append(_port_param(model, index, task_path, port))
-    if comp.elementary_op == "dot_partial":
-        ctype = _C_TYPES[comp.port("a").data_type]
+        params.append(_port_param(index, task_path, port))
+    if spec.reduce:
+        # partials have the type of the reduced operands, the first port
+        ctype = _C_TYPES[comp.port(spec.ports[0].name).data_type]
         params.append(_Param("partials", f"__global {ctype}* partials", "partials", None))
     return params
 
 
-_KERNEL_BODIES = {
-    "spmv_csr": [
-        "const int gid = get_global_id(0);",
-        "if (gid >= count) return;",
-        "const int i = first + gid;",
-        "double acc = 0.0;",
-        "for (int k = rowptr[i]; k < rowptr[i + 1]; ++k) {",
-        "    acc += values[k] * x[colidx[k]];",
-        "}",
-        "y[i] = acc;",
-    ],
-    # one accumulator work-item per work-group: no barriers, so the range
-    # guard may return early without deadlocking the group
-    "dot_partial": [
-        "const int gid = get_global_id(0);",
-        "if (gid >= count) return;",
-        "if (get_local_id(0) != 0) return;",
-        "int lim = gid + (int)get_local_size(0);",
-        "if (lim > count) lim = count;",
-        "double acc = 0.0;",
-        "for (int k = gid; k < lim; ++k) {",
-        "    acc += a[first + k] * b[first + k];",
-        "}",
-        "partials[get_group_id(0)] = acc;",
-    ],
-    "scale": [
-        "const int gid = get_global_id(0);",
-        "if (gid >= count) return;",
-        "const int i = first + gid;",
-        "y[i] *= a;",
-    ],
-    "copy": [
-        "const int gid = get_global_id(0);",
-        "if (gid >= count) return;",
-        "const int i = first + gid;",
-        "dst[i] = src[i];",
-    ],
-    "sub": [
-        "const int gid = get_global_id(0);",
-        "if (gid >= count) return;",
-        "const int i = first + gid;",
-        "z[i] = x[i] - y[i];",
-    ],
-}
-
-
-def _axpy_body(has_scalar: bool) -> list[str]:
-    update = "y[i] += a * x[i];" if has_scalar else "y[i] += x[i];"
-    return [
-        "const int gid = get_global_id(0);",
-        "if (gid >= count) return;",
-        "const int i = first + gid;",
-        update,
-    ]
-
-
-def _distinct_device_tasks(schedule: Schedule) -> list[DeviceStep]:
+def _device_tasks(model: Model, schedule: Schedule
+                  ) -> list[tuple[DeviceStep, Component, IntrinsicSpec]]:
+    """Each distinct device task's first step, component and intrinsic."""
     seen: set[str] = set()
-    tasks: list[DeviceStep] = []
+    tasks = []
     for step in schedule.device_steps():
         if step.task_path not in seen:
             seen.add(step.task_path)
-            tasks.append(step)
+            comp = component_at(model, ComponentKind.APPLICATION, step.task_path)
+            tasks.append((step, comp, deployed_intrinsic(step.task_path, comp, on_host=False)))
     return tasks
 
 
@@ -199,26 +139,19 @@ def generate_kernels(model: Model, maps: list[MemoryMap], schedule: Schedule) ->
         f" * generated by gmodelc; model digest sha256:{_digest(model)}",
         " */",
     ]
-    uses_double = any(
-        port.data_type is DataType.FLOAT64
-        for step in _distinct_device_tasks(schedule)
-        for port in _task_component(model, step.task_path).ports)
-    if uses_double:
+    tasks = _device_tasks(model, schedule)
+    if any(port.data_type is DataType.FLOAT64 for _, comp, _ in tasks for port in comp.ports):
         out.append("")
         out.append("#pragma OPENCL EXTENSION cl_khr_fp64 : enable")
     names_seen: dict[str, str] = {}
-    for step in _distinct_device_tasks(schedule):
-        comp = _task_component(model, step.task_path)
-        if step.op not in _KERNEL_BODIES and step.op != "axpy":
-            raise UnknownIntrinsic(step.task_path, step.op)
+    for step, comp, spec in tasks:
         kname = kernel_name(step.task_path)
         if kname in names_seen:
             raise ValueError(f"kernel name '{kname}' generated for both "
                              f"'{names_seen[kname]}' and '{step.task_path}'")
         names_seen[kname] = step.task_path
-        params = _task_params(model, index, step.task_path)
-        body = _axpy_body(comp.port("a") is not None) if step.op == "axpy" \
-            else _KERNEL_BODIES[step.op]
+        params = _task_params(index, step.task_path, comp, spec)
+        body = spec.kernel_body(comp)
         out.append("")
         head = f"__kernel void {kname}("
         pad = " " * len(head)
@@ -270,9 +203,9 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
     index = _AllocIndex(model, maps)
     name = _model_name(model)
     root = model.root(ComponentKind.APPLICATION)
-    device_tasks = _distinct_device_tasks(schedule)
-    task_params = {step.task_path: _task_params(model, index, step.task_path)
-                   for step in device_tasks}
+    device_tasks = _device_tasks(model, schedule)
+    task_params = {step.task_path: (_task_params(index, step.task_path, comp, spec), spec)
+                   for step, comp, spec in device_tasks}
 
     device_allocs: list[tuple[MemoryRole, DataAllocate]] = []
     host_allocs: list[DataAllocate] = []
@@ -288,10 +221,10 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
             else:
                 device_allocs.append((role, alloc))
 
-    # dot partial buffers: one per (task, device) pair, sized by work groups
+    # reduction partial buffers: one per (task, device) pair, sized by work groups
     partials: list[tuple[str, int, int]] = []   # (kernel, device, groups)
-    for step in device_tasks:
-        if step.op == "dot_partial":
+    for step, _, spec in device_tasks:
+        if spec.reduce:
             for launch in step.launches:
                 partials.append((kernel_name(step.task_path), launch.device_index,
                                  _group_count(launch)))
@@ -386,7 +319,7 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
     w.put("err = clBuildProgram(program, DEVICE_COUNT, devices, NULL, NULL, NULL);")
     w.put('CHECK(err, "clBuildProgram");')
     w.put("")
-    for step in device_tasks:
+    for step, _, _ in device_tasks:
         kname = kernel_name(step.task_path)
         w.put(f'cl_kernel {kname} = clCreateKernel(program, "{kname}", &err);')
         w.put(f'CHECK(err, "clCreateKernel {kname}");')
@@ -435,9 +368,10 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
         inner = pad + "    "
         # The argument lines are built once per step.  Only the partials
         # buffer depends on the device; _task_params puts it last.
+        params, spec = task_params[step.task_path]
         args = ""
         partials = None     # its argument index
-        for i, param in enumerate(task_params[step.task_path]):
+        for i, param in enumerate(params):
             if param.kind == "range":
                 arg = f"sizeof(cl_int), &{param.name}"
             elif param.kind == "scalar":
@@ -470,8 +404,8 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
                            f"{pad}}}")
         for launch in step.launches:
             w.put(f"clFinish(queues[{launch.device_index}]);")
-        if step.op == "dot_partial":
-            s_alloc = index.host_alloc(f"{step.task_path}.s")
+        if spec.reduce:
+            s_alloc = index.host_alloc(f"{step.task_path}.{spec.reduce}")
             w.put(f"h_{s_alloc.name} = 0.0;")
             for launch in step.launches:
                 d = launch.device_index
@@ -482,24 +416,12 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
                 w.put(f"for (int g = 0; g < {groups}; ++g) "
                       f"h_{s_alloc.name} += ph_{kname}_d{d}[g];")
 
-    def scalar_name(task_path: str, port: str) -> str:
-        alloc = index.host_alloc(f"{task_path}.{port}")
-        return f"h_{alloc.name}"
-
     def emit_host_op(step: HostOp):
-        if step.op == "div":
-            w.put(f"{scalar_name(step.task_path, 'q')} = "
-                  f"{scalar_name(step.task_path, 'num')} / "
-                  f"{scalar_name(step.task_path, 'den')};")
-        elif step.op == "neg":
-            w.put(f"{scalar_name(step.task_path, 'z')} = "
-                  f"-{scalar_name(step.task_path, 'a')};")
-        elif step.op == "rel_residual":
-            w.put(f"{scalar_name(step.task_path, 'z')} = "
-                  f"sqrt({scalar_name(step.task_path, 'num')}) / "
-                  f"sqrt({scalar_name(step.task_path, 'den')});")
-        else:
-            raise UnknownIntrinsic(step.task_path, step.op)
+        comp = component_at(model, ComponentKind.APPLICATION, step.task_path)
+        spec = deployed_intrinsic(step.task_path, comp, on_host=True)
+        names = {port.name: f"h_{index.host_alloc(f'{step.task_path}.{port.name}').name}"
+                 for port in comp.ports}
+        w.put(spec.host_c.format_map(names))
 
     def emit_steps(steps):
         for step in steps:
@@ -547,7 +469,7 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
     for kname, dev, groups in partials:
         w.put(f"clReleaseMemObject(part_{kname}_d{dev});")
         w.put(f"free(ph_{kname}_d{dev});")
-    for step in device_tasks:
+    for step, _, _ in device_tasks:
         w.put(f"clReleaseKernel({kernel_name(step.task_path)});")
     w.put("clReleaseProgram(program);")
     w.put("free(source);")

@@ -1,16 +1,31 @@
-"""Deployment intrinsics: the fixed operation vocabulary for leaf tasks.
+"""Deployment intrinsics: the one definition of each leaf-task operation.
 
-Device intrinsics become OpenCL kernels; host intrinsics become scalar
-statements in the generated host code.  Port names are part of each
-signature, so a task component deploying an intrinsic must declare
-exactly the intrinsic's ports (optional ones may be omitted).
+A leaf task deploys an intrinsic by name, and its IntrinsicSpec in
+INTRINSICS is all that codegen, the reference executor and `gmodelc
+check` know of it:
+
+- its port signature: a task deploying it declares exactly its ports
+  (optional ones may be omitted)
+- a device intrinsic's OpenCL kernel body and the function that makes
+  the numpy closure running one launch in the reference executor
+- a host intrinsic's host-C statement and the scalar function the
+  reference executor applies
+
+Adding an intrinsic touches this module alone.  deployed_intrinsic is
+the one check, and the one error message, shared by codegen, `run` and
+`check`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
-from .metamodel import Component, Direction
+import numpy as np
+
+from .metamodel import (AllocKind, Component, ComponentKind, Diagnostic, Direction, Model,
+                        component_at, is_host_processor)
 
 
 class UnknownIntrinsic(ValueError):
@@ -38,12 +53,101 @@ class IntrinsicSpec:
     name: str
     kind: str  # "device" or "host"
     ports: tuple[PortSpec, ...]
+    # device: the OpenCL kernel body, and launch(arrays, lo, hi), a closure
+    # running elements lo..hi-1 over the task's arrays by port name
+    kernel: tuple[str, ...] = ()
+    launch: Callable | None = None
+    # host: the C statement over {port} names, and the scalar function of
+    # the in ports' one-element arrays, in port order, that gives the out
+    # port's value
+    host_c: str = ""
+    scalar: Callable | None = None
+    # a two-stage reduction: the kernel writes one partial per work group
+    # and the host sums them, in ascending device order, into this out
+    # port; launch is then launch(arrays, ranges), one closure per step
+    reduce: str | None = None
+    # the kernel body of a task that omits the optional ports
+    bare: tuple[str, ...] = ()
 
     def port_spec(self, name: str) -> PortSpec | None:
         for spec in self.ports:
             if spec.name == name:
                 return spec
         return None
+
+    def kernel_body(self, comp: Component) -> tuple[str, ...]:
+        if self.bare and any(comp.port(p.name) is None for p in self.ports if p.optional):
+            return self.bare
+        return self.kernel
+
+
+# The kernel prologue of an elementwise range: work-item gid handles
+# element i, and the guard drops the work-items past the range.
+RANGE_PROLOGUE = (
+    "const int gid = get_global_id(0);",
+    "if (gid >= count) return;",
+    "const int i = first + gid;",
+)
+
+
+# Launch closures.  A closure binds views of the storage arrays once; that
+# holds because storage arrays are written only in place and never rebound
+# while the schedule runs.
+
+def _spmv_launch(a, lo, hi):
+    from .refexec import spmv_launch    # refexec imports this module
+    return spmv_launch(a, lo, hi)
+
+
+def _dot_partial(a, ranges):
+    """Per-launch partial dots, summed from 0.0 in ascending device order."""
+    pairs = [(a["a"][lo:hi], a["b"][lo:hi]) for lo, hi in ranges]
+    s = a["s"]
+
+    def run():
+        total = 0.0
+        for u, v in pairs:
+            total += float(u.dot(v))
+        s[0] = total
+    return run
+
+
+def _axpy(a, lo, hi):
+    y, x = a["y"][lo:hi], a["x"][lo:hi]
+    if "a" not in a:
+        def run():
+            np.add(y, x, out=y)
+        return run
+    scalar, scaled = a["a"], np.empty_like(x)
+
+    def run():
+        np.multiply(float(scalar[0]), x, out=scaled)
+        np.add(y, scaled, out=y)
+    return run
+
+
+def _scale(a, lo, hi):
+    y, scalar = a["y"][lo:hi], a["a"]
+
+    def run():
+        np.multiply(y, float(scalar[0]), out=y)
+    return run
+
+
+def _copy(a, lo, hi):
+    src, dst = a["src"][lo:hi], a["dst"][lo:hi]
+
+    def run():
+        dst[...] = src
+    return run
+
+
+def _sub(a, lo, hi):
+    x, y, z = a["x"][lo:hi], a["y"][lo:hi], a["z"][lo:hi]
+
+    def run():
+        np.subtract(x, y, out=z)
+    return run
 
 
 _IN, _OUT, _INOUT = Direction.IN, Direction.OUT, Direction.INOUT
@@ -57,47 +161,67 @@ INTRINSICS: dict[str, IntrinsicSpec] = {
             PortSpec("values", _IN),
             PortSpec("x", _IN),
             PortSpec("y", _OUT),
-        )),
-        # per-work-group partial dot products, reduced to s on the host
+        ), kernel=RANGE_PROLOGUE + (
+            "double acc = 0.0;",
+            "for (int k = rowptr[i]; k < rowptr[i + 1]; ++k) {",
+            "    acc += values[k] * x[colidx[k]];",
+            "}",
+            "y[i] = acc;",
+        ), launch=_spmv_launch),
+        # per-work-group partial dot products, reduced to s on the host.
+        # One accumulator work-item per work-group: no barriers, so the
+        # range guard may return early without deadlocking the group.
         IntrinsicSpec("dot_partial", "device", (
             PortSpec("a", _IN),
             PortSpec("b", _IN),
             PortSpec("s", _OUT, scalar=True),
-        )),
+        ), kernel=RANGE_PROLOGUE[:2] + (
+            "if (get_local_id(0) != 0) return;",
+            "int lim = gid + (int)get_local_size(0);",
+            "if (lim > count) lim = count;",
+            "double acc = 0.0;",
+            "for (int k = gid; k < lim; ++k) {",
+            "    acc += a[first + k] * b[first + k];",
+            "}",
+            "partials[get_group_id(0)] = acc;",
+        ), launch=_dot_partial, reduce="s"),
         # y += a * x; with the a port omitted the increment is plain y += x
         IntrinsicSpec("axpy", "device", (
             PortSpec("y", _INOUT),
             PortSpec("x", _IN),
             PortSpec("a", _IN, scalar=True, optional=True),
-        )),
+        ), kernel=RANGE_PROLOGUE + ("y[i] += a * x[i];",), launch=_axpy,
+            bare=RANGE_PROLOGUE + ("y[i] += x[i];",)),
         IntrinsicSpec("scale", "device", (
             PortSpec("y", _INOUT),
             PortSpec("a", _IN, scalar=True),
-        )),
+        ), kernel=RANGE_PROLOGUE + ("y[i] *= a;",), launch=_scale),
         IntrinsicSpec("copy", "device", (
             PortSpec("src", _IN),
             PortSpec("dst", _OUT),
-        )),
+        ), kernel=RANGE_PROLOGUE + ("dst[i] = src[i];",), launch=_copy),
         IntrinsicSpec("sub", "device", (
             PortSpec("x", _IN),
             PortSpec("y", _IN),
             PortSpec("z", _OUT),
-        )),
+        ), kernel=RANGE_PROLOGUE + ("z[i] = x[i] - y[i];",), launch=_sub),
+        # numpy float64 division: a zero denominator gives inf or nan
         IntrinsicSpec("div", "host", (
             PortSpec("num", _IN, scalar=True),
             PortSpec("den", _IN, scalar=True),
             PortSpec("q", _OUT, scalar=True),
-        )),
+        ), host_c="{q} = {num} / {den};", scalar=lambda num, den: num[0] / den[0]),
         IntrinsicSpec("neg", "host", (
             PortSpec("a", _IN, scalar=True),
             PortSpec("z", _OUT, scalar=True),
-        )),
+        ), host_c="{z} = -{a};", scalar=lambda a: -a[0]),
         # sqrt(num) / sqrt(den): relative norm from two squared norms
         IntrinsicSpec("rel_residual", "host", (
             PortSpec("num", _IN, scalar=True),
             PortSpec("den", _IN, scalar=True),
             PortSpec("z", _OUT, scalar=True),
-        )),
+        ), host_c="{z} = sqrt({num}) / sqrt({den});",
+            scalar=lambda num, den: math.sqrt(float(num[0])) / math.sqrt(float(den[0]))),
     )
 }
 
@@ -154,3 +278,33 @@ def check_task_signature(task_path: str, comp: Component) -> IntrinsicSpec:
                 raise IntrinsicShapeMismatch(
                     f"task '{task_path}': colidx and values extents differ")
     return spec
+
+
+def deployed_intrinsic(task_path: str, comp: Component, on_host: bool) -> IntrinsicSpec:
+    """The spec of a leaf task's intrinsic, with its signature checked and
+    its kind matched against the processor the task is allocated to.
+
+    Raises UnknownIntrinsic or IntrinsicShapeMismatch.
+    """
+    spec = check_task_signature(task_path, comp)
+    where = "host" if on_host else "device"
+    if spec.kind != where:
+        raise IntrinsicShapeMismatch(
+            f"task '{task_path}': {spec.kind} intrinsic '{spec.name}' is allocated "
+            f"to a {where} processor")
+    return spec
+
+
+def deployment_diagnostics(model: Model) -> list[Diagnostic]:
+    """One error per allocated leaf task that codegen and `run` would reject,
+    with their message.  Expects a model without conformance errors."""
+    targets = {link.source_path: link.target_path
+               for link in model.allocations if link.kind is AllocKind.TASK}
+    diags: list[Diagnostic] = []
+    for task_path, target in targets.items():
+        comp = component_at(model, ComponentKind.APPLICATION, task_path)
+        try:
+            deployed_intrinsic(task_path, comp, is_host_processor(model, target))
+        except (UnknownIntrinsic, IntrinsicShapeMismatch) as exc:
+            diags.append(Diagnostic("error", task_path, str(exc)))
+    return diags

@@ -53,11 +53,6 @@ class MemoryMap:
         return last.base_address + last.size_bytes
 
 
-def allocation_size_bytes(alloc: DataAllocate) -> int:
-    """Byte size of one allocation: element count times element size."""
-    return alloc.size_bytes
-
-
 def _round_up(value: int, align: int) -> int:
     return (value + align - 1) // align * align
 

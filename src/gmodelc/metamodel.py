@@ -96,11 +96,6 @@ class Shape:
         return "[" + ",".join(str(d) for d in self.dims) + "]"
 
 
-def shape_total(shape: Shape) -> int:
-    """Flattened element count of a shape (product of its dimensions)."""
-    return shape.total
-
-
 @dataclass(frozen=True)
 class FlowPort:
     name: str
@@ -285,6 +280,13 @@ def resolve_side_path(model: Model, kind: ComponentKind, path: str):
     return element if n == len(segments) else None
 
 
+def component_at(model: Model, kind: ComponentKind, path: str) -> Component | None:
+    """The component instantiated by the part at a dotted path of one side,
+    or None when the path does not name a part of a declared type."""
+    element = resolve_side_path(model, kind, path)
+    return model.component(kind, element.type_ref) if isinstance(element, PartInstance) else None
+
+
 def iter_instances(model: Model, kind: ComponentKind):
     """Yield (instance_path, component) for the root ("" path) and every nested part.
 
@@ -342,18 +344,9 @@ def connected_port_groups(model: Model) -> dict[str, frozenset[str]]:
             uf.add(node)
             nodes.append(node)
         for conn in comp.connectors:
-            ends = []
-            for endpoint in (conn.source, conn.target):
-                segs = endpoint.split(".")
-                if len(segs) == 1 and comp.port(segs[0]) is not None:
-                    ends.append(_port_node(inst_path, segs[0]))
-                elif len(segs) == 2:
-                    part = comp.part(segs[0])
-                    sub = model.component(ComponentKind.APPLICATION, part.type_ref) if part else None
-                    if sub is not None and sub.port(segs[1]) is not None:
-                        ends.append(_port_node(_port_node(inst_path, segs[0]), segs[1]))
-            if len(ends) == 2:
-                uf.union(ends[0], ends[1])
+            if _effective_endpoint(model, comp, conn.source) is not None \
+                    and _effective_endpoint(model, comp, conn.target) is not None:
+                uf.union(_port_node(inst_path, conn.source), _port_node(inst_path, conn.target))
     groups: dict[str, set[str]] = {}
     for node in nodes:
         groups.setdefault(uf.find(node), set()).add(node)
@@ -377,11 +370,9 @@ def is_host_processor(model: Model, target_path: str) -> bool:
     Device processors (compute units) sit next to device-global/constant
     memories instead.
     """
-    segs = target_path.split(".")
-    owner = model.root(ComponentKind.PLATFORM)
-    for seg in segs[:-1]:
-        part = owner.part(seg) if owner else None
-        owner = model.component(ComponentKind.PLATFORM, part.type_ref) if part else None
+    owner_path = target_path.rpartition(".")[0]
+    owner = component_at(model, ComponentKind.PLATFORM, owner_path) if owner_path \
+        else model.root(ComponentKind.PLATFORM)
     if owner is None:
         return False
     for sibling in owner.parts:
@@ -393,10 +384,7 @@ def is_host_processor(model: Model, target_path: str) -> bool:
 
 
 def memory_role_of(model: Model, target_path: str) -> MemoryRole | None:
-    element = resolve_side_path(model, ComponentKind.PLATFORM, target_path)
-    if not isinstance(element, PartInstance):
-        return None
-    comp = model.component(ComponentKind.PLATFORM, element.type_ref)
+    comp = component_at(model, ComponentKind.PLATFORM, target_path)
     if comp is None or comp.stereotype is None:
         return None
     return comp.stereotype.memory_role
@@ -643,9 +631,7 @@ def validate_conformance(model: Model) -> list[Diagnostic]:
             target = task_targets[task_path]
             if is_host_processor(model, target):
                 continue
-            element = resolve_side_path(model, ComponentKind.APPLICATION, task_path)
-            comp = model.component(ComponentKind.APPLICATION, element.type_ref) \
-                if isinstance(element, PartInstance) else None
+            comp = component_at(model, ComponentKind.APPLICATION, task_path)
             if comp is None:
                 continue
             for port in comp.ports:

@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass
 
 from .metamodel import (AllocKind, Component, ComponentKind, Direction, Model,
-                        StereotypeKind, is_host_processor, resolve_side_path)
+                        StereotypeKind, component_at, is_host_processor)
 
 
 class MissingGeometry(ValueError):
@@ -77,27 +77,21 @@ class Schedule:
 
     def device_steps(self) -> list[DeviceStep]:
         """All DeviceSteps in schedule order, descending into loops."""
-        found: list[DeviceStep] = []
-
-        def walk(steps):
-            for step in steps:
-                if isinstance(step, DeviceStep):
-                    found.append(step)
-                elif isinstance(step, LoopStep):
-                    walk(step.body)
-
-        walk(self.steps)
-        return found
+        return self._leaves(DeviceStep)
 
     def host_ops(self) -> list[HostOp]:
-        found: list[HostOp] = []
+        """All HostOps in schedule order, descending into loops."""
+        return self._leaves(HostOp)
+
+    def _leaves(self, kind: type) -> list:
+        found: list = []
 
         def walk(steps):
             for step in steps:
-                if isinstance(step, HostOp):
-                    found.append(step)
-                elif isinstance(step, LoopStep):
+                if isinstance(step, LoopStep):
                     walk(step.body)
+                elif isinstance(step, kind):
+                    found.append(step)
 
         walk(self.steps)
         return found
@@ -142,8 +136,7 @@ def _pe_local_size(model: Model, device_path: str | None) -> int:
                     candidates.append(path)
                 stack.append((path, sub))
     for path in candidates:
-        part = resolve_side_path(model, ComponentKind.PLATFORM, path)
-        comp = model.component(ComponentKind.PLATFORM, part.type_ref) if part else None
+        comp = component_at(model, ComponentKind.PLATFORM, path)
         if comp is None:
             continue
         for sub_part in comp.parts:

@@ -3,9 +3,11 @@
 Runs a schedule over concrete numpy arrays with exactly the partitioning
 the generated OpenCL would use.  execute_schedule first compiles the
 schedule into a flat list of closures, one per device launch (one per step
-for a dot reduction), host op and loop, each with its task's arrays,
-checks, [lo:hi] views and spmv plan bound once; the run then only calls
-closures.  An spmv launch holds its rows in jagged-diagonal form (rows
+for a reduction), host op and loop, each with its task's arrays, checks,
+[lo:hi] views and spmv plan bound once; the run then only calls closures.
+A task's closures come from its intrinsic's entry of intrinsics.INTRINSICS:
+the launch function of a device intrinsic, the scalar function of a host
+one.  An spmv launch holds its rows in jagged-diagonal form (rows
 sorted by descending length, entries stored level by level) and does one
 gather-multiply, one slice add per level and one scatter back to row
 order; every row is still summed left to right from +0.0 over the same
@@ -25,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .intrinsics import IntrinsicShapeMismatch, check_task_signature
+from .intrinsics import IntrinsicShapeMismatch, IntrinsicSpec, deployed_intrinsic
 from .metamodel import (Component, ComponentKind, DataType, Direction, FlowPort, Model,
-                        Shape, connected_port_groups, iter_instances)
+                        Shape, component_at, connected_port_groups, iter_instances)
 from .partition import HostOp, LoopStep, Schedule
 
 
@@ -532,15 +534,19 @@ class ExecutionResult:
 
 
 class _Storage:
-    """Arrays per connector-connected port group, plus lookup helpers."""
+    """Arrays per connector-connected port group, plus lookup helpers.
+
+    A group whose every member is an input port is never written: its
+    array is read-only, so an spmv over it keeps its plan across launches.
+    """
 
     def __init__(self, model: Model, bindings: dict[str, np.ndarray]):
         self.groups = connected_port_groups(model)
-        self.ports = {}
+        ports = {}
         for inst_path, comp in iter_instances(model, ComponentKind.APPLICATION):
             for port in comp.ports:
                 node = f"{inst_path}.{port.name}" if inst_path else port.name
-                self.ports[node] = port
+                ports[node] = port
         self.arrays: dict[frozenset, np.ndarray] = {}
         root = model.root(ComponentKind.APPLICATION)
         for port in root.ports:
@@ -555,155 +561,61 @@ class _Storage:
                     f"port expects {port.shape.total}")
             self.arrays[self.groups[port.name]] = data.astype(
                 _NUMPY_TYPES[port.data_type], copy=True)
-        for node, port in self.ports.items():
+        for node, port in ports.items():
             group = self.groups[node]
             if group not in self.arrays:
                 self.arrays[group] = np.zeros(port.shape.total,
                                               dtype=_NUMPY_TYPES[port.data_type])
-        # groups whose every member is an input port are never written;
-        # spmv plans gathered from them stay valid across iterations
-        self.immutable = {
-            group for group in set(self.groups.values())
-            if all(self.ports[n].direction is Direction.IN for n in group)
-        }
+        for group, array in self.arrays.items():
+            if all(ports[n].direction is Direction.IN for n in group):
+                array.flags.writeable = False
 
     def array(self, node: str) -> np.ndarray:
         return self.arrays[self.groups[node]]
 
-
-def _resolve_task(storage: _Storage, model: Model, task_path: str):
-    """A leaf task's arrays by port name, checked against its intrinsic and
-    with no output aliasing an input, and, for an spmv whose CSR ports are
-    never written, its matrix (None otherwise)."""
-    comp = model.root(ComponentKind.APPLICATION)
-    for seg in task_path.split("."):
-        comp = model.component(ComponentKind.APPLICATION, comp.part(seg).type_ref)
-    spec = check_task_signature(task_path, comp)
-    groups = {port.name: storage.groups[f"{task_path}.{port.name}"] for port in comp.ports}
-    for port in comp.ports:
-        if port.direction is not Direction.OUT:
-            continue
-        for other in comp.ports:
-            if other.direction is Direction.IN and groups[other.name] is groups[port.name]:
-                raise IntrinsicShapeMismatch(
-                    f"task '{task_path}': output port '{port.name}' aliases "
-                    f"input port '{other.name}'")
-    arrays = {name: storage.arrays[group] for name, group in groups.items()}
-    csr = None
-    if spec.name == "spmv_csr" and all(
-            groups[p] in storage.immutable for p in ("rowptr", "colidx", "values")):
-        csr = CsrMatrix(n=len(arrays["rowptr"]) - 1, row_ptr=arrays["rowptr"],
-                        col_idx=arrays["colidx"], values=arrays["values"])
-    return arrays, csr
+    def task_arrays(self, task_path: str, comp: Component) -> dict[str, np.ndarray]:
+        """A leaf task's arrays by port name; no output may alias an input."""
+        groups = {port.name: self.groups[f"{task_path}.{port.name}"] for port in comp.ports}
+        for port in comp.ports:
+            if port.direction is not Direction.OUT:
+                continue
+            for other in comp.ports:
+                if other.direction is Direction.IN and groups[other.name] is groups[port.name]:
+                    raise IntrinsicShapeMismatch(
+                        f"task '{task_path}': output port '{port.name}' aliases "
+                        f"input port '{other.name}'")
+        return {name: self.arrays[group] for name, group in groups.items()}
 
 
-# Host intrinsics: arrays by port name -> a closure computing the scalar.
-# div stays numpy float64 arithmetic, so a zero denominator gives inf or nan.
-
-def _host_div(a):
-    q, num, den = a["q"], a["num"], a["den"]
-
-    def run():
-        q[0] = num[0] / den[0]
-    return run
-
-
-def _host_neg(a):
-    z, x = a["z"], a["a"]
-
-    def run():
-        z[0] = -x[0]
-    return run
-
-
-def _host_rel_residual(a):
-    z, num, den = a["z"], a["num"], a["den"]
-
-    def run():
-        z[0] = math.sqrt(float(num[0])) / math.sqrt(float(den[0]))
-    return run
-
-
-_HOST_OPS = {"div": _host_div, "neg": _host_neg, "rel_residual": _host_rel_residual}
-
-
-# Device intrinsics: (arrays by port name, task matrix, lo, hi) -> a closure
-# running one launch over rows lo..hi-1.  dot_partial is built per step,
-# since its launches' partials meet in one host sum.  The closures bind
-# views of the storage arrays once; that holds because storage arrays are
-# written only in place and never rebound while the schedule runs.
-
-def _launch_spmv_csr(a, csr, lo, hi):
+def spmv_launch(a: dict[str, np.ndarray], lo: int, hi: int):
+    """The spmv_csr launch over rows lo..hi-1.  Read-only CSR arrays are
+    never written, so the rows' jagged-diagonal plan is built once, here;
+    otherwise a task writes the matrix and the plan is rebuilt per launch."""
     x, y = a["x"], a["y"][lo:hi]
-    if csr is not None:
-        return csr.plan(lo, hi).bind(x, y)
-    # a task writes the matrix, so its plan is rebuilt on every launch
     rowptr, colidx, values = a["rowptr"], a["colidx"], a["values"]
+    if not (rowptr.flags.writeable or colidx.flags.writeable or values.flags.writeable):
+        return _jagged_plan(rowptr, lo, hi, colidx, values).bind(x, y)
 
     def run():
         spmv_range(rowptr, colidx, values, x, lo, hi, out=y)
     return run
 
 
-def _launch_axpy(a, csr, lo, hi):
-    y, x = a["y"][lo:hi], a["x"][lo:hi]
-    if "a" not in a:
-        def run():
-            np.add(y, x, out=y)
-    else:
-        scalar, scaled = a["a"], np.empty_like(x)
-
-        def run():
-            np.multiply(float(scalar[0]), x, out=scaled)
-            np.add(y, scaled, out=y)
-    return run
-
-
-def _launch_scale(a, csr, lo, hi):
-    y, scalar = a["y"][lo:hi], a["a"]
+def _host_op(spec: IntrinsicSpec, arrays: dict[str, np.ndarray]):
+    """A closure applying a host intrinsic's scalar function."""
+    (out,) = [arrays[p.name] for p in spec.ports if p.direction is Direction.OUT]
+    operands = [arrays[p.name] for p in spec.ports if p.direction is Direction.IN]
+    scalar = spec.scalar
 
     def run():
-        np.multiply(y, float(scalar[0]), out=y)
-    return run
-
-
-def _launch_copy(a, csr, lo, hi):
-    src, dst = a["src"][lo:hi], a["dst"][lo:hi]
-
-    def run():
-        dst[...] = src
-    return run
-
-
-def _launch_sub(a, csr, lo, hi):
-    x, y, z = a["x"][lo:hi], a["y"][lo:hi], a["z"][lo:hi]
-
-    def run():
-        np.subtract(x, y, out=z)
-    return run
-
-
-_DEVICE_LAUNCHES = {"spmv_csr": _launch_spmv_csr, "axpy": _launch_axpy,
-                    "scale": _launch_scale, "copy": _launch_copy, "sub": _launch_sub}
-
-
-def _dot_partial(a, ranges):
-    """Per-launch partial dots, summed from 0.0 in ascending device order."""
-    pairs = [(a["a"][lo:hi], a["b"][lo:hi]) for lo, hi in ranges]
-    s = a["s"]
-
-    def run():
-        total = 0.0
-        for u, v in pairs:
-            total += float(u.dot(v))
-        s[0] = total
+        out[0] = scalar(*operands)
     return run
 
 
 class _Compiler:
     """Compiles schedule steps once into a flat list of closures: one per
-    device launch, host op or dot step, and one per loop, which runs its
-    body's list and records each iteration's relative residual."""
+    device launch, host op or reduction step, and one per loop, which runs
+    its body's list and records each iteration's relative residual."""
 
     def __init__(self, model: Model, storage: _Storage, tol: float | None,
                  max_iter: int | None):
@@ -718,21 +630,17 @@ class _Compiler:
             if isinstance(step, LoopStep):
                 program.append(self.loop(step))
                 continue
-            arrays, csr = _resolve_task(self.storage, self.model, step.task_path)
+            comp = component_at(self.model, ComponentKind.APPLICATION, step.task_path)
+            spec = deployed_intrinsic(step.task_path, comp, on_host=isinstance(step, HostOp))
+            arrays = self.storage.task_arrays(step.task_path, comp)
             if isinstance(step, HostOp):
-                if step.op not in _HOST_OPS:
-                    raise IntrinsicShapeMismatch(
-                        f"intrinsic '{step.op}' cannot run as a host scalar op")
-                program.append(_HOST_OPS[step.op](arrays))
+                program.append(_host_op(spec, arrays))
                 continue
             ranges = [(l.range.offset, l.range.offset + l.range.count) for l in step.launches]
-            if step.op == "dot_partial":
-                program.append(_dot_partial(arrays, ranges))
-            elif step.op in _DEVICE_LAUNCHES:
-                launch = _DEVICE_LAUNCHES[step.op]
-                program.extend(launch(arrays, csr, lo, hi) for lo, hi in ranges)
+            if spec.reduce:
+                program.append(spec.launch(arrays, ranges))
             else:
-                raise IntrinsicShapeMismatch(f"no device implementation for '{step.op}'")
+                program.extend(spec.launch(arrays, lo, hi) for lo, hi in ranges)
         return program
 
     def loop(self, step: LoopStep):
@@ -755,9 +663,9 @@ class _Compiler:
 
 
 def execute_schedule(model: Model, schedule: Schedule, bindings: dict[str, np.ndarray],
-                     device_count: int, tol: float | None = None,
+                     *, tol: float | None = None,
                      max_iter: int | None = None) -> ExecutionResult:
-    """Run a schedule over bound arrays with device_count simulated devices.
+    """Run a schedule over bound arrays, one simulated device per launch.
 
     Produces the arrays of the application root's out ports plus loop
     bookkeeping.  tol and max_iter, when given, override every loop
@@ -778,6 +686,15 @@ def execute_schedule(model: Model, schedule: Schedule, bindings: dict[str, np.nd
                            residual_history=history)
 
 
+def spmv_task(model: Model) -> tuple[str, Component]:
+    """The first spmv_csr task instance in pre-order: the matrix consumer
+    that `run` binds the matrix to and sizes the model by."""
+    for path, comp in iter_instances(model, ComponentKind.APPLICATION):
+        if comp.elementary_op == "spmv_csr":
+            return path, comp
+    raise ValueError("model has no spmv_csr task; `run` needs a matrix consumer")
+
+
 def instantiate_for_matrix(model: Model, n: int, nnz: int) -> Model:
     """Re-size a model written for one matrix to another problem size.
 
@@ -785,13 +702,7 @@ def instantiate_for_matrix(model: Model, n: int, nnz: int) -> Model:
     values extent = NNZ); every dimension equal to NNZ, N or N+1 is
     rewritten to the new value, everything else is kept.
     """
-    spmv = None
-    for comp in model.application_components.values():
-        if comp.elementary_op == "spmv_csr":
-            spmv = comp
-            break
-    if spmv is None:
-        raise ValueError("model has no spmv_csr task to infer problem sizes from")
+    _, spmv = spmv_task(model)
     n_model = spmv.port("x").shape.total
     nnz_model = spmv.port("values").shape.total
 

@@ -1,0 +1,117 @@
+/*
+ * OpenCL kernels for model 'intrinsics'.
+ * generated by gmodelc; model digest sha256:b1eb97b10d2e
+ */
+
+#pragma OPENCL EXTENSION cl_khr_fp64 : enable
+
+__kernel void k_spmv(const int first,
+                     const int count,
+                     __global const int* rowptr,
+                     __global const int* colidx,
+                     __constant double* values,
+                     __global const double* x,
+                     __global double* y)
+{
+    const int gid = get_global_id(0);
+    if (gid >= count) return;
+    const int i = first + gid;
+    double acc = 0.0;
+    for (int k = rowptr[i]; k < rowptr[i + 1]; ++k) {
+        acc += values[k] * x[colidx[k]];
+    }
+    y[i] = acc;
+}
+
+__kernel void k_dot_bb(const int first,
+                       const int count,
+                       __global const double* a,
+                       __global const double* b,
+                       __global double* partials)
+{
+    const int gid = get_global_id(0);
+    if (gid >= count) return;
+    if (get_local_id(0) != 0) return;
+    int lim = gid + (int)get_local_size(0);
+    if (lim > count) lim = count;
+    double acc = 0.0;
+    for (int k = gid; k < lim; ++k) {
+        acc += a[first + k] * b[first + k];
+    }
+    partials[get_group_id(0)] = acc;
+}
+
+__kernel void k_dot_by(const int first,
+                       const int count,
+                       __global const double* a,
+                       __global const double* b,
+                       __global double* partials)
+{
+    const int gid = get_global_id(0);
+    if (gid >= count) return;
+    if (get_local_id(0) != 0) return;
+    int lim = gid + (int)get_local_size(0);
+    if (lim > count) lim = count;
+    double acc = 0.0;
+    for (int k = gid; k < lim; ++k) {
+        acc += a[first + k] * b[first + k];
+    }
+    partials[get_group_id(0)] = acc;
+}
+
+__kernel void k_init(const int first,
+                     const int count,
+                     __global const double* src,
+                     __global double* dst)
+{
+    const int gid = get_global_id(0);
+    if (gid >= count) return;
+    const int i = first + gid;
+    dst[i] = src[i];
+}
+
+__kernel void k_update(const int first,
+                       const int count,
+                       __global double* y,
+                       __global const double* x,
+                       const double a)
+{
+    const int gid = get_global_id(0);
+    if (gid >= count) return;
+    const int i = first + gid;
+    y[i] += a * x[i];
+}
+
+__kernel void k_damp(const int first,
+                     const int count,
+                     __global double* y,
+                     const double a)
+{
+    const int gid = get_global_id(0);
+    if (gid >= count) return;
+    const int i = first + gid;
+    y[i] *= a;
+}
+
+__kernel void k_bump(const int first,
+                     const int count,
+                     __global double* y,
+                     __global const double* x)
+{
+    const int gid = get_global_id(0);
+    if (gid >= count) return;
+    const int i = first + gid;
+    y[i] += x[i];
+}
+
+__kernel void k_diff(const int first,
+                     const int count,
+                     __global const float* x,
+                     __global const float* y,
+                     __global float* z)
+{
+    const int gid = get_global_id(0);
+    if (gid >= count) return;
+    const int i = first + gid;
+    z[i] = x[i] - y[i];
+}

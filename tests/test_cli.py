@@ -6,6 +6,10 @@ import pytest
 import gmodelc
 from gmodelc import refexec
 from gmodelc.cli import main
+from gmodelc.codegen import generate_host, generate_kernels
+from gmodelc.intrinsics import IntrinsicShapeMismatch
+from gmodelc.memmap import build_memory_maps
+from gmodelc.partition import build_schedule
 
 
 @pytest.fixture()
@@ -39,6 +43,61 @@ def test_check_reports_type_mismatch(workdir, capsys):
     assert main(["check", str(path)]) == 1
     err = capsys.readouterr().err
     assert "type mismatch" in err
+
+
+@pytest.mark.parametrize("edit,errors", [
+    # one diagnostic per task: four tasks instantiate DotProduct
+    (("deploy dot_partial", "deploy frobnicate"),
+     [f"error: {t}: task '{t}' deploys unknown intrinsic 'frobnicate'"
+      for t in ("dot_bb", "loop.dot_rr", "loop.dot_pap", "loop.dot_rrn")]),
+    (("    port z out float64 [1]\n    deploy neg",
+      "    port z out float64 [1]\n    port w out float64 [1]\n    deploy neg"),
+     ["error: loop.neg_alpha: task 'loop.neg_alpha': intrinsic 'neg' expects ports "
+      "['a', 'z'] (optional: []), got ['a', 'w', 'z']"]),
+    (("loop.neg_alpha onto host.cpu", "loop.neg_alpha onto device.c"),
+     ["error: loop.neg_alpha: task 'loop.neg_alpha': host intrinsic 'neg' is "
+      "allocated to a device processor"]),
+    (("loop.scale_p onto device.c", "loop.scale_p onto host.cpu"),
+     ["error: loop.scale_p: task 'loop.scale_p': device intrinsic 'scale' is "
+      "allocated to a host processor"]),
+])
+def test_check_reports_deployment_errors(workdir, capsys, edit, errors):
+    tmp_path, _ = workdir
+    text = gmodelc.bundled_model_text()
+    assert edit[0] in text
+    path = tmp_path / "bad.gmodel"
+    path.write_text(text.replace(*edit))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == errors
+
+
+@pytest.mark.parametrize("edit", [
+    ("loop.neg_alpha onto host.cpu", "loop.neg_alpha onto device.c"),
+    ("loop.scale_p onto device.c", "loop.scale_p onto host.cpu"),
+])
+def test_placement_mismatch_same_message_in_check_codegen_and_run(workdir, capsys, edit):
+    tmp_path, _ = workdir
+    text = gmodelc.bundled_model_text().replace(*edit)
+    path = tmp_path / "misplaced.gmodel"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 1
+    task, message = capsys.readouterr().err.removeprefix("error: ").rstrip("\n").split(": ", 1)
+    model = gmodelc.parse_model(text)
+    maps, schedule = build_memory_maps(model), build_schedule(model, 2)
+    with pytest.raises(IntrinsicShapeMismatch) as host_error:
+        generate_host(model, maps, schedule, 2)
+    A = refexec.poisson_2d(4)
+    sized = refexec.instantiate_for_matrix(model, A.n, A.nnz)
+    bindings = {"rowptr": A.row_ptr, "colidx": A.col_idx, "values": A.values,
+                "b": np.ones(A.n)}
+    with pytest.raises(IntrinsicShapeMismatch) as run_error:
+        refexec.execute_schedule(sized, build_schedule(sized, 2), bindings)
+    assert str(host_error.value) == str(run_error.value) == message
+    assert message.startswith(f"task '{task}': ")
+    if "neg_alpha" in task:     # a kernel is generated for device steps only
+        with pytest.raises(IntrinsicShapeMismatch) as kernel_error:
+            generate_kernels(model, maps, schedule)
+        assert str(kernel_error.value) == message
 
 
 def test_parse_failure_exit_two(workdir, capsys):
@@ -105,6 +164,36 @@ def test_run_matches_run_cg(workdir, capsys):
     assert np.array_equal(solution, ref.x)
     result = (out_dir / "cg_result.txt").read_text()
     assert result == line + "\n"
+
+
+def test_run_sizes_and_binds_the_instantiated_spmv_task(workdir, capsys):
+    """An uninstantiated spmv component declared first neither sizes the
+    model nor takes the matrix."""
+    tmp_path, _ = workdir
+    spare = ("  component SpmvSpare {\n"
+             "    port rowptr in int32 [11]\n    port colidx in int32 [28]\n"
+             "    port values in float64 [28]\n    port x in float64 [10]\n"
+             "    port y out float64 [10]\n    repeat [10]\n    deploy spmv_csr\n  }\n"
+             "  component SpmvCsr {")
+    path = tmp_path / "spare.gmodel"
+    path.write_text(gmodelc.bundled_model_text().replace("  component SpmvCsr {", spare, 1))
+    mtx, A = _write_poisson(tmp_path, 4)
+    out_dir = tmp_path / "spare"
+    assert main(["run", str(path), "--matrix", mtx, "--out", str(out_dir)]) == 0
+    ref = refexec.run_cg(A, np.ones(A.n), refexec.SolverConfig(tol=1e-10, max_iter=A.n))
+    assert np.array_equal(np.loadtxt(out_dir / "cg_solution.txt"), ref.x)
+    assert capsys.readouterr().err == \
+        "warning: application.SpmvSpare: component is never instantiated\n"
+
+
+def test_run_without_spmv_task_exit_one(tmp_path, capsys):
+    from test_codegen import COPY_MODEL
+    path = tmp_path / "copy.gmodel"
+    path.write_text(COPY_MODEL)
+    mtx, _ = _write_poisson(tmp_path, 4)
+    assert main(["run", str(path), "--matrix", mtx, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == \
+        "error: model has no spmv_csr task; `run` needs a matrix consumer\n"
 
 
 def test_run_rerun_byte_identical(workdir, capsys):

@@ -4,7 +4,7 @@ import pytest
 
 import gmodelc
 from gmodelc.codegen import generate_host, generate_kernels, kernel_name
-from gmodelc.intrinsics import UnknownIntrinsic
+from gmodelc.intrinsics import INTRINSICS, UnknownIntrinsic, deployment_diagnostics
 from gmodelc.memmap import build_memory_maps
 from gmodelc.metamodel import AddressSpace, MemoryRole, memory_role_of
 from gmodelc.partition import DeviceStep, Schedule, build_schedule
@@ -48,6 +48,29 @@ def test_golden_host_d16(cg_model, cg_maps):
     schedule = build_schedule(cg_model, 16)
     host = generate_host(cg_model, cg_maps, schedule, 16)
     assert host.contents == golden_path("cg_host_d16.c").read_text()
+
+
+@pytest.fixture(scope="module")
+def intrinsics_units():
+    model = gmodelc.parse_model(golden_path("intrinsics.gmodel").read_text())
+    assert gmodelc.validate_conformance(model) == []
+    assert deployment_diagnostics(model) == []
+    assert {c.elementary_op for c in model.application_components.values()} \
+        == set(INTRINSICS) | {None}
+    maps = build_memory_maps(model)
+    schedule = build_schedule(model, 2)
+    return generate_kernels(model, maps, schedule), generate_host(model, maps, schedule, 2)
+
+
+def test_golden_intrinsics_kernels(intrinsics_units):
+    kern, _ = intrinsics_units
+    assert kern.file_name == "intrinsics_kernels.cl"
+    assert kern.contents == golden_path("intrinsics_kernels.cl").read_text()
+
+
+def test_golden_intrinsics_host_d2(intrinsics_units):
+    _, host = intrinsics_units
+    assert host.contents == golden_path("intrinsics_host_d2.c").read_text()
 
 
 def test_kernels_independent_of_device_count(cg_model, cg_maps, cg_schedule_d1,

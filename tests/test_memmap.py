@@ -3,8 +3,7 @@ import random
 import pytest
 
 import gmodelc
-from gmodelc.memmap import (CapacityExceeded, allocation_size_bytes, build_memory_maps,
-                            emit_memory_map_report)
+from gmodelc.memmap import CapacityExceeded, build_memory_maps, emit_memory_map_report
 from gmodelc.metamodel import AddressSpace, DataType, Shape, validate_conformance
 
 from conftest import golden_path
@@ -19,9 +18,9 @@ def _alloc(dims, dtype):
 
 
 def test_allocation_size_examples():
-    assert allocation_size_bytes(_alloc([132651], DataType.FLOAT64)) == 1061208
-    assert allocation_size_bytes(_alloc([1], DataType.INT32)) == 4
-    assert allocation_size_bytes(_alloc([2, 3], DataType.FLOAT32)) == 24
+    assert _alloc([132651], DataType.FLOAT64).size_bytes == 1061208
+    assert _alloc([1], DataType.INT32).size_bytes == 4
+    assert _alloc([2, 3], DataType.FLOAT32).size_bytes == 24
 
 
 def _model_with_ports(port_decls, alloc_lines, capacity="", role="deviceLocal"):
@@ -73,7 +72,7 @@ def test_local_allocation_base_and_size():
     assert alloc.base_address == 0
     assert alloc.dim_allocation == Shape((16,))
     assert alloc.type_allocation is DataType.FLOAT64
-    assert allocation_size_bytes(alloc) == 128
+    assert alloc.size_bytes == 128
 
 
 def test_first_fit_packing_aligned_sizes():
@@ -158,7 +157,7 @@ def check_map_properties(maps):
         intervals = []
         prev_base = -1
         for alloc in mm.data_allocations:
-            size = allocation_size_bytes(alloc)
+            size = alloc.size_bytes
             assert alloc.base_address % alloc.type_allocation.size_bytes == 0
             assert alloc.base_address > prev_base
             prev_base = alloc.base_address

@@ -7,14 +7,14 @@ import gmodelc
 from gmodelc.metamodel import (AllocKind, AllocationLink, Component, ComponentKind,
                                Connector, DataType, Diagnostic, Direction, FlowPort,
                                HwStereotype, MemoryRole, PartInstance, PathNotFound, Shape,
-                               StereotypeKind, UntilCondition, resolve_path, shape_total,
+                               StereotypeKind, UntilCondition, resolve_path,
                                validate_conformance)
 
 
 def test_shape_total_examples():
-    assert shape_total(Shape((4,))) == 4
-    assert shape_total(Shape((16,))) == 16
-    assert shape_total(Shape((2, 3, 4))) == 24
+    assert Shape((4,)).total == 4
+    assert Shape((16,)).total == 16
+    assert Shape((2, 3, 4)).total == 24
 
 
 @given(st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=4))
@@ -22,7 +22,7 @@ def test_shape_total_is_product(dims):
     total = 1
     for d in dims:
         total *= d
-    assert shape_total(Shape(tuple(dims))) == total
+    assert Shape(tuple(dims)).total == total
 
 
 def test_resolve_compute_unit_instance(cg_model):

@@ -8,7 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 import gmodelc
 from gmodelc import refexec
-from gmodelc.intrinsics import IntrinsicShapeMismatch
+from gmodelc.cli import main
+from gmodelc.codegen import generate_kernels
+from gmodelc.intrinsics import (INTRINSICS, RANGE_PROLOGUE, IntrinsicShapeMismatch,
+                                IntrinsicSpec, PortSpec)
+from gmodelc.memmap import build_memory_maps
+from gmodelc.metamodel import Direction
 from gmodelc.partition import build_schedule, partition_equally
 from gmodelc.refexec import (BreakdownDetected, CsrMatrix, DimensionMismatch,
                              IndexOutOfRange, MalformedHeader, MissingBinding,
@@ -408,7 +413,7 @@ def _cg_setup(k: int):
 def test_schedule_matches_run_cg_bitwise_single_device():
     sized, A, b, bindings = _cg_setup(20)
     schedule = build_schedule(sized, 1)
-    res = execute_schedule(sized, schedule, bindings, 1)
+    res = execute_schedule(sized, schedule, bindings)
     ref = run_cg(A, b, SolverConfig(tol=1e-10, max_iter=A.n))
     assert res.iterations == ref.iterations
     assert np.array_equal(res.outputs["x"], ref.x)
@@ -419,7 +424,7 @@ def test_schedule_matches_run_cg_bitwise_single_device():
 @pytest.mark.parametrize("devices", [1, 2, 3, 4, 16])
 def test_schedule_matches_partitioned_cg_bitwise(devices):
     sized, A, b, bindings = _cg_setup(20)
-    res = execute_schedule(sized, build_schedule(sized, devices), bindings, devices)
+    res = execute_schedule(sized, build_schedule(sized, devices), bindings)
     ranges = [(r.offset, r.count) for r in partition_equally(A.n, devices)]
     x, iters, relres = partitioned_cg(A.row_ptr, A.col_idx, A.values, b, 1e-10, A.n,
                                       ranges)
@@ -431,17 +436,17 @@ def test_schedule_matches_partitioned_cg_bitwise(devices):
 
 def test_schedule_residual_history():
     sized, A, b, bindings = _cg_setup(20)
-    res = execute_schedule(sized, build_schedule(sized, 1), bindings, 1)
+    res = execute_schedule(sized, build_schedule(sized, 1), bindings)
     ref = run_cg(A, b, SolverConfig(tol=1e-10, max_iter=A.n))
     assert res.residual_history == ref.residual_history
-    res = execute_schedule(sized, build_schedule(sized, 4), bindings, 4)
+    res = execute_schedule(sized, build_schedule(sized, 4), bindings)
     assert len(res.residual_history) == res.iterations
     assert res.residual_history[-1] == res.final_relres
 
 
 def test_device_count_invariance_desk_scale():
     sized, A, b, bindings = _cg_setup(20)
-    results = [execute_schedule(sized, build_schedule(sized, d), bindings, d)
+    results = [execute_schedule(sized, build_schedule(sized, d), bindings)
                for d in (1, 2, 4)]
     iters = {r.iterations for r in results}
     assert len(iters) == 1
@@ -510,7 +515,7 @@ def test_copy_schedule_is_bitwise_identity():
          "allocate task t onto dev.cu"])
     rng = np.random.default_rng(0)
     data = rng.standard_normal(64)
-    res = execute_schedule(model, build_schedule(model, 3), {"i": data}, 3)
+    res = execute_schedule(model, build_schedule(model, 3), {"i": data})
     assert np.array_equal(res.outputs["o"], data)
     assert res.iterations == 0 and res.converged
 
@@ -548,7 +553,7 @@ def test_partition_transparency_elementwise(op, ports, root_ports, conns, allocs
         bindings[name] = rng.standard_normal(1 if name == "s" else 64)
     outs = []
     for d in (1, 3, 5):
-        res = execute_schedule(model, build_schedule(model, d), dict(bindings), d)
+        res = execute_schedule(model, build_schedule(model, d), dict(bindings))
         outs.append(res.outputs["o"])
     assert np.array_equal(outs[0], outs[1])
     assert np.array_equal(outs[0], outs[2])
@@ -576,7 +581,7 @@ def test_partition_transparency_spmv_bitwise():
             n=A.n)
         vx = x.astype(xtype)
         bindings = {"rp": A.row_ptr, "ci": A.col_idx, "va": A.values, "vx": vx}
-        outs = [execute_schedule(model, build_schedule(model, d), dict(bindings), d)
+        outs = [execute_schedule(model, build_schedule(model, d), dict(bindings))
                 .outputs["o"] for d in (1, 3)]
         assert np.array_equal(outs[0], outs[1])
         assert np.array_equal(outs[0], spmv_csr(A, vx))
@@ -611,7 +616,7 @@ def test_spmv_of_written_csr_ports_bitwise():
     bindings = {"rp": A.row_ptr, "ci": A.col_idx, "va": A.values, "vx": x}
     want = spmv_csr(A, x)
     for d in (1, 3):
-        got = execute_schedule(model, build_schedule(model, d), dict(bindings), d)
+        got = execute_schedule(model, build_schedule(model, d), dict(bindings))
         assert got.outputs["o"].tobytes() == want.tobytes()
 
 
@@ -626,7 +631,7 @@ def test_partition_transparency_dot_tolerance():
         n=4096)
     rng = np.random.default_rng(9)
     bindings = {"i1": rng.standard_normal(4096), "i2": rng.standard_normal(4096)}
-    values = [float(execute_schedule(model, build_schedule(model, d), dict(bindings), d)
+    values = [float(execute_schedule(model, build_schedule(model, d), dict(bindings))
                     .outputs["o"][0]) for d in (1, 2, 4, 7)]
     exact = values[0]
     for v in values[1:]:
@@ -637,14 +642,14 @@ def test_missing_binding():
     sized, A, b, bindings = _cg_setup(4)
     del bindings["b"]
     with pytest.raises(MissingBinding):
-        execute_schedule(sized, build_schedule(sized, 1), bindings, 1)
+        execute_schedule(sized, build_schedule(sized, 1), bindings)
 
 
 def test_binding_shape_mismatch_reported():
     sized, A, b, bindings = _cg_setup(4)
     bindings["b"] = np.ones(3)
     with pytest.raises(MissingBinding):
-        execute_schedule(sized, build_schedule(sized, 1), bindings, 1)
+        execute_schedule(sized, build_schedule(sized, 1), bindings)
 
 
 def test_intrinsic_signature_mismatch():
@@ -656,12 +661,51 @@ def test_intrinsic_signature_mismatch():
          "allocate task t onto dev.cu"])
     with pytest.raises(IntrinsicShapeMismatch):
         execute_schedule(model, build_schedule(model, 1),
-                         {"i": np.ones(64), "s": np.ones(1)}, 1)
+                         {"i": np.ones(64), "s": np.ones(1)})
+
+
+def test_execute_schedule_options_are_keyword_only():
+    sized, A, b, bindings = _cg_setup(4)
+    with pytest.raises(TypeError):
+        execute_schedule(sized, build_schedule(sized, 1), bindings, 1)
+
+
+def test_intrinsic_defined_by_its_table_entry_alone(monkeypatch, tmp_path, capsys):
+    """z = x * y, added to INTRINSICS only, passes `check`, gets a kernel and
+    runs bit-exactly against numpy."""
+    def launch(a, lo, hi):
+        x, y, z = a["x"][lo:hi], a["y"][lo:hi], a["z"][lo:hi]
+
+        def run():
+            np.multiply(x, y, out=z)
+        return run
+
+    monkeypatch.setitem(INTRINSICS, "mul", IntrinsicSpec("mul", "device", (
+        PortSpec("x", Direction.IN), PortSpec("y", Direction.IN),
+        PortSpec("z", Direction.OUT),
+    ), kernel=RANGE_PROLOGUE + ("z[i] = x[i] * y[i];",), launch=launch))
+    model = _single_task_model(
+        "mul", ["x in float64 [64]", "y in float64 [64]", "z out float64 [64]"],
+        ["i1 in float64 [64]", "i2 in float64 [64]", "o out float64 [64]"],
+        ["i1 -> t.x", "i2 -> t.y", "t.z -> o"],
+        ["allocate data i1 onto dev.gmem", "allocate data i2 onto dev.gmem",
+         "allocate data t.z onto dev.gmem", "allocate task t onto dev.cu"])
+    path = tmp_path / "mul.gmodel"
+    path.write_text(gmodelc.serialize_model(model))
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    kernels = generate_kernels(model, build_memory_maps(model), build_schedule(model, 3))
+    assert "    z[i] = x[i] * y[i];\n}\n" in kernels.contents
+    rng = np.random.default_rng(11)
+    x, y = rng.standard_normal(64), rng.standard_normal(64)
+    for d in (1, 3):
+        res = execute_schedule(model, build_schedule(model, d), {"i1": x, "i2": y})
+        assert res.outputs["o"].tobytes() == (x * y).tobytes()
 
 
 def test_max_iter_override_stops_early():
     sized, A, b, bindings = _cg_setup(10)
-    res = execute_schedule(sized, build_schedule(sized, 1), bindings, 1, max_iter=3)
+    res = execute_schedule(sized, build_schedule(sized, 1), bindings, max_iter=3)
     assert res.iterations == 3
     assert not res.converged
 
