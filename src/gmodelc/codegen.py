@@ -4,8 +4,10 @@ A device task's kernel body and a host op's statement are looked up in
 its intrinsic's entry of intrinsics.INTRINSICS; parameter address-space
 keywords come from the port's data allocation.  A reduction intrinsic is
 two-stage: per-work-group partials on the device, final sum on the host
-in ascending device order.  Output is byte-deterministic for identical
-inputs and is locked by golden files in the test suite.
+in ascending device order.  The host program keeps each port's element
+type in its loads, stores, scalars and partials.  Output is
+byte-deterministic for identical inputs and is locked by golden files in
+the test suite.
 """
 
 from __future__ import annotations
@@ -29,6 +31,13 @@ class GeneratedUnit:
 
 _C_TYPES = {DataType.FLOAT32: "float", DataType.FLOAT64: "double",
             DataType.INT32: "int", DataType.INT64: "long"}
+
+# The host's text-file routines per element type, in the order they are
+# emitted: name suffix, fscanf format, fprintf format.
+_C_IO = {DataType.FLOAT64: ("doubles", "%lf", "%.17g"),
+         DataType.FLOAT32: ("floats", "%f", "%.9g"),
+         DataType.INT32: ("ints", "%d", "%d"),
+         DataType.INT64: ("longs", "%ld", "%ld")}
 
 
 def _digest(model: Model) -> str:
@@ -73,6 +82,7 @@ class _Param:
     text: str                  # parameter declaration in the kernel signature
     kind: str                  # "buffer" | "scalar" | "local" | "partials"
     alloc: DataAllocate | None
+    ctype: str = "int"         # the C element type
 
 
 def _port_param(index: _AllocIndex, task_path: str, port) -> _Param:
@@ -82,17 +92,18 @@ def _port_param(index: _AllocIndex, task_path: str, port) -> _Param:
     if device is None:
         # host-resident scalar, passed by value
         return _Param(port.name, f"const {ctype} {port.name}", "scalar",
-                      index.host_alloc(node))
+                      index.host_alloc(node), ctype)
     role, alloc = device
     space = alloc.space_address
     if space is AddressSpace.GLOBAL:
         const = "const " if port.direction is Direction.IN else ""
-        return _Param(port.name, f"__global {const}{ctype}* {port.name}", "buffer", alloc)
+        return _Param(port.name, f"__global {const}{ctype}* {port.name}", "buffer", alloc,
+                      ctype)
     if space is AddressSpace.CONSTANT:
-        return _Param(port.name, f"__constant {ctype}* {port.name}", "buffer", alloc)
+        return _Param(port.name, f"__constant {ctype}* {port.name}", "buffer", alloc, ctype)
     if space is AddressSpace.LOCAL:
-        return _Param(port.name, f"__local {ctype}* {port.name}", "local", alloc)
-    return _Param(port.name, f"{ctype}* {port.name}", "buffer", alloc)
+        return _Param(port.name, f"__local {ctype}* {port.name}", "local", alloc, ctype)
+    return _Param(port.name, f"{ctype}* {port.name}", "buffer", alloc, ctype)
 
 
 def _task_params(index: _AllocIndex, task_path: str, comp: Component,
@@ -112,7 +123,8 @@ def _task_params(index: _AllocIndex, task_path: str, comp: Component,
     if spec.reduce:
         # partials have the type of the reduced operands, the first port
         ctype = _C_TYPES[comp.port(spec.ports[0].name).data_type]
-        params.append(_Param("partials", f"__global {ctype}* partials", "partials", None))
+        params.append(_Param("partials", f"__global {ctype}* partials", "partials", None,
+                             ctype))
     return params
 
 
@@ -221,16 +233,32 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
             else:
                 device_allocs.append((role, alloc))
 
-    # reduction partial buffers: one per (task, device) pair, sized by work groups
-    partials: list[tuple[str, int, int]] = []   # (kernel, device, groups)
+    # reduction partial buffers: one per (task, device) pair, sized by work
+    # groups, of the partials parameter's type (_task_params puts it last)
+    partials: list[tuple[str, int, int, str]] = []   # (kernel, device, groups, type)
     for step, _, spec in device_tasks:
         if spec.reduce:
+            ctype = task_params[step.task_path][0][-1].ctype
             for launch in step.launches:
                 partials.append((kernel_name(step.task_path), launch.device_index,
-                                 _group_count(launch)))
+                                 _group_count(launch), ctype))
 
-    root_inputs = [p for p in root.ports if p.direction is Direction.IN]
-    root_outputs = [p for p in root.ports if p.direction is Direction.OUT]
+    # the device allocations of the root's in and out ports, each uploaded once
+    uploads: dict[str, tuple[str, DataAllocate]] = {}
+    downloads: list[tuple[str, DataAllocate]] = []
+    for port in root.ports:
+        device = index.device_alloc(port.name)
+        if device is None:
+            continue
+        if port.direction is Direction.IN:
+            uploads.setdefault(device[1].name, (port.name, device[1]))
+        elif port.direction is Direction.OUT:
+            downloads.append((port.name, device[1]))
+    # load and store routines: the float64 and int32 ones always, the others
+    # when a port needs them
+    loaded = {DataType.FLOAT64, DataType.INT32}.union(
+        alloc.type_allocation for _, alloc in uploads.values())
+    stored = {DataType.FLOAT64}.union(alloc.type_allocation for _, alloc in downloads)
 
     w = _HostWriter()
     w.depth = 0
@@ -264,34 +292,31 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
     w.put("    return text;")
     w.put("}")
     w.put("")
-    w.put("static void load_doubles(const char* path, double* out, long count)")
-    w.put("{")
-    w.put('    FILE* f = fopen(path, "r");')
-    w.put('    if (!f) { fprintf(stderr, "cannot open %s\\n", path); exit(2); }')
-    w.put("    for (long i = 0; i < count; ++i) {")
-    w.put('        if (fscanf(f, "%lf", &out[i]) != 1) { fclose(f); exit(2); }')
-    w.put("    }")
-    w.put("    fclose(f);")
-    w.put("}")
-    w.put("")
-    w.put("static void load_ints(const char* path, int* out, long count)")
-    w.put("{")
-    w.put('    FILE* f = fopen(path, "r");')
-    w.put('    if (!f) { fprintf(stderr, "cannot open %s\\n", path); exit(2); }')
-    w.put("    for (long i = 0; i < count; ++i) {")
-    w.put('        if (fscanf(f, "%d", &out[i]) != 1) { fclose(f); exit(2); }')
-    w.put("    }")
-    w.put("    fclose(f);")
-    w.put("}")
-    w.put("")
-    w.put("static void store_doubles(const char* path, const double* data, long count)")
-    w.put("{")
-    w.put('    FILE* f = fopen(path, "w");')
-    w.put('    if (!f) { fprintf(stderr, "cannot open %s\\n", path); exit(2); }')
-    w.put('    for (long i = 0; i < count; ++i) fprintf(f, "%.17g\\n", data[i]);')
-    w.put("    fclose(f);")
-    w.put("}")
-    w.put("")
+    for dtype, (suffix, scan, _) in _C_IO.items():
+        if dtype in loaded:
+            ctype = _C_TYPES[dtype]
+            w.put(f"static void load_{suffix}(const char* path, {ctype}* out, long count)")
+            w.put("{")
+            w.put('    FILE* f = fopen(path, "r");')
+            w.put('    if (!f) { fprintf(stderr, "cannot open %s\\n", path); exit(2); }')
+            w.put("    for (long i = 0; i < count; ++i) {")
+            w.put(f'        if (fscanf(f, "{scan}", &out[i]) != 1) {{ fclose(f); exit(2); }}')
+            w.put("    }")
+            w.put("    fclose(f);")
+            w.put("}")
+            w.put("")
+    for dtype, (suffix, _, show) in _C_IO.items():
+        if dtype in stored:
+            ctype = _C_TYPES[dtype]
+            w.put(f"static void store_{suffix}(const char* path, const {ctype}* data, "
+                  "long count)")
+            w.put("{")
+            w.put('    FILE* f = fopen(path, "w");')
+            w.put('    if (!f) { fprintf(stderr, "cannot open %s\\n", path); exit(2); }')
+            w.put(f'    for (long i = 0; i < count; ++i) fprintf(f, "{show}\\n", data[i]);')
+            w.put("    fclose(f);")
+            w.put("}")
+            w.put("")
     w.put("int main(void)")
     w.put("{")
     w.depth = 1
@@ -326,7 +351,7 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
     w.put("")
     w.put("/* host-resident scalars */")
     for alloc in host_allocs:
-        w.put(f"double h_{alloc.name} = 0.0;")
+        w.put(f"{_C_TYPES[alloc.type_allocation]} h_{alloc.name} = 0.0;")
     w.put("")
     w.put("/* one buffer per device-side data allocation */")
     for role, alloc in device_allocs:
@@ -335,25 +360,19 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
         w.put(f'CHECK(err, "clCreateBuffer {alloc.name}");')
     w.put("")
     w.put("/* work-group partial buffers for dot reductions */")
-    for kname, dev, groups in partials:
+    for kname, dev, groups, ctype in partials:
         w.put(f"cl_mem part_{kname}_d{dev} = clCreateBuffer(context, CL_MEM_READ_WRITE, "
-              f"{groups} * sizeof(double), NULL, &err);")
+              f"{groups} * sizeof({ctype}), NULL, &err);")
         w.put('CHECK(err, "clCreateBuffer partials");')
-        w.put(f"double* ph_{kname}_d{dev} = (double*)malloc({groups} * sizeof(double));")
+        w.put(f"{ctype}* ph_{kname}_d{dev} = ({ctype}*)malloc({groups} * sizeof({ctype}));")
     w.put("")
     w.put("/* load and upload input data */")
-    uploaded: set[str] = set()
-    for port in root_inputs:
-        device = index.device_alloc(port.name)
-        if device is None or device[1].name in uploaded:
-            continue
-        _, alloc = device
-        uploaded.add(alloc.name)
+    for port_name, alloc in uploads.values():
         n = alloc.dim_allocation.total
         ctype = _C_TYPES[alloc.type_allocation]
-        loader = "load_doubles" if alloc.type_allocation.is_float else "load_ints"
+        suffix = _C_IO[alloc.type_allocation][0]
         w.put(f"{ctype}* in_{alloc.name} = ({ctype}*)malloc({alloc.size_bytes});")
-        w.put(f'{loader}("{name}_{port.name}.txt", in_{alloc.name}, {n});')
+        w.put(f'load_{suffix}("{name}_{port_name}.txt", in_{alloc.name}, {n});')
         w.put(f"err = clEnqueueWriteBuffer(queues[0], buf_{alloc.name}, CL_TRUE, 0, "
               f"{alloc.size_bytes}, in_{alloc.name}, 0, NULL, NULL);")
         w.put(f'CHECK(err, "write {alloc.name}");')
@@ -375,7 +394,7 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
             if param.kind == "range":
                 arg = f"sizeof(cl_int), &{param.name}"
             elif param.kind == "scalar":
-                arg = f"sizeof(double), &h_{param.alloc.name}"
+                arg = f"sizeof({param.ctype}), &h_{param.alloc.name}"
             elif param.kind == "local":
                 arg = f"{param.alloc.size_bytes}, NULL"
             elif param.kind == "partials":
@@ -411,7 +430,8 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
                 d = launch.device_index
                 groups = _group_count(launch)
                 w.put(f"err = clEnqueueReadBuffer(queues[{d}], part_{kname}_d{d}, CL_TRUE, "
-                      f"0, {groups} * sizeof(double), ph_{kname}_d{d}, 0, NULL, NULL);")
+                      f"0, {groups} * sizeof({params[partials].ctype}), ph_{kname}_d{d}, "
+                      "0, NULL, NULL);")
                 w.put(f'CHECK(err, "read partials {kname}");')
                 w.put(f"for (int g = 0; g < {groups}; ++g) "
                       f"h_{s_alloc.name} += ph_{kname}_d{d}[g];")
@@ -448,25 +468,22 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
     for step in schedule.steps:
         if isinstance(step, LoopStep):
             final_relres = index.host_alloc(step.relres_port)
-    for port in root_outputs:
-        device = index.device_alloc(port.name)
-        if device is None:
-            continue
-        _, alloc = device
+    for port_name, alloc in downloads:
         n = alloc.dim_allocation.total
         ctype = _C_TYPES[alloc.type_allocation]
         w.put(f"{ctype}* out_{alloc.name} = ({ctype}*)malloc({alloc.size_bytes});")
         w.put(f"err = clEnqueueReadBuffer(queues[0], buf_{alloc.name}, CL_TRUE, 0, "
               f"{alloc.size_bytes}, out_{alloc.name}, 0, NULL, NULL);")
         w.put(f'CHECK(err, "read {alloc.name}");')
-        w.put(f'store_doubles("{name}_{port.name}_out.txt", out_{alloc.name}, {n});')
+        suffix = _C_IO[alloc.type_allocation][0]
+        w.put(f'store_{suffix}("{name}_{port_name}_out.txt", out_{alloc.name}, {n});')
     relres_expr = f"h_{final_relres.name}" if final_relres is not None else "0.0"
     w.put(f'printf("iters=%d relres=%.17g converged=%s\\n", iters, {relres_expr}, '
           'converged ? "true" : "false");')
     w.put("")
     for _, alloc in device_allocs:
         w.put(f"clReleaseMemObject(buf_{alloc.name});")
-    for kname, dev, groups in partials:
+    for kname, dev, _, _ in partials:
         w.put(f"clReleaseMemObject(part_{kname}_d{dev});")
         w.put(f"free(ph_{kname}_d{dev});")
     for step, _, _ in device_tasks:

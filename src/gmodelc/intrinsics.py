@@ -7,7 +7,7 @@ check` know of it:
 - its port signature: a task deploying it declares exactly its ports
   (optional ones may be omitted)
 - a device intrinsic's OpenCL kernel body and the function that makes
-  the numpy closure running one launch in the reference executor
+  the numpy closure running a launch range in the reference executor
 - a host intrinsic's host-C statement and the scalar function the
   reference executor applies
 
@@ -25,7 +25,8 @@ from typing import Callable
 import numpy as np
 
 from .metamodel import (AllocKind, Component, ComponentKind, Diagnostic, Direction, Model,
-                        component_at, is_host_processor)
+                        component_at, is_host_processor, iter_instances)
+from .partition import UnallocatedTask
 
 
 class UnknownIntrinsic(ValueError):
@@ -54,7 +55,10 @@ class IntrinsicSpec:
     kind: str  # "device" or "host"
     ports: tuple[PortSpec, ...]
     # device: the OpenCL kernel body, and launch(arrays, lo, hi), a closure
-    # running elements lo..hi-1 over the task's arrays by port name
+    # running elements lo..hi-1 over the task's arrays by port name.  A
+    # launch without a reduction is separable: one over [lo:hi) writes the
+    # same bytes as launches over any split of it, so the reference executor
+    # runs such a step as one closure over the range its device launches tile
     kernel: tuple[str, ...] = ()
     launch: Callable | None = None
     # host: the C statement over {port} names, and the scalar function of
@@ -65,6 +69,8 @@ class IntrinsicSpec:
     # a two-stage reduction: the kernel writes one partial per work group
     # and the host sums them, in ascending device order, into this out
     # port; launch is then launch(arrays, ranges), one closure per step
+    # keeping one partial per device range, the one place where the device
+    # partition changes the numbers
     reduce: str | None = None
     # the kernel body of a task that omits the optional ports
     bare: tuple[str, ...] = ()
@@ -296,8 +302,10 @@ def deployed_intrinsic(task_path: str, comp: Component, on_host: bool) -> Intrin
 
 
 def deployment_diagnostics(model: Model) -> list[Diagnostic]:
-    """One error per allocated leaf task that codegen and `run` would reject,
-    with their message.  Expects a model without conformance errors."""
+    """One error per leaf task that codegen and `run` would reject, with
+    their message: first each allocated task in allocation order, then each
+    unallocated one in pre-order.  Expects a model without conformance
+    errors."""
     targets = {link.source_path: link.target_path
                for link in model.allocations if link.kind is AllocKind.TASK}
     diags: list[Diagnostic] = []
@@ -307,4 +315,7 @@ def deployment_diagnostics(model: Model) -> list[Diagnostic]:
             deployed_intrinsic(task_path, comp, is_host_processor(model, target))
         except (UnknownIntrinsic, IntrinsicShapeMismatch) as exc:
             diags.append(Diagnostic("error", task_path, str(exc)))
+    for task_path, comp in iter_instances(model, ComponentKind.APPLICATION):
+        if task_path and comp.is_leaf_task and task_path not in targets:
+            diags.append(Diagnostic("error", task_path, str(UnallocatedTask(task_path))))
     return diags

@@ -1,21 +1,27 @@
 """Reference CPU executor: CSR linear algebra and schedule execution.
 
-Runs a schedule over concrete numpy arrays with exactly the partitioning
-the generated OpenCL would use.  execute_schedule first compiles the
-schedule into a flat list of closures, one per device launch (one per step
-for a reduction), host op and loop, each with its task's arrays, checks,
-[lo:hi] views and spmv plan bound once; the run then only calls closures.
-A task's closures come from its intrinsic's entry of intrinsics.INTRINSICS:
-the launch function of a device intrinsic, the scalar function of a host
-one.  An spmv launch holds its rows in jagged-diagonal form (rows
-sorted by descending length, entries stored level by level) and does one
-gather-multiply, one slice add per level and one scatter back to row
-order; every row is still summed left to right from +0.0 over the same
-products, so results match a plain CSR loop bit for bit.  Simulated
-devices share nothing except through explicit host reductions (dot
-partials are summed in ascending device order), so a single-device run
-reproduces run_cg bit for bit and multi-device runs agree up to reduction
-rounding.
+Runs a schedule over concrete numpy arrays.  execute_schedule first
+compiles the schedule into a flat list of closures, one per device step,
+host op and loop, each with its task's arrays, checks, [lo:hi] views and
+spmv plans bound once; the run then only calls closures.  A task's
+closures come from its intrinsic's entry of intrinsics.INTRINSICS: the
+launch function of a device intrinsic, the scalar function of a host one.
+
+A launch of an intrinsic without a reduction is separable over its
+range: a launch over [lo:hi) writes the same bytes as launches over any
+split of it.  So such a step runs as one closure over the whole range its
+device launches tile.  The device partition is kept where it changes the
+numbers: a reduction step sums one dot partial per launch range, from
+0.0 in ascending device order, so a single-device run reproduces run_cg
+bit for bit and multi-device runs agree up to reduction rounding.
+
+An spmv closure cuts its rows into consecutive blocks of at most
+SPMV_BLOCK_ENTRIES stored entries, set by the matrix alone, and holds
+each block in jagged-diagonal form (rows sorted by descending length,
+entries stored level by level): one gather-multiply, one slice add per
+level and one scatter back to row order.  Every row is still summed left
+to right from +0.0 over the same products, so results match a plain CSR
+loop bit for bit.
 """
 
 from __future__ import annotations
@@ -587,17 +593,45 @@ class _Storage:
         return {name: self.arrays[group] for name, group in groups.items()}
 
 
+# The most stored entries in one spmv row block: 2^16 keeps a block's
+# float64 gather buffer at 512 KiB, inside a core's L2.
+SPMV_BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(row_ptr: np.ndarray, lo: int, hi: int) -> list[tuple[int, int]]:
+    """Rows lo..hi-1 cut into consecutive blocks of at most SPMV_BLOCK_ENTRIES
+    stored entries; a longer row is a block of its own."""
+    blocks = []
+    while lo < hi:
+        limit = int(row_ptr[lo]) + SPMV_BLOCK_ENTRIES
+        stop = lo + int(np.searchsorted(row_ptr[lo + 1:hi + 1], limit, side="right"))
+        stop = max(stop, lo + 1)
+        blocks.append((lo, stop))
+        lo = stop
+    return blocks
+
+
 def spmv_launch(a: dict[str, np.ndarray], lo: int, hi: int):
-    """The spmv_csr launch over rows lo..hi-1.  Read-only CSR arrays are
-    never written, so the rows' jagged-diagonal plan is built once, here;
-    otherwise a task writes the matrix and the plan is rebuilt per launch."""
-    x, y = a["x"], a["y"][lo:hi]
+    """The spmv_csr launch over rows lo..hi-1, one row block after another.
+    Read-only CSR arrays are never written, so the blocks and their
+    jagged-diagonal plans are built once, here; otherwise a task writes the
+    matrix and both are rebuilt per launch."""
+    x, y = a["x"], a["y"]
     rowptr, colidx, values = a["rowptr"], a["colidx"], a["values"]
     if not (rowptr.flags.writeable or colidx.flags.writeable or values.flags.writeable):
-        return _jagged_plan(rowptr, lo, hi, colidx, values).bind(x, y)
+        runs = [_jagged_plan(rowptr, start, stop, colidx, values).bind(x, y[start:stop])
+                for start, stop in _row_blocks(rowptr, lo, hi)]
+        if len(runs) == 1:
+            return runs[0]
+
+        def run_blocks():
+            for block in runs:
+                block()
+        return run_blocks
 
     def run():
-        spmv_range(rowptr, colidx, values, x, lo, hi, out=y)
+        for start, stop in _row_blocks(rowptr, lo, hi):
+            spmv_range(rowptr, colidx, values, x, start, stop, out=y[start:stop])
     return run
 
 
@@ -612,10 +646,22 @@ def _host_op(spec: IntrinsicSpec, arrays: dict[str, np.ndarray]):
     return run
 
 
+def _tiled_range(task_path: str, ranges: list[tuple[int, int]]) -> tuple[int, int]:
+    """The one range [lo:hi) that a step's launch ranges tile, in order and
+    without gaps or overlaps."""
+    for (_, stop), (start, _) in zip(ranges, ranges[1:]):
+        if start != stop:
+            raise ValueError(f"task '{task_path}': launch ranges {ranges} "
+                             "do not tile one range")
+    return ranges[0][0], ranges[-1][1]
+
+
 class _Compiler:
     """Compiles schedule steps once into a flat list of closures: one per
-    device launch, host op or reduction step, and one per loop, which runs
-    its body's list and records each iteration's relative residual."""
+    device step or host op, and one per loop, which runs its body's list
+    and records each iteration's relative residual.  A non-reduction
+    step's closure covers the whole range its launches tile; a reduction
+    step's closure keeps one partial per launch range."""
 
     def __init__(self, model: Model, storage: _Storage, tol: float | None,
                  max_iter: int | None):
@@ -640,7 +686,7 @@ class _Compiler:
             if spec.reduce:
                 program.append(spec.launch(arrays, ranges))
             else:
-                program.extend(spec.launch(arrays, lo, hi) for lo, hi in ranges)
+                program.append(spec.launch(arrays, *_tiled_range(step.task_path, ranges)))
         return program
 
     def loop(self, step: LoopStep):

@@ -38,6 +38,16 @@ static void load_doubles(const char* path, double* out, long count)
     fclose(f);
 }
 
+static void load_floats(const char* path, float* out, long count)
+{
+    FILE* f = fopen(path, "r");
+    if (!f) { fprintf(stderr, "cannot open %s\n", path); exit(2); }
+    for (long i = 0; i < count; ++i) {
+        if (fscanf(f, "%f", &out[i]) != 1) { fclose(f); exit(2); }
+    }
+    fclose(f);
+}
+
 static void load_ints(const char* path, int* out, long count)
 {
     FILE* f = fopen(path, "r");
@@ -53,6 +63,14 @@ static void store_doubles(const char* path, const double* data, long count)
     FILE* f = fopen(path, "w");
     if (!f) { fprintf(stderr, "cannot open %s\n", path); exit(2); }
     for (long i = 0; i < count; ++i) fprintf(f, "%.17g\n", data[i]);
+    fclose(f);
+}
+
+static void store_floats(const char* path, const float* data, long count)
+{
+    FILE* f = fopen(path, "w");
+    if (!f) { fprintf(stderr, "cannot open %s\n", path); exit(2); }
+    for (long i = 0; i < count; ++i) fprintf(f, "%.9g\n", data[i]);
     fclose(f);
 }
 
@@ -157,11 +175,11 @@ int main(void)
     err = clEnqueueWriteBuffer(queues[0], buf_b, CL_TRUE, 0, 128, in_b, 0, NULL, NULL);
     CHECK(err, "write b");
     float* in_f = (float*)malloc(64);
-    load_doubles("intrinsics_f.txt", in_f, 16);
+    load_floats("intrinsics_f.txt", in_f, 16);
     err = clEnqueueWriteBuffer(queues[0], buf_f, CL_TRUE, 0, 64, in_f, 0, NULL, NULL);
     CHECK(err, "write f");
     float* in_g = (float*)malloc(64);
-    load_doubles("intrinsics_g.txt", in_g, 16);
+    load_floats("intrinsics_g.txt", in_g, 16);
     err = clEnqueueWriteBuffer(queues[0], buf_g, CL_TRUE, 0, 64, in_g, 0, NULL, NULL);
     CHECK(err, "write g");
 
@@ -416,7 +434,7 @@ int main(void)
     float* out_diff_z = (float*)malloc(64);
     err = clEnqueueReadBuffer(queues[0], buf_diff_z, CL_TRUE, 0, 64, out_diff_z, 0, NULL, NULL);
     CHECK(err, "read diff_z");
-    store_doubles("intrinsics_h_out.txt", out_diff_z, 16);
+    store_floats("intrinsics_h_out.txt", out_diff_z, 16);
     printf("iters=%d relres=%.17g converged=%s\n", iters, 0.0, converged ? "true" : "false");
 
     clReleaseMemObject(buf_rowptr);

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from gmodelc.dsl import ParseError, SourceSpan
+from gmodelc.metamodel import ComponentKind, Direction, connected_port_groups, iter_instances
+from gmodelc.partition import DeviceStep, HostOp
 
 
 def dense_matvec(dense: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -110,6 +112,69 @@ def partitioned_cg(row_ptr, col_idx, values, b, tol, max_iter, ranges):
         p *= rr_new / rr
         p += r
     return x, iters, relres
+
+
+def per_launch_execute(model, schedule, bindings):
+    """Run a loop-free schedule one launch range at a time, each intrinsic
+    written out here over [lo:hi) alone, as one kernel launch per device
+    computes it.  Dot partials are summed from 0.0 in ascending device
+    order.  Only the storage, one array per connected port group, comes
+    from the library.  Returns the root's out-port arrays by name.
+    """
+    groups = connected_port_groups(model)
+    arrays = {}
+    for path, comp in iter_instances(model, ComponentKind.APPLICATION):
+        for port in comp.ports:
+            group = groups[f"{path}.{port.name}" if path else port.name]
+            if group not in arrays:
+                arrays[group] = np.zeros(port.shape.total, dtype=port.data_type.value)
+    root = model.root(ComponentKind.APPLICATION)
+    for name, data in bindings.items():
+        arrays[groups[name]][:] = data
+    for step in schedule.steps:
+        a = {port: arrays[group] for node, group in groups.items()
+             for task, _, port in [node.rpartition(".")] if task == step.task_path}
+        if isinstance(step, HostOp):
+            if step.op == "div":
+                a["q"][0] = a["num"][0] / a["den"][0]
+            elif step.op == "neg":
+                a["z"][0] = -a["a"][0]
+            elif step.op == "rel_residual":
+                a["z"][0] = math.sqrt(float(a["num"][0])) / math.sqrt(float(a["den"][0]))
+            else:
+                raise NotImplementedError(step.op)
+            continue
+        if not isinstance(step, DeviceStep):
+            raise NotImplementedError(f"{type(step).__name__} in a per-launch oracle run")
+        total = 0.0
+        for launch in step.launches:
+            lo, hi = launch.range.offset, launch.range.offset + launch.range.count
+            if step.op == "spmv_csr":
+                rowptr, colidx, values, x = a["rowptr"], a["colidx"], a["values"], a["x"]
+                for i in range(lo, hi):
+                    acc = 0.0
+                    for k in range(int(rowptr[i]), int(rowptr[i + 1])):
+                        acc += float(values[k]) * float(x[colidx[k]])
+                    a["y"][i] = acc
+            elif step.op == "dot_partial":
+                total += float(np.dot(a["a"][lo:hi], a["b"][lo:hi]))
+            elif step.op == "axpy":
+                if "a" in a:
+                    a["y"][lo:hi] += float(a["a"][0]) * a["x"][lo:hi]
+                else:
+                    a["y"][lo:hi] += a["x"][lo:hi]
+            elif step.op == "scale":
+                a["y"][lo:hi] *= float(a["a"][0])
+            elif step.op == "copy":
+                a["dst"][lo:hi] = a["src"][lo:hi]
+            elif step.op == "sub":
+                a["z"][lo:hi] = a["x"][lo:hi] - a["y"][lo:hi]
+            else:
+                raise NotImplementedError(step.op)
+        if step.op == "dot_partial":
+            a["s"][0] = total
+    return {port.name: arrays[groups[port.name]].copy()
+            for port in root.ports if port.direction is Direction.OUT}
 
 
 # -- DSL tokenizer ------------------------------------------------------------

@@ -9,7 +9,7 @@ from gmodelc.cli import main
 from gmodelc.codegen import generate_host, generate_kernels
 from gmodelc.intrinsics import IntrinsicShapeMismatch
 from gmodelc.memmap import build_memory_maps
-from gmodelc.partition import build_schedule
+from gmodelc.partition import UnallocatedTask, build_schedule
 
 
 @pytest.fixture()
@@ -69,6 +69,22 @@ def test_check_reports_deployment_errors(workdir, capsys, edit, errors):
     path.write_text(text.replace(*edit))
     assert main(["check", str(path)]) == 1
     assert capsys.readouterr().err.splitlines() == errors
+
+
+def test_check_reports_unallocated_leaf_task(workdir, capsys):
+    """check rejects a leaf task without a task allocation with the message
+    that the schedule raises for codegen and run."""
+    tmp_path, _ = workdir
+    text = gmodelc.bundled_model_text()
+    line = "allocate task loop.beta onto host.cpu\n"
+    assert line in text
+    path = tmp_path / "unallocated.gmodel"
+    path.write_text(text.replace(line, ""))
+    assert main(["check", str(path)]) == 1
+    message = "leaf task 'loop.beta' has no task allocation"
+    assert capsys.readouterr().err.splitlines() == [f"error: loop.beta: {message}"]
+    with pytest.raises(UnallocatedTask, match=message):
+        build_schedule(gmodelc.parse_model(text.replace(line, "")), 1)
 
 
 @pytest.mark.parametrize("edit", [

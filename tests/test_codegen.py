@@ -277,3 +277,90 @@ def test_unknown_intrinsic():
 def test_fp64_pragma_present(cg_units):
     kern, _ = cg_units
     assert "#pragma OPENCL EXTENSION cl_khr_fp64 : enable" in kern.contents
+
+
+FLOAT32_MODEL = COPY_MODEL.replace("""\
+application cp {
+  component T {
+    port src in float64 [64]
+    port dst out float64 [64]
+    repeat [64]
+    deploy copy
+  }
+  component cp {
+    port i in float64 [64]
+    port o out float64 [64]
+    part t : T
+    connect i -> t.src
+    connect t.dst -> o
+  }
+}
+allocate data i onto dev.gmem
+allocate data t.dst onto dev.gmem
+allocate task t onto dev.cu
+""", """\
+application sc {
+  component Dot {
+    port a in float32 [64]
+    port b in float32 [64]
+    port s out float32 [1]
+    repeat [64]
+    deploy dot_partial
+  }
+  component Scale {
+    port y inout float32 [64]
+    port a in float32 [1]
+    repeat [64]
+    deploy scale
+  }
+  component sc {
+    port i in float32 [64]
+    port f in float32 [1]
+    port o out float32 [64]
+    port d out float32 [1]
+    part dt : Dot
+    part t : Scale
+    connect i -> dt.a
+    connect i -> dt.b
+    connect dt.s -> d
+    connect i -> t.y
+    connect f -> t.a
+    connect t.y -> o
+  }
+}
+allocate data i onto dev.gmem
+allocate data f onto host.ram
+allocate data dt.s onto host.ram
+allocate task dt onto dev.cu
+allocate task t onto dev.cu
+""")
+
+
+def test_float32_host_data_stays_float32():
+    """float32 ports are loaded, stored, passed and reduced as float."""
+    model = gmodelc.parse_model(FLOAT32_MODEL)
+    assert gmodelc.validate_conformance(model) == []
+    maps = build_memory_maps(model)
+    host = generate_host(model, maps, build_schedule(model, 2), 2).contents
+    assert 'if (fscanf(f, "%f", &out[i]) != 1)' in host
+    assert 'load_floats("sc_i.txt", in_i, 64);' in host
+    assert 'store_floats("sc_o_out.txt", out_i, 64);' in host
+    assert "float h_f = 0.0;" in host and "float h_dt_s = 0.0;" in host
+    assert "clSetKernelArg(k_t, 3, sizeof(float), &h_f);" in host
+    assert "float* ph_k_dt_d1 = (float*)malloc(4 * sizeof(float));" in host
+    assert ("clEnqueueReadBuffer(queues[1], part_k_dt_d1, CL_TRUE, 0, 4 * sizeof(float), "
+            "ph_k_dt_d1, 0, NULL, NULL);") in host
+    assert "sizeof(double)" not in host
+    assert "load_longs" not in host and "store_ints" not in host
+    cg_host = golden_path("cg_host_d4.c").read_text()
+    assert "load_floats" not in cg_host and "store_floats" not in cg_host
+
+
+def test_int64_csr_ports_load_as_long(cg_text):
+    model = gmodelc.parse_model(cg_text.replace("int32", "int64"))
+    assert gmodelc.validate_conformance(model) == []
+    host = generate_host(model, build_memory_maps(model), build_schedule(model, 1), 1).contents
+    assert 'if (fscanf(f, "%ld", &out[i]) != 1)' in host
+    assert 'load_longs("cg_rowptr.txt", in_rowptr, 132652);' in host
+    assert 'load_longs("cg_colidx.txt", in_colidx, 3442951);' in host
+    assert "load_floats" not in host and "store_floats" not in host

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from unittest import mock
@@ -14,7 +15,7 @@ from gmodelc.intrinsics import (INTRINSICS, RANGE_PROLOGUE, IntrinsicShapeMismat
                                 IntrinsicSpec, PortSpec)
 from gmodelc.memmap import build_memory_maps
 from gmodelc.metamodel import Direction
-from gmodelc.partition import build_schedule, partition_equally
+from gmodelc.partition import Schedule, WorkRange, build_schedule, partition_equally
 from gmodelc.refexec import (BreakdownDetected, CsrMatrix, DimensionMismatch,
                              IndexOutOfRange, MalformedHeader, MissingBinding,
                              NonFiniteValue, NonSquare, NonSymmetricMatrix, SolverConfig,
@@ -23,7 +24,8 @@ from gmodelc.refexec import (BreakdownDetected, CsrMatrix, DimensionMismatch,
                              matrix_to_coordinate_text, poisson_1d, poisson_2d, random_spd,
                              run_cg, spmv_csr, spmv_range)
 
-from oracles import partitioned_cg, reference_cg, spmv_loop
+from conftest import golden_path
+from oracles import partitioned_cg, per_launch_execute, reference_cg, spmv_loop
 
 
 # -- matrix market -------------------------------------------------------------
@@ -618,6 +620,175 @@ def test_spmv_of_written_csr_ports_bitwise():
     for d in (1, 3):
         got = execute_schedule(model, build_schedule(model, d), dict(bindings))
         assert got.outputs["o"].tobytes() == want.tobytes()
+
+
+# The straight-line model of every intrinsic, with its values routed through
+# a copy task so that the spmv reads CSR ports that a task writes.
+_WRITTEN_CSR = (
+    ("  component intrinsics {",
+     "  component CopyNnz {\n    port src in float64 [64]\n    port dst out float64 [64]\n"
+     "    repeat [64]\n    deploy copy\n  }\n  component intrinsics {"),
+    ("    part spmv : Spmv", "    part load : CopyNnz\n    part spmv : Spmv"),
+    ("    connect values -> spmv.values",
+     "    connect values -> load.src\n    connect load.dst -> spmv.values"),
+    ("allocate task spmv onto device.c",
+     "allocate data load.dst onto device.gmem\nallocate task load onto device.c\n"
+     "allocate task spmv onto device.c"),
+)
+
+
+def _intrinsics_model(written_csr: bool):
+    text = golden_path("intrinsics.gmodel").read_text()
+    if written_csr:
+        for old, new in _WRITTEN_CSR:
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+    model = gmodelc.parse_model(text)
+    assert gmodelc.validate_conformance(model) == []
+    return model
+
+
+@pytest.mark.parametrize("written_csr", [False, True])
+@pytest.mark.parametrize("devices", [1, 2, 3, 16])
+def test_executor_matches_per_launch_oracle(monkeypatch, devices, written_csr):
+    """Each non-reduction step runs as one closure, yet every output equals,
+    byte for byte, a run of each launch range alone: axpy with and without
+    a, scale, copy, float32 sub, dots, host ops and spmv, with the spmv rows
+    in one block and in blocks of at most 8 entries."""
+    model = _intrinsics_model(written_csr)
+    A = poisson_2d(4)
+    assert (A.n, A.nnz) == (16, 64)
+    rng = np.random.default_rng(devices)
+    bindings = {"rowptr": A.row_ptr, "colidx": A.col_idx, "values": A.values,
+                "b": rng.standard_normal(16),
+                "f": rng.standard_normal(16).astype(np.float32),
+                "g": rng.standard_normal(16).astype(np.float32)}
+    schedule = build_schedule(model, devices)
+    want = per_launch_execute(model, schedule, bindings)
+    assert sorted(want) == ["h", "relres", "x"] and want["h"].dtype == np.float32
+    for block_entries in (refexec.SPMV_BLOCK_ENTRIES, 8):
+        monkeypatch.setattr(refexec, "SPMV_BLOCK_ENTRIES", block_entries)
+        got = execute_schedule(model, schedule, dict(bindings)).outputs
+        assert sorted(got) == sorted(want)
+        for name in want:
+            assert got[name].dtype == want[name].dtype
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def _record_closures(monkeypatch):
+    """Counts each launch closure built, as (op, lo, hi) or, for a
+    reduction, (op, ranges), and each spmv row block's plan, as (lo, hi)."""
+    built, blocks = [], []
+    for name, spec in INTRINSICS.items():
+        if spec.launch is None:
+            continue
+
+        def launch(arrays, *where, _name=name, _launch=spec.launch):
+            built.append((_name, *where))
+            return _launch(arrays, *where)
+        monkeypatch.setitem(INTRINSICS, name, dataclasses.replace(spec, launch=launch))
+    plan = refexec._jagged_plan
+
+    def recording_plan(row_ptr, lo, hi, col_idx, values):
+        blocks.append((lo, hi))
+        return plan(row_ptr, lo, hi, col_idx, values)
+    monkeypatch.setattr(refexec, "_jagged_plan", recording_plan)
+    return built, blocks
+
+
+def test_one_closure_per_elementwise_step_whatever_the_device_count(monkeypatch):
+    sized, A, b, bindings = _cg_setup(20)
+    built, blocks = _record_closures(monkeypatch)
+    for devices in (1, 4, 16):
+        built.clear()
+        blocks.clear()
+        schedule = build_schedule(sized, devices)
+        execute_schedule(sized, schedule, bindings, max_iter=2)
+        want = []
+        for step in schedule.device_steps():
+            ranges = [(l.range.offset, l.range.offset + l.range.count)
+                      for l in step.launches]
+            assert len(ranges) == devices
+            if INTRINSICS[step.op].reduce:
+                want.append((step.op, ranges))
+            else:
+                want.append((step.op, 0, step.total_work))
+        assert built == want
+        assert blocks == [(0, A.n)]     # 1920 entries: one block
+
+
+def test_spmv_blocks_depend_on_the_matrix_alone(monkeypatch):
+    """Four entries per row and a block size that is a multiple of four: no
+    row straddles a block boundary, so every block but the last holds exactly
+    SPMV_BLOCK_ENTRIES entries, whatever the device count."""
+    per_block = refexec.SPMV_BLOCK_ENTRIES
+    assert per_block % 4 == 0
+    n = per_block // 2 + 1000      # two full blocks and a short one
+    rows = np.repeat(np.arange(n), 4)
+    cols = (rows + np.tile(np.arange(4), n) * 7) % n
+    A = refexec.csr_from_coo(n, rows, cols, np.random.default_rng(3).standard_normal(4 * n))
+    assert (np.diff(A.row_ptr) == 4).all()
+    model = _single_task_model(
+        "spmv_csr",
+        [f"rowptr in int32 [{n + 1}]", f"colidx in int32 [{A.nnz}]",
+         f"values in float64 [{A.nnz}]", f"x in float64 [{n}]", f"y out float64 [{n}]"],
+        [f"rp in int32 [{n + 1}]", f"ci in int32 [{A.nnz}]",
+         f"va in float64 [{A.nnz}]", f"vx in float64 [{n}]", f"o out float64 [{n}]"],
+        ["rp -> t.rowptr", "ci -> t.colidx", "va -> t.values", "vx -> t.x", "t.y -> o"],
+        ["allocate data rp onto dev.gmem", "allocate data ci onto dev.gmem",
+         "allocate data va onto dev.gmem", "allocate data vx onto dev.gmem",
+         "allocate data t.y onto dev.gmem", "allocate task t onto dev.cu"],
+        n=n)
+    x = np.random.default_rng(4).standard_normal(n)
+    bindings = {"rp": A.row_ptr, "ci": A.col_idx, "va": A.values, "vx": x}
+    built, blocks = _record_closures(monkeypatch)
+    rows_per_block = per_block // 4
+    want = [(0, rows_per_block), (rows_per_block, 2 * rows_per_block),
+            (2 * rows_per_block, n)]
+    for devices in (1, 3, 16):
+        built.clear()
+        blocks.clear()
+        out = execute_schedule(model, build_schedule(model, devices), bindings).outputs["o"]
+        assert built == [("spmv_csr", 0, n)]
+        assert blocks == want
+        assert all(A.row_ptr[hi] - A.row_ptr[lo] <= per_block for lo, hi in blocks)
+        assert out.tobytes() == spmv_csr(A, x).tobytes()
+
+
+def test_launch_ranges_that_do_not_tile_one_range_are_rejected():
+    """An elementwise step runs as one closure over the range its launches
+    tile, so the compiler rejects ranges with a gap rather than fill it."""
+    model = _single_task_model(
+        "copy",
+        ["src in float64 [64]", "dst out float64 [64]"],
+        ["i in float64 [64]", "o out float64 [64]"],
+        ["i -> t.src", "t.dst -> o"],
+        ["allocate data i onto dev.gmem", "allocate data t.dst onto dev.gmem",
+         "allocate task t onto dev.cu"])
+    (step,) = build_schedule(model, 2).steps
+    first, second = step.launches
+    gap = dataclasses.replace(second, range=WorkRange(33, 31))
+    schedule = Schedule(steps=(dataclasses.replace(step, launches=(first, gap)),))
+    with pytest.raises(ValueError, match="task 't': launch ranges .* do not tile one range"):
+        execute_schedule(model, schedule, {"i": np.ones(64)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 12), min_size=1, max_size=40), st.integers(1, 10),
+       st.data())
+def test_row_blocks_are_maximal_and_tile_the_range(lengths, limit, data):
+    row_ptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int32)
+    lo = data.draw(st.integers(0, len(lengths) - 1))
+    hi = data.draw(st.integers(lo + 1, len(lengths)))
+    with mock.patch.object(refexec, "SPMV_BLOCK_ENTRIES", limit):
+        blocks = refexec._row_blocks(row_ptr, lo, hi)
+    assert [b[0] for b in blocks] == [lo] + [b[1] for b in blocks[:-1]]
+    assert blocks[-1][1] == hi
+    for start, stop in blocks:
+        entries = int(row_ptr[stop] - row_ptr[start])
+        assert entries <= limit or stop == start + 1     # a longer row stands alone
+        if stop < hi:       # the next row would not fit
+            assert int(row_ptr[stop + 1] - row_ptr[start]) > limit
 
 
 def test_partition_transparency_dot_tolerance():
