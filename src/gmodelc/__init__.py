@@ -12,18 +12,18 @@ from .codegen import GeneratedUnit, generate_host, generate_kernels
 from .dsl import ParseError, ParseFailure, SourceSpan, parse_model, serialize_model
 from .memmap import (CapacityExceeded, DataAllocate, MemoryMap, build_memory_maps,
                      emit_memory_map_report)
-from .metamodel import (AddressSpace, AllocKind, AllocationLink, Component, ComponentKind,
-                        Connector, DataType, Diagnostic, Direction, FlowPort, HwStereotype,
-                        MemoryRole, Model, PartInstance, PathNotFound, Shape,
+from .metamodel import (AddressSpace, AllocKind, AllocationLink, CompileContext, Component,
+                        ComponentKind, Connector, DataType, Diagnostic, Direction, FlowPort,
+                        HwStereotype, MemoryRole, Model, PartInstance, PathNotFound, Shape,
                         StereotypeKind, UntilCondition, resolve_path, validate_conformance)
 from .partition import (CyclicTaskGraph, DeviceStep, HostOp, KernelLaunch, LoopStep,
                         MissingGeometry, Schedule, UnallocatedTask, WorkRange,
                         build_schedule, derive_launch_config, partition_equally)
 from .refexec import (BreakdownDetected, CsrMatrix, DimensionMismatch, ExecutionResult,
-                      IndexOutOfRange, MalformedHeader, MissingBinding, NonSquare,
-                      SolveResult, SolverConfig, execute_schedule, instantiate_for_matrix,
-                      load_matrix_market, matrix_to_coordinate_text, poisson_1d,
-                      poisson_2d, random_spd, run_cg, spmv_csr)
+                      IndexOutOfRange, MalformedHeader, MissingBinding, NonFiniteInput,
+                      NonSquare, SolveResult, SolverConfig, execute_schedule,
+                      instantiate_for_matrix, load_matrix_market, matrix_to_coordinate_text,
+                      poisson_1d, poisson_2d, random_spd, run_cg, spmv_csr)
 
 __version__ = "0.1.0"
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import codegen, dsl, memmap, refexec
 from .intrinsics import deployment_diagnostics
-from .metamodel import ComponentKind, Direction, Model, connected_port_groups, validate_conformance
+from .metamodel import CompileContext, ComponentKind, Direction, Model, validate_conformance
 from .partition import build_schedule
 
 EXIT_OK = 0
@@ -79,7 +79,9 @@ def _load_model(path: str) -> Model:
     return dsl.parse_model(text)
 
 
-def _validated_model(config: RunConfig) -> tuple[Model | None, int]:
+def _validated_model(config: RunConfig) -> tuple[CompileContext | None, int]:
+    """The compile context of the parsed model when it has no error, which
+    every later stage of the command shares."""
     try:
         model = _load_model(config.model_path)
     except OSError as exc:
@@ -89,14 +91,15 @@ def _validated_model(config: RunConfig) -> tuple[Model | None, int]:
         for err in exc.errors:
             print(f"{config.model_path}:{err}", file=sys.stderr)
         return None, EXIT_IO
-    diags = validate_conformance(model)
+    ctx = CompileContext(model)
+    diags = validate_conformance(model, ctx)
     if not any(d.severity == "error" for d in diags):
-        diags += deployment_diagnostics(model)
+        diags += deployment_diagnostics(model, ctx)
     for diag in diags:
         print(str(diag), file=sys.stderr)
     if any(d.severity == "error" for d in diags):
         return None, EXIT_VALIDATION
-    return model, EXIT_OK
+    return ctx, EXIT_OK
 
 
 def _write(out_dir: str, file_name: str, contents: str) -> str:
@@ -112,11 +115,11 @@ def _solution_text(solution: np.ndarray) -> str:
     return "".join([f"{v!r}\n" for v in np.asarray(solution, dtype=np.float64).tolist()])
 
 
-def _matrix_bindings(model: Model, A: refexec.CsrMatrix,
+def _matrix_bindings(ctx: CompileContext, A: refexec.CsrMatrix,
                      rhs: np.ndarray) -> dict[str, np.ndarray]:
     """Bind root input ports structurally: CSR ports via their connection to
     the spmv task, the remaining float input as the right-hand side."""
-    groups = connected_port_groups(model)
+    model, groups = ctx.model, ctx.port_groups
     root = model.root(ComponentKind.APPLICATION)
     spmv_path, _ = refexec.spmv_task(model)
     csr_arrays = {f"{spmv_path}.rowptr": A.row_ptr,
@@ -146,11 +149,12 @@ def _cmd_check(config: RunConfig) -> int:
 
 
 def _cmd_map(config: RunConfig) -> int:
-    model, status = _validated_model(config)
-    if model is None:
+    ctx, status = _validated_model(config)
+    if ctx is None:
         return status
+    model = ctx.model
     try:
-        maps = memmap.build_memory_maps(model)
+        maps = memmap.build_memory_maps(model, ctx)
     except memmap.CapacityExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -161,14 +165,15 @@ def _cmd_map(config: RunConfig) -> int:
 
 
 def _cmd_codegen(config: RunConfig) -> int:
-    model, status = _validated_model(config)
-    if model is None:
+    ctx, status = _validated_model(config)
+    if ctx is None:
         return status
+    model = ctx.model
     try:
-        maps = memmap.build_memory_maps(model)
-        schedule = build_schedule(model, config.devices)
-        units = [codegen.generate_kernels(model, maps, schedule),
-                 codegen.generate_host(model, maps, schedule, config.devices)]
+        maps = memmap.build_memory_maps(model, ctx)
+        schedule = build_schedule(model, config.devices, ctx)
+        units = [codegen.generate_kernels(model, maps, schedule, ctx),
+                 codegen.generate_host(model, maps, schedule, config.devices, ctx)]
     except (memmap.CapacityExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -206,15 +211,16 @@ def _cmd_run(config: RunConfig) -> int:
               file=sys.stderr)
         return EXIT_IO
 
-    model, status = _validated_model(config)
-    if model is None:
+    ctx, status = _validated_model(config)
+    if ctx is None:
         return status
     try:
-        model = refexec.instantiate_for_matrix(model, A.n, A.nnz)
+        model = refexec.instantiate_for_matrix(ctx.model, A.n, A.nnz)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    diags = validate_conformance(model)
+    ctx = CompileContext(model)     # the instantiated model's own
+    diags = validate_conformance(model, ctx)
     if any(d.severity == "error" for d in diags):
         for diag in diags:
             print(str(diag), file=sys.stderr)
@@ -230,10 +236,10 @@ def _cmd_run(config: RunConfig) -> int:
         return EXIT_OK
 
     try:
-        schedule = build_schedule(model, config.devices)
-        bindings = _matrix_bindings(model, A, rhs)
-        result = refexec.execute_schedule(model, schedule, bindings,
-                                          tol=config.tol, max_iter=config.max_iter)
+        schedule = build_schedule(model, config.devices, ctx)
+        bindings = _matrix_bindings(ctx, A, rhs)
+        result = refexec.execute_schedule(model, schedule, bindings, tol=config.tol,
+                                          max_iter=config.max_iter, ctx=ctx)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -12,14 +12,12 @@ the test suite.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
-from .dsl import serialize_model
 from .intrinsics import IntrinsicSpec, deployed_intrinsic
 from .memmap import DataAllocate, MemoryMap
-from .metamodel import (AddressSpace, Component, ComponentKind, DataType, Direction,
-                        MemoryRole, Model, component_at, memory_role_of)
+from .metamodel import (AddressSpace, CompileContext, Component, ComponentKind, DataType,
+                        Direction, MemoryRole, Model)
 from .partition import DeviceStep, HostOp, KernelLaunch, LoopStep, Schedule
 
 
@@ -40,10 +38,6 @@ _C_IO = {DataType.FLOAT64: ("doubles", "%lf", "%.17g"),
          DataType.INT64: ("longs", "%ld", "%ld")}
 
 
-def _digest(model: Model) -> str:
-    return hashlib.sha256(serialize_model(model).encode()).hexdigest()[:12]
-
-
 def _model_name(model: Model) -> str:
     return model.application_root
 
@@ -55,10 +49,10 @@ def kernel_name(task_path: str) -> str:
 class _AllocIndex:
     """Finds the allocation record backing each application port."""
 
-    def __init__(self, model: Model, maps: list[MemoryMap]):
+    def __init__(self, ctx: CompileContext, maps: list[MemoryMap]):
         self.by_node: dict[str, list[tuple[MemoryRole, DataAllocate]]] = {}
         for mm in maps:
-            role = memory_role_of(model, mm.owner_path)
+            role = ctx.memory_role_of(mm.owner_path)
             for alloc in mm.data_allocations:
                 for node in alloc.associated_parts:
                     self.by_node.setdefault(node, []).append((role, alloc))
@@ -128,41 +122,50 @@ def _task_params(index: _AllocIndex, task_path: str, comp: Component,
     return params
 
 
-def _device_tasks(model: Model, schedule: Schedule
-                  ) -> list[tuple[DeviceStep, Component, IntrinsicSpec]]:
-    """Each distinct device task's first step, component and intrinsic."""
+def _device_tasks(ctx: CompileContext, maps: list[MemoryMap],
+                  schedule: Schedule) -> tuple[_AllocIndex, list[tuple]]:
+    """The allocation index of maps, and each distinct device task's first
+    step, component, IntrinsicSpec and kernel parameters.  The index and the
+    parameter lists are kept on ctx while the same maps come in."""
+    if ctx.kernel_params is None or ctx.kernel_params[0] is not maps:
+        ctx.kernel_params = (maps, _AllocIndex(ctx, maps), {})
+    _, index, params = ctx.kernel_params
     seen: set[str] = set()
     tasks = []
     for step in schedule.device_steps():
-        if step.task_path not in seen:
-            seen.add(step.task_path)
-            comp = component_at(model, ComponentKind.APPLICATION, step.task_path)
-            tasks.append((step, comp, deployed_intrinsic(step.task_path, comp, on_host=False)))
-    return tasks
+        path = step.task_path
+        if path not in seen:
+            seen.add(path)
+            comp = ctx.component_at(ComponentKind.APPLICATION, path)
+            spec = deployed_intrinsic(ctx, path, on_host=False)
+            if path not in params:
+                params[path] = _task_params(index, path, comp, spec)
+            tasks.append((step, comp, spec, params[path]))
+    return index, tasks
 
 
-def generate_kernels(model: Model, maps: list[MemoryMap], schedule: Schedule) -> GeneratedUnit:
+def generate_kernels(model: Model, maps: list[MemoryMap], schedule: Schedule,
+                     ctx: CompileContext | None = None) -> GeneratedUnit:
     """Emit the kernel source file: one entry point per distinct device task."""
-    index = _AllocIndex(model, maps)
+    ctx = CompileContext.of(model, ctx)
     name = _model_name(model)
     out = [
         "/*",
         f" * OpenCL kernels for model '{name}'.",
-        f" * generated by gmodelc; model digest sha256:{_digest(model)}",
+        f" * generated by gmodelc; model digest sha256:{ctx.digest}",
         " */",
     ]
-    tasks = _device_tasks(model, schedule)
-    if any(port.data_type is DataType.FLOAT64 for _, comp, _ in tasks for port in comp.ports):
+    _, tasks = _device_tasks(ctx, maps, schedule)
+    if any(port.data_type is DataType.FLOAT64 for _, comp, _, _ in tasks for port in comp.ports):
         out.append("")
         out.append("#pragma OPENCL EXTENSION cl_khr_fp64 : enable")
     names_seen: dict[str, str] = {}
-    for step, comp, spec in tasks:
+    for step, comp, spec, params in tasks:
         kname = kernel_name(step.task_path)
         if kname in names_seen:
             raise ValueError(f"kernel name '{kname}' generated for both "
                              f"'{names_seen[kname]}' and '{step.task_path}'")
         names_seen[kname] = step.task_path
-        params = _task_params(index, step.task_path, comp, spec)
         body = spec.kernel_body(comp)
         out.append("")
         head = f"__kernel void {kname}("
@@ -208,22 +211,21 @@ class _HostWriter:
 
 
 def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
-                  device_count: int) -> GeneratedUnit:
+                  device_count: int, ctx: CompileContext | None = None) -> GeneratedUnit:
     """Emit the host orchestration source for device_count logical devices."""
     if device_count < 1:
         raise ValueError("device_count must be positive")
-    index = _AllocIndex(model, maps)
+    ctx = CompileContext.of(model, ctx)
     name = _model_name(model)
     root = model.root(ComponentKind.APPLICATION)
-    device_tasks = _device_tasks(model, schedule)
-    task_params = {step.task_path: (_task_params(index, step.task_path, comp, spec), spec)
-                   for step, comp, spec in device_tasks}
+    index, device_tasks = _device_tasks(ctx, maps, schedule)
+    task_params = {step.task_path: (params, spec) for step, _, spec, params in device_tasks}
 
     device_allocs: list[tuple[MemoryRole, DataAllocate]] = []
     host_allocs: list[DataAllocate] = []
     seen_names: set[str] = set()
     for mm in maps:
-        role = memory_role_of(model, mm.owner_path)
+        role = ctx.memory_role_of(mm.owner_path)
         for alloc in mm.data_allocations:
             if alloc.name in seen_names:
                 continue
@@ -236,35 +238,38 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
     # reduction partial buffers: one per (task, device) pair, sized by work
     # groups, of the partials parameter's type (_task_params puts it last)
     partials: list[tuple[str, int, int, str]] = []   # (kernel, device, groups, type)
-    for step, _, spec in device_tasks:
+    for step, _, spec, _ in device_tasks:
         if spec.reduce:
             ctype = task_params[step.task_path][0][-1].ctype
             for launch in step.launches:
                 partials.append((kernel_name(step.task_path), launch.device_index,
                                  _group_count(launch), ctype))
 
-    # the device allocations of the root's in and out ports, each uploaded once
-    uploads: dict[str, tuple[str, DataAllocate]] = {}
-    downloads: list[tuple[str, DataAllocate]] = []
+    # the root's in ports, each allocation loaded once, and its out ports, as
+    # (port, allocation, whether it is a host scalar): a device allocation is
+    # uploaded and read back, a host one loaded into and stored from h_<name>
+    loads: dict[str, tuple[str, DataAllocate, bool]] = {}
+    stores: list[tuple[str, DataAllocate, bool]] = []
     for port in root.ports:
         device = index.device_alloc(port.name)
-        if device is None:
+        alloc = device[1] if device is not None else index.host_alloc(port.name)
+        if alloc is None:
             continue
         if port.direction is Direction.IN:
-            uploads.setdefault(device[1].name, (port.name, device[1]))
+            loads.setdefault(alloc.name, (port.name, alloc, device is None))
         elif port.direction is Direction.OUT:
-            downloads.append((port.name, device[1]))
+            stores.append((port.name, alloc, device is None))
     # load and store routines: the float64 and int32 ones always, the others
     # when a port needs them
     loaded = {DataType.FLOAT64, DataType.INT32}.union(
-        alloc.type_allocation for _, alloc in uploads.values())
-    stored = {DataType.FLOAT64}.union(alloc.type_allocation for _, alloc in downloads)
+        alloc.type_allocation for _, alloc, _ in loads.values())
+    stored = {DataType.FLOAT64}.union(alloc.type_allocation for _, alloc, _ in stores)
 
     w = _HostWriter()
     w.depth = 0
     w.put("/*")
     w.put(f" * OpenCL host program for model '{name}' on {device_count} device(s).")
-    w.put(f" * generated by gmodelc; model digest sha256:{_digest(model)}")
+    w.put(f" * generated by gmodelc; model digest sha256:{ctx.digest}")
     w.put(" */")
     w.put("#include <CL/cl.h>")
     w.put("#include <math.h>")
@@ -344,7 +349,7 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
     w.put("err = clBuildProgram(program, DEVICE_COUNT, devices, NULL, NULL, NULL);")
     w.put('CHECK(err, "clBuildProgram");')
     w.put("")
-    for step, _, _ in device_tasks:
+    for step, _, _, _ in device_tasks:
         kname = kernel_name(step.task_path)
         w.put(f'cl_kernel {kname} = clCreateKernel(program, "{kname}", &err);')
         w.put(f'CHECK(err, "clCreateKernel {kname}");')
@@ -367,10 +372,13 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
         w.put(f"{ctype}* ph_{kname}_d{dev} = ({ctype}*)malloc({groups} * sizeof({ctype}));")
     w.put("")
     w.put("/* load and upload input data */")
-    for port_name, alloc in uploads.values():
+    for port_name, alloc, on_host in loads.values():
         n = alloc.dim_allocation.total
         ctype = _C_TYPES[alloc.type_allocation]
         suffix = _C_IO[alloc.type_allocation][0]
+        if on_host:
+            w.put(f'load_{suffix}("{name}_{port_name}.txt", &h_{alloc.name}, 1);')
+            continue
         w.put(f"{ctype}* in_{alloc.name} = ({ctype}*)malloc({alloc.size_bytes});")
         w.put(f'load_{suffix}("{name}_{port_name}.txt", in_{alloc.name}, {n});')
         w.put(f"err = clEnqueueWriteBuffer(queues[0], buf_{alloc.name}, CL_TRUE, 0, "
@@ -421,8 +429,8 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
                            f"&global_size, &local_size, 0, NULL, NULL);\n"
                            f'{inner}CHECK(err, "enqueue {kname}");\n'
                            f"{pad}}}")
-        for launch in step.launches:
-            w.put(f"clFinish(queues[{launch.device_index}]);")
+        w.lines.append("\n".join(f"{pad}clFinish(queues[{launch.device_index}]);"
+                                  for launch in step.launches))
         if spec.reduce:
             s_alloc = index.host_alloc(f"{step.task_path}.{spec.reduce}")
             w.put(f"h_{s_alloc.name} = 0.0;")
@@ -437,8 +445,8 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
                       f"h_{s_alloc.name} += ph_{kname}_d{d}[g];")
 
     def emit_host_op(step: HostOp):
-        comp = component_at(model, ComponentKind.APPLICATION, step.task_path)
-        spec = deployed_intrinsic(step.task_path, comp, on_host=True)
+        comp = ctx.component_at(ComponentKind.APPLICATION, step.task_path)
+        spec = deployed_intrinsic(ctx, step.task_path, on_host=True)
         names = {port.name: f"h_{index.host_alloc(f'{step.task_path}.{port.name}').name}"
                  for port in comp.ports}
         w.put(spec.host_c.format_map(names))
@@ -468,14 +476,17 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
     for step in schedule.steps:
         if isinstance(step, LoopStep):
             final_relres = index.host_alloc(step.relres_port)
-    for port_name, alloc in downloads:
+    for port_name, alloc, on_host in stores:
         n = alloc.dim_allocation.total
         ctype = _C_TYPES[alloc.type_allocation]
+        suffix = _C_IO[alloc.type_allocation][0]
+        if on_host:
+            w.put(f'store_{suffix}("{name}_{port_name}_out.txt", &h_{alloc.name}, 1);')
+            continue
         w.put(f"{ctype}* out_{alloc.name} = ({ctype}*)malloc({alloc.size_bytes});")
         w.put(f"err = clEnqueueReadBuffer(queues[0], buf_{alloc.name}, CL_TRUE, 0, "
               f"{alloc.size_bytes}, out_{alloc.name}, 0, NULL, NULL);")
         w.put(f'CHECK(err, "read {alloc.name}");')
-        suffix = _C_IO[alloc.type_allocation][0]
         w.put(f'store_{suffix}("{name}_{port_name}_out.txt", out_{alloc.name}, {n});')
     relres_expr = f"h_{final_relres.name}" if final_relres is not None else "0.0"
     w.put(f'printf("iters=%d relres=%.17g converged=%s\\n", iters, {relres_expr}, '
@@ -486,7 +497,7 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
     for kname, dev, _, _ in partials:
         w.put(f"clReleaseMemObject(part_{kname}_d{dev});")
         w.put(f"free(ph_{kname}_d{dev});")
-    for step, _, _ in device_tasks:
+    for step, _, _, _ in device_tasks:
         w.put(f"clReleaseKernel({kernel_name(step.task_path)});")
     w.put("clReleaseProgram(program);")
     w.put("free(source);")

@@ -29,16 +29,23 @@ anonymous leaf component named `<Owner>_<part>` carrying the stereotype;
 `serialize_model` folds such components back into the inline form.
 Capacity accepts K (1024) and M (1048576) suffixes.
 
-Each line is tokenized in one pass of a single regex: every match is a
-token, a comment or one illegal character.  Names resolve through dicts:
-the parser's component table while parsing, and the metamodel's
-name-indexed `Component.part`/`.port` once the model is built.
+The lexer builds no object per token.  One regex substitution drops the
+comments, and one findall per line returns its lexemes as plain strings;
+a lexeme's kind is read off its first character.  Only when the lexemes do
+not cover every non-blank character is the text scanned again, to report
+each illegal character.  A number's value is parsed where the grammar
+reads one, and a lexeme's column is found again only when a ParseError
+needs its span.  Names resolve through dicts: the parser's component
+table while parsing; once the model is built, the metamodel's
+name-indexed `Component.part`/`.port` and a CompileContext's index of
+instance paths.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain, islice
 
 from .metamodel import (AllocKind, AllocationLink, Component, ComponentKind, Connector,
                         DataType, Direction, FlowPort, HwStereotype, MemoryRole, Model,
@@ -74,19 +81,13 @@ class ParseFailure(ValueError):
         self.errors = errors
 
 
-# One match per token or per error: leading blanks are absorbed, a `#`
-# comment runs to the end of the line, and `bad` takes one character that
-# starts no token.  `bad` excludes blanks so that a line's trailing blanks
-# match nothing instead of backtracking into an error.
-_TOKEN_RE = re.compile(
-    r"[ \t\r]*(?:"
-    r"(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?[KM]?)"
-    r"|(?P<arrow>->)"
-    r"|(?P<sym>[{}\[\]:=,.<])"
-    r"|(?P<comment>#.*)"
-    r"|(?P<bad>[^ \t\r]))"
-)
+# A lexeme is an identifier, a number (fraction, exponent and K/M suffix
+# optional), the arrow or one symbol.  Its first character tells its kind:
+# identifiers are the lexemes str.isidentifier accepts, numbers start with a
+# digit.  A `#` comment runs to the end of its line.
+_LEX_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?[KM]?|->|[{}\[\]:=,.<]")
+_COMMENT_RE = re.compile(r"#[^\n]*")
+_BAD_RE = re.compile(r"[^ \t\r]")
 
 _SUFFIX = {"K": 1024, "M": 1048576}
 _HW_KEYWORDS = {"hwProcessor": StereotypeKind.PROCESSOR,
@@ -98,19 +99,29 @@ _TYPES = {t.value: t for t in DataType}
 _ROLES = {r.value: r for r in MemoryRole}
 
 
-@dataclass(slots=True)
-class _Tok:
-    kind: str   # word | num | arrow | sym
-    text: str
-    line: int
-    col: int
-    is_float: bool = False
-    value: float = 0.0
-    suffix: str = ""
+def _lex(text: str, errors: list[ParseError]) -> tuple[list[str], list[list[str]]]:
+    """Each line's code (its text before any comment) and lexemes.
 
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.col, len(self.text))
+    The lexemes are the plain strings of one findall per line.  When they
+    do not cover every non-blank character of the code, each character that
+    is in no lexeme is reported, in line and column order.
+    """
+    code = _COMMENT_RE.sub("", text)
+    lines = code.split("\n")
+    lexemes = list(map(_LEX_RE.findall, lines))
+    if sum(map(len, chain.from_iterable(lexemes))) != len(code) - sum(map(code.count, " \t\r\n")):
+        for no, line in enumerate(lines, start=1):
+            masked = _LEX_RE.sub(lambda m: " " * len(m[0]), line)
+            errors.extend(ParseError(SourceSpan(no, m.start() + 1, 1), "a token", repr(m[0]))
+                          for m in _BAD_RE.finditer(masked))
+    return lines, lexemes
+
+
+def _number(lexeme: str) -> tuple[float, bool, str]:
+    """A number lexeme's value, whether it is written as a float, and its suffix."""
+    suffix = lexeme[-1] if lexeme[-1] in "KM" else ""
+    body = lexeme[:-1] if suffix else lexeme
+    return float(body), "." in body or "e" in body or "E" in body, suffix
 
 
 class _StmtError(Exception):
@@ -118,160 +129,138 @@ class _StmtError(Exception):
         self.error = error
 
 
-def _tokenize_line(text: str, line_no: int, errors: list[ParseError]) -> list[_Tok]:
-    toks: list[_Tok] = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "comment":
-            continue
-        lexeme = m[kind]
-        col = m.start(kind) + 1
-        if kind == "bad":
-            errors.append(ParseError(SourceSpan(line_no, col, 1), "a token", repr(lexeme)))
-        elif kind == "num":
-            suffix = lexeme[-1] if lexeme[-1] in "KM" else ""
-            body = lexeme[:-1] if suffix else lexeme
-            is_float = "." in body or "e" in body or "E" in body
-            toks.append(_Tok("num", lexeme, line_no, col, is_float, float(body), suffix))
-        else:
-            toks.append(_Tok(kind, lexeme, line_no, col))
-    return toks
-
-
 class _Line:
-    """Cursor over one statement's tokens."""
+    """Cursor over one line's lexemes.  A lexeme's column is found again, by
+    rescanning the code, only when an error needs its span."""
 
-    def __init__(self, toks: list[_Tok], line_no: int, line_len: int):
+    __slots__ = ("toks", "i", "line_no", "code")
+
+    def __init__(self, toks: list[str], line_no: int, code: str):
         self.toks = toks
         self.i = 0
         self.line_no = line_no
-        self.line_len = line_len
+        self.code = code
 
-    def peek(self) -> _Tok | None:
+    def peek(self) -> str | None:
         return self.toks[self.i] if self.i < len(self.toks) else None
 
-    def _eol_span(self) -> SourceSpan:
-        if self.toks:
-            last = self.toks[-1]
-            return SourceSpan(self.line_no, last.col + len(last.text), 0)
-        return SourceSpan(self.line_no, 1, 0)
+    def span(self, i: int) -> SourceSpan:
+        m = next(islice(_LEX_RE.finditer(self.code), i, None))
+        return SourceSpan(self.line_no, m.start() + 1, len(m[0]))
+
+    def error(self, i: int, expected: str, found: str | None = None) -> _StmtError:
+        """The error at lexeme i; found defaults to the lexeme."""
+        return _StmtError(ParseError(self.span(i), expected,
+                                     repr(self.toks[i]) if found is None else found))
 
     def fail(self, expected: str):
-        tok = self.peek()
-        if tok is None:
-            raise _StmtError(ParseError(self._eol_span(), expected, "end of line"))
-        raise _StmtError(ParseError(tok.span, expected, repr(tok.text)))
+        if self.i < len(self.toks):
+            raise self.error(self.i, expected)
+        last = self.span(len(self.toks) - 1)
+        raise _StmtError(ParseError(SourceSpan(self.line_no, last.column + last.length, 0),
+                                    expected, "end of line"))
 
-    def take(self, expected: str, kind: str, text: str | None = None) -> _Tok:
-        tok = self.peek()
-        if tok is None or tok.kind != kind or (text is not None and tok.text != text):
-            self.fail(expected)
+    def take(self, text: str):
+        if self.peek() != text:
+            self.fail(f"'{text}'")
         self.i += 1
-        return tok
 
-    def take_word(self, expected: str = "an identifier") -> _Tok:
-        return self.take(expected, "word")
+    def word(self, expected: str = "an identifier") -> str:
+        i = self.i
+        if i < len(self.toks) and self.toks[i].isidentifier():
+            self.i = i + 1
+            return self.toks[i]
+        self.fail(expected)
 
     def try_sym(self, text: str) -> bool:
-        tok = self.peek()
-        if tok is not None and tok.kind == "sym" and tok.text == text:
+        if self.i < len(self.toks) and self.toks[self.i] == text:
             self.i += 1
             return True
         return False
 
     def end(self):
+        if self.i < len(self.toks):
+            raise self.error(self.i, "end of line")
+
+    def number(self, expected: str) -> tuple[float, bool, str]:
         tok = self.peek()
-        if tok is not None:
-            raise _StmtError(ParseError(tok.span, "end of line", repr(tok.text)))
+        if tok is None or not tok[0].isdigit():
+            self.fail(expected)
+        self.i += 1
+        return _number(tok)
 
     def int_value(self, expected: str, allow_suffix: bool = False) -> int:
-        tok = self.take(expected, "num")
-        if tok.is_float or (tok.suffix and not allow_suffix):
-            raise _StmtError(ParseError(tok.span, expected, repr(tok.text)))
-        return int(tok.value) * _SUFFIX.get(tok.suffix, 1)
+        value, is_float, suffix = self.number(expected)
+        if is_float or (suffix and not allow_suffix):
+            raise self.error(self.i - 1, expected)
+        return int(value) * _SUFFIX.get(suffix, 1)
 
     def float_value(self, expected: str) -> float:
-        tok = self.take(expected, "num")
-        if tok.suffix:
-            raise _StmtError(ParseError(tok.span, expected, repr(tok.text)))
-        return tok.value
+        value, _, suffix = self.number(expected)
+        if suffix:
+            raise self.error(self.i - 1, expected)
+        return value
 
     def shape(self) -> Shape:
-        self.take("'['", "sym", "[")
+        self.take("[")
         dims = [self.int_value("a dimension")]
         while self.try_sym(","):
             dims.append(self.int_value("a dimension"))
-        self.take("']'", "sym", "]")
+        self.take("]")
         return Shape(tuple(dims))
 
     def path(self) -> str:
-        segs = [self.take_word("a path").text]
-        while self.try_sym("."):
-            segs.append(self.take_word("a path segment").text)
-        return ".".join(segs)
+        """identifier ('.' identifier)*, returned as its lexemes joined."""
+        toks, first = self.toks, self.i
+        i = first
+        while i < len(toks) and toks[i].isidentifier():
+            if i + 1 < len(toks) and toks[i + 1] == ".":
+                i += 2
+            else:
+                self.i = i + 1
+                return "".join(toks[first:i + 1])
+        self.i = i
+        self.fail("a path" if i == first else "a path segment")
 
 
 class _Parser:
     def __init__(self, text: str):
         self.errors: list[ParseError] = []
-        self.raw_lines = text.split("\n")
-        self.lines: list[_Line] = []
-        for no, raw in enumerate(self.raw_lines, start=1):
-            toks = _tokenize_line(raw, no, self.errors)
-            if toks:
-                self.lines.append(_Line(toks, no, len(raw)))
-        self.pos = 0
+        codes, lexemes = _lex(text, self.errors)
+        self.lines = [_Line(toks, no, code)
+                      for no, (code, toks) in enumerate(zip(codes, lexemes), start=1) if toks]
+        # every statement loop draws from this one iterator over the lines
+        self.stream = iter(self.lines)
+        self.eof_span = SourceSpan(len(codes), max(1, len(text) - text.rfind("\n") - 1), 0)
         self.sections: dict[str, tuple[str, dict[str, Component]]] = {}
         self.allocations: list[AllocationLink] = []
 
-    # -- line stream -------------------------------------------------------
-
-    def _next_line(self) -> _Line | None:
-        if self.pos < len(self.lines):
-            line = self.lines[self.pos]
-            self.pos += 1
-            return line
-        return None
-
-    def _eof_span(self) -> SourceSpan:
-        return SourceSpan(len(self.raw_lines), max(1, len(self.raw_lines[-1])), 0)
-
-    def _record(self, err: ParseError):
-        self.errors.append(err)
-
     def _skip_block(self, line: _Line):
         """After a failed line that opened a block, skip to its closing brace."""
-        depth = sum(1 for t in line.toks if t.text == "{") \
-            - sum(1 for t in line.toks if t.text == "}")
+        depth = line.toks.count("{") - line.toks.count("}")
         while depth > 0:
-            nxt = self._next_line()
+            nxt = next(self.stream, None)
             if nxt is None:
                 return
-            depth += sum(1 for t in nxt.toks if t.text == "{")
-            depth -= sum(1 for t in nxt.toks if t.text == "}")
+            depth += nxt.toks.count("{") - nxt.toks.count("}")
 
     def _recover(self, line: _Line, err: _StmtError):
-        self._record(err.error)
-        if any(t.text == "{" for t in line.toks):
+        self.errors.append(err.error)
+        if "{" in line.toks:
             self._skip_block(line)
 
     # -- grammar -----------------------------------------------------------
 
     def parse(self) -> Model:
         if not self.lines and not self.errors:
-            self._record(ParseError(SourceSpan(1, 1, 0),
-                                    "'platform' or 'application'", "end of input"))
-        while True:
-            line = self._next_line()
-            if line is None:
-                break
+            self.errors.append(ParseError(SourceSpan(1, 1, 0),
+                                          "'platform' or 'application'", "end of input"))
+        for line in self.stream:
             try:
-                head = line.peek()
-                if head is None or head.kind != "word":
-                    line.fail("'platform', 'application' or 'allocate'")
-                if head.text in ("platform", "application"):
-                    self._section(line, head.text)
-                elif head.text == "allocate":
+                head = line.toks[0]
+                if head in ("platform", "application"):
+                    self._section(line, head)
+                elif head == "allocate":
                     self._allocation(line)
                 else:
                     line.fail("'platform', 'application' or 'allocate'")
@@ -279,7 +268,8 @@ class _Parser:
                 self._recover(line, err)
         for section in ("platform", "application"):
             if section not in self.sections:
-                self._record(ParseError(self._eof_span(), f"a '{section}' section", "end of input"))
+                self.errors.append(ParseError(self.eof_span, f"a '{section}' section",
+                                              "end of input"))
         if self.errors:
             self.errors.sort(key=lambda e: (e.span.line, e.span.column))
             raise ParseFailure(self.errors)
@@ -290,91 +280,84 @@ class _Parser:
                      allocations=tuple(self.allocations))
 
     def _section(self, line: _Line, keyword: str):
-        start = line.take("section keyword", "word")
+        line.i = 1
         if keyword in self.sections:
-            raise _StmtError(ParseError(start.span, "a single section per kind",
-                                        f"duplicate '{keyword}' section"))
-        root = line.take_word("the root component name").text
-        line.take("'{'", "sym", "{")
+            raise line.error(0, "a single section per kind", f"duplicate '{keyword}' section")
+        root = line.word("the root component name")
+        line.take("{")
         line.end()
         kind = ComponentKind.PLATFORM if keyword == "platform" else ComponentKind.APPLICATION
         comps: dict[str, Component] = {}
         self.sections[keyword] = (root, comps)
-        while True:
-            body = self._next_line()
-            if body is None:
-                self._record(ParseError(self._eof_span(), "'}'", "end of input"))
-                return
+        for body in self.stream:
             if body.try_sym("}"):
                 try:
                     body.end()
                 except _StmtError as err:
-                    self._record(err.error)
+                    self.errors.append(err.error)
                 return
             try:
-                head = body.peek()
-                if head is None or head.kind != "word" or head.text != "component":
+                if body.toks[0] != "component":
                     body.fail("'component' or '}'")
                 self._component(body, kind, comps)
             except _StmtError as err:
                 self._recover(body, err)
+        self.errors.append(ParseError(self.eof_span, "'}'", "end of input"))
 
-    def _stereo_attrs(self, line: _Line, kind: StereotypeKind, kw_tok: _Tok,
+    def _stereo_attrs(self, line: _Line, kind: StereotypeKind, kw_at: int,
                       allow_shaped: bool) -> tuple[HwStereotype, Shape | None]:
+        """The attributes after the stereotype keyword, lexeme kw_at."""
         role = None
         capacity = None
         frequency = None
         shaped = None
         while True:
             tok = line.peek()
-            if tok is None or tok.text in ("{",):
+            if tok is None or tok == "{":
                 break
-            if tok.kind != "word":
+            if not tok.isidentifier():
                 line.fail("an attribute")
-            if tok.text == "role":
+            if tok == "role":
                 line.i += 1
-                line.take("'='", "sym", "=")
-                rtok = line.take_word("a memory role")
-                if rtok.text not in _ROLES:
-                    raise _StmtError(ParseError(rtok.span, "a memory role "
-                                                "(hostRam|deviceGlobal|deviceConstant|deviceLocal|devicePrivate)",
-                                                repr(rtok.text)))
-                role = _ROLES[rtok.text]
-            elif tok.text == "capacity":
+                line.take("=")
+                rtok = line.word("a memory role")
+                if rtok not in _ROLES:
+                    raise line.error(line.i - 1, "a memory role "
+                                     "(hostRam|deviceGlobal|deviceConstant|deviceLocal|devicePrivate)")
+                role = _ROLES[rtok]
+            elif tok == "capacity":
                 line.i += 1
-                line.take("'='", "sym", "=")
+                line.take("=")
                 capacity = line.int_value("a byte count", allow_suffix=True)
-            elif tok.text == "frequency":
+            elif tok == "frequency":
                 line.i += 1
-                line.take("'='", "sym", "=")
+                line.take("=")
                 frequency = line.int_value("a frequency in MHz")
-            elif tok.text == "shaped" and allow_shaped:
+            elif tok == "shaped" and allow_shaped:
                 line.i += 1
                 shaped = line.shape()
             else:
                 line.fail("an attribute (role/capacity/frequency"
                           + ("/shaped)" if allow_shaped else ")"))
         if kind is StereotypeKind.MEMORY and role is None:
-            raise _StmtError(ParseError(kw_tok.span, "role= on an hwMemory stereotype",
-                                        repr(kw_tok.text)))
+            raise line.error(kw_at, "role= on an hwMemory stereotype")
         return HwStereotype(kind, memory_role=role, capacity_bytes=capacity,
                             frequency_mhz=frequency), shaped
 
     def _component(self, line: _Line, kind: ComponentKind, comps: dict[str, Component]):
-        line.take("'component'", "word", "component")
-        name_tok = line.take_word("a component name")
+        line.i = 1      # past `component`
+        name = line.word("a component name")
         stereotype = None
         if line.try_sym(":"):
-            kw = line.take_word("a stereotype (hwProcessor|hwMemory|hwBus)")
-            if kw.text not in _HW_KEYWORDS:
-                raise _StmtError(ParseError(kw.span, "hwProcessor, hwMemory or hwBus",
-                                            repr(kw.text)))
-            stereotype, _ = self._stereo_attrs(line, _HW_KEYWORDS[kw.text], kw, False)
-        line.take("'{'", "sym", "{")
+            kw = line.word("a stereotype (hwProcessor|hwMemory|hwBus)")
+            if kw not in _HW_KEYWORDS:
+                raise line.error(line.i - 1, "hwProcessor, hwMemory or hwBus")
+            stereotype, _ = self._stereo_attrs(line, _HW_KEYWORDS[kw], line.i - 1, False)
+        line.take("{")
         line.end()
-        if name_tok.text in comps:
-            self._record(ParseError(name_tok.span, "a unique component name",
-                                    f"duplicate component '{name_tok.text}'"))
+        if name in comps:
+            self.errors.append(line.error(1, "a unique component name",
+                                          f"duplicate component '{name}'").error)
             self._skip_block(line)
             return
         ports: list[FlowPort] = []
@@ -384,108 +367,104 @@ class _Parser:
         until: UntilCondition | None = None
         deploy: str | None = None
         # reserve the slot so inline parts can synthesize against a stable dict order
-        comps[name_tok.text] = Component(name_tok.text, kind)
-        while True:
-            body = self._next_line()
-            if body is None:
-                self._record(ParseError(self._eof_span(), "'}'", "end of input"))
-                break
+        comps[name] = Component(name, kind)
+        for body in self.stream:
             if body.try_sym("}"):
                 try:
                     body.end()
                 except _StmtError as err:
-                    self._record(err.error)
+                    self.errors.append(err.error)
                 break
             try:
-                head = body.peek()
-                if head is None or head.kind != "word":
+                head = body.toks[0]
+                if not head.isidentifier():
                     body.fail("a component statement")
-                if head.text == "port":
+                if head == "port":
                     ports.append(self._port(body))
-                elif head.text in _PART_KEYWORDS:
-                    part = self._part(body, name_tok.text, kind, comps)
+                elif head in _PART_KEYWORDS:
+                    part = self._part(body, name, kind, comps)
                     if part is not None:
                         parts.append(part)
-                elif head.text == "connect":
+                elif head == "connect":
                     body.i += 1
                     src = body.path()
-                    body.take("'->'", "arrow")
+                    body.take("->")
                     dst = body.path()
                     body.end()
                     connectors.append(Connector(src, dst))
-                elif head.text == "repeat":
+                elif head == "repeat":
                     body.i += 1
                     repetition = body.shape()
                     body.end()
-                elif head.text == "until":
+                elif head == "until":
                     body.i += 1
-                    port = body.take_word("a port name").text
-                    body.take("'<'", "sym", "<")
+                    port = body.word("a port name")
+                    body.take("<")
                     tol = body.float_value("a tolerance")
                     body.end()
                     until = UntilCondition(port, tol)
-                elif head.text == "deploy":
+                elif head == "deploy":
                     body.i += 1
-                    deploy = body.take_word("an intrinsic name").text
+                    deploy = body.word("an intrinsic name")
                     body.end()
                 else:
                     body.fail("a component statement "
                               "(port/part/processor/memory/bus/connect/repeat/until/deploy)")
             except _StmtError as err:
                 self._recover(body, err)
-        comps[name_tok.text] = Component(
-            name=name_tok.text, kind=kind, ports=tuple(ports), parts=tuple(parts),
+        else:
+            self.errors.append(ParseError(self.eof_span, "'}'", "end of input"))
+        comps[name] = Component(
+            name=name, kind=kind, ports=tuple(ports), parts=tuple(parts),
             connectors=tuple(connectors), stereotype=stereotype,
             repetition_space=repetition, elementary_op=deploy, until=until)
 
     def _port(self, line: _Line) -> FlowPort:
-        line.take("'port'", "word", "port")
-        name = line.take_word("a port name").text
-        d = line.take_word("a direction (in|out|inout)")
-        if d.text not in _DIRECTIONS:
-            raise _StmtError(ParseError(d.span, "in, out or inout", repr(d.text)))
-        t = line.take_word("a data type")
-        if t.text not in _TYPES:
-            raise _StmtError(ParseError(t.span, "float32, float64, int32 or int64",
-                                        repr(t.text)))
+        line.i = 1      # past `port`
+        name = line.word("a port name")
+        d = line.word("a direction (in|out|inout)")
+        if d not in _DIRECTIONS:
+            raise line.error(line.i - 1, "in, out or inout")
+        t = line.word("a data type")
+        if t not in _TYPES:
+            raise line.error(line.i - 1, "float32, float64, int32 or int64")
         shape = line.shape()
         line.end()
-        return FlowPort(name, _DIRECTIONS[d.text], shape, _TYPES[t.text])
+        return FlowPort(name, _DIRECTIONS[d], shape, _TYPES[t])
 
     def _part(self, line: _Line, owner: str, kind: ComponentKind,
               comps: dict[str, Component]) -> PartInstance | None:
-        line.take("a part keyword", "word")
-        name_tok = line.take_word("a part name")
-        line.take("':'", "sym", ":")
-        type_tok = line.take_word("a component type or hardware stereotype")
-        if type_tok.text in _HW_KEYWORDS:
+        line.i = 1      # past the part keyword
+        name = line.word("a part name")
+        line.take(":")
+        type_ref = line.word("a component type or hardware stereotype")
+        if type_ref in _HW_KEYWORDS:
             stereotype, shaped = self._stereo_attrs(
-                line, _HW_KEYWORDS[type_tok.text], type_tok, True)
+                line, _HW_KEYWORDS[type_ref], line.i - 1, True)
             line.end()
-            synth_name = f"{owner}_{name_tok.text}"
+            synth_name = f"{owner}_{name}"
             if synth_name in comps:
-                raise _StmtError(ParseError(
-                    name_tok.span, "a part name not colliding with component "
-                    f"'{synth_name}'", repr(name_tok.text)))
+                raise line.error(1, "a part name not colliding with component "
+                                 f"'{synth_name}'")
             comps[synth_name] = Component(synth_name, kind, stereotype=stereotype)
-            return PartInstance(name_tok.text, synth_name, shaped=shaped)
+            return PartInstance(name, synth_name, shaped=shaped)
         shaped = None
-        if line.peek() is not None and line.peek().text == "shaped":
+        if line.peek() == "shaped":
             line.i += 1
             shaped = line.shape()
         line.end()
-        return PartInstance(name_tok.text, type_tok.text, shaped=shaped)
+        return PartInstance(name, type_ref, shaped=shaped)
 
     def _allocation(self, line: _Line):
-        line.take("'allocate'", "word", "allocate")
-        k = line.take_word("'data' or 'task'")
-        if k.text not in ("data", "task"):
-            raise _StmtError(ParseError(k.span, "'data' or 'task'", repr(k.text)))
+        line.i = 1      # past `allocate`
+        k = line.word("'data' or 'task'")
+        if k not in ("data", "task"):
+            raise line.error(1, "'data' or 'task'")
         src = line.path()
-        line.take("'onto'", "word", "onto")
+        line.take("onto")
         dst = line.path()
         line.end()
-        self.allocations.append(AllocationLink(AllocKind(k.text), src, dst))
+        self.allocations.append(AllocationLink(AllocKind(k), src, dst))
 
 
 def parse_model(text: str) -> Model:

@@ -24,8 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .metamodel import (AllocKind, Component, ComponentKind, Diagnostic, Direction, Model,
-                        component_at, is_host_processor, iter_instances)
+from .metamodel import (AllocKind, CompileContext, Component, ComponentKind, Diagnostic,
+                        Direction, Model, iter_instances)
 from .partition import UnallocatedTask
 
 
@@ -286,33 +286,38 @@ def check_task_signature(task_path: str, comp: Component) -> IntrinsicSpec:
     return spec
 
 
-def deployed_intrinsic(task_path: str, comp: Component, on_host: bool) -> IntrinsicSpec:
+def deployed_intrinsic(ctx: CompileContext, task_path: str, on_host: bool) -> IntrinsicSpec:
     """The spec of a leaf task's intrinsic, with its signature checked and
-    its kind matched against the processor the task is allocated to.
+    its kind matched against the processor the task is allocated to; checked
+    once per context.
 
     Raises UnknownIntrinsic or IntrinsicShapeMismatch.
     """
-    spec = check_task_signature(task_path, comp)
-    where = "host" if on_host else "device"
-    if spec.kind != where:
-        raise IntrinsicShapeMismatch(
-            f"task '{task_path}': {spec.kind} intrinsic '{spec.name}' is allocated "
-            f"to a {where} processor")
-    return spec
+    key = (task_path, on_host)
+    if key not in ctx.intrinsics:
+        spec = check_task_signature(
+            task_path, ctx.component_at(ComponentKind.APPLICATION, task_path))
+        where = "host" if on_host else "device"
+        if spec.kind != where:
+            raise IntrinsicShapeMismatch(
+                f"task '{task_path}': {spec.kind} intrinsic '{spec.name}' is allocated "
+                f"to a {where} processor")
+        ctx.intrinsics[key] = spec
+    return ctx.intrinsics[key]
 
 
-def deployment_diagnostics(model: Model) -> list[Diagnostic]:
+def deployment_diagnostics(model: Model, ctx: CompileContext | None = None) -> list[Diagnostic]:
     """One error per leaf task that codegen and `run` would reject, with
     their message: first each allocated task in allocation order, then each
     unallocated one in pre-order.  Expects a model without conformance
     errors."""
+    ctx = CompileContext.of(model, ctx)
     targets = {link.source_path: link.target_path
                for link in model.allocations if link.kind is AllocKind.TASK}
     diags: list[Diagnostic] = []
     for task_path, target in targets.items():
-        comp = component_at(model, ComponentKind.APPLICATION, task_path)
         try:
-            deployed_intrinsic(task_path, comp, is_host_processor(model, target))
+            deployed_intrinsic(ctx, task_path, ctx.is_host_processor(target))
         except (UnknownIntrinsic, IntrinsicShapeMismatch) as exc:
             diags.append(Diagnostic("error", task_path, str(exc)))
     for task_path, comp in iter_instances(model, ComponentKind.APPLICATION):

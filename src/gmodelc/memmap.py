@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .metamodel import (AddressSpace, AllocKind, ComponentKind, DataType, Model,
-                        QUALIFIER_FOR_ROLE, Shape, connected_port_groups,
-                        memory_role_of, port_at, resolve_side_path)
+from .metamodel import (AddressSpace, AllocKind, CompileContext, ComponentKind, DataType,
+                        FlowPort, Model, QUALIFIER_FOR_ROLE, Shape)
 
 
 class CapacityExceeded(ValueError):
@@ -57,7 +56,7 @@ def _round_up(value: int, align: int) -> int:
     return (value + align - 1) // align * align
 
 
-def build_memory_maps(model: Model) -> list[MemoryMap]:
+def build_memory_maps(model: Model, ctx: CompileContext | None = None) -> list[MemoryMap]:
     """Run the memory-mapping transformation over a conformant model.
 
     One MemoryMap per memory with data allocations, ordered by first
@@ -66,65 +65,40 @@ def build_memory_maps(model: Model) -> list[MemoryMap]:
     pack upward from zero.  Raises CapacityExceeded when a memory with a
     declared capacity overflows.
     """
-    groups = connected_port_groups(model)
+    ctx = CompileContext.of(model, ctx)
+    groups = ctx.port_groups
 
-    memories: list[str] = []
-    per_memory: dict[str, list[str]] = {}
+    per_memory: dict[str, list[str]] = {}       # in order of first link
     for link in model.allocations:
-        if link.kind is not AllocKind.DATA:
-            continue
-        if link.target_path not in per_memory:
-            per_memory[link.target_path] = []
-            memories.append(link.target_path)
-        per_memory[link.target_path].append(link.source_path)
+        if link.kind is AllocKind.DATA:
+            per_memory.setdefault(link.target_path, []).append(link.source_path)
 
     maps: list[MemoryMap] = []
-    for owner in memories:
-        role = memory_role_of(model, owner)
-        space = QUALIFIER_FOR_ROLE[role]
-        owner_part = resolve_side_path(model, ComponentKind.PLATFORM, owner)
-        owner_comp = model.component(ComponentKind.PLATFORM, owner_part.type_ref)
-        capacity = owner_comp.stereotype.capacity_bytes
+    for owner, port_paths in per_memory.items():
+        space = QUALIFIER_FOR_ROLE[ctx.memory_role_of(owner)]
+        capacity = ctx.component_at(ComponentKind.PLATFORM, owner).stereotype.capacity_bytes
 
         cursor = 0
-        allocs: list[DataAllocate] = []
-        group_index: dict[frozenset[str], int] = {}
-        linked: dict[frozenset[str], list[str]] = {}
-        for port_path in per_memory[owner]:
+        # each group's linked ports, base and first linked port, in packing order
+        placed: dict[frozenset[str], tuple[list[str], int, FlowPort]] = {}
+        for port_path in port_paths:
             group = groups.get(port_path, frozenset({port_path}))
-            if group in group_index:
-                linked[group].append(port_path)
+            if group in placed:
+                placed[group][0].append(port_path)
                 continue
-            port = port_at(model, ComponentKind.APPLICATION, port_path)
+            port = ctx.element_at(ComponentKind.APPLICATION, port_path)
             align = port.data_type.size_bytes
             base = _round_up(cursor, align)
             cursor = base + port.shape.total * align
-            group_index[group] = len(allocs)
-            linked[group] = [port_path]
-            allocs.append(DataAllocate(
-                name=port_path.replace(".", "_"),
-                space_address=space,
-                base_address=base,
-                dim_allocation=port.shape,
-                type_allocation=port.data_type,
-                associated_parts=(),
-            ))
+            placed[group] = ([port_path], base, port)
         if capacity is not None and cursor > capacity:
             raise CapacityExceeded(owner, cursor, capacity)
-
-        finished = []
-        for group, idx in group_index.items():
-            explicit = linked[group]
-            rest = sorted(set(group) - set(explicit))
-            alloc = allocs[idx]
-            finished.append((idx, DataAllocate(
-                name=alloc.name, space_address=alloc.space_address,
-                base_address=alloc.base_address, dim_allocation=alloc.dim_allocation,
-                type_allocation=alloc.type_allocation,
-                associated_parts=tuple(explicit + rest))))
-        finished.sort(key=lambda pair: pair[0])
-        maps.append(MemoryMap(owner_path=owner, capacity_bytes=capacity,
-                              data_allocations=tuple(a for _, a in finished)))
+        maps.append(MemoryMap(owner_path=owner, capacity_bytes=capacity, data_allocations=tuple(
+            DataAllocate(name=linked[0].replace(".", "_"), space_address=space,
+                         base_address=base, dim_allocation=port.shape,
+                         type_allocation=port.data_type,
+                         associated_parts=tuple(linked + sorted(group - set(linked))))
+            for group, (linked, base, port) in placed.items())))
     return maps
 
 

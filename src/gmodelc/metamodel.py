@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import hashlib
 from dataclasses import dataclass, field
 
 
@@ -224,33 +225,111 @@ class PathNotFound(LookupError):
         self.prefix = prefix
 
 
-def _walk_path(model: Model, kind: ComponentKind, segments: list[str]):
-    """Resolve segments against the root of one side.
+def _part_index(model: Model, kind: ComponentKind) -> dict[str, tuple]:
+    """Every dotted part path below the root of one side, by one walk:
+    path -> (part, its component or None).
 
-    Returns (element, resolved_count).  element is a PartInstance or
-    FlowPort when resolved_count == len(segments), else None.
+    A path resolves as a walk segment by segment would: each segment names
+    a part, and a duplicated name keeps its first declaration.  On a type
+    cycle, which conformance rejects, the walk stops at the first repeated
+    component.
     """
-    comp = model.root(kind)
-    if comp is None or not segments:
-        return None, 0
-    resolved = 0
-    for i, seg in enumerate(segments):
-        last = i == len(segments) - 1
-        part = comp.part(seg)
-        if part is not None:
-            resolved += 1
-            if last:
-                return part, resolved
-            comp = model.component(kind, part.type_ref)
-            if comp is None:
-                return None, resolved
-            continue
-        if last:
-            port = comp.port(seg)
-            if port is not None:
-                return port, resolved + 1
-        return None, resolved
-    return None, resolved
+    index: dict[str, tuple] = {}
+    root_name = model.platform_root if kind is ComponentKind.PLATFORM else model.application_root
+    root = model.root(kind)
+    stack = [("", root, frozenset({root_name}))] if root is not None else []
+    while stack:
+        prefix, comp, above = stack.pop()
+        for part in comp.parts:
+            path = prefix + part.name
+            if path not in index:
+                sub = model.component(kind, part.type_ref)
+                index[path] = (part, sub)
+                if sub is not None and sub.parts and part.type_ref not in above:
+                    stack.append((path + ".", sub, above | {part.type_ref}))
+    return index
+
+
+class CompileContext:
+    """What a compile derives from one Model, each part computed on first
+    use: per side, the _part_index of instance paths; the port groups; each
+    leaf task's deployed IntrinsicSpec; the digest; and codegen's kernel
+    parameter lists.
+
+    The CLI builds one context per model and passes it from `check` to
+    `map`, `codegen` and `run`; a stage called without one builds its own.
+    It is not cached on Model, whose component tables are mutable dicts: a
+    context holds while its model is not edited.
+    """
+
+    def __init__(self, model: Model):
+        self.model = model
+        self._parts: dict[ComponentKind, dict[str, tuple]] = {}
+        # intrinsics.deployed_intrinsic's checked specs, by (task path, on host)
+        self.intrinsics: dict[tuple[str, bool], object] = {}
+        # codegen's (maps, allocation index, {task path: kernel parameters})
+        self.kernel_params: tuple | None = None
+
+    @classmethod
+    def of(cls, model: Model, ctx: CompileContext | None) -> CompileContext:
+        """ctx, which must belong to model, or a new context when it is None."""
+        if ctx is None:
+            return cls(model)
+        if ctx.model is not model:
+            raise ValueError("the compile context belongs to another model")
+        return ctx
+
+    def _index(self, kind: ComponentKind) -> dict[str, tuple]:
+        index = self._parts.get(kind)
+        if index is None:
+            index = self._parts[kind] = _part_index(self.model, kind)
+        return index
+
+    def component_at(self, kind: ComponentKind, path: str) -> Component | None:
+        """The component instantiated by the part at a dotted path of one side,
+        or None when the path does not name a part of a declared type."""
+        entry = self._index(kind).get(path)
+        return entry[1] if entry is not None else None
+
+    def element_at(self, kind: ComponentKind, path: str):
+        """The PartInstance or FlowPort at a dotted path of one side, or None.
+        A part shadows a port of the same name."""
+        entry = self._index(kind).get(path)
+        if entry is not None:
+            return entry[0]
+        owner, dot, name = path.rpartition(".")
+        comp = self.component_at(kind, owner) if dot else self.model.root(kind)
+        return comp.port(name) if comp is not None else None
+
+    def is_host_processor(self, target_path: str) -> bool:
+        """A processor part is host-side when a sibling memory has the hostRam role.
+
+        Device processors (compute units) sit next to device-global/constant
+        memories instead.
+        """
+        owner_path = target_path.rpartition(".")[0]
+        owner = self.component_at(ComponentKind.PLATFORM, owner_path) if owner_path \
+            else self.model.root(ComponentKind.PLATFORM)
+        for sibling in owner.parts if owner is not None else ():
+            sub = self.model.component(ComponentKind.PLATFORM, sibling.type_ref)
+            st = sub.stereotype if sub else None
+            if st and st.kind is StereotypeKind.MEMORY and st.memory_role is MemoryRole.HOST_RAM:
+                return True
+        return False
+
+    def memory_role_of(self, target_path: str) -> MemoryRole | None:
+        comp = self.component_at(ComponentKind.PLATFORM, target_path)
+        return comp.stereotype.memory_role if comp and comp.stereotype else None
+
+    @functools.cached_property
+    def port_groups(self) -> dict[str, frozenset[str]]:
+        return connected_port_groups(self.model)
+
+    @functools.cached_property
+    def digest(self) -> str:
+        """The first 12 hex digits of the sha256 of the model's canonical text."""
+        from .dsl import serialize_model        # dsl imports this module
+        return hashlib.sha256(serialize_model(self.model).encode()).hexdigest()[:12]
 
 
 def resolve_path(model: Model, path: str):
@@ -262,29 +341,19 @@ def resolve_path(model: Model, path: str):
     segments = [s for s in path.split(".") if s] if path else []
     if not segments or any(s != seg for s, seg in zip(path.split("."), segments)):
         raise PathNotFound(path, "")
+    ctx = CompileContext(model)
     best_prefix = 0
     for kind in (ComponentKind.PLATFORM, ComponentKind.APPLICATION):
-        element, n = _walk_path(model, kind, segments)
+        element = ctx.element_at(kind, ".".join(segments))
         if element is not None:
             return element
+        # the longest proper prefix that names a part: a walk stops there
+        n = len(segments) - 1
+        while n > best_prefix and not isinstance(
+                ctx.element_at(kind, ".".join(segments[:n])), PartInstance):
+            n -= 1
         best_prefix = max(best_prefix, n)
     raise PathNotFound(path, ".".join(segments[:best_prefix]))
-
-
-def resolve_side_path(model: Model, kind: ComponentKind, path: str):
-    """Resolve a path against one side only; returns element or None."""
-    segments = path.split(".") if path else []
-    if not segments or any(not s for s in segments):
-        return None
-    element, n = _walk_path(model, kind, segments)
-    return element if n == len(segments) else None
-
-
-def component_at(model: Model, kind: ComponentKind, path: str) -> Component | None:
-    """The component instantiated by the part at a dotted path of one side,
-    or None when the path does not name a part of a declared type."""
-    element = resolve_side_path(model, kind, path)
-    return model.component(kind, element.type_ref) if isinstance(element, PartInstance) else None
 
 
 def iter_instances(model: Model, kind: ComponentKind):
@@ -310,84 +379,38 @@ def _port_node(instance_path: str, port_name: str) -> str:
     return f"{instance_path}.{port_name}" if instance_path else port_name
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[str, str] = {}
-
-    def add(self, x: str):
-        self.parent.setdefault(x, x)
-
-    def find(self, x: str) -> str:
-        self.add(x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: str, b: str):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def connected_port_groups(model: Model) -> dict[str, frozenset[str]]:
     """Group application port nodes (instance-path-qualified) by connector reachability.
 
-    Two ports in one group share storage.  Requires a resolvable, acyclic
-    application model; dangling connector endpoints are ignored.
+    Two ports in one group share storage, and each group is one frozenset
+    object.  Requires a resolvable, acyclic application model; dangling
+    connector endpoints are ignored.
     """
-    uf = _UnionFind()
-    nodes: list[str] = []
+    adjacent: dict[str, list[str]] = {}
     for inst_path, comp in iter_instances(model, ComponentKind.APPLICATION):
         for port in comp.ports:
-            node = _port_node(inst_path, port.name)
-            uf.add(node)
-            nodes.append(node)
+            adjacent.setdefault(_port_node(inst_path, port.name), [])
         for conn in comp.connectors:
             if _effective_endpoint(model, comp, conn.source) is not None \
                     and _effective_endpoint(model, comp, conn.target) is not None:
-                uf.union(_port_node(inst_path, conn.source), _port_node(inst_path, conn.target))
-    groups: dict[str, set[str]] = {}
-    for node in nodes:
-        groups.setdefault(uf.find(node), set()).add(node)
-    result: dict[str, frozenset[str]] = {}
-    for members in groups.values():
-        frozen = frozenset(members)
-        for node in members:
-            result[node] = frozen
-    return result
-
-
-def port_at(model: Model, kind: ComponentKind, node: str) -> FlowPort | None:
-    """The FlowPort at an instance-path-qualified node, or None."""
-    element = resolve_side_path(model, kind, node)
-    return element if isinstance(element, FlowPort) else None
-
-
-def is_host_processor(model: Model, target_path: str) -> bool:
-    """A processor part is host-side when a sibling memory has the hostRam role.
-
-    Device processors (compute units) sit next to device-global/constant
-    memories instead.
-    """
-    owner_path = target_path.rpartition(".")[0]
-    owner = component_at(model, ComponentKind.PLATFORM, owner_path) if owner_path \
-        else model.root(ComponentKind.PLATFORM)
-    if owner is None:
-        return False
-    for sibling in owner.parts:
-        sub = model.component(ComponentKind.PLATFORM, sibling.type_ref)
-        st = sub.stereotype if sub else None
-        if st and st.kind is StereotypeKind.MEMORY and st.memory_role is MemoryRole.HOST_RAM:
-            return True
-    return False
-
-
-def memory_role_of(model: Model, target_path: str) -> MemoryRole | None:
-    comp = component_at(model, ComponentKind.PLATFORM, target_path)
-    if comp is None or comp.stereotype is None:
-        return None
-    return comp.stereotype.memory_role
+                source = _port_node(inst_path, conn.source)
+                target = _port_node(inst_path, conn.target)
+                adjacent.setdefault(source, []).append(target)
+                adjacent.setdefault(target, []).append(source)
+    groups: dict[str, frozenset[str]] = {}
+    for node in adjacent:
+        if node not in groups:
+            members = {node}
+            todo = [node]
+            while todo:
+                for other in adjacent[todo.pop()]:
+                    if other not in members:
+                        members.add(other)
+                        todo.append(other)
+            group = frozenset(members)
+            for member in members:
+                groups[member] = group
+    return groups
 
 
 def _check_shape(diags: list[Diagnostic], path: str, shape: Shape, what: str):
@@ -443,14 +466,17 @@ def _type_graph_cycles(comps: dict[str, Component]) -> set[str]:
     return in_cycle
 
 
-def validate_conformance(model: Model) -> list[Diagnostic]:
+def validate_conformance(model: Model, ctx: CompileContext | None = None) -> list[Diagnostic]:
     """Check every structural rule of the metamodel over a parsed model.
 
     Returns a deterministic, (path, message)-sorted list of diagnostics;
     an empty list means the model conforms.  Never raises on any
-    structurally parsed model, however broken its paths are.
+    structurally parsed model, however broken its paths are.  Paths of a
+    side resolve through ctx only when that side's type graph is acyclic.
     """
+    ctx = CompileContext.of(model, ctx)
     diags: list[Diagnostic] = []
+    resolvable: dict[ComponentKind, bool] = {}
     sides = ((ComponentKind.PLATFORM, model.platform_components, model.platform_root),
              (ComponentKind.APPLICATION, model.application_components, model.application_root))
 
@@ -555,6 +581,7 @@ def validate_conformance(model: Model) -> list[Diagnostic]:
                                             f"port has {count} feeding connectors (at most one allowed)"))
 
         cyclic = _type_graph_cycles(comps)
+        resolvable[kind] = root_name in comps and not cyclic
         for name in sorted(cyclic):
             diags.append(Diagnostic("error", f"{side}.{name}", "component participates in an instantiation cycle"))
 
@@ -566,28 +593,29 @@ def validate_conformance(model: Model) -> list[Diagnostic]:
             if name not in referenced:
                 diags.append(Diagnostic("warning", f"{side}.{name}", "component is never instantiated"))
 
-    plat_ok = (model.platform_root in model.platform_components
-               and not _type_graph_cycles(model.platform_components))
-    app_ok = (model.application_root in model.application_components
-              and not _type_graph_cycles(model.application_components))
+    plat_ok = resolvable[ComponentKind.PLATFORM]
+    app_ok = resolvable[ComponentKind.APPLICATION]
 
     seen_data_allocs: set[tuple[str, str]] = set()
     device_tasks: list[str] = []
+    # each distinct allocation target, resolved once: (element, its stereotype)
+    targets: dict[str, tuple] = {}
     for idx, link in enumerate(model.allocations):
         apath = f"allocation[{idx}]"
-        source = resolve_side_path(model, ComponentKind.APPLICATION, link.source_path) if app_ok else None
-        target = resolve_side_path(model, ComponentKind.PLATFORM, link.target_path) if plat_ok else None
+        source = ctx.element_at(ComponentKind.APPLICATION, link.source_path) if app_ok else None
+        if link.target_path not in targets:
+            target = ctx.element_at(ComponentKind.PLATFORM, link.target_path) if plat_ok else None
+            target_comp = ctx.component_at(ComponentKind.PLATFORM, link.target_path) \
+                if plat_ok else None
+            targets[link.target_path] = (target, target_comp.stereotype if target_comp else None)
+        target, target_st = targets[link.target_path]
         if source is None:
             diags.append(Diagnostic("error", apath,
                                     f"allocation source '{link.source_path}' does not resolve"))
         if target is None:
             diags.append(Diagnostic("error", apath,
                                     f"allocation target '{link.target_path}' does not resolve"))
-        target_st = None
-        if isinstance(target, PartInstance):
-            target_comp = model.component(ComponentKind.PLATFORM, target.type_ref)
-            target_st = target_comp.stereotype if target_comp else None
-        elif target is not None:
+        if target is not None and not isinstance(target, PartInstance):
             diags.append(Diagnostic("error", apath, "allocation target must be a part instance"))
 
         if link.kind is AllocKind.DATA:
@@ -608,9 +636,7 @@ def validate_conformance(model: Model) -> list[Diagnostic]:
                                         "constant-space allocation requires an input (read-only) port"))
         else:
             if source is not None:
-                comp = None
-                if isinstance(source, PartInstance):
-                    comp = model.component(ComponentKind.APPLICATION, source.type_ref)
+                comp = ctx.component_at(ComponentKind.APPLICATION, link.source_path)
                 if comp is None or not comp.is_leaf_task:
                     diags.append(Diagnostic("error", apath, "task allocation source must be a leaf task part"))
                 elif target_st is not None:
@@ -619,19 +645,19 @@ def validate_conformance(model: Model) -> list[Diagnostic]:
                 diags.append(Diagnostic("error", apath, "allocation target not a processor"))
 
     if plat_ok and app_ok:
-        groups = connected_port_groups(model)
+        groups = ctx.port_groups
         allocated_nodes = {link.source_path for link in model.allocations if link.kind is AllocKind.DATA}
         host_alloc_nodes = {
             link.source_path for link in model.allocations
-            if link.kind is AllocKind.DATA and memory_role_of(model, link.target_path) is MemoryRole.HOST_RAM
+            if link.kind is AllocKind.DATA and targets[link.target_path][1] is not None
+            and targets[link.target_path][1].memory_role is MemoryRole.HOST_RAM
         }
         task_targets = {link.source_path: link.target_path
                         for link in model.allocations if link.kind is AllocKind.TASK}
         for task_path in device_tasks:
-            target = task_targets[task_path]
-            if is_host_processor(model, target):
+            if ctx.is_host_processor(task_targets[task_path]):
                 continue
-            comp = component_at(model, ComponentKind.APPLICATION, task_path)
+            comp = ctx.component_at(ComponentKind.APPLICATION, task_path)
             if comp is None:
                 continue
             for port in comp.ports:

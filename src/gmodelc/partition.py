@@ -12,8 +12,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .metamodel import (AllocKind, Component, ComponentKind, Direction, Model,
-                        StereotypeKind, component_at, is_host_processor)
+from .metamodel import (AllocKind, CompileContext, Component, ComponentKind, Direction, Model,
+                        StereotypeKind)
 
 
 class MissingGeometry(ValueError):
@@ -116,19 +116,19 @@ def partition_equally(total_work: int, device_count: int) -> list[WorkRange]:
     return ranges
 
 
-def _pe_local_size(model: Model, device_path: str | None) -> int:
+def _pe_local_size(ctx: CompileContext, device_path: str | None) -> int:
     """Work-group size: the processing-element multiplicity inside one compute unit."""
     candidates: list[str] = []
     if device_path is not None:
         candidates.append(device_path)
     else:
-        stack = [("", model.root(ComponentKind.PLATFORM))]
+        stack = [("", ctx.model.root(ComponentKind.PLATFORM))]
         while stack:
             prefix, comp = stack.pop(0)
             if comp is None:
                 continue
             for part in comp.parts:
-                sub = model.component(ComponentKind.PLATFORM, part.type_ref)
+                sub = ctx.model.component(ComponentKind.PLATFORM, part.type_ref)
                 if sub is None:
                     continue
                 path = f"{prefix}.{part.name}" if prefix else part.name
@@ -136,11 +136,11 @@ def _pe_local_size(model: Model, device_path: str | None) -> int:
                     candidates.append(path)
                 stack.append((path, sub))
     for path in candidates:
-        comp = component_at(model, ComponentKind.PLATFORM, path)
+        comp = ctx.component_at(ComponentKind.PLATFORM, path)
         if comp is None:
             continue
         for sub_part in comp.parts:
-            sub = model.component(ComponentKind.PLATFORM, sub_part.type_ref)
+            sub = ctx.model.component(ComponentKind.PLATFORM, sub_part.type_ref)
             if sub is not None and sub.stereotype is not None \
                     and sub.stereotype.kind is StereotypeKind.PROCESSOR:
                 return sub_part.shaped.total if sub_part.shaped is not None else 1
@@ -152,7 +152,8 @@ def derive_launch_config(task: Component, platform: Model, ranges: list[WorkRang
                          task_path: str = "", device_path: str | None = None
                          ) -> list[KernelLaunch]:
     """One launch per work range, with the global size rounded up to the work-group size."""
-    return _launches(task_path or task.name, ranges, _pe_local_size(platform, device_path))
+    return _launches(task_path or task.name, ranges,
+                     _pe_local_size(CompileContext(platform), device_path))
 
 
 def _launches(task_path: str, ranges: list[WorkRange], local: int) -> list[KernelLaunch]:
@@ -226,19 +227,23 @@ def _order_parts(model: Model, comp: Component, path_prefix: str) -> list:
     return order
 
 
-def build_schedule(model: Model, device_count: int) -> Schedule:
+def build_schedule(model: Model, device_count: int,
+                   ctx: CompileContext | None = None) -> Schedule:
     """Derive the execution schedule for a conformant model on device_count devices."""
     if device_count < 1:
         raise ValueError("device_count must be positive")
+    ctx = CompileContext.of(model, ctx)
     task_targets = {link.source_path: link.target_path
                     for link in model.allocations if link.kind is AllocKind.TASK}
     # allocation target -> work-group size of its processor, None on the host
     local_sizes: dict[str, int | None] = {}
+    # repetition total -> its device ranges, shared by every task of that size
+    ranges_of: dict[int, list[WorkRange]] = {}
 
     def local_size(target: str) -> int | None:
         if target not in local_sizes:
-            local_sizes[target] = (None if is_host_processor(model, target)
-                                   else _pe_local_size(model, target))
+            local_sizes[target] = (None if ctx.is_host_processor(target)
+                                   else _pe_local_size(ctx, target))
         return local_sizes[target]
 
     def schedule_component(comp: Component, prefix: str) -> list:
@@ -255,9 +260,11 @@ def build_schedule(model: Model, device_count: int) -> Schedule:
                     steps.append(HostOp(task_path=path, op=sub.elementary_op))
                 else:
                     total = sub.repetition_space.total if sub.repetition_space else 1
-                    ranges = partition_equally(total, device_count)
+                    if total not in ranges_of:
+                        ranges_of[total] = partition_equally(total, device_count)
                     steps.append(DeviceStep(task_path=path, op=sub.elementary_op,
-                                            launches=tuple(_launches(path, ranges, local))))
+                                            launches=tuple(_launches(path, ranges_of[total],
+                                                                     local))))
             elif sub.until is not None:
                 body = schedule_component(sub, path)
                 steps.append(LoopStep(task_path=path, body=tuple(body),

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .intrinsics import IntrinsicShapeMismatch, IntrinsicSpec, deployed_intrinsic
-from .metamodel import (Component, ComponentKind, DataType, Direction, FlowPort, Model,
-                        Shape, component_at, connected_port_groups, iter_instances)
+from .metamodel import (CompileContext, Component, ComponentKind, DataType, Direction,
+                        FlowPort, Model, Shape, iter_instances)
 from .partition import HostOp, LoopStep, Schedule
 
 
@@ -53,6 +53,10 @@ class NonSymmetricMatrix(ValueError):
 
 class MissingBinding(KeyError):
     pass
+
+
+class NonFiniteInput(ValueError):
+    """An executor's input array holds nan or an infinite value."""
 
 
 class MalformedHeader(ValueError):
@@ -75,6 +79,13 @@ class IndexOutOfRange(ValueError):
 
 _NUMPY_TYPES = {DataType.FLOAT32: np.float32, DataType.FLOAT64: np.float64,
                 DataType.INT32: np.int32, DataType.INT64: np.int64}
+
+
+def _check_finite(what: str, values: np.ndarray):
+    """Raise NonFiniteInput, naming what and its first bad element, on nan or inf."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        raise NonFiniteInput(f"{what}: element {bad[0]} ({float(values[bad[0]])!r}) is not finite")
 
 
 @dataclass(eq=False)
@@ -263,12 +274,15 @@ def run_cg(A: CsrMatrix, b: np.ndarray, config: SolverConfig) -> SolveResult:
     max_iter is reached; the relative residual is recorded after each
     x-update.  A zero right-hand side returns x = 0, converged, zero
     iterations.  Raises BreakdownDetected when p.Ap <= 0 (not positive
-    definite) and DimensionMismatch on a size mismatch.
+    definite), DimensionMismatch on a size mismatch and NonFiniteInput,
+    before the first iteration, on a nan or infinite value in A or b.
     """
     if len(b) != A.n:
         raise DimensionMismatch(f"rhs length {len(b)} != matrix size {A.n}")
-    _sample_symmetry(A)
     b = np.asarray(b, dtype=np.float64)
+    _check_finite("matrix values", A.values)
+    _check_finite("rhs b", b)
+    _sample_symmetry(A)
     x = np.zeros(A.n)
     r = b.copy()
     p = r.copy()
@@ -544,17 +558,18 @@ class _Storage:
 
     A group whose every member is an input port is never written: its
     array is read-only, so an spmv over it keeps its plan across launches.
+    A bound floating-point array is checked once, here, to be finite.
     """
 
-    def __init__(self, model: Model, bindings: dict[str, np.ndarray]):
-        self.groups = connected_port_groups(model)
+    def __init__(self, ctx: CompileContext, bindings: dict[str, np.ndarray]):
+        self.groups = ctx.port_groups
         ports = {}
-        for inst_path, comp in iter_instances(model, ComponentKind.APPLICATION):
+        for inst_path, comp in iter_instances(ctx.model, ComponentKind.APPLICATION):
             for port in comp.ports:
                 node = f"{inst_path}.{port.name}" if inst_path else port.name
                 ports[node] = port
         self.arrays: dict[frozenset, np.ndarray] = {}
-        root = model.root(ComponentKind.APPLICATION)
+        root = ctx.model.root(ComponentKind.APPLICATION)
         for port in root.ports:
             if port.direction not in (Direction.IN, Direction.INOUT):
                 continue
@@ -565,8 +580,10 @@ class _Storage:
                 raise MissingBinding(
                     f"binding '{port.name}' has {data.size} elements, "
                     f"port expects {port.shape.total}")
-            self.arrays[self.groups[port.name]] = data.astype(
+            array = self.arrays[self.groups[port.name]] = data.astype(
                 _NUMPY_TYPES[port.data_type], copy=True)
+            if port.data_type.is_float:
+                _check_finite(f"binding '{port.name}'", array)
         for node, port in ports.items():
             group = self.groups[node]
             if group not in self.arrays:
@@ -663,9 +680,9 @@ class _Compiler:
     step's closure covers the whole range its launches tile; a reduction
     step's closure keeps one partial per launch range."""
 
-    def __init__(self, model: Model, storage: _Storage, tol: float | None,
+    def __init__(self, ctx: CompileContext, storage: _Storage, tol: float | None,
                  max_iter: int | None):
-        self.model, self.storage = model, storage
+        self.ctx, self.storage = ctx, storage
         self.tol, self.max_iter = tol, max_iter
         self.history: list[float] = []            # each loop iteration's relres
         self.loops_converged: list[bool] = []
@@ -676,8 +693,8 @@ class _Compiler:
             if isinstance(step, LoopStep):
                 program.append(self.loop(step))
                 continue
-            comp = component_at(self.model, ComponentKind.APPLICATION, step.task_path)
-            spec = deployed_intrinsic(step.task_path, comp, on_host=isinstance(step, HostOp))
+            comp = self.ctx.component_at(ComponentKind.APPLICATION, step.task_path)
+            spec = deployed_intrinsic(self.ctx, step.task_path, on_host=isinstance(step, HostOp))
             arrays = self.storage.task_arrays(step.task_path, comp)
             if isinstance(step, HostOp):
                 program.append(_host_op(spec, arrays))
@@ -709,16 +726,18 @@ class _Compiler:
 
 
 def execute_schedule(model: Model, schedule: Schedule, bindings: dict[str, np.ndarray],
-                     *, tol: float | None = None,
-                     max_iter: int | None = None) -> ExecutionResult:
+                     *, tol: float | None = None, max_iter: int | None = None,
+                     ctx: CompileContext | None = None) -> ExecutionResult:
     """Run a schedule over bound arrays, one simulated device per launch.
 
     Produces the arrays of the application root's out ports plus loop
     bookkeeping.  tol and max_iter, when given, override every loop
-    step's own continue-condition.
+    step's own continue-condition.  Raises NonFiniteInput, before the first
+    step, when a bound floating-point array holds nan or an infinite value.
     """
-    storage = _Storage(model, bindings)
-    compiler = _Compiler(model, storage, tol, max_iter)
+    ctx = CompileContext.of(model, ctx)
+    storage = _Storage(ctx, bindings)
+    compiler = _Compiler(ctx, storage, tol, max_iter)
     for run in compiler.steps(schedule.steps):
         run()
 

@@ -435,6 +435,7 @@ int main(void)
     err = clEnqueueReadBuffer(queues[0], buf_diff_z, CL_TRUE, 0, 64, out_diff_z, 0, NULL, NULL);
     CHECK(err, "read diff_z");
     store_floats("intrinsics_h_out.txt", out_diff_z, 16);
+    store_doubles("intrinsics_relres_out.txt", &h_relres, 1);
     printf("iters=%d relres=%.17g converged=%s\n", iters, 0.0, converged ? "true" : "false");
 
     clReleaseMemObject(buf_rowptr);

@@ -177,6 +177,25 @@ def per_launch_execute(model, schedule, bindings):
             for port in root.ports if port.direction is Direction.OUT}
 
 
+# -- instance paths -----------------------------------------------------------
+
+def reference_element_at(model, kind, path):
+    """The part or port at a dotted path of one side, walked segment by
+    segment from the root: each segment but the last names a part (the
+    first declared of its name), the last a part or else a port."""
+    segments = path.split(".") if path else []
+    comp = model.root(kind)
+    if comp is None or not segments or not all(segments):
+        return None
+    for seg in segments[:-1]:
+        part = comp.part(seg)
+        comp = model.component(kind, part.type_ref) if part is not None else None
+        if comp is None:
+            return None
+    part = comp.part(segments[-1])
+    return part if part is not None else comp.port(segments[-1])
+
+
 # -- DSL tokenizer ------------------------------------------------------------
 # The original tokenizer, kept as the reference: one regex match per token or
 # whitespace run from the current position, one error per character that

@@ -18,7 +18,7 @@ from gmodelc.cli import main
 from gmodelc.codegen import generate_host, generate_kernels, kernel_name
 from gmodelc.dsl import parse_model, serialize_model
 from gmodelc.memmap import CapacityExceeded, build_memory_maps, emit_memory_map_report
-from gmodelc.metamodel import MemoryRole, memory_role_of, validate_conformance
+from gmodelc.metamodel import CompileContext, MemoryRole, validate_conformance
 from gmodelc.partition import build_schedule, partition_equally
 
 from conftest import golden_path
@@ -187,7 +187,7 @@ def test_criterion_6_codegen_fidelity(cg_model, cg_maps, cg_schedule_d4):
     # one address-space keyword check per port-derived parameter
     node_space = {}
     for mm in cg_maps:
-        role = memory_role_of(cg_model, mm.owner_path)
+        role = CompileContext(cg_model).memory_role_of(mm.owner_path)
         for alloc in mm.data_allocations:
             for node in alloc.associated_parts:
                 if role is not MemoryRole.HOST_RAM:

@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -336,3 +337,43 @@ def test_tol_override(workdir, capsys):
     tight = capsys.readouterr().out
     tight_iters = int(tight.split()[0].split("=")[1])
     assert loose_iters < tight_iters
+
+
+def test_one_computation_per_model_in_codegen_and_run(workdir, monkeypatch, capsys):
+    """One `codegen` and one `run` compute the port groups and the digest at
+    most once per Model instance, and each device task's kernel parameter
+    list once: every stage of a command shares one compile context."""
+    from gmodelc import codegen, dsl, metamodel
+    calls: dict[str, list] = {"groups": [], "digest": [], "params": []}
+
+    def count(name, module, attr, key):
+        """Count calls to module.attr, through every gmodelc module that
+        imported it by name too."""
+        fn = getattr(module, attr)
+
+        def counted(*args, **kwargs):
+            calls[name].append(key(*args))
+            return fn(*args, **kwargs)
+        for holder in [m for k, m in sys.modules.items() if k.startswith("gmodelc")]:
+            if getattr(holder, attr, None) is fn:
+                monkeypatch.setattr(holder, attr, counted)
+
+    count("groups", metamodel, "connected_port_groups", lambda model: model)
+    count("digest", dsl, "serialize_model", lambda model: model)
+    count("params", codegen, "_task_params", lambda index, task_path, comp, spec: task_path)
+
+    tmp_path, model_path = workdir
+    assert main(["codegen", model_path, "--devices", "4", "--out", str(tmp_path / "cg")]) == 0
+    (model,) = calls["groups"]
+    assert calls["digest"] == [model]
+    device_tasks = {s.task_path for s in build_schedule(model, 4).device_steps()}
+    assert sorted(calls["params"]) == sorted(device_tasks) and len(device_tasks) == 11
+
+    for name in calls:
+        calls[name].clear()
+    mtx, _ = _write_poisson(tmp_path, 6)
+    assert main(["run", model_path, "--matrix", mtx, "--out", str(tmp_path / "run")]) == 0
+    parsed, instantiated = calls["groups"]
+    assert parsed is not instantiated
+    assert calls["digest"] == [] and calls["params"] == []
+    capsys.readouterr()

@@ -6,7 +6,7 @@ import gmodelc
 from gmodelc.codegen import generate_host, generate_kernels, kernel_name
 from gmodelc.intrinsics import INTRINSICS, UnknownIntrinsic, deployment_diagnostics
 from gmodelc.memmap import build_memory_maps
-from gmodelc.metamodel import AddressSpace, MemoryRole, memory_role_of
+from gmodelc.metamodel import AddressSpace, CompileContext, MemoryRole
 from gmodelc.partition import DeviceStep, Schedule, build_schedule
 
 from conftest import golden_path
@@ -138,7 +138,7 @@ def test_qualifier_fidelity(cg_model, cg_maps, cg_units, cg_schedule_d4):
     signatures = _kernel_signatures(kern.contents)
     node_space = {}
     for mm in cg_maps:
-        role = memory_role_of(cg_model, mm.owner_path)
+        role = CompileContext(cg_model).memory_role_of(mm.owner_path)
         for alloc in mm.data_allocations:
             for node in alloc.associated_parts:
                 node_space.setdefault(node, []).append((role, alloc.space_address))
@@ -166,7 +166,7 @@ def test_buffer_completeness(cg_model, cg_maps, cg_units):
     created = re.findall(r"cl_mem buf_(\w+) = clCreateBuffer", host.contents)
     device_allocs = []
     for mm in cg_maps:
-        if memory_role_of(cg_model, mm.owner_path) is not MemoryRole.HOST_RAM:
+        if CompileContext(cg_model).memory_role_of(mm.owner_path) is not MemoryRole.HOST_RAM:
             device_allocs.extend(a.name for a in mm.data_allocations)
     assert sorted(created) == sorted(device_allocs)
     for name in device_allocs:
@@ -354,6 +354,19 @@ def test_float32_host_data_stays_float32():
     assert "load_longs" not in host and "store_ints" not in host
     cg_host = golden_path("cg_host_d4.c").read_text()
     assert "load_floats" not in cg_host and "store_floats" not in cg_host
+
+
+def test_host_resident_root_ports_are_loaded_and_stored():
+    """A root in port on host RAM is read from its file into its host
+    scalar before the first launch; a root out port on host RAM is written
+    from its host scalar."""
+    model = gmodelc.parse_model(FLOAT32_MODEL)
+    host = generate_host(model, build_memory_maps(model), build_schedule(model, 2), 2).contents
+    load = 'load_floats("sc_f.txt", &h_f, 1);'
+    store = 'store_floats("sc_d_out.txt", &h_dt_s, 1);'
+    assert host.count(load) == 1 and host.count(store) == 1
+    assert host.index(load) < host.index("clEnqueueNDRangeKernel")
+    assert host.index(store) > host.rindex("clEnqueueNDRangeKernel")
 
 
 def test_int64_csr_ports_load_as_long(cg_text):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gmodelc
-from gmodelc.dsl import ParseFailure, _tokenize_line, parse_model, serialize_model
+from gmodelc.dsl import ParseFailure, _Line, _lex, _number, parse_model, serialize_model
 from gmodelc.metamodel import (MemoryRole, Shape, StereotypeKind, validate_conformance)
 
 from conftest import golden_path
@@ -221,16 +221,82 @@ _FRAGMENTS = st.sampled_from([
 ])
 
 
+def _lexer_tokens(code: str, toks: list[str], line_no: int) -> list[tuple]:
+    """The lexer's lexemes of one line, with the fields the parser derives
+    from them: the kind from the first character, the column by rescanning
+    the line, and a number's value, float form and suffix."""
+    line = _Line(toks, line_no, code)
+    view = []
+    for i, text in enumerate(toks):
+        kind = ("word" if text.isidentifier() else "num" if text[0].isdigit()
+                else "arrow" if text == "->" else "sym")
+        value, is_float, suffix = _number(text) if kind == "num" else (0.0, False, "")
+        view.append((kind, text, line_no, line.span(i).column, is_float, value, suffix))
+    return view
+
+
 @settings(max_examples=400, deadline=None)
 @example(["", "   ", "\t\r", "port x in float64 [4]  \r", "a@", "@@@ b", "x -> y # c",
           "1.5e3K", "deploy  spmv_csr\t# trailing comment\t", "until r < 1e-10", "$"], 3)
 @given(st.lists(st.lists(_FRAGMENTS, max_size=12).map("".join), min_size=1, max_size=4),
        st.integers(1, 500))
 def test_tokenizer_matches_reference_tokenizer(lines, first_line):
+    # the lines are lexed as one text, after first_line - 1 blank lines
+    errors, ref_errors = [], []
+    codes, lexemes = _lex("\n" * (first_line - 1) + "\n".join(lines), errors)
     for line_no, text in enumerate(lines, start=first_line):
-        errors, ref_errors = [], []
-        toks = _tokenize_line(text, line_no, errors)
         ref_toks = reference_tokenize_line(text, line_no, ref_errors)
-        assert ([tuple(getattr(t, f) for f in _TOKEN_FIELDS) for t in toks]
-                == [tuple(getattr(t, f) for f in _TOKEN_FIELDS) for t in ref_toks]), repr(text)
-        assert errors == ref_errors, repr(text)
+        toks = _lexer_tokens(codes[line_no - 1], lexemes[line_no - 1], line_no)
+        assert toks == [tuple(getattr(t, f) for f in _TOKEN_FIELDS) for t in ref_toks], repr(text)
+    assert errors == ref_errors, repr(lines)
+
+
+_EDIT_FRAGMENTS = st.sampled_from([
+    "@", "$", "é", "{", "}", "[", "]", "->", "-", ":", "=", ",", ".", "<", "7", "1.5",
+    "16K", "1e-3M", "12abc", "x", "port", "component", "platform", "#", " ", "\t", "\r",
+    "{\n", "\n}\n",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["insert", "delete", "drop line"]),
+                          st.integers(0, 10**6), _EDIT_FRAGMENTS), min_size=1, max_size=3))
+def test_parse_error_spans_point_at_reference_tokens(edits):
+    """Every error of a mutated cg.gmodel spans the reference tokenizer's
+    token at its column, with that token as the found text (or the name
+    that a duplicate repeats), or a bad character, or the end of the line
+    or of the input."""
+    text = gmodelc.bundled_model_text()
+    for op, pos, fragment in edits:
+        pos %= len(text) + 1
+        if op == "insert":
+            text = text[:pos] + fragment + text[pos:]
+        elif op == "delete":
+            text = text[:pos] + text[pos + len(fragment):]
+        else:
+            lines = text.split("\n")
+            del lines[pos % len(lines)]
+            text = "\n".join(lines)
+    try:
+        parse_model(text)
+        return
+    except ParseFailure as exc:
+        errors = exc.errors
+    lines = text.split("\n")
+    for err in errors:
+        span = err.span
+        if err.found == "end of input":
+            assert span.length == 0
+            assert (span.line, span.column) in ((1, 1), (len(lines), max(1, len(lines[-1]))))
+            continue
+        ref_errors = []
+        toks = reference_tokenize_line(lines[span.line - 1], span.line, ref_errors)
+        if err.expected == "a token":
+            assert err in ref_errors
+        elif err.found == "end of line":
+            assert (span.column, span.length) == (toks[-1].col + len(toks[-1].text), 0)
+        else:
+            (tok,) = [t for t in toks if t.col == span.column]
+            assert span.length == len(tok.text)
+            assert err.found in (repr(tok.text), f"duplicate '{tok.text}' section",
+                                 f"duplicate component '{tok.text}'")

@@ -1,14 +1,18 @@
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 import gmodelc
-from gmodelc.metamodel import (AllocKind, AllocationLink, Component, ComponentKind,
-                               Connector, DataType, Diagnostic, Direction, FlowPort,
-                               HwStereotype, MemoryRole, PartInstance, PathNotFound, Shape,
-                               StereotypeKind, UntilCondition, resolve_path,
-                               validate_conformance)
+from gmodelc.metamodel import (AllocKind, AllocationLink, CompileContext, Component,
+                               ComponentKind, Connector, DataType, Diagnostic, Direction,
+                               FlowPort, HwStereotype, MemoryRole, PartInstance, PathNotFound,
+                               Shape, StereotypeKind, UntilCondition, connected_port_groups,
+                               iter_instances, resolve_path, validate_conformance)
+
+from modelgen import random_model
+from oracles import reference_element_at
 
 
 def test_shape_total_examples():
@@ -304,3 +308,89 @@ def test_duplicate_names_resolve_to_first_declaration():
     swapped = dataclasses.replace(root, parts=root.parts[::-1])
     assert swapped.part("t").type_ref == "Other"
     assert root.part("t").type_ref == "Task"
+
+
+def _probe_paths(model) -> list[str]:
+    """Every instance and port path of both sides, and near misses of each."""
+    paths = {"", ".", "nosuch"}
+    for kind in (ComponentKind.PLATFORM, ComponentKind.APPLICATION):
+        for inst, comp in iter_instances(model, kind):
+            prefix = f"{inst}." if inst else ""
+            for name in [p.name for p in comp.parts] + [p.name for p in comp.ports]:
+                path = prefix + name
+                paths.update({path, path + ".", "." + path, path + ".nosuch",
+                              path.replace(".", "..", 1), path.rpartition(".")[2]})
+    return sorted(paths)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_context_index_matches_a_segment_walk(cg_model, seed):
+    """CompileContext resolves every path as a walk from the root does, on
+    generated models, the bundled one and one with duplicated names."""
+    models = [random_model(random.Random(seed))]
+    if seed == 0:
+        # a second part 't' of a type that is not declared, and a part
+        # 'src' that shadows the port 'src'
+        models += [cg_model, gmodelc.parse_model(MINI_MODEL.replace(
+            "    part t : Task\n", "    part t : Task\n    part t : Host\n    part src : Task\n"))]
+    for model in models:
+        ctx = CompileContext(model)
+        for kind in (ComponentKind.PLATFORM, ComponentKind.APPLICATION):
+            for path in _probe_paths(model):
+                expected = reference_element_at(model, kind, path)
+                assert ctx.element_at(kind, path) is expected, (kind, path)
+                comp = model.component(kind, expected.type_ref) \
+                    if isinstance(expected, PartInstance) else None
+                assert ctx.component_at(kind, path) is comp, (kind, path)
+
+
+def test_context_index_terminates_on_a_type_cycle():
+    text = MINI_MODEL.replace("  component a {", "  component Loop {\n    part again : Loop\n"
+                              "  }\n  component a {\n    part loop : Loop", 1)
+    model = gmodelc.parse_model(text)
+    assert any("instantiation cycle" in d.message for d in validate_conformance(model))
+    ctx = CompileContext(model)
+    assert ctx.component_at(ComponentKind.APPLICATION, "loop.again") is \
+        model.application_components["Loop"]
+
+
+def test_allocation_targets_on_a_cyclic_platform_do_not_resolve():
+    """A side with a type cycle resolves no allocation path, so no rule that
+    reads a resolved target applies: here, the constant-space rule."""
+    text = MINI_MODEL.replace("    memory gmem : hwMemory role=deviceGlobal\n",
+                              "    memory gmem : hwMemory role=deviceConstant\n"
+                              "    part again : Dev\n")
+    diags = validate_conformance(gmodelc.parse_model(text))
+    allocation_messages = {d.message for d in diags if d.path.startswith("allocation[")}
+    assert allocation_messages == {f"allocation target '{target}' does not resolve"
+                                   for target in ("dev.gmem", "dev.cu")}
+    assert any("instantiation cycle" in d.message for d in diags)
+
+
+def test_port_groups_join_a_port_fed_from_two_levels():
+    """c.p is fed by x from outside and by c.l.z from inside: one group."""
+    model = gmodelc.parse_model("""\
+platform p {
+  component p {
+  }
+}
+application a {
+  component L {
+    port z out float64 [4]
+    deploy copy
+  }
+  component C {
+    port p inout float64 [4]
+    part l : L
+    connect l.z -> p
+  }
+  component a {
+    port x in float64 [4]
+    part c : C
+    connect x -> c.p
+  }
+}
+""")
+    groups = connected_port_groups(model)
+    assert groups["x"] is groups["c.p"] is groups["c.l.z"]
+    assert groups["x"] == {"x", "c.p", "c.l.z"}

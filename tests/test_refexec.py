@@ -18,7 +18,8 @@ from gmodelc.metamodel import Direction
 from gmodelc.partition import Schedule, WorkRange, build_schedule, partition_equally
 from gmodelc.refexec import (BreakdownDetected, CsrMatrix, DimensionMismatch,
                              IndexOutOfRange, MalformedHeader, MissingBinding,
-                             NonFiniteValue, NonSquare, NonSymmetricMatrix, SolverConfig,
+                             NonFiniteInput, NonFiniteValue, NonSquare, NonSymmetricMatrix,
+                             SolverConfig,
                              build_sweep_plan, csr_from_dense, csr_to_dense,
                              execute_schedule, instantiate_for_matrix, load_matrix_market,
                              matrix_to_coordinate_text, poisson_1d, poisson_2d, random_spd,
@@ -371,6 +372,21 @@ def test_cg_zero_rhs_is_result():
     assert res.converged and res.iterations == 0
     assert not res.residual_history
     assert np.array_equal(res.x, np.zeros(10))
+
+
+@pytest.mark.parametrize("where", ["b", "values"])
+def test_cg_rejects_non_finite_input_before_iterating(monkeypatch, where):
+    A, b = poisson_1d(8), np.ones(8)
+    if where == "b":
+        b[3] = np.nan
+    else:
+        A.values[5] = np.inf
+    products = []
+    monkeypatch.setattr(refexec, "spmv_csr", lambda *args: products.append(args))
+    message = r"rhs b: element 3 \(nan\)" if where == "b" else r"matrix values: element 5 \(inf\)"
+    with pytest.raises(NonFiniteInput, match=message):
+        run_cg(A, b, SolverConfig(tol=1e-10, max_iter=50))
+    assert products == []
 
 
 def test_cg_rejects_nonsymmetric():
@@ -821,6 +837,17 @@ def test_binding_shape_mismatch_reported():
     bindings["b"] = np.ones(3)
     with pytest.raises(MissingBinding):
         execute_schedule(sized, build_schedule(sized, 1), bindings)
+
+
+def test_schedule_rejects_non_finite_binding_before_the_first_step(monkeypatch):
+    sized, A, b, bindings = _cg_setup(4)
+    bindings["b"] = b.copy()
+    bindings["b"][7] = -np.inf
+    steps = []
+    monkeypatch.setattr(refexec._Compiler, "steps", lambda self, s: steps.append(s))
+    with pytest.raises(NonFiniteInput, match=r"binding 'b': element 7 \(-inf\) is not finite"):
+        execute_schedule(sized, build_schedule(sized, 1), bindings)
+    assert steps == []
 
 
 def test_intrinsic_signature_mismatch():
