@@ -23,7 +23,7 @@ from .refexec import (BreakdownDetected, CsrMatrix, DimensionMismatch, Execution
                       IndexOutOfRange, MalformedHeader, MissingBinding, NonFiniteInput,
                       NonSquare, SolveResult, SolverConfig, execute_schedule,
                       instantiate_for_matrix, load_matrix_market, matrix_to_coordinate_text,
-                      poisson_1d, poisson_2d, random_spd, run_cg, spmv_csr)
+                      read_matrix_market, run_cg, spmv_csr)
 
 __version__ = "0.1.0"
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,9 @@ def _validated_model(config: RunConfig) -> tuple[CompileContext | None, int]:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, EXIT_IO
+    except UnicodeDecodeError as exc:
+        print(f"error: {config.model_path}: {exc}", file=sys.stderr)
+        return None, EXIT_IO
     except dsl.ParseFailure as exc:
         for err in exc.errors:
             print(f"{config.model_path}:{err}", file=sys.stderr)
@@ -102,17 +106,25 @@ def _validated_model(config: RunConfig) -> tuple[CompileContext | None, int]:
     return ctx, EXIT_OK
 
 
-def _write(out_dir: str, file_name: str, contents: str) -> str:
+# lines of the solution file formatted and written at a time
+SOLUTION_CHUNK_LINES = 256
+
+
+def _write(out_dir: str, file_name: str, contents: str | Iterable[str]) -> str:
+    """Write contents, a string or the strings that make it up in order."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, file_name)
     with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write(contents)
+        f.writelines([contents] if isinstance(contents, str) else contents)
     return path
 
 
-def _solution_text(solution: np.ndarray) -> str:
-    """One value per line, as repr of the float64 value, so that it reads back exactly."""
-    return "".join([f"{v!r}\n" for v in np.asarray(solution, dtype=np.float64).tolist()])
+def _solution_text(solution: np.ndarray) -> Iterator[str]:
+    """One value per line, as repr of the float64 value, so that it reads
+    back exactly; made SOLUTION_CHUNK_LINES lines at a time."""
+    values = np.asarray(solution, dtype=np.float64)
+    for start in range(0, len(values), SOLUTION_CHUNK_LINES):
+        yield "".join([f"{v!r}\n" for v in values[start:start + SOLUTION_CHUNK_LINES].tolist()])
 
 
 def _matrix_bindings(ctx: CompileContext, A: refexec.CsrMatrix,
@@ -185,12 +197,12 @@ def _cmd_codegen(config: RunConfig) -> int:
 
 def _cmd_run(config: RunConfig) -> int:
     try:
-        with open(config.matrix_path, "r", encoding="ascii") as f:
-            A = refexec.load_matrix_market(f.read())
+        A = refexec.read_matrix_market(config.matrix_path)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (refexec.MalformedHeader, refexec.NonSquare, refexec.IndexOutOfRange) as exc:
+    except (refexec.MalformedHeader, refexec.NonSquare, refexec.IndexOutOfRange,
+            UnicodeDecodeError) as exc:
         print(f"error: {config.matrix_path}: {exc}", file=sys.stderr)
         return EXIT_IO
     if config.rhs_path is not None:

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .metamodel import (AllocKind, CompileContext, Component, ComponentKind, Diagnostic,
-                        Direction, Model, iter_instances)
+                        Direction, MemoryRole, Model, iter_instances)
 from .partition import UnallocatedTask
 
 
@@ -309,8 +309,10 @@ def deployed_intrinsic(ctx: CompileContext, task_path: str, on_host: bool) -> In
 def deployment_diagnostics(model: Model, ctx: CompileContext | None = None) -> list[Diagnostic]:
     """One error per leaf task that codegen and `run` would reject, with
     their message: first each allocated task in allocation order, then each
-    unallocated one in pre-order.  Expects a model without conformance
-    errors."""
+    unallocated one in pre-order.  Then one error per root port of more
+    than one element whose storage is allocated to host memory alone: the
+    host program keeps one scalar for it.  Expects a model without
+    conformance errors."""
     ctx = CompileContext.of(model, ctx)
     targets = {link.source_path: link.target_path
                for link in model.allocations if link.kind is AllocKind.TASK}
@@ -323,4 +325,17 @@ def deployment_diagnostics(model: Model, ctx: CompileContext | None = None) -> l
     for task_path, comp in iter_instances(model, ComponentKind.APPLICATION):
         if task_path and comp.is_leaf_task and task_path not in targets:
             diags.append(Diagnostic("error", task_path, str(UnallocatedTask(task_path))))
+    on_host: set[str] = set()
+    on_device: set[str] = set()
+    for link in model.allocations:
+        if link.kind is AllocKind.DATA:
+            host = ctx.memory_role_of(link.target_path) is MemoryRole.HOST_RAM
+            (on_host if host else on_device).add(link.source_path)
+    for port in model.root(ComponentKind.APPLICATION).ports:
+        group = ctx.port_groups[port.name]
+        if port.shape.total > 1 and group & on_host and not group & on_device:
+            diags.append(Diagnostic(
+                "error", port.name,
+                f"root port '{port.name}' has {port.shape.total} elements but is allocated "
+                "to host memory alone, where the host program keeps one scalar"))
     return diags

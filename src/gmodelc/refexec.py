@@ -30,6 +30,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import BinaryIO
 
 import numpy as np
 
@@ -166,15 +167,17 @@ class JaggedPlan:
     levels: tuple[tuple[int, int, int], ...]
     perm: np.ndarray
 
-    def bind(self, x: np.ndarray, out: np.ndarray):
+    def bind(self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray):
         """A closure that sets out[i] to the range's row i times x, summed
-        left to right from +0.0.  Its scratch arrays and the views into them
-        are made here, once: x and out must be written only in place while
-        the closure is in use."""
+        left to right from +0.0.  The gather goes to the front of scratch, an
+        array of x's dtype at least len(vals) long, which closures that never
+        run at the same time may share.  The other scratch arrays and the
+        views into them are made here, once: x, out and scratch must be
+        written only in place while the closure is in use."""
         if len(self.cols) and not (0 <= self.cols.min() and self.cols.max() < len(x)):
             raise IndexError(f"column index outside a vector of length {len(x)}")
         vals, cols, perm = self.vals, self.cols, self.perm
-        gathered = np.empty(len(vals), dtype=x.dtype)
+        gathered = scratch[:len(vals)]
         products = gathered if gathered.dtype == np.result_type(vals, x) \
             else np.empty(len(vals), dtype=np.result_type(vals, x))
         acc = np.empty(self.rows, dtype=out.dtype)
@@ -217,7 +220,7 @@ def spmv_range(row_ptr, col_idx, values, x, lo, hi, plan=None, out=None):
         plan = _jagged_plan(row_ptr, lo, hi, col_idx, values)
     if out is None:
         out = np.empty(hi - lo)
-    plan.bind(x, out)()
+    plan.bind(x, out, np.empty(len(plan.vals), dtype=x.dtype))()
     return out
 
 
@@ -317,15 +320,44 @@ def run_cg(A: CsrMatrix, b: np.ndarray, config: SolverConfig) -> SolveResult:
 # -- matrix market ------------------------------------------------------------
 
 
-def load_matrix_market(text: str) -> CsrMatrix:
+def read_matrix_market(path: str) -> CsrMatrix:
+    """load_matrix_market of the file at path, read as bytes.
+
+    The file must be ASCII: any other byte raises UnicodeDecodeError.  Its
+    line ends are read as text mode reads them: CRLF and a lone CR end a
+    line, as LF does.
+    """
+    with open(path, "rb") as f:
+        return load_matrix_market(f)
+
+
+def load_matrix_market(source: str | BinaryIO) -> CsrMatrix:
     """Parse Matrix Market coordinate text (real, general or symmetric).
 
-    Symmetric inputs are expanded to full storage, duplicates are summed
-    and each row is sorted by column.  Raises MalformedHeader (NonFiniteValue
-    for a nan or infinite value), NonSquare or IndexOutOfRange; an error in
-    an entry line names that line.
+    source is the text or a binary file, whose ASCII bytes (see
+    read_matrix_market) are read here and dropped once the entries are
+    parsed, before the matrix is built.  A clean body is parsed by one
+    np.loadtxt into a record array; otherwise, and for text that is not
+    ASCII, the line parser reads it.  Symmetric inputs are expanded to full
+    storage, duplicates are summed and each row is sorted by column.
+    Raises MalformedHeader (NonFiniteValue for a nan or infinite value),
+    NonSquare or IndexOutOfRange; an error in an entry line names that line.
     """
-    banner_line, start = _line_at(text, 0)
+    text: str | None = None
+    if isinstance(source, str):
+        text = source
+        try:
+            data = text.encode("ascii")
+        except UnicodeEncodeError:
+            data = None     # only the line parser reads text that is not ASCII
+    else:
+        data = source.read()
+        if not data.isascii():
+            data.decode("ascii")    # raises UnicodeDecodeError at the first such byte
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    head = data if data is not None else text
+    banner_line, start = _line_at(head, 0)
     if not banner_line.startswith("%%MatrixMarket"):
         raise MalformedHeader("missing %%MatrixMarket banner")
     banner = banner_line.split()
@@ -341,9 +373,9 @@ def load_matrix_market(text: str) -> CsrMatrix:
 
     pos = 1     # 0-based line number of `line`
     while True:
-        if start > len(text):
+        if start > len(head):
             raise MalformedHeader("missing size line")
-        line, body = _line_at(text, start)
+        line, body = _line_at(head, start)
         if line.strip() and not line.lstrip().startswith("%"):
             break
         pos += 1
@@ -360,49 +392,56 @@ def load_matrix_market(text: str) -> CsrMatrix:
     if rows < 1:
         raise MalformedHeader("matrix size must be positive")
 
-    entries = _entries_vectorised(text, body, rows, declared)
+    entries = _entries_vectorised(data, body, rows, declared) if data is not None else None
     if entries is None:
-        entries = _entries_by_line(text.split("\n"), pos + 1, rows, declared)
+        lines = (text if text is not None else data.decode("ascii")).split("\n")
+        entries = _entries_by_line(lines, pos + 1, rows, declared)
+    del head, data, text    # the file's bytes, before the matrix is built
     ii, jj, vv = entries
     if sym == "symmetric":
         ii, jj, vv = _with_mirrors(ii, jj, vv)
     return csr_from_coo(rows, ii, jj, vv)
 
 
-def _line_at(text: str, start: int) -> tuple[str, int]:
+def _line_at(text: str | bytes, start: int) -> tuple[str, int]:
     """The line that begins at offset start, and the offset after its newline."""
-    stop = text.find("\n", start)
+    stop = text.find("\n" if isinstance(text, str) else b"\n", start)
     if stop < 0:
         stop = len(text)
-    return text[start:stop], stop + 1
+    line = text[start:stop]
+    return line if isinstance(line, str) else line.decode("ascii"), stop + 1
 
 
-_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+_ENTRY = np.dtype([("i", np.int32), ("j", np.int32), ("v", np.float64)])
 
 
-def _entries_vectorised(text: str, body: int, n: int, declared: int):
+def _entries_vectorised(data: bytes, body: int, n: int, declared: int):
     """0-based (rows, cols, values) of the entries from offset body on, parsed
-    in one pass.
+    in one pass: views of one (int32, int32, float64) record array.
 
     Returns None, leaving the result or the error to _entries_by_line, on
     any doubt: a `%` in the body, a numpy parse error or warning (numpy
     refuses, rather than misreads, the tokens that int() and float() accept
-    and it does not, such as `1_0`, `1.0` as an index and non-ASCII digits),
-    a wrong count, an index out of range or a value that is not finite.
+    and it does not, such as `1_0`, `1.0` as an index and non-ASCII digits,
+    and an index that does not fit int32), a wrong count, an index out of
+    range or a value that is not finite.
     """
-    if text.find("%", body) >= 0:
+    if data.find(b"%", body) >= 0:
         return None
     try:
-        stream = io.BytesIO(text.encode("ascii"))
+        stream = io.BytesIO(data)   # shares the bytes, no copy
         stream.seek(body)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             entries = np.loadtxt(stream, dtype=_ENTRY, comments=None, ndmin=1)
     except (ValueError, Warning):
         return None
-    ii, jj, vv = entries["i"] - 1, entries["j"] - 1, entries["v"].copy()
+    ii, jj, vv = entries["i"], entries["j"], entries["v"]
+    ii -= 1
+    jj -= 1
     if len(entries) != declared or not np.isfinite(vv).all() \
-            or ((ii < 0) | (ii >= n) | (jj < 0) | (jj >= n)).any():
+            or min(ii.min(initial=0), jj.min(initial=0)) < 0 \
+            or max(ii.max(initial=0), jj.max(initial=0)) >= n:
         return None
     return ii, jj, vv
 
@@ -453,32 +492,43 @@ def _with_mirrors(ii: np.ndarray, jj: np.ndarray, vv: np.ndarray):
 def csr_from_coo(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> CsrMatrix:
     """CSR from coordinate triplets; duplicate positions are summed.
 
-    Raises NonFiniteValue, naming the 1-based row and column, when a summed
-    value is nan or infinite, such as two finite entries whose sum overflows.
+    One algorithm for every input: a stable argsort of the keys
+    row * n + col, then each run of equal keys summed by np.add.reduceat
+    in input order.  It keeps one int64 key array, built in place, gathers
+    the sorted keys and values into fresh arrays and drops each temporary
+    once it is dead, so at most four entry-sized 8-byte arrays live beside
+    the inputs.  Raises NonFiniteValue, naming the 1-based row and column,
+    when a summed value is nan or infinite, such as two finite entries whose
+    sum overflows.
     """
-    if len(rows):
-        keys = rows.astype(np.int64) * n + cols
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        first = np.empty(len(keys), dtype=bool)
-        first[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        start = np.flatnonzero(first)
-        with np.errstate(over="ignore"):
-            vals = np.add.reduceat(vals[order], start)
-        keys = keys[start]
-        rows = keys // n
-        cols = (keys % n).astype(np.int32)
-        bad = np.flatnonzero(~np.isfinite(vals))
-        if len(bad):
-            k = bad[0]
-            raise NonFiniteValue(f"entry ({rows[k] + 1},{cols[k] + 1}): "
-                                 f"summed value {float(vals[k])!r} is not finite")
-    counts = np.bincount(rows, minlength=n) if len(rows) else np.zeros(n, dtype=np.int64)
+    keys = rows.astype(np.int64)
+    keys *= n
+    keys += cols
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    start = np.flatnonzero(first)
+    del first
+    vals = vals[order]      # indexing, unlike take, copies a strided view once
+    del order
+    with np.errstate(over="ignore"):
+        vals = np.add.reduceat(vals, start)
+    rows = keys[start]      # the keys of the summed entries, made rows in place
+    del keys, start
+    cols = (rows % n).astype(np.int32)
+    rows //= n
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if len(bad):
+        k = bad[0]
+        raise NonFiniteValue(f"entry ({rows[k] + 1},{cols[k] + 1}): "
+                             f"summed value {float(vals[k])!r} is not finite")
     row_ptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(counts, out=row_ptr[1:])
-    A = CsrMatrix(n=n, row_ptr=row_ptr, col_idx=cols.astype(np.int32),
-                  values=vals.astype(np.float64))
+    np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
+    del rows
+    A = CsrMatrix(n=n, row_ptr=row_ptr, col_idx=cols,
+                  values=vals.astype(np.float64, copy=False))
     A.validate()
     return A
 
@@ -491,54 +541,6 @@ def matrix_to_coordinate_text(A: CsrMatrix) -> str:
         for k in range(A.row_ptr[i], A.row_ptr[i + 1]):
             out.append(f"{i + 1} {int(A.col_idx[k]) + 1} {float(A.values[k])!r}")
     return "\n".join(out) + "\n"
-
-
-def csr_from_dense(dense: np.ndarray) -> CsrMatrix:
-    dense = np.asarray(dense, dtype=np.float64)
-    rows, cols = np.nonzero(dense)
-    return csr_from_coo(dense.shape[0], rows, cols, dense[rows, cols])
-
-
-def csr_to_dense(A: CsrMatrix) -> np.ndarray:
-    dense = np.zeros((A.n, A.n))
-    for i in range(A.n):
-        lo, hi = A.row_ptr[i], A.row_ptr[i + 1]
-        dense[i, A.col_idx[lo:hi]] = A.values[lo:hi]
-    return dense
-
-
-def poisson_1d(n: int) -> CsrMatrix:
-    """Tridiagonal (-1, 2, -1) stencil matrix of size n."""
-    idx = np.arange(n, dtype=np.int64)
-    rows = np.concatenate([idx, idx[1:], idx[:-1]])
-    cols = np.concatenate([idx, idx[1:] - 1, idx[:-1] + 1])
-    vals = np.concatenate([np.full(n, 2.0), np.full(n - 1, -1.0), np.full(n - 1, -1.0)])
-    return csr_from_coo(n, rows, cols, vals)
-
-
-def poisson_2d(k: int) -> CsrMatrix:
-    """Five-point stencil on a k-by-k grid (n = k*k)."""
-    n = k * k
-    idx = np.arange(n, dtype=np.int64)
-    gi, gj = idx // k, idx % k
-    rows = [idx]
-    cols = [idx]
-    vals = [np.full(n, 4.0)]
-    for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-        ok = (0 <= gi + di) & (gi + di < k) & (0 <= gj + dj) & (gj + dj < k)
-        rows.append(idx[ok])
-        cols.append((gi[ok] + di) * k + (gj[ok] + dj))
-        vals.append(np.full(int(ok.sum()), -1.0))
-    return csr_from_coo(n, np.concatenate(rows), np.concatenate(cols),
-                        np.concatenate(vals))
-
-
-def random_spd(n: int, seed: int, density: float = 0.2) -> CsrMatrix:
-    """Random symmetric positive-definite test matrix: M^T M + n I."""
-    rng = np.random.default_rng(seed)
-    M = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
-    dense = M.T @ M + n * np.eye(n)
-    return csr_from_dense(dense)
 
 
 # -- schedule interpretation ---------------------------------------------------
@@ -558,7 +560,10 @@ class _Storage:
 
     A group whose every member is an input port is never written: its
     array is read-only, so an spmv over it keeps its plan across launches.
-    A bound floating-point array is checked once, here, to be finite.
+    A root input of such a group is bound as a read-only view of the
+    caller's array when the dtype already matches, so the caller must not
+    write it while the schedule runs; every other binding is copied.  A
+    bound floating-point array is checked once, here, to be finite.
     """
 
     def __init__(self, ctx: CompileContext, bindings: dict[str, np.ndarray]):
@@ -568,6 +573,8 @@ class _Storage:
             for port in comp.ports:
                 node = f"{inst_path}.{port.name}" if inst_path else port.name
                 ports[node] = port
+        read_only = {group for group in {self.groups[node] for node in ports}
+                     if all(ports[n].direction is Direction.IN for n in group)}
         self.arrays: dict[frozenset, np.ndarray] = {}
         root = ctx.model.root(ComponentKind.APPLICATION)
         for port in root.ports:
@@ -580,8 +587,11 @@ class _Storage:
                 raise MissingBinding(
                     f"binding '{port.name}' has {data.size} elements, "
                     f"port expects {port.shape.total}")
-            array = self.arrays[self.groups[port.name]] = data.astype(
-                _NUMPY_TYPES[port.data_type], copy=True)
+            # ravel made data a view of its own: marking it read-only below
+            # leaves the caller's array as it is
+            group, dtype = self.groups[port.name], _NUMPY_TYPES[port.data_type]
+            array = self.arrays[group] = data \
+                if group in read_only and data.dtype == dtype else data.astype(dtype)
             if port.data_type.is_float:
                 _check_finite(f"binding '{port.name}'", array)
         for node, port in ports.items():
@@ -589,9 +599,8 @@ class _Storage:
             if group not in self.arrays:
                 self.arrays[group] = np.zeros(port.shape.total,
                                               dtype=_NUMPY_TYPES[port.data_type])
-        for group, array in self.arrays.items():
-            if all(ports[n].direction is Direction.IN for n in group):
-                array.flags.writeable = False
+        for group in read_only:
+            self.arrays[group].flags.writeable = False
 
     def array(self, node: str) -> np.ndarray:
         return self.arrays[self.groups[node]]
@@ -631,13 +640,17 @@ def _row_blocks(row_ptr: np.ndarray, lo: int, hi: int) -> list[tuple[int, int]]:
 def spmv_launch(a: dict[str, np.ndarray], lo: int, hi: int):
     """The spmv_csr launch over rows lo..hi-1, one row block after another.
     Read-only CSR arrays are never written, so the blocks and their
-    jagged-diagonal plans are built once, here; otherwise a task writes the
+    jagged-diagonal plans are built once, here, and the blocks, which run
+    one at a time, share one gather buffer; otherwise a task writes the
     matrix and both are rebuilt per launch."""
     x, y = a["x"], a["y"]
     rowptr, colidx, values = a["rowptr"], a["colidx"], a["values"]
     if not (rowptr.flags.writeable or colidx.flags.writeable or values.flags.writeable):
-        runs = [_jagged_plan(rowptr, start, stop, colidx, values).bind(x, y[start:stop])
-                for start, stop in _row_blocks(rowptr, lo, hi)]
+        blocks = [(_jagged_plan(rowptr, start, stop, colidx, values), start, stop)
+                  for start, stop in _row_blocks(rowptr, lo, hi)]
+        scratch = np.empty(max((len(plan.vals) for plan, _, _ in blocks), default=0),
+                           dtype=x.dtype)
+        runs = [plan.bind(x, y[start:stop], scratch) for plan, start, stop in blocks]
         if len(runs) == 1:
             return runs[0]
 

@@ -22,6 +22,7 @@ from gmodelc.metamodel import CompileContext, MemoryRole, validate_conformance
 from gmodelc.partition import build_schedule, partition_equally
 
 from conftest import golden_path
+from matrices import csr_from_dense, csr_to_dense, poisson_2d
 from modelgen import random_model
 from oracles import balanced_split, reference_cg
 from test_memmap import check_map_properties
@@ -46,7 +47,7 @@ def test_criterion_1_timing_not_reproduced():
 
 
 def test_criterion_2_device_count_invariance(tmp_path):
-    A = refexec.poisson_2d(100)  # n = 10000
+    A = poisson_2d(100)  # n = 10000
     mtx = tmp_path / "poisson100.mtx"
     mtx.write_text(refexec.matrix_to_coordinate_text(A))
     model_path = tmp_path / "cg.gmodel"
@@ -79,11 +80,11 @@ def test_criterion_2_device_count_invariance(tmp_path):
 
 def test_criterion_3_cg_correctness():
     start = time.perf_counter()
-    A = refexec.poisson_2d(20)  # n = 400
+    A = poisson_2d(20)  # n = 400
     b = np.ones(A.n)
     res = refexec.run_cg(A, b, refexec.SolverConfig(tol=1e-10, max_iter=A.n))
     assert res.converged
-    x_direct = np.linalg.solve(refexec.csr_to_dense(A), b)
+    x_direct = np.linalg.solve(csr_to_dense(A), b)
     rel = np.max(np.abs(res.x - x_direct)) / np.max(np.abs(x_direct))
     assert rel <= 1e-8
     _, oracle_iters, oracle_conv = reference_cg(
@@ -237,7 +238,7 @@ def test_criterion_8_spmv_oracle_equivalence():
         n = int(rng.integers(1, 201))
         density = float(rng.uniform(0.02, 0.4))
         dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
-        A = refexec.csr_from_dense(dense)
+        A = csr_from_dense(dense)
         x = rng.standard_normal(n)
         got = refexec.spmv_csr(A, x)
         want = dense @ x

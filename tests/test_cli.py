@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 import gmodelc
-from gmodelc import refexec
+from gmodelc import cli, refexec
 from gmodelc.cli import main
 from gmodelc.codegen import generate_host, generate_kernels
 from gmodelc.intrinsics import IntrinsicShapeMismatch
 from gmodelc.memmap import build_memory_maps
 from gmodelc.partition import UnallocatedTask, build_schedule
+
+from conftest import golden_path
+from matrices import poisson_2d
 
 
 @pytest.fixture()
@@ -21,7 +24,7 @@ def workdir(tmp_path):
 
 
 def _write_poisson(tmp_path, k):
-    A = refexec.poisson_2d(k)
+    A = poisson_2d(k)
     path = tmp_path / f"poisson{k}.mtx"
     path.write_text(refexec.matrix_to_coordinate_text(A))
     return str(path), A
@@ -103,7 +106,7 @@ def test_placement_mismatch_same_message_in_check_codegen_and_run(workdir, capsy
     maps, schedule = build_memory_maps(model), build_schedule(model, 2)
     with pytest.raises(IntrinsicShapeMismatch) as host_error:
         generate_host(model, maps, schedule, 2)
-    A = refexec.poisson_2d(4)
+    A = poisson_2d(4)
     sized = refexec.instantiate_for_matrix(model, A.n, A.nnz)
     bindings = {"rowptr": A.row_ptr, "colidx": A.col_idx, "values": A.values,
                 "b": np.ones(A.n)}
@@ -115,6 +118,57 @@ def test_placement_mismatch_same_message_in_check_codegen_and_run(workdir, capsy
         with pytest.raises(IntrinsicShapeMismatch) as kernel_error:
             generate_kernels(model, maps, schedule)
         assert str(kernel_error.value) == message
+
+
+HOST_ONLY_ROOT_PORT = (
+    ("    port relres out float64 [1]\n",
+     "    port relres out float64 [1]\n    port w in float64 [4]\n"),
+    ("allocate data relres onto host.ram\n",
+     "allocate data relres onto host.ram\nallocate data w onto host.ram\n"),
+)
+
+
+def _intrinsics_model_with(tmp_path, edits) -> str:
+    text = golden_path("intrinsics.gmodel").read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "edited.gmodel"
+    path.write_text(text)
+    return str(path)
+
+
+def test_host_only_root_port_rejected_by_check_codegen_and_run(tmp_path, capsys):
+    """A root port of more than one element allocated to host memory alone
+    would be one scalar in the host program: every command stops on it."""
+    path = _intrinsics_model_with(tmp_path, HOST_ONLY_ROOT_PORT)
+    mtx, _ = _write_poisson(tmp_path, 4)
+    message = ("error: w: root port 'w' has 4 elements but is allocated to host "
+               "memory alone, where the host program keeps one scalar\n")
+    for argv in (["check", path], ["codegen", path, "--devices", "2"],
+                 ["run", path, "--matrix", mtx]):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()
+
+
+def test_staged_root_port_accepted(tmp_path, capsys):
+    """A root port that resides in host and device memory is uploaded from
+    its device allocation."""
+    path = _intrinsics_model_with(tmp_path, HOST_ONLY_ROOT_PORT + (
+        ("allocate data w onto host.ram\n",
+         "allocate data w onto host.ram\nallocate data w onto device.gmem\n"),))
+    assert main(["check", path]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_non_ascii_model_exit_two(tmp_path, capsys):
+    path = tmp_path / "latin1.gmodel"
+    path.write_bytes(gmodelc.bundled_model_text().encode("ascii") + b"# caf\xe9\n")
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: 'ascii' codec can't decode byte 0xe9")
+    assert err.count("\n") == 1
 
 
 def test_parse_failure_exit_two(workdir, capsys):
@@ -181,6 +235,13 @@ def test_run_matches_run_cg(workdir, capsys):
     assert np.array_equal(solution, ref.x)
     result = (out_dir / "cg_result.txt").read_text()
     assert result == line + "\n"
+
+
+def test_solution_text_in_chunks_is_the_whole_text():
+    x = np.random.default_rng(0).standard_normal(2 * cli.SOLUTION_CHUNK_LINES + 3)
+    chunks = list(cli._solution_text(x))
+    assert len(chunks) == 3
+    assert "".join(chunks) == "".join(f"{v!r}\n" for v in x.tolist())
 
 
 def test_run_sizes_and_binds_the_instantiated_spmv_task(workdir, capsys):
@@ -269,6 +330,18 @@ def test_run_bad_matrix_exit_two(workdir, capsys):
     mtx.write_text("%%MatrixMarket matrix array real general\n2 2\n")
     assert main(["run", model_path, "--matrix", str(mtx)]) == 2
     assert capsys.readouterr().err
+
+
+def test_run_non_ascii_matrix_exit_two(workdir, capsys):
+    tmp_path, model_path = workdir
+    mtx = tmp_path / "latin1.mtx"
+    mtx.write_bytes(b"%%MatrixMarket matrix coordinate real general\n"
+                    b"% caf\xe9\n2 2 2\n1 1 1.0\n2 2 1.0\n")
+    assert main(["run", model_path, "--matrix", str(mtx),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {mtx}: 'ascii' codec can't decode byte 0xe9")
+    assert err.count("\n") == 1
 
 
 def test_run_non_finite_matrix_exit_two(workdir, capsys):

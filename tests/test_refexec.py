@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -20,12 +21,12 @@ from gmodelc.refexec import (BreakdownDetected, CsrMatrix, DimensionMismatch,
                              IndexOutOfRange, MalformedHeader, MissingBinding,
                              NonFiniteInput, NonFiniteValue, NonSquare, NonSymmetricMatrix,
                              SolverConfig,
-                             build_sweep_plan, csr_from_dense, csr_to_dense,
-                             execute_schedule, instantiate_for_matrix, load_matrix_market,
-                             matrix_to_coordinate_text, poisson_1d, poisson_2d, random_spd,
-                             run_cg, spmv_csr, spmv_range)
+                             build_sweep_plan, execute_schedule, instantiate_for_matrix,
+                             load_matrix_market, matrix_to_coordinate_text, run_cg, spmv_csr,
+                             spmv_range)
 
 from conftest import golden_path
+from matrices import csr_from_dense, csr_to_dense, poisson_1d, poisson_2d, poisson_3d, random_spd
 from oracles import partitioned_cg, per_launch_execute, reference_cg, spmv_loop
 
 
@@ -181,9 +182,11 @@ def matrix_market_texts(draw):
     return newline.join(head + lines) + newline * draw(st.integers(0, 2)), clean
 
 
-def _load_outcome(text):
+def _load_outcome(source):
+    """A load's arrays or error; source is the text or the path of a file."""
     try:
-        A = load_matrix_market(text)
+        A = load_matrix_market(source) if isinstance(source, str) \
+            else refexec.read_matrix_market(str(source))
     except (MalformedHeader, IndexOutOfRange) as exc:
         return type(exc), str(exc)
     return A.row_ptr.tobytes(), A.col_idx.tobytes(), A.values.tobytes()
@@ -208,6 +211,69 @@ def test_vectorised_loader_matches_line_loop(case):
     assert got == want
     if clean and parsed:
         assert parsed == [True], "a clean body fell back to the line loop"
+
+
+LINE_ENDING_TEXT = (
+    "%%MatrixMarket matrix coordinate real symmetric\n"
+    "% a comment\n"
+    "\n"
+    "3 3 4\n"
+    "1 1 2.0\n"
+    "2 1 -1.0\n"
+    "\n"
+    "2 2 2.0\n"
+    "3 3 2.5\n")
+
+
+@pytest.mark.parametrize("bad,error", [
+    (None, None),
+    ("2 2", (MalformedHeader, "line 8: expected 'i j value'")),
+    ("2 2 nan", (NonFiniteValue, "line 8: value 'nan' is not finite")),
+    ("4 2 1.0", (IndexOutOfRange, "line 8: entry (4,2) outside 3x3")),
+])
+def test_line_ends_of_a_matrix_file(tmp_path, bad, error):
+    """LF, CRLF and CR-only copies of one file load to the same arrays, and a
+    malformed entry (on line 8) gives the error of the file read in text mode."""
+    lines = LINE_ENDING_TEXT.split("\n")
+    if bad is not None:
+        lines[7] = bad
+    outcomes = set()
+    for i, newline in enumerate(("\n", "\r\n", "\r")):
+        path = tmp_path / f"copy{i}.mtx"
+        path.write_bytes(newline.join(lines).encode("ascii"))
+        outcomes.add(_load_outcome(path))
+        with open(path, encoding="ascii") as f:
+            outcomes.add(_load_outcome(f.read()))
+    if error is None:
+        (got,) = outcomes
+        assert isinstance(got[0], bytes)
+    else:
+        assert outcomes == {error}
+
+
+def test_non_ascii_matrix_file_raises_unicode_error(tmp_path):
+    path = tmp_path / "latin1.mtx"
+    path.write_bytes(b"%%MatrixMarket matrix coordinate real general\n1 1 1\n"
+                     b"1 1 1.0\xa0\n")
+    with pytest.raises(UnicodeDecodeError):
+        refexec.read_matrix_market(str(path))
+
+
+def test_matrix_file_load_peaks_below_five_times_the_csr(tmp_path):
+    """Loading holds each large array about once: the file's bytes are
+    dropped before the matrix is built, and the build frees its temporaries."""
+    A = poisson_3d(24)
+    path = tmp_path / "poisson3d.mtx"
+    path.write_text(matrix_to_coordinate_text(A))
+    tracemalloc.start()
+    try:
+        B = refexec.read_matrix_market(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(B.row_ptr, A.row_ptr) and np.array_equal(B.values, A.values)
+    csr_bytes = B.row_ptr.nbytes + B.col_idx.nbytes + B.values.nbytes
+    assert peak <= 5 * csr_bytes, f"peak {peak} B is {peak / csr_bytes:.2f}x the CSR"
 
 
 @pytest.mark.parametrize("n,row_ptr,col_idx,nnz,error", [
@@ -823,6 +889,34 @@ def test_partition_transparency_dot_tolerance():
     exact = values[0]
     for v in values[1:]:
         assert abs(v - exact) <= 1e-12 * max(1.0, abs(exact))
+
+
+@pytest.mark.parametrize("writeable", [True, False])
+def test_execute_schedule_leaves_bound_arrays_unchanged(writeable):
+    """Never-written inputs are bound as read-only views and the others
+    copied: the caller's arrays keep their values and their writeable flag."""
+    sized, A, b, cg_bindings = _cg_setup(6)
+    axpy = _single_task_model(   # i is written in place through t.y
+        "axpy", ["y inout float64 [64]", "x in float64 [64]", "a in float64 [1]"],
+        ["i in float64 [64]", "v in float64 [64]", "s in float64 [1]", "o out float64 [64]"],
+        ["i -> t.y", "v -> t.x", "s -> t.a", "t.y -> o"],
+        ["allocate data i onto dev.gmem", "allocate data v onto dev.gmem",
+         "allocate data s onto host.ram", "allocate task t onto dev.cu"])
+    rng = np.random.default_rng(5)
+    axpy_bindings = {"i": rng.standard_normal(64), "v": rng.standard_normal(64),
+                     "s": np.array([0.5])}
+    for model, bindings in ((sized, cg_bindings), (axpy, axpy_bindings)):
+        bindings = {name: array.copy() for name, array in bindings.items()}
+        for array in bindings.values():
+            array.flags.writeable = writeable
+        before = {name: array.copy() for name, array in bindings.items()}
+        for devices in (1, 2):
+            result = execute_schedule(model, build_schedule(model, devices), bindings)
+            assert result.converged
+            for name, array in bindings.items():
+                assert array.flags.writeable is writeable, name
+                assert np.array_equal(array, before[name]), name
+    assert np.array_equal(result.outputs["o"], before["i"] + 0.5 * before["v"])
 
 
 def test_missing_binding():
