@@ -18,7 +18,7 @@ from .metamodel import (AddressSpace, AllocKind, AllocationLink, CompileContext,
                         StereotypeKind, UntilCondition, resolve_path, validate_conformance)
 from .partition import (CyclicTaskGraph, DeviceStep, HostOp, KernelLaunch, LoopStep,
                         MissingGeometry, Schedule, UnallocatedTask, WorkRange,
-                        build_schedule, derive_launch_config, partition_equally)
+                        build_schedule, partition_equally)
 from .refexec import (BreakdownDetected, CsrMatrix, DimensionMismatch, ExecutionResult,
                       IndexOutOfRange, MalformedHeader, MissingBinding, NonFiniteInput,
                       NonSquare, SolveResult, SolverConfig, execute_schedule,

@@ -277,6 +277,12 @@ def main(argv: list[str] | None = None) -> int:
     if not (1 <= config.devices <= 16):
         print("error: --devices must be between 1 and 16", file=sys.stderr)
         return EXIT_IO
+    if config.tol is not None and not (0.0 < config.tol < 1.0):    # nan included
+        print("error: --tol must be in (0, 1)", file=sys.stderr)
+        return EXIT_IO
+    if config.max_iter is not None and config.max_iter < 1:
+        print("error: --max-iter must be at least 1", file=sys.stderr)
+        return EXIT_IO
     handler = {"check": _cmd_check, "map": _cmd_map,
                "codegen": _cmd_codegen, "run": _cmd_run}[config.command]
     return handler(config)

@@ -116,44 +116,16 @@ def partition_equally(total_work: int, device_count: int) -> list[WorkRange]:
     return ranges
 
 
-def _pe_local_size(ctx: CompileContext, device_path: str | None) -> int:
+def _pe_local_size(ctx: CompileContext, device_path: str) -> int:
     """Work-group size: the processing-element multiplicity inside one compute unit."""
-    candidates: list[str] = []
-    if device_path is not None:
-        candidates.append(device_path)
-    else:
-        stack = [("", ctx.model.root(ComponentKind.PLATFORM))]
-        while stack:
-            prefix, comp = stack.pop(0)
-            if comp is None:
-                continue
-            for part in comp.parts:
-                sub = ctx.model.component(ComponentKind.PLATFORM, part.type_ref)
-                if sub is None:
-                    continue
-                path = f"{prefix}.{part.name}" if prefix else part.name
-                if sub.stereotype is not None and sub.stereotype.kind is StereotypeKind.PROCESSOR:
-                    candidates.append(path)
-                stack.append((path, sub))
-    for path in candidates:
-        comp = ctx.component_at(ComponentKind.PLATFORM, path)
-        if comp is None:
-            continue
-        for sub_part in comp.parts:
-            sub = ctx.model.component(ComponentKind.PLATFORM, sub_part.type_ref)
-            if sub is not None and sub.stereotype is not None \
-                    and sub.stereotype.kind is StereotypeKind.PROCESSOR:
-                return sub_part.shaped.total if sub_part.shaped is not None else 1
+    comp = ctx.component_at(ComponentKind.PLATFORM, device_path)
+    for sub_part in comp.parts if comp is not None else ():
+        sub = ctx.model.component(ComponentKind.PLATFORM, sub_part.type_ref)
+        if sub is not None and sub.stereotype is not None \
+                and sub.stereotype.kind is StereotypeKind.PROCESSOR:
+            return sub_part.shaped.total if sub_part.shaped is not None else 1
     raise MissingGeometry(
         "no processing-element instance found inside the device processor")
-
-
-def derive_launch_config(task: Component, platform: Model, ranges: list[WorkRange],
-                         task_path: str = "", device_path: str | None = None
-                         ) -> list[KernelLaunch]:
-    """One launch per work range, with the global size rounded up to the work-group size."""
-    return _launches(task_path or task.name, ranges,
-                     _pe_local_size(CompileContext(platform), device_path))
 
 
 def _launches(task_path: str, ranges: list[WorkRange], local: int) -> list[KernelLaunch]:

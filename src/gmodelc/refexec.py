@@ -3,7 +3,7 @@
 Runs a schedule over concrete numpy arrays.  execute_schedule first
 compiles the schedule into a flat list of closures, one per device step,
 host op and loop, each with its task's arrays, checks, [lo:hi] views and
-spmv plans bound once; the run then only calls closures.  A task's
+spmv products bound once; the run then only calls closures.  A task's
 closures come from its intrinsic's entry of intrinsics.INTRINSICS: the
 launch function of a device intrinsic, the scalar function of a host one.
 
@@ -15,13 +15,15 @@ numbers: a reduction step sums one dot partial per launch range, from
 0.0 in ascending device order, so a single-device run reproduces run_cg
 bit for bit and multi-device runs agree up to reduction rounding.
 
-An spmv closure cuts its rows into consecutive blocks of at most
-SPMV_BLOCK_ENTRIES stored entries, set by the matrix alone, and holds
-each block in jagged-diagonal form (rows sorted by descending length,
-entries stored level by level): one gather-multiply, one slice add per
-level and one scatter back to row order.  Every row is still summed left
-to right from +0.0 over the same products, so results match a plain CSR
-loop bit for bit.
+One builder, csr_product, makes every matrix product: run_cg's,
+spmv_csr's, spmv_range's and the executor's spmv launches.  Its closure
+cuts the rows into consecutive blocks of at most SPMV_BLOCK_ENTRIES
+stored entries, set by the matrix alone, and holds each block in
+jagged-diagonal form (rows sorted by descending length, entries stored
+level by level): one gather-multiply, one slice add per level and one
+scatter back to row order.  Every row is still summed left to right from
++0.0 over the same products, so results match a plain CSR loop bit for
+bit.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import BinaryIO
 
 import numpy as np
@@ -97,7 +99,6 @@ class CsrMatrix:
     row_ptr: np.ndarray
     col_idx: np.ndarray
     values: np.ndarray
-    _plans: dict = field(default_factory=dict, repr=False)
 
     @property
     def nnz(self) -> int:
@@ -123,14 +124,6 @@ class CsrMatrix:
             i = int(np.searchsorted(self.row_ptr, k, side="right")) - 1
             raise ValueError(f"row {i}: column indices not strictly increasing")
 
-    def plan(self, lo: int, hi: int) -> JaggedPlan:
-        """The jagged-diagonal plan of rows lo..hi-1; cached per range, so
-        valid while the matrix arrays are not written."""
-        key = (lo, hi)
-        if key not in self._plans:
-            self._plans[key] = _jagged_plan(self.row_ptr, lo, hi, self.col_idx, self.values)
-        return self._plans[key]
-
 
 def build_sweep_plan(row_ptr: np.ndarray, lo: int, hi: int):
     """Precomputed gather indices for a row range: one level per entry position.
@@ -150,77 +143,95 @@ def build_sweep_plan(row_ptr: np.ndarray, lo: int, hi: int):
     return plan
 
 
-@dataclass(frozen=True, eq=False)
-class JaggedPlan:
-    """A row range of a CSR matrix in jagged-diagonal form.
+# The most stored entries in one spmv row block: 2^16 keeps a block's
+# float64 gather buffer at 512 KiB, inside a core's L2.
+SPMV_BLOCK_ENTRIES = 1 << 16
 
-    The range's rows are stably sorted by descending length, so level j (the
-    j-th entry of every row that has one) covers a prefix of the sorted rows.
-    vals and cols hold the levels one after another; levels gives each
-    level's (row count, start, stop) in them; perm maps sorted positions to
-    rows.
+
+def _row_blocks(row_ptr: np.ndarray, lo: int, hi: int) -> list[tuple[int, int]]:
+    """Rows lo..hi-1 cut into consecutive blocks of at most SPMV_BLOCK_ENTRIES
+    stored entries; a longer row is a block of its own."""
+    blocks = []
+    while lo < hi:
+        limit = int(row_ptr[lo]) + SPMV_BLOCK_ENTRIES
+        stop = lo + int(np.searchsorted(row_ptr[lo + 1:hi + 1], limit, side="right"))
+        stop = max(stop, lo + 1)
+        blocks.append((lo, stop))
+        lo = stop
+    return blocks
+
+
+def _jagged_block(row_ptr, col_idx, values, x, out, lo, hi, scratch):
+    """A closure that sets out[i] to row lo + i of the CSR matrix times x.
+
+    The rows are stably sorted by descending length, so level j (the j-th
+    entry of every row that has one) covers a prefix of the sorted rows;
+    the levels' values and columns are copied out one after another.  The
+    gather goes to the front of scratch, an array of x's dtype with room
+    for the rows' entries, which closures that never run at the same time
+    may share.  x, out and scratch must be written only in place while the
+    closure is in use.
     """
-
-    rows: int
-    vals: np.ndarray
-    cols: np.ndarray
-    levels: tuple[tuple[int, int, int], ...]
-    perm: np.ndarray
-
-    def bind(self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray):
-        """A closure that sets out[i] to the range's row i times x, summed
-        left to right from +0.0.  The gather goes to the front of scratch, an
-        array of x's dtype at least len(vals) long, which closures that never
-        run at the same time may share.  The other scratch arrays and the
-        views into them are made here, once: x, out and scratch must be
-        written only in place while the closure is in use."""
-        if len(self.cols) and not (0 <= self.cols.min() and self.cols.max() < len(x)):
-            raise IndexError(f"column index outside a vector of length {len(x)}")
-        vals, cols, perm = self.vals, self.cols, self.perm
-        gathered = scratch[:len(vals)]
-        products = gathered if gathered.dtype == np.result_type(vals, x) \
-            else np.empty(len(vals), dtype=np.result_type(vals, x))
-        acc = np.empty(self.rows, dtype=out.dtype)
-        adds = [(acc[:count], products[start:stop]) for count, start, stop in self.levels]
-
-        def run():
-            x.take(cols, out=gathered, mode="clip")     # no column is clipped: checked above
-            np.multiply(vals, gathered, out=products)
-            acc.fill(0.0)
-            for level_acc, level_products in adds:
-                level_acc += level_products
-            out[perm] = acc
-        return run
-
-
-def _jagged_plan(row_ptr: np.ndarray, lo: int, hi: int, col_idx: np.ndarray,
-                 values: np.ndarray) -> JaggedPlan:
-    """The JaggedPlan of rows lo..hi-1 of a CSR matrix."""
     starts = row_ptr[lo:hi].astype(np.int64)
     lens = row_ptr[lo + 1:hi + 1].astype(np.int64) - starts
     perm = np.argsort(-lens, kind="stable")
     starts, lens = starts[perm], lens[perm]
     # level j covers the sorted rows with more than j entries
     counts = np.searchsorted(-lens, -np.arange(lens[0] if len(lens) else 0), side="left")
-    stops = np.cumsum(counts)
     flat = np.concatenate([np.zeros(0, dtype=np.int64)]    # empty with no levels
                           + [starts[:count] + j for j, count in enumerate(counts)])
-    return JaggedPlan(rows=hi - lo, vals=values[flat], cols=col_idx[flat].astype(np.intp),
-                      levels=tuple((int(c), int(e - c), int(e)) for c, e in zip(counts, stops)),
-                      perm=perm)
+    vals, cols = values[flat], col_idx[flat].astype(np.intp)
+    if len(cols) and not (0 <= cols.min() and cols.max() < len(x)):
+        raise IndexError(f"column index outside a vector of length {len(x)}")
+    gathered = scratch[:len(vals)]
+    products = gathered if gathered.dtype == np.result_type(vals, x) \
+        else np.empty(len(vals), dtype=np.result_type(vals, x))
+    acc = np.empty(hi - lo, dtype=out.dtype)
+    adds = [(acc[:count], products[stop - count:stop])
+            for count, stop in zip(counts.tolist(), np.cumsum(counts).tolist())]
+
+    def run():
+        x.take(cols, out=gathered, mode="clip")     # no column is clipped: checked above
+        np.multiply(vals, gathered, out=products)
+        acc.fill(0.0)
+        for level_acc, level_products in adds:
+            level_acc += level_products
+        out[perm] = acc
+    return run
+
+
+def csr_product(row_ptr, col_idx, values, x, out, lo, hi):
+    """A closure that sets out, of length hi - lo, to rows lo..hi-1 of the
+    CSR matrix times x, each row summed left to right from +0.0.
+
+    The rows are cut into _row_blocks, each a _jagged_block closure; the
+    blocks run one after another and share one gather buffer.  Everything
+    is built here, once: the closure stays valid while x and out are
+    written only in place and the CSR arrays not at all.
+    """
+    blocks = _row_blocks(row_ptr, lo, hi)
+    scratch = np.empty(max((int(row_ptr[stop]) - int(row_ptr[start]) for start, stop in blocks),
+                           default=0), dtype=x.dtype)
+    runs = [_jagged_block(row_ptr, col_idx, values, x, out[start - lo:stop - lo], start, stop,
+                          scratch) for start, stop in blocks]
+    if len(runs) == 1:
+        return runs[0]
+
+    def run_blocks():
+        for block in runs:
+            block()
+    return run_blocks
 
 
 def spmv_range(row_ptr, col_idx, values, x, lo, hi, plan=None, out=None):
     """y[i] for rows lo..hi-1, each row accumulated left to right in float64.
 
-    plan is CsrMatrix.plan(lo, hi); a build_sweep_plan(row_ptr, lo, hi) plan,
-    or none, is replaced by the same range's JaggedPlan, built here.
+    plan, a build_sweep_plan(row_ptr, lo, hi) plan or None, is not read:
+    the product is csr_product's, built here.
     """
-    if not isinstance(plan, JaggedPlan):
-        plan = _jagged_plan(row_ptr, lo, hi, col_idx, values)
     if out is None:
         out = np.empty(hi - lo)
-    plan.bind(x, out, np.empty(len(plan.vals), dtype=x.dtype))()
+    csr_product(row_ptr, col_idx, values, x, out, lo, hi)()
     return out
 
 
@@ -228,7 +239,9 @@ def spmv_csr(A: CsrMatrix, x: np.ndarray) -> np.ndarray:
     """Sparse matrix-vector product y = A x."""
     if len(x) != A.n:
         raise DimensionMismatch(f"vector length {len(x)} != matrix size {A.n}")
-    return spmv_range(A.row_ptr, A.col_idx, A.values, x, 0, A.n, plan=A.plan(0, A.n))
+    y = np.empty(A.n)
+    csr_product(A.row_ptr, A.col_idx, A.values, x, y, 0, A.n)()
+    return y
 
 
 @dataclass(frozen=True)
@@ -293,10 +306,12 @@ def run_cg(A: CsrMatrix, b: np.ndarray, config: SolverConfig) -> SolveResult:
     bnorm = math.sqrt(rr)
     if bnorm == 0.0:
         return SolveResult(x=x, iterations=0, residual_history=[], converged=True)
+    Ap = np.empty(A.n)
+    product = csr_product(A.row_ptr, A.col_idx, A.values, p, Ap, 0, A.n)  # Ap = A p
     history: list[float] = []
     converged = False
     for _ in range(config.max_iter):
-        Ap = spmv_csr(A, p)
+        product()
         pAp = float(np.dot(p, Ap))
         if pAp <= 0.0:
             raise BreakdownDetected(f"p.Ap = {pAp!r} <= 0")
@@ -559,7 +574,7 @@ class _Storage:
     """Arrays per connector-connected port group, plus lookup helpers.
 
     A group whose every member is an input port is never written: its
-    array is read-only, so an spmv over it keeps its plan across launches.
+    array is read-only, so an spmv over it keeps its product across launches.
     A root input of such a group is bound as a read-only view of the
     caller's array when the dtype already matches, so the caller must not
     write it while the schedule runs; every other binding is copied.  A
@@ -619,49 +634,17 @@ class _Storage:
         return {name: self.arrays[group] for name, group in groups.items()}
 
 
-# The most stored entries in one spmv row block: 2^16 keeps a block's
-# float64 gather buffer at 512 KiB, inside a core's L2.
-SPMV_BLOCK_ENTRIES = 1 << 16
-
-
-def _row_blocks(row_ptr: np.ndarray, lo: int, hi: int) -> list[tuple[int, int]]:
-    """Rows lo..hi-1 cut into consecutive blocks of at most SPMV_BLOCK_ENTRIES
-    stored entries; a longer row is a block of its own."""
-    blocks = []
-    while lo < hi:
-        limit = int(row_ptr[lo]) + SPMV_BLOCK_ENTRIES
-        stop = lo + int(np.searchsorted(row_ptr[lo + 1:hi + 1], limit, side="right"))
-        stop = max(stop, lo + 1)
-        blocks.append((lo, stop))
-        lo = stop
-    return blocks
-
-
 def spmv_launch(a: dict[str, np.ndarray], lo: int, hi: int):
-    """The spmv_csr launch over rows lo..hi-1, one row block after another.
-    Read-only CSR arrays are never written, so the blocks and their
-    jagged-diagonal plans are built once, here, and the blocks, which run
-    one at a time, share one gather buffer; otherwise a task writes the
-    matrix and both are rebuilt per launch."""
-    x, y = a["x"], a["y"]
-    rowptr, colidx, values = a["rowptr"], a["colidx"], a["values"]
-    if not (rowptr.flags.writeable or colidx.flags.writeable or values.flags.writeable):
-        blocks = [(_jagged_plan(rowptr, start, stop, colidx, values), start, stop)
-                  for start, stop in _row_blocks(rowptr, lo, hi)]
-        scratch = np.empty(max((len(plan.vals) for plan, _, _ in blocks), default=0),
-                           dtype=x.dtype)
-        runs = [plan.bind(x, y[start:stop], scratch) for plan, start, stop in blocks]
-        if len(runs) == 1:
-            return runs[0]
-
-        def run_blocks():
-            for block in runs:
-                block()
-        return run_blocks
+    """The spmv_csr launch over rows lo..hi-1: csr_product's closure, built
+    once, here, when the CSR arrays are read-only, and at each launch when a
+    task writes them."""
+    csr = (a["rowptr"], a["colidx"], a["values"])
+    args = (*csr, a["x"], a["y"][lo:hi], lo, hi)
+    if not any(array.flags.writeable for array in csr):
+        return csr_product(*args)
 
     def run():
-        for start, stop in _row_blocks(rowptr, lo, hi):
-            spmv_range(rowptr, colidx, values, x, start, stop, out=y[start:stop])
+        csr_product(*args)()
     return run
 
 

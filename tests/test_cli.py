@@ -394,6 +394,22 @@ def test_devices_out_of_range(workdir, capsys):
     assert "--devices" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--tol", "0"), ("--tol", "1"), ("--tol", "2"), ("--tol", "-0.5"), ("--tol", "nan"),
+    ("--tol", "inf"), ("--max-iter", "0"), ("--max-iter", "-3")])
+def test_run_solver_option_out_of_range_exit_two(workdir, capsys, option, value):
+    tmp_path, model_path = workdir
+    mtx, _ = _write_poisson(tmp_path, 5)
+    out_dir = tmp_path / "out"
+    assert main(["run", model_path, "--matrix", mtx, option, value,
+                 "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option} must be ")
+    assert captured.err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 def test_tol_override(workdir, capsys):
     tmp_path, model_path = workdir
     mtx, A = _write_poisson(tmp_path, 8)

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gmodelc
+from gmodelc.metamodel import CompileContext
 from gmodelc.partition import (CyclicTaskGraph, DeviceStep, HostOp, LoopStep,
-                               MissingGeometry, UnallocatedTask, WorkRange,
-                               build_schedule, derive_launch_config, partition_equally)
+                               MissingGeometry, UnallocatedTask, WorkRange, _launches,
+                               _pe_local_size, build_schedule, partition_equally)
 
 from oracles import balanced_split
 
@@ -59,27 +60,27 @@ def test_partition_monotone_in_device_count(total, devices):
     assert max(r.count for r in more) <= max(r.count for r in fewer)
 
 
-def test_launch_rounding_paper_chunk(cg_model):
-    task = cg_model.application_components["SpmvCsr"]
-    launches = derive_launch_config(task, cg_model, partition_equally(132651, 4),
-                                    task_path="loop.spmv", device_path="device.c")
+def test_launch_rounding_paper_chunk(cg_schedule_d4):
+    (step,) = [s for s in cg_schedule_d4.device_steps() if s.task_path == "loop.spmv"]
+    launches = step.launches
     assert launches[0].local_size == 8
     assert launches[0].global_size == 33168
     assert launches[3].global_size == 33168
     assert [l.device_index for l in launches] == [0, 1, 2, 3]
 
 
+def _device_launches(model, ranges):
+    """The launches of the spmv task over ranges on the model's device."""
+    return _launches("loop.spmv", ranges, _pe_local_size(CompileContext(model), "device.c"))
+
+
 def test_launch_exact_multiple(cg_model):
-    task = cg_model.application_components["SpmvCsr"]
-    launch, = derive_launch_config(task, cg_model, [WorkRange(0, 8)],
-                                   device_path="device.c")
+    launch, = _device_launches(cg_model, [WorkRange(0, 8)])
     assert launch.global_size == 8
 
 
 def test_launch_minimal_rounding(cg_model):
-    task = cg_model.application_components["SpmvCsr"]
-    launch, = derive_launch_config(task, cg_model, [WorkRange(0, 1)],
-                                   device_path="device.c")
+    launch, = _device_launches(cg_model, [WorkRange(0, 1)])
     assert launch.global_size == 8 and launch.local_size == 8
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 import tracemalloc
@@ -373,9 +374,12 @@ def test_spmv_left_to_right_accumulation():
         assert np.array_equal(np.signbit(got), np.signbit(want))
         for _ in range(4):
             lo, hi = sorted(int(v) for v in rng.integers(0, A.n + 1, 2))
-            for plan in (A.plan(lo, hi), build_sweep_plan(A.row_ptr, lo, hi)):
-                part = spmv_range(A.row_ptr, A.col_idx, A.values, x, lo, hi,
-                                  plan=plan, out=np.full(hi - lo, np.nan))
+            # the range in one row block, then in blocks of at most 8 entries
+            for block_entries, plan in itertools.product(
+                    (refexec.SPMV_BLOCK_ENTRIES, 8), (None, build_sweep_plan(A.row_ptr, lo, hi))):
+                with mock.patch.object(refexec, "SPMV_BLOCK_ENTRIES", block_entries):
+                    part = spmv_range(A.row_ptr, A.col_idx, A.values, x, lo, hi,
+                                      plan=plan, out=np.full(hi - lo, np.nan))
                 assert np.array_equal(part, want[lo:hi])
                 assert np.array_equal(np.signbit(part), np.signbit(want[lo:hi]))
     # rows 0..7 of a 4x4 grid have 3, 4, 4, 3, 4, 5, 5, 4 entries, so their
@@ -385,8 +389,9 @@ def test_spmv_left_to_right_accumulation():
     x = rng.standard_normal(A.n)
     want = spmv_loop(A.row_ptr, A.col_idx, A.values, x)
     for lo, hi, permuted in ((0, 8, True), (5, 7, False)):
-        assert np.array_equal(A.plan(lo, hi).perm, np.arange(hi - lo)) != permuted
-        for plan in (A.plan(lo, hi), build_sweep_plan(A.row_ptr, lo, hi)):
+        lens = np.diff(A.row_ptr[lo:hi + 1])
+        assert np.array_equal(np.argsort(-lens, kind="stable"), np.arange(hi - lo)) != permuted
+        for plan in (None, build_sweep_plan(A.row_ptr, lo, hi)):
             part = spmv_range(A.row_ptr, A.col_idx, A.values, x, lo, hi,
                               plan=plan, out=np.full(hi - lo, np.nan))
             assert part.tobytes() == want[lo:hi].tobytes()
@@ -426,6 +431,29 @@ def test_cg_poisson_matches_dense_and_oracle_iterations():
     assert res.iterations == oracle_iters
 
 
+@pytest.mark.parametrize("block_entries", [refexec.SPMV_BLOCK_ENTRIES, 8])
+def test_cg_matches_reference_cg_bitwise(monkeypatch, block_entries):
+    """run_cg gives the textbook solver's x byte for byte, with its iteration
+    count and convergence, on a matrix with empty rows and one long row,
+    whether its product runs as one row block or as several."""
+    n, empty = 40, [0, 20, 39]
+    dense = np.diag(np.full(n, 4.0)) - np.eye(n, k=1) - np.eye(n, k=-1)
+    dense[12, :] = dense[:, 12] = 0.05
+    dense[12, 12] = 4.0 + 0.05 * n
+    dense[empty, :] = dense[:, empty] = 0.0
+    A = csr_from_dense(dense)
+    b = np.random.default_rng(15).standard_normal(n)
+    b[empty] = 0.0      # the solution is zero on the empty rows
+    monkeypatch.setattr(refexec, "SPMV_BLOCK_ENTRIES", block_entries)
+    assert (len(refexec._row_blocks(A.row_ptr, 0, n)) > 1) == (block_entries == 8)
+    res = run_cg(A, b, SolverConfig(tol=1e-10, max_iter=n))
+    want_x, want_iters, want_conv = reference_cg(A.row_ptr, A.col_idx, A.values, b, 1e-10, n)
+    assert res.x.tobytes() == want_x.tobytes()
+    assert res.iterations == want_iters
+    assert res.converged == want_conv
+    assert res.converged
+
+
 def test_cg_breakdown_on_indefinite():
     A = csr_from_dense(np.diag([1.0, -1.0]))
     with pytest.raises(BreakdownDetected):
@@ -448,7 +476,7 @@ def test_cg_rejects_non_finite_input_before_iterating(monkeypatch, where):
     else:
         A.values[5] = np.inf
     products = []
-    monkeypatch.setattr(refexec, "spmv_csr", lambda *args: products.append(args))
+    monkeypatch.setattr(refexec, "csr_product", lambda *args: products.append(args))
     message = r"rhs b: element 3 \(nan\)" if where == "b" else r"matrix values: element 5 \(inf\)"
     with pytest.raises(NonFiniteInput, match=message):
         run_cg(A, b, SolverConfig(tol=1e-10, max_iter=50))
@@ -674,7 +702,7 @@ def test_partition_transparency_spmv_bitwise():
 
 def test_spmv_of_written_csr_ports_bitwise():
     """A copy task writes the values that spmv reads, so the spmv cannot
-    cache its plan and takes the per-launch path."""
+    keep its product and builds it at each launch."""
     A = poisson_2d(8)
     copy_task = ("  component C {{\n    port src in float64 [{nnz}]\n"
                  "    port dst out float64 [{nnz}]\n    repeat [{nnz}]\n"
@@ -759,7 +787,7 @@ def test_executor_matches_per_launch_oracle(monkeypatch, devices, written_csr):
 
 def _record_closures(monkeypatch):
     """Counts each launch closure built, as (op, lo, hi) or, for a
-    reduction, (op, ranges), and each spmv row block's plan, as (lo, hi)."""
+    reduction, (op, ranges), and each spmv row block's closure, as (lo, hi)."""
     built, blocks = [], []
     for name, spec in INTRINSICS.items():
         if spec.launch is None:
@@ -769,12 +797,12 @@ def _record_closures(monkeypatch):
             built.append((_name, *where))
             return _launch(arrays, *where)
         monkeypatch.setitem(INTRINSICS, name, dataclasses.replace(spec, launch=launch))
-    plan = refexec._jagged_plan
+    block = refexec._jagged_block
 
-    def recording_plan(row_ptr, lo, hi, col_idx, values):
+    def recording_block(row_ptr, col_idx, values, x, out, lo, hi, scratch):
         blocks.append((lo, hi))
-        return plan(row_ptr, lo, hi, col_idx, values)
-    monkeypatch.setattr(refexec, "_jagged_plan", recording_plan)
+        return block(row_ptr, col_idx, values, x, out, lo, hi, scratch)
+    monkeypatch.setattr(refexec, "_jagged_block", recording_block)
     return built, blocks
 
 
