@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
+import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -61,6 +63,10 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     run.add_argument("--rhs", help="right-hand side, one value per line (default: ones)")
     run.add_argument("--tol", type=float, help="override the loop tolerance")
     run.add_argument("--max-iter", type=int, help="override the iteration cap")
+    # argparse takes a negative number written with an exponent, such as
+    # -1e-8 before Python 3.13, or -inf for an option flag; read every
+    # negative number as a value, so that it reaches the range check in main
+    run._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
     return parser
 
 
@@ -207,10 +213,20 @@ def _cmd_run(config: RunConfig) -> int:
         return EXIT_IO
     if config.rhs_path is not None:
         try:
-            rhs = np.atleast_1d(np.loadtxt(config.rhs_path, dtype=np.float64))
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                lines = np.loadtxt(config.rhs_path, dtype=np.float64, ndmin=2)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO
+        if lines.size == 0:
+            print(f"error: {config.rhs_path}: no values", file=sys.stderr)
+            return EXIT_IO
+        if lines.shape[1] != 1:
+            print(f"error: {config.rhs_path}: {lines.shape[1]} values per line, "
+                  "expected one", file=sys.stderr)
+            return EXIT_IO
+        rhs = lines[:, 0]
         bad = np.flatnonzero(~np.isfinite(rhs))
         if len(bad):
             print(f"error: {config.rhs_path}: value {bad[0] + 1} ({float(rhs[bad[0]])!r}) "

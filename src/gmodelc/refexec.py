@@ -18,12 +18,23 @@ bit for bit and multi-device runs agree up to reduction rounding.
 One builder, csr_product, makes every matrix product: run_cg's,
 spmv_csr's, spmv_range's and the executor's spmv launches.  Its closure
 cuts the rows into consecutive blocks of at most SPMV_BLOCK_ENTRIES
-stored entries, set by the matrix alone, and holds each block in
-jagged-diagonal form (rows sorted by descending length, entries stored
-level by level): one gather-multiply, one slice add per level and one
-scatter back to row order.  Every row is still summed left to right from
-+0.0 over the same products, so results match a plain CSR loop bit for
-bit.
+stored entries, set by the matrix alone, and holds each block in one of
+two forms, chosen from the block's own entries:
+
+- diagonal (DIA) form, when the block's distinct offsets d = col - row,
+  times its rows, are at most twice its stored entries, as for a stencil:
+  one value array per offset, laid out by row, multiplied by a slice of
+  x and added into a slice of the output, with no gather and no
+  permutation.  A row that lacks an offset gets -0.0 in that slot, the
+  one value whose sum v + (-0.0) is v bit for bit for every v, signed
+  zeros, infinities and nan included, so a 0 * inf there cannot leak.
+- jagged-diagonal form otherwise (rows sorted by descending length,
+  entries stored level by level): one gather-multiply, one slice add per
+  level and one scatter back to row order.
+
+Either way every row is summed left to right, ascending offset being
+ascending column, from +0.0 over the same products, so results match a
+plain CSR loop bit for bit.
 """
 
 from __future__ import annotations
@@ -143,8 +154,11 @@ def build_sweep_plan(row_ptr: np.ndarray, lo: int, hi: int):
     return plan
 
 
-# The most stored entries in one spmv row block: 2^16 keeps a block's
-# float64 gather buffer at 512 KiB, inside a core's L2.
+# The most stored entries in one spmv row block: 2^16 keeps a jagged
+# block's float64 gather buffer at 512 KiB, inside a core's L2.  A block
+# whose distinct offsets times rows are at most twice its entries runs in
+# diagonal form instead (_diagonal_block): no gather, no scatter, and the
+# same bits, since its -0.0 hole slots add nothing.
 SPMV_BLOCK_ENTRIES = 1 << 16
 
 
@@ -200,20 +214,83 @@ def _jagged_block(row_ptr, col_idx, values, x, out, lo, hi, scratch):
     return run
 
 
+def _diagonal_block(row_ptr, col_idx, values, x, out, lo, hi, scratch):
+    """A closure that sets out[i] to row lo + i of the CSR matrix times x,
+    offset by offset, or None when the block is not banded enough: when its
+    distinct offsets d = col - row, times its rows, exceed twice its stored
+    entries (a diagonal slot costs about half a jagged entry).
+
+    Offset d holds one value array laid out by row, the x[lo+d+r0:lo+d+r1]
+    slice (rows whose column falls outside x clipped off) and the rows that
+    lack it.  A run fills out with +0.0 and, offset by ascending offset,
+    multiplies into scratch, writes -0.0 into the missing rows' slots and
+    adds scratch into out.  scratch is shared as in _jagged_block.
+    """
+    first, last = int(row_ptr[lo]), int(row_ptr[hi])
+    rows = hi - lo
+    cols = col_idx[first:last]
+    row_of = np.repeat(np.arange(rows, dtype=np.int32), np.diff(row_ptr[lo:hi + 1]))
+    keys = cols - row_of        # d + lo, ascending in each row
+    sorted_keys = np.sort(keys)
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
+    distinct = sorted_keys[new]
+    del sorted_keys, new
+    if len(distinct) * rows > 2 * (last - first):
+        return None
+    if len(cols) and not (0 <= cols.min() and cols.max() < len(x)):
+        raise IndexError(f"column index outside a vector of length {len(x)}")
+    slot = np.searchsorted(distinct, keys)      # each entry's (offset, row) slot
+    del keys
+    slot *= rows
+    slot += row_of
+    del row_of
+    # 1.0 in a missing slot: its product with an infinite x raises no
+    # invalid-value warning, and the run overwrites it with -0.0
+    diagonals = np.ones((len(distinct), rows), dtype=values.dtype)
+    diagonals.ravel()[slot] = values[first:last]
+    present = np.zeros((len(distinct), rows), dtype=bool)
+    present.ravel()[slot] = True
+    del slot
+    dtype = np.result_type(values, x)
+    products = scratch[:rows] if scratch.dtype == dtype and len(scratch) >= rows \
+        else np.empty(rows, dtype=dtype)
+    steps = []
+    for j, key in enumerate(distinct.tolist()):
+        r0, r1 = max(0, -key), min(rows, len(x) - key)
+        missing = np.flatnonzero(~present[j, r0:r1])
+        steps.append((diagonals[j, r0:r1], x[key + r0:key + r1], out[r0:r1],
+                      products[:r1 - r0], missing if len(missing) else None))
+    del present
+
+    def run():
+        out.fill(0.0)
+        for vals, x_slice, out_slice, prod, missing in steps:
+            np.multiply(vals, x_slice, out=prod)
+            if missing is not None:
+                prod[missing] = -0.0     # v + (-0.0) is v, bit for bit
+            out_slice += prod
+    return run
+
+
 def csr_product(row_ptr, col_idx, values, x, out, lo, hi):
     """A closure that sets out, of length hi - lo, to rows lo..hi-1 of the
     CSR matrix times x, each row summed left to right from +0.0.
 
-    The rows are cut into _row_blocks, each a _jagged_block closure; the
-    blocks run one after another and share one gather buffer.  Everything
+    The rows are cut into _row_blocks, each a _diagonal_block closure when
+    the block is banded enough and a _jagged_block one otherwise; the
+    blocks run one after another and share one scratch buffer.  Everything
     is built here, once: the closure stays valid while x and out are
     written only in place and the CSR arrays not at all.
     """
     blocks = _row_blocks(row_ptr, lo, hi)
     scratch = np.empty(max((int(row_ptr[stop]) - int(row_ptr[start]) for start, stop in blocks),
                            default=0), dtype=x.dtype)
-    runs = [_jagged_block(row_ptr, col_idx, values, x, out[start - lo:stop - lo], start, stop,
-                          scratch) for start, stop in blocks]
+    runs = []
+    for start, stop in blocks:
+        args = (row_ptr, col_idx, values, x, out[start - lo:stop - lo], start, stop, scratch)
+        runs.append(_diagonal_block(*args) or _jagged_block(*args))
     if len(runs) == 1:
         return runs[0]
 

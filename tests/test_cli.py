@@ -388,6 +388,28 @@ def test_run_rhs_size_mismatch_exit_two(workdir, capsys):
     assert main(["run", model_path, "--matrix", mtx, "--rhs", str(rhs_path)]) == 2
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("1.0 2.0\n" * 16, "2 values per line, expected one"),
+    (" ".join(["1.0"] * 16) + "\n", "16 values per line, expected one"),
+    ("", "no values"),
+    ("# no values\n", "no values")], ids=["two-per-line", "one-line", "empty", "comment-only"])
+def test_run_rhs_not_one_value_per_line_exit_two(workdir, capsys, text, reason):
+    """A 4x4 grid has 16 rows: 16 lines of two values would pass a line
+    count, one line of 16 values an element count."""
+    tmp_path, model_path = workdir
+    mtx, _ = _write_poisson(tmp_path, 4)
+    rhs_path = tmp_path / "rhs.txt"
+    rhs_path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", model_path, "--matrix", mtx, "--rhs", str(rhs_path),
+                     "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {rhs_path}: {reason}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_devices_out_of_range(workdir, capsys):
     _, model_path = workdir
     assert main(["codegen", model_path, "--devices", "17"]) == 2
@@ -396,7 +418,8 @@ def test_devices_out_of_range(workdir, capsys):
 
 @pytest.mark.parametrize("option, value", [
     ("--tol", "0"), ("--tol", "1"), ("--tol", "2"), ("--tol", "-0.5"), ("--tol", "nan"),
-    ("--tol", "inf"), ("--max-iter", "0"), ("--max-iter", "-3")])
+    ("--tol", "inf"), ("--tol", "-1e-8"), ("--tol", "-inf"), ("--max-iter", "0"),
+    ("--max-iter", "-3")])
 def test_run_solver_option_out_of_range_exit_two(workdir, capsys, option, value):
     tmp_path, model_path = workdir
     mtx, _ = _write_poisson(tmp_path, 5)

@@ -397,6 +397,114 @@ def test_spmv_left_to_right_accumulation():
             assert part.tobytes() == want[lo:hi].tobytes()
 
 
+def _expected_form(A: CsrMatrix, lo: int, hi: int) -> str:
+    """The form the rows lo..hi-1 take as one spmv block: diagonal when their
+    distinct offsets col - row, times their rows, are at most twice their
+    entries."""
+    offsets = {int(A.col_idx[k]) - i for i in range(lo, hi)
+               for k in range(int(A.row_ptr[i]), int(A.row_ptr[i + 1]))}
+    entries = int(A.row_ptr[hi] - A.row_ptr[lo])
+    return "diagonal" if len(offsets) * (hi - lo) <= 2 * entries else "jagged"
+
+
+def _diagonal_form_cases():
+    """(name, matrix, x, form of the whole matrix as one block)."""
+    rng = np.random.default_rng(16)
+    # grid-edge holes inside the band of offsets -1 and +1: x[6] = +inf is
+    # the missing column of row 5 and x[30] = nan that of row 29, so the
+    # products in those missing slots are not finite; no row meets both
+    A = poisson_2d(6)
+    x = rng.standard_normal(A.n)
+    x[6], x[30], x[18:24] = np.inf, np.nan, -0.0
+    yield "holes", A, x, "diagonal"
+    yield "holes-float32-x", A, x.astype(np.float32), "diagonal"
+    # positive entries times -0.0: every product is -0.0 and every row +0.0
+    positive = csr_from_dense(np.abs(csr_to_dense(poisson_2d(5))))
+    yield "signed-zeros", positive, np.full(positive.n, -0.0), "diagonal"
+    # empty rows: the first, one inside the band and the last four, which
+    # make an all-empty range
+    dense = csr_to_dense(poisson_1d(20))
+    dense[[0, 9, 16, 17, 18, 19]] = 0.0
+    yield "empty-rows", csr_from_dense(dense), rng.standard_normal(20), "diagonal"
+    # 3 offsets (0, +2, -3) times 6 rows is exactly twice the 9 entries;
+    # one more offset (+5, one entry) makes 24 > 20
+    at_rule = np.diag(rng.uniform(1.0, 2.0, 6))
+    at_rule[0, 2], at_rule[1, 3], at_rule[3, 0] = 1.5, 2.5, 0.5
+    yield "at-rule", csr_from_dense(at_rule), rng.standard_normal(6), "diagonal"
+    past_rule = at_rule.copy()
+    past_rule[0, 5] = 0.25
+    yield "past-rule", csr_from_dense(past_rule), rng.standard_normal(6), "jagged"
+    # scattered: nearly every entry on an offset of its own
+    yield "random", random_spd(12, 17, density=0.3), rng.standard_normal(12), "jagged"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spmv_diagonal_form_bitwise(monkeypatch):
+    """Both block forms give spmv_loop's bytes, sign bits included, over the
+    whole matrix and over sub-ranges, in one block and in blocks of at most
+    8 entries, and each block takes the form the 2x rule gives.  No
+    warning is raised: no missing slot multiplies 0 by an infinite x."""
+    rng = np.random.default_rng(18)
+    blocks = _record_blocks(monkeypatch)
+    one_block = refexec.SPMV_BLOCK_ENTRIES
+    forms = set()
+    for name, A, x, form in _diagonal_form_cases():
+        want = spmv_loop(A.row_ptr, A.col_idx, A.values, x)
+        ranges = [(0, A.n), (0, 3), (A.n - 3, A.n)]
+        ranges += [tuple(sorted(int(v) for v in rng.integers(0, A.n + 1, 2))) for _ in range(4)]
+        if name == "empty-rows":
+            ranges.append((16, 20))
+        for block_entries in (one_block, 8):
+            monkeypatch.setattr(refexec, "SPMV_BLOCK_ENTRIES", block_entries)
+            for lo, hi in ranges:
+                blocks.clear()
+                part = spmv_range(A.row_ptr, A.col_idx, A.values, x, lo, hi,
+                                  out=np.full(hi - lo, np.nan))
+                assert part.tobytes() == want[lo:hi].tobytes(), (name, lo, hi, block_entries)
+                assert np.array_equal(np.signbit(part), np.signbit(want[lo:hi]))
+                assert [(b_lo, b_hi) for _, b_lo, b_hi in blocks] == \
+                    refexec._row_blocks(A.row_ptr, lo, hi)
+                for block_form, b_lo, b_hi in blocks:
+                    assert block_form == _expected_form(A, b_lo, b_hi), (name, b_lo, b_hi)
+                    forms.add(block_form)
+                if (lo, hi, block_entries) == (0, A.n, one_block):
+                    assert blocks == [(form, 0, A.n)], name
+                if (name, lo, hi) == ("empty-rows", 16, 20):
+                    assert blocks == [("diagonal", 16, 20)]
+            blocks.clear()
+            assert spmv_csr(A, x).tobytes() == want.tobytes(), name
+    assert forms == {"diagonal", "jagged"}
+
+
+@pytest.mark.parametrize("matrix, form", [
+    (lambda: poisson_2d(100), "diagonal"), (lambda: poisson_3d(30), "diagonal"),
+    (lambda: random_spd(300, 19, density=0.05), "jagged")],
+    ids=["poisson_2d", "poisson_3d", "random_spd"])
+def test_spmv_blocks_of_stencils_are_diagonal_and_of_random_matrices_jagged(
+        monkeypatch, matrix, form):
+    A = matrix()
+    x = np.random.default_rng(20).standard_normal(A.n)
+    blocks = _record_blocks(monkeypatch)
+    y = spmv_csr(A, x)
+    assert [(lo, hi) for _, lo, hi in blocks] == refexec._row_blocks(A.row_ptr, 0, A.n)
+    assert {block_form for block_form, _, _ in blocks} == {form}
+    assert y.tobytes() == spmv_loop(A.row_ptr, A.col_idx, A.values, x).tobytes()
+
+
+@pytest.mark.parametrize("matrix, form", [
+    (lambda: poisson_1d(10), "diagonal"), (lambda: random_spd(10, 21), "jagged")],
+    ids=["diagonal", "jagged"])
+def test_spmv_column_outside_x_raises_in_either_form(monkeypatch, matrix, form):
+    """A product is built against x: a column past its end is an IndexError
+    at build time, not a row silently clipped or read from clipped memory."""
+    A = matrix()
+    blocks = _record_blocks(monkeypatch)
+    spmv_range(A.row_ptr, A.col_idx, A.values, np.ones(A.n), 0, A.n)
+    assert blocks == [(form, 0, A.n)]
+    with pytest.raises(IndexError, match="column index outside a vector of length 9"):
+        spmv_range(A.row_ptr, A.col_idx, A.values, np.ones(A.n - 1), 0, A.n)
+
+
 # -- run_cg --------------------------------------------------------------------
 
 def test_cg_identity_system():
@@ -785,10 +893,26 @@ def test_executor_matches_per_launch_oracle(monkeypatch, devices, written_csr):
             assert got[name].tobytes() == want[name].tobytes(), name
 
 
+def _record_blocks(monkeypatch):
+    """Records each spmv row block's closure as it is built, as (form, lo, hi)
+    with form "diagonal" or "jagged"; _diagonal_block builds none, and
+    records nothing, for a block that it leaves to _jagged_block."""
+    blocks = []
+    for form in ("diagonal", "jagged"):
+        def recording_block(*args, _form=form, _block=getattr(refexec, f"_{form}_block")):
+            run = _block(*args)
+            if run is not None:
+                blocks.append((_form, *args[5:7]))
+            return run
+        monkeypatch.setattr(refexec, f"_{form}_block", recording_block)
+    return blocks
+
+
 def _record_closures(monkeypatch):
     """Counts each launch closure built, as (op, lo, hi) or, for a
-    reduction, (op, ranges), and each spmv row block's closure, as (lo, hi)."""
-    built, blocks = [], []
+    reduction, (op, ranges), and each spmv row block's closure, as
+    (form, lo, hi)."""
+    built = []
     for name, spec in INTRINSICS.items():
         if spec.launch is None:
             continue
@@ -797,13 +921,7 @@ def _record_closures(monkeypatch):
             built.append((_name, *where))
             return _launch(arrays, *where)
         monkeypatch.setitem(INTRINSICS, name, dataclasses.replace(spec, launch=launch))
-    block = refexec._jagged_block
-
-    def recording_block(row_ptr, col_idx, values, x, out, lo, hi, scratch):
-        blocks.append((lo, hi))
-        return block(row_ptr, col_idx, values, x, out, lo, hi, scratch)
-    monkeypatch.setattr(refexec, "_jagged_block", recording_block)
-    return built, blocks
+    return built, _record_blocks(monkeypatch)
 
 
 def test_one_closure_per_elementwise_step_whatever_the_device_count(monkeypatch):
@@ -824,7 +942,7 @@ def test_one_closure_per_elementwise_step_whatever_the_device_count(monkeypatch)
             else:
                 want.append((step.op, 0, step.total_work))
         assert built == want
-        assert blocks == [(0, A.n)]     # 1920 entries: one block
+        assert blocks == [("diagonal", 0, A.n)]     # 1920 entries: one block
 
 
 def test_spmv_blocks_depend_on_the_matrix_alone(monkeypatch):
@@ -853,15 +971,16 @@ def test_spmv_blocks_depend_on_the_matrix_alone(monkeypatch):
     bindings = {"rp": A.row_ptr, "ci": A.col_idx, "va": A.values, "vx": x}
     built, blocks = _record_closures(monkeypatch)
     rows_per_block = per_block // 4
-    want = [(0, rows_per_block), (rows_per_block, 2 * rows_per_block),
-            (2 * rows_per_block, n)]
+    # offsets 0, 7, 14 and 21, and the last 21 rows' wrapped ones: banded
+    want = [("diagonal", 0, rows_per_block), ("diagonal", rows_per_block, 2 * rows_per_block),
+            ("diagonal", 2 * rows_per_block, n)]
     for devices in (1, 3, 16):
         built.clear()
         blocks.clear()
         out = execute_schedule(model, build_schedule(model, devices), bindings).outputs["o"]
         assert built == [("spmv_csr", 0, n)]
         assert blocks == want
-        assert all(A.row_ptr[hi] - A.row_ptr[lo] <= per_block for lo, hi in blocks)
+        assert all(A.row_ptr[hi] - A.row_ptr[lo] <= per_block for _, lo, hi in blocks)
         assert out.tobytes() == spmv_csr(A, x).tobytes()
 
 
