@@ -19,7 +19,7 @@ import numpy as np
 
 from . import codegen, dsl, memmap, refexec
 from .intrinsics import deployment_diagnostics
-from .metamodel import CompileContext, ComponentKind, Direction, Model, validate_conformance
+from .metamodel import ComponentKind, Direction, Model, validate_conformance
 from .partition import build_schedule
 
 EXIT_OK = 0
@@ -86,9 +86,8 @@ def _load_model(path: str) -> Model:
     return dsl.parse_model(text)
 
 
-def _validated_model(config: RunConfig) -> tuple[CompileContext | None, int]:
-    """The compile context of the parsed model when it has no error, which
-    every later stage of the command shares."""
+def _validated_model(config: RunConfig) -> tuple[Model | None, int]:
+    """The parsed model when it has no error; later stages share its context."""
     try:
         model = _load_model(config.model_path)
     except OSError as exc:
@@ -101,15 +100,23 @@ def _validated_model(config: RunConfig) -> tuple[CompileContext | None, int]:
         for err in exc.errors:
             print(f"{config.model_path}:{err}", file=sys.stderr)
         return None, EXIT_IO
-    ctx = CompileContext(model)
-    diags = validate_conformance(model, ctx)
+    diags = validate_conformance(model)
     if not any(d.severity == "error" for d in diags):
-        diags += deployment_diagnostics(model, ctx)
+        diags += deployment_diagnostics(model)
     for diag in diags:
         print(str(diag), file=sys.stderr)
     if any(d.severity == "error" for d in diags):
         return None, EXIT_VALIDATION
-    return ctx, EXIT_OK
+    return model, EXIT_OK
+
+
+def _memory_maps(model: Model) -> list[memmap.MemoryMap] | None:
+    """The packed memory maps, or None with the capacity error reported."""
+    try:
+        return memmap.build_memory_maps(model)
+    except memmap.CapacityExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 # lines of the solution file formatted and written at a time
@@ -130,14 +137,14 @@ def _solution_text(solution: np.ndarray) -> Iterator[str]:
     back exactly; made SOLUTION_CHUNK_LINES lines at a time."""
     values = np.asarray(solution, dtype=np.float64)
     for start in range(0, len(values), SOLUTION_CHUNK_LINES):
-        yield "".join([f"{v!r}\n" for v in values[start:start + SOLUTION_CHUNK_LINES].tolist()])
+        yield "\n".join(map(repr, values[start:start + SOLUTION_CHUNK_LINES].tolist())) + "\n"
 
 
-def _matrix_bindings(ctx: CompileContext, A: refexec.CsrMatrix,
+def _matrix_bindings(model: Model, A: refexec.CsrMatrix,
                      rhs: np.ndarray) -> dict[str, np.ndarray]:
     """Bind root input ports structurally: CSR ports via their connection to
     the spmv task, the remaining float input as the right-hand side."""
-    model, groups = ctx.model, ctx.port_groups
+    groups = model.context.port_groups
     root = model.root(ComponentKind.APPLICATION)
     spmv_path, _ = refexec.spmv_task(model)
     csr_arrays = {f"{spmv_path}.rowptr": A.row_ptr,
@@ -162,19 +169,18 @@ def _matrix_bindings(ctx: CompileContext, A: refexec.CsrMatrix,
 
 
 def _cmd_check(config: RunConfig) -> int:
-    _, status = _validated_model(config)
-    return status
+    model, status = _validated_model(config)
+    if model is None:
+        return status
+    return EXIT_OK if _memory_maps(model) is not None else EXIT_VALIDATION
 
 
 def _cmd_map(config: RunConfig) -> int:
-    ctx, status = _validated_model(config)
-    if ctx is None:
+    model, status = _validated_model(config)
+    if model is None:
         return status
-    model = ctx.model
-    try:
-        maps = memmap.build_memory_maps(model, ctx)
-    except memmap.CapacityExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    maps = _memory_maps(model)
+    if maps is None:
         return EXIT_VALIDATION
     report = memmap.emit_memory_map_report(maps)
     _write(config.out_dir, f"{model.application_root}_memmap.txt", report)
@@ -183,16 +189,15 @@ def _cmd_map(config: RunConfig) -> int:
 
 
 def _cmd_codegen(config: RunConfig) -> int:
-    ctx, status = _validated_model(config)
-    if ctx is None:
+    model, status = _validated_model(config)
+    if model is None:
         return status
-    model = ctx.model
     try:
-        maps = memmap.build_memory_maps(model, ctx)
-        schedule = build_schedule(model, config.devices, ctx)
-        units = [codegen.generate_kernels(model, maps, schedule, ctx),
-                 codegen.generate_host(model, maps, schedule, config.devices, ctx)]
-    except (memmap.CapacityExceeded, ValueError) as exc:
+        maps = memmap.build_memory_maps(model)
+        schedule = build_schedule(model, config.devices)
+        units = [codegen.generate_kernels(model, maps, schedule),
+                 codegen.generate_host(model, maps, schedule, config.devices)]
+    except ValueError as exc:       # CapacityExceeded included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     for unit in units:
@@ -202,16 +207,8 @@ def _cmd_codegen(config: RunConfig) -> int:
 
 
 def _cmd_run(config: RunConfig) -> int:
-    try:
-        A = refexec.read_matrix_market(config.matrix_path)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (refexec.MalformedHeader, refexec.NonSquare, refexec.IndexOutOfRange,
-            UnicodeDecodeError) as exc:
-        print(f"error: {config.matrix_path}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    if config.rhs_path is not None:
+    rhs = None
+    if config.rhs_path is not None:     # every check but the length precedes the load
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -232,23 +229,31 @@ def _cmd_run(config: RunConfig) -> int:
             print(f"error: {config.rhs_path}: value {bad[0] + 1} ({float(rhs[bad[0]])!r}) "
                   "is not finite", file=sys.stderr)
             return EXIT_IO
-    else:
+    try:
+        A = refexec.read_matrix_market(config.matrix_path)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (refexec.MalformedHeader, refexec.NonSquare, refexec.IndexOutOfRange,
+            UnicodeDecodeError) as exc:
+        print(f"error: {config.matrix_path}: {exc}", file=sys.stderr)
+        return EXIT_IO
+    if rhs is None:
         rhs = np.ones(A.n)
     if len(rhs) != A.n:
         print(f"error: rhs has {len(rhs)} entries, matrix has {A.n} rows",
               file=sys.stderr)
         return EXIT_IO
 
-    ctx, status = _validated_model(config)
-    if ctx is None:
+    model, status = _validated_model(config)
+    if model is None:
         return status
     try:
-        model = refexec.instantiate_for_matrix(ctx.model, A.n, A.nnz)
+        model = refexec.instantiate_for_matrix(model, A.n, A.nnz)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    ctx = CompileContext(model)     # the instantiated model's own
-    diags = validate_conformance(model, ctx)
+    diags = validate_conformance(model)
     if any(d.severity == "error" for d in diags):
         for diag in diags:
             print(str(diag), file=sys.stderr)
@@ -264,10 +269,10 @@ def _cmd_run(config: RunConfig) -> int:
         return EXIT_OK
 
     try:
-        schedule = build_schedule(model, config.devices, ctx)
-        bindings = _matrix_bindings(ctx, A, rhs)
+        schedule = build_schedule(model, config.devices)
+        bindings = _matrix_bindings(model, A, rhs)
         result = refexec.execute_schedule(model, schedule, bindings, tol=config.tol,
-                                          max_iter=config.max_iter, ctx=ctx)
+                                          max_iter=config.max_iter)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -144,18 +144,16 @@ def _device_tasks(ctx: CompileContext, maps: list[MemoryMap],
     return index, tasks
 
 
-def generate_kernels(model: Model, maps: list[MemoryMap], schedule: Schedule,
-                     ctx: CompileContext | None = None) -> GeneratedUnit:
+def generate_kernels(model: Model, maps: list[MemoryMap], schedule: Schedule) -> GeneratedUnit:
     """Emit the kernel source file: one entry point per distinct device task."""
-    ctx = CompileContext.of(model, ctx)
     name = _model_name(model)
     out = [
         "/*",
         f" * OpenCL kernels for model '{name}'.",
-        f" * generated by gmodelc; model digest sha256:{ctx.digest}",
+        f" * generated by gmodelc; model digest sha256:{model.context.digest}",
         " */",
     ]
-    _, tasks = _device_tasks(ctx, maps, schedule)
+    _, tasks = _device_tasks(model.context, maps, schedule)
     if any(port.data_type is DataType.FLOAT64 for _, comp, _, _ in tasks for port in comp.ports):
         out.append("")
         out.append("#pragma OPENCL EXTENSION cl_khr_fp64 : enable")
@@ -211,11 +209,11 @@ class _HostWriter:
 
 
 def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
-                  device_count: int, ctx: CompileContext | None = None) -> GeneratedUnit:
+                  device_count: int) -> GeneratedUnit:
     """Emit the host orchestration source for device_count logical devices."""
     if device_count < 1:
         raise ValueError("device_count must be positive")
-    ctx = CompileContext.of(model, ctx)
+    ctx = model.context
     name = _model_name(model)
     root = model.root(ComponentKind.APPLICATION)
     index, device_tasks = _device_tasks(ctx, maps, schedule)

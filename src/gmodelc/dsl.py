@@ -37,7 +37,7 @@ each illegal character.  A number's value is parsed where the grammar
 reads one, and a lexeme's column is found again only when a ParseError
 needs its span.  Names resolve through dicts: the parser's component
 table while parsing; once the model is built, the metamodel's
-name-indexed `Component.part`/`.port` and a CompileContext's index of
+name-indexed `Component.part`/`.port` and the `Model.context` index of
 instance paths.
 """
 

@@ -306,24 +306,22 @@ def deployed_intrinsic(ctx: CompileContext, task_path: str, on_host: bool) -> In
     return ctx.intrinsics[key]
 
 
-def deployment_diagnostics(model: Model, ctx: CompileContext | None = None) -> list[Diagnostic]:
+def deployment_diagnostics(model: Model) -> list[Diagnostic]:
     """One error per leaf task that codegen and `run` would reject, with
     their message: first each allocated task in allocation order, then each
     unallocated one in pre-order.  Then one error per root port of more
     than one element whose storage is allocated to host memory alone: the
     host program keeps one scalar for it.  Expects a model without
     conformance errors."""
-    ctx = CompileContext.of(model, ctx)
-    targets = {link.source_path: link.target_path
-               for link in model.allocations if link.kind is AllocKind.TASK}
+    ctx = model.context
     diags: list[Diagnostic] = []
-    for task_path, target in targets.items():
+    for task_path, target in ctx.task_targets.items():
         try:
             deployed_intrinsic(ctx, task_path, ctx.is_host_processor(target))
         except (UnknownIntrinsic, IntrinsicShapeMismatch) as exc:
             diags.append(Diagnostic("error", task_path, str(exc)))
     for task_path, comp in iter_instances(model, ComponentKind.APPLICATION):
-        if task_path and comp.is_leaf_task and task_path not in targets:
+        if task_path and comp.is_leaf_task and task_path not in ctx.task_targets:
             diags.append(Diagnostic("error", task_path, str(UnallocatedTask(task_path))))
     on_host: set[str] = set()
     on_device: set[str] = set()

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .metamodel import (AddressSpace, AllocKind, CompileContext, ComponentKind, DataType,
-                        FlowPort, Model, QUALIFIER_FOR_ROLE, Shape)
+from .metamodel import (AddressSpace, AllocKind, ComponentKind, DataType, FlowPort, Model,
+                        QUALIFIER_FOR_ROLE, Shape)
 
 
 class CapacityExceeded(ValueError):
@@ -56,7 +56,7 @@ def _round_up(value: int, align: int) -> int:
     return (value + align - 1) // align * align
 
 
-def build_memory_maps(model: Model, ctx: CompileContext | None = None) -> list[MemoryMap]:
+def build_memory_maps(model: Model) -> list[MemoryMap]:
     """Run the memory-mapping transformation over a conformant model.
 
     One MemoryMap per memory with data allocations, ordered by first
@@ -65,7 +65,7 @@ def build_memory_maps(model: Model, ctx: CompileContext | None = None) -> list[M
     pack upward from zero.  Raises CapacityExceeded when a memory with a
     declared capacity overflows.
     """
-    ctx = CompileContext.of(model, ctx)
+    ctx = model.context
     groups = ctx.port_groups
 
     per_memory: dict[str, list[str]] = {}       # in order of first link

@@ -14,7 +14,9 @@ from __future__ import annotations
 import enum
 import functools
 import hashlib
-from dataclasses import dataclass, field
+import types
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 
 class Direction(str, enum.Enum):
@@ -190,11 +192,22 @@ class AllocationLink:
 
 @dataclass(frozen=True)
 class Model:
-    platform_components: dict[str, Component]
-    application_components: dict[str, Component]
+    platform_components: Mapping[str, Component]
+    application_components: Mapping[str, Component]
     platform_root: str
     application_root: str
     allocations: tuple[AllocationLink, ...] = ()
+
+    def __post_init__(self):
+        # read-only copies, so that no edit can outdate the cached context
+        for name in ("platform_components", "application_components"):
+            object.__setattr__(self, name, types.MappingProxyType(dict(getattr(self, name))))
+
+    # Like Component's name indexes, kept outside the dataclass fields.
+    @functools.cached_property
+    def context(self) -> CompileContext:
+        """What the compile stages derive from this model, shared by all of them."""
+        return CompileContext(self)
 
     def component(self, kind: ComponentKind, name: str) -> Component | None:
         comps = (self.platform_components if kind is ComponentKind.PLATFORM
@@ -256,10 +269,9 @@ class CompileContext:
     leaf task's deployed IntrinsicSpec; the digest; and codegen's kernel
     parameter lists.
 
-    The CLI builds one context per model and passes it from `check` to
-    `map`, `codegen` and `run`; a stage called without one builds its own.
-    It is not cached on Model, whose component tables are mutable dicts: a
-    context holds while its model is not edited.
+    Each Model owns one, as `Model.context`, which every stage takes.  It
+    stays valid because a Model cannot be edited: its component tables are
+    read-only, and dataclasses.replace makes a new Model with its own.
     """
 
     def __init__(self, model: Model):
@@ -269,15 +281,6 @@ class CompileContext:
         self.intrinsics: dict[tuple[str, bool], object] = {}
         # codegen's (maps, allocation index, {task path: kernel parameters})
         self.kernel_params: tuple | None = None
-
-    @classmethod
-    def of(cls, model: Model, ctx: CompileContext | None) -> CompileContext:
-        """ctx, which must belong to model, or a new context when it is None."""
-        if ctx is None:
-            return cls(model)
-        if ctx.model is not model:
-            raise ValueError("the compile context belongs to another model")
-        return ctx
 
     def _index(self, kind: ComponentKind) -> dict[str, tuple]:
         index = self._parts.get(kind)
@@ -326,6 +329,12 @@ class CompileContext:
         return connected_port_groups(self.model)
 
     @functools.cached_property
+    def task_targets(self) -> dict[str, str]:
+        """Leaf task path -> the processor it is allocated to; a later link wins."""
+        return {link.source_path: link.target_path
+                for link in self.model.allocations if link.kind is AllocKind.TASK}
+
+    @functools.cached_property
     def digest(self) -> str:
         """The first 12 hex digits of the sha256 of the model's canonical text."""
         from .dsl import serialize_model        # dsl imports this module
@@ -341,7 +350,7 @@ def resolve_path(model: Model, path: str):
     segments = [s for s in path.split(".") if s] if path else []
     if not segments or any(s != seg for s, seg in zip(path.split("."), segments)):
         raise PathNotFound(path, "")
-    ctx = CompileContext(model)
+    ctx = model.context
     best_prefix = 0
     for kind in (ComponentKind.PLATFORM, ComponentKind.APPLICATION):
         element = ctx.element_at(kind, ".".join(segments))
@@ -439,7 +448,7 @@ def _effective_endpoint(model: Model, comp: Component, endpoint: str):
     return None
 
 
-def _type_graph_cycles(comps: dict[str, Component]) -> set[str]:
+def _type_graph_cycles(comps: Mapping[str, Component]) -> set[str]:
     """Names of components that participate in a part-instantiation cycle."""
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {name: WHITE for name in comps}
@@ -466,15 +475,16 @@ def _type_graph_cycles(comps: dict[str, Component]) -> set[str]:
     return in_cycle
 
 
-def validate_conformance(model: Model, ctx: CompileContext | None = None) -> list[Diagnostic]:
+def validate_conformance(model: Model) -> list[Diagnostic]:
     """Check every structural rule of the metamodel over a parsed model.
 
     Returns a deterministic, (path, message)-sorted list of diagnostics;
     an empty list means the model conforms.  Never raises on any
     structurally parsed model, however broken its paths are.  Paths of a
-    side resolve through ctx only when that side's type graph is acyclic.
+    side resolve through the model's context only when that side's type
+    graph is acyclic.
     """
-    ctx = CompileContext.of(model, ctx)
+    ctx = model.context
     diags: list[Diagnostic] = []
     resolvable: dict[ComponentKind, bool] = {}
     sides = ((ComponentKind.PLATFORM, model.platform_components, model.platform_root),
@@ -652,10 +662,8 @@ def validate_conformance(model: Model, ctx: CompileContext | None = None) -> lis
             if link.kind is AllocKind.DATA and targets[link.target_path][1] is not None
             and targets[link.target_path][1].memory_role is MemoryRole.HOST_RAM
         }
-        task_targets = {link.source_path: link.target_path
-                        for link in model.allocations if link.kind is AllocKind.TASK}
         for task_path in device_tasks:
-            if ctx.is_host_processor(task_targets[task_path]):
+            if ctx.is_host_processor(ctx.task_targets[task_path]):
                 continue
             comp = ctx.component_at(ComponentKind.APPLICATION, task_path)
             if comp is None:

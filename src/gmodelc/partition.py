@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .metamodel import (AllocKind, CompileContext, Component, ComponentKind, Direction, Model,
+from .metamodel import (CompileContext, Component, ComponentKind, Direction, Model,
                         StereotypeKind)
 
 
@@ -199,14 +199,11 @@ def _order_parts(model: Model, comp: Component, path_prefix: str) -> list:
     return order
 
 
-def build_schedule(model: Model, device_count: int,
-                   ctx: CompileContext | None = None) -> Schedule:
+def build_schedule(model: Model, device_count: int) -> Schedule:
     """Derive the execution schedule for a conformant model on device_count devices."""
     if device_count < 1:
         raise ValueError("device_count must be positive")
-    ctx = CompileContext.of(model, ctx)
-    task_targets = {link.source_path: link.target_path
-                    for link in model.allocations if link.kind is AllocKind.TASK}
+    ctx = model.context
     # allocation target -> work-group size of its processor, None on the host
     local_sizes: dict[str, int | None] = {}
     # repetition total -> its device ranges, shared by every task of that size
@@ -224,7 +221,7 @@ def build_schedule(model: Model, device_count: int,
             sub = model.component(ComponentKind.APPLICATION, part.type_ref)
             path = f"{prefix}.{part.name}" if prefix else part.name
             if sub.is_leaf_task:
-                target = task_targets.get(path)
+                target = ctx.task_targets.get(path)
                 if target is None:
                     raise UnallocatedTask(path)
                 local = local_size(target)

@@ -660,11 +660,7 @@ class _Storage:
 
     def __init__(self, ctx: CompileContext, bindings: dict[str, np.ndarray]):
         self.groups = ctx.port_groups
-        ports = {}
-        for inst_path, comp in iter_instances(ctx.model, ComponentKind.APPLICATION):
-            for port in comp.ports:
-                node = f"{inst_path}.{port.name}" if inst_path else port.name
-                ports[node] = port
+        ports = {node: ctx.element_at(ComponentKind.APPLICATION, node) for node in self.groups}
         read_only = {group for group in {self.groups[node] for node in ports}
                      if all(ports[n].direction is Direction.IN for n in group)}
         self.arrays: dict[frozenset, np.ndarray] = {}
@@ -799,8 +795,7 @@ class _Compiler:
 
 
 def execute_schedule(model: Model, schedule: Schedule, bindings: dict[str, np.ndarray],
-                     *, tol: float | None = None, max_iter: int | None = None,
-                     ctx: CompileContext | None = None) -> ExecutionResult:
+                     *, tol: float | None = None, max_iter: int | None = None) -> ExecutionResult:
     """Run a schedule over bound arrays, one simulated device per launch.
 
     Produces the arrays of the application root's out ports plus loop
@@ -808,9 +803,8 @@ def execute_schedule(model: Model, schedule: Schedule, bindings: dict[str, np.nd
     step's own continue-condition.  Raises NonFiniteInput, before the first
     step, when a bound floating-point array holds nan or an infinite value.
     """
-    ctx = CompileContext.of(model, ctx)
-    storage = _Storage(ctx, bindings)
-    compiler = _Compiler(ctx, storage, tol, max_iter)
+    storage = _Storage(model.context, bindings)
+    compiler = _Compiler(model.context, storage, tol, max_iter)
     for run in compiler.steps(schedule.steps):
         run()
 

@@ -184,6 +184,24 @@ def test_missing_file_exit_two(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+def test_check_reports_capacity_exceeded_as_map_does(workdir, capsys):
+    """A port moved onto the 16K local memory overflows it: check rejects
+    the model with the message and the exit status of map."""
+    tmp_path, _ = workdir
+    line = "allocate data loop.spmv.y onto device.gmem\n"
+    text = gmodelc.bundled_model_text()
+    assert line in text
+    path = tmp_path / "lmem.gmodel"
+    path.write_text(text.replace(line, line.replace("device.gmem", "device.c.lmem")))
+    message = ("error: memory 'device.c.lmem' needs 1061208 bytes but has "
+               "capacity 16384\n")
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr() == ("", message)
+    assert main(["map", str(path), "--out", str(tmp_path / "map")]) == 1
+    assert capsys.readouterr() == ("", message)
+    assert not (tmp_path / "map").exists()
+
+
 def test_map_writes_report_and_is_deterministic(workdir, capsys):
     tmp_path, model_path = workdir
     out_dir = tmp_path / "out"
@@ -242,6 +260,26 @@ def test_solution_text_in_chunks_is_the_whole_text():
     chunks = list(cli._solution_text(x))
     assert len(chunks) == 3
     assert "".join(chunks) == "".join(f"{v!r}\n" for v in x.tolist())
+
+
+@pytest.mark.parametrize("values", [
+    [float("nan"), float("inf"), -float("inf"), 0.0, -0.0],
+    [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e+308],
+    [0.1, 1 / 3, -2 / 3, 1e16, 1e-7, 123456789.12345679, 1.0000000000000002],
+    list(np.random.default_rng(1).standard_normal(cli.SOLUTION_CHUNK_LINES + 1)),
+], ids=["special", "extremes", "17-digit", "random"])
+def test_solution_text_is_repr_per_line(values):
+    """Each value is written as f"{v!r}\n": nan, infinities, signed zeros,
+    subnormals and values that need 17 digits read back bit for bit."""
+    x = np.array(values, dtype=np.float64)
+    text = "".join(cli._solution_text(x))
+    assert text == "".join(f"{v!r}\n" for v in x.tolist())
+    back = np.array([float(line) for line in text.splitlines()])
+    assert back.tobytes() == x.tobytes()
+
+
+def test_solution_text_of_no_values_is_empty():
+    assert list(cli._solution_text(np.zeros(0))) == []
 
 
 def test_run_sizes_and_binds_the_instantiated_spmv_task(workdir, capsys):
@@ -431,6 +469,22 @@ def test_run_solver_option_out_of_range_exit_two(workdir, capsys, option, value)
     assert captured.err.startswith(f"error: {option} must be ")
     assert captured.err.count("\n") == 1
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("", "no values"), ("1.0 2.0\n", "2 values per line, expected one"),
+    ("1.0\nnan\n", "value 2 (nan) is not finite")])
+def test_run_rhs_errors_come_before_the_matrix_load(workdir, capsys, text, reason):
+    """Every check of --rhs but its length runs before the matrix is read:
+    a bad --rhs is reported even when the matrix file does not exist."""
+    tmp_path, model_path = workdir
+    rhs_path = tmp_path / "rhs.txt"
+    rhs_path.write_text(text)
+    missing = tmp_path / "missing.mtx"
+    assert main(["run", model_path, "--matrix", str(missing), "--rhs", str(rhs_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", f"error: {rhs_path}: {reason}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_tol_override(workdir, capsys):

@@ -394,3 +394,74 @@ application a {
     groups = connected_port_groups(model)
     assert groups["x"] is groups["c.p"] is groups["c.l.z"]
     assert groups["x"] == {"x", "c.p", "c.l.z"}
+
+
+def test_one_compile_chain_derives_each_table_once(cg_text, monkeypatch):
+    """parse -> conformance -> memory maps -> schedule -> kernels -> host,
+    called with no context, computes the port groups and the digest once and
+    indexes each side's instance paths once: every stage takes the model's
+    own context."""
+    from gmodelc import codegen, dsl, memmap, metamodel, partition
+    calls: dict[str, list] = {"groups": [], "index": [], "digest": []}
+
+    def count(name, module, attr, key):
+        fn = getattr(module, attr)
+
+        def counted(*args):
+            calls[name].append(key(*args))
+            return fn(*args)
+        monkeypatch.setattr(module, attr, counted)
+
+    count("groups", metamodel, "connected_port_groups", lambda model: model)
+    count("index", metamodel, "_part_index", lambda model, kind: kind)
+    count("digest", dsl, "serialize_model", lambda model: model)
+
+    model = gmodelc.parse_model(cg_text)
+    assert validate_conformance(model) == []
+    maps = memmap.build_memory_maps(model)
+    schedule = partition.build_schedule(model, 4)
+    codegen.generate_kernels(model, maps, schedule)
+    codegen.generate_host(model, maps, schedule, 4)
+    assert calls["groups"] == [model]
+    assert sorted(calls["index"]) == sorted(ComponentKind)
+    assert calls["digest"] == [model]
+
+
+def test_model_tables_are_read_only(cg_model):
+    with pytest.raises(TypeError):
+        cg_model.application_components["cg"] = cg_model.application_components["CgLoop"]
+    with pytest.raises(TypeError):
+        del cg_model.platform_components[cg_model.platform_root]
+
+
+def test_model_copies_the_tables_it_is_built_from(cg_model):
+    """Editing the dict a Model was built from does not reach the model."""
+    comps = dict(cg_model.application_components)
+    model = dataclasses.replace(cg_model, application_components=comps)
+    comps.clear()
+    assert model.application_components == cg_model.application_components
+    assert model == cg_model
+
+
+def test_a_replaced_model_has_its_own_context(cg_model):
+    comps = dict(cg_model.application_components)
+    del comps["CgLoop"]
+    variant = dataclasses.replace(cg_model, application_components=comps)
+    assert cg_model.context is cg_model.context
+    assert variant.context is not cg_model.context
+    assert variant.context.model is variant
+    assert variant.context.component_at(ComponentKind.APPLICATION, "loop") is None
+    assert cg_model.context.component_at(ComponentKind.APPLICATION, "loop") is \
+        cg_model.application_components["CgLoop"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_models_with_contexts_equal_their_round_trip(cg_model, seed):
+    """A computed context is no part of a model's value: a model whose
+    context tables are built still equals its serialize/parse round trip."""
+    model = cg_model if seed == 0 else random_model(random.Random(seed))
+    assert model.context.port_groups and model.context.digest
+    model.context.component_at(ComponentKind.APPLICATION, "x")
+    again = gmodelc.parse_model(gmodelc.serialize_model(model))
+    assert again == model and again.context is not model.context
+    assert again.context.digest == model.context.digest
