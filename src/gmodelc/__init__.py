@@ -22,8 +22,8 @@ from .partition import (CyclicTaskGraph, DeviceStep, HostOp, KernelLaunch, LoopS
 from .refexec import (BreakdownDetected, CsrMatrix, DimensionMismatch, ExecutionResult,
                       IndexOutOfRange, MalformedHeader, MissingBinding, NonFiniteInput,
                       NonSquare, SolveResult, SolverConfig, execute_schedule,
-                      instantiate_for_matrix, load_matrix_market, matrix_to_coordinate_text,
-                      read_matrix_market, run_cg, spmv_csr)
+                      instantiate_for_matrix, load_matrix_market, read_matrix_market,
+                      run_cg, spmv_csr)
 
 __version__ = "0.1.0"
 

@@ -468,6 +468,7 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
                 w.close()
 
     emit_steps(schedule.steps)
+    del emit_steps      # a recursive closure is a cycle: it would keep the context for the collector
     w.put("")
     w.put("/* read back and store outputs */")
     final_relres = None

@@ -15,6 +15,7 @@ import enum
 import functools
 import hashlib
 import types
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -265,22 +266,31 @@ def _part_index(model: Model, kind: ComponentKind) -> dict[str, tuple]:
 
 class CompileContext:
     """What a compile derives from one Model, each part computed on first
-    use: per side, the _part_index of instance paths; the port groups; each
-    leaf task's deployed IntrinsicSpec; the digest; and codegen's kernel
-    parameter lists.
+    use: per side, the _part_index of instance paths; each component's
+    resolved connector endpoints; the port groups; each leaf task's
+    deployed IntrinsicSpec; the digest; and codegen's kernel parameter
+    lists.
 
     Each Model owns one, as `Model.context`, which every stage takes.  It
     stays valid because a Model cannot be edited: its component tables are
-    read-only, and dataclasses.replace makes a new Model with its own.
+    read-only, and dataclasses.replace makes a new Model with its own.  It
+    refers back to its model weakly, so that a model and its context are
+    freed by reference counting once the model is dropped.
     """
 
     def __init__(self, model: Model):
-        self.model = model
+        self._model = weakref.ref(model)
         self._parts: dict[ComponentKind, dict[str, tuple]] = {}
+        # id(component) -> (component, its endpoints(), kept to pin the id)
+        self._endpoints: dict[int, tuple] = {}
         # intrinsics.deployed_intrinsic's checked specs, by (task path, on host)
         self.intrinsics: dict[tuple[str, bool], object] = {}
         # codegen's (maps, allocation index, {task path: kernel parameters})
         self.kernel_params: tuple | None = None
+
+    @property
+    def model(self) -> Model:
+        return self._model()
 
     def _index(self, kind: ComponentKind) -> dict[str, tuple]:
         index = self._parts.get(kind)
@@ -323,6 +333,19 @@ class CompileContext:
     def memory_role_of(self, target_path: str) -> MemoryRole | None:
         comp = self.component_at(ComponentKind.PLATFORM, target_path)
         return comp.stereotype.memory_role if comp and comp.stereotype else None
+
+    def endpoints(self, comp: Component) -> tuple:
+        """(connector, source, target) for each connector of a component of
+        the model, each end resolved once per component by
+        _effective_endpoint: (port, is the component's own port) or None."""
+        entry = self._endpoints.get(id(comp))
+        if entry is None:
+            model = self.model
+            entry = self._endpoints[id(comp)] = (comp, tuple(
+                (conn, _effective_endpoint(model, comp, conn.source),
+                 _effective_endpoint(model, comp, conn.target))
+                for conn in comp.connectors))
+        return entry[1]
 
     @functools.cached_property
     def port_groups(self) -> dict[str, frozenset[str]]:
@@ -395,13 +418,13 @@ def connected_port_groups(model: Model) -> dict[str, frozenset[str]]:
     object.  Requires a resolvable, acyclic application model; dangling
     connector endpoints are ignored.
     """
+    ctx = model.context
     adjacent: dict[str, list[str]] = {}
     for inst_path, comp in iter_instances(model, ComponentKind.APPLICATION):
         for port in comp.ports:
             adjacent.setdefault(_port_node(inst_path, port.name), [])
-        for conn in comp.connectors:
-            if _effective_endpoint(model, comp, conn.source) is not None \
-                    and _effective_endpoint(model, comp, conn.target) is not None:
+        for conn, src, dst in ctx.endpoints(comp):
+            if src is not None and dst is not None:
                 source = _port_node(inst_path, conn.source)
                 target = _port_node(inst_path, conn.target)
                 adjacent.setdefault(source, []).append(target)
@@ -561,10 +584,8 @@ def validate_conformance(model: Model) -> list[Diagnostic]:
                                             f"until port '{comp.until.port}' is not an out port of the task"))
 
             incoming: dict[str, int] = {}
-            for idx, conn in enumerate(comp.connectors):
+            for idx, (conn, src, dst) in enumerate(ctx.endpoints(comp)):
                 cpath = f"{base}.connector[{idx}]"
-                src = _effective_endpoint(model, comp, conn.source)
-                dst = _effective_endpoint(model, comp, conn.target)
                 if src is None or dst is None:
                     which = conn.source if src is None else conn.target
                     diags.append(Diagnostic("error", cpath,

@@ -143,28 +143,24 @@ def _order_parts(model: Model, comp: Component, path_prefix: str) -> list:
     index = {part.name: i for i, part in enumerate(comp.parts)}
     edges: dict[int, set[int]] = {i: set() for i in index.values()}
 
-    def port_of(endpoint: str):
-        segs = endpoint.split(".")
-        if len(segs) == 1:
-            return None, comp.port(segs[0])
-        part = comp.part(segs[0])
-        sub = model.component(ComponentKind.APPLICATION, part.type_ref) if part else None
-        return segs[0], sub.port(segs[1]) if sub else None
+    def part_of(endpoint: str, own: bool) -> str | None:
+        return None if own else endpoint.partition(".")[0]
 
-    by_source: dict[str, list[tuple[str | None, object]]] = {}
-    for conn in comp.connectors:
-        src_part, _ = port_of(conn.source)
-        dst_part, dst_port = port_of(conn.target)
+    # source endpoint -> (part, port) of each connector's part-side target
+    by_source: dict[str, list[tuple[str, object]]] = {}
+    for conn, src, dst in model.context.endpoints(comp):
+        if src is None or dst is None:
+            continue
+        src_part = part_of(conn.source, src[1])
+        dst_part = part_of(conn.target, dst[1])
         if src_part is not None and dst_part is not None and src_part != dst_part:
             edges[index[dst_part]].add(index[src_part])
-        by_source.setdefault(conn.source, []).append((dst_part, dst_port))
+        if dst_part is not None:
+            by_source.setdefault(conn.source, []).append((dst_part, dst[0]))
 
     for targets in by_source.values():
-        readers = [p for p, port in targets
-                   if p is not None and port is not None and port.direction is Direction.IN]
-        writers = sorted((p for p, port in targets
-                          if p is not None and port is not None
-                          and port.direction is Direction.INOUT),
+        readers = [p for p, port in targets if port.direction is Direction.IN]
+        writers = sorted((p for p, port in targets if port.direction is Direction.INOUT),
                          key=lambda p: index[p])
         if writers:
             for reader in readers:
@@ -244,5 +240,6 @@ def build_schedule(model: Model, device_count: int) -> Schedule:
                 steps.extend(schedule_component(sub, path))
         return steps
 
-    root = model.root(ComponentKind.APPLICATION)
-    return Schedule(steps=tuple(schedule_component(root, "")))
+    steps = schedule_component(model.root(ComponentKind.APPLICATION), "")
+    del schedule_component  # a recursive closure is a cycle: it would keep the model for the collector
+    return Schedule(steps=tuple(steps))

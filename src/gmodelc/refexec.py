@@ -120,16 +120,18 @@ class CsrMatrix:
             raise ValueError("row_ptr length must be n + 1")
         if self.row_ptr[0] != 0 or self.row_ptr[-1] != len(self.values):
             raise ValueError("row_ptr must start at 0 and end at nnz")
-        if np.any(np.diff(self.row_ptr) < 0):
+        if np.any(self.row_ptr[1:] < self.row_ptr[:-1]):
             raise ValueError("row_ptr must be non-decreasing")
         if len(self.col_idx) != len(self.values):
             raise ValueError("col_idx and values lengths differ")
         if len(self.col_idx) and (self.col_idx.min() < 0 or self.col_idx.max() >= self.n):
             raise ValueError("column index out of range")
-        # each entry's column must exceed the previous one, except where a row begins
-        rising = np.diff(self.col_idx) > 0
-        starts = self.row_ptr[1:-1]
-        rising[starts[(starts > 0) & (starts < len(self.col_idx))] - 1] = True
+        # each entry's column must exceed the previous one, except where a row
+        # begins: rising[k] for entry k, one byte each, and a slot for nnz
+        nnz = len(self.col_idx)
+        rising = np.empty(nnz + 1, dtype=bool)
+        np.greater(self.col_idx[1:], self.col_idx[:-1], out=rising[1:nnz])
+        rising[self.row_ptr] = True
         if not rising.all():
             k = int(np.argmin(rising))
             i = int(np.searchsorted(self.row_ptr, k, side="right")) - 1
@@ -584,55 +586,75 @@ def _with_mirrors(ii: np.ndarray, jj: np.ndarray, vv: np.ndarray):
 def csr_from_coo(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> CsrMatrix:
     """CSR from coordinate triplets; duplicate positions are summed.
 
-    One algorithm for every input: a stable argsort of the keys
-    row * n + col, then each run of equal keys summed by np.add.reduceat
-    in input order.  It keeps one int64 key array, built in place, gathers
-    the sorted keys and values into fresh arrays and drops each temporary
-    once it is dead, so at most four entry-sized 8-byte arrays live beside
-    the inputs.  Raises NonFiniteValue, naming the 1-based row and column,
+    Entries already in CSR order, their keys row * n + col in range and
+    strictly increasing, as in a file written from a CSR matrix, are copied
+    as they stand: the columns as int32, the values as float64 and row_ptr
+    found by np.searchsorted, with no sort, so the build holds little more
+    than the CSR arrays beside its inputs.  Any other input (unordered,
+    duplicated, or a symmetric file's interleaved mirrors) takes a stable
+    argsort of the keys, then each run of equal keys is summed by
+    np.add.reduceat in input order.  That path keeps one int64 key array,
+    built in place, gathers the sorted keys and values into fresh arrays and
+    drops each temporary once it is dead, so at most four entry-sized 8-byte
+    arrays live beside the inputs.  Both paths give the same bytes for the
+    same entries.  Raises NonFiniteValue, naming the 1-based row and column,
     when a summed value is nan or infinite, such as two finite entries whose
     sum overflows.
     """
-    keys = rows.astype(np.int64)
-    keys *= n
-    keys += cols
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.empty(len(keys), dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    start = np.flatnonzero(first)
-    del first
-    vals = vals[order]      # indexing, unlike take, copies a strided view once
-    del order
-    with np.errstate(over="ignore"):
-        vals = np.add.reduceat(vals, start)
-    rows = keys[start]      # the keys of the summed entries, made rows in place
-    del keys, start
-    cols = (rows % n).astype(np.int32)
-    rows //= n
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if len(bad):
-        k = bad[0]
-        raise NonFiniteValue(f"entry ({rows[k] + 1},{cols[k] + 1}): "
-                             f"summed value {float(vals[k])!r} is not finite")
-    row_ptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
-    del rows
+    if _in_csr_order(n, rows, cols):
+        row_ptr = np.searchsorted(rows, np.arange(n + 1, dtype=rows.dtype)).astype(np.int32)
+        cols = cols.astype(np.int32)
+        vals = vals.astype(np.float64)
+        _check_finite_entries(rows, cols, vals)
+    else:
+        keys = rows.astype(np.int64)
+        keys *= n
+        keys += cols
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        start = np.flatnonzero(first)
+        del first
+        vals = vals[order]      # indexing, unlike take, copies a strided view once
+        del order
+        with np.errstate(over="ignore"):
+            vals = np.add.reduceat(vals, start)
+        rows = keys[start]      # the keys of the summed entries, made rows in place
+        del keys, start
+        cols = (rows % n).astype(np.int32)
+        rows //= n
+        _check_finite_entries(rows, cols, vals)
+        row_ptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
+        del rows
     A = CsrMatrix(n=n, row_ptr=row_ptr, col_idx=cols,
                   values=vals.astype(np.float64, copy=False))
     A.validate()
     return A
 
 
-def matrix_to_coordinate_text(A: CsrMatrix) -> str:
-    """Matrix Market general coordinate text round-tripping load_matrix_market."""
-    out = ["%%MatrixMarket matrix coordinate real general",
-           f"{A.n} {A.n} {A.nnz}"]
-    for i in range(A.n):
-        for k in range(A.row_ptr[i], A.row_ptr[i + 1]):
-            out.append(f"{i + 1} {int(A.col_idx[k]) + 1} {float(A.values[k])!r}")
-    return "\n".join(out) + "\n"
+def _in_csr_order(n: int, rows: np.ndarray, cols: np.ndarray) -> bool:
+    """Whether the entries are in range and their keys row * n + col strictly
+    increase, found by one comparison pass over consecutive entries."""
+    if len(rows) == 0:
+        return True
+    if rows[0] < 0 or rows[-1] >= n or cols.min() < 0 or cols.max() >= n:
+        return False    # out of order, or out of range: left to the sorting path
+    later = rows[1:] > rows[:-1]
+    tied = rows[1:] == rows[:-1]
+    tied &= cols[1:] > cols[:-1]
+    later |= tied
+    return bool(later.all())
+
+
+def _check_finite_entries(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+    finite = np.isfinite(vals)
+    if not finite.all():
+        k = int(np.argmin(finite))      # the first entry that is not finite
+        raise NonFiniteValue(f"entry ({rows[k] + 1},{cols[k] + 1}): "
+                             f"summed value {float(vals[k])!r} is not finite")
 
 
 # -- schedule interpretation ---------------------------------------------------

@@ -1,5 +1,5 @@
 """Test matrices: stencil, random SPD and dense conversions, built on
-gmodelc.refexec.csr_from_coo."""
+gmodelc.refexec.csr_from_coo, and the Matrix Market text of a matrix."""
 
 from __future__ import annotations
 
@@ -12,6 +12,16 @@ def csr_from_dense(dense: np.ndarray) -> CsrMatrix:
     dense = np.asarray(dense, dtype=np.float64)
     rows, cols = np.nonzero(dense)
     return csr_from_coo(dense.shape[0], rows, cols, dense[rows, cols])
+
+
+def matrix_to_coordinate_text(A: CsrMatrix) -> str:
+    """Matrix Market general coordinate text round-tripping load_matrix_market."""
+    out = ["%%MatrixMarket matrix coordinate real general",
+           f"{A.n} {A.n} {A.nnz}"]
+    for i in range(A.n):
+        for k in range(A.row_ptr[i], A.row_ptr[i + 1]):
+            out.append(f"{i + 1} {int(A.col_idx[k]) + 1} {float(A.values[k])!r}")
+    return "\n".join(out) + "\n"
 
 
 def csr_to_dense(A: CsrMatrix) -> np.ndarray:

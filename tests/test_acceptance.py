@@ -22,7 +22,7 @@ from gmodelc.metamodel import CompileContext, MemoryRole, validate_conformance
 from gmodelc.partition import build_schedule, partition_equally
 
 from conftest import golden_path
-from matrices import csr_from_dense, csr_to_dense, poisson_2d
+from matrices import csr_from_dense, csr_to_dense, matrix_to_coordinate_text, poisson_2d
 from modelgen import random_model
 from oracles import balanced_split, reference_cg
 from test_memmap import check_map_properties
@@ -49,7 +49,7 @@ def test_criterion_1_timing_not_reproduced():
 def test_criterion_2_device_count_invariance(tmp_path):
     A = poisson_2d(100)  # n = 10000
     mtx = tmp_path / "poisson100.mtx"
-    mtx.write_text(refexec.matrix_to_coordinate_text(A))
+    mtx.write_text(matrix_to_coordinate_text(A))
     model_path = tmp_path / "cg.gmodel"
     model_path.write_text(gmodelc.bundled_model_text())
 

@@ -13,7 +13,7 @@ from gmodelc.memmap import build_memory_maps
 from gmodelc.partition import UnallocatedTask, build_schedule
 
 from conftest import golden_path
-from matrices import poisson_2d
+from matrices import matrix_to_coordinate_text, poisson_2d
 
 
 @pytest.fixture()
@@ -26,7 +26,7 @@ def workdir(tmp_path):
 def _write_poisson(tmp_path, k):
     A = poisson_2d(k)
     path = tmp_path / f"poisson{k}.mtx"
-    path.write_text(refexec.matrix_to_coordinate_text(A))
+    path.write_text(matrix_to_coordinate_text(A))
     return str(path), A
 
 

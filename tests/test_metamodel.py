@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -425,6 +427,48 @@ def test_one_compile_chain_derives_each_table_once(cg_text, monkeypatch):
     assert calls["groups"] == [model]
     assert sorted(calls["index"]) == sorted(ComponentKind)
     assert calls["digest"] == [model]
+
+
+def test_conformance_and_schedule_resolve_each_connector_end_once(cg_text, monkeypatch):
+    """Conformance, the port groups and the schedule's part order read each
+    component's connector endpoints from the context, resolved once."""
+    from gmodelc import metamodel, partition
+    calls = []
+    resolve = metamodel._effective_endpoint
+
+    def counted(model, comp, endpoint):
+        calls.append((comp.name, endpoint))
+        return resolve(model, comp, endpoint)
+
+    monkeypatch.setattr(metamodel, "_effective_endpoint", counted)
+    model = gmodelc.parse_model(cg_text)
+    assert validate_conformance(model) == []
+    partition.build_schedule(model, 4)
+    ends = [(comp.name, end)
+            for comps in (model.platform_components, model.application_components)
+            for comp in comps.values() for conn in comp.connectors
+            for end in (conn.source, conn.target)]
+    assert len(ends) == 2 * 39
+    assert sorted(calls) == sorted(ends)
+
+
+def test_a_dropped_model_is_freed_by_reference_counting(cg_text):
+    """A model and its context form no reference cycle, so dropping a
+    compiled model frees both without the cycle collector."""
+    from gmodelc import codegen, memmap, partition
+    gc.disable()
+    try:
+        model = gmodelc.parse_model(cg_text)
+        assert validate_conformance(model) == []
+        maps = memmap.build_memory_maps(model)
+        schedule = partition.build_schedule(model, 4)
+        codegen.generate_kernels(model, maps, schedule)
+        codegen.generate_host(model, maps, schedule, 4)
+        dropped, dropped_context = weakref.ref(model), weakref.ref(model.context)
+        del model
+        assert dropped() is None and dropped_context() is None
+    finally:
+        gc.enable()
 
 
 def test_model_tables_are_read_only(cg_model):

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gmodelc
 from gmodelc import refexec
@@ -23,11 +23,12 @@ from gmodelc.refexec import (BreakdownDetected, CsrMatrix, DimensionMismatch,
                              NonFiniteInput, NonFiniteValue, NonSquare, NonSymmetricMatrix,
                              SolverConfig,
                              build_sweep_plan, execute_schedule, instantiate_for_matrix,
-                             load_matrix_market, matrix_to_coordinate_text, run_cg, spmv_csr,
+                             load_matrix_market, run_cg, spmv_csr,
                              spmv_range)
 
 from conftest import golden_path
-from matrices import csr_from_dense, csr_to_dense, poisson_1d, poisson_2d, poisson_3d, random_spd
+from matrices import (csr_from_dense, csr_to_dense, matrix_to_coordinate_text, poisson_1d,
+                      poisson_2d, poisson_3d, random_spd)
 from oracles import partitioned_cg, per_launch_execute, reference_cg, spmv_loop
 
 
@@ -275,6 +276,149 @@ def test_matrix_file_load_peaks_below_five_times_the_csr(tmp_path):
     assert np.array_equal(B.row_ptr, A.row_ptr) and np.array_equal(B.values, A.values)
     csr_bytes = B.row_ptr.nbytes + B.col_idx.nbytes + B.values.nbytes
     assert peak <= 5 * csr_bytes, f"peak {peak} B is {peak / csr_bytes:.2f}x the CSR"
+
+
+def _row_ordered_entries(A: CsrMatrix) -> np.ndarray:
+    """A's entries in CSR order, in the vectorised loader's record array."""
+    entries = np.empty(A.nnz, dtype=refexec._ENTRY)
+    entries["i"] = np.repeat(np.arange(A.n), np.diff(A.row_ptr))
+    entries["j"] = A.col_idx
+    entries["v"] = A.values
+    return entries
+
+
+def test_row_ordered_build_peaks_near_the_csr():
+    """Entries already in CSR order are copied, not sorted: the build holds
+    little more than the CSR's own arrays beside its inputs."""
+    A = poisson_3d(24)
+    entries = _row_ordered_entries(A)
+    tracemalloc.start()
+    try:
+        B = refexec.csr_from_coo(A.n, entries["i"], entries["j"], entries["v"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (B.row_ptr.tobytes(), B.col_idx.tobytes(), B.values.tobytes()) \
+        == (A.row_ptr.tobytes(), A.col_idx.tobytes(), A.values.tobytes())
+    csr_bytes = B.row_ptr.nbytes + B.col_idx.nbytes + B.values.nbytes
+    assert peak <= 1.2 * csr_bytes, f"peak {peak} B is {peak / csr_bytes:.2f}x the CSR"
+
+
+def test_row_ordered_entries_never_reach_argsort(tmp_path, monkeypatch):
+    A = poisson_2d(6)
+    text = matrix_to_coordinate_text(A)
+    path = tmp_path / "ordered.mtx"
+    path.write_text(text)
+    sorted_lengths = []
+    argsort = np.argsort
+
+    def spy(a, *args, **kwargs):
+        sorted_lengths.append(len(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    entries = _row_ordered_entries(A)
+    loaded = [refexec.csr_from_coo(A.n, entries["i"], entries["j"], entries["v"]),
+              refexec.read_matrix_market(str(path))]    # the vectorised loader
+    with mock.patch.object(refexec, "_entries_vectorised", return_value=None):
+        loaded.append(load_matrix_market(text))         # the line loader
+    assert sorted_lengths == []
+    for B in loaded:
+        assert B.col_idx.tobytes() == A.col_idx.tobytes()
+    # the spy sees the sorting path: the rows of one entry swapped
+    swapped = load_matrix_market("%%MatrixMarket matrix coordinate real general\n"
+                                 "2 2 2\n2 2 1.0\n1 1 1.0\n")
+    assert sorted_lengths == [2] and list(swapped.row_ptr) == [0, 1, 2]
+
+
+@st.composite
+def csr_entry_sets(draw):
+    """(n, entries, order, split, bad): entries at distinct positions in
+    row-major order, a shuffle of their indices, the index of a finite entry
+    to split in two, or None, and (index, value) of an entry to make
+    non-finite, or None."""
+    n = draw(st.integers(1, 6))
+    positions = sorted(draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                    max_size=20)))
+    values = draw(st.lists(
+        st.sampled_from([1.0, -1.0, 0.0, -0.0, 0.1, 3.0, 1e-16, 5e-324, 1.7e308])
+        | st.floats(allow_nan=False, allow_infinity=False),
+        min_size=len(positions), max_size=len(positions)))
+    entries = [(i, j, v) for (i, j), v in zip(positions, values)]
+    order = draw(st.permutations(range(len(entries))))
+    bad = None
+    if entries and draw(st.integers(0, 4)) == 0:
+        bad = (draw(st.integers(0, len(entries) - 1)), draw(st.sampled_from([math.inf, -math.inf, math.nan])))
+    finite = [k for k in range(len(entries)) if bad is None or k != bad[0]]
+    split = draw(st.sampled_from(finite)) if finite else None
+    return n, entries, order, split, bad
+
+
+def _csr_outcome(n, entries, index_dtype):
+    """csr_from_coo of (row, col, value) triples: its arrays' bytes or its error."""
+    if index_dtype is np.int32:     # views of one record array, as the vectorised loader
+        arrays = np.array(entries, dtype=refexec._ENTRY)
+        rows, cols, vals = arrays["i"], arrays["j"], arrays["v"]
+    else:                           # separate int64 arrays, as the line loader
+        rows = np.array([e[0] for e in entries], dtype=np.int64)
+        cols = np.array([e[1] for e in entries], dtype=np.int64)
+        vals = np.array([e[2] for e in entries], dtype=np.float64)
+    try:
+        A = refexec.csr_from_coo(n, rows, cols, vals)
+    except NonFiniteValue as exc:
+        return str(exc)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return A.row_ptr.tobytes(), A.col_idx.tobytes(), A.values.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(csr_entry_sets())
+@example((1, [], [], None, None))
+@example((1, [(0, 0, -0.0)], [0], 0, None))
+@example((3, [(0, 1, -0.0), (1, 0, 2.0), (1, 2, -1.0)], [2, 0, 1], 1, None))    # last row empty
+@example((4, [(1, 1, 5.0), (1, 3, -0.0), (3, 0, 1.0)], [1, 2, 0], 1, None))     # rows 0 and 2 empty
+@example((2, [(0, 0, 1.0), (1, 1, 2.0)], [1, 0], 0, (1, math.nan)))
+def test_csr_build_is_the_same_in_any_entry_order(case):
+    """Entries in row-major order, shuffled, and shuffled with one entry split
+    into two halves that sum to it exactly, build byte-identical CSR arrays,
+    or raise the same NonFiniteValue."""
+    n, entries, order, split, bad = case
+    if bad is not None:
+        k, v = bad
+        entries = entries[:k] + [(entries[k][0], entries[k][1], v)] + entries[k + 1:]
+    shuffled = [entries[k] for k in order]
+    halved = list(shuffled)
+    if split is not None:
+        i, j, v = entries[split]
+        half = v / 2
+        rest = v if v == 0 else v - half        # -0.0 halves to -0.0 and -0.0
+        assert (np.float64(half) + np.float64(rest)).tobytes() == np.float64(v).tobytes()
+        at = order.index(split)
+        halved[at:at + 1] = [(i, j, half)]
+        halved.append((i, j, rest))
+    want = "entry ({},{}): summed value {!r} is not finite".format(
+        entries[bad[0]][0] + 1, entries[bad[0]][1] + 1, float(bad[1])) if bad else (
+        np.cumsum([0] + [sum(e[0] == i for e in entries) for i in range(n)],
+                  dtype=np.int32).tobytes(),
+        np.array([e[1] for e in entries], dtype=np.int32).tobytes(),
+        np.array([e[2] for e in entries], dtype=np.float64).tobytes())
+    for dtype in (np.int32, np.int64):
+        assert _csr_outcome(n, entries, dtype) == want
+        assert _csr_outcome(n, shuffled, dtype) == want
+        assert _csr_outcome(n, halved, dtype) == want
+
+
+@pytest.mark.parametrize("entries", [
+    [(0, 0, 1.0), (0, 2, 5.0)],     # a column past the last
+    [(0, 1, 1.0), (2, 0, 2.0)],     # a row past the last
+    [(-1, 1, 1.0), (0, 0, 2.0)],    # a negative row
+])
+def test_entries_outside_the_matrix_build_alike_in_any_order(entries):
+    """The loaders reject such entries; a direct call gives the sorting
+    path's outcome whatever their order."""
+    for dtype in (np.int32, np.int64):
+        assert _csr_outcome(2, entries, dtype) == _csr_outcome(2, entries[::-1], dtype)
 
 
 @pytest.mark.parametrize("n,row_ptr,col_idx,nnz,error", [
