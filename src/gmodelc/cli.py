@@ -1,8 +1,9 @@
 """Command-line driver: check, map, codegen and run over .gmodel files.
 
 Exit codes: 0 success, 1 validation/model errors, 2 I/O or parse
-failures, 3 numeric failures (breakdown or non-convergence).  Reports go
-to stdout, diagnostics to stderr; all file outputs are deterministic.
+failures, 3 when run's loop ends unconverged or with a residual that is
+not finite (a CG breakdown is not detected yet).  Reports go to stdout,
+diagnostics to stderr; all file outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import re
 import sys
 import warnings
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,18 +28,6 @@ EXIT_IO = 2
 EXIT_NUMERIC = 3
 
 
-@dataclass
-class RunConfig:
-    command: str
-    model_path: str
-    devices: int = 1
-    matrix_path: str | None = None
-    rhs_path: str | None = None
-    out_dir: str = "out"
-    tol: float | None = None
-    max_iter: int | None = None
-
-
 def _build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gmodelc",
@@ -52,6 +40,8 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         if devices:
             p.add_argument("--devices", type=int, default=1,
                            help="logical device count, 1..16 (default: 1)")
+        else:
+            p.set_defaults(devices=1)
 
     common(sub.add_parser("check", help="validate a model"))
     common(sub.add_parser("map", help="write the memory-map report"))
@@ -65,19 +55,9 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-iter", type=int, help="override the iteration cap")
     # argparse takes a negative number written with an exponent, such as
     # -1e-8 before Python 3.13, or -inf for an option flag; read every
-    # negative number as a value, so that it reaches the range check in main
+    # negative number as a value, so that it reaches the range check in _cmd_run
     run._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(command=args.command, model_path=args.model,
-                     devices=getattr(args, "devices", 1),
-                     matrix_path=getattr(args, "matrix", None),
-                     rhs_path=getattr(args, "rhs", None),
-                     out_dir=args.out,
-                     tol=getattr(args, "tol", None),
-                     max_iter=getattr(args, "max_iter", None))
 
 
 def _load_model(path: str) -> Model:
@@ -86,19 +66,19 @@ def _load_model(path: str) -> Model:
     return dsl.parse_model(text)
 
 
-def _validated_model(config: RunConfig) -> tuple[Model | None, int]:
+def _validated_model(args: argparse.Namespace) -> tuple[Model | None, int]:
     """The parsed model when it has no error; later stages share its context."""
     try:
-        model = _load_model(config.model_path)
+        model = _load_model(args.model)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, EXIT_IO
     except UnicodeDecodeError as exc:
-        print(f"error: {config.model_path}: {exc}", file=sys.stderr)
+        print(f"error: {args.model}: {exc}", file=sys.stderr)
         return None, EXIT_IO
     except dsl.ParseFailure as exc:
         for err in exc.errors:
-            print(f"{config.model_path}:{err}", file=sys.stderr)
+            print(f"{args.model}:{err}", file=sys.stderr)
         return None, EXIT_IO
     diags = validate_conformance(model)
     if not any(d.severity == "error" for d in diags):
@@ -168,75 +148,81 @@ def _matrix_bindings(model: Model, A: refexec.CsrMatrix,
     return bindings
 
 
-def _cmd_check(config: RunConfig) -> int:
-    model, status = _validated_model(config)
+def _cmd_check(args: argparse.Namespace) -> int:
+    model, status = _validated_model(args)
     if model is None:
         return status
     return EXIT_OK if _memory_maps(model) is not None else EXIT_VALIDATION
 
 
-def _cmd_map(config: RunConfig) -> int:
-    model, status = _validated_model(config)
+def _cmd_map(args: argparse.Namespace) -> int:
+    model, status = _validated_model(args)
     if model is None:
         return status
     maps = _memory_maps(model)
     if maps is None:
         return EXIT_VALIDATION
     report = memmap.emit_memory_map_report(maps)
-    _write(config.out_dir, f"{model.application_root}_memmap.txt", report)
+    _write(args.out, f"{model.application_root}_memmap.txt", report)
     sys.stdout.write(report)
     return EXIT_OK
 
 
-def _cmd_codegen(config: RunConfig) -> int:
-    model, status = _validated_model(config)
+def _cmd_codegen(args: argparse.Namespace) -> int:
+    model, status = _validated_model(args)
     if model is None:
         return status
     try:
         maps = memmap.build_memory_maps(model)
-        schedule = build_schedule(model, config.devices)
+        schedule = build_schedule(model, args.devices)
         units = [codegen.generate_kernels(model, maps, schedule),
-                 codegen.generate_host(model, maps, schedule, config.devices)]
+                 codegen.generate_host(model, maps, schedule, args.devices)]
     except ValueError as exc:       # CapacityExceeded included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     for unit in units:
-        path = _write(config.out_dir, unit.file_name, unit.contents)
+        path = _write(args.out, unit.file_name, unit.contents)
         print(path)
     return EXIT_OK
 
 
-def _cmd_run(config: RunConfig) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
+    if args.tol is not None and not (0.0 < args.tol < 1.0):    # nan included
+        print("error: --tol must be in (0, 1)", file=sys.stderr)
+        return EXIT_IO
+    if args.max_iter is not None and args.max_iter < 1:
+        print("error: --max-iter must be at least 1", file=sys.stderr)
+        return EXIT_IO
     rhs = None
-    if config.rhs_path is not None:     # every check but the length precedes the load
+    if args.rhs is not None:     # every check but the length precedes the load
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                lines = np.loadtxt(config.rhs_path, dtype=np.float64, ndmin=2)
+                lines = np.loadtxt(args.rhs, dtype=np.float64, ndmin=2)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO
         if lines.size == 0:
-            print(f"error: {config.rhs_path}: no values", file=sys.stderr)
+            print(f"error: {args.rhs}: no values", file=sys.stderr)
             return EXIT_IO
         if lines.shape[1] != 1:
-            print(f"error: {config.rhs_path}: {lines.shape[1]} values per line, "
+            print(f"error: {args.rhs}: {lines.shape[1]} values per line, "
                   "expected one", file=sys.stderr)
             return EXIT_IO
         rhs = lines[:, 0]
         bad = np.flatnonzero(~np.isfinite(rhs))
         if len(bad):
-            print(f"error: {config.rhs_path}: value {bad[0] + 1} ({float(rhs[bad[0]])!r}) "
+            print(f"error: {args.rhs}: value {bad[0] + 1} ({float(rhs[bad[0]])!r}) "
                   "is not finite", file=sys.stderr)
             return EXIT_IO
     try:
-        A = refexec.read_matrix_market(config.matrix_path)
+        A = refexec.read_matrix_market(args.matrix)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (refexec.MalformedHeader, refexec.NonSquare, refexec.IndexOutOfRange,
             UnicodeDecodeError) as exc:
-        print(f"error: {config.matrix_path}: {exc}", file=sys.stderr)
+        print(f"error: {args.matrix}: {exc}", file=sys.stderr)
         return EXIT_IO
     if rhs is None:
         rhs = np.ones(A.n)
@@ -245,7 +231,7 @@ def _cmd_run(config: RunConfig) -> int:
               file=sys.stderr)
         return EXIT_IO
 
-    model, status = _validated_model(config)
+    model, status = _validated_model(args)
     if model is None:
         return status
     try:
@@ -263,16 +249,16 @@ def _cmd_run(config: RunConfig) -> int:
     if float(np.linalg.norm(rhs)) == 0.0:
         # zero right-hand side: the exact solution is zero, no iterations
         result_line = "iters=0 relres=0.0 converged=true\n"
-        _write(config.out_dir, f"{name}_result.txt", result_line)
-        _write(config.out_dir, f"{name}_solution.txt", _solution_text(np.zeros(A.n)))
+        _write(args.out, f"{name}_result.txt", result_line)
+        _write(args.out, f"{name}_solution.txt", _solution_text(np.zeros(A.n)))
         sys.stdout.write(result_line)
         return EXIT_OK
 
     try:
-        schedule = build_schedule(model, config.devices)
+        schedule = build_schedule(model, args.devices)
         bindings = _matrix_bindings(model, A, rhs)
-        result = refexec.execute_schedule(model, schedule, bindings, tol=config.tol,
-                                          max_iter=config.max_iter)
+        result = refexec.execute_schedule(model, schedule, bindings, tol=args.tol,
+                                          max_iter=args.max_iter)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -280,11 +266,11 @@ def _cmd_run(config: RunConfig) -> int:
     relres = result.final_relres if result.final_relres is not None else 0.0
     converged = "true" if result.converged else "false"
     result_line = f"iters={result.iterations} relres={relres!r} converged={converged}\n"
-    _write(config.out_dir, f"{name}_result.txt", result_line)
+    _write(args.out, f"{name}_result.txt", result_line)
     outputs = sorted(result.outputs.items())
     if outputs:
         _, solution = outputs[0]
-        _write(config.out_dir, f"{name}_solution.txt", _solution_text(solution))
+        _write(args.out, f"{name}_solution.txt", _solution_text(solution))
     sys.stdout.write(result_line)
     if not result.converged or not np.isfinite(relres):
         return EXIT_NUMERIC
@@ -294,19 +280,12 @@ def _cmd_run(config: RunConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_arg_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
-    if not (1 <= config.devices <= 16):
+    if not (1 <= args.devices <= 16):
         print("error: --devices must be between 1 and 16", file=sys.stderr)
         return EXIT_IO
-    if config.tol is not None and not (0.0 < config.tol < 1.0):    # nan included
-        print("error: --tol must be in (0, 1)", file=sys.stderr)
-        return EXIT_IO
-    if config.max_iter is not None and config.max_iter < 1:
-        print("error: --max-iter must be at least 1", file=sys.stderr)
-        return EXIT_IO
     handler = {"check": _cmd_check, "map": _cmd_map,
-               "codegen": _cmd_codegen, "run": _cmd_run}[config.command]
-    return handler(config)
+               "codegen": _cmd_codegen, "run": _cmd_run}[args.command]
+    return handler(args)
 
 
 if __name__ == "__main__":

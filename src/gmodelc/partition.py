@@ -38,7 +38,6 @@ class WorkRange:
 
 @dataclass(frozen=True)
 class KernelLaunch:
-    task_path: str
     device_index: int
     range: WorkRange
     global_size: int
@@ -128,10 +127,10 @@ def _pe_local_size(ctx: CompileContext, device_path: str) -> int:
         "no processing-element instance found inside the device processor")
 
 
-def _launches(task_path: str, ranges: list[WorkRange], local: int) -> list[KernelLaunch]:
-    return [KernelLaunch(task_path=task_path, device_index=i, range=rng,
-                         global_size=(rng.count + local - 1) // local * local, local_size=local)
-            for i, rng in enumerate(ranges)]
+def _launches(ranges: list[WorkRange], local: int) -> tuple[KernelLaunch, ...]:
+    return tuple(KernelLaunch(device_index=i, range=rng, local_size=local,
+                              global_size=(rng.count + local - 1) // local * local)
+                 for i, rng in enumerate(ranges))
 
 
 def _order_parts(model: Model, comp: Component, path_prefix: str) -> list:
@@ -202,8 +201,9 @@ def build_schedule(model: Model, device_count: int) -> Schedule:
     ctx = model.context
     # allocation target -> work-group size of its processor, None on the host
     local_sizes: dict[str, int | None] = {}
-    # repetition total -> its device ranges, shared by every task of that size
-    ranges_of: dict[int, list[WorkRange]] = {}
+    # (repetition total, work-group size) -> its launches, shared by every
+    # task of that geometry: they are frozen
+    launches_of: dict[tuple[int, int], tuple[KernelLaunch, ...]] = {}
 
     def local_size(target: str) -> int | None:
         if target not in local_sizes:
@@ -225,11 +225,12 @@ def build_schedule(model: Model, device_count: int) -> Schedule:
                     steps.append(HostOp(task_path=path, op=sub.elementary_op))
                 else:
                     total = sub.repetition_space.total if sub.repetition_space else 1
-                    if total not in ranges_of:
-                        ranges_of[total] = partition_equally(total, device_count)
+                    key = (total, local)
+                    if key not in launches_of:
+                        launches_of[key] = _launches(partition_equally(total, device_count),
+                                                     local)
                     steps.append(DeviceStep(task_path=path, op=sub.elementary_op,
-                                            launches=tuple(_launches(path, ranges_of[total],
-                                                                     local))))
+                                            launches=launches_of[key]))
             elif sub.until is not None:
                 body = schedule_component(sub, path)
                 steps.append(LoopStep(task_path=path, body=tuple(body),

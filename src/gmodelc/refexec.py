@@ -42,14 +42,14 @@ from __future__ import annotations
 import io
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import BinaryIO
 
 import numpy as np
 
 from .intrinsics import IntrinsicShapeMismatch, IntrinsicSpec, deployed_intrinsic
-from .metamodel import (CompileContext, Component, ComponentKind, DataType, Direction,
-                        FlowPort, Model, Shape, iter_instances)
+from .metamodel import (CompileContext, Component, ComponentKind, DataType, Direction, Model,
+                        Shape, iter_instances)
 from .partition import HostOp, LoopStep, Schedule
 
 
@@ -428,30 +428,24 @@ def read_matrix_market(path: str) -> CsrMatrix:
 def load_matrix_market(source: str | BinaryIO) -> CsrMatrix:
     """Parse Matrix Market coordinate text (real, general or symmetric).
 
-    source is the text or a binary file, whose ASCII bytes (see
-    read_matrix_market) are read here and dropped once the entries are
-    parsed, before the matrix is built.  A clean body is parsed by one
-    np.loadtxt into a record array; otherwise, and for text that is not
-    ASCII, the line parser reads it.  Symmetric inputs are expanded to full
-    storage, duplicates are summed and each row is sorted by column.
-    Raises MalformedHeader (NonFiniteValue for a nan or infinite value),
-    NonSquare or IndexOutOfRange; an error in an entry line names that line.
+    source is the text or a binary file.  Both are read by one path, as
+    ASCII bytes: a str is encoded on entry, so that a character outside
+    ASCII raises UnicodeEncodeError, as such a byte in a file raises
+    UnicodeDecodeError, and a lone CR or a CRLF ends a line, as LF does.
+    The bytes are dropped once the entries are parsed, before the matrix
+    is built.  A clean body is parsed by one np.loadtxt into a record
+    array; otherwise the line parser reads it.  Symmetric inputs are
+    expanded to full storage, duplicates are summed and each row is sorted
+    by column.  Raises MalformedHeader (NonFiniteValue for a nan or
+    infinite value), NonSquare or IndexOutOfRange; an error in an entry
+    line names that line.
     """
-    text: str | None = None
-    if isinstance(source, str):
-        text = source
-        try:
-            data = text.encode("ascii")
-        except UnicodeEncodeError:
-            data = None     # only the line parser reads text that is not ASCII
-    else:
-        data = source.read()
-        if not data.isascii():
-            data.decode("ascii")    # raises UnicodeDecodeError at the first such byte
-        if b"\r" in data:
-            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    head = data if data is not None else text
-    banner_line, start = _line_at(head, 0)
+    data = source.encode("ascii") if isinstance(source, str) else source.read()
+    if not data.isascii():
+        data.decode("ascii")    # raises UnicodeDecodeError at the first such byte
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    banner_line, start = _line_at(data, 0)
     if not banner_line.startswith("%%MatrixMarket"):
         raise MalformedHeader("missing %%MatrixMarket banner")
     banner = banner_line.split()
@@ -467,9 +461,9 @@ def load_matrix_market(source: str | BinaryIO) -> CsrMatrix:
 
     pos = 1     # 0-based line number of `line`
     while True:
-        if start > len(head):
+        if start > len(data):
             raise MalformedHeader("missing size line")
-        line, body = _line_at(head, start)
+        line, body = _line_at(data, start)
         if line.strip() and not line.lstrip().startswith("%"):
             break
         pos += 1
@@ -486,24 +480,22 @@ def load_matrix_market(source: str | BinaryIO) -> CsrMatrix:
     if rows < 1:
         raise MalformedHeader("matrix size must be positive")
 
-    entries = _entries_vectorised(data, body, rows, declared) if data is not None else None
+    entries = _entries_vectorised(data, body, rows, declared)
     if entries is None:
-        lines = (text if text is not None else data.decode("ascii")).split("\n")
-        entries = _entries_by_line(lines, pos + 1, rows, declared)
-    del head, data, text    # the file's bytes, before the matrix is built
+        entries = _entries_by_line(data.decode("ascii").split("\n"), pos + 1, rows, declared)
+    del data    # the file's bytes, before the matrix is built
     ii, jj, vv = entries
     if sym == "symmetric":
         ii, jj, vv = _with_mirrors(ii, jj, vv)
     return csr_from_coo(rows, ii, jj, vv)
 
 
-def _line_at(text: str | bytes, start: int) -> tuple[str, int]:
+def _line_at(data: bytes, start: int) -> tuple[str, int]:
     """The line that begins at offset start, and the offset after its newline."""
-    stop = text.find("\n" if isinstance(text, str) else b"\n", start)
+    stop = data.find(b"\n", start)
     if stop < 0:
-        stop = len(text)
-    line = text[start:stop]
-    return line if isinstance(line, str) else line.decode("ascii"), stop + 1
+        stop = len(data)
+    return data[start:stop].decode("ascii"), stop + 1
 
 
 _ENTRY = np.dtype([("i", np.int32), ("j", np.int32), ("v", np.float64)])
@@ -586,27 +578,29 @@ def _with_mirrors(ii: np.ndarray, jj: np.ndarray, vv: np.ndarray):
 def csr_from_coo(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> CsrMatrix:
     """CSR from coordinate triplets; duplicate positions are summed.
 
-    Entries already in CSR order, their keys row * n + col in range and
-    strictly increasing, as in a file written from a CSR matrix, are copied
-    as they stand: the columns as int32, the values as float64 and row_ptr
-    found by np.searchsorted, with no sort, so the build holds little more
-    than the CSR arrays beside its inputs.  Any other input (unordered,
-    duplicated, or a symmetric file's interleaved mirrors) takes a stable
-    argsort of the keys, then each run of equal keys is summed by
-    np.add.reduceat in input order.  That path keeps one int64 key array,
-    built in place, gathers the sorted keys and values into fresh arrays and
-    drops each temporary once it is dead, so at most four entry-sized 8-byte
-    arrays live beside the inputs.  Both paths give the same bytes for the
-    same entries.  Raises NonFiniteValue, naming the 1-based row and column,
-    when a summed value is nan or infinite, such as two finite entries whose
-    sum overflows.
+    Every entry must lie inside the n x n matrix: the first that does not
+    raises ValueError, naming its 1-based row and column.  Entries already
+    in CSR order, their keys row * n + col strictly increasing, as in a
+    file written from a CSR matrix, are used as they stand, with no sort,
+    so the build holds little more than the CSR arrays beside its inputs.
+    Any other input (unordered, duplicated, or a symmetric file's
+    interleaved mirrors) takes a stable argsort of the keys, then each run
+    of equal keys is summed by np.add.reduceat in input order.  That path
+    keeps one int64 key array, built in place, gathers the sorted keys and
+    values into fresh arrays and drops each temporary once it is dead, so
+    at most four entry-sized 8-byte arrays live beside the inputs.  Both
+    paths then share one tail: row_ptr found by np.searchsorted, the
+    columns as int32 and the values as float64 (the caller's own arrays
+    when they are contiguous and of that dtype), so both give the same
+    bytes for the same entries.  Raises NonFiniteValue, naming the 1-based
+    row and column, when a summed value is nan or infinite, such as two
+    finite entries whose sum overflows.
     """
-    if _in_csr_order(n, rows, cols):
-        row_ptr = np.searchsorted(rows, np.arange(n + 1, dtype=rows.dtype)).astype(np.int32)
-        cols = cols.astype(np.int32)
-        vals = vals.astype(np.float64)
-        _check_finite_entries(rows, cols, vals)
-    else:
+    if len(rows) and not (0 <= min(rows.min(), cols.min())
+                          and max(rows.max(), cols.max()) < n):
+        k = int(np.argmax((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)))
+        raise ValueError(f"entry ({rows[k] + 1},{cols[k] + 1}) is outside the {n}x{n} matrix")
+    if not _in_csr_order(rows, cols):
         keys = rows.astype(np.int64)
         keys *= n
         keys += cols
@@ -623,25 +617,22 @@ def csr_from_coo(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -
             vals = np.add.reduceat(vals, start)
         rows = keys[start]      # the keys of the summed entries, made rows in place
         del keys, start
-        cols = (rows % n).astype(np.int32)
+        cols = rows % n
         rows //= n
-        _check_finite_entries(rows, cols, vals)
-        row_ptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
-        del rows
-    A = CsrMatrix(n=n, row_ptr=row_ptr, col_idx=cols,
-                  values=vals.astype(np.float64, copy=False))
+    row_ptr = np.searchsorted(rows, np.arange(n + 1, dtype=rows.dtype)).astype(np.int32)
+    cols = np.ascontiguousarray(cols, dtype=np.int32)
+    vals = np.ascontiguousarray(vals, dtype=np.float64)
+    _check_finite_entries(rows, cols, vals)
+    del rows
+    A = CsrMatrix(n=n, row_ptr=row_ptr, col_idx=cols, values=vals)
     A.validate()
     return A
 
 
-def _in_csr_order(n: int, rows: np.ndarray, cols: np.ndarray) -> bool:
-    """Whether the entries are in range and their keys row * n + col strictly
-    increase, found by one comparison pass over consecutive entries."""
-    if len(rows) == 0:
-        return True
-    if rows[0] < 0 or rows[-1] >= n or cols.min() < 0 or cols.max() >= n:
-        return False    # out of order, or out of range: left to the sorting path
+def _in_csr_order(rows: np.ndarray, cols: np.ndarray) -> bool:
+    """Whether the keys row * n + col of the entries, all inside the n x n
+    matrix, strictly increase, found by one comparison pass over
+    consecutive entries."""
     later = rows[1:] > rows[:-1]
     tied = rows[1:] == rows[:-1]
     tied &= cols[1:] > cols[:-1]
@@ -874,17 +865,7 @@ def instantiate_for_matrix(model: Model, n: int, nnz: int) -> Model:
             return None
         return Shape(tuple(map_dim(d) for d in shape.dims))
 
-    new_comps = {}
-    for name, comp in model.application_components.items():
-        new_comps[name] = Component(
-            name=comp.name, kind=comp.kind,
-            ports=tuple(FlowPort(p.name, p.direction, map_shape(p.shape), p.data_type)
-                        for p in comp.ports),
-            parts=comp.parts, connectors=comp.connectors, stereotype=comp.stereotype,
-            repetition_space=map_shape(comp.repetition_space),
-            elementary_op=comp.elementary_op, until=comp.until)
-    return Model(platform_components=model.platform_components,
-                 application_components=new_comps,
-                 platform_root=model.platform_root,
-                 application_root=model.application_root,
-                 allocations=model.allocations)
+    return replace(model, application_components={
+        name: replace(comp, repetition_space=map_shape(comp.repetition_space),
+                      ports=tuple(replace(p, shape=map_shape(p.shape)) for p in comp.ports))
+        for name, comp in model.application_components.items()})

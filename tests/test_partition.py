@@ -71,7 +71,7 @@ def test_launch_rounding_paper_chunk(cg_schedule_d4):
 
 def _device_launches(model, ranges):
     """The launches of the spmv task over ranges on the model's device."""
-    return _launches("loop.spmv", ranges, _pe_local_size(CompileContext(model), "device.c"))
+    return _launches(ranges, _pe_local_size(CompileContext(model), "device.c"))
 
 
 def test_launch_exact_multiple(cg_model):

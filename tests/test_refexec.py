@@ -234,8 +234,9 @@ LINE_ENDING_TEXT = (
     ("4 2 1.0", (IndexOutOfRange, "line 8: entry (4,2) outside 3x3")),
 ])
 def test_line_ends_of_a_matrix_file(tmp_path, bad, error):
-    """LF, CRLF and CR-only copies of one file load to the same arrays, and a
-    malformed entry (on line 8) gives the error of the file read in text mode."""
+    """LF, CRLF and CR-only copies of one file, and the same texts as a str,
+    load to the same arrays, and a malformed entry (on line 8) gives the
+    error of the file read in text mode."""
     lines = LINE_ENDING_TEXT.split("\n")
     if bad is not None:
         lines[7] = bad
@@ -244,6 +245,7 @@ def test_line_ends_of_a_matrix_file(tmp_path, bad, error):
         path = tmp_path / f"copy{i}.mtx"
         path.write_bytes(newline.join(lines).encode("ascii"))
         outcomes.add(_load_outcome(path))
+        outcomes.add(_load_outcome(newline.join(lines)))
         with open(path, encoding="ascii") as f:
             outcomes.add(_load_outcome(f.read()))
     if error is None:
@@ -254,11 +256,17 @@ def test_line_ends_of_a_matrix_file(tmp_path, bad, error):
 
 
 def test_non_ascii_matrix_file_raises_unicode_error(tmp_path):
+    """A byte outside ASCII in a file, or such a character in a str, is an
+    error, even where str.split() or int() would accept it."""
     path = tmp_path / "latin1.mtx"
     path.write_bytes(b"%%MatrixMarket matrix coordinate real general\n1 1 1\n"
                      b"1 1 1.0\xa0\n")
     with pytest.raises(UnicodeDecodeError):
         refexec.read_matrix_market(str(path))
+    for text in (path.read_bytes().decode("latin-1"),
+                 "%%MatrixMarket matrix coordinate real general\n1 1 1\n\u0661 1 1.0\n"):
+        with pytest.raises(UnicodeError):
+            load_matrix_market(text)
 
 
 def test_matrix_file_load_peaks_below_five_times_the_csr(tmp_path):
@@ -415,10 +423,13 @@ def test_csr_build_is_the_same_in_any_entry_order(case):
     [(-1, 1, 1.0), (0, 0, 2.0)],    # a negative row
 ])
 def test_entries_outside_the_matrix_build_alike_in_any_order(entries):
-    """The loaders reject such entries; a direct call gives the sorting
-    path's outcome whatever their order."""
+    """An entry outside the matrix raises ValueError, naming it 1-based,
+    whatever the entries' order and index dtype."""
+    ((i, j, _),) = [e for e in entries if not (0 <= e[0] < 2 and 0 <= e[1] < 2)]
+    want = (ValueError, f"entry ({i + 1},{j + 1}) is outside the 2x2 matrix")
     for dtype in (np.int32, np.int64):
-        assert _csr_outcome(2, entries, dtype) == _csr_outcome(2, entries[::-1], dtype)
+        assert _csr_outcome(2, entries, dtype) == want
+        assert _csr_outcome(2, entries[::-1], dtype) == want
 
 
 @pytest.mark.parametrize("n,row_ptr,col_idx,nnz,error", [
