@@ -1,14 +1,25 @@
 """Command-line driver: check, map, codegen and run over .gmodel files.
 
+Every command runs one front end over the parsed model: conformance,
+deployment diagnostics, memory maps and the schedule, in that order,
+stopping at the first stage that fails.  `check` then generates the code
+and discards it, `map` writes the report and `codegen` writes the code.
+`run` validates the model it is given, re-sizes it to the matrix and runs
+the front end on the re-sized model; it generates no code.  So `check`
+rejects whatever `map`, `codegen` and `run` would reject, with the same
+message.
+
 Exit codes: 0 success, 1 validation/model errors, 2 I/O or parse
-failures, 3 when run's loop ends unconverged or with a residual that is
-not finite (a CG breakdown is not detected yet).  Reports go to stdout,
-diagnostics to stderr; all file outputs are deterministic.
+failures and a non-symmetric matrix, 3 when run's loop ends unconverged
+or with a residual that is not finite (a CG breakdown is not detected
+yet).  Reports go to stdout, diagnostics to stderr; all file outputs are
+deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import re
 import sys
@@ -20,12 +31,29 @@ import numpy as np
 from . import codegen, dsl, memmap, refexec
 from .intrinsics import deployment_diagnostics
 from .metamodel import ComponentKind, Direction, Model, validate_conformance
-from .partition import build_schedule
+from .partition import Schedule, build_schedule
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
+
+
+class Failure(Exception):
+    """Ends a command: main prints the lines to stderr and returns the status."""
+
+    def __init__(self, status: int, *lines: str):
+        super().__init__(*lines)
+        self.status, self.lines = status, lines
+
+
+@contextlib.contextmanager
+def _rejecting():
+    """A ValueError raised inside fails the command with exit 1."""
+    try:
+        yield
+    except ValueError as exc:
+        raise Failure(EXIT_VALIDATION, f"error: {exc}") from None
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
@@ -61,42 +89,46 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _load_model(path: str) -> Model:
-    with open(path, "r", encoding="ascii") as f:
-        text = f.read()
-    return dsl.parse_model(text)
-
-
-def _validated_model(args: argparse.Namespace) -> tuple[Model | None, int]:
-    """The parsed model when it has no error; later stages share its context."""
     try:
-        model = _load_model(args.model)
+        with open(path, "r", encoding="ascii") as f:
+            return dsl.parse_model(f.read())
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, EXIT_IO
+        raise Failure(EXIT_IO, f"error: {exc}") from None
     except UnicodeDecodeError as exc:
-        print(f"error: {args.model}: {exc}", file=sys.stderr)
-        return None, EXIT_IO
+        raise Failure(EXIT_IO, f"error: {path}: {exc}") from None
     except dsl.ParseFailure as exc:
-        for err in exc.errors:
-            print(f"{args.model}:{err}", file=sys.stderr)
-        return None, EXIT_IO
+        raise Failure(EXIT_IO, *(f"{path}:{err}" for err in exc.errors)) from None
+
+
+def _validate(model: Model, quiet: bool = False):
+    """The first two stages: conformance, then, without a conformance error,
+    the deployment diagnostics.  An error fails the command with every
+    diagnostic; otherwise they are printed, unless quiet."""
     diags = validate_conformance(model)
     if not any(d.severity == "error" for d in diags):
         diags += deployment_diagnostics(model)
-    for diag in diags:
-        print(str(diag), file=sys.stderr)
     if any(d.severity == "error" for d in diags):
-        return None, EXIT_VALIDATION
-    return model, EXIT_OK
+        raise Failure(EXIT_VALIDATION, *map(str, diags))
+    if not quiet:
+        for diag in diags:
+            print(str(diag), file=sys.stderr)
 
 
-def _memory_maps(model: Model) -> list[memmap.MemoryMap] | None:
-    """The packed memory maps, or None with the capacity error reported."""
-    try:
-        return memmap.build_memory_maps(model)
-    except memmap.CapacityExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+def _front_end(model: Model, devices: int,
+               quiet: bool = False) -> tuple[list[memmap.MemoryMap], Schedule]:
+    """Every command's stages, in order: conformance, deployment
+    diagnostics, memory maps and the schedule over `devices`.  The first
+    stage that fails fails the command with its message and exit 1."""
+    _validate(model, quiet)
+    with _rejecting():
+        return memmap.build_memory_maps(model), build_schedule(model, devices)
+
+
+def _generate(model: Model, devices: int) -> list[codegen.GeneratedUnit]:
+    maps, schedule = _front_end(model, devices)
+    with _rejecting():
+        return [codegen.generate_kernels(model, maps, schedule),
+                codegen.generate_host(model, maps, schedule, devices)]
 
 
 # lines of the solution file formatted and written at a time
@@ -134,12 +166,8 @@ def _matrix_bindings(model: Model, A: refexec.CsrMatrix,
     for port in root.ports:
         if port.direction is not Direction.IN:
             continue
-        group = groups[port.name]
-        bound = None
-        for node, arr in csr_arrays.items():
-            if node in group:
-                bound = arr
-                break
+        bound = next((arr for node, arr in csr_arrays.items() if node in groups[port.name]),
+                     None)
         if bound is None:
             if not port.data_type.is_float:
                 raise ValueError(f"cannot infer a binding for input port '{port.name}'")
@@ -149,19 +177,13 @@ def _matrix_bindings(model: Model, A: refexec.CsrMatrix,
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    model, status = _validated_model(args)
-    if model is None:
-        return status
-    return EXIT_OK if _memory_maps(model) is not None else EXIT_VALIDATION
+    _generate(_load_model(args.model), args.devices)
+    return EXIT_OK
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
-    model, status = _validated_model(args)
-    if model is None:
-        return status
-    maps = _memory_maps(model)
-    if maps is None:
-        return EXIT_VALIDATION
+    model = _load_model(args.model)
+    maps, _ = _front_end(model, args.devices)
     report = memmap.emit_memory_map_report(maps)
     _write(args.out, f"{model.application_root}_memmap.txt", report)
     sys.stdout.write(report)
@@ -169,30 +191,16 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_codegen(args: argparse.Namespace) -> int:
-    model, status = _validated_model(args)
-    if model is None:
-        return status
-    try:
-        maps = memmap.build_memory_maps(model)
-        schedule = build_schedule(model, args.devices)
-        units = [codegen.generate_kernels(model, maps, schedule),
-                 codegen.generate_host(model, maps, schedule, args.devices)]
-    except ValueError as exc:       # CapacityExceeded included
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    for unit in units:
-        path = _write(args.out, unit.file_name, unit.contents)
-        print(path)
+    for unit in _generate(_load_model(args.model), args.devices):
+        print(_write(args.out, unit.file_name, unit.contents))
     return EXIT_OK
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.tol is not None and not (0.0 < args.tol < 1.0):    # nan included
-        print("error: --tol must be in (0, 1)", file=sys.stderr)
-        return EXIT_IO
+        raise Failure(EXIT_IO, "error: --tol must be in (0, 1)")
     if args.max_iter is not None and args.max_iter < 1:
-        print("error: --max-iter must be at least 1", file=sys.stderr)
-        return EXIT_IO
+        raise Failure(EXIT_IO, "error: --max-iter must be at least 1")
     rhs = None
     if args.rhs is not None:     # every check but the length precedes the load
         try:
@@ -200,92 +208,73 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 lines = np.loadtxt(args.rhs, dtype=np.float64, ndmin=2)
         except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+            raise Failure(EXIT_IO, f"error: {exc}") from None
         if lines.size == 0:
-            print(f"error: {args.rhs}: no values", file=sys.stderr)
-            return EXIT_IO
+            raise Failure(EXIT_IO, f"error: {args.rhs}: no values")
         if lines.shape[1] != 1:
-            print(f"error: {args.rhs}: {lines.shape[1]} values per line, "
-                  "expected one", file=sys.stderr)
-            return EXIT_IO
+            raise Failure(EXIT_IO, f"error: {args.rhs}: {lines.shape[1]} values per line, "
+                                   "expected one")
         rhs = lines[:, 0]
         bad = np.flatnonzero(~np.isfinite(rhs))
         if len(bad):
-            print(f"error: {args.rhs}: value {bad[0] + 1} ({float(rhs[bad[0]])!r}) "
-                  "is not finite", file=sys.stderr)
-            return EXIT_IO
+            raise Failure(EXIT_IO, f"error: {args.rhs}: value {bad[0] + 1} "
+                                   f"({float(rhs[bad[0]])!r}) is not finite")
     try:
         A = refexec.read_matrix_market(args.matrix)
+        refexec._sample_symmetry(A)     # as run_cg samples it
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise Failure(EXIT_IO, f"error: {exc}") from None
     except (refexec.MalformedHeader, refexec.NonSquare, refexec.IndexOutOfRange,
-            UnicodeDecodeError) as exc:
-        print(f"error: {args.matrix}: {exc}", file=sys.stderr)
-        return EXIT_IO
+            refexec.NonSymmetricMatrix, UnicodeDecodeError) as exc:
+        raise Failure(EXIT_IO, f"error: {args.matrix}: {exc}") from None
     if rhs is None:
         rhs = np.ones(A.n)
     if len(rhs) != A.n:
-        print(f"error: rhs has {len(rhs)} entries, matrix has {A.n} rows",
-              file=sys.stderr)
-        return EXIT_IO
+        raise Failure(EXIT_IO, f"error: rhs has {len(rhs)} entries, matrix has {A.n} rows")
 
-    model, status = _validated_model(args)
-    if model is None:
-        return status
-    try:
-        model = refexec.instantiate_for_matrix(model, A.n, A.nnz)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    diags = validate_conformance(model)
-    if any(d.severity == "error" for d in diags):
-        for diag in diags:
-            print(str(diag), file=sys.stderr)
-        return EXIT_VALIDATION
+    template = _load_model(args.model)
+    _validate(template)
+    with _rejecting():
+        model = refexec.instantiate_for_matrix(template, A.n, A.nnz)
+    # re-sizing changes only sizes: its diagnostics show only with an error
+    _, schedule = _front_end(model, args.devices, quiet=True)
 
-    name = model.application_root
     if float(np.linalg.norm(rhs)) == 0.0:
         # zero right-hand side: the exact solution is zero, no iterations
-        result_line = "iters=0 relres=0.0 converged=true\n"
-        _write(args.out, f"{name}_result.txt", result_line)
-        _write(args.out, f"{name}_solution.txt", _solution_text(np.zeros(A.n)))
-        sys.stdout.write(result_line)
-        return EXIT_OK
-
-    try:
-        schedule = build_schedule(model, args.devices)
-        bindings = _matrix_bindings(model, A, rhs)
-        result = refexec.execute_schedule(model, schedule, bindings, tol=args.tol,
-                                          max_iter=args.max_iter)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    relres = result.final_relres if result.final_relres is not None else 0.0
-    converged = "true" if result.converged else "false"
-    result_line = f"iters={result.iterations} relres={relres!r} converged={converged}\n"
+        iterations, relres, converged, solution = 0, 0.0, True, np.zeros(A.n)
+    else:
+        try:
+            result = refexec.execute_schedule(model, schedule, _matrix_bindings(model, A, rhs),
+                                              tol=args.tol, max_iter=args.max_iter)
+        except (ValueError, KeyError) as exc:
+            raise Failure(EXIT_VALIDATION, f"error: {exc}") from None
+        iterations, converged = result.iterations, result.converged
+        relres = result.final_relres if result.final_relres is not None else 0.0
+        outputs = sorted(result.outputs.items())
+        solution = outputs[0][1] if outputs else None
+    name = model.application_root
+    result_line = (f"iters={iterations} relres={relres!r} "
+                   f"converged={'true' if converged else 'false'}\n")
     _write(args.out, f"{name}_result.txt", result_line)
-    outputs = sorted(result.outputs.items())
-    if outputs:
-        _, solution = outputs[0]
+    if solution is not None:
         _write(args.out, f"{name}_solution.txt", _solution_text(solution))
     sys.stdout.write(result_line)
-    if not result.converged or not np.isfinite(relres):
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return EXIT_OK if converged and np.isfinite(relres) else EXIT_NUMERIC
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_arg_parser()
     args = parser.parse_args(argv)
-    if not (1 <= args.devices <= 16):
-        print("error: --devices must be between 1 and 16", file=sys.stderr)
-        return EXIT_IO
     handler = {"check": _cmd_check, "map": _cmd_map,
                "codegen": _cmd_codegen, "run": _cmd_run}[args.command]
-    return handler(args)
+    try:
+        if not (1 <= args.devices <= 16):
+            raise Failure(EXIT_IO, "error: --devices must be between 1 and 16")
+        return handler(args)
+    except Failure as failure:
+        for line in failure.lines:
+            print(line, file=sys.stderr)
+        return failure.status
 
 
 if __name__ == "__main__":

@@ -287,29 +287,40 @@ def check_task_signature(task_path: str, comp: Component) -> IntrinsicSpec:
 
 
 def deployed_intrinsic(ctx: CompileContext, task_path: str, on_host: bool) -> IntrinsicSpec:
-    """The spec of a leaf task's intrinsic, with its signature checked and
-    its kind matched against the processor the task is allocated to; checked
-    once per context.
+    """The spec of a leaf task's intrinsic, with its signature checked, its
+    kind matched against the processor the task is allocated to, and no
+    output port connected to one of its input ports, which would make them
+    one array; checked once per context.
 
     Raises UnknownIntrinsic or IntrinsicShapeMismatch.
     """
     key = (task_path, on_host)
     if key not in ctx.intrinsics:
-        spec = check_task_signature(
-            task_path, ctx.component_at(ComponentKind.APPLICATION, task_path))
+        comp = ctx.component_at(ComponentKind.APPLICATION, task_path)
+        spec = check_task_signature(task_path, comp)
         where = "host" if on_host else "device"
         if spec.kind != where:
             raise IntrinsicShapeMismatch(
                 f"task '{task_path}': {spec.kind} intrinsic '{spec.name}' is allocated "
                 f"to a {where} processor")
+        group = {p.name: ctx.port_groups[f"{task_path}.{p.name}"] for p in comp.ports}
+        for out in comp.ports:
+            for other in comp.ports:
+                if out.direction is Direction.OUT and other.direction is Direction.IN \
+                        and group[other.name] is group[out.name]:
+                    raise IntrinsicShapeMismatch(
+                        f"task '{task_path}': output port '{out.name}' aliases "
+                        f"input port '{other.name}'")
         ctx.intrinsics[key] = spec
     return ctx.intrinsics[key]
 
 
 def deployment_diagnostics(model: Model) -> list[Diagnostic]:
     """One error per leaf task that codegen and `run` would reject, with
-    their message: first each allocated task in allocation order, then each
-    unallocated one in pre-order.  Then one error per root port of more
+    the message of deployed_intrinsic or the schedule: first each allocated
+    task in allocation order (an unknown intrinsic, a port signature, a
+    processor kind or an output aliasing an input), then each unallocated
+    one in pre-order.  Then one error per root port of more
     than one element whose storage is allocated to host memory alone: the
     host program keeps one scalar for it.  Expects a model without
     conformance errors."""

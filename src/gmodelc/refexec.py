@@ -43,11 +43,11 @@ import io
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import BinaryIO
+from typing import IO
 
 import numpy as np
 
-from .intrinsics import IntrinsicShapeMismatch, IntrinsicSpec, deployed_intrinsic
+from .intrinsics import IntrinsicSpec, deployed_intrinsic
 from .metamodel import (CompileContext, Component, ComponentKind, DataType, Direction, Model,
                         Shape, iter_instances)
 from .partition import HostOp, LoopStep, Schedule
@@ -344,20 +344,18 @@ class SolveResult:
 
 
 def _sample_symmetry(A: CsrMatrix, samples: int = 64):
-    """Spot-check a_ij == a_ji on a deterministic sample of entries."""
-    nnz = A.nnz
-    if nnz == 0:
-        return
-    step = max(1, nnz // samples)
-    for k in range(0, nnz, step):
-        i = int(np.searchsorted(A.row_ptr, k, side="right")) - 1
-        j = int(A.col_idx[k])
+    """Spot-check a_ij == a_ji on a deterministic sample of entries: every
+    (nnz // samples)-th entry, its row found by one searchsorted over all
+    of them.  Raises NonSymmetricMatrix naming the first pair that differs."""
+    entries = np.arange(0, A.nnz, max(1, A.nnz // samples))
+    rows = np.searchsorted(A.row_ptr, entries, side="right") - 1
+    for k, i, j in zip(entries.tolist(), rows.tolist(), A.col_idx[entries].tolist()):
         if i == j:
             continue
-        lo, hi = A.row_ptr[j], A.row_ptr[j + 1]
-        pos = np.searchsorted(A.col_idx[lo:hi], i)
-        mirror = A.values[lo + pos] if pos < hi - lo and A.col_idx[lo + pos] == i else 0.0
-        v = A.values[k]
+        lo, hi = int(A.row_ptr[j]), int(A.row_ptr[j + 1])
+        pos = lo + int(np.searchsorted(A.col_idx[lo:hi], i))
+        mirror = float(A.values[pos]) if pos < hi and A.col_idx[pos] == i else 0.0
+        v = float(A.values[k])
         if abs(v - mirror) > 1e-12 * max(1.0, abs(v)):
             raise NonSymmetricMatrix(f"a[{i},{j}]={v!r} but a[{j},{i}]={mirror!r}")
 
@@ -425,13 +423,14 @@ def read_matrix_market(path: str) -> CsrMatrix:
         return load_matrix_market(f)
 
 
-def load_matrix_market(source: str | BinaryIO) -> CsrMatrix:
+def load_matrix_market(source: str | IO) -> CsrMatrix:
     """Parse Matrix Market coordinate text (real, general or symmetric).
 
-    source is the text or a binary file.  Both are read by one path, as
-    ASCII bytes: a str is encoded on entry, so that a character outside
-    ASCII raises UnicodeEncodeError, as such a byte in a file raises
-    UnicodeDecodeError, and a lone CR or a CRLF ends a line, as LF does.
+    source is the text or a file, binary or text mode.  All are read by one
+    path, as ASCII bytes: a str, given or read, is encoded on entry, so
+    that a character outside ASCII raises UnicodeEncodeError, as such a byte
+    in a binary file raises UnicodeDecodeError, and a lone CR or a CRLF
+    ends a line, as LF does.
     The bytes are dropped once the entries are parsed, before the matrix
     is built.  A clean body is parsed by one np.loadtxt into a record
     array; otherwise the line parser reads it.  Symmetric inputs are
@@ -440,7 +439,9 @@ def load_matrix_market(source: str | BinaryIO) -> CsrMatrix:
     infinite value), NonSquare or IndexOutOfRange; an error in an entry
     line names that line.
     """
-    data = source.encode("ascii") if isinstance(source, str) else source.read()
+    data = source if isinstance(source, str) else source.read()
+    if isinstance(data, str):
+        data = data.encode("ascii")
     if not data.isascii():
         data.decode("ascii")    # raises UnicodeDecodeError at the first such byte
     if b"\r" in data:
@@ -668,7 +669,10 @@ class _Storage:
     A root input of such a group is bound as a read-only view of the
     caller's array when the dtype already matches, so the caller must not
     write it while the schedule runs; every other binding is copied.  A
-    bound floating-point array is checked once, here, to be finite.
+    bound floating-point array is checked once, here, to be finite.  A
+    task's output never shares an array with one of its inputs: the
+    executor takes each task's spec from intrinsics.deployed_intrinsic,
+    which rejects such a task before its arrays are looked up.
     """
 
     def __init__(self, ctx: CompileContext, bindings: dict[str, np.ndarray]):
@@ -707,17 +711,8 @@ class _Storage:
         return self.arrays[self.groups[node]]
 
     def task_arrays(self, task_path: str, comp: Component) -> dict[str, np.ndarray]:
-        """A leaf task's arrays by port name; no output may alias an input."""
-        groups = {port.name: self.groups[f"{task_path}.{port.name}"] for port in comp.ports}
-        for port in comp.ports:
-            if port.direction is not Direction.OUT:
-                continue
-            for other in comp.ports:
-                if other.direction is Direction.IN and groups[other.name] is groups[port.name]:
-                    raise IntrinsicShapeMismatch(
-                        f"task '{task_path}': output port '{port.name}' aliases "
-                        f"input port '{other.name}'")
-        return {name: self.arrays[group] for name, group in groups.items()}
+        """A leaf task's arrays by port name."""
+        return {port.name: self.array(f"{task_path}.{port.name}") for port in comp.ports}
 
 
 def spmv_launch(a: dict[str, np.ndarray], lo: int, hi: int):

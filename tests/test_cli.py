@@ -49,28 +49,68 @@ def test_check_reports_type_mismatch(workdir, capsys):
     assert "type mismatch" in err
 
 
+NEG_PORTS = "    port a in float64 [1]\n    port z out float64 [1]\n    deploy neg"
+ODD_COPY = (
+    ("  component cg {", "  component Odd {\n    port src in float64 [4]\n"
+     "    port dst out float64 [5]\n    deploy copy\n  }\n  component cg {"),
+    ("    part loop : CgLoop\n", "    part loop : CgLoop\n    part odd : Odd\n"),
+    ("allocate task init_r onto device.c\n", "allocate task init_r onto device.c\n"
+     "allocate task odd onto device.c\nallocate data odd.src onto device.gmem\n"))
+AXPY_UNIT_WIDE_A = (
+    ("    port x in float64 [132651]\n    repeat [132651]\n    deploy axpy\n  }\n"
+     "  component Scale", "    port x in float64 [132651]\n    port a in float64 [2]\n"
+     "    repeat [132651]\n    deploy axpy\n  }\n  component Scale"),
+    ("allocate task init_r onto device.c\n", "allocate task init_r onto device.c\n"
+     "allocate data loop.axpy_p.a onto device.gmem\n"))
+
+
+def _error(task, message):
+    return f"error: {task}: task '{task}': {message}"
+
+
+# each edit is a sequence of (old, new) replacements, each of all occurrences
 @pytest.mark.parametrize("edit,errors", [
     # one diagnostic per task: four tasks instantiate DotProduct
-    (("deploy dot_partial", "deploy frobnicate"),
+    ((("deploy dot_partial", "deploy frobnicate"),),
      [f"error: {t}: task '{t}' deploys unknown intrinsic 'frobnicate'"
       for t in ("dot_bb", "loop.dot_rr", "loop.dot_pap", "loop.dot_rrn")]),
-    (("    port z out float64 [1]\n    deploy neg",
-      "    port z out float64 [1]\n    port w out float64 [1]\n    deploy neg"),
+    ((("    port z out float64 [1]\n    deploy neg",
+       "    port z out float64 [1]\n    port w out float64 [1]\n    deploy neg"),),
      ["error: loop.neg_alpha: task 'loop.neg_alpha': intrinsic 'neg' expects ports "
       "['a', 'z'] (optional: []), got ['a', 'w', 'z']"]),
-    (("loop.neg_alpha onto host.cpu", "loop.neg_alpha onto device.c"),
+    ((("loop.neg_alpha onto host.cpu", "loop.neg_alpha onto device.c"),),
      ["error: loop.neg_alpha: task 'loop.neg_alpha': host intrinsic 'neg' is "
       "allocated to a device processor"]),
-    (("loop.scale_p onto device.c", "loop.scale_p onto host.cpu"),
+    ((("loop.scale_p onto device.c", "loop.scale_p onto host.cpu"),),
      ["error: loop.scale_p: task 'loop.scale_p': device intrinsic 'scale' is "
       "allocated to a host processor"]),
+    (((NEG_PORTS, NEG_PORTS.replace("a in", "a inout")),),
+     [_error("loop.neg_alpha", "port 'a' must be in")]),
+    # the CSR ports of cg, CgLoop and SpmvCsr change together
+    ((("port rowptr in int32", "port rowptr in float64"),),
+     [_error("loop.spmv", "port 'rowptr' must have an integer type")]),
+    ((("port values in float64", "port values in int32"),),
+     [_error("loop.spmv", "port 'values' must have a floating-point type")]),
+    (AXPY_UNIT_WIDE_A, [_error("loop.axpy_p", "port 'a' must be scalar")]),
+    (ODD_COPY, [_error("odd", "vector ports disagree on extent: [4, 5]")]),
+    # VecCopy: init_r and init_p
+    ((("    port dst out float64 [132651]\n    repeat [132651]",
+       "    port dst out float64 [132651]\n    repeat [7]"),),
+     [_error(t, "repetition space 7 does not match vector extent 132651")
+      for t in ("init_r", "init_p")]),
+    ((("port rowptr in int32 [132652]", "port rowptr in int32 [132651]"),),
+     [_error("loop.spmv", "rowptr extent must be row count + 1")]),
+    ((("port colidx in int32 [3442951]", "port colidx in int32 [3442950]"),),
+     [_error("loop.spmv", "colidx and values extents differ")]),
 ])
 def test_check_reports_deployment_errors(workdir, capsys, edit, errors):
     tmp_path, _ = workdir
     text = gmodelc.bundled_model_text()
-    assert edit[0] in text
+    for old, new in edit:
+        assert old in text
+        text = text.replace(old, new)
     path = tmp_path / "bad.gmodel"
-    path.write_text(text.replace(*edit))
+    path.write_text(text)
     assert main(["check", str(path)]) == 1
     assert capsys.readouterr().err.splitlines() == errors
 
@@ -118,6 +158,55 @@ def test_placement_mismatch_same_message_in_check_codegen_and_run(workdir, capsy
         with pytest.raises(IntrinsicShapeMismatch) as kernel_error:
             generate_kernels(model, maps, schedule)
         assert str(kernel_error.value) == message
+
+
+@pytest.mark.parametrize("old, new, error", [
+    ("connect b -> init_r.src\n", "connect init_p.dst -> init_r.src\n",
+     "error: connector cycle among tasks of '<root>': init_p, init_r, loop"),
+    ("    processor pe : ProcessingElement shaped [8]\n", "",
+     "error: no processing-element instance found inside the device processor"),
+    ("connect init_r.dst -> init_p.src\n", "connect init_p.dst -> init_p.src\n",
+     "error: init_p: task 'init_p': output port 'dst' aliases input port 'src'"),
+], ids=["connector-cycle", "no-pe-geometry", "output-aliases-input"])
+def test_every_command_stops_at_the_same_stage(workdir, capsys, old, new, error):
+    """A model that fails in the schedule or in a deployment fails check,
+    map, codegen and run alike, with the same last line and exit 1."""
+    tmp_path, _ = workdir
+    text = gmodelc.bundled_model_text()
+    assert old in text
+    path = tmp_path / "edited.gmodel"
+    path.write_text(text.replace(old, new))
+    mtx, _ = _write_poisson(tmp_path, 4)
+    out_dir = tmp_path / "out"
+    for argv in (["check"], ["map"], ["codegen", "--devices", "4"], ["run", "--matrix", mtx]):
+        assert main(argv + [str(path), "--out", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == error
+    assert not out_dir.exists()
+
+
+def test_check_generates_the_code_to_reject_what_codegen_rejects(workdir, capsys):
+    """Root task loop_axpy_p and loop.axpy_p get one kernel name, which only
+    code generation finds: check generates the code and discards it."""
+    tmp_path, _ = workdir
+    text = gmodelc.bundled_model_text()
+    for old, new in (("    part loop : CgLoop\n",
+                      "    part loop : CgLoop\n    part loop_axpy_p : AxpyUnit\n"),
+                     ("allocate task init_r onto device.c\n",
+                      "allocate task init_r onto device.c\nallocate task loop_axpy_p onto "
+                      "device.c\nallocate data loop_axpy_p.y onto device.gmem\n"
+                      "allocate data loop_axpy_p.x onto device.gmem\n")):
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "collide.gmodel"
+    path.write_text(text)
+    message = ("error: kernel name 'k_loop_axpy_p' generated for both 'loop.axpy_p' "
+               "and 'loop_axpy_p'\n")
+    for argv in (["check"], ["codegen"]):
+        assert main(argv + [str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", message)
+    assert not (tmp_path / "out").exists()
 
 
 HOST_ONLY_ROOT_PORT = (
@@ -368,6 +457,33 @@ def test_run_bad_matrix_exit_two(workdir, capsys):
     mtx.write_text("%%MatrixMarket matrix array real general\n2 2\n")
     assert main(["run", model_path, "--matrix", str(mtx)]) == 2
     assert capsys.readouterr().err
+
+
+def test_run_non_symmetric_matrix_exit_two(workdir, capsys):
+    """run samples the matrix for symmetry after the load, as run_cg does:
+    this circulant would otherwise converge to a wrong answer."""
+    tmp_path, model_path = workdir
+    mtx = tmp_path / "circulant.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n4 4 8\n" + "".join(
+        f"{i + 1} {i + 1} 2.0\n{i + 1} {(i + 1) % 4 + 1} 1.0\n" for i in range(4)))
+    assert main(["run", model_path, "--matrix", str(mtx),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", f"error: {mtx}: a[0,1]=1.0 but a[1,0]=0.0\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_the_resized_model(workdir, capsys):
+    """A matrix without entries sizes the CSR ports to 0: conformance of the
+    re-sized model rejects it, printing its diagnostics."""
+    tmp_path, model_path = workdir
+    mtx = tmp_path / "empty.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n2 2 0\n")
+    assert main(["run", model_path, "--matrix", str(mtx),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: application.{c}.{p}: port shape dimension must be >= 1, got 0"
+        for c in ("CgLoop", "SpmvCsr", "cg") for p in ("colidx", "values")]
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_non_ascii_matrix_exit_two(workdir, capsys):

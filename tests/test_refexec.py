@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import os
 import random
 import tracemalloc
 from unittest import mock
@@ -59,6 +60,28 @@ def test_symmetric_expansion():
 def test_array_format_rejected():
     with pytest.raises(MalformedHeader):
         load_matrix_market("%%MatrixMarket matrix array real general\n2 2 4\n")
+
+
+BANNER = "%%MatrixMarket matrix coordinate real general\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2 2 1\n1 1 1.0\n", "missing %%MatrixMarket banner"),
+    ("%%MatrixMarket matrix coordinate real\n2 2 1\n", "banner needs 5 fields, got 4"),
+    ("%%MatrixMarket matrix coordinate complex general\n2 2 1\n",
+     "only real values are supported, got 'complex'"),
+    ("%%MatrixMarket matrix coordinate real hermitian\n2 2 1\n",
+     "only general or symmetric, got 'hermitian'"),
+    (BANNER + "% a comment\n", "missing size line"),
+    (BANNER + "3 3\n", "line 2: size line needs 'rows cols nnz'"),
+    (BANNER + "3 3 x\n", "line 2: size line needs integers"),
+    (BANNER + "0 0 0\n", "matrix size must be positive"),
+], ids=["no-banner", "4-field-banner", "complex", "hermitian", "no-size-line",
+        "2-field-size", "non-integer-size", "empty-size"])
+def test_header_rejected(text, message):
+    with pytest.raises(MalformedHeader) as exc:
+        load_matrix_market(text)
+    assert str(exc.value) == message
 
 
 def test_non_square_rejected():
@@ -185,10 +208,11 @@ def matrix_market_texts(draw):
 
 
 def _load_outcome(source):
-    """A load's arrays or error; source is the text or the path of a file."""
+    """A load's arrays or error; source is the text, a file object or the
+    path of a file."""
     try:
-        A = load_matrix_market(source) if isinstance(source, str) \
-            else refexec.read_matrix_market(str(source))
+        A = refexec.read_matrix_market(str(source)) if isinstance(source, os.PathLike) \
+            else load_matrix_market(source)
     except (MalformedHeader, IndexOutOfRange) as exc:
         return type(exc), str(exc)
     return A.row_ptr.tobytes(), A.col_idx.tobytes(), A.values.tobytes()
@@ -234,9 +258,9 @@ LINE_ENDING_TEXT = (
     ("4 2 1.0", (IndexOutOfRange, "line 8: entry (4,2) outside 3x3")),
 ])
 def test_line_ends_of_a_matrix_file(tmp_path, bad, error):
-    """LF, CRLF and CR-only copies of one file, and the same texts as a str,
-    load to the same arrays, and a malformed entry (on line 8) gives the
-    error of the file read in text mode."""
+    """LF, CRLF and CR-only copies of one file, the same texts as a str and
+    the files opened in text mode load to the same arrays, and a malformed
+    entry (on line 8) gives the error of the file read in text mode."""
     lines = LINE_ENDING_TEXT.split("\n")
     if bad is not None:
         lines[7] = bad
@@ -248,6 +272,8 @@ def test_line_ends_of_a_matrix_file(tmp_path, bad, error):
         outcomes.add(_load_outcome(newline.join(lines)))
         with open(path, encoding="ascii") as f:
             outcomes.add(_load_outcome(f.read()))
+        with open(path, encoding="ascii") as f:
+            outcomes.add(_load_outcome(f))
     if error is None:
         (got,) = outcomes
         assert isinstance(got[0], bytes)
@@ -750,6 +776,27 @@ def test_cg_rejects_nonsymmetric():
     A = csr_from_dense(np.array([[2.0, 1.0], [0.5, 2.0]]))
     with pytest.raises(NonSymmetricMatrix):
         run_cg(A, np.ones(2), SolverConfig(tol=1e-10, max_iter=5))
+
+
+def test_symmetry_sample_names_the_first_differing_pair():
+    """Every (nnz // 64)-th entry is sampled, and the entries between are
+    not; the message gives the two values as plain floats."""
+    A = poisson_2d(30)
+    refexec._sample_symmetry(A)
+    step = A.nnz // 64
+    rows = np.repeat(np.arange(A.n), np.diff(A.row_ptr))
+    sampled = next(k for k in range(step, A.nnz, step) if rows[k] != A.col_idx[k])
+    i, j = int(rows[sampled]), int(A.col_idx[sampled])
+    for k, detected in ((sampled, True), (sampled + 1, False)):
+        values = A.values.copy()
+        values[k] = -1.5
+        B = CsrMatrix(A.n, A.row_ptr, A.col_idx, values)
+        if detected:
+            with pytest.raises(NonSymmetricMatrix) as exc:
+                refexec._sample_symmetry(B)
+            assert str(exc.value) == f"a[{i},{j}]=-1.5 but a[{j},{i}]=-1.0"
+        else:
+            refexec._sample_symmetry(B)
 
 
 def test_cg_residual_contract():
