@@ -10,10 +10,11 @@ rejects whatever `map`, `codegen` and `run` would reject, with the same
 message.
 
 Exit codes: 0 success, 1 validation/model errors, 2 I/O or parse
-failures and a non-symmetric matrix, 3 when run's loop ends unconverged
-or with a residual that is not finite (a CG breakdown is not detected
-yet).  Reports go to stdout, diagnostics to stderr; all file outputs are
-deterministic.
+failures, a non-symmetric matrix and a --rhs that is not finite or is
+nonzero with a squared norm of 0.0 or inf, 3 when run's loop ends
+unconverged or with a residual that is not finite (a CG breakdown is not
+detected yet).  Reports go to stdout, diagnostics to stderr; all file
+outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -219,6 +220,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if len(bad):
             raise Failure(EXIT_IO, f"error: {args.rhs}: value {bad[0] + 1} "
                                    f"({float(rhs[bad[0]])!r}) is not finite")
+        try:
+            refexec._check_rhs_norm(args.rhs, rhs)     # as run_cg checks it
+        except refexec.RhsNormOutOfRange as exc:
+            raise Failure(EXIT_IO, f"error: {exc}") from None
     try:
         A = refexec.read_matrix_market(args.matrix)
         refexec._sample_symmetry(A)     # as run_cg samples it
@@ -239,8 +244,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # re-sizing changes only sizes: its diagnostics show only with an error
     _, schedule = _front_end(model, args.devices, quiet=True)
 
-    if float(np.linalg.norm(rhs)) == 0.0:
-        # zero right-hand side: the exact solution is zero, no iterations
+    if not rhs.any():
+        # a right-hand side of zeros: the exact solution is zero, no iterations
         iterations, relres, converged, solution = 0, 0.0, True, np.zeros(A.n)
     else:
         try:

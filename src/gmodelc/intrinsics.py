@@ -118,17 +118,27 @@ def _dot_partial(a, ranges):
     return run
 
 
+# The most elements a scaled axpy multiplies into its temporary at a time:
+# 2^14 float64 keep it at 128 KiB, so the add re-reads it from cache, not
+# from memory.  axpy is separable, so the chunks give the same bytes.
+AXPY_CHUNK = 1 << 14
+
+
 def _axpy(a, lo, hi):
     y, x = a["y"][lo:hi], a["x"][lo:hi]
     if "a" not in a:
         def run():
             np.add(y, x, out=y)
         return run
-    scalar, scaled = a["a"], np.empty_like(x)
+    scalar, scaled = a["a"], np.empty_like(x[:AXPY_CHUNK])
+    chunks = [(y[k:k + AXPY_CHUNK], x[k:k + AXPY_CHUNK], scaled[:min(AXPY_CHUNK, hi - lo - k)])
+              for k in range(0, hi - lo, AXPY_CHUNK)]
 
     def run():
-        np.multiply(float(scalar[0]), x, out=scaled)
-        np.add(y, scaled, out=y)
+        factor = float(scalar[0])
+        for y_chunk, x_chunk, scaled_chunk in chunks:
+            np.multiply(factor, x_chunk, out=scaled_chunk)
+            np.add(y_chunk, scaled_chunk, out=y_chunk)
     return run
 
 

@@ -23,11 +23,13 @@ two forms, chosen from the block's own entries:
 
 - diagonal (DIA) form, when the block's distinct offsets d = col - row,
   times its rows, are at most twice its stored entries, as for a stencil:
-  one value array per offset, laid out by row, multiplied by a slice of
-  x and added into a slice of the output, with no gather and no
-  permutation.  A row that lacks an offset gets -0.0 in that slot, the
-  one value whose sum v + (-0.0) is v bit for bit for every v, signed
-  zeros, infinities and nan included, so a 0 * inf there cannot leak.
+  one factor per offset multiplied by a slice of x and added into a slice
+  of the output, with no gather and no permutation.  The factor is one
+  scalar when every stored entry of the offset has the same bits, as in
+  a constant-coefficient stencil, and a value array laid out by row
+  otherwise.  A row that lacks an offset gets -0.0 in that slot, the one
+  value whose sum v + (-0.0) is v bit for bit for every v, signed zeros,
+  infinities and nan included, so a 0 * inf there cannot leak.
 - jagged-diagonal form otherwise (rows sorted by descending length,
   entries stored level by level): one gather-multiply, one slice add per
   level and one scatter back to row order.
@@ -73,6 +75,11 @@ class NonFiniteInput(ValueError):
     """An executor's input array holds nan or an infinite value."""
 
 
+class RhsNormOutOfRange(ValueError):
+    """A nonzero right-hand side whose squared norm underflows to 0.0 or
+    overflows: CG's relative residual ||r|| / ||b|| has no finite base."""
+
+
 class MalformedHeader(ValueError):
     pass
 
@@ -100,6 +107,18 @@ def _check_finite(what: str, values: np.ndarray):
     bad = np.flatnonzero(~np.isfinite(values))
     if len(bad):
         raise NonFiniteInput(f"{what}: element {bad[0]} ({float(values[bad[0]])!r}) is not finite")
+
+
+def _check_rhs_norm(what: str, b: np.ndarray) -> float:
+    """b.b of a finite right-hand side; raises RhsNormOutOfRange, naming
+    what, when b is nonzero but b.b is 0.0 or not finite."""
+    with np.errstate(over="ignore"):    # reported below, as the error
+        rr = float(np.dot(b, b))
+    if not 0.0 < rr < math.inf and b.any():
+        raise RhsNormOutOfRange(
+            f"{what}: nonzero, but its squared norm "
+            + ("underflows to 0.0" if rr == 0.0 else f"overflows to {rr!r}"))
+    return rr
 
 
 @dataclass(eq=False)
@@ -222,11 +241,17 @@ def _diagonal_block(row_ptr, col_idx, values, x, out, lo, hi, scratch):
     distinct offsets d = col - row, times its rows, exceed twice its stored
     entries (a diagonal slot costs about half a jagged entry).
 
-    Offset d holds one value array laid out by row, the x[lo+d+r0:lo+d+r1]
-    slice (rows whose column falls outside x clipped off) and the rows that
-    lack it.  A run fills out with +0.0 and, offset by ascending offset,
+    Offset d holds its factor, the x[lo+d+r0:lo+d+r1] slice (rows whose
+    column falls outside x clipped off) and the rows that lack it.  The
+    factor is one float c when every stored entry of the offset has c's
+    bits (0.0 and -0.0 differ) and, if a row lacks the offset, 0 < |c| <= 1,
+    so that c * x in that slot raises no warning whatever x holds: c * x[i]
+    is v[i] * x[i] bit for bit when v[i] has c's bits.  Otherwise it is
+    the offset's value array laid out by row; only those arrays are built
+    and kept.  A run fills out with +0.0 and, offset by ascending offset,
     multiplies into scratch, writes -0.0 into the missing rows' slots and
-    adds scratch into out.  scratch is shared as in _jagged_block.
+    adds scratch into out.  scratch, of x's dtype with room for the rows,
+    may be shared as in _jagged_block.
     """
     first, last = int(row_ptr[lo]), int(row_ptr[hi])
     rows = hi - lo
@@ -243,33 +268,56 @@ def _diagonal_block(row_ptr, col_idx, values, x, out, lo, hi, scratch):
         return None
     if len(cols) and not (0 <= cols.min() and cols.max() < len(x)):
         raise IndexError(f"column index outside a vector of length {len(x)}")
-    slot = np.searchsorted(distinct, keys)      # each entry's (offset, row) slot
+    slot = np.searchsorted(distinct, keys)      # each entry's offset, then its slot
     del keys
+    # an offset's value in one of its entries, and whether every entry has
+    # its bits (0.0 and -0.0 differ)
+    vals = values[first:last]
+    bits = vals.view(f"i{vals.itemsize}")
+    one = np.empty(len(distinct), dtype=bits.dtype)
+    one[slot] = bits
+    varies = np.zeros(len(distinct), dtype=bool)
+    varies[slot[bits != one[slot]]] = True
+    constants = one.view(vals.dtype).tolist()
+    del bits, one
     slot *= rows
     slot += row_of
     del row_of
-    # 1.0 in a missing slot: its product with an infinite x raises no
-    # invalid-value warning, and the run overwrites it with -0.0
-    diagonals = np.ones((len(distinct), rows), dtype=values.dtype)
-    diagonals.ravel()[slot] = values[first:last]
     present = np.zeros((len(distinct), rows), dtype=bool)
     present.ravel()[slot] = True
+    spans = []
+    for j, key in enumerate(distinct.tolist()):
+        r0, r1 = max(0, -key), min(rows, len(x) - key)
+        missing = np.flatnonzero(~present[j, r0:r1])
+        spans.append((key, r0, r1, missing if len(missing) else None))
+    del present
+    # c * x in a missing slot must raise no warning whatever x holds: c != 0
+    # rules out 0 * inf and |c| <= 1 an overflow
+    arrays = [j for j, (_, _, _, missing) in enumerate(spans)
+              if varies[j] or missing is not None and not 0 < abs(constants[j]) <= 1]
+    value_rows = {}
+    if arrays:
+        # 1.0 in a missing slot of a value array: its product with any x
+        # raises no warning, no 0 * inf and no overflow, and the run
+        # overwrites it with -0.0
+        diagonals = np.ones((len(distinct), rows), dtype=values.dtype)
+        diagonals.ravel()[slot] = vals
+        value_rows = dict(zip(arrays, diagonals[arrays]))   # a copy of those rows alone
+        del diagonals
     del slot
     dtype = np.result_type(values, x)
     products = scratch[:rows] if scratch.dtype == dtype and len(scratch) >= rows \
         else np.empty(rows, dtype=dtype)
-    steps = []
-    for j, key in enumerate(distinct.tolist()):
-        r0, r1 = max(0, -key), min(rows, len(x) - key)
-        missing = np.flatnonzero(~present[j, r0:r1])
-        steps.append((diagonals[j, r0:r1], x[key + r0:key + r1], out[r0:r1],
-                      products[:r1 - r0], missing if len(missing) else None))
-    del present
+    steps = [(value_rows[j][r0:r1] if j in value_rows else constants[j],
+              x[key + r0:key + r1], out[r0:r1], products[:r1 - r0], missing)
+             for j, (key, r0, r1, missing) in enumerate(spans)]
 
     def run():
         out.fill(0.0)
-        for vals, x_slice, out_slice, prod, missing in steps:
-            np.multiply(vals, x_slice, out=prod)
+        for factor, x_slice, out_slice, prod, missing in steps:
+            # dtype: a float factor times a float32 x multiplies in float64
+            # when the values do, as their array would
+            np.multiply(factor, x_slice, out=prod, dtype=dtype)
             if missing is not None:
                 prod[missing] = -0.0     # v + (-0.0) is v, bit for bit
             out_slice += prod
@@ -282,17 +330,25 @@ def csr_product(row_ptr, col_idx, values, x, out, lo, hi):
 
     The rows are cut into _row_blocks, each a _diagonal_block closure when
     the block is banded enough and a _jagged_block one otherwise; the
-    blocks run one after another and share one scratch buffer.  Everything
-    is built here, once: the closure stays valid while x and out are
-    written only in place and the CSR arrays not at all.
+    blocks run one after another.  The diagonal blocks share one scratch
+    buffer of a block's rows, the jagged ones one of a block's entries,
+    made at the first jagged block.  Everything is built here, once: the
+    closure stays valid while x and out are written only in place and the
+    CSR arrays not at all.
     """
     blocks = _row_blocks(row_ptr, lo, hi)
-    scratch = np.empty(max((int(row_ptr[stop]) - int(row_ptr[start]) for start, stop in blocks),
-                           default=0), dtype=x.dtype)
+    products = np.empty(max((stop - start for start, stop in blocks), default=0), dtype=x.dtype)
+    gather = None
     runs = []
     for start, stop in blocks:
-        args = (row_ptr, col_idx, values, x, out[start - lo:stop - lo], start, stop, scratch)
-        runs.append(_diagonal_block(*args) or _jagged_block(*args))
+        args = (row_ptr, col_idx, values, x, out[start - lo:stop - lo], start, stop)
+        run = _diagonal_block(*args, products)
+        if run is None:
+            if gather is None:
+                gather = np.empty(max(int(row_ptr[b]) - int(row_ptr[a]) for a, b in blocks),
+                                  dtype=x.dtype)
+            run = _jagged_block(*args, gather)
+        runs.append(run)
     if len(runs) == 1:
         return runs[0]
 
@@ -365,10 +421,12 @@ def run_cg(A: CsrMatrix, b: np.ndarray, config: SolverConfig) -> SolveResult:
 
     Stops when the recurrence residual satisfies ||r||/||b|| <= tol or
     max_iter is reached; the relative residual is recorded after each
-    x-update.  A zero right-hand side returns x = 0, converged, zero
+    x-update.  A right-hand side of zeros returns x = 0, converged, zero
     iterations.  Raises BreakdownDetected when p.Ap <= 0 (not positive
-    definite), DimensionMismatch on a size mismatch and NonFiniteInput,
-    before the first iteration, on a nan or infinite value in A or b.
+    definite), DimensionMismatch on a size mismatch, and, before the first
+    iteration, NonFiniteInput on a nan or infinite value in A or b and
+    RhsNormOutOfRange when b is nonzero but b.b underflows to 0.0 or
+    overflows.
     """
     if len(b) != A.n:
         raise DimensionMismatch(f"rhs length {len(b)} != matrix size {A.n}")
@@ -377,12 +435,12 @@ def run_cg(A: CsrMatrix, b: np.ndarray, config: SolverConfig) -> SolveResult:
     _check_finite("rhs b", b)
     _sample_symmetry(A)
     x = np.zeros(A.n)
+    if not b.any():
+        return SolveResult(x=x, iterations=0, residual_history=[], converged=True)
+    rr = _check_rhs_norm("rhs b", b)
+    bnorm = math.sqrt(rr)
     r = b.copy()
     p = r.copy()
-    rr = float(np.dot(r, r))
-    bnorm = math.sqrt(rr)
-    if bnorm == 0.0:
-        return SolveResult(x=x, iterations=0, residual_history=[], converged=True)
     Ap = np.empty(A.n)
     product = csr_product(A.row_ptr, A.col_idx, A.values, p, Ap, 0, A.n)  # Ap = A p
     history: list[float] = []

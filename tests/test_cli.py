@@ -589,7 +589,9 @@ def test_run_solver_option_out_of_range_exit_two(workdir, capsys, option, value)
 
 @pytest.mark.parametrize("text, reason", [
     ("", "no values"), ("1.0 2.0\n", "2 values per line, expected one"),
-    ("1.0\nnan\n", "value 2 (nan) is not finite")])
+    ("1.0\nnan\n", "value 2 (nan) is not finite"),
+    ("1e-170\n" * 16, "nonzero, but its squared norm underflows to 0.0"),
+    ("1e200\n" * 16, "nonzero, but its squared norm overflows to inf")])
 def test_run_rhs_errors_come_before_the_matrix_load(workdir, capsys, text, reason):
     """Every check of --rhs but its length runs before the matrix is read:
     a bad --rhs is reported even when the matrix file does not exist."""

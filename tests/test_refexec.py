@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gmodelc
-from gmodelc import refexec
+from gmodelc import intrinsics, refexec
 from gmodelc.cli import main
 from gmodelc.codegen import generate_kernels
 from gmodelc.intrinsics import (INTRINSICS, RANGE_PROLOGUE, IntrinsicShapeMismatch,
@@ -22,7 +22,7 @@ from gmodelc.partition import Schedule, WorkRange, build_schedule, partition_equ
 from gmodelc.refexec import (BreakdownDetected, CsrMatrix, DimensionMismatch,
                              IndexOutOfRange, MalformedHeader, MissingBinding,
                              NonFiniteInput, NonFiniteValue, NonSquare, NonSymmetricMatrix,
-                             SolverConfig,
+                             RhsNormOutOfRange, SolverConfig,
                              build_sweep_plan, execute_schedule, instantiate_for_matrix,
                              load_matrix_market, run_cg, spmv_csr,
                              spmv_range)
@@ -617,6 +617,52 @@ def _diagonal_form_cases():
     yield "past-rule", csr_from_dense(past_rule), rng.standard_normal(6), "jagged"
     # scattered: nearly every entry on an offset of its own
     yield "random", random_spd(12, 17, density=0.3), rng.standard_normal(12), "jagged"
+    # constant diagonals 0.2 and -0.1 over a float32 x: each product is
+    # rounded in float64, as the float64 values make it
+    B = poisson_1d(12)
+    tenth = CsrMatrix(B.n, B.row_ptr, B.col_idx, B.values * 0.1)
+    yield "scalar-float32-x", tenth, rng.standard_normal(B.n).astype(np.float32), "diagonal"
+    # a constant diagonal keeps one scalar; these diagonals keep value rows.
+    # One entry of the +1 diagonal one ulp off -1.0, over the holes' x
+    values = A.values.copy()
+    values[np.flatnonzero(A.col_idx - _entry_rows(A) == 1)[7]] = np.nextafter(-1.0, -2.0)
+    yield "one-ulp-off", CsrMatrix(A.n, A.row_ptr, A.col_idx, values), x, "diagonal"
+    # the holes grid with a varying main diagonal: the value rows meet inf and nan
+    values = A.values.copy()
+    on_main = A.col_idx == _entry_rows(A)
+    values[on_main] = 4.0 + np.arange(A.n) % 3
+    yield "holes-varying", CsrMatrix(A.n, A.row_ptr, A.col_idx, values), x, "diagonal"
+    # a +1 diagonal of 0.0 and -0.0 by turns: not one value, bit for bit
+    B = poisson_1d(12)
+    values = B.values.copy()
+    upper = np.flatnonzero(B.col_idx - _entry_rows(B) == 1)
+    values[upper] = np.where(np.arange(len(upper)) % 2, -0.0, 0.0)
+    yield "mixed-zeros", CsrMatrix(B.n, B.row_ptr, B.col_idx, values), \
+        rng.standard_normal(B.n), "diagonal"
+    # a +1 diagonal of stored zeros that lacks row 4, where x[5] = inf: a
+    # scalar 0.0 would make 0 * inf in that slot
+    entries = [(i, i, 2.0) for i in range(10)] + [(i, i - 1, -1.0) for i in range(1, 10)] \
+        + [(i, i + 1, 0.0) for i in range(9) if i != 4]
+    x = rng.standard_normal(10)
+    x[5] = np.inf
+    yield "stored-zeros", _csr_of_entries(10, entries), x, "diagonal"
+    # a +1 diagonal of 2.0 that lacks row 3, where x[4] = 1e308: a scalar
+    # 2.0 would overflow in that slot, and no stored entry does
+    entries = [(i, i, 1.0) for i in range(8)] + [(i, i + 1, 2.0) for i in range(7) if i != 3]
+    x = rng.standard_normal(8)
+    x[4] = 1e308
+    yield "overflow-hole", _csr_of_entries(8, entries), x, "diagonal"
+
+
+def _entry_rows(A: CsrMatrix) -> np.ndarray:
+    """The row of each stored entry."""
+    return np.repeat(np.arange(A.n), np.diff(A.row_ptr))
+
+
+def _csr_of_entries(n: int, entries: list[tuple[int, int, float]]) -> CsrMatrix:
+    """The CSR matrix of (row, col, value) entries, stored zeros kept."""
+    rows, cols, vals = (np.array(column) for column in zip(*entries))
+    return refexec.csr_from_coo(n, rows, cols, vals.astype(np.float64))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -670,6 +716,24 @@ def test_spmv_blocks_of_stencils_are_diagonal_and_of_random_matrices_jagged(
     assert [(lo, hi) for _, lo, hi in blocks] == refexec._row_blocks(A.row_ptr, 0, A.n)
     assert {block_form for block_form, _, _ in blocks} == {form}
     assert y.tobytes() == spmv_loop(A.row_ptr, A.col_idx, A.values, x).tobytes()
+
+
+def test_spmv_product_of_a_stencil_keeps_scalars_not_value_rows():
+    """A product over constant-coefficient diagonals keeps one scalar per
+    diagonal: what the closure holds is a small part of the matrix values."""
+    A = poisson_3d(30)
+    x = np.random.default_rng(23).standard_normal(A.n)
+    out = np.empty(A.n)
+    tracemalloc.start()
+    try:
+        run = refexec.csr_product(A.row_ptr, A.col_idx, A.values, x, out, 0, A.n)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept <= 0.25 * A.values.nbytes, \
+        f"kept {kept} B is {kept / A.values.nbytes:.2f}x the values"
+    run()
+    assert out.tobytes() == spmv_loop(A.row_ptr, A.col_idx, A.values, x).tobytes()
 
 
 @pytest.mark.parametrize("matrix, form", [
@@ -769,6 +833,24 @@ def test_cg_rejects_non_finite_input_before_iterating(monkeypatch, where):
     message = r"rhs b: element 3 \(nan\)" if where == "b" else r"matrix values: element 5 \(inf\)"
     with pytest.raises(NonFiniteInput, match=message):
         run_cg(A, b, SolverConfig(tol=1e-10, max_iter=50))
+    assert products == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value, message", [
+    (1e-170, "underflows to 0.0"), (1e200, "overflows to inf")])
+def test_cg_rejects_a_nonzero_rhs_whose_squared_norm_is_out_of_range(monkeypatch, value,
+                                                                       message):
+    """b.b of sixteen 1e-170 underflows to 0.0, which the zero-rhs path took
+    for b = 0; that of sixteen 1e200 overflows.  Either is rejected before
+    the product is built, with no warning."""
+    A = poisson_2d(4)
+    products = []
+    monkeypatch.setattr(refexec, "csr_product", lambda *args: products.append(args))
+    with pytest.raises(RhsNormOutOfRange) as exc:
+        run_cg(A, np.full(A.n, value), SolverConfig(tol=1e-10, max_iter=50))
+    assert isinstance(exc.value, ValueError)
+    assert str(exc.value) == f"rhs b: nonzero, but its squared norm {message}"
     assert products == []
 
 
@@ -1220,6 +1302,37 @@ def test_row_blocks_are_maximal_and_tile_the_range(lengths, limit, data):
         assert entries <= limit or stop == start + 1     # a longer row stands alone
         if stop < hi:       # the next row would not fit
             assert int(row_ptr[stop + 1] - row_ptr[start]) > limit
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_axpy_in_chunks_gives_the_bytes_of_one_pass(monkeypatch, dtype):
+    """With 5-element chunks, the scaled and the bare axpy over ranges that
+    start off zero and end mid-chunk write y + a * x and y + x, unchunked,
+    and leave y outside the range as it was."""
+    rng = np.random.default_rng(24)
+    n = 23
+    x, y0 = (rng.standard_normal(n).astype(dtype) for _ in range(2))
+    a = np.array([rng.standard_normal()], dtype=dtype)
+    monkeypatch.setattr(intrinsics, "AXPY_CHUNK", 5)
+    for lo, hi in ((3, 21), (1, 4), (6, 23), (2, 9), (4, 15)):
+        for scaled in (True, False):
+            y = y0.copy()
+            INTRINSICS["axpy"].launch({"y": y, "x": x, **({"a": a} if scaled else {})}, lo, hi)()
+            want = y0.copy()
+            want[lo:hi] = y0[lo:hi] + (float(a[0]) * x[lo:hi] if scaled else x[lo:hi])
+            assert want.dtype == dtype
+            assert y.tobytes() == want.tobytes(), (lo, hi, scaled)
+
+
+@pytest.mark.parametrize("devices", [1, 4])
+def test_schedule_with_axpy_in_chunks_is_bitwise_the_same(monkeypatch, devices):
+    sized, A, b, bindings = _cg_setup(12)
+    schedule = build_schedule(sized, devices)
+    want = execute_schedule(sized, schedule, bindings)
+    monkeypatch.setattr(intrinsics, "AXPY_CHUNK", 5)
+    got = execute_schedule(sized, schedule, bindings)
+    assert got.outputs["x"].tobytes() == want.outputs["x"].tobytes()
+    assert (got.iterations, got.converged) == (want.iterations, True)
 
 
 def test_partition_transparency_dot_tolerance():
