@@ -21,9 +21,8 @@ from .partition import (CyclicTaskGraph, DeviceStep, HostOp, KernelLaunch, LoopS
                         build_schedule, partition_equally)
 from .refexec import (BreakdownDetected, CsrMatrix, DimensionMismatch, ExecutionResult,
                       IndexOutOfRange, MalformedHeader, MissingBinding, NonFiniteInput,
-                      NonSquare, SolveResult, SolverConfig, execute_schedule,
-                      instantiate_for_matrix, load_matrix_market, read_matrix_market,
-                      run_cg, spmv_csr)
+                      NonSquare, SolverConfig, execute_schedule, instantiate_for_matrix,
+                      load_matrix_market, read_matrix_market, run_cg, solve, spmv_csr)
 
 __version__ = "0.1.0"
 

@@ -4,17 +4,17 @@ Every command runs one front end over the parsed model: conformance,
 deployment diagnostics, memory maps and the schedule, in that order,
 stopping at the first stage that fails.  `check` then generates the code
 and discards it, `map` writes the report and `codegen` writes the code.
-`run` validates the model it is given, re-sizes it to the matrix and runs
-the front end on the re-sized model; it generates no code.  So `check`
-rejects whatever `map`, `codegen` and `run` would reject, with the same
-message.
+`run` validates the model it is given, re-sizes it to the matrix, runs
+the front end on the re-sized model and solves by refexec.solve; it
+generates no code.  So `check` rejects whatever `map`, `codegen` and
+`run` would reject, with the same message.
 
 Exit codes: 0 success, 1 validation/model errors, 2 I/O or parse
 failures, a non-symmetric matrix and a --rhs that is not finite or is
-nonzero with a squared norm of 0.0 or inf, 3 when run's loop ends
-unconverged or with a residual that is not finite (a CG breakdown is not
-detected yet).  Reports go to stdout, diagnostics to stderr; all file
-outputs are deterministic.
+nonzero with a squared norm of 0.0 or inf, 3 on a CG breakdown (a
+curvature p.Ap that is not finite and > 0) and when run's loop ends
+unconverged or with a residual that is not finite.  Reports go to
+stdout, diagnostics to stderr; all file outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import codegen, dsl, memmap, refexec
 from .intrinsics import deployment_diagnostics
-from .metamodel import ComponentKind, Direction, Model, validate_conformance
+from .metamodel import Model, validate_conformance
 from .partition import Schedule, build_schedule
 
 EXIT_OK = 0
@@ -153,30 +153,6 @@ def _solution_text(solution: np.ndarray) -> Iterator[str]:
         yield "\n".join(map(repr, values[start:start + SOLUTION_CHUNK_LINES].tolist())) + "\n"
 
 
-def _matrix_bindings(model: Model, A: refexec.CsrMatrix,
-                     rhs: np.ndarray) -> dict[str, np.ndarray]:
-    """Bind root input ports structurally: CSR ports via their connection to
-    the spmv task, the remaining float input as the right-hand side."""
-    groups = model.context.port_groups
-    root = model.root(ComponentKind.APPLICATION)
-    spmv_path, _ = refexec.spmv_task(model)
-    csr_arrays = {f"{spmv_path}.rowptr": A.row_ptr,
-                  f"{spmv_path}.colidx": A.col_idx,
-                  f"{spmv_path}.values": A.values}
-    bindings: dict[str, np.ndarray] = {}
-    for port in root.ports:
-        if port.direction is not Direction.IN:
-            continue
-        bound = next((arr for node, arr in csr_arrays.items() if node in groups[port.name]),
-                     None)
-        if bound is None:
-            if not port.data_type.is_float:
-                raise ValueError(f"cannot infer a binding for input port '{port.name}'")
-            bound = rhs
-        bindings[port.name] = bound
-    return bindings
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     _generate(_load_model(args.model), args.devices)
     return EXIT_OK
@@ -221,12 +197,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             raise Failure(EXIT_IO, f"error: {args.rhs}: value {bad[0] + 1} "
                                    f"({float(rhs[bad[0]])!r}) is not finite")
         try:
-            refexec._check_rhs_norm(args.rhs, rhs)     # as run_cg checks it
+            refexec._check_rhs_norm(args.rhs, rhs)     # solve's check, before the load
         except refexec.RhsNormOutOfRange as exc:
             raise Failure(EXIT_IO, f"error: {exc}") from None
     try:
         A = refexec.read_matrix_market(args.matrix)
-        refexec._sample_symmetry(A)     # as run_cg samples it
+        refexec._sample_symmetry(A)     # solve's check, before the model
     except OSError as exc:
         raise Failure(EXIT_IO, f"error: {exc}") from None
     except (refexec.MalformedHeader, refexec.NonSquare, refexec.IndexOutOfRange,
@@ -244,19 +220,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # re-sizing changes only sizes: its diagnostics show only with an error
     _, schedule = _front_end(model, args.devices, quiet=True)
 
-    if not rhs.any():
-        # a right-hand side of zeros: the exact solution is zero, no iterations
-        iterations, relres, converged, solution = 0, 0.0, True, np.zeros(A.n)
-    else:
-        try:
-            result = refexec.execute_schedule(model, schedule, _matrix_bindings(model, A, rhs),
-                                              tol=args.tol, max_iter=args.max_iter)
-        except (ValueError, KeyError) as exc:
-            raise Failure(EXIT_VALIDATION, f"error: {exc}") from None
-        iterations, converged = result.iterations, result.converged
-        relres = result.final_relres if result.final_relres is not None else 0.0
-        outputs = sorted(result.outputs.items())
-        solution = outputs[0][1] if outputs else None
+    try:
+        result = refexec.solve(model, schedule, A, rhs, tol=args.tol, max_iter=args.max_iter)
+    except refexec.BreakdownDetected as exc:
+        raise Failure(EXIT_NUMERIC, f"error: {exc}") from None
+    except (ValueError, KeyError) as exc:
+        raise Failure(EXIT_VALIDATION, f"error: {exc}") from None
+    iterations, converged = result.iterations, result.converged
+    relres = result.final_relres if result.final_relres is not None else 0.0
+    outputs = sorted(result.outputs.items())
+    solution = outputs[0][1] if outputs else None
     name = model.application_root
     result_line = (f"iters={iterations} relres={relres!r} "
                    f"converged={'true' if converged else 'false'}\n")

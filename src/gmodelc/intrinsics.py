@@ -47,6 +47,7 @@ class PortSpec:
     scalar: bool = False       # shape total must be exactly 1
     integer: bool = False      # int32/int64 expected instead of float
     optional: bool = False
+    positive: bool = False     # finite and > 0, else the executor's BreakdownDetected
 
 
 @dataclass(frozen=True)
@@ -221,10 +222,10 @@ INTRINSICS: dict[str, IntrinsicSpec] = {
             PortSpec("y", _IN),
             PortSpec("z", _OUT),
         ), kernel=RANGE_PROLOGUE + ("z[i] = x[i] - y[i];",), launch=_sub),
-        # numpy float64 division: a zero denominator gives inf or nan
+        # q = num / den, den finite and > 0: CG's p.Ap for alpha, r.r for beta
         IntrinsicSpec("div", "host", (
             PortSpec("num", _IN, scalar=True),
-            PortSpec("den", _IN, scalar=True),
+            PortSpec("den", _IN, scalar=True, positive=True),
             PortSpec("q", _OUT, scalar=True),
         ), host_c="{q} = {num} / {den};", scalar=lambda num, den: num[0] / den[0]),
         IntrinsicSpec("neg", "host", (

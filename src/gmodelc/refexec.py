@@ -1,9 +1,11 @@
 """Reference CPU executor: CSR linear algebra and schedule execution.
 
-Runs a schedule over concrete numpy arrays.  execute_schedule first
-compiles the schedule into a flat list of closures, one per device step,
-host op and loop, each with its task's arrays, checks, [lo:hi] views and
-spmv products bound once; the run then only calls closures.  A task's
+Runs a schedule over concrete numpy arrays; solve runs one over A x = b
+and holds every rule on such a system, and run_cg is solve over the
+bundled cg.gmodel's schedule.  execute_schedule first compiles the
+schedule into a flat list of closures, one per device step, host op and
+loop, each with its task's arrays, checks, [lo:hi] views and spmv
+products bound once; the run then only calls closures.  A task's
 closures come from its intrinsic's entry of intrinsics.INTRINSICS: the
 launch function of a device intrinsic, the scalar function of a host one.
 
@@ -12,11 +14,12 @@ range: a launch over [lo:hi) writes the same bytes as launches over any
 split of it.  So such a step runs as one closure over the whole range its
 device launches tile.  The device partition is kept where it changes the
 numbers: a reduction step sums one dot partial per launch range, from
-0.0 in ascending device order, so a single-device run reproduces run_cg
-bit for bit and multi-device runs agree up to reduction rounding.
+0.0 in ascending device order, so a single-device run reproduces a
+textbook CG bit for bit and multi-device runs agree up to reduction
+rounding.
 
-One builder, csr_product, makes every matrix product: run_cg's,
-spmv_csr's, spmv_range's and the executor's spmv launches.  Its closure
+One builder, csr_product, makes every matrix product: spmv_csr's,
+spmv_range's and the executor's spmv launches.  Its closure
 cuts the rows into consecutive blocks of at most SPMV_BLOCK_ENTRIES
 stored entries, set by the matrix alone, and holds each block in one of
 two forms, chosen from the block's own entries:
@@ -41,6 +44,7 @@ plain CSR loop bit for bit.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import warnings
@@ -49,10 +53,11 @@ from typing import IO
 
 import numpy as np
 
+from .dsl import parse_model
 from .intrinsics import IntrinsicSpec, deployed_intrinsic
 from .metamodel import (CompileContext, Component, ComponentKind, DataType, Direction, Model,
                         Shape, iter_instances)
-from .partition import HostOp, LoopStep, Schedule
+from .partition import HostOp, LoopStep, Schedule, build_schedule
 
 
 class DimensionMismatch(ValueError):
@@ -60,7 +65,8 @@ class DimensionMismatch(ValueError):
 
 
 class BreakdownDetected(ArithmeticError):
-    """The p.Ap curvature went non-positive: the matrix is not positive definite."""
+    """A host op's operand declared positive is not finite and > 0, as CG's
+    curvature p.Ap is on a matrix that is not positive definite."""
 
 
 class NonSymmetricMatrix(ValueError):
@@ -109,16 +115,15 @@ def _check_finite(what: str, values: np.ndarray):
         raise NonFiniteInput(f"{what}: element {bad[0]} ({float(values[bad[0]])!r}) is not finite")
 
 
-def _check_rhs_norm(what: str, b: np.ndarray) -> float:
-    """b.b of a finite right-hand side; raises RhsNormOutOfRange, naming
-    what, when b is nonzero but b.b is 0.0 or not finite."""
+def _check_rhs_norm(what: str, b: np.ndarray):
+    """Raise RhsNormOutOfRange, naming what, when a finite right-hand side
+    b is nonzero but b.b is 0.0 or not finite."""
     with np.errstate(over="ignore"):    # reported below, as the error
         rr = float(np.dot(b, b))
     if not 0.0 < rr < math.inf and b.any():
         raise RhsNormOutOfRange(
             f"{what}: nonzero, but its squared norm "
             + ("underflows to 0.0" if rr == 0.0 else f"overflows to {rr!r}"))
-    return rr
 
 
 @dataclass(eq=False)
@@ -391,80 +396,30 @@ class SolverConfig:
             raise ValueError("max_iter must be positive")
 
 
-@dataclass
-class SolveResult:
-    x: np.ndarray
-    iterations: int
-    residual_history: list[float]
-    converged: bool
-
-
 def _sample_symmetry(A: CsrMatrix, samples: int = 64):
     """Spot-check a_ij == a_ji on a deterministic sample of entries: every
-    (nnz // samples)-th entry, its row found by one searchsorted over all
-    of them.  Raises NonSymmetricMatrix naming the first pair that differs."""
+    (nnz // samples)-th entry, its row found by one searchsorted and its
+    mirror by one binary search of all the mirror rows at once.  Raises
+    NonSymmetricMatrix naming the first pair that differs."""
     entries = np.arange(0, A.nnz, max(1, A.nnz // samples))
     rows = np.searchsorted(A.row_ptr, entries, side="right") - 1
-    for k, i, j in zip(entries.tolist(), rows.tolist(), A.col_idx[entries].tolist()):
-        if i == j:
-            continue
-        lo, hi = int(A.row_ptr[j]), int(A.row_ptr[j + 1])
-        pos = lo + int(np.searchsorted(A.col_idx[lo:hi], i))
-        mirror = float(A.values[pos]) if pos < hi and A.col_idx[pos] == i else 0.0
-        v = float(A.values[k])
-        if abs(v - mirror) > 1e-12 * max(1.0, abs(v)):
-            raise NonSymmetricMatrix(f"a[{i},{j}]={v!r} but a[{j},{i}]={mirror!r}")
-
-
-def run_cg(A: CsrMatrix, b: np.ndarray, config: SolverConfig) -> SolveResult:
-    """Unpreconditioned conjugate gradient from x0 = 0.
-
-    Stops when the recurrence residual satisfies ||r||/||b|| <= tol or
-    max_iter is reached; the relative residual is recorded after each
-    x-update.  A right-hand side of zeros returns x = 0, converged, zero
-    iterations.  Raises BreakdownDetected when p.Ap <= 0 (not positive
-    definite), DimensionMismatch on a size mismatch, and, before the first
-    iteration, NonFiniteInput on a nan or infinite value in A or b and
-    RhsNormOutOfRange when b is nonzero but b.b underflows to 0.0 or
-    overflows.
-    """
-    if len(b) != A.n:
-        raise DimensionMismatch(f"rhs length {len(b)} != matrix size {A.n}")
-    b = np.asarray(b, dtype=np.float64)
-    _check_finite("matrix values", A.values)
-    _check_finite("rhs b", b)
-    _sample_symmetry(A)
-    x = np.zeros(A.n)
-    if not b.any():
-        return SolveResult(x=x, iterations=0, residual_history=[], converged=True)
-    rr = _check_rhs_norm("rhs b", b)
-    bnorm = math.sqrt(rr)
-    r = b.copy()
-    p = r.copy()
-    Ap = np.empty(A.n)
-    product = csr_product(A.row_ptr, A.col_idx, A.values, p, Ap, 0, A.n)  # Ap = A p
-    history: list[float] = []
-    converged = False
-    for _ in range(config.max_iter):
-        product()
-        pAp = float(np.dot(p, Ap))
-        if pAp <= 0.0:
-            raise BreakdownDetected(f"p.Ap = {pAp!r} <= 0")
-        alpha = rr / pAp
-        x += alpha * p
-        r += (-alpha) * Ap
-        rr_new = float(np.dot(r, r))
-        relres = math.sqrt(rr_new) / bnorm
-        history.append(relres)
-        if relres <= config.tol:
-            converged = True
-            break
-        beta = rr_new / rr
-        p *= beta
-        p += r
-        rr = rr_new
-    return SolveResult(x=x, iterations=len(history), residual_history=history,
-                       converged=converged)
+    cols = A.col_idx[entries]
+    first, stop = A.row_ptr[cols].astype(np.int64), A.row_ptr[cols + 1]
+    count = stop - first    # first ends at row j's first entry whose column is >= i
+    while count.any():
+        half = count // 2
+        below = (A.col_idx[np.minimum(first + half, A.nnz - 1)] < rows) & (count > 0)
+        first = np.where(below, first + half + 1, first)
+        count = np.where(below, count - half - 1, half)
+    at = np.minimum(first, A.nnz - 1)
+    mirror = np.where((first < stop) & (A.col_idx[at] == rows), A.values[at], 0.0)
+    v = A.values[entries]
+    bad = (rows != cols) & (np.abs(v - mirror) > 1e-12 * np.maximum(1.0, np.abs(v)))
+    if bad.any():
+        k = int(np.argmax(bad))
+        i, j = int(rows[k]), int(cols[k])
+        raise NonSymmetricMatrix(
+            f"a[{i},{j}]={float(v[k])!r} but a[{j},{i}]={float(mirror[k])!r}")
 
 
 # -- matrix market ------------------------------------------------------------
@@ -787,13 +742,20 @@ def spmv_launch(a: dict[str, np.ndarray], lo: int, hi: int):
     return run
 
 
-def _host_op(spec: IntrinsicSpec, arrays: dict[str, np.ndarray]):
-    """A closure applying a host intrinsic's scalar function."""
+def _host_op(task_path: str, spec: IntrinsicSpec, arrays: dict[str, np.ndarray]):
+    """A closure applying a host intrinsic's scalar function once each
+    operand its spec declares positive is found finite and > 0."""
     (out,) = [arrays[p.name] for p in spec.ports if p.direction is Direction.OUT]
     operands = [arrays[p.name] for p in spec.ports if p.direction is Direction.IN]
+    positive = [(p.name, arrays[p.name]) for p in spec.ports if p.positive]
     scalar = spec.scalar
 
     def run():
+        for name, array in positive:
+            value = float(array[0])
+            if not 0.0 < value < math.inf:      # nan included
+                raise BreakdownDetected(
+                    f"task '{task_path}': {name} = {value!r}, but it must be finite and > 0")
         out[0] = scalar(*operands)
     return run
 
@@ -832,7 +794,7 @@ class _Compiler:
             spec = deployed_intrinsic(self.ctx, step.task_path, on_host=isinstance(step, HostOp))
             arrays = self.storage.task_arrays(step.task_path, comp)
             if isinstance(step, HostOp):
-                program.append(_host_op(spec, arrays))
+                program.append(_host_op(step.task_path, spec, arrays))
                 continue
             ranges = [(l.range.offset, l.range.offset + l.range.count) for l in step.launches]
             if spec.reduce:
@@ -867,7 +829,8 @@ def execute_schedule(model: Model, schedule: Schedule, bindings: dict[str, np.nd
     Produces the arrays of the application root's out ports plus loop
     bookkeeping.  tol and max_iter, when given, override every loop
     step's own continue-condition.  Raises NonFiniteInput, before the first
-    step, when a bound floating-point array holds nan or an infinite value.
+    step, when a bound floating-point array holds nan or an infinite value,
+    and BreakdownDetected from a host op whose positive operand is not.
     """
     storage = _Storage(model.context, bindings)
     compiler = _Compiler(model.context, storage, tol, max_iter)
@@ -922,3 +885,65 @@ def instantiate_for_matrix(model: Model, n: int, nnz: int) -> Model:
         name: replace(comp, repetition_space=map_shape(comp.repetition_space),
                       ports=tuple(replace(p, shape=map_shape(p.shape)) for p in comp.ports))
         for name, comp in model.application_components.items()})
+
+
+def _matrix_bindings(model: Model, A: CsrMatrix, rhs: np.ndarray) -> dict[str, np.ndarray]:
+    """Bind root input ports structurally: CSR ports via their connection to
+    the spmv task, the remaining float input as the right-hand side."""
+    groups = model.context.port_groups
+    root = model.root(ComponentKind.APPLICATION)
+    spmv_path, _ = spmv_task(model)
+    csr_arrays = {f"{spmv_path}.rowptr": A.row_ptr,
+                  f"{spmv_path}.colidx": A.col_idx,
+                  f"{spmv_path}.values": A.values}
+    bindings: dict[str, np.ndarray] = {}
+    for port in root.ports:
+        if port.direction is not Direction.IN:
+            continue
+        bound = next((arr for node, arr in csr_arrays.items() if node in groups[port.name]),
+                     None)
+        if bound is None:
+            if not port.data_type.is_float:
+                raise ValueError(f"cannot infer a binding for input port '{port.name}'")
+            bound = rhs
+        bindings[port.name] = bound
+    return bindings
+
+
+def solve(model: Model, schedule: Schedule, A: CsrMatrix, b: np.ndarray, *,
+          tol: float | None = None, max_iter: int | None = None) -> ExecutionResult:
+    """A x = b by a schedule of a model sized to A: the one home of the
+    rules on a matrix system, in order.  DimensionMismatch, NonFiniteInput
+    on A or b, NonSymmetricMatrix from a sample of A; a zero b gives zero
+    out ports after zero iterations, converged; RhsNormOutOfRange.  Then
+    one execute_schedule over the bound arrays, whose breakdown check
+    raises BreakdownDetected."""
+    if len(b) != A.n:
+        raise DimensionMismatch(f"rhs length {len(b)} != matrix size {A.n}")
+    _check_finite("matrix values", A.values)
+    _check_finite("rhs b", b)
+    _sample_symmetry(A)
+    if not b.any():
+        root = model.root(ComponentKind.APPLICATION)
+        zeros = {port.name: np.zeros(port.shape.total, dtype=_NUMPY_TYPES[port.data_type])
+                 for port in root.ports if port.direction is Direction.OUT}
+        return ExecutionResult(outputs=zeros, iterations=0, final_relres=None,
+                               converged=True, residual_history=[])
+    _check_rhs_norm("rhs b", b)
+    return execute_schedule(model, schedule, _matrix_bindings(model, A, b),
+                            tol=tol, max_iter=max_iter)
+
+
+@functools.cache
+def _bundled_cg() -> Model:
+    from . import bundled_model_text    # the package imports this module
+    return parse_model(bundled_model_text())
+
+
+def run_cg(A: CsrMatrix, b: np.ndarray, config: SolverConfig) -> ExecutionResult:
+    """Unpreconditioned conjugate gradient from x0 = 0: solve over the
+    schedule of the bundled cg.gmodel, re-sized to A, on one device, with
+    config's tol and max_iter.  The solution is outputs["x"]."""
+    model = instantiate_for_matrix(_bundled_cg(), A.n, A.nnz)
+    return solve(model, build_schedule(model, 1), A, b,
+                 tol=config.tol, max_iter=config.max_iter)

@@ -63,6 +63,24 @@ def reference_cg(row_ptr, col_idx, values, b, tol, max_iter):
     return x, iters, converged
 
 
+def sample_symmetry_loop(A, samples=64):
+    """The symmetry sample, one entry at a time: every (nnz // samples)-th
+    entry against its mirror, found by a searchsorted of the mirror row.
+    Returns the first differing pair's message, or None."""
+    entries = np.arange(0, A.nnz, max(1, A.nnz // samples))
+    rows = np.searchsorted(A.row_ptr, entries, side="right") - 1
+    for k, i, j in zip(entries.tolist(), rows.tolist(), A.col_idx[entries].tolist()):
+        if i == j:
+            continue
+        lo, hi = int(A.row_ptr[j]), int(A.row_ptr[j + 1])
+        pos = lo + int(np.searchsorted(A.col_idx[lo:hi], i))
+        mirror = float(A.values[pos]) if pos < hi and A.col_idx[pos] == i else 0.0
+        v = float(A.values[k])
+        if abs(v - mirror) > 1e-12 * max(1.0, abs(v)):
+            return f"a[{i},{j}]={v!r} but a[{j},{i}]={mirror!r}"
+    return None
+
+
 def balanced_split(total: int, devices: int) -> list[int]:
     """Fair division by dealing items one at a time to the least-loaded device.
 
@@ -79,13 +97,14 @@ def balanced_split(total: int, devices: int) -> list[int]:
     return np.bincount(np.arange(total) % used, minlength=used).tolist()
 
 
-def partitioned_cg(row_ptr, col_idx, values, b, tol, max_iter, ranges):
+def partitioned_cg(row_ptr, col_idx, values, b, tol, max_iter, ranges, history=None):
     """Conjugate gradient with every dot product split over device ranges.
 
     Each dot is one np.dot partial per (offset, count) range, summed from
     0.0 in ascending range order, as the schedule's host reduction does;
     the loop stops when ||r||/||b|| <= tol, checked after each iteration.
-    Returns (x, iterations, final relative residual).
+    Returns (x, iterations, final relative residual); each iteration's
+    relative residual is also appended to history when it is a list.
     """
     def dot(u, v):
         total = 0.0
@@ -107,6 +126,8 @@ def partitioned_cg(row_ptr, col_idx, values, b, tol, max_iter, ranges):
         r += (-alpha) * Ap
         rr_new = dot(r, r)
         relres = math.sqrt(rr_new) / math.sqrt(bb)
+        if history is not None:
+            history.append(relres)
         if relres <= tol:
             break
         p *= rr_new / rr

@@ -85,7 +85,7 @@ def test_criterion_3_cg_correctness():
     res = refexec.run_cg(A, b, refexec.SolverConfig(tol=1e-10, max_iter=A.n))
     assert res.converged
     x_direct = np.linalg.solve(csr_to_dense(A), b)
-    rel = np.max(np.abs(res.x - x_direct)) / np.max(np.abs(x_direct))
+    rel = np.max(np.abs(res.outputs["x"] - x_direct)) / np.max(np.abs(x_direct))
     assert rel <= 1e-8
     _, oracle_iters, oracle_conv = reference_cg(
         A.row_ptr, A.col_idx, A.values, b, 1e-10, A.n)

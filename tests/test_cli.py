@@ -14,6 +14,7 @@ from gmodelc.partition import UnallocatedTask, build_schedule
 
 from conftest import golden_path
 from matrices import matrix_to_coordinate_text, poisson_2d
+from oracles import partitioned_cg
 
 
 @pytest.fixture()
@@ -21,6 +22,11 @@ def workdir(tmp_path):
     model_path = tmp_path / "cg.gmodel"
     model_path.write_text(gmodelc.bundled_model_text())
     return tmp_path, str(model_path)
+
+
+def _oracle_cg(A, b):
+    """The one-device CG of the oracles: one dot range, tol 1e-10, at most n iterations."""
+    return partitioned_cg(A.row_ptr, A.col_idx, A.values, b, 1e-10, A.n, [(0, A.n)])
 
 
 def _write_poisson(tmp_path, k):
@@ -330,16 +336,16 @@ def test_run_iteration_invariance_across_devices(workdir, capsys):
     assert all(line.endswith("converged=true") for line in lines)
 
 
-def test_run_matches_run_cg(workdir, capsys):
+def test_run_matches_oracle_cg(workdir, capsys):
     tmp_path, model_path = workdir
     mtx, A = _write_poisson(tmp_path, 10)
     out_dir = tmp_path / "run"
     assert main(["run", model_path, "--matrix", mtx, "--out", str(out_dir)]) == 0
-    ref = refexec.run_cg(A, np.ones(A.n), refexec.SolverConfig(tol=1e-10, max_iter=A.n))
+    x, iters, _ = _oracle_cg(A, np.ones(A.n))
     line = capsys.readouterr().out.strip()
-    assert line.startswith(f"iters={ref.iterations} ")
+    assert line.startswith(f"iters={iters} ")
     solution = np.loadtxt(out_dir / "cg_solution.txt")
-    assert np.array_equal(solution, ref.x)
+    assert np.array_equal(solution, x)
     result = (out_dir / "cg_result.txt").read_text()
     assert result == line + "\n"
 
@@ -385,8 +391,8 @@ def test_run_sizes_and_binds_the_instantiated_spmv_task(workdir, capsys):
     mtx, A = _write_poisson(tmp_path, 4)
     out_dir = tmp_path / "spare"
     assert main(["run", str(path), "--matrix", mtx, "--out", str(out_dir)]) == 0
-    ref = refexec.run_cg(A, np.ones(A.n), refexec.SolverConfig(tol=1e-10, max_iter=A.n))
-    assert np.array_equal(np.loadtxt(out_dir / "cg_solution.txt"), ref.x)
+    x, _, _ = _oracle_cg(A, np.ones(A.n))
+    assert np.array_equal(np.loadtxt(out_dir / "cg_solution.txt"), x)
     assert capsys.readouterr().err == \
         "warning: application.SpmvSpare: component is never instantiated\n"
 
@@ -424,9 +430,9 @@ def test_run_with_explicit_rhs(workdir, capsys):
     out_dir = tmp_path / "rhsrun"
     assert main(["run", model_path, "--matrix", mtx, "--rhs", str(rhs_path),
                  "--out", str(out_dir)]) == 0
-    ref = refexec.run_cg(A, rhs, refexec.SolverConfig(tol=1e-10, max_iter=A.n))
+    x, _, _ = _oracle_cg(A, rhs)
     solution = np.loadtxt(out_dir / "cg_solution.txt")
-    assert np.array_equal(solution, ref.x)
+    assert np.array_equal(solution, x)
 
 
 def test_run_nonconvergence_exit_three(workdir, capsys):
@@ -437,6 +443,24 @@ def test_run_nonconvergence_exit_three(workdir, capsys):
                  "--out", str(out_dir)])
     assert code == 3
     assert "converged=false" in capsys.readouterr().out
+
+
+def test_run_indefinite_matrix_is_a_breakdown_exit_three(workdir, capsys):
+    """diag(1, -1, 2, 3) is symmetric but indefinite: its p.Ap goes negative
+    in the loop, which the alpha division refuses.  One error line, no
+    traceback, nothing on stdout and no output files."""
+    tmp_path, model_path = workdir
+    mtx = tmp_path / "indefinite.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n4 4 4\n"
+                   "1 1 1.0\n2 2 -1.0\n3 3 2.0\n4 4 3.0\n")
+    assert main(["run", model_path, "--matrix", str(mtx),
+                 "--out", str(tmp_path / "out")]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: task 'loop.alpha': den = -")
+    assert err.endswith(", but it must be finite and > 0\n")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_zero_rhs_short_circuits(workdir, capsys):
@@ -460,7 +484,7 @@ def test_run_bad_matrix_exit_two(workdir, capsys):
 
 
 def test_run_non_symmetric_matrix_exit_two(workdir, capsys):
-    """run samples the matrix for symmetry after the load, as run_cg does:
+    """run samples the matrix for symmetry after the load, as solve does:
     this circulant would otherwise converge to a wrong answer."""
     tmp_path, model_path = workdir
     mtx = tmp_path / "circulant.mtx"

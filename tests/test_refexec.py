@@ -30,7 +30,8 @@ from gmodelc.refexec import (BreakdownDetected, CsrMatrix, DimensionMismatch,
 from conftest import golden_path
 from matrices import (csr_from_dense, csr_to_dense, matrix_to_coordinate_text, poisson_1d,
                       poisson_2d, poisson_3d, random_spd)
-from oracles import partitioned_cg, per_launch_execute, reference_cg, spmv_loop
+from oracles import (partitioned_cg, per_launch_execute, reference_cg, sample_symmetry_loop,
+                     spmv_loop)
 
 
 # -- matrix market -------------------------------------------------------------
@@ -758,7 +759,7 @@ def test_cg_identity_system():
     res = run_cg(A, b, SolverConfig(tol=1e-10, max_iter=10))
     assert res.converged
     assert res.iterations == 1
-    assert np.allclose(res.x, b, rtol=0, atol=1e-14)
+    assert np.allclose(res.outputs["x"], b, rtol=0, atol=1e-14)
 
 
 def test_cg_diagonal_finite_termination():
@@ -767,7 +768,7 @@ def test_cg_diagonal_finite_termination():
     res = run_cg(A, b, SolverConfig(tol=1e-12, max_iter=20))
     assert res.converged
     assert res.iterations <= 6  # 5 distinct eigenvalues, +1 float slack
-    assert np.allclose(res.x, np.linalg.solve(csr_to_dense(A), b), rtol=1e-12)
+    assert np.allclose(res.outputs["x"], np.linalg.solve(csr_to_dense(A), b), rtol=1e-12)
 
 
 def test_cg_poisson_matches_dense_and_oracle_iterations():
@@ -776,7 +777,7 @@ def test_cg_poisson_matches_dense_and_oracle_iterations():
     res = run_cg(A, b, SolverConfig(tol=1e-10, max_iter=A.n))
     assert res.converged
     x_direct = np.linalg.solve(csr_to_dense(A), b)
-    rel = np.max(np.abs(res.x - x_direct)) / np.max(np.abs(x_direct))
+    rel = np.max(np.abs(res.outputs["x"] - x_direct)) / np.max(np.abs(x_direct))
     assert rel <= 1e-8
     _, oracle_iters, oracle_conv = reference_cg(A.row_ptr, A.col_idx, A.values, b,
                                                 1e-10, A.n)
@@ -801,7 +802,7 @@ def test_cg_matches_reference_cg_bitwise(monkeypatch, block_entries):
     assert (len(refexec._row_blocks(A.row_ptr, 0, n)) > 1) == (block_entries == 8)
     res = run_cg(A, b, SolverConfig(tol=1e-10, max_iter=n))
     want_x, want_iters, want_conv = reference_cg(A.row_ptr, A.col_idx, A.values, b, 1e-10, n)
-    assert res.x.tobytes() == want_x.tobytes()
+    assert res.outputs["x"].tobytes() == want_x.tobytes()
     assert res.iterations == want_iters
     assert res.converged == want_conv
     assert res.converged
@@ -818,7 +819,7 @@ def test_cg_zero_rhs_is_result():
     res = run_cg(A, np.zeros(10), SolverConfig(tol=1e-10, max_iter=5))
     assert res.converged and res.iterations == 0
     assert not res.residual_history
-    assert np.array_equal(res.x, np.zeros(10))
+    assert np.array_equal(res.outputs["x"], np.zeros(10))
 
 
 @pytest.mark.parametrize("where", ["b", "values"])
@@ -881,6 +882,30 @@ def test_symmetry_sample_names_the_first_differing_pair():
             refexec._sample_symmetry(B)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 24), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0),
+       st.sampled_from([64, 7, 1]), st.sampled_from(["symmetric", "perturbed", "general"]))
+def test_symmetry_sample_matches_the_entry_by_entry_loop(n, seed, density, samples, kind):
+    """The sample searches all mirror rows at once and names the same first
+    pair as the loop over the samples: on symmetric matrices, on ones with
+    one entry zeroed, moved by 1e-12 of itself or by 1.0, and on general ones."""
+    rng = np.random.default_rng(seed)
+    dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
+    if kind != "general":
+        dense = np.triu(dense) + np.triu(dense, 1).T
+    if kind == "perturbed" and n > 1:
+        i, j = rng.integers(n, size=2)
+        dense[i, j] = rng.choice([0.0, dense[i, j] * (1 + 1e-12), dense[i, j] + 1.0])
+    A = csr_from_dense(dense)
+    want = sample_symmetry_loop(A, samples)
+    if want is None:
+        refexec._sample_symmetry(A, samples)
+    else:
+        with pytest.raises(NonSymmetricMatrix) as exc:
+            refexec._sample_symmetry(A, samples)
+        assert str(exc.value) == want
+
+
 def test_cg_residual_contract():
     eps = np.finfo(np.float64).eps
     for A, seed in ((poisson_1d(50), 0), (poisson_2d(8), 1), (random_spd(30, 5), 2)):
@@ -888,7 +913,7 @@ def test_cg_residual_contract():
         b = rng.standard_normal(A.n)
         res = run_cg(A, b, SolverConfig(tol=1e-10, max_iter=10 * A.n))
         assert res.converged
-        true_res = float(np.linalg.norm(csr_to_dense(A) @ res.x - b))
+        true_res = float(np.linalg.norm(csr_to_dense(A) @ res.outputs["x"] - b))
         bound = 1e-10 * float(np.linalg.norm(b)) * (1 + 10 * A.n * eps)
         assert true_res <= bound
         assert res.iterations == len(res.residual_history)
@@ -914,15 +939,17 @@ def _cg_setup(k: int):
     return sized, A, b, bindings
 
 
-def test_schedule_matches_run_cg_bitwise_single_device():
+def test_schedule_matches_oracle_cg_bitwise_single_device():
     sized, A, b, bindings = _cg_setup(20)
     schedule = build_schedule(sized, 1)
     res = execute_schedule(sized, schedule, bindings)
-    ref = run_cg(A, b, SolverConfig(tol=1e-10, max_iter=A.n))
-    assert res.iterations == ref.iterations
-    assert np.array_equal(res.outputs["x"], ref.x)
+    history = []
+    x, iters, _ = partitioned_cg(A.row_ptr, A.col_idx, A.values, b, 1e-10, A.n, [(0, A.n)],
+                                 history)
+    assert res.iterations == iters
+    assert np.array_equal(res.outputs["x"], x)
     assert res.converged
-    assert res.final_relres == ref.residual_history[-1]
+    assert res.final_relres == history[-1]
 
 
 @pytest.mark.parametrize("devices", [1, 2, 3, 4, 16])
@@ -941,8 +968,9 @@ def test_schedule_matches_partitioned_cg_bitwise(devices):
 def test_schedule_residual_history():
     sized, A, b, bindings = _cg_setup(20)
     res = execute_schedule(sized, build_schedule(sized, 1), bindings)
-    ref = run_cg(A, b, SolverConfig(tol=1e-10, max_iter=A.n))
-    assert res.residual_history == ref.residual_history
+    history = []
+    partitioned_cg(A.row_ptr, A.col_idx, A.values, b, 1e-10, A.n, [(0, A.n)], history)
+    assert res.residual_history == history
     res = execute_schedule(sized, build_schedule(sized, 4), bindings)
     assert len(res.residual_history) == res.iterations
     assert res.residual_history[-1] == res.final_relres
@@ -959,6 +987,82 @@ def test_device_count_invariance_desk_scale():
             xi, xj = results[i].outputs["x"], results[j].outputs["x"]
             rel = np.max(np.abs(xi - xj)) / np.max(np.abs(xi))
             assert rel <= 1e-10
+
+
+@pytest.mark.filterwarnings("error")
+def test_schedule_zero_rhs_is_a_breakdown_before_any_division():
+    """execute_schedule has no zero-rhs rule of its own (solve has it): with
+    b = 0 the curvature p.Ap is 0.0, and the div host op refuses it before
+    it divides, with no warning."""
+    sized, A, _, bindings = _cg_setup(5)
+    bindings["b"] = np.zeros(A.n)
+    with pytest.raises(BreakdownDetected) as exc:
+        execute_schedule(sized, build_schedule(sized, 1), bindings)
+    assert str(exc.value) == "task 'loop.alpha': den = 0.0, but it must be finite and > 0"
+
+
+def _solve_on(devices: int, A: CsrMatrix, b: np.ndarray):
+    """solve over the bundled CG re-sized to A, on `devices` devices, with
+    tol 1e-10 and at most 10 n iterations, as the tests below give run_cg."""
+    sized = instantiate_for_matrix(gmodelc.parse_model(gmodelc.bundled_model_text()),
+                                   A.n, A.nnz)
+    return refexec.solve(sized, build_schedule(sized, devices), A, b,
+                         tol=1e-10, max_iter=10 * A.n)
+
+
+def _random_symmetric(n: int, rng) -> np.ndarray:
+    S = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4)
+    return np.triu(S) + np.triu(S, 1).T
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_cg_on_diagonally_dominant_spd_matches_the_oracle(n, seed):
+    """run_cg gives partitioned_cg's x bytes and iteration count over one
+    range; solve on 4 devices converges in as many iterations, with the
+    oracle's x over the 4 device ranges."""
+    rng = np.random.default_rng(seed)
+    dense = _random_symmetric(n, rng)
+    np.fill_diagonal(dense, 0.0)
+    np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + rng.uniform(0.5, 5.0, n))
+    A, b = csr_from_dense(dense), rng.standard_normal(n)
+    res = run_cg(A, b, SolverConfig(tol=1e-10, max_iter=10 * n))
+    x, iters, _ = partitioned_cg(A.row_ptr, A.col_idx, A.values, b, 1e-10, 10 * n,
+                                 [(0, n)])
+    assert res.converged
+    assert res.outputs["x"].tobytes() == x.tobytes()
+    assert res.iterations == iters
+    on4 = _solve_on(4, A, b)
+    ranges = [(r.offset, r.count) for r in partition_equally(n, 4)]
+    x4, iters4, _ = partitioned_cg(A.row_ptr, A.col_idx, A.values, b, 1e-10, 10 * n, ranges)
+    assert on4.converged
+    assert on4.iterations == iters4 == iters
+    assert on4.outputs["x"].tobytes() == x4.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.floats(0.0, 4.0))
+def test_cg_breaks_down_at_the_first_curvature_when_b_sees_negative_curvature(n, seed,
+                                                                               margin):
+    """A symmetric A shifted so that b'Ab = -(0.5 + margin) b'b: the first
+    p.Ap, b'Ab, is negative, so on 1 and on 4 devices the div of alpha
+    raises BreakdownDetected in iteration 1, naming that p.Ap."""
+    rng = np.random.default_rng(seed)
+    S, b = _random_symmetric(n, rng), rng.standard_normal(n)
+    A = csr_from_dense(S - (b @ S @ b / (b @ b) + 0.5 + margin) * np.eye(n))
+    Ab = spmv_loop(A.row_ptr, A.col_idx, A.values, b)
+    for devices in (1, 4):
+        pap = 0.0
+        for r in partition_equally(n, devices):
+            pap += float(np.dot(b[r.offset:r.offset + r.count], Ab[r.offset:r.offset + r.count]))
+        assert pap <= -0.5 * float(b @ b) * (1 - 1e-9)
+        with pytest.raises(BreakdownDetected) as exc:
+            if devices == 1:
+                run_cg(A, b, SolverConfig(tol=1e-10, max_iter=10 * n))
+            else:
+                _solve_on(devices, A, b)
+        assert str(exc.value) == \
+            f"task 'loop.alpha': den = {pap!r}, but it must be finite and > 0"
 
 
 SINGLE_TASK = """\
