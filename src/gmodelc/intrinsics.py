@@ -107,14 +107,36 @@ def _spmv_launch(a, lo, hi):
 
 
 def _dot_partial(a, ranges):
-    """Per-launch partial dots, summed from 0.0 in ascending device order."""
-    pairs = [(a["a"][lo:hi], a["b"][lo:hi]) for lo, hi in ranges]
-    s = a["s"]
+    """Per-launch partial dots, summed from 0.0 in ascending device order.
+
+    Adjacent ranges of equal length are one contiguous slice, so each run
+    of them is one stacked vector @ vector np.matmul into the partials
+    array; numpy computes each item with the BLAS dot that u.dot(v) calls,
+    so every partial has the bits of u.dot(v) over its own range.  A
+    single range is a run of one.
+    """
+    u, v, s = a["a"], a["b"], a["s"]
+    runs = []       # [lo, hi, range length, range count]
+    for lo, hi in ranges:
+        if runs and runs[-1][1] == lo and runs[-1][2] == hi - lo:
+            runs[-1][1] = hi
+            runs[-1][3] += 1
+        else:
+            runs.append([lo, hi, hi - lo, 1])
+    partials = np.empty(len(ranges))
+    stacks, i = [], 0
+    for lo, hi, n, m in runs:
+        # views: a 1-D slice splits into (m, 1, n) without a copy
+        stacks.append((u[lo:hi].reshape(m, 1, n), v[lo:hi].reshape(m, n, 1),
+                       partials[i:i + m].reshape(m, 1, 1)))
+        i += m
 
     def run():
+        for u_run, v_run, out in stacks:
+            np.matmul(u_run, v_run, out=out)
         total = 0.0
-        for u, v in pairs:
-            total += float(u.dot(v))
+        for partial in partials.tolist():
+            total += partial
         s[0] = total
     return run
 

@@ -16,7 +16,8 @@ device launches tile.  The device partition is kept where it changes the
 numbers: a reduction step sums one dot partial per launch range, from
 0.0 in ascending device order, so a single-device run reproduces a
 textbook CG bit for bit and multi-device runs agree up to reduction
-rounding.
+rounding.  The partials of a run of adjacent equal-length ranges come
+from one stacked BLAS call (intrinsics._dot_partial).
 
 One builder, csr_product, makes every matrix product: spmv_csr's,
 spmv_range's and the executor's spmv launches.  Its closure
@@ -32,7 +33,10 @@ two forms, chosen from the block's own entries:
   a constant-coefficient stencil, and a value array laid out by row
   otherwise.  A row that lacks an offset gets -0.0 in that slot, the one
   value whose sum v + (-0.0) is v bit for bit for every v, signed zeros,
-  infinities and nan included, so a 0 * inf there cannot leak.
+  infinities and nan included, so a 0 * inf there cannot leak.  A
+  scalar of exactly 1.0 or -1.0, as on the off-diagonals of a Poisson
+  stencil, is not multiplied: the slice of x is added or subtracted
+  as it is, and a row lacking the offset keeps its sum.
 - jagged-diagonal form otherwise (rows sorted by descending length,
   entries stored level by level): one gather-multiply, one slice add per
   level and one scatter back to row order.
@@ -180,12 +184,17 @@ def build_sweep_plan(row_ptr: np.ndarray, lo: int, hi: int):
     return plan
 
 
-# The most stored entries in one spmv row block: 2^16 keeps a jagged
-# block's float64 gather buffer at 512 KiB, inside a core's L2.  A block
-# whose distinct offsets times rows are at most twice its entries runs in
-# diagonal form instead (_diagonal_block): no gather, no scatter, and the
-# same bits, since its -0.0 hole slots add nothing.
-SPMV_BLOCK_ENTRIES = 1 << 16
+# The most stored entries in one spmv row block.  A block whose distinct
+# offsets times rows are at most twice its entries runs in diagonal form
+# (_diagonal_block): no gather, no scatter, and the same bits.  With its
+# unit diagonals added without a product pass, per-call overhead dominates
+# a stencil block, so blocks are large: on the 7-point Poisson-3D product
+# at N = 132651 (x86-64, 2 MiB L2 per core, one thread, median of six
+# rounds) one closure call took 588 us at 2^16, 520 at 2^17, 500 at 2^18
+# and 487 at 2^19; 2^18 keeps the block temporaries at half of 2^19's.
+# The jagged form over a random 928537-entry matrix, whose gather buffer
+# is 2 MiB at 2^18, took 4.0 ms against 4.5 ms at 2^16.
+SPMV_BLOCK_ENTRIES = 1 << 18
 
 
 def _row_blocks(row_ptr: np.ndarray, lo: int, hi: int) -> list[tuple[int, int]]:
@@ -240,6 +249,10 @@ def _jagged_block(row_ptr, col_idx, values, x, out, lo, hi, scratch):
     return run
 
 
+# A constant factor of exactly 1.0 or -1.0 adds or subtracts x itself
+_UNIT_OPS = {1.0: np.add, -1.0: np.subtract}
+
+
 def _diagonal_block(row_ptr, col_idx, values, x, out, lo, hi, scratch):
     """A closure that sets out[i] to row lo + i of the CSR matrix times x,
     offset by offset, or None when the block is not banded enough: when its
@@ -257,6 +270,14 @@ def _diagonal_block(row_ptr, col_idx, values, x, out, lo, hi, scratch):
     multiplies into scratch, writes -0.0 into the missing rows' slots and
     adds scratch into out.  scratch, of x's dtype with room for the rows,
     may be shared as in _jagged_block.
+
+    A scalar factor of exactly 1.0 or -1.0 takes no product: the run adds
+    or subtracts the x slice into out (v + 1.0*x is v + x and v + (-1.0)*x
+    is v - x, bit for bit) in the dtype the product and its add would use.
+    Its missing rows' sums are kept aside, their slots set to 0.0 for the
+    add and then restored, so a missing slot leaves v as v + (-0.0) does
+    and raises no warning whatever x holds: 0.0 + inf and 0.0 - 1e308 set
+    no flag, where v + x on a kept v of 1e308 or inf could.
     """
     first, last = int(row_ptr[lo]), int(row_ptr[hi])
     rows = hi - lo
@@ -310,22 +331,39 @@ def _diagonal_block(row_ptr, col_idx, values, x, out, lo, hi, scratch):
         value_rows = dict(zip(arrays, diagonals[arrays]))   # a copy of those rows alone
         del diagonals
     del slot
+    # dtype: a float factor times a float32 x multiplies in float64 when the
+    # values do, as their array would; sums add in what out += product does
     dtype = np.result_type(values, x)
+    sums = np.result_type(out, dtype)
     products = scratch[:rows] if scratch.dtype == dtype and len(scratch) >= rows \
         else np.empty(rows, dtype=dtype)
-    steps = [(value_rows[j][r0:r1] if j in value_rows else constants[j],
-              x[key + r0:key + r1], out[r0:r1], products[:r1 - r0], missing)
-             for j, (key, r0, r1, missing) in enumerate(spans)]
+    steps = []
+    for j, (key, r0, r1, missing) in enumerate(spans):
+        x_slice, out_slice = x[key + r0:key + r1], out[r0:r1]
+        unit = None if j in value_rows else _UNIT_OPS.get(constants[j])
+        if unit is None:
+            factor = value_rows[j][r0:r1] if j in value_rows else constants[j]
+            steps.append((None, factor, x_slice, out_slice, products[:r1 - r0], missing))
+        else:
+            kept = None if missing is None else np.empty(len(missing), dtype=out.dtype)
+            steps.append((unit, None, x_slice, out_slice, kept, missing))
 
     def run():
         out.fill(0.0)
-        for factor, x_slice, out_slice, prod, missing in steps:
-            # dtype: a float factor times a float32 x multiplies in float64
-            # when the values do, as their array would
-            np.multiply(factor, x_slice, out=prod, dtype=dtype)
+        for unit, factor, x_slice, out_slice, buffer, missing in steps:
+            if unit is not None:
+                # a missing slot adds x to 0.0, then gets its kept sum back
+                if missing is not None:
+                    out_slice.take(missing, out=buffer)
+                    out_slice[missing] = 0.0
+                unit(out_slice, x_slice, out=out_slice, dtype=sums)
+                if missing is not None:
+                    out_slice[missing] = buffer
+                continue
+            np.multiply(factor, x_slice, out=buffer, dtype=dtype)
             if missing is not None:
-                prod[missing] = -0.0     # v + (-0.0) is v, bit for bit
-            out_slice += prod
+                buffer[missing] = -0.0     # v + (-0.0) is v, bit for bit
+            out_slice += buffer
     return run
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import random
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -653,6 +654,29 @@ def _diagonal_form_cases():
     x = rng.standard_normal(8)
     x[4] = 1e308
     yield "overflow-hole", _csr_of_entries(8, entries), x, "diagonal"
+    # +1.0 and -1.0 diagonals add or subtract x with no product.  Row 3
+    # lacks the +1 offset, its sum is 1e308 by then and x[4] is 1e308 (for
+    # -1.0, -1e308): an add that skipped zeroing the missing slot before
+    # restoring it would overflow there
+    for unit in (1.0, -1.0):
+        entries = [(i, i, 1.0) for i in range(8)] + [(i, i + 1, unit) for i in range(7) if i != 3]
+        x = rng.standard_normal(8)
+        x[3], x[4] = 1e308, unit * 1e308
+        yield f"unit-{unit:+}-overflow-hole", _csr_of_entries(8, entries), x, "diagonal"
+    # a -1.0 diagonal that lacks row 3, whose sum is +inf, where x[4] = +inf:
+    # inf - inf there would be nan
+    entries = [(i, i, 1.0) for i in range(8)] + [(i, i + 1, -1.0) for i in range(7) if i != 3]
+    x = rng.standard_normal(8)
+    x[3] = x[4] = np.inf
+    yield "unit-inf-hole", _csr_of_entries(8, entries), x, "diagonal"
+    # a +1.0 and a -1.0 diagonal, each with holes, over a float32 x and over
+    # an x of 0.0 and -0.0 by turns
+    entries = [(i, i, 3.0) for i in range(12)] \
+        + [(i, i + 1, 1.0) for i in range(11) if i % 4 != 1] \
+        + [(i, i - 1, -1.0) for i in range(1, 12) if i % 5 != 2]
+    unit_holes = _csr_of_entries(12, entries)
+    yield "unit-float32-x", unit_holes, rng.standard_normal(12).astype(np.float32), "diagonal"
+    yield "unit-signed-zeros", unit_holes, np.where(np.arange(12) % 2, -0.0, 0.0), "diagonal"
 
 
 def _entry_rows(A: CsrMatrix) -> np.ndarray:
@@ -702,6 +726,64 @@ def test_spmv_diagonal_form_bitwise(monkeypatch):
             blocks.clear()
             assert spmv_csr(A, x).tobytes() == want.tobytes(), name
     assert forms == {"diagonal", "jagged"}
+
+
+_UNIT_DIAGONALS = (1.0, -1.0, np.nextafter(-1.0, -2.0), None)    # None: random values
+_SPECIAL_X = (np.inf, -np.inf, np.nan, 0.0, -0.0, 1e308, -1e308)
+
+
+def _loop_raises_a_flag(A: CsrMatrix, x: np.ndarray) -> bool:
+    """Whether spmv_loop's products and sums, in its order, overflow or are
+    invalid (inf - inf, 0 * inf) anywhere."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            for i in range(A.n):
+                acc = np.float64(0.0)
+                for k in range(int(A.row_ptr[i]), int(A.row_ptr[i + 1])):
+                    acc = acc + A.values[k] * np.float64(x[A.col_idx[k]])
+        except FloatingPointError:
+            return True
+    return False
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 30), st.lists(st.tuples(st.integers(-6, 6), st.sampled_from(_UNIT_DIAGONALS)),
+                                    min_size=1, max_size=5, unique_by=lambda d: d[0]),
+       st.floats(0.0, 0.6), st.integers(0, 2**32 - 1), st.booleans(), st.data())
+def test_banded_products_with_unit_diagonals_match_the_loop(n, diagonals, hole_rate, seed,
+                                                            small_blocks, data):
+    """Banded matrices whose diagonals are +1.0, -1.0, one ulp past -1.0 or
+    random, with random holes, over an x holding inf, nan, +-0.0 and
+    +-1e308: csr_product gives spmv_loop's bytes over the whole matrix and a
+    sub-range, in one block and in blocks of 8 entries, but for the sign
+    and payload of a nan: where two nans meet, numpy's add keeps either one
+    (+nan from x against the -nan of inf - inf, at the parent too).  It
+    raises a floating-point warning only where the loop itself overflows or
+    is invalid, never in a missing slot."""
+    rng = np.random.default_rng(seed)
+    entries = [(i, i + d, rng.uniform(-2.0, 2.0) if unit is None else unit)
+               for d, unit in diagonals for i in range(n)
+               if 0 <= i + d < n and rng.random() >= hole_rate]
+    if not entries:
+        entries = [(0, 0, 1.0)]
+    A = _csr_of_entries(n, entries)
+    x = rng.standard_normal(n)
+    specials = rng.random(n) < 0.4
+    x[specials] = rng.choice(_SPECIAL_X, int(specials.sum()))
+    want = spmv_loop(A.row_ptr, A.col_idx, A.values, x)
+    lo = data.draw(st.integers(0, n - 1))
+    hi = data.draw(st.integers(lo + 1, n))
+    flags = "ignore" if _loop_raises_a_flag(A, x) else "warn"
+    block_entries = 8 if small_blocks else refexec.SPMV_BLOCK_ENTRIES
+    with warnings.catch_warnings(), np.errstate(all=flags), \
+            mock.patch.object(refexec, "SPMV_BLOCK_ENTRIES", block_entries):
+        warnings.simplefilter("error", RuntimeWarning)
+        for start, stop in ((0, n), (lo, hi)):
+            out = np.full(stop - start, np.nan)
+            refexec.csr_product(A.row_ptr, A.col_idx, A.values, x, out, start, stop)()
+            nan = np.isnan(want[start:stop])
+            assert np.array_equal(np.isnan(out), nan), (start, stop)
+            assert out[~nan].tobytes() == want[start:stop][~nan].tobytes(), (start, stop)
 
 
 @pytest.mark.parametrize("matrix, form", [
@@ -1426,6 +1508,42 @@ def test_axpy_in_chunks_gives_the_bytes_of_one_pass(monkeypatch, dtype):
             want[lo:hi] = y0[lo:hi] + (float(a[0]) * x[lo:hi] if scaled else x[lo:hi])
             assert want.dtype == dtype
             assert y.tobytes() == want.tobytes(), (lo, hi, scaled)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(np.float64, np.float64), (np.float32, np.float32),
+                        (np.float32, np.float64), (np.float64, np.float32)]),
+       st.integers(0, 2**32 - 1), st.integers(0, 3), st.data())
+def test_dot_partial_gives_per_range_dots_summed_in_order(dtypes, seed, pad, data):
+    """The dot step's closure gives, bit for bit, the sum from 0.0 in
+    ascending order of one np.dot per launch range: over ranges from
+    partition_equally, runs of two lengths and arbitrary cuts, of 1-300
+    elements in 1-16 ranges, of float64, float32 and mixed operands whose
+    magnitudes spread over 1e-20..1e20."""
+    how = data.draw(st.sampled_from(["equal", "two lengths", "cuts"]))
+    if how == "equal":
+        n, count = data.draw(st.integers(1, 300)), data.draw(st.integers(1, 16))
+        lengths = [r.count for r in partition_equally(n, count)]
+    elif how == "two lengths":
+        pair = data.draw(st.lists(st.integers(1, 18), min_size=2, max_size=2))
+        lengths = data.draw(st.lists(st.sampled_from(pair), min_size=1, max_size=16))
+    else:
+        n = data.draw(st.integers(1, 300))
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=15)))
+        lengths = np.diff([0, *cuts, n]).tolist()
+    ends = np.cumsum(lengths).tolist()
+    ranges = [(pad + end - length, pad + end) for length, end in zip(lengths, ends)]
+    rng = np.random.default_rng(seed)
+    size = ends[-1] + 2 * pad
+    u, v = ((rng.standard_normal(size) * 10.0 ** rng.uniform(-20, 20, size)).astype(dtype)
+            for dtype in dtypes)
+    s = np.full(1, np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):     # float32 may overflow, in both
+        INTRINSICS["dot_partial"].launch({"a": u, "b": v, "s": s}, ranges)()
+        want = 0.0
+        for lo, hi in ranges:
+            want += float(np.dot(u[lo:hi], v[lo:hi]))
+    assert s.tobytes() == np.float64(want).tobytes(), (how, lengths)
 
 
 @pytest.mark.parametrize("devices", [1, 4])
