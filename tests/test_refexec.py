@@ -867,7 +867,9 @@ def test_cg_poisson_matches_dense_and_oracle_iterations():
     assert res.iterations == oracle_iters
 
 
-@pytest.mark.parametrize("block_entries", [refexec.SPMV_BLOCK_ENTRIES, 8])
+# 65536 is the old default block size; like the current default it holds the
+# whole matrix in one block, while 8 cuts it into several.
+@pytest.mark.parametrize("block_entries", [65536, refexec.SPMV_BLOCK_ENTRIES, 8])
 def test_cg_matches_reference_cg_bitwise(monkeypatch, block_entries):
     """run_cg gives the textbook solver's x byte for byte, with its iteration
     count and convergence, on a matrix with empty rows and one long row,
