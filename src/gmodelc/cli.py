@@ -10,11 +10,12 @@ generates no code.  So `check` rejects whatever `map`, `codegen` and
 `run` would reject, with the same message.
 
 Exit codes: 0 success, 1 validation/model errors, 2 I/O or parse
-failures, a non-symmetric matrix and a --rhs that is not finite or is
-nonzero with a squared norm of 0.0 or inf, 3 on a CG breakdown (a
-curvature p.Ap that is not finite and > 0) and when run's loop ends
-unconverged or with a residual that is not finite.  Reports go to
-stdout, diagnostics to stderr; all file outputs are deterministic.
+failures, a matrix that is non-symmetric or has no stored entries and a
+--rhs that is not finite or is nonzero with a squared norm of 0.0 or
+inf, 3 on a CG breakdown (a curvature p.Ap that is not finite and > 0)
+and when run's loop ends unconverged or with a residual that is not
+finite.  Reports go to stdout, diagnostics to stderr; all file outputs
+are deterministic.
 """
 
 from __future__ import annotations
@@ -208,6 +209,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (refexec.MalformedHeader, refexec.NonSquare, refexec.IndexOutOfRange,
             refexec.NonSymmetricMatrix, UnicodeDecodeError) as exc:
         raise Failure(EXIT_IO, f"error: {args.matrix}: {exc}") from None
+    if A.nnz == 0:      # it would size the model's CSR ports to 0
+        raise Failure(EXIT_IO, f"error: {args.matrix}: {A.n}x{A.n} matrix has no stored entries")
     if rhs is None:
         rhs = np.ones(A.n)
     if len(rhs) != A.n:

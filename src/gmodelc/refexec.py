@@ -31,19 +31,21 @@ two forms, chosen from the block's own entries:
   of the output, with no gather and no permutation.  The factor is one
   scalar when every stored entry of the offset has the same bits, as in
   a constant-coefficient stencil, and a value array laid out by row
-  otherwise.  A row that lacks an offset gets -0.0 in that slot, the one
-  value whose sum v + (-0.0) is v bit for bit for every v, signed zeros,
-  infinities and nan included, so a 0 * inf there cannot leak.  A
-  scalar of exactly 1.0 or -1.0, as on the off-diagonals of a Poisson
-  stencil, is not multiplied: the slice of x is added or subtracted
-  as it is, and a row lacking the offset keeps its sum.
+  otherwise.  A scalar of exactly 1.0 or -1.0, as on the off-diagonals
+  of a Poisson stencil, is not multiplied: the slice of x is added or
+  subtracted as it is.  Rows that lack an offset keep their sums: the
+  run sets them aside, writes 0.0 in those slots, applies the offset
+  and puts the sums back, bit for bit and with no warning from x there.
 - jagged-diagonal form otherwise (rows sorted by descending length,
   entries stored level by level): one gather-multiply, one slice add per
   level and one scatter back to row order.
 
-Either way every row is summed left to right, ascending offset being
-ascending column, from +0.0 over the same products, so results match a
-plain CSR loop bit for bit.
+Each block owns its buffers.  Either way every row is summed left to
+right, ascending offset being ascending column, from +0.0 over the same
+products, so results match a plain CSR loop bit for bit on finite
+inputs.  Where non-finite inputs make two nans meet in a row's sum,
+numpy's add may keep either one, so the sign and payload of a nan are
+not kept: solve rejects such inputs before they reach a product.
 """
 
 from __future__ import annotations
@@ -210,16 +212,14 @@ def _row_blocks(row_ptr: np.ndarray, lo: int, hi: int) -> list[tuple[int, int]]:
     return blocks
 
 
-def _jagged_block(row_ptr, col_idx, values, x, out, lo, hi, scratch):
+def _jagged_block(row_ptr, col_idx, values, x, out, lo, hi):
     """A closure that sets out[i] to row lo + i of the CSR matrix times x.
 
     The rows are stably sorted by descending length, so level j (the j-th
     entry of every row that has one) covers a prefix of the sorted rows;
-    the levels' values and columns are copied out one after another.  The
-    gather goes to the front of scratch, an array of x's dtype with room
-    for the rows' entries, which closures that never run at the same time
-    may share.  x, out and scratch must be written only in place while the
-    closure is in use.
+    the levels' values and columns are copied out one after another and
+    gathered into a buffer of the closure's own.  x and out must be
+    written only in place while the closure is in use.
     """
     starts = row_ptr[lo:hi].astype(np.int64)
     lens = row_ptr[lo + 1:hi + 1].astype(np.int64) - starts
@@ -232,9 +232,8 @@ def _jagged_block(row_ptr, col_idx, values, x, out, lo, hi, scratch):
     vals, cols = values[flat], col_idx[flat].astype(np.intp)
     if len(cols) and not (0 <= cols.min() and cols.max() < len(x)):
         raise IndexError(f"column index outside a vector of length {len(x)}")
-    gathered = scratch[:len(vals)]
-    products = gathered if gathered.dtype == np.result_type(vals, x) \
-        else np.empty(len(vals), dtype=np.result_type(vals, x))
+    products = np.empty(len(vals), dtype=np.result_type(vals, x))
+    gathered = products if products.dtype == x.dtype else np.empty(len(vals), dtype=x.dtype)
     acc = np.empty(hi - lo, dtype=out.dtype)
     adds = [(acc[:count], products[stop - count:stop])
             for count, stop in zip(counts.tolist(), np.cumsum(counts).tolist())]
@@ -253,7 +252,7 @@ def _jagged_block(row_ptr, col_idx, values, x, out, lo, hi, scratch):
 _UNIT_OPS = {1.0: np.add, -1.0: np.subtract}
 
 
-def _diagonal_block(row_ptr, col_idx, values, x, out, lo, hi, scratch):
+def _diagonal_block(row_ptr, col_idx, values, x, out, lo, hi):
     """A closure that sets out[i] to row lo + i of the CSR matrix times x,
     offset by offset, or None when the block is not banded enough: when its
     distinct offsets d = col - row, times its rows, exceed twice its stored
@@ -265,19 +264,18 @@ def _diagonal_block(row_ptr, col_idx, values, x, out, lo, hi, scratch):
     bits (0.0 and -0.0 differ) and, if a row lacks the offset, 0 < |c| <= 1,
     so that c * x in that slot raises no warning whatever x holds: c * x[i]
     is v[i] * x[i] bit for bit when v[i] has c's bits.  Otherwise it is
-    the offset's value array laid out by row; only those arrays are built
-    and kept.  A run fills out with +0.0 and, offset by ascending offset,
-    multiplies into scratch, writes -0.0 into the missing rows' slots and
-    adds scratch into out.  scratch, of x's dtype with room for the rows,
-    may be shared as in _jagged_block.
+    the offset's value array laid out by row, 1.0 in a missing slot; only
+    those arrays are built and kept.  A scalar factor of exactly 1.0 or
+    -1.0 takes no product: v + 1.0*x is v + x and v + (-1.0)*x is v - x,
+    bit for bit, so the x slice is added or subtracted into out, in the
+    dtype the product and its add would use.  Any other factor is
+    multiplied into a buffer of the closure's own and added into out.
 
-    A scalar factor of exactly 1.0 or -1.0 takes no product: the run adds
-    or subtracts the x slice into out (v + 1.0*x is v + x and v + (-1.0)*x
-    is v - x, bit for bit) in the dtype the product and its add would use.
-    Its missing rows' sums are kept aside, their slots set to 0.0 for the
-    add and then restored, so a missing slot leaves v as v + (-0.0) does
-    and raises no warning whatever x holds: 0.0 + inf and 0.0 - 1e308 set
-    no flag, where v + x on a kept v of 1e308 or inf could.
+    A run fills out with +0.0 and applies the offsets in ascending order.
+    Where rows lack an offset, it keeps their sums aside, writes 0.0 in
+    their slots, applies the offset and puts the sums back: 0.0 plus any
+    product or x raises no warning, where a kept sum of 1e308 or inf plus
+    x could overflow or make nan.
     """
     first, last = int(row_ptr[lo]), int(row_ptr[hi])
     rows = hi - lo
@@ -324,8 +322,7 @@ def _diagonal_block(row_ptr, col_idx, values, x, out, lo, hi, scratch):
     value_rows = {}
     if arrays:
         # 1.0 in a missing slot of a value array: its product with any x
-        # raises no warning, no 0 * inf and no overflow, and the run
-        # overwrites it with -0.0
+        # raises no warning, no 0 * inf and no overflow
         diagonals = np.ones((len(distinct), rows), dtype=values.dtype)
         diagonals.ravel()[slot] = vals
         value_rows = dict(zip(arrays, diagonals[arrays]))   # a copy of those rows alone
@@ -335,35 +332,28 @@ def _diagonal_block(row_ptr, col_idx, values, x, out, lo, hi, scratch):
     # values do, as their array would; sums add in what out += product does
     dtype = np.result_type(values, x)
     sums = np.result_type(out, dtype)
-    products = scratch[:rows] if scratch.dtype == dtype and len(scratch) >= rows \
-        else np.empty(rows, dtype=dtype)
+    products = np.empty(rows, dtype=dtype)
     steps = []
     for j, (key, r0, r1, missing) in enumerate(spans):
-        x_slice, out_slice = x[key + r0:key + r1], out[r0:r1]
-        unit = None if j in value_rows else _UNIT_OPS.get(constants[j])
-        if unit is None:
-            factor = value_rows[j][r0:r1] if j in value_rows else constants[j]
-            steps.append((None, factor, x_slice, out_slice, products[:r1 - r0], missing))
-        else:
-            kept = None if missing is None else np.empty(len(missing), dtype=out.dtype)
-            steps.append((unit, None, x_slice, out_slice, kept, missing))
+        factor = value_rows[j][r0:r1] if j in value_rows else constants[j]
+        unit = None if j in value_rows else _UNIT_OPS.get(factor)
+        kept = None if missing is None else np.empty(len(missing), dtype=out.dtype)
+        steps.append((unit, factor, x[key + r0:key + r1], out[r0:r1], products[:r1 - r0],
+                      missing, kept))
 
     def run():
         out.fill(0.0)
-        for unit, factor, x_slice, out_slice, buffer, missing in steps:
-            if unit is not None:
-                # a missing slot adds x to 0.0, then gets its kept sum back
-                if missing is not None:
-                    out_slice.take(missing, out=buffer)
-                    out_slice[missing] = 0.0
-                unit(out_slice, x_slice, out=out_slice, dtype=sums)
-                if missing is not None:
-                    out_slice[missing] = buffer
-                continue
-            np.multiply(factor, x_slice, out=buffer, dtype=dtype)
+        for unit, factor, x_slice, out_slice, product, missing, kept in steps:
             if missing is not None:
-                buffer[missing] = -0.0     # v + (-0.0) is v, bit for bit
-            out_slice += buffer
+                out_slice.take(missing, out=kept)
+                out_slice[missing] = 0.0
+            if unit is None:
+                np.multiply(factor, x_slice, out=product, dtype=dtype)
+                out_slice += product
+            else:
+                unit(out_slice, x_slice, out=out_slice, dtype=sums)
+            if missing is not None:
+                out_slice[missing] = kept
     return run
 
 
@@ -372,33 +362,20 @@ def csr_product(row_ptr, col_idx, values, x, out, lo, hi):
     CSR matrix times x, each row summed left to right from +0.0.
 
     The rows are cut into _row_blocks, each a _diagonal_block closure when
-    the block is banded enough and a _jagged_block one otherwise; the
-    blocks run one after another.  The diagonal blocks share one scratch
-    buffer of a block's rows, the jagged ones one of a block's entries,
-    made at the first jagged block.  Everything is built here, once: the
-    closure stays valid while x and out are written only in place and the
-    CSR arrays not at all.
+    the block is banded enough and a _jagged_block one otherwise, each with
+    buffers of its own; the blocks run one after another.  Everything is
+    built here, once: the closure stays valid while x and out are written
+    only in place and the CSR arrays not at all.
     """
-    blocks = _row_blocks(row_ptr, lo, hi)
-    products = np.empty(max((stop - start for start, stop in blocks), default=0), dtype=x.dtype)
-    gather = None
-    runs = []
-    for start, stop in blocks:
+    blocks = []
+    for start, stop in _row_blocks(row_ptr, lo, hi):
         args = (row_ptr, col_idx, values, x, out[start - lo:stop - lo], start, stop)
-        run = _diagonal_block(*args, products)
-        if run is None:
-            if gather is None:
-                gather = np.empty(max(int(row_ptr[b]) - int(row_ptr[a]) for a, b in blocks),
-                                  dtype=x.dtype)
-            run = _jagged_block(*args, gather)
-        runs.append(run)
-    if len(runs) == 1:
-        return runs[0]
+        blocks.append(_diagonal_block(*args) or _jagged_block(*args))
 
-    def run_blocks():
-        for block in runs:
+    def run():
+        for block in blocks:
             block()
-    return run_blocks
+    return run
 
 
 def spmv_range(row_ptr, col_idx, values, x, lo, hi, plan=None, out=None):
@@ -899,11 +876,16 @@ def instantiate_for_matrix(model: Model, n: int, nnz: int) -> Model:
 
     The template sizes are read off the model's spmv task (x extent = N,
     values extent = NNZ); every dimension equal to NNZ, N or N+1 is
-    rewritten to the new value, everything else is kept.
+    rewritten to the new value, everything else is kept.  Raises
+    ValueError when N, N+1 and NNZ are not all different: a dimension
+    would then not say which size it is.
     """
     _, spmv = spmv_task(model)
     n_model = spmv.port("x").shape.total
     nnz_model = spmv.port("values").shape.total
+    if nnz_model in (n_model, n_model + 1):
+        raise ValueError(f"cannot re-size the model: its spmv task has N = {n_model} and "
+                         f"NNZ = {nnz_model}, but N, N + 1 and NNZ must all differ")
 
     def map_dim(d: int) -> int:
         if d == nnz_model:

@@ -496,17 +496,53 @@ def test_run_non_symmetric_matrix_exit_two(workdir, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_run_rejects_the_resized_model(workdir, capsys):
-    """A matrix without entries sizes the CSR ports to 0: conformance of the
-    re-sized model rejects it, printing its diagnostics."""
+def test_run_empty_matrix_exit_two(workdir, capsys):
+    """A matrix with no stored entries would size the CSR ports to 0: run
+    rejects the file right after the load, with one line, before the model."""
     tmp_path, model_path = workdir
     mtx = tmp_path / "empty.mtx"
-    mtx.write_text("%%MatrixMarket matrix coordinate real general\n2 2 0\n")
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n3 3 0\n")
     assert main(["run", model_path, "--matrix", str(mtx),
-                 "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: application.{c}.{p}: port shape dimension must be >= 1, got 0"
-        for c in ("CgLoop", "SpmvCsr", "cg") for p in ("colidx", "values")]
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", f"error: {mtx}: 3x3 matrix has no stored entries\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_the_resized_model(workdir, capsys):
+    """A template of N = 1000 whose spmv output lives in the 16K local
+    memory passes check, but re-sized to a 2500-row matrix it overflows
+    that memory: the re-sized model's front end rejects it."""
+    tmp_path, _ = workdir
+    text = gmodelc.bundled_model_text().replace("allocate data loop.spmv.y onto device.gmem",
+                                                "allocate data loop.spmv.y onto device.c.lmem")
+    for old, new in (("132652", "1001"), ("3442951", "4960"), ("132651", "1000")):
+        text = text.replace(old, new)
+    model = tmp_path / "lmem.gmodel"
+    model.write_text(text)
+    assert main(["check", str(model)]) == 0
+    mtx, _ = _write_poisson(tmp_path, 50)
+    assert main(["run", str(model), "--matrix", mtx, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == (
+        "", "error: memory 'device.c.lmem' needs 20000 bytes but has capacity 16384\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("nnz, n_plus_1", [("4", "5"), ("5", "5")], ids=["nnz=n", "nnz=n+1"])
+def test_run_rejects_a_template_whose_sizes_collide(workdir, capsys, nnz, n_plus_1):
+    """Re-sizing maps dimensions by value, so a template whose N, N + 1 and
+    NNZ are not all different is rejected with one line naming both sizes."""
+    tmp_path, _ = workdir
+    text = gmodelc.bundled_model_text()
+    for old, new in (("132652", n_plus_1), ("3442951", nnz), ("132651", "4")):
+        text = text.replace(old, new)
+    model = tmp_path / "collide.gmodel"
+    model.write_text(text)
+    assert main(["check", str(model)]) == 0
+    mtx, _ = _write_poisson(tmp_path, 6)
+    assert main(["run", str(model), "--matrix", mtx, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: cannot re-size the model: its spmv task has N = 4 and NNZ = {nnz}, "
+            "but N, N + 1 and NNZ must all differ\n")
     assert not (tmp_path / "out").exists()
 
 

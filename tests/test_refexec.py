@@ -677,6 +677,17 @@ def _diagonal_form_cases():
     unit_holes = _csr_of_entries(12, entries)
     yield "unit-float32-x", unit_holes, rng.standard_normal(12).astype(np.float32), "diagonal"
     yield "unit-signed-zeros", unit_holes, np.where(np.arange(12) % 2, -0.0, 0.0), "diagonal"
+    # products follow the unit diagonals' rule: a +1 diagonal of 0.5 (one
+    # scalar) or of 2.0, 3.0, 4.0 by turns (a value row) lacks row 3, whose
+    # sum is +inf by then, where x[4] is -inf or 1e308: the slot's product
+    # of -inf, added into the kept sum rather than into 0.0, is inf - inf
+    for kind, value in (("scalar", lambda i: 0.5), ("value-row", lambda i: 2.0 + i % 3)):
+        entries = [(i, i, 1.0) for i in range(8)] \
+            + [(i, i + 1, value(i)) for i in range(7) if i != 3]
+        for label, hole_x in (("-inf", -np.inf), ("1e308", 1e308)):
+            x = rng.standard_normal(8)
+            x[3], x[4] = np.inf, hole_x
+            yield f"{kind}-inf-sum-{label}-hole", _csr_of_entries(8, entries), x, "diagonal"
 
 
 def _entry_rows(A: CsrMatrix) -> np.ndarray:
