@@ -1,24 +1,29 @@
 """OpenCL 1.1 source generation: one kernel file and one host file per model.
 
-A device task's kernel body and a host op's statement are looked up in
-its intrinsic's entry of intrinsics.INTRINSICS; parameter address-space
-keywords come from the port's data allocation.  A reduction intrinsic is
-two-stage: per-work-group partials on the device, final sum on the host
-in ascending device order.  The host program keeps each port's element
-type in its loads, stores, scalars and partials.  Output is
-byte-deterministic for identical inputs and is locked by golden files in
-the test suite.
+Code is emitted as data.  The kernel file holds one kernel per signature:
+the intrinsic, its kernel body and its parameter declarations, whose
+address-space keywords come from the ports' data allocations.  A kernel
+is named from its intrinsic and element types, as k_copy_f64 (k_copy_f64_2
+for a second signature of that name), and its comment lists the tasks
+that use it.  The host file holds a static const table per device step,
+one row per launch, that run_step enqueues row by row; identifiers come
+from step indices, and task paths go into comments.  A reduction is
+two-stage: per-work-group partials on the device, summed on the host in
+ascending device order.  Element types are kept in loads, stores,
+scalars and partials, and output is byte-deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import textwrap
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .intrinsics import IntrinsicSpec, deployed_intrinsic
 from .memmap import DataAllocate, MemoryMap
 from .metamodel import (AddressSpace, CompileContext, Component, ComponentKind, DataType,
                         Direction, MemoryRole, Model)
-from .partition import DeviceStep, HostOp, KernelLaunch, LoopStep, Schedule
+from .partition import DeviceStep, HostOp, LoopStep, Schedule
 
 
 @dataclass(frozen=True)
@@ -30,6 +35,10 @@ class GeneratedUnit:
 _C_TYPES = {DataType.FLOAT32: "float", DataType.FLOAT64: "double",
             DataType.INT32: "int", DataType.INT64: "long"}
 
+# kernel name suffixes
+_TYPE_TAGS = {DataType.FLOAT32: "f32", DataType.FLOAT64: "f64",
+              DataType.INT32: "i32", DataType.INT64: "i64"}
+
 # The host's text-file routines per element type, in the order they are
 # emitted: name suffix, fscanf format, fprintf format.
 _C_IO = {DataType.FLOAT64: ("doubles", "%lf", "%.17g"),
@@ -38,145 +47,139 @@ _C_IO = {DataType.FLOAT64: ("doubles", "%lf", "%.17g"),
          DataType.INT64: ("longs", "%ld", "%ld")}
 
 
-def _model_name(model: Model) -> str:
-    return model.application_root
-
-
-def kernel_name(task_path: str) -> str:
-    return "k_" + task_path.replace(".", "_")
+_SPACE_KEYWORDS = {AddressSpace.GLOBAL: "__global ", AddressSpace.CONSTANT: "__constant ",
+                   AddressSpace.LOCAL: "__local ", AddressSpace.PRIVATE: ""}
 
 
 class _AllocIndex:
-    """Finds the allocation record backing each application port."""
+    """The first device and the first host allocation backing each port."""
 
     def __init__(self, ctx: CompileContext, maps: list[MemoryMap]):
-        self.by_node: dict[str, list[tuple[MemoryRole, DataAllocate]]] = {}
+        self.device: dict[str, DataAllocate] = {}
+        self.host: dict[str, DataAllocate] = {}
         for mm in maps:
-            role = ctx.memory_role_of(mm.owner_path)
+            on_host = ctx.memory_role_of(mm.owner_path) is MemoryRole.HOST_RAM
+            found = self.host if on_host else self.device
             for alloc in mm.data_allocations:
                 for node in alloc.associated_parts:
-                    self.by_node.setdefault(node, []).append((role, alloc))
-
-    def device_alloc(self, node: str) -> tuple[MemoryRole, DataAllocate] | None:
-        for role, alloc in self.by_node.get(node, []):
-            if role is not MemoryRole.HOST_RAM:
-                return role, alloc
-        return None
-
-    def host_alloc(self, node: str) -> DataAllocate | None:
-        for role, alloc in self.by_node.get(node, []):
-            if role is MemoryRole.HOST_RAM:
-                return alloc
-        return None
+                    found.setdefault(node, alloc)
 
 
-@dataclass(frozen=True)
-class _Param:
-    name: str
+class _Param(NamedTuple):
     text: str                  # parameter declaration in the kernel signature
-    kind: str                  # "buffer" | "scalar" | "local" | "partials"
+    kind: str                  # "range" | "buffer" | "scalar" | "local" | "partials"
     alloc: DataAllocate | None
-    ctype: str = "int"         # the C element type
+    dtype: DataType = DataType.INT32
 
 
 def _port_param(index: _AllocIndex, task_path: str, port) -> _Param:
     node = f"{task_path}.{port.name}"
     ctype = _C_TYPES[port.data_type]
-    device = index.device_alloc(node)
-    if device is None:
+    alloc = index.device.get(node)
+    if alloc is None:
         # host-resident scalar, passed by value
-        return _Param(port.name, f"const {ctype} {port.name}", "scalar",
-                      index.host_alloc(node), ctype)
-    role, alloc = device
+        return _Param(f"const {ctype} {port.name}", "scalar", index.host.get(node),
+                      port.data_type)
     space = alloc.space_address
-    if space is AddressSpace.GLOBAL:
-        const = "const " if port.direction is Direction.IN else ""
-        return _Param(port.name, f"__global {const}{ctype}* {port.name}", "buffer", alloc,
-                      ctype)
-    if space is AddressSpace.CONSTANT:
-        return _Param(port.name, f"__constant {ctype}* {port.name}", "buffer", alloc, ctype)
-    if space is AddressSpace.LOCAL:
-        return _Param(port.name, f"__local {ctype}* {port.name}", "local", alloc, ctype)
-    return _Param(port.name, f"{ctype}* {port.name}", "buffer", alloc, ctype)
+    const = "const " if space is AddressSpace.GLOBAL and port.direction is Direction.IN else ""
+    return _Param(f"{_SPACE_KEYWORDS[space]}{const}{ctype}* {port.name}",
+                  "local" if space is AddressSpace.LOCAL else "buffer", alloc, port.data_type)
 
 
 def _task_params(index: _AllocIndex, task_path: str, comp: Component,
                  spec: IntrinsicSpec) -> list[_Param]:
-    params = [_Param("first", "const int first", "range", None),
-              _Param("count", "const int count", "range", None)]
+    params = [_Param("const int first", "range", None), _Param("const int count", "range", None)]
     for pspec in spec.ports:
         port = comp.port(pspec.name)
         if port is None:
             continue
-        node = f"{task_path}.{port.name}"
-        if port.direction is Direction.OUT and index.device_alloc(node) is None:
+        if port.direction is Direction.OUT and f"{task_path}.{port.name}" not in index.device:
             # host-resident result (a reduction's scalar): delivered via the
             # partials buffer and the host reduction, not a kernel parameter
             continue
         params.append(_port_param(index, task_path, port))
     if spec.reduce:
         # partials have the type of the reduced operands, the first port
-        ctype = _C_TYPES[comp.port(spec.ports[0].name).data_type]
-        params.append(_Param("partials", f"__global {ctype}* partials", "partials", None,
-                             ctype))
+        dtype = comp.port(spec.ports[0].name).data_type
+        params.append(_Param(f"__global {_C_TYPES[dtype]}* partials", "partials", None, dtype))
     return params
 
 
+class _Task(NamedTuple):
+    """A device task as codegen sees it: its intrinsic, its kernel
+    parameters and its kernel signature (intrinsic, body, declarations)."""
+    spec: IntrinsicSpec
+    params: list[_Param]
+    signature: tuple
+
+
+@dataclass
+class _Kernel:
+    name: str
+    task: _Task                 # the first task of its signature
+    paths: list[str] = field(default_factory=list)
+
+
 def _device_tasks(ctx: CompileContext, maps: list[MemoryMap],
-                  schedule: Schedule) -> tuple[_AllocIndex, list[tuple]]:
-    """The allocation index of maps, and each distinct device task's first
-    step, component, IntrinsicSpec and kernel parameters.  The index and the
-    parameter lists are kept on ctx while the same maps come in."""
-    if ctx.kernel_params is None or ctx.kernel_params[0] is not maps:
-        ctx.kernel_params = (maps, _AllocIndex(ctx, maps), {})
-    _, index, params = ctx.kernel_params
-    seen: set[str] = set()
-    tasks = []
+                  schedule: Schedule) -> tuple[_AllocIndex, list, list[_Kernel]]:
+    """The allocation index of maps, each device step with its _Task and
+    _Kernel, and the kernels in order of first use.  The index and each
+    task's _Task are computed once per (model, maps) and kept on ctx."""
+    if ctx.device_tasks is None or ctx.device_tasks[0] is not maps:
+        ctx.device_tasks = (maps, _AllocIndex(ctx, maps), {})
+    _, index, tasks = ctx.device_tasks
+    kernels: dict[tuple, _Kernel] = {}
+    names: set[str] = set()
+    steps = []
     for step in schedule.device_steps():
         path = step.task_path
-        if path not in seen:
-            seen.add(path)
+        task = tasks.get(path)
+        if task is None:
             comp = ctx.component_at(ComponentKind.APPLICATION, path)
             spec = deployed_intrinsic(ctx, path, on_host=False)
-            if path not in params:
-                params[path] = _task_params(index, path, comp, spec)
-            tasks.append((step, comp, spec, params[path]))
-    return index, tasks
+            params = _task_params(index, path, comp, spec)
+            task = tasks[path] = _Task(spec, params, (spec.name, spec.kernel_body(comp),
+                                                      tuple(p.text for p in params)))
+        kernel = kernels.get(task.signature)
+        if kernel is None:
+            tags = dict.fromkeys(_TYPE_TAGS[p.dtype] for p in task.params if p.kind != "range")
+            base = "_".join(("k", task.spec.name, *tags))
+            name, n = base, 1
+            while name in names:
+                n += 1
+                name = f"{base}_{n}"
+            names.add(name)
+            kernel = kernels[task.signature] = _Kernel(name, task)
+        kernel.paths.append(path)
+        steps.append((step, task, kernel))
+    return index, steps, list(kernels.values())
+
+
+def _comment(text: str) -> list[str]:
+    """A C comment of text, wrapped at spaces to lines of at most 94 characters."""
+    if len(text) <= 88:
+        return [f"/* {text} */"]
+    lines = textwrap.wrap(text, 88, break_long_words=False, break_on_hyphens=False)
+    lines[-1] += " */"
+    return ["/* " + lines[0]] + [" * " + line for line in lines[1:]]
 
 
 def generate_kernels(model: Model, maps: list[MemoryMap], schedule: Schedule) -> GeneratedUnit:
-    """Emit the kernel source file: one entry point per distinct device task."""
-    name = _model_name(model)
-    out = [
-        "/*",
-        f" * OpenCL kernels for model '{name}'.",
-        f" * generated by gmodelc; model digest sha256:{model.context.digest}",
-        " */",
-    ]
-    _, tasks = _device_tasks(model.context, maps, schedule)
-    if any(port.data_type is DataType.FLOAT64 for _, comp, _, _ in tasks for port in comp.ports):
-        out.append("")
-        out.append("#pragma OPENCL EXTENSION cl_khr_fp64 : enable")
-    names_seen: dict[str, str] = {}
-    for step, comp, spec, params in tasks:
-        kname = kernel_name(step.task_path)
-        if kname in names_seen:
-            raise ValueError(f"kernel name '{kname}' generated for both "
-                             f"'{names_seen[kname]}' and '{step.task_path}'")
-        names_seen[kname] = step.task_path
-        body = spec.kernel_body(comp)
-        out.append("")
-        head = f"__kernel void {kname}("
-        pad = " " * len(head)
-        decls = [p.text for p in params]
-        out.append(head + decls[0] + ",")
-        out.extend(pad + d + "," for d in decls[1:-1])
-        out.append(pad + decls[-1] + ")")
-        out.append("{")
-        out.extend("    " + line for line in body)
-        out.append("}")
-    return GeneratedUnit(file_name=f"{name}_kernels.cl",
-                         contents="\n".join(out) + "\n")
+    """Emit the kernel source file: one entry point per distinct signature."""
+    name = model.application_root
+    out = ["/*", f" * OpenCL kernels for model '{name}'.",
+           f" * generated by gmodelc; model digest sha256:{model.context.digest}", " */"]
+    _, _, kernels = _device_tasks(model.context, maps, schedule)
+    if any("double" in text for k in kernels for text in (*k.task.signature[1],
+                                                         *k.task.signature[2])):
+        out += ["", "#pragma OPENCL EXTENSION cl_khr_fp64 : enable"]
+    for kernel in kernels:
+        spec_name, body, decls = kernel.task.signature
+        head = f"__kernel void {kernel.name}("
+        out += ["", *_comment(f"{spec_name}: {', '.join(kernel.paths)}"),
+                head + (",\n" + " " * len(head)).join(decls) + ")",
+                "{", *("    " + line for line in body), "}"]
+    return GeneratedUnit(file_name=f"{name}_kernels.cl", contents="\n".join(out) + "\n")
 
 
 # -- host program -------------------------------------------------------------
@@ -187,25 +190,144 @@ def _float_literal(value: float) -> str:
     return text if any(c in text for c in ".einf") else text + ".0"
 
 
-def _group_count(launch: KernelLaunch) -> int:
-    return launch.global_size // launch.local_size
+_HOST_PRELUDE = r"""#include <CL/cl.h>
+#include <math.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+
+#define CHECK(err, what) \
+    do { if ((err) != CL_SUCCESS) { \
+        fprintf(stderr, "%s failed: %d\n", (what), (int)(err)); \
+        exit(2); } } while (0)
+
+static char* read_text_file(const char* path, size_t* size_out)
+{
+    FILE* f = fopen(path, "rb");
+    if (!f) { fprintf(stderr, "cannot open %s\n", path); exit(2); }
+    fseek(f, 0, SEEK_END);
+    long size = ftell(f);
+    fseek(f, 0, SEEK_SET);
+    char* text = (char*)malloc((size_t)size + 1);
+    fread(text, 1, (size_t)size, f);
+    text[size] = 0;
+    fclose(f);
+    if (size_out) *size_out = (size_t)size;
+    return text;
+}
+"""
+
+_LOAD = """
+static void load_{suffix}(const char* path, {ctype}* out, long count)
+{{
+    FILE* f = fopen(path, "r");
+    if (!f) {{ fprintf(stderr, "cannot open %s\\n", path); exit(2); }}
+    for (long i = 0; i < count; ++i) {{
+        if (fscanf(f, "{scan}", &out[i]) != 1) {{ fclose(f); exit(2); }}
+    }}
+    fclose(f);
+}}
+"""
+
+_STORE = """
+static void store_{suffix}(const char* path, const {ctype}* data, long count)
+{{
+    FILE* f = fopen(path, "w");
+    if (!f) {{ fprintf(stderr, "cannot open %s\\n", path); exit(2); }}
+    for (long i = 0; i < count; ++i) fprintf(f, "{show}\\n", data[i]);
+    fclose(f);
+}}
+"""
+
+_LAUNCH_TABLES = """
+/* a kernel argument after first and count, as clSetKernelArg takes it */
+typedef struct { size_t size; const void* value; } arg_t;
+
+/* one launch: a row of its device step's table */
+typedef struct {
+    int kernel;
+    int queue;
+    cl_int first, count;
+    size_t global_size, local_size;
+    const arg_t* args;          /* ends at the first of size 0 */
+    const cl_mem* partials;     /* a reduction's partials buffer, or NULL */
+} launch_t;
+
+/* Set each row's arguments and enqueue it, then wait for every row's
+ * queue.  Kernel arguments are captured at enqueue (OpenCL 1.1, 5.7.2),
+ * so one cl_kernel serves all the rows of its kernel. */
+static void run_step(const launch_t* rows, int count)
+{
+    for (int r = 0; r < count; ++r) {
+        const launch_t* row = &rows[r];
+        cl_kernel kernel = kernels[row->kernel];
+        cl_uint index = 0;
+        cl_int err = clSetKernelArg(kernel, index++, sizeof(cl_int), &row->first);
+        if (err == CL_SUCCESS) err = clSetKernelArg(kernel, index++, sizeof(cl_int), &row->count);
+        for (const arg_t* arg = row->args; err == CL_SUCCESS && arg->size; ++arg)
+            err = clSetKernelArg(kernel, index++, arg->size, arg->value);
+        if (err == CL_SUCCESS && row->partials)
+            err = clSetKernelArg(kernel, index, sizeof(cl_mem), row->partials);
+        CHECK(err, "clSetKernelArg");
+        err = clEnqueueNDRangeKernel(queues[row->queue], kernel, 1, NULL, &row->global_size,
+                                     &row->local_size, 0, NULL, NULL);
+        CHECK(err, kernel_names[row->kernel]);
+    }
+    for (int r = 0; r < count; ++r) clFinish(queues[rows[r].queue]);
+}
+"""
+
+_SUM = """
+/* a reduction step's result: its partials summed row by row, from 0 */
+static {ctype} sum_{suffix}(const launch_t* rows, int count)
+{{
+    static {ctype} staged[{groups}];
+    {ctype} sum = 0;
+    for (int r = 0; r < count; ++r) {{
+        size_t groups = rows[r].global_size / rows[r].local_size;
+        cl_int err = clEnqueueReadBuffer(queues[rows[r].queue], *rows[r].partials, CL_TRUE, 0,
+                                         groups * sizeof({ctype}), staged, 0, NULL, NULL);
+        CHECK(err, "read partials");
+        for (size_t g = 0; g < groups; ++g) sum += staged[g];
+    }}
+    return sum;
+}}
+"""
+
+_MAIN = """
+int main(void)
+{{
+    cl_int err;
+    cl_platform_id cl_platform;
+    err = clGetPlatformIDs(1, &cl_platform, NULL);
+    CHECK(err, "clGetPlatformIDs");
+    cl_device_id devices[DEVICE_COUNT];
+    err = clGetDeviceIDs(cl_platform, CL_DEVICE_TYPE_ALL, DEVICE_COUNT, devices, NULL);
+    CHECK(err, "clGetDeviceIDs");
+    cl_context context = clCreateContext(NULL, DEVICE_COUNT, devices, NULL, NULL, &err);
+    CHECK(err, "clCreateContext");
+    for (int d = 0; d < DEVICE_COUNT; ++d) {{
+        queues[d] = clCreateCommandQueue(context, devices[d], 0, &err);
+        CHECK(err, "clCreateCommandQueue");
+    }}
+
+    size_t source_size;
+    char* source = read_text_file("{name}_kernels.cl", &source_size);
+    cl_program program = clCreateProgramWithSource(context, 1, (const char**)&source,
+                                                   &source_size, &err);
+    CHECK(err, "clCreateProgramWithSource");
+    err = clBuildProgram(program, DEVICE_COUNT, devices, NULL, NULL, NULL);
+    CHECK(err, "clBuildProgram");
+"""
 
 
-class _HostWriter:
-    def __init__(self):
-        self.lines: list[str] = []
-        self.depth = 1
-
-    def put(self, text: str = ""):
-        self.lines.append("    " * self.depth + text if text else "")
-
-    def open(self, text: str):
-        self.put(text)
-        self.depth += 1
-
-    def close(self, text: str = "}"):
-        self.depth -= 1
-        self.put(text)
+def _arg(param: _Param) -> str:
+    """A step's argument entry for a kernel parameter after first and count."""
+    if param.kind == "scalar":
+        return f"{{sizeof({_C_TYPES[param.dtype]}), &h_{param.alloc.name}}}"
+    if param.kind == "local":
+        return f"{{{param.alloc.size_bytes}, NULL}}"
+    return f"{{sizeof(cl_mem), &buf_{param.alloc.name}}}"
 
 
 def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
@@ -214,295 +336,170 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
     if device_count < 1:
         raise ValueError("device_count must be positive")
     ctx = model.context
-    name = _model_name(model)
-    root = model.root(ComponentKind.APPLICATION)
-    index, device_tasks = _device_tasks(ctx, maps, schedule)
-    task_params = {step.task_path: (params, spec) for step, _, spec, params in device_tasks}
+    name = model.application_root
+    index, steps, kernels = _device_tasks(ctx, maps, schedule)
 
-    device_allocs: list[tuple[MemoryRole, DataAllocate]] = []
-    host_allocs: list[DataAllocate] = []
-    seen_names: set[str] = set()
+    allocs: dict[str, tuple[DataAllocate, bool]] = {}    # each allocation once, by name
     for mm in maps:
-        role = ctx.memory_role_of(mm.owner_path)
+        on_host = ctx.memory_role_of(mm.owner_path) is MemoryRole.HOST_RAM
         for alloc in mm.data_allocations:
-            if alloc.name in seen_names:
-                continue
-            seen_names.add(alloc.name)
-            if role is MemoryRole.HOST_RAM:
-                host_allocs.append(alloc)
-            else:
-                device_allocs.append((role, alloc))
+            allocs.setdefault(alloc.name, (alloc, on_host))
+    device_allocs = [alloc for alloc, on_host in allocs.values() if not on_host]
+    host_allocs = [alloc for alloc, on_host in allocs.values() if on_host]
 
-    # reduction partial buffers: one per (task, device) pair, sized by work
-    # groups, of the partials parameter's type (_task_params puts it last)
-    partials: list[tuple[str, int, int, str]] = []   # (kernel, device, groups, type)
-    for step, _, spec, _ in device_tasks:
-        if spec.reduce:
-            ctype = task_params[step.task_path][0][-1].ctype
-            for launch in step.launches:
-                partials.append((kernel_name(step.task_path), launch.device_index,
-                                 _group_count(launch), ctype))
-
-    # the root's in ports, each allocation loaded once, and its out ports, as
-    # (port, allocation, whether it is a host scalar): a device allocation is
-    # uploaded and read back, a host one loaded into and stored from h_<name>
-    loads: dict[str, tuple[str, DataAllocate, bool]] = {}
-    stores: list[tuple[str, DataAllocate, bool]] = []
-    for port in root.ports:
-        device = index.device_alloc(port.name)
-        alloc = device[1] if device is not None else index.host_alloc(port.name)
-        if alloc is None:
+    # the body of main, from the kernels on; the types the root's in ports
+    # are loaded as and its out ports stored as, to emit their routines
+    body = []
+    if kernels:
+        body += ["for (int k = 0; k < KERNEL_COUNT; ++k) {",
+                 "    kernels[k] = clCreateKernel(program, kernel_names[k], &err);",
+                 "    CHECK(err, kernel_names[k]);",
+                 "}"]
+    body.append("")
+    for alloc in device_allocs:
+        body += [f"buf_{alloc.name} = clCreateBuffer(context, CL_MEM_READ_WRITE, "
+                 f"{alloc.size_bytes}, NULL, &err);",
+                 f'CHECK(err, "clCreateBuffer {alloc.name}");']
+    # one partials buffer per device, for the largest of the reduction
+    # launches; each reduction is read back before the next runs
+    reduced = {task.params[-1].dtype for _, task, _ in steps if task.spec.reduce}
+    groups = max((l.global_size // l.local_size for step, task, _ in steps if task.spec.reduce
+                  for l in step.launches), default=0)
+    if reduced:
+        size = groups * max(dtype.size_bytes for dtype in reduced)
+        body += ["for (int d = 0; d < DEVICE_COUNT; ++d) {",
+                 f"    partials[d] = clCreateBuffer(context, CL_MEM_READ_WRITE, {size}, "
+                 "NULL, &err);",
+                 '    CHECK(err, "clCreateBuffer partials");',
+                 "}"]
+    # each root in port's allocation is loaded once, and each out port
+    # stored: a device allocation is uploaded and read back, a host one
+    # loaded into and stored from h_<name>
+    body += ["", "/* load and upload input data */"]
+    stores = ["", "/* read back and store outputs */"]
+    loaded, stored = {DataType.FLOAT64, DataType.INT32}, {DataType.FLOAT64}
+    uploaded: set[str] = set()
+    for port in model.root(ComponentKind.APPLICATION).ports:
+        device = index.device.get(port.name)
+        alloc = device or index.host.get(port.name)
+        if alloc is None or port.direction is Direction.INOUT:
             continue
+        n, dtype, c = alloc.dim_allocation.total, alloc.type_allocation, alloc.name
+        ctype, suffix = _C_TYPES[dtype], _C_IO[dtype][0]
         if port.direction is Direction.IN:
-            loads.setdefault(alloc.name, (port.name, alloc, device is None))
-        elif port.direction is Direction.OUT:
-            stores.append((port.name, alloc, device is None))
-    # load and store routines: the float64 and int32 ones always, the others
-    # when a port needs them
-    loaded = {DataType.FLOAT64, DataType.INT32}.union(
-        alloc.type_allocation for _, alloc, _ in loads.values())
-    stored = {DataType.FLOAT64}.union(alloc.type_allocation for _, alloc, _ in stores)
-
-    w = _HostWriter()
-    w.depth = 0
-    w.put("/*")
-    w.put(f" * OpenCL host program for model '{name}' on {device_count} device(s).")
-    w.put(f" * generated by gmodelc; model digest sha256:{ctx.digest}")
-    w.put(" */")
-    w.put("#include <CL/cl.h>")
-    w.put("#include <math.h>")
-    w.put("#include <stdio.h>")
-    w.put("#include <stdlib.h>")
-    w.put("#include <string.h>")
-    w.put("")
-    w.put("#define CHECK(err, what) \\")
-    w.put("    do { if ((err) != CL_SUCCESS) { \\")
-    w.put('        fprintf(stderr, "%s failed: %d\\n", (what), (int)(err)); \\')
-    w.put("        exit(2); } } while (0)")
-    w.put("")
-    w.put("static char* read_text_file(const char* path, size_t* size_out)")
-    w.put("{")
-    w.put('    FILE* f = fopen(path, "rb");')
-    w.put('    if (!f) { fprintf(stderr, "cannot open %s\\n", path); exit(2); }')
-    w.put("    fseek(f, 0, SEEK_END);")
-    w.put("    long size = ftell(f);")
-    w.put("    fseek(f, 0, SEEK_SET);")
-    w.put("    char* text = (char*)malloc((size_t)size + 1);")
-    w.put("    fread(text, 1, (size_t)size, f);")
-    w.put("    text[size] = 0;")
-    w.put("    fclose(f);")
-    w.put("    if (size_out) *size_out = (size_t)size;")
-    w.put("    return text;")
-    w.put("}")
-    w.put("")
-    for dtype, (suffix, scan, _) in _C_IO.items():
-        if dtype in loaded:
-            ctype = _C_TYPES[dtype]
-            w.put(f"static void load_{suffix}(const char* path, {ctype}* out, long count)")
-            w.put("{")
-            w.put('    FILE* f = fopen(path, "r");')
-            w.put('    if (!f) { fprintf(stderr, "cannot open %s\\n", path); exit(2); }')
-            w.put("    for (long i = 0; i < count; ++i) {")
-            w.put(f'        if (fscanf(f, "{scan}", &out[i]) != 1) {{ fclose(f); exit(2); }}')
-            w.put("    }")
-            w.put("    fclose(f);")
-            w.put("}")
-            w.put("")
-    for dtype, (suffix, _, show) in _C_IO.items():
-        if dtype in stored:
-            ctype = _C_TYPES[dtype]
-            w.put(f"static void store_{suffix}(const char* path, const {ctype}* data, "
-                  "long count)")
-            w.put("{")
-            w.put('    FILE* f = fopen(path, "w");')
-            w.put('    if (!f) { fprintf(stderr, "cannot open %s\\n", path); exit(2); }')
-            w.put(f'    for (long i = 0; i < count; ++i) fprintf(f, "{show}\\n", data[i]);')
-            w.put("    fclose(f);")
-            w.put("}")
-            w.put("")
-    w.put("int main(void)")
-    w.put("{")
-    w.depth = 1
-    w.put(f"enum {{ DEVICE_COUNT = {device_count} }};")
-    w.put("cl_int err;")
-    w.put("cl_platform_id cl_platform;")
-    w.put("err = clGetPlatformIDs(1, &cl_platform, NULL);")
-    w.put('CHECK(err, "clGetPlatformIDs");')
-    w.put("cl_device_id devices[DEVICE_COUNT];")
-    w.put("err = clGetDeviceIDs(cl_platform, CL_DEVICE_TYPE_ALL, DEVICE_COUNT, devices, NULL);")
-    w.put('CHECK(err, "clGetDeviceIDs");')
-    w.put("cl_context context = clCreateContext(NULL, DEVICE_COUNT, devices, NULL, NULL, &err);")
-    w.put('CHECK(err, "clCreateContext");')
-    w.put("cl_command_queue queues[DEVICE_COUNT];")
-    w.put("for (int d = 0; d < DEVICE_COUNT; ++d) {")
-    w.put("    queues[d] = clCreateCommandQueue(context, devices[d], 0, &err);")
-    w.put('    CHECK(err, "clCreateCommandQueue");')
-    w.put("}")
-    w.put("")
-    w.put("size_t source_size;")
-    w.put(f'char* source = read_text_file("{name}_kernels.cl", &source_size);')
-    w.put("cl_program program = clCreateProgramWithSource(context, 1, "
-          "(const char**)&source, &source_size, &err);")
-    w.put('CHECK(err, "clCreateProgramWithSource");')
-    w.put("err = clBuildProgram(program, DEVICE_COUNT, devices, NULL, NULL, NULL);")
-    w.put('CHECK(err, "clBuildProgram");')
-    w.put("")
-    for step, _, _, _ in device_tasks:
-        kname = kernel_name(step.task_path)
-        w.put(f'cl_kernel {kname} = clCreateKernel(program, "{kname}", &err);')
-        w.put(f'CHECK(err, "clCreateKernel {kname}");')
-    w.put("")
-    w.put("/* host-resident scalars */")
-    for alloc in host_allocs:
-        w.put(f"{_C_TYPES[alloc.type_allocation]} h_{alloc.name} = 0.0;")
-    w.put("")
-    w.put("/* one buffer per device-side data allocation */")
-    for role, alloc in device_allocs:
-        w.put(f"cl_mem buf_{alloc.name} = clCreateBuffer(context, CL_MEM_READ_WRITE, "
-              f"{alloc.size_bytes}, NULL, &err);")
-        w.put(f'CHECK(err, "clCreateBuffer {alloc.name}");')
-    w.put("")
-    w.put("/* work-group partial buffers for dot reductions */")
-    for kname, dev, groups, ctype in partials:
-        w.put(f"cl_mem part_{kname}_d{dev} = clCreateBuffer(context, CL_MEM_READ_WRITE, "
-              f"{groups} * sizeof({ctype}), NULL, &err);")
-        w.put('CHECK(err, "clCreateBuffer partials");')
-        w.put(f"{ctype}* ph_{kname}_d{dev} = ({ctype}*)malloc({groups} * sizeof({ctype}));")
-    w.put("")
-    w.put("/* load and upload input data */")
-    for port_name, alloc, on_host in loads.values():
-        n = alloc.dim_allocation.total
-        ctype = _C_TYPES[alloc.type_allocation]
-        suffix = _C_IO[alloc.type_allocation][0]
-        if on_host:
-            w.put(f'load_{suffix}("{name}_{port_name}.txt", &h_{alloc.name}, 1);')
-            continue
-        w.put(f"{ctype}* in_{alloc.name} = ({ctype}*)malloc({alloc.size_bytes});")
-        w.put(f'load_{suffix}("{name}_{port_name}.txt", in_{alloc.name}, {n});')
-        w.put(f"err = clEnqueueWriteBuffer(queues[0], buf_{alloc.name}, CL_TRUE, 0, "
-              f"{alloc.size_bytes}, in_{alloc.name}, 0, NULL, NULL);")
-        w.put(f'CHECK(err, "write {alloc.name}");')
-    w.put("")
-    w.put("int iters = 0;")
-    w.put("int converged = 1;")
-    w.put("")
-
-    def emit_device_step(step: DeviceStep):
-        kname = kernel_name(step.task_path)
-        pad = "    " * w.depth
-        inner = pad + "    "
-        # The argument lines are built once per step.  Only the partials
-        # buffer depends on the device; _task_params puts it last.
-        params, spec = task_params[step.task_path]
-        args = ""
-        partials = None     # its argument index
-        for i, param in enumerate(params):
-            if param.kind == "range":
-                arg = f"sizeof(cl_int), &{param.name}"
-            elif param.kind == "scalar":
-                arg = f"sizeof({param.ctype}), &h_{param.alloc.name}"
-            elif param.kind == "local":
-                arg = f"{param.alloc.size_bytes}, NULL"
-            elif param.kind == "partials":
-                partials = i
+            if c in uploaded:
                 continue
-            else:
-                arg = f"sizeof(cl_mem), &buf_{param.alloc.name}"
-            args += f"{inner}clSetKernelArg({kname}, {i}, {arg});\n"
-        for launch in step.launches:
-            d = launch.device_index
-            if partials is not None:
-                device_args = (f"{args}{inner}clSetKernelArg({kname}, {partials}, "
-                               f"sizeof(cl_mem), &part_{kname}_d{d});\n")
-            else:
-                device_args = args
-            # one pre-indented block per launch
-            w.lines.append(f"{pad}{{\n"
-                           f"{inner}const cl_int first = {launch.range.offset};\n"
-                           f"{inner}const cl_int count = {launch.range.count};\n"
-                           f"{inner}const size_t global_size = {launch.global_size};\n"
-                           f"{inner}const size_t local_size = {launch.local_size};\n"
-                           f"{device_args}"
-                           f"{inner}err = clEnqueueNDRangeKernel(queues[{d}], {kname}, 1, NULL, "
-                           f"&global_size, &local_size, 0, NULL, NULL);\n"
-                           f'{inner}CHECK(err, "enqueue {kname}");\n'
-                           f"{pad}}}")
-        w.lines.append("\n".join(f"{pad}clFinish(queues[{launch.device_index}]);"
-                                  for launch in step.launches))
-        if spec.reduce:
-            s_alloc = index.host_alloc(f"{step.task_path}.{spec.reduce}")
-            w.put(f"h_{s_alloc.name} = 0.0;")
-            for launch in step.launches:
-                d = launch.device_index
-                groups = _group_count(launch)
-                w.put(f"err = clEnqueueReadBuffer(queues[{d}], part_{kname}_d{d}, CL_TRUE, "
-                      f"0, {groups} * sizeof({params[partials].ctype}), ph_{kname}_d{d}, "
-                      "0, NULL, NULL);")
-                w.put(f'CHECK(err, "read partials {kname}");')
-                w.put(f"for (int g = 0; g < {groups}; ++g) "
-                      f"h_{s_alloc.name} += ph_{kname}_d{d}[g];")
+            uploaded.add(c)
+            loaded.add(dtype)
+            if device is None:
+                body.append(f'load_{suffix}("{name}_{port.name}.txt", &h_{c}, 1);')
+                continue
+            body += [f"{ctype}* in_{c} = ({ctype}*)malloc({alloc.size_bytes});",
+                     f'load_{suffix}("{name}_{port.name}.txt", in_{c}, {n});',
+                     f"err = clEnqueueWriteBuffer(queues[0], buf_{c}, CL_TRUE, 0, "
+                     f"{alloc.size_bytes}, in_{c}, 0, NULL, NULL);",
+                     f'CHECK(err, "write {c}");']
+            continue
+        stored.add(dtype)
+        if device is None:
+            stores.append(f'store_{suffix}("{name}_{port.name}_out.txt", &h_{c}, 1);')
+            continue
+        stores += [f"{ctype}* out_{c} = ({ctype}*)malloc({alloc.size_bytes});",
+                   f"err = clEnqueueReadBuffer(queues[0], buf_{c}, CL_TRUE, 0, "
+                   f"{alloc.size_bytes}, out_{c}, 0, NULL, NULL);",
+                   f'CHECK(err, "read {c}");',
+                   f'store_{suffix}("{name}_{port.name}_out.txt", out_{c}, {n});']
+    body += ["", "int iters = 0;", "int converged = 1;", ""]
 
-    def emit_host_op(step: HostOp):
-        comp = ctx.component_at(ComponentKind.APPLICATION, step.task_path)
-        spec = deployed_intrinsic(ctx, step.task_path, on_host=True)
-        names = {port.name: f"h_{index.host_alloc(f'{step.task_path}.{port.name}').name}"
-                 for port in comp.ports}
-        w.put(spec.host_c.format_map(names))
+    step_index = {id(step): i for i, (step, _, _) in enumerate(steps)}
 
-    def emit_steps(steps):
-        for step in steps:
+    def emit(items, pad: str):
+        for step in items:
             if isinstance(step, DeviceStep):
-                emit_device_step(step)
+                i = step_index[id(step)]
+                task = steps[i][1]
+                call = f"(step_{i}, {len(step.launches)});"
+                body.append(f"{pad}run_step{call}")
+                if task.spec.reduce:
+                    s = index.host.get(f"{step.task_path}.{task.spec.reduce}").name
+                    body.append(f"{pad}h_{s} = sum_{_C_IO[task.params[-1].dtype][0]}{call}")
             elif isinstance(step, HostOp):
-                emit_host_op(step)
+                comp = ctx.component_at(ComponentKind.APPLICATION, step.task_path)
+                spec = deployed_intrinsic(ctx, step.task_path, on_host=True)
+                names = {port.name: f"h_{index.host.get(f'{step.task_path}.{port.name}').name}"
+                         for port in comp.ports}
+                body.append(pad + spec.host_c.format_map(names))
             elif isinstance(step, LoopStep):
-                relres = index.host_alloc(step.relres_port)
-                w.put(f"/* loop {step.task_path}: until h_{relres.name} <= "
-                      f"{_float_literal(step.tolerance)} */")
-                w.put("converged = 0;")
-                w.open(f"while (iters < {step.max_iterations}) {{")
-                emit_steps(step.body)
-                w.put("++iters;")
-                w.put(f"if (h_{relres.name} <= {_float_literal(step.tolerance)}) "
-                      "{ converged = 1; break; }")
-                w.close()
+                relres = f"h_{index.host.get(step.relres_port).name}"
+                tol = _float_literal(step.tolerance)
+                body.append(f"{pad}/* loop {step.task_path}: until {relres} < {tol} */")
+                body.extend((f"{pad}converged = 0;",
+                             f"{pad}while (iters < {step.max_iterations}) {{"))
+                emit(step.body, pad + "    ")
+                body.extend((f"{pad}    ++iters;",
+                             f"{pad}    if ({relres} < {tol}) {{ converged = 1; break; }}",
+                             f"{pad}}}"))
 
-    emit_steps(schedule.steps)
-    del emit_steps      # a recursive closure is a cycle: it would keep the context for the collector
-    w.put("")
-    w.put("/* read back and store outputs */")
-    final_relres = None
+    emit(schedule.steps, "")
+    del emit    # a recursive closure is a cycle: it would keep the context for the collector
+    final_relres = "0.0"
     for step in schedule.steps:
         if isinstance(step, LoopStep):
-            final_relres = index.host_alloc(step.relres_port)
-    for port_name, alloc, on_host in stores:
-        n = alloc.dim_allocation.total
-        ctype = _C_TYPES[alloc.type_allocation]
-        suffix = _C_IO[alloc.type_allocation][0]
-        if on_host:
-            w.put(f'store_{suffix}("{name}_{port_name}_out.txt", &h_{alloc.name}, 1);')
-            continue
-        w.put(f"{ctype}* out_{alloc.name} = ({ctype}*)malloc({alloc.size_bytes});")
-        w.put(f"err = clEnqueueReadBuffer(queues[0], buf_{alloc.name}, CL_TRUE, 0, "
-              f"{alloc.size_bytes}, out_{alloc.name}, 0, NULL, NULL);")
-        w.put(f'CHECK(err, "read {alloc.name}");')
-        w.put(f'store_{suffix}("{name}_{port_name}_out.txt", out_{alloc.name}, {n});')
-    relres_expr = f"h_{final_relres.name}" if final_relres is not None else "0.0"
-    w.put(f'printf("iters=%d relres=%.17g converged=%s\\n", iters, {relres_expr}, '
-          'converged ? "true" : "false");')
-    w.put("")
-    for _, alloc in device_allocs:
-        w.put(f"clReleaseMemObject(buf_{alloc.name});")
-    for kname, dev, _, _ in partials:
-        w.put(f"clReleaseMemObject(part_{kname}_d{dev});")
-        w.put(f"free(ph_{kname}_d{dev});")
-    for step, _, _, _ in device_tasks:
-        w.put(f"clReleaseKernel({kernel_name(step.task_path)});")
-    w.put("clReleaseProgram(program);")
-    w.put("free(source);")
-    w.put("for (int d = 0; d < DEVICE_COUNT; ++d) clReleaseCommandQueue(queues[d]);")
-    w.put("clReleaseContext(context);")
-    w.put("return converged ? 0 : 3;")
-    w.depth = 0
-    w.put("}")
-    return GeneratedUnit(file_name=f"{name}_host.c", contents="\n".join(w.lines) + "\n")
+            final_relres = f"h_{index.host.get(step.relres_port).name}"
+    body += stores
+    body += [f'printf("iters=%d relres=%.17g converged=%s\\n", iters, {final_relres}, '
+             'converged ? "true" : "false");', ""]
+    body += [f"clReleaseMemObject(buf_{alloc.name});" for alloc in device_allocs]
+    if reduced:
+        body.append("for (int d = 0; d < DEVICE_COUNT; ++d) clReleaseMemObject(partials[d]);")
+    if kernels:
+        body.append("for (int k = 0; k < KERNEL_COUNT; ++k) clReleaseKernel(kernels[k]);")
+    body += ["clReleaseProgram(program);",
+             "free(source);",
+             "for (int d = 0; d < DEVICE_COUNT; ++d) clReleaseCommandQueue(queues[d]);",
+             "clReleaseContext(context);",
+             "return converged ? 0 : 3;"]
+
+    out = ["/*",
+           f" * OpenCL host program for model '{name}' on {device_count} device(s).",
+           f" * generated by gmodelc; model digest sha256:{ctx.digest}",
+           " */",
+           _HOST_PRELUDE.rstrip("\n")]
+    out += [_LOAD.format(suffix=suffix, ctype=_C_TYPES[dtype], scan=scan).rstrip()
+            for dtype, (suffix, scan, _) in _C_IO.items() if dtype in loaded]
+    out += [_STORE.format(suffix=suffix, ctype=_C_TYPES[dtype], show=show).rstrip()
+            for dtype, (suffix, _, show) in _C_IO.items() if dtype in stored]
+    out += ["", f"enum {{ DEVICE_COUNT = {device_count} }};",
+            "static cl_command_queue queues[DEVICE_COUNT];"]
+    if kernels:
+        out += ["", f"/* the kernels of {name}_kernels.cl */",
+                "enum {", *(f"    {k.name}," for k in kernels), "    KERNEL_COUNT", "};",
+                "static const char* const kernel_names[KERNEL_COUNT] = {",
+                *(f'    "{k.name}",' for k in kernels), "};",
+                "static cl_kernel kernels[KERNEL_COUNT];",
+                _LAUNCH_TABLES.rstrip()]
+    out += ["", "/* host-resident scalars */",
+            *(f"static {_C_TYPES[alloc.type_allocation]} h_{alloc.name};" for alloc in host_allocs),
+            "", "/* one buffer per device-side data allocation */",
+            *(f"static cl_mem buf_{alloc.name};" for alloc in device_allocs)]
+    if reduced:
+        out += ["", "/* work-group partials: one buffer per device, reused by every reduction */",
+                "static cl_mem partials[DEVICE_COUNT];"]
+        out += [_SUM.format(ctype=_C_TYPES[dtype], suffix=_C_IO[dtype][0], groups=groups).rstrip()
+                for dtype in _C_IO if dtype in reduced]
+    for i, (step, task, kernel) in enumerate(steps):
+        out += ["", *_comment(f"step {i}: {step.task_path}"),
+                f"static const arg_t args_{i}[] = {{",
+                *(f"    {_arg(p)}," for p in task.params if p.kind not in ("range", "partials")),
+                "    {0, NULL}", "};",
+                f"static const launch_t step_{i}[] = {{"]
+        for launch in step.launches:
+            d = launch.device_index
+            partials = f"&partials[{d}]" if task.spec.reduce else "NULL"
+            out.append(f"    {{{kernel.name}, {d}, {launch.range.offset}, {launch.range.count}, "
+                       f"{launch.global_size}, {launch.local_size}, args_{i}, {partials}}},")
+        out.append("};")
+    out.append(_MAIN.format(name=name).rstrip())
+    out += ["    " + line if line else "" for line in body]
+    out.append("}")
+    return GeneratedUnit(file_name=f"{name}_host.c", contents="\n".join(out) + "\n")

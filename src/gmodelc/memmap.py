@@ -61,8 +61,11 @@ def build_memory_maps(model: Model) -> list[MemoryMap]:
 
     One MemoryMap per memory with data allocations, ordered by first
     link appearance.  Within a map, each connector-connected port group
-    gets a single DataAllocate named after its first linked port; bases
-    pack upward from zero.  Raises CapacityExceeded when a memory with a
+    gets a single DataAllocate named after its first linked port, its dots
+    made underscores; bases pack upward from zero.  A name is an
+    identifier of the generated code, so where two port groups would get
+    one name, as `a_b.c` and `a.b_c` do, the later group's gets a suffix
+    `_2` (`_3`, ...).  Raises CapacityExceeded when a memory with a
     declared capacity overflows.
     """
     ctx = model.context
@@ -72,6 +75,16 @@ def build_memory_maps(model: Model) -> list[MemoryMap]:
     for link in model.allocations:
         if link.kind is AllocKind.DATA:
             per_memory.setdefault(link.target_path, []).append(link.source_path)
+
+    names: dict[str, frozenset[str]] = {}       # allocation name -> its port group
+
+    def unique_name(port_path: str, group: frozenset[str]) -> str:
+        base = name = port_path.replace(".", "_")
+        n = 1
+        while names.setdefault(name, group) != group:
+            n += 1
+            name = f"{base}_{n}"
+        return name
 
     maps: list[MemoryMap] = []
     for owner, port_paths in per_memory.items():
@@ -94,7 +107,7 @@ def build_memory_maps(model: Model) -> list[MemoryMap]:
         if capacity is not None and cursor > capacity:
             raise CapacityExceeded(owner, cursor, capacity)
         maps.append(MemoryMap(owner_path=owner, capacity_bytes=capacity, data_allocations=tuple(
-            DataAllocate(name=linked[0].replace(".", "_"), space_address=space,
+            DataAllocate(name=unique_name(linked[0], group), space_address=space,
                          base_address=base, dim_allocation=port.shape,
                          type_allocation=port.data_type,
                          associated_parts=tuple(linked + sorted(group - set(linked))))

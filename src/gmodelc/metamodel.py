@@ -268,8 +268,8 @@ class CompileContext:
     """What a compile derives from one Model, each part computed on first
     use: per side, the _part_index of instance paths; each component's
     resolved connector endpoints; the port groups; each leaf task's
-    deployed IntrinsicSpec; the digest; and codegen's kernel parameter
-    lists.
+    deployed IntrinsicSpec; the digest; and codegen's kernel parameters
+    and signature of each device task.
 
     Each Model owns one, as `Model.context`, which every stage takes.  It
     stays valid because a Model cannot be edited: its component tables are
@@ -285,8 +285,9 @@ class CompileContext:
         self._endpoints: dict[int, tuple] = {}
         # intrinsics.deployed_intrinsic's checked specs, by (task path, on host)
         self.intrinsics: dict[tuple[str, bool], object] = {}
-        # codegen's (maps, allocation index, {task path: kernel parameters})
-        self.kernel_params: tuple | None = None
+        # codegen's (maps, allocation index, {task path: its intrinsic,
+        # kernel parameters and kernel signature})
+        self.device_tasks: tuple | None = None
 
     @property
     def model(self) -> Model:

@@ -72,7 +72,12 @@ class DimensionMismatch(ValueError):
 
 class BreakdownDetected(ArithmeticError):
     """A host op's operand declared positive is not finite and > 0, as CG's
-    curvature p.Ap is on a matrix that is not positive definite."""
+    curvature p.Ap is on a matrix that is not positive definite; value is
+    that operand's value."""
+
+    def __init__(self, message: str, value: float):
+        super().__init__(message)
+        self.value = value
 
 
 class NonSymmetricMatrix(ValueError):
@@ -770,7 +775,8 @@ def _host_op(task_path: str, spec: IntrinsicSpec, arrays: dict[str, np.ndarray])
             value = float(array[0])
             if not 0.0 < value < math.inf:      # nan included
                 raise BreakdownDetected(
-                    f"task '{task_path}': {name} = {value!r}, but it must be finite and > 0")
+                    f"task '{task_path}': {name} = {value!r}, but it must be finite and > 0",
+                    value)
         out[0] = scalar(*operands)
     return run
 
@@ -830,7 +836,7 @@ class _Compiler:
                 for launch in body:
                     launch()
                 history.append(float(relres[0]))
-                if history[-1] <= tol:
+                if history[-1] < tol:
                     loops_converged.append(True)
                     return
             loops_converged.append(False)
@@ -937,7 +943,11 @@ def solve(model: Model, schedule: Schedule, A: CsrMatrix, b: np.ndarray, *,
     on A or b, NonSymmetricMatrix from a sample of A; a zero b gives zero
     out ports after zero iterations, converged; RhsNormOutOfRange.  Then
     one execute_schedule over the bound arrays, whose breakdown check
-    raises BreakdownDetected."""
+    raises BreakdownDetected.  The inputs are finite by then, so an operand
+    that is not comes from an overflow, which the message puts down to
+    the scale of b: the iterates scale with b and the dots with its square.
+    numpy's overflow warnings are kept off stderr: the breakdown, or a
+    residual that is not finite, reports the overflow."""
     if len(b) != A.n:
         raise DimensionMismatch(f"rhs length {len(b)} != matrix size {A.n}")
     _check_finite("matrix values", A.values)
@@ -950,8 +960,17 @@ def solve(model: Model, schedule: Schedule, A: CsrMatrix, b: np.ndarray, *,
         return ExecutionResult(outputs=zeros, iterations=0, final_relres=None,
                                converged=True, residual_history=[])
     _check_rhs_norm("rhs b", b)
-    return execute_schedule(model, schedule, _matrix_bindings(model, A, b),
-                            tol=tol, max_iter=max_iter)
+    try:
+        with np.errstate(over="ignore"):
+            return execute_schedule(model, schedule, _matrix_bindings(model, A, b),
+                                    tol=tol, max_iter=max_iter)
+    except BreakdownDetected as exc:
+        if math.isfinite(exc.value):
+            raise
+        scale = float(np.max(np.abs(b)))
+        raise BreakdownDetected(f"{exc}: the solve overflowed at the scale of the "
+                                f"right-hand side (max |b| = {scale!r}); scale b down",
+                                exc.value) from None
 
 
 @functools.cache

@@ -56,9 +56,220 @@ static void store_doubles(const char* path, const double* data, long count)
     fclose(f);
 }
 
+enum { DEVICE_COUNT = 1 };
+static cl_command_queue queues[DEVICE_COUNT];
+
+/* the kernels of cg_kernels.cl */
+enum {
+    k_copy_f64,
+    k_dot_partial_f64,
+    k_spmv_csr_i32_f64,
+    k_axpy_f64,
+    k_scale_f64,
+    k_axpy_f64_2,
+    KERNEL_COUNT
+};
+static const char* const kernel_names[KERNEL_COUNT] = {
+    "k_copy_f64",
+    "k_dot_partial_f64",
+    "k_spmv_csr_i32_f64",
+    "k_axpy_f64",
+    "k_scale_f64",
+    "k_axpy_f64_2",
+};
+static cl_kernel kernels[KERNEL_COUNT];
+
+/* a kernel argument after first and count, as clSetKernelArg takes it */
+typedef struct { size_t size; const void* value; } arg_t;
+
+/* one launch: a row of its device step's table */
+typedef struct {
+    int kernel;
+    int queue;
+    cl_int first, count;
+    size_t global_size, local_size;
+    const arg_t* args;          /* ends at the first of size 0 */
+    const cl_mem* partials;     /* a reduction's partials buffer, or NULL */
+} launch_t;
+
+/* Set each row's arguments and enqueue it, then wait for every row's
+ * queue.  Kernel arguments are captured at enqueue (OpenCL 1.1, 5.7.2),
+ * so one cl_kernel serves all the rows of its kernel. */
+static void run_step(const launch_t* rows, int count)
+{
+    for (int r = 0; r < count; ++r) {
+        const launch_t* row = &rows[r];
+        cl_kernel kernel = kernels[row->kernel];
+        cl_uint index = 0;
+        cl_int err = clSetKernelArg(kernel, index++, sizeof(cl_int), &row->first);
+        if (err == CL_SUCCESS) err = clSetKernelArg(kernel, index++, sizeof(cl_int), &row->count);
+        for (const arg_t* arg = row->args; err == CL_SUCCESS && arg->size; ++arg)
+            err = clSetKernelArg(kernel, index++, arg->size, arg->value);
+        if (err == CL_SUCCESS && row->partials)
+            err = clSetKernelArg(kernel, index, sizeof(cl_mem), row->partials);
+        CHECK(err, "clSetKernelArg");
+        err = clEnqueueNDRangeKernel(queues[row->queue], kernel, 1, NULL, &row->global_size,
+                                     &row->local_size, 0, NULL, NULL);
+        CHECK(err, kernel_names[row->kernel]);
+    }
+    for (int r = 0; r < count; ++r) clFinish(queues[rows[r].queue]);
+}
+
+/* host-resident scalars */
+static double h_dot_bb_s;
+static double h_loop_dot_rr_s;
+static double h_loop_dot_pap_s;
+static double h_loop_alpha_q;
+static double h_loop_neg_alpha_z;
+static double h_loop_dot_rrn_s;
+static double h_loop_relres;
+static double h_loop_beta_q;
+
+/* one buffer per device-side data allocation */
+static cl_mem buf_rowptr;
+static cl_mem buf_colidx;
+static cl_mem buf_values;
+static cl_mem buf_b;
+static cl_mem buf_init_r_dst;
+static cl_mem buf_init_p_dst;
+static cl_mem buf_x;
+static cl_mem buf_loop_spmv_y;
+
+/* work-group partials: one buffer per device, reused by every reduction */
+static cl_mem partials[DEVICE_COUNT];
+
+/* a reduction step's result: its partials summed row by row, from 0 */
+static double sum_doubles(const launch_t* rows, int count)
+{
+    static double staged[16582];
+    double sum = 0;
+    for (int r = 0; r < count; ++r) {
+        size_t groups = rows[r].global_size / rows[r].local_size;
+        cl_int err = clEnqueueReadBuffer(queues[rows[r].queue], *rows[r].partials, CL_TRUE, 0,
+                                         groups * sizeof(double), staged, 0, NULL, NULL);
+        CHECK(err, "read partials");
+        for (size_t g = 0; g < groups; ++g) sum += staged[g];
+    }
+    return sum;
+}
+
+/* step 0: init_r */
+static const arg_t args_0[] = {
+    {sizeof(cl_mem), &buf_b},
+    {sizeof(cl_mem), &buf_init_r_dst},
+    {0, NULL}
+};
+static const launch_t step_0[] = {
+    {k_copy_f64, 0, 0, 132651, 132656, 8, args_0, NULL},
+};
+
+/* step 1: init_p */
+static const arg_t args_1[] = {
+    {sizeof(cl_mem), &buf_init_r_dst},
+    {sizeof(cl_mem), &buf_init_p_dst},
+    {0, NULL}
+};
+static const launch_t step_1[] = {
+    {k_copy_f64, 0, 0, 132651, 132656, 8, args_1, NULL},
+};
+
+/* step 2: dot_bb */
+static const arg_t args_2[] = {
+    {sizeof(cl_mem), &buf_b},
+    {sizeof(cl_mem), &buf_b},
+    {0, NULL}
+};
+static const launch_t step_2[] = {
+    {k_dot_partial_f64, 0, 0, 132651, 132656, 8, args_2, &partials[0]},
+};
+
+/* step 3: loop.dot_rr */
+static const arg_t args_3[] = {
+    {sizeof(cl_mem), &buf_init_r_dst},
+    {sizeof(cl_mem), &buf_init_r_dst},
+    {0, NULL}
+};
+static const launch_t step_3[] = {
+    {k_dot_partial_f64, 0, 0, 132651, 132656, 8, args_3, &partials[0]},
+};
+
+/* step 4: loop.spmv */
+static const arg_t args_4[] = {
+    {sizeof(cl_mem), &buf_rowptr},
+    {sizeof(cl_mem), &buf_colidx},
+    {sizeof(cl_mem), &buf_values},
+    {sizeof(cl_mem), &buf_init_p_dst},
+    {sizeof(cl_mem), &buf_loop_spmv_y},
+    {0, NULL}
+};
+static const launch_t step_4[] = {
+    {k_spmv_csr_i32_f64, 0, 0, 132651, 132656, 8, args_4, NULL},
+};
+
+/* step 5: loop.dot_pap */
+static const arg_t args_5[] = {
+    {sizeof(cl_mem), &buf_init_p_dst},
+    {sizeof(cl_mem), &buf_loop_spmv_y},
+    {0, NULL}
+};
+static const launch_t step_5[] = {
+    {k_dot_partial_f64, 0, 0, 132651, 132656, 8, args_5, &partials[0]},
+};
+
+/* step 6: loop.axpy_x */
+static const arg_t args_6[] = {
+    {sizeof(cl_mem), &buf_x},
+    {sizeof(cl_mem), &buf_init_p_dst},
+    {sizeof(double), &h_loop_alpha_q},
+    {0, NULL}
+};
+static const launch_t step_6[] = {
+    {k_axpy_f64, 0, 0, 132651, 132656, 8, args_6, NULL},
+};
+
+/* step 7: loop.axpy_r */
+static const arg_t args_7[] = {
+    {sizeof(cl_mem), &buf_init_r_dst},
+    {sizeof(cl_mem), &buf_loop_spmv_y},
+    {sizeof(double), &h_loop_neg_alpha_z},
+    {0, NULL}
+};
+static const launch_t step_7[] = {
+    {k_axpy_f64, 0, 0, 132651, 132656, 8, args_7, NULL},
+};
+
+/* step 8: loop.dot_rrn */
+static const arg_t args_8[] = {
+    {sizeof(cl_mem), &buf_init_r_dst},
+    {sizeof(cl_mem), &buf_init_r_dst},
+    {0, NULL}
+};
+static const launch_t step_8[] = {
+    {k_dot_partial_f64, 0, 0, 132651, 132656, 8, args_8, &partials[0]},
+};
+
+/* step 9: loop.scale_p */
+static const arg_t args_9[] = {
+    {sizeof(cl_mem), &buf_init_p_dst},
+    {sizeof(double), &h_loop_beta_q},
+    {0, NULL}
+};
+static const launch_t step_9[] = {
+    {k_scale_f64, 0, 0, 132651, 132656, 8, args_9, NULL},
+};
+
+/* step 10: loop.axpy_p */
+static const arg_t args_10[] = {
+    {sizeof(cl_mem), &buf_init_p_dst},
+    {sizeof(cl_mem), &buf_init_r_dst},
+    {0, NULL}
+};
+static const launch_t step_10[] = {
+    {k_axpy_f64_2, 0, 0, 132651, 132656, 8, args_10, NULL},
+};
+
 int main(void)
 {
-    enum { DEVICE_COUNT = 1 };
     cl_int err;
     cl_platform_id cl_platform;
     err = clGetPlatformIDs(1, &cl_platform, NULL);
@@ -68,7 +279,6 @@ int main(void)
     CHECK(err, "clGetDeviceIDs");
     cl_context context = clCreateContext(NULL, DEVICE_COUNT, devices, NULL, NULL, &err);
     CHECK(err, "clCreateContext");
-    cl_command_queue queues[DEVICE_COUNT];
     for (int d = 0; d < DEVICE_COUNT; ++d) {
         queues[d] = clCreateCommandQueue(context, devices[d], 0, &err);
         CHECK(err, "clCreateCommandQueue");
@@ -76,75 +286,36 @@ int main(void)
 
     size_t source_size;
     char* source = read_text_file("cg_kernels.cl", &source_size);
-    cl_program program = clCreateProgramWithSource(context, 1, (const char**)&source, &source_size, &err);
+    cl_program program = clCreateProgramWithSource(context, 1, (const char**)&source,
+                                                   &source_size, &err);
     CHECK(err, "clCreateProgramWithSource");
     err = clBuildProgram(program, DEVICE_COUNT, devices, NULL, NULL, NULL);
     CHECK(err, "clBuildProgram");
+    for (int k = 0; k < KERNEL_COUNT; ++k) {
+        kernels[k] = clCreateKernel(program, kernel_names[k], &err);
+        CHECK(err, kernel_names[k]);
+    }
 
-    cl_kernel k_init_r = clCreateKernel(program, "k_init_r", &err);
-    CHECK(err, "clCreateKernel k_init_r");
-    cl_kernel k_init_p = clCreateKernel(program, "k_init_p", &err);
-    CHECK(err, "clCreateKernel k_init_p");
-    cl_kernel k_dot_bb = clCreateKernel(program, "k_dot_bb", &err);
-    CHECK(err, "clCreateKernel k_dot_bb");
-    cl_kernel k_loop_dot_rr = clCreateKernel(program, "k_loop_dot_rr", &err);
-    CHECK(err, "clCreateKernel k_loop_dot_rr");
-    cl_kernel k_loop_spmv = clCreateKernel(program, "k_loop_spmv", &err);
-    CHECK(err, "clCreateKernel k_loop_spmv");
-    cl_kernel k_loop_dot_pap = clCreateKernel(program, "k_loop_dot_pap", &err);
-    CHECK(err, "clCreateKernel k_loop_dot_pap");
-    cl_kernel k_loop_axpy_x = clCreateKernel(program, "k_loop_axpy_x", &err);
-    CHECK(err, "clCreateKernel k_loop_axpy_x");
-    cl_kernel k_loop_axpy_r = clCreateKernel(program, "k_loop_axpy_r", &err);
-    CHECK(err, "clCreateKernel k_loop_axpy_r");
-    cl_kernel k_loop_dot_rrn = clCreateKernel(program, "k_loop_dot_rrn", &err);
-    CHECK(err, "clCreateKernel k_loop_dot_rrn");
-    cl_kernel k_loop_scale_p = clCreateKernel(program, "k_loop_scale_p", &err);
-    CHECK(err, "clCreateKernel k_loop_scale_p");
-    cl_kernel k_loop_axpy_p = clCreateKernel(program, "k_loop_axpy_p", &err);
-    CHECK(err, "clCreateKernel k_loop_axpy_p");
-
-    /* host-resident scalars */
-    double h_dot_bb_s = 0.0;
-    double h_loop_dot_rr_s = 0.0;
-    double h_loop_dot_pap_s = 0.0;
-    double h_loop_alpha_q = 0.0;
-    double h_loop_neg_alpha_z = 0.0;
-    double h_loop_dot_rrn_s = 0.0;
-    double h_loop_relres = 0.0;
-    double h_loop_beta_q = 0.0;
-
-    /* one buffer per device-side data allocation */
-    cl_mem buf_rowptr = clCreateBuffer(context, CL_MEM_READ_WRITE, 530608, NULL, &err);
+    buf_rowptr = clCreateBuffer(context, CL_MEM_READ_WRITE, 530608, NULL, &err);
     CHECK(err, "clCreateBuffer rowptr");
-    cl_mem buf_colidx = clCreateBuffer(context, CL_MEM_READ_WRITE, 13771804, NULL, &err);
+    buf_colidx = clCreateBuffer(context, CL_MEM_READ_WRITE, 13771804, NULL, &err);
     CHECK(err, "clCreateBuffer colidx");
-    cl_mem buf_values = clCreateBuffer(context, CL_MEM_READ_WRITE, 27543608, NULL, &err);
+    buf_values = clCreateBuffer(context, CL_MEM_READ_WRITE, 27543608, NULL, &err);
     CHECK(err, "clCreateBuffer values");
-    cl_mem buf_b = clCreateBuffer(context, CL_MEM_READ_WRITE, 1061208, NULL, &err);
+    buf_b = clCreateBuffer(context, CL_MEM_READ_WRITE, 1061208, NULL, &err);
     CHECK(err, "clCreateBuffer b");
-    cl_mem buf_init_r_dst = clCreateBuffer(context, CL_MEM_READ_WRITE, 1061208, NULL, &err);
+    buf_init_r_dst = clCreateBuffer(context, CL_MEM_READ_WRITE, 1061208, NULL, &err);
     CHECK(err, "clCreateBuffer init_r_dst");
-    cl_mem buf_init_p_dst = clCreateBuffer(context, CL_MEM_READ_WRITE, 1061208, NULL, &err);
+    buf_init_p_dst = clCreateBuffer(context, CL_MEM_READ_WRITE, 1061208, NULL, &err);
     CHECK(err, "clCreateBuffer init_p_dst");
-    cl_mem buf_x = clCreateBuffer(context, CL_MEM_READ_WRITE, 1061208, NULL, &err);
+    buf_x = clCreateBuffer(context, CL_MEM_READ_WRITE, 1061208, NULL, &err);
     CHECK(err, "clCreateBuffer x");
-    cl_mem buf_loop_spmv_y = clCreateBuffer(context, CL_MEM_READ_WRITE, 1061208, NULL, &err);
+    buf_loop_spmv_y = clCreateBuffer(context, CL_MEM_READ_WRITE, 1061208, NULL, &err);
     CHECK(err, "clCreateBuffer loop_spmv_y");
-
-    /* work-group partial buffers for dot reductions */
-    cl_mem part_k_dot_bb_d0 = clCreateBuffer(context, CL_MEM_READ_WRITE, 16582 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_dot_bb_d0 = (double*)malloc(16582 * sizeof(double));
-    cl_mem part_k_loop_dot_rr_d0 = clCreateBuffer(context, CL_MEM_READ_WRITE, 16582 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rr_d0 = (double*)malloc(16582 * sizeof(double));
-    cl_mem part_k_loop_dot_pap_d0 = clCreateBuffer(context, CL_MEM_READ_WRITE, 16582 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_pap_d0 = (double*)malloc(16582 * sizeof(double));
-    cl_mem part_k_loop_dot_rrn_d0 = clCreateBuffer(context, CL_MEM_READ_WRITE, 16582 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rrn_d0 = (double*)malloc(16582 * sizeof(double));
+    for (int d = 0; d < DEVICE_COUNT; ++d) {
+        partials[d] = clCreateBuffer(context, CL_MEM_READ_WRITE, 132656, NULL, &err);
+        CHECK(err, "clCreateBuffer partials");
+    }
 
     /* load and upload input data */
     int* in_rowptr = (int*)malloc(530608);
@@ -167,183 +338,30 @@ int main(void)
     int iters = 0;
     int converged = 1;
 
-    {
-        const cl_int first = 0;
-        const cl_int count = 132651;
-        const size_t global_size = 132656;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_r, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_r, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_r, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_init_r, 3, sizeof(cl_mem), &buf_init_r_dst);
-        err = clEnqueueNDRangeKernel(queues[0], k_init_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_r");
-    }
-    clFinish(queues[0]);
-    {
-        const cl_int first = 0;
-        const cl_int count = 132651;
-        const size_t global_size = 132656;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_p, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_p, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_p, 2, sizeof(cl_mem), &buf_init_r_dst);
-        clSetKernelArg(k_init_p, 3, sizeof(cl_mem), &buf_init_p_dst);
-        err = clEnqueueNDRangeKernel(queues[0], k_init_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_p");
-    }
-    clFinish(queues[0]);
-    {
-        const cl_int first = 0;
-        const cl_int count = 132651;
-        const size_t global_size = 132656;
-        const size_t local_size = 8;
-        clSetKernelArg(k_dot_bb, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_dot_bb, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_dot_bb, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 3, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 4, sizeof(cl_mem), &part_k_dot_bb_d0);
-        err = clEnqueueNDRangeKernel(queues[0], k_dot_bb, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_dot_bb");
-    }
-    clFinish(queues[0]);
-    h_dot_bb_s = 0.0;
-    err = clEnqueueReadBuffer(queues[0], part_k_dot_bb_d0, CL_TRUE, 0, 16582 * sizeof(double), ph_k_dot_bb_d0, 0, NULL, NULL);
-    CHECK(err, "read partials k_dot_bb");
-    for (int g = 0; g < 16582; ++g) h_dot_bb_s += ph_k_dot_bb_d0[g];
-    /* loop loop: until h_loop_relres <= 1e-10 */
+    run_step(step_0, 1);
+    run_step(step_1, 1);
+    run_step(step_2, 1);
+    h_dot_bb_s = sum_doubles(step_2, 1);
+    /* loop loop: until h_loop_relres < 1e-10 */
     converged = 0;
     while (iters < 132651) {
-        {
-            const cl_int first = 0;
-            const cl_int count = 132651;
-            const size_t global_size = 132656;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rr, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rr, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rr, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 4, sizeof(cl_mem), &part_k_loop_dot_rr_d0);
-            err = clEnqueueNDRangeKernel(queues[0], k_loop_dot_rr, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rr");
-        }
-        clFinish(queues[0]);
-        h_loop_dot_rr_s = 0.0;
-        err = clEnqueueReadBuffer(queues[0], part_k_loop_dot_rr_d0, CL_TRUE, 0, 16582 * sizeof(double), ph_k_loop_dot_rr_d0, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rr");
-        for (int g = 0; g < 16582; ++g) h_loop_dot_rr_s += ph_k_loop_dot_rr_d0[g];
-        {
-            const cl_int first = 0;
-            const cl_int count = 132651;
-            const size_t global_size = 132656;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_spmv, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_spmv, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_spmv, 2, sizeof(cl_mem), &buf_rowptr);
-            clSetKernelArg(k_loop_spmv, 3, sizeof(cl_mem), &buf_colidx);
-            clSetKernelArg(k_loop_spmv, 4, sizeof(cl_mem), &buf_values);
-            clSetKernelArg(k_loop_spmv, 5, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_spmv, 6, sizeof(cl_mem), &buf_loop_spmv_y);
-            err = clEnqueueNDRangeKernel(queues[0], k_loop_spmv, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_spmv");
-        }
-        clFinish(queues[0]);
-        {
-            const cl_int first = 0;
-            const cl_int count = 132651;
-            const size_t global_size = 132656;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_pap, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_pap, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_pap, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_dot_pap, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_dot_pap, 4, sizeof(cl_mem), &part_k_loop_dot_pap_d0);
-            err = clEnqueueNDRangeKernel(queues[0], k_loop_dot_pap, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_pap");
-        }
-        clFinish(queues[0]);
-        h_loop_dot_pap_s = 0.0;
-        err = clEnqueueReadBuffer(queues[0], part_k_loop_dot_pap_d0, CL_TRUE, 0, 16582 * sizeof(double), ph_k_loop_dot_pap_d0, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_pap");
-        for (int g = 0; g < 16582; ++g) h_loop_dot_pap_s += ph_k_loop_dot_pap_d0[g];
+        run_step(step_3, 1);
+        h_loop_dot_rr_s = sum_doubles(step_3, 1);
+        run_step(step_4, 1);
+        run_step(step_5, 1);
+        h_loop_dot_pap_s = sum_doubles(step_5, 1);
         h_loop_alpha_q = h_loop_dot_rr_s / h_loop_dot_pap_s;
         h_loop_neg_alpha_z = -h_loop_alpha_q;
-        {
-            const cl_int first = 0;
-            const cl_int count = 132651;
-            const size_t global_size = 132656;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_x, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_x, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_x, 2, sizeof(cl_mem), &buf_x);
-            clSetKernelArg(k_loop_axpy_x, 3, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_x, 4, sizeof(double), &h_loop_alpha_q);
-            err = clEnqueueNDRangeKernel(queues[0], k_loop_axpy_x, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_x");
-        }
-        clFinish(queues[0]);
-        {
-            const cl_int first = 0;
-            const cl_int count = 132651;
-            const size_t global_size = 132656;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_r, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_r, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_r, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_axpy_r, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_axpy_r, 4, sizeof(double), &h_loop_neg_alpha_z);
-            err = clEnqueueNDRangeKernel(queues[0], k_loop_axpy_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_r");
-        }
-        clFinish(queues[0]);
-        {
-            const cl_int first = 0;
-            const cl_int count = 132651;
-            const size_t global_size = 132656;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rrn, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rrn, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rrn, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 4, sizeof(cl_mem), &part_k_loop_dot_rrn_d0);
-            err = clEnqueueNDRangeKernel(queues[0], k_loop_dot_rrn, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rrn");
-        }
-        clFinish(queues[0]);
-        h_loop_dot_rrn_s = 0.0;
-        err = clEnqueueReadBuffer(queues[0], part_k_loop_dot_rrn_d0, CL_TRUE, 0, 16582 * sizeof(double), ph_k_loop_dot_rrn_d0, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rrn");
-        for (int g = 0; g < 16582; ++g) h_loop_dot_rrn_s += ph_k_loop_dot_rrn_d0[g];
+        run_step(step_6, 1);
+        run_step(step_7, 1);
+        run_step(step_8, 1);
+        h_loop_dot_rrn_s = sum_doubles(step_8, 1);
         h_loop_relres = sqrt(h_loop_dot_rrn_s) / sqrt(h_dot_bb_s);
         h_loop_beta_q = h_loop_dot_rrn_s / h_loop_dot_rr_s;
-        {
-            const cl_int first = 0;
-            const cl_int count = 132651;
-            const size_t global_size = 132656;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_scale_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_scale_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_scale_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_scale_p, 3, sizeof(double), &h_loop_beta_q);
-            err = clEnqueueNDRangeKernel(queues[0], k_loop_scale_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_scale_p");
-        }
-        clFinish(queues[0]);
-        {
-            const cl_int first = 0;
-            const cl_int count = 132651;
-            const size_t global_size = 132656;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_p, 3, sizeof(cl_mem), &buf_init_r_dst);
-            err = clEnqueueNDRangeKernel(queues[0], k_loop_axpy_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_p");
-        }
-        clFinish(queues[0]);
+        run_step(step_9, 1);
+        run_step(step_10, 1);
         ++iters;
-        if (h_loop_relres <= 1e-10) { converged = 1; break; }
+        if (h_loop_relres < 1e-10) { converged = 1; break; }
     }
 
     /* read back and store outputs */
@@ -361,25 +379,8 @@ int main(void)
     clReleaseMemObject(buf_init_p_dst);
     clReleaseMemObject(buf_x);
     clReleaseMemObject(buf_loop_spmv_y);
-    clReleaseMemObject(part_k_dot_bb_d0);
-    free(ph_k_dot_bb_d0);
-    clReleaseMemObject(part_k_loop_dot_rr_d0);
-    free(ph_k_loop_dot_rr_d0);
-    clReleaseMemObject(part_k_loop_dot_pap_d0);
-    free(ph_k_loop_dot_pap_d0);
-    clReleaseMemObject(part_k_loop_dot_rrn_d0);
-    free(ph_k_loop_dot_rrn_d0);
-    clReleaseKernel(k_init_r);
-    clReleaseKernel(k_init_p);
-    clReleaseKernel(k_dot_bb);
-    clReleaseKernel(k_loop_dot_rr);
-    clReleaseKernel(k_loop_spmv);
-    clReleaseKernel(k_loop_dot_pap);
-    clReleaseKernel(k_loop_axpy_x);
-    clReleaseKernel(k_loop_axpy_r);
-    clReleaseKernel(k_loop_dot_rrn);
-    clReleaseKernel(k_loop_scale_p);
-    clReleaseKernel(k_loop_axpy_p);
+    for (int d = 0; d < DEVICE_COUNT; ++d) clReleaseMemObject(partials[d]);
+    for (int k = 0; k < KERNEL_COUNT; ++k) clReleaseKernel(kernels[k]);
     clReleaseProgram(program);
     free(source);
     for (int d = 0; d < DEVICE_COUNT; ++d) clReleaseCommandQueue(queues[d]);

@@ -56,9 +56,385 @@ static void store_doubles(const char* path, const double* data, long count)
     fclose(f);
 }
 
+enum { DEVICE_COUNT = 16 };
+static cl_command_queue queues[DEVICE_COUNT];
+
+/* the kernels of cg_kernels.cl */
+enum {
+    k_copy_f64,
+    k_dot_partial_f64,
+    k_spmv_csr_i32_f64,
+    k_axpy_f64,
+    k_scale_f64,
+    k_axpy_f64_2,
+    KERNEL_COUNT
+};
+static const char* const kernel_names[KERNEL_COUNT] = {
+    "k_copy_f64",
+    "k_dot_partial_f64",
+    "k_spmv_csr_i32_f64",
+    "k_axpy_f64",
+    "k_scale_f64",
+    "k_axpy_f64_2",
+};
+static cl_kernel kernels[KERNEL_COUNT];
+
+/* a kernel argument after first and count, as clSetKernelArg takes it */
+typedef struct { size_t size; const void* value; } arg_t;
+
+/* one launch: a row of its device step's table */
+typedef struct {
+    int kernel;
+    int queue;
+    cl_int first, count;
+    size_t global_size, local_size;
+    const arg_t* args;          /* ends at the first of size 0 */
+    const cl_mem* partials;     /* a reduction's partials buffer, or NULL */
+} launch_t;
+
+/* Set each row's arguments and enqueue it, then wait for every row's
+ * queue.  Kernel arguments are captured at enqueue (OpenCL 1.1, 5.7.2),
+ * so one cl_kernel serves all the rows of its kernel. */
+static void run_step(const launch_t* rows, int count)
+{
+    for (int r = 0; r < count; ++r) {
+        const launch_t* row = &rows[r];
+        cl_kernel kernel = kernels[row->kernel];
+        cl_uint index = 0;
+        cl_int err = clSetKernelArg(kernel, index++, sizeof(cl_int), &row->first);
+        if (err == CL_SUCCESS) err = clSetKernelArg(kernel, index++, sizeof(cl_int), &row->count);
+        for (const arg_t* arg = row->args; err == CL_SUCCESS && arg->size; ++arg)
+            err = clSetKernelArg(kernel, index++, arg->size, arg->value);
+        if (err == CL_SUCCESS && row->partials)
+            err = clSetKernelArg(kernel, index, sizeof(cl_mem), row->partials);
+        CHECK(err, "clSetKernelArg");
+        err = clEnqueueNDRangeKernel(queues[row->queue], kernel, 1, NULL, &row->global_size,
+                                     &row->local_size, 0, NULL, NULL);
+        CHECK(err, kernel_names[row->kernel]);
+    }
+    for (int r = 0; r < count; ++r) clFinish(queues[rows[r].queue]);
+}
+
+/* host-resident scalars */
+static double h_dot_bb_s;
+static double h_loop_dot_rr_s;
+static double h_loop_dot_pap_s;
+static double h_loop_alpha_q;
+static double h_loop_neg_alpha_z;
+static double h_loop_dot_rrn_s;
+static double h_loop_relres;
+static double h_loop_beta_q;
+
+/* one buffer per device-side data allocation */
+static cl_mem buf_rowptr;
+static cl_mem buf_colidx;
+static cl_mem buf_values;
+static cl_mem buf_b;
+static cl_mem buf_init_r_dst;
+static cl_mem buf_init_p_dst;
+static cl_mem buf_x;
+static cl_mem buf_loop_spmv_y;
+
+/* work-group partials: one buffer per device, reused by every reduction */
+static cl_mem partials[DEVICE_COUNT];
+
+/* a reduction step's result: its partials summed row by row, from 0 */
+static double sum_doubles(const launch_t* rows, int count)
+{
+    static double staged[1037];
+    double sum = 0;
+    for (int r = 0; r < count; ++r) {
+        size_t groups = rows[r].global_size / rows[r].local_size;
+        cl_int err = clEnqueueReadBuffer(queues[rows[r].queue], *rows[r].partials, CL_TRUE, 0,
+                                         groups * sizeof(double), staged, 0, NULL, NULL);
+        CHECK(err, "read partials");
+        for (size_t g = 0; g < groups; ++g) sum += staged[g];
+    }
+    return sum;
+}
+
+/* step 0: init_r */
+static const arg_t args_0[] = {
+    {sizeof(cl_mem), &buf_b},
+    {sizeof(cl_mem), &buf_init_r_dst},
+    {0, NULL}
+};
+static const launch_t step_0[] = {
+    {k_copy_f64, 0, 0, 8291, 8296, 8, args_0, NULL},
+    {k_copy_f64, 1, 8291, 8291, 8296, 8, args_0, NULL},
+    {k_copy_f64, 2, 16582, 8291, 8296, 8, args_0, NULL},
+    {k_copy_f64, 3, 24873, 8291, 8296, 8, args_0, NULL},
+    {k_copy_f64, 4, 33164, 8291, 8296, 8, args_0, NULL},
+    {k_copy_f64, 5, 41455, 8291, 8296, 8, args_0, NULL},
+    {k_copy_f64, 6, 49746, 8291, 8296, 8, args_0, NULL},
+    {k_copy_f64, 7, 58037, 8291, 8296, 8, args_0, NULL},
+    {k_copy_f64, 8, 66328, 8291, 8296, 8, args_0, NULL},
+    {k_copy_f64, 9, 74619, 8291, 8296, 8, args_0, NULL},
+    {k_copy_f64, 10, 82910, 8291, 8296, 8, args_0, NULL},
+    {k_copy_f64, 11, 91201, 8290, 8296, 8, args_0, NULL},
+    {k_copy_f64, 12, 99491, 8290, 8296, 8, args_0, NULL},
+    {k_copy_f64, 13, 107781, 8290, 8296, 8, args_0, NULL},
+    {k_copy_f64, 14, 116071, 8290, 8296, 8, args_0, NULL},
+    {k_copy_f64, 15, 124361, 8290, 8296, 8, args_0, NULL},
+};
+
+/* step 1: init_p */
+static const arg_t args_1[] = {
+    {sizeof(cl_mem), &buf_init_r_dst},
+    {sizeof(cl_mem), &buf_init_p_dst},
+    {0, NULL}
+};
+static const launch_t step_1[] = {
+    {k_copy_f64, 0, 0, 8291, 8296, 8, args_1, NULL},
+    {k_copy_f64, 1, 8291, 8291, 8296, 8, args_1, NULL},
+    {k_copy_f64, 2, 16582, 8291, 8296, 8, args_1, NULL},
+    {k_copy_f64, 3, 24873, 8291, 8296, 8, args_1, NULL},
+    {k_copy_f64, 4, 33164, 8291, 8296, 8, args_1, NULL},
+    {k_copy_f64, 5, 41455, 8291, 8296, 8, args_1, NULL},
+    {k_copy_f64, 6, 49746, 8291, 8296, 8, args_1, NULL},
+    {k_copy_f64, 7, 58037, 8291, 8296, 8, args_1, NULL},
+    {k_copy_f64, 8, 66328, 8291, 8296, 8, args_1, NULL},
+    {k_copy_f64, 9, 74619, 8291, 8296, 8, args_1, NULL},
+    {k_copy_f64, 10, 82910, 8291, 8296, 8, args_1, NULL},
+    {k_copy_f64, 11, 91201, 8290, 8296, 8, args_1, NULL},
+    {k_copy_f64, 12, 99491, 8290, 8296, 8, args_1, NULL},
+    {k_copy_f64, 13, 107781, 8290, 8296, 8, args_1, NULL},
+    {k_copy_f64, 14, 116071, 8290, 8296, 8, args_1, NULL},
+    {k_copy_f64, 15, 124361, 8290, 8296, 8, args_1, NULL},
+};
+
+/* step 2: dot_bb */
+static const arg_t args_2[] = {
+    {sizeof(cl_mem), &buf_b},
+    {sizeof(cl_mem), &buf_b},
+    {0, NULL}
+};
+static const launch_t step_2[] = {
+    {k_dot_partial_f64, 0, 0, 8291, 8296, 8, args_2, &partials[0]},
+    {k_dot_partial_f64, 1, 8291, 8291, 8296, 8, args_2, &partials[1]},
+    {k_dot_partial_f64, 2, 16582, 8291, 8296, 8, args_2, &partials[2]},
+    {k_dot_partial_f64, 3, 24873, 8291, 8296, 8, args_2, &partials[3]},
+    {k_dot_partial_f64, 4, 33164, 8291, 8296, 8, args_2, &partials[4]},
+    {k_dot_partial_f64, 5, 41455, 8291, 8296, 8, args_2, &partials[5]},
+    {k_dot_partial_f64, 6, 49746, 8291, 8296, 8, args_2, &partials[6]},
+    {k_dot_partial_f64, 7, 58037, 8291, 8296, 8, args_2, &partials[7]},
+    {k_dot_partial_f64, 8, 66328, 8291, 8296, 8, args_2, &partials[8]},
+    {k_dot_partial_f64, 9, 74619, 8291, 8296, 8, args_2, &partials[9]},
+    {k_dot_partial_f64, 10, 82910, 8291, 8296, 8, args_2, &partials[10]},
+    {k_dot_partial_f64, 11, 91201, 8290, 8296, 8, args_2, &partials[11]},
+    {k_dot_partial_f64, 12, 99491, 8290, 8296, 8, args_2, &partials[12]},
+    {k_dot_partial_f64, 13, 107781, 8290, 8296, 8, args_2, &partials[13]},
+    {k_dot_partial_f64, 14, 116071, 8290, 8296, 8, args_2, &partials[14]},
+    {k_dot_partial_f64, 15, 124361, 8290, 8296, 8, args_2, &partials[15]},
+};
+
+/* step 3: loop.dot_rr */
+static const arg_t args_3[] = {
+    {sizeof(cl_mem), &buf_init_r_dst},
+    {sizeof(cl_mem), &buf_init_r_dst},
+    {0, NULL}
+};
+static const launch_t step_3[] = {
+    {k_dot_partial_f64, 0, 0, 8291, 8296, 8, args_3, &partials[0]},
+    {k_dot_partial_f64, 1, 8291, 8291, 8296, 8, args_3, &partials[1]},
+    {k_dot_partial_f64, 2, 16582, 8291, 8296, 8, args_3, &partials[2]},
+    {k_dot_partial_f64, 3, 24873, 8291, 8296, 8, args_3, &partials[3]},
+    {k_dot_partial_f64, 4, 33164, 8291, 8296, 8, args_3, &partials[4]},
+    {k_dot_partial_f64, 5, 41455, 8291, 8296, 8, args_3, &partials[5]},
+    {k_dot_partial_f64, 6, 49746, 8291, 8296, 8, args_3, &partials[6]},
+    {k_dot_partial_f64, 7, 58037, 8291, 8296, 8, args_3, &partials[7]},
+    {k_dot_partial_f64, 8, 66328, 8291, 8296, 8, args_3, &partials[8]},
+    {k_dot_partial_f64, 9, 74619, 8291, 8296, 8, args_3, &partials[9]},
+    {k_dot_partial_f64, 10, 82910, 8291, 8296, 8, args_3, &partials[10]},
+    {k_dot_partial_f64, 11, 91201, 8290, 8296, 8, args_3, &partials[11]},
+    {k_dot_partial_f64, 12, 99491, 8290, 8296, 8, args_3, &partials[12]},
+    {k_dot_partial_f64, 13, 107781, 8290, 8296, 8, args_3, &partials[13]},
+    {k_dot_partial_f64, 14, 116071, 8290, 8296, 8, args_3, &partials[14]},
+    {k_dot_partial_f64, 15, 124361, 8290, 8296, 8, args_3, &partials[15]},
+};
+
+/* step 4: loop.spmv */
+static const arg_t args_4[] = {
+    {sizeof(cl_mem), &buf_rowptr},
+    {sizeof(cl_mem), &buf_colidx},
+    {sizeof(cl_mem), &buf_values},
+    {sizeof(cl_mem), &buf_init_p_dst},
+    {sizeof(cl_mem), &buf_loop_spmv_y},
+    {0, NULL}
+};
+static const launch_t step_4[] = {
+    {k_spmv_csr_i32_f64, 0, 0, 8291, 8296, 8, args_4, NULL},
+    {k_spmv_csr_i32_f64, 1, 8291, 8291, 8296, 8, args_4, NULL},
+    {k_spmv_csr_i32_f64, 2, 16582, 8291, 8296, 8, args_4, NULL},
+    {k_spmv_csr_i32_f64, 3, 24873, 8291, 8296, 8, args_4, NULL},
+    {k_spmv_csr_i32_f64, 4, 33164, 8291, 8296, 8, args_4, NULL},
+    {k_spmv_csr_i32_f64, 5, 41455, 8291, 8296, 8, args_4, NULL},
+    {k_spmv_csr_i32_f64, 6, 49746, 8291, 8296, 8, args_4, NULL},
+    {k_spmv_csr_i32_f64, 7, 58037, 8291, 8296, 8, args_4, NULL},
+    {k_spmv_csr_i32_f64, 8, 66328, 8291, 8296, 8, args_4, NULL},
+    {k_spmv_csr_i32_f64, 9, 74619, 8291, 8296, 8, args_4, NULL},
+    {k_spmv_csr_i32_f64, 10, 82910, 8291, 8296, 8, args_4, NULL},
+    {k_spmv_csr_i32_f64, 11, 91201, 8290, 8296, 8, args_4, NULL},
+    {k_spmv_csr_i32_f64, 12, 99491, 8290, 8296, 8, args_4, NULL},
+    {k_spmv_csr_i32_f64, 13, 107781, 8290, 8296, 8, args_4, NULL},
+    {k_spmv_csr_i32_f64, 14, 116071, 8290, 8296, 8, args_4, NULL},
+    {k_spmv_csr_i32_f64, 15, 124361, 8290, 8296, 8, args_4, NULL},
+};
+
+/* step 5: loop.dot_pap */
+static const arg_t args_5[] = {
+    {sizeof(cl_mem), &buf_init_p_dst},
+    {sizeof(cl_mem), &buf_loop_spmv_y},
+    {0, NULL}
+};
+static const launch_t step_5[] = {
+    {k_dot_partial_f64, 0, 0, 8291, 8296, 8, args_5, &partials[0]},
+    {k_dot_partial_f64, 1, 8291, 8291, 8296, 8, args_5, &partials[1]},
+    {k_dot_partial_f64, 2, 16582, 8291, 8296, 8, args_5, &partials[2]},
+    {k_dot_partial_f64, 3, 24873, 8291, 8296, 8, args_5, &partials[3]},
+    {k_dot_partial_f64, 4, 33164, 8291, 8296, 8, args_5, &partials[4]},
+    {k_dot_partial_f64, 5, 41455, 8291, 8296, 8, args_5, &partials[5]},
+    {k_dot_partial_f64, 6, 49746, 8291, 8296, 8, args_5, &partials[6]},
+    {k_dot_partial_f64, 7, 58037, 8291, 8296, 8, args_5, &partials[7]},
+    {k_dot_partial_f64, 8, 66328, 8291, 8296, 8, args_5, &partials[8]},
+    {k_dot_partial_f64, 9, 74619, 8291, 8296, 8, args_5, &partials[9]},
+    {k_dot_partial_f64, 10, 82910, 8291, 8296, 8, args_5, &partials[10]},
+    {k_dot_partial_f64, 11, 91201, 8290, 8296, 8, args_5, &partials[11]},
+    {k_dot_partial_f64, 12, 99491, 8290, 8296, 8, args_5, &partials[12]},
+    {k_dot_partial_f64, 13, 107781, 8290, 8296, 8, args_5, &partials[13]},
+    {k_dot_partial_f64, 14, 116071, 8290, 8296, 8, args_5, &partials[14]},
+    {k_dot_partial_f64, 15, 124361, 8290, 8296, 8, args_5, &partials[15]},
+};
+
+/* step 6: loop.axpy_x */
+static const arg_t args_6[] = {
+    {sizeof(cl_mem), &buf_x},
+    {sizeof(cl_mem), &buf_init_p_dst},
+    {sizeof(double), &h_loop_alpha_q},
+    {0, NULL}
+};
+static const launch_t step_6[] = {
+    {k_axpy_f64, 0, 0, 8291, 8296, 8, args_6, NULL},
+    {k_axpy_f64, 1, 8291, 8291, 8296, 8, args_6, NULL},
+    {k_axpy_f64, 2, 16582, 8291, 8296, 8, args_6, NULL},
+    {k_axpy_f64, 3, 24873, 8291, 8296, 8, args_6, NULL},
+    {k_axpy_f64, 4, 33164, 8291, 8296, 8, args_6, NULL},
+    {k_axpy_f64, 5, 41455, 8291, 8296, 8, args_6, NULL},
+    {k_axpy_f64, 6, 49746, 8291, 8296, 8, args_6, NULL},
+    {k_axpy_f64, 7, 58037, 8291, 8296, 8, args_6, NULL},
+    {k_axpy_f64, 8, 66328, 8291, 8296, 8, args_6, NULL},
+    {k_axpy_f64, 9, 74619, 8291, 8296, 8, args_6, NULL},
+    {k_axpy_f64, 10, 82910, 8291, 8296, 8, args_6, NULL},
+    {k_axpy_f64, 11, 91201, 8290, 8296, 8, args_6, NULL},
+    {k_axpy_f64, 12, 99491, 8290, 8296, 8, args_6, NULL},
+    {k_axpy_f64, 13, 107781, 8290, 8296, 8, args_6, NULL},
+    {k_axpy_f64, 14, 116071, 8290, 8296, 8, args_6, NULL},
+    {k_axpy_f64, 15, 124361, 8290, 8296, 8, args_6, NULL},
+};
+
+/* step 7: loop.axpy_r */
+static const arg_t args_7[] = {
+    {sizeof(cl_mem), &buf_init_r_dst},
+    {sizeof(cl_mem), &buf_loop_spmv_y},
+    {sizeof(double), &h_loop_neg_alpha_z},
+    {0, NULL}
+};
+static const launch_t step_7[] = {
+    {k_axpy_f64, 0, 0, 8291, 8296, 8, args_7, NULL},
+    {k_axpy_f64, 1, 8291, 8291, 8296, 8, args_7, NULL},
+    {k_axpy_f64, 2, 16582, 8291, 8296, 8, args_7, NULL},
+    {k_axpy_f64, 3, 24873, 8291, 8296, 8, args_7, NULL},
+    {k_axpy_f64, 4, 33164, 8291, 8296, 8, args_7, NULL},
+    {k_axpy_f64, 5, 41455, 8291, 8296, 8, args_7, NULL},
+    {k_axpy_f64, 6, 49746, 8291, 8296, 8, args_7, NULL},
+    {k_axpy_f64, 7, 58037, 8291, 8296, 8, args_7, NULL},
+    {k_axpy_f64, 8, 66328, 8291, 8296, 8, args_7, NULL},
+    {k_axpy_f64, 9, 74619, 8291, 8296, 8, args_7, NULL},
+    {k_axpy_f64, 10, 82910, 8291, 8296, 8, args_7, NULL},
+    {k_axpy_f64, 11, 91201, 8290, 8296, 8, args_7, NULL},
+    {k_axpy_f64, 12, 99491, 8290, 8296, 8, args_7, NULL},
+    {k_axpy_f64, 13, 107781, 8290, 8296, 8, args_7, NULL},
+    {k_axpy_f64, 14, 116071, 8290, 8296, 8, args_7, NULL},
+    {k_axpy_f64, 15, 124361, 8290, 8296, 8, args_7, NULL},
+};
+
+/* step 8: loop.dot_rrn */
+static const arg_t args_8[] = {
+    {sizeof(cl_mem), &buf_init_r_dst},
+    {sizeof(cl_mem), &buf_init_r_dst},
+    {0, NULL}
+};
+static const launch_t step_8[] = {
+    {k_dot_partial_f64, 0, 0, 8291, 8296, 8, args_8, &partials[0]},
+    {k_dot_partial_f64, 1, 8291, 8291, 8296, 8, args_8, &partials[1]},
+    {k_dot_partial_f64, 2, 16582, 8291, 8296, 8, args_8, &partials[2]},
+    {k_dot_partial_f64, 3, 24873, 8291, 8296, 8, args_8, &partials[3]},
+    {k_dot_partial_f64, 4, 33164, 8291, 8296, 8, args_8, &partials[4]},
+    {k_dot_partial_f64, 5, 41455, 8291, 8296, 8, args_8, &partials[5]},
+    {k_dot_partial_f64, 6, 49746, 8291, 8296, 8, args_8, &partials[6]},
+    {k_dot_partial_f64, 7, 58037, 8291, 8296, 8, args_8, &partials[7]},
+    {k_dot_partial_f64, 8, 66328, 8291, 8296, 8, args_8, &partials[8]},
+    {k_dot_partial_f64, 9, 74619, 8291, 8296, 8, args_8, &partials[9]},
+    {k_dot_partial_f64, 10, 82910, 8291, 8296, 8, args_8, &partials[10]},
+    {k_dot_partial_f64, 11, 91201, 8290, 8296, 8, args_8, &partials[11]},
+    {k_dot_partial_f64, 12, 99491, 8290, 8296, 8, args_8, &partials[12]},
+    {k_dot_partial_f64, 13, 107781, 8290, 8296, 8, args_8, &partials[13]},
+    {k_dot_partial_f64, 14, 116071, 8290, 8296, 8, args_8, &partials[14]},
+    {k_dot_partial_f64, 15, 124361, 8290, 8296, 8, args_8, &partials[15]},
+};
+
+/* step 9: loop.scale_p */
+static const arg_t args_9[] = {
+    {sizeof(cl_mem), &buf_init_p_dst},
+    {sizeof(double), &h_loop_beta_q},
+    {0, NULL}
+};
+static const launch_t step_9[] = {
+    {k_scale_f64, 0, 0, 8291, 8296, 8, args_9, NULL},
+    {k_scale_f64, 1, 8291, 8291, 8296, 8, args_9, NULL},
+    {k_scale_f64, 2, 16582, 8291, 8296, 8, args_9, NULL},
+    {k_scale_f64, 3, 24873, 8291, 8296, 8, args_9, NULL},
+    {k_scale_f64, 4, 33164, 8291, 8296, 8, args_9, NULL},
+    {k_scale_f64, 5, 41455, 8291, 8296, 8, args_9, NULL},
+    {k_scale_f64, 6, 49746, 8291, 8296, 8, args_9, NULL},
+    {k_scale_f64, 7, 58037, 8291, 8296, 8, args_9, NULL},
+    {k_scale_f64, 8, 66328, 8291, 8296, 8, args_9, NULL},
+    {k_scale_f64, 9, 74619, 8291, 8296, 8, args_9, NULL},
+    {k_scale_f64, 10, 82910, 8291, 8296, 8, args_9, NULL},
+    {k_scale_f64, 11, 91201, 8290, 8296, 8, args_9, NULL},
+    {k_scale_f64, 12, 99491, 8290, 8296, 8, args_9, NULL},
+    {k_scale_f64, 13, 107781, 8290, 8296, 8, args_9, NULL},
+    {k_scale_f64, 14, 116071, 8290, 8296, 8, args_9, NULL},
+    {k_scale_f64, 15, 124361, 8290, 8296, 8, args_9, NULL},
+};
+
+/* step 10: loop.axpy_p */
+static const arg_t args_10[] = {
+    {sizeof(cl_mem), &buf_init_p_dst},
+    {sizeof(cl_mem), &buf_init_r_dst},
+    {0, NULL}
+};
+static const launch_t step_10[] = {
+    {k_axpy_f64_2, 0, 0, 8291, 8296, 8, args_10, NULL},
+    {k_axpy_f64_2, 1, 8291, 8291, 8296, 8, args_10, NULL},
+    {k_axpy_f64_2, 2, 16582, 8291, 8296, 8, args_10, NULL},
+    {k_axpy_f64_2, 3, 24873, 8291, 8296, 8, args_10, NULL},
+    {k_axpy_f64_2, 4, 33164, 8291, 8296, 8, args_10, NULL},
+    {k_axpy_f64_2, 5, 41455, 8291, 8296, 8, args_10, NULL},
+    {k_axpy_f64_2, 6, 49746, 8291, 8296, 8, args_10, NULL},
+    {k_axpy_f64_2, 7, 58037, 8291, 8296, 8, args_10, NULL},
+    {k_axpy_f64_2, 8, 66328, 8291, 8296, 8, args_10, NULL},
+    {k_axpy_f64_2, 9, 74619, 8291, 8296, 8, args_10, NULL},
+    {k_axpy_f64_2, 10, 82910, 8291, 8296, 8, args_10, NULL},
+    {k_axpy_f64_2, 11, 91201, 8290, 8296, 8, args_10, NULL},
+    {k_axpy_f64_2, 12, 99491, 8290, 8296, 8, args_10, NULL},
+    {k_axpy_f64_2, 13, 107781, 8290, 8296, 8, args_10, NULL},
+    {k_axpy_f64_2, 14, 116071, 8290, 8296, 8, args_10, NULL},
+    {k_axpy_f64_2, 15, 124361, 8290, 8296, 8, args_10, NULL},
+};
+
 int main(void)
 {
-    enum { DEVICE_COUNT = 16 };
     cl_int err;
     cl_platform_id cl_platform;
     err = clGetPlatformIDs(1, &cl_platform, NULL);
@@ -68,7 +444,6 @@ int main(void)
     CHECK(err, "clGetDeviceIDs");
     cl_context context = clCreateContext(NULL, DEVICE_COUNT, devices, NULL, NULL, &err);
     CHECK(err, "clCreateContext");
-    cl_command_queue queues[DEVICE_COUNT];
     for (int d = 0; d < DEVICE_COUNT; ++d) {
         queues[d] = clCreateCommandQueue(context, devices[d], 0, &err);
         CHECK(err, "clCreateCommandQueue");
@@ -76,255 +451,36 @@ int main(void)
 
     size_t source_size;
     char* source = read_text_file("cg_kernels.cl", &source_size);
-    cl_program program = clCreateProgramWithSource(context, 1, (const char**)&source, &source_size, &err);
+    cl_program program = clCreateProgramWithSource(context, 1, (const char**)&source,
+                                                   &source_size, &err);
     CHECK(err, "clCreateProgramWithSource");
     err = clBuildProgram(program, DEVICE_COUNT, devices, NULL, NULL, NULL);
     CHECK(err, "clBuildProgram");
+    for (int k = 0; k < KERNEL_COUNT; ++k) {
+        kernels[k] = clCreateKernel(program, kernel_names[k], &err);
+        CHECK(err, kernel_names[k]);
+    }
 
-    cl_kernel k_init_r = clCreateKernel(program, "k_init_r", &err);
-    CHECK(err, "clCreateKernel k_init_r");
-    cl_kernel k_init_p = clCreateKernel(program, "k_init_p", &err);
-    CHECK(err, "clCreateKernel k_init_p");
-    cl_kernel k_dot_bb = clCreateKernel(program, "k_dot_bb", &err);
-    CHECK(err, "clCreateKernel k_dot_bb");
-    cl_kernel k_loop_dot_rr = clCreateKernel(program, "k_loop_dot_rr", &err);
-    CHECK(err, "clCreateKernel k_loop_dot_rr");
-    cl_kernel k_loop_spmv = clCreateKernel(program, "k_loop_spmv", &err);
-    CHECK(err, "clCreateKernel k_loop_spmv");
-    cl_kernel k_loop_dot_pap = clCreateKernel(program, "k_loop_dot_pap", &err);
-    CHECK(err, "clCreateKernel k_loop_dot_pap");
-    cl_kernel k_loop_axpy_x = clCreateKernel(program, "k_loop_axpy_x", &err);
-    CHECK(err, "clCreateKernel k_loop_axpy_x");
-    cl_kernel k_loop_axpy_r = clCreateKernel(program, "k_loop_axpy_r", &err);
-    CHECK(err, "clCreateKernel k_loop_axpy_r");
-    cl_kernel k_loop_dot_rrn = clCreateKernel(program, "k_loop_dot_rrn", &err);
-    CHECK(err, "clCreateKernel k_loop_dot_rrn");
-    cl_kernel k_loop_scale_p = clCreateKernel(program, "k_loop_scale_p", &err);
-    CHECK(err, "clCreateKernel k_loop_scale_p");
-    cl_kernel k_loop_axpy_p = clCreateKernel(program, "k_loop_axpy_p", &err);
-    CHECK(err, "clCreateKernel k_loop_axpy_p");
-
-    /* host-resident scalars */
-    double h_dot_bb_s = 0.0;
-    double h_loop_dot_rr_s = 0.0;
-    double h_loop_dot_pap_s = 0.0;
-    double h_loop_alpha_q = 0.0;
-    double h_loop_neg_alpha_z = 0.0;
-    double h_loop_dot_rrn_s = 0.0;
-    double h_loop_relres = 0.0;
-    double h_loop_beta_q = 0.0;
-
-    /* one buffer per device-side data allocation */
-    cl_mem buf_rowptr = clCreateBuffer(context, CL_MEM_READ_WRITE, 530608, NULL, &err);
+    buf_rowptr = clCreateBuffer(context, CL_MEM_READ_WRITE, 530608, NULL, &err);
     CHECK(err, "clCreateBuffer rowptr");
-    cl_mem buf_colidx = clCreateBuffer(context, CL_MEM_READ_WRITE, 13771804, NULL, &err);
+    buf_colidx = clCreateBuffer(context, CL_MEM_READ_WRITE, 13771804, NULL, &err);
     CHECK(err, "clCreateBuffer colidx");
-    cl_mem buf_values = clCreateBuffer(context, CL_MEM_READ_WRITE, 27543608, NULL, &err);
+    buf_values = clCreateBuffer(context, CL_MEM_READ_WRITE, 27543608, NULL, &err);
     CHECK(err, "clCreateBuffer values");
-    cl_mem buf_b = clCreateBuffer(context, CL_MEM_READ_WRITE, 1061208, NULL, &err);
+    buf_b = clCreateBuffer(context, CL_MEM_READ_WRITE, 1061208, NULL, &err);
     CHECK(err, "clCreateBuffer b");
-    cl_mem buf_init_r_dst = clCreateBuffer(context, CL_MEM_READ_WRITE, 1061208, NULL, &err);
+    buf_init_r_dst = clCreateBuffer(context, CL_MEM_READ_WRITE, 1061208, NULL, &err);
     CHECK(err, "clCreateBuffer init_r_dst");
-    cl_mem buf_init_p_dst = clCreateBuffer(context, CL_MEM_READ_WRITE, 1061208, NULL, &err);
+    buf_init_p_dst = clCreateBuffer(context, CL_MEM_READ_WRITE, 1061208, NULL, &err);
     CHECK(err, "clCreateBuffer init_p_dst");
-    cl_mem buf_x = clCreateBuffer(context, CL_MEM_READ_WRITE, 1061208, NULL, &err);
+    buf_x = clCreateBuffer(context, CL_MEM_READ_WRITE, 1061208, NULL, &err);
     CHECK(err, "clCreateBuffer x");
-    cl_mem buf_loop_spmv_y = clCreateBuffer(context, CL_MEM_READ_WRITE, 1061208, NULL, &err);
+    buf_loop_spmv_y = clCreateBuffer(context, CL_MEM_READ_WRITE, 1061208, NULL, &err);
     CHECK(err, "clCreateBuffer loop_spmv_y");
-
-    /* work-group partial buffers for dot reductions */
-    cl_mem part_k_dot_bb_d0 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_dot_bb_d0 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_dot_bb_d1 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_dot_bb_d1 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_dot_bb_d2 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_dot_bb_d2 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_dot_bb_d3 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_dot_bb_d3 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_dot_bb_d4 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_dot_bb_d4 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_dot_bb_d5 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_dot_bb_d5 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_dot_bb_d6 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_dot_bb_d6 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_dot_bb_d7 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_dot_bb_d7 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_dot_bb_d8 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_dot_bb_d8 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_dot_bb_d9 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_dot_bb_d9 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_dot_bb_d10 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_dot_bb_d10 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_dot_bb_d11 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_dot_bb_d11 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_dot_bb_d12 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_dot_bb_d12 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_dot_bb_d13 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_dot_bb_d13 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_dot_bb_d14 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_dot_bb_d14 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_dot_bb_d15 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_dot_bb_d15 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rr_d0 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rr_d0 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rr_d1 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rr_d1 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rr_d2 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rr_d2 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rr_d3 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rr_d3 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rr_d4 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rr_d4 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rr_d5 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rr_d5 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rr_d6 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rr_d6 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rr_d7 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rr_d7 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rr_d8 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rr_d8 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rr_d9 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rr_d9 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rr_d10 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rr_d10 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rr_d11 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rr_d11 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rr_d12 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rr_d12 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rr_d13 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rr_d13 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rr_d14 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rr_d14 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rr_d15 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rr_d15 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_pap_d0 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_pap_d0 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_pap_d1 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_pap_d1 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_pap_d2 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_pap_d2 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_pap_d3 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_pap_d3 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_pap_d4 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_pap_d4 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_pap_d5 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_pap_d5 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_pap_d6 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_pap_d6 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_pap_d7 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_pap_d7 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_pap_d8 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_pap_d8 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_pap_d9 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_pap_d9 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_pap_d10 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_pap_d10 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_pap_d11 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_pap_d11 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_pap_d12 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_pap_d12 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_pap_d13 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_pap_d13 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_pap_d14 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_pap_d14 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_pap_d15 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_pap_d15 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rrn_d0 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rrn_d0 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rrn_d1 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rrn_d1 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rrn_d2 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rrn_d2 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rrn_d3 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rrn_d3 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rrn_d4 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rrn_d4 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rrn_d5 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rrn_d5 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rrn_d6 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rrn_d6 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rrn_d7 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rrn_d7 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rrn_d8 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rrn_d8 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rrn_d9 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rrn_d9 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rrn_d10 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rrn_d10 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rrn_d11 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rrn_d11 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rrn_d12 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rrn_d12 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rrn_d13 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rrn_d13 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rrn_d14 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rrn_d14 = (double*)malloc(1037 * sizeof(double));
-    cl_mem part_k_loop_dot_rrn_d15 = clCreateBuffer(context, CL_MEM_READ_WRITE, 1037 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_loop_dot_rrn_d15 = (double*)malloc(1037 * sizeof(double));
+    for (int d = 0; d < DEVICE_COUNT; ++d) {
+        partials[d] = clCreateBuffer(context, CL_MEM_READ_WRITE, 8296, NULL, &err);
+        CHECK(err, "clCreateBuffer partials");
+    }
 
     /* load and upload input data */
     int* in_rowptr = (int*)malloc(530608);
@@ -347,2643 +503,30 @@ int main(void)
     int iters = 0;
     int converged = 1;
 
-    {
-        const cl_int first = 0;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_r, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_r, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_r, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_init_r, 3, sizeof(cl_mem), &buf_init_r_dst);
-        err = clEnqueueNDRangeKernel(queues[0], k_init_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_r");
-    }
-    {
-        const cl_int first = 8291;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_r, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_r, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_r, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_init_r, 3, sizeof(cl_mem), &buf_init_r_dst);
-        err = clEnqueueNDRangeKernel(queues[1], k_init_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_r");
-    }
-    {
-        const cl_int first = 16582;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_r, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_r, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_r, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_init_r, 3, sizeof(cl_mem), &buf_init_r_dst);
-        err = clEnqueueNDRangeKernel(queues[2], k_init_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_r");
-    }
-    {
-        const cl_int first = 24873;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_r, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_r, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_r, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_init_r, 3, sizeof(cl_mem), &buf_init_r_dst);
-        err = clEnqueueNDRangeKernel(queues[3], k_init_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_r");
-    }
-    {
-        const cl_int first = 33164;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_r, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_r, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_r, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_init_r, 3, sizeof(cl_mem), &buf_init_r_dst);
-        err = clEnqueueNDRangeKernel(queues[4], k_init_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_r");
-    }
-    {
-        const cl_int first = 41455;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_r, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_r, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_r, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_init_r, 3, sizeof(cl_mem), &buf_init_r_dst);
-        err = clEnqueueNDRangeKernel(queues[5], k_init_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_r");
-    }
-    {
-        const cl_int first = 49746;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_r, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_r, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_r, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_init_r, 3, sizeof(cl_mem), &buf_init_r_dst);
-        err = clEnqueueNDRangeKernel(queues[6], k_init_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_r");
-    }
-    {
-        const cl_int first = 58037;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_r, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_r, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_r, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_init_r, 3, sizeof(cl_mem), &buf_init_r_dst);
-        err = clEnqueueNDRangeKernel(queues[7], k_init_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_r");
-    }
-    {
-        const cl_int first = 66328;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_r, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_r, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_r, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_init_r, 3, sizeof(cl_mem), &buf_init_r_dst);
-        err = clEnqueueNDRangeKernel(queues[8], k_init_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_r");
-    }
-    {
-        const cl_int first = 74619;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_r, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_r, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_r, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_init_r, 3, sizeof(cl_mem), &buf_init_r_dst);
-        err = clEnqueueNDRangeKernel(queues[9], k_init_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_r");
-    }
-    {
-        const cl_int first = 82910;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_r, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_r, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_r, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_init_r, 3, sizeof(cl_mem), &buf_init_r_dst);
-        err = clEnqueueNDRangeKernel(queues[10], k_init_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_r");
-    }
-    {
-        const cl_int first = 91201;
-        const cl_int count = 8290;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_r, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_r, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_r, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_init_r, 3, sizeof(cl_mem), &buf_init_r_dst);
-        err = clEnqueueNDRangeKernel(queues[11], k_init_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_r");
-    }
-    {
-        const cl_int first = 99491;
-        const cl_int count = 8290;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_r, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_r, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_r, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_init_r, 3, sizeof(cl_mem), &buf_init_r_dst);
-        err = clEnqueueNDRangeKernel(queues[12], k_init_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_r");
-    }
-    {
-        const cl_int first = 107781;
-        const cl_int count = 8290;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_r, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_r, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_r, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_init_r, 3, sizeof(cl_mem), &buf_init_r_dst);
-        err = clEnqueueNDRangeKernel(queues[13], k_init_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_r");
-    }
-    {
-        const cl_int first = 116071;
-        const cl_int count = 8290;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_r, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_r, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_r, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_init_r, 3, sizeof(cl_mem), &buf_init_r_dst);
-        err = clEnqueueNDRangeKernel(queues[14], k_init_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_r");
-    }
-    {
-        const cl_int first = 124361;
-        const cl_int count = 8290;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_r, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_r, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_r, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_init_r, 3, sizeof(cl_mem), &buf_init_r_dst);
-        err = clEnqueueNDRangeKernel(queues[15], k_init_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_r");
-    }
-    clFinish(queues[0]);
-    clFinish(queues[1]);
-    clFinish(queues[2]);
-    clFinish(queues[3]);
-    clFinish(queues[4]);
-    clFinish(queues[5]);
-    clFinish(queues[6]);
-    clFinish(queues[7]);
-    clFinish(queues[8]);
-    clFinish(queues[9]);
-    clFinish(queues[10]);
-    clFinish(queues[11]);
-    clFinish(queues[12]);
-    clFinish(queues[13]);
-    clFinish(queues[14]);
-    clFinish(queues[15]);
-    {
-        const cl_int first = 0;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_p, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_p, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_p, 2, sizeof(cl_mem), &buf_init_r_dst);
-        clSetKernelArg(k_init_p, 3, sizeof(cl_mem), &buf_init_p_dst);
-        err = clEnqueueNDRangeKernel(queues[0], k_init_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_p");
-    }
-    {
-        const cl_int first = 8291;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_p, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_p, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_p, 2, sizeof(cl_mem), &buf_init_r_dst);
-        clSetKernelArg(k_init_p, 3, sizeof(cl_mem), &buf_init_p_dst);
-        err = clEnqueueNDRangeKernel(queues[1], k_init_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_p");
-    }
-    {
-        const cl_int first = 16582;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_p, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_p, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_p, 2, sizeof(cl_mem), &buf_init_r_dst);
-        clSetKernelArg(k_init_p, 3, sizeof(cl_mem), &buf_init_p_dst);
-        err = clEnqueueNDRangeKernel(queues[2], k_init_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_p");
-    }
-    {
-        const cl_int first = 24873;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_p, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_p, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_p, 2, sizeof(cl_mem), &buf_init_r_dst);
-        clSetKernelArg(k_init_p, 3, sizeof(cl_mem), &buf_init_p_dst);
-        err = clEnqueueNDRangeKernel(queues[3], k_init_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_p");
-    }
-    {
-        const cl_int first = 33164;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_p, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_p, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_p, 2, sizeof(cl_mem), &buf_init_r_dst);
-        clSetKernelArg(k_init_p, 3, sizeof(cl_mem), &buf_init_p_dst);
-        err = clEnqueueNDRangeKernel(queues[4], k_init_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_p");
-    }
-    {
-        const cl_int first = 41455;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_p, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_p, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_p, 2, sizeof(cl_mem), &buf_init_r_dst);
-        clSetKernelArg(k_init_p, 3, sizeof(cl_mem), &buf_init_p_dst);
-        err = clEnqueueNDRangeKernel(queues[5], k_init_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_p");
-    }
-    {
-        const cl_int first = 49746;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_p, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_p, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_p, 2, sizeof(cl_mem), &buf_init_r_dst);
-        clSetKernelArg(k_init_p, 3, sizeof(cl_mem), &buf_init_p_dst);
-        err = clEnqueueNDRangeKernel(queues[6], k_init_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_p");
-    }
-    {
-        const cl_int first = 58037;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_p, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_p, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_p, 2, sizeof(cl_mem), &buf_init_r_dst);
-        clSetKernelArg(k_init_p, 3, sizeof(cl_mem), &buf_init_p_dst);
-        err = clEnqueueNDRangeKernel(queues[7], k_init_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_p");
-    }
-    {
-        const cl_int first = 66328;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_p, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_p, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_p, 2, sizeof(cl_mem), &buf_init_r_dst);
-        clSetKernelArg(k_init_p, 3, sizeof(cl_mem), &buf_init_p_dst);
-        err = clEnqueueNDRangeKernel(queues[8], k_init_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_p");
-    }
-    {
-        const cl_int first = 74619;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_p, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_p, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_p, 2, sizeof(cl_mem), &buf_init_r_dst);
-        clSetKernelArg(k_init_p, 3, sizeof(cl_mem), &buf_init_p_dst);
-        err = clEnqueueNDRangeKernel(queues[9], k_init_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_p");
-    }
-    {
-        const cl_int first = 82910;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_p, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_p, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_p, 2, sizeof(cl_mem), &buf_init_r_dst);
-        clSetKernelArg(k_init_p, 3, sizeof(cl_mem), &buf_init_p_dst);
-        err = clEnqueueNDRangeKernel(queues[10], k_init_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_p");
-    }
-    {
-        const cl_int first = 91201;
-        const cl_int count = 8290;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_p, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_p, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_p, 2, sizeof(cl_mem), &buf_init_r_dst);
-        clSetKernelArg(k_init_p, 3, sizeof(cl_mem), &buf_init_p_dst);
-        err = clEnqueueNDRangeKernel(queues[11], k_init_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_p");
-    }
-    {
-        const cl_int first = 99491;
-        const cl_int count = 8290;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_p, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_p, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_p, 2, sizeof(cl_mem), &buf_init_r_dst);
-        clSetKernelArg(k_init_p, 3, sizeof(cl_mem), &buf_init_p_dst);
-        err = clEnqueueNDRangeKernel(queues[12], k_init_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_p");
-    }
-    {
-        const cl_int first = 107781;
-        const cl_int count = 8290;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_p, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_p, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_p, 2, sizeof(cl_mem), &buf_init_r_dst);
-        clSetKernelArg(k_init_p, 3, sizeof(cl_mem), &buf_init_p_dst);
-        err = clEnqueueNDRangeKernel(queues[13], k_init_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_p");
-    }
-    {
-        const cl_int first = 116071;
-        const cl_int count = 8290;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_p, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_p, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_p, 2, sizeof(cl_mem), &buf_init_r_dst);
-        clSetKernelArg(k_init_p, 3, sizeof(cl_mem), &buf_init_p_dst);
-        err = clEnqueueNDRangeKernel(queues[14], k_init_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_p");
-    }
-    {
-        const cl_int first = 124361;
-        const cl_int count = 8290;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_init_p, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init_p, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init_p, 2, sizeof(cl_mem), &buf_init_r_dst);
-        clSetKernelArg(k_init_p, 3, sizeof(cl_mem), &buf_init_p_dst);
-        err = clEnqueueNDRangeKernel(queues[15], k_init_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init_p");
-    }
-    clFinish(queues[0]);
-    clFinish(queues[1]);
-    clFinish(queues[2]);
-    clFinish(queues[3]);
-    clFinish(queues[4]);
-    clFinish(queues[5]);
-    clFinish(queues[6]);
-    clFinish(queues[7]);
-    clFinish(queues[8]);
-    clFinish(queues[9]);
-    clFinish(queues[10]);
-    clFinish(queues[11]);
-    clFinish(queues[12]);
-    clFinish(queues[13]);
-    clFinish(queues[14]);
-    clFinish(queues[15]);
-    {
-        const cl_int first = 0;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_dot_bb, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_dot_bb, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_dot_bb, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 3, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 4, sizeof(cl_mem), &part_k_dot_bb_d0);
-        err = clEnqueueNDRangeKernel(queues[0], k_dot_bb, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_dot_bb");
-    }
-    {
-        const cl_int first = 8291;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_dot_bb, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_dot_bb, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_dot_bb, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 3, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 4, sizeof(cl_mem), &part_k_dot_bb_d1);
-        err = clEnqueueNDRangeKernel(queues[1], k_dot_bb, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_dot_bb");
-    }
-    {
-        const cl_int first = 16582;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_dot_bb, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_dot_bb, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_dot_bb, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 3, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 4, sizeof(cl_mem), &part_k_dot_bb_d2);
-        err = clEnqueueNDRangeKernel(queues[2], k_dot_bb, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_dot_bb");
-    }
-    {
-        const cl_int first = 24873;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_dot_bb, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_dot_bb, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_dot_bb, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 3, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 4, sizeof(cl_mem), &part_k_dot_bb_d3);
-        err = clEnqueueNDRangeKernel(queues[3], k_dot_bb, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_dot_bb");
-    }
-    {
-        const cl_int first = 33164;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_dot_bb, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_dot_bb, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_dot_bb, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 3, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 4, sizeof(cl_mem), &part_k_dot_bb_d4);
-        err = clEnqueueNDRangeKernel(queues[4], k_dot_bb, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_dot_bb");
-    }
-    {
-        const cl_int first = 41455;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_dot_bb, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_dot_bb, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_dot_bb, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 3, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 4, sizeof(cl_mem), &part_k_dot_bb_d5);
-        err = clEnqueueNDRangeKernel(queues[5], k_dot_bb, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_dot_bb");
-    }
-    {
-        const cl_int first = 49746;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_dot_bb, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_dot_bb, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_dot_bb, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 3, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 4, sizeof(cl_mem), &part_k_dot_bb_d6);
-        err = clEnqueueNDRangeKernel(queues[6], k_dot_bb, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_dot_bb");
-    }
-    {
-        const cl_int first = 58037;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_dot_bb, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_dot_bb, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_dot_bb, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 3, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 4, sizeof(cl_mem), &part_k_dot_bb_d7);
-        err = clEnqueueNDRangeKernel(queues[7], k_dot_bb, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_dot_bb");
-    }
-    {
-        const cl_int first = 66328;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_dot_bb, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_dot_bb, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_dot_bb, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 3, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 4, sizeof(cl_mem), &part_k_dot_bb_d8);
-        err = clEnqueueNDRangeKernel(queues[8], k_dot_bb, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_dot_bb");
-    }
-    {
-        const cl_int first = 74619;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_dot_bb, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_dot_bb, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_dot_bb, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 3, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 4, sizeof(cl_mem), &part_k_dot_bb_d9);
-        err = clEnqueueNDRangeKernel(queues[9], k_dot_bb, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_dot_bb");
-    }
-    {
-        const cl_int first = 82910;
-        const cl_int count = 8291;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_dot_bb, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_dot_bb, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_dot_bb, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 3, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 4, sizeof(cl_mem), &part_k_dot_bb_d10);
-        err = clEnqueueNDRangeKernel(queues[10], k_dot_bb, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_dot_bb");
-    }
-    {
-        const cl_int first = 91201;
-        const cl_int count = 8290;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_dot_bb, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_dot_bb, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_dot_bb, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 3, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 4, sizeof(cl_mem), &part_k_dot_bb_d11);
-        err = clEnqueueNDRangeKernel(queues[11], k_dot_bb, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_dot_bb");
-    }
-    {
-        const cl_int first = 99491;
-        const cl_int count = 8290;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_dot_bb, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_dot_bb, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_dot_bb, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 3, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 4, sizeof(cl_mem), &part_k_dot_bb_d12);
-        err = clEnqueueNDRangeKernel(queues[12], k_dot_bb, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_dot_bb");
-    }
-    {
-        const cl_int first = 107781;
-        const cl_int count = 8290;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_dot_bb, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_dot_bb, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_dot_bb, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 3, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 4, sizeof(cl_mem), &part_k_dot_bb_d13);
-        err = clEnqueueNDRangeKernel(queues[13], k_dot_bb, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_dot_bb");
-    }
-    {
-        const cl_int first = 116071;
-        const cl_int count = 8290;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_dot_bb, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_dot_bb, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_dot_bb, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 3, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 4, sizeof(cl_mem), &part_k_dot_bb_d14);
-        err = clEnqueueNDRangeKernel(queues[14], k_dot_bb, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_dot_bb");
-    }
-    {
-        const cl_int first = 124361;
-        const cl_int count = 8290;
-        const size_t global_size = 8296;
-        const size_t local_size = 8;
-        clSetKernelArg(k_dot_bb, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_dot_bb, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_dot_bb, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 3, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 4, sizeof(cl_mem), &part_k_dot_bb_d15);
-        err = clEnqueueNDRangeKernel(queues[15], k_dot_bb, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_dot_bb");
-    }
-    clFinish(queues[0]);
-    clFinish(queues[1]);
-    clFinish(queues[2]);
-    clFinish(queues[3]);
-    clFinish(queues[4]);
-    clFinish(queues[5]);
-    clFinish(queues[6]);
-    clFinish(queues[7]);
-    clFinish(queues[8]);
-    clFinish(queues[9]);
-    clFinish(queues[10]);
-    clFinish(queues[11]);
-    clFinish(queues[12]);
-    clFinish(queues[13]);
-    clFinish(queues[14]);
-    clFinish(queues[15]);
-    h_dot_bb_s = 0.0;
-    err = clEnqueueReadBuffer(queues[0], part_k_dot_bb_d0, CL_TRUE, 0, 1037 * sizeof(double), ph_k_dot_bb_d0, 0, NULL, NULL);
-    CHECK(err, "read partials k_dot_bb");
-    for (int g = 0; g < 1037; ++g) h_dot_bb_s += ph_k_dot_bb_d0[g];
-    err = clEnqueueReadBuffer(queues[1], part_k_dot_bb_d1, CL_TRUE, 0, 1037 * sizeof(double), ph_k_dot_bb_d1, 0, NULL, NULL);
-    CHECK(err, "read partials k_dot_bb");
-    for (int g = 0; g < 1037; ++g) h_dot_bb_s += ph_k_dot_bb_d1[g];
-    err = clEnqueueReadBuffer(queues[2], part_k_dot_bb_d2, CL_TRUE, 0, 1037 * sizeof(double), ph_k_dot_bb_d2, 0, NULL, NULL);
-    CHECK(err, "read partials k_dot_bb");
-    for (int g = 0; g < 1037; ++g) h_dot_bb_s += ph_k_dot_bb_d2[g];
-    err = clEnqueueReadBuffer(queues[3], part_k_dot_bb_d3, CL_TRUE, 0, 1037 * sizeof(double), ph_k_dot_bb_d3, 0, NULL, NULL);
-    CHECK(err, "read partials k_dot_bb");
-    for (int g = 0; g < 1037; ++g) h_dot_bb_s += ph_k_dot_bb_d3[g];
-    err = clEnqueueReadBuffer(queues[4], part_k_dot_bb_d4, CL_TRUE, 0, 1037 * sizeof(double), ph_k_dot_bb_d4, 0, NULL, NULL);
-    CHECK(err, "read partials k_dot_bb");
-    for (int g = 0; g < 1037; ++g) h_dot_bb_s += ph_k_dot_bb_d4[g];
-    err = clEnqueueReadBuffer(queues[5], part_k_dot_bb_d5, CL_TRUE, 0, 1037 * sizeof(double), ph_k_dot_bb_d5, 0, NULL, NULL);
-    CHECK(err, "read partials k_dot_bb");
-    for (int g = 0; g < 1037; ++g) h_dot_bb_s += ph_k_dot_bb_d5[g];
-    err = clEnqueueReadBuffer(queues[6], part_k_dot_bb_d6, CL_TRUE, 0, 1037 * sizeof(double), ph_k_dot_bb_d6, 0, NULL, NULL);
-    CHECK(err, "read partials k_dot_bb");
-    for (int g = 0; g < 1037; ++g) h_dot_bb_s += ph_k_dot_bb_d6[g];
-    err = clEnqueueReadBuffer(queues[7], part_k_dot_bb_d7, CL_TRUE, 0, 1037 * sizeof(double), ph_k_dot_bb_d7, 0, NULL, NULL);
-    CHECK(err, "read partials k_dot_bb");
-    for (int g = 0; g < 1037; ++g) h_dot_bb_s += ph_k_dot_bb_d7[g];
-    err = clEnqueueReadBuffer(queues[8], part_k_dot_bb_d8, CL_TRUE, 0, 1037 * sizeof(double), ph_k_dot_bb_d8, 0, NULL, NULL);
-    CHECK(err, "read partials k_dot_bb");
-    for (int g = 0; g < 1037; ++g) h_dot_bb_s += ph_k_dot_bb_d8[g];
-    err = clEnqueueReadBuffer(queues[9], part_k_dot_bb_d9, CL_TRUE, 0, 1037 * sizeof(double), ph_k_dot_bb_d9, 0, NULL, NULL);
-    CHECK(err, "read partials k_dot_bb");
-    for (int g = 0; g < 1037; ++g) h_dot_bb_s += ph_k_dot_bb_d9[g];
-    err = clEnqueueReadBuffer(queues[10], part_k_dot_bb_d10, CL_TRUE, 0, 1037 * sizeof(double), ph_k_dot_bb_d10, 0, NULL, NULL);
-    CHECK(err, "read partials k_dot_bb");
-    for (int g = 0; g < 1037; ++g) h_dot_bb_s += ph_k_dot_bb_d10[g];
-    err = clEnqueueReadBuffer(queues[11], part_k_dot_bb_d11, CL_TRUE, 0, 1037 * sizeof(double), ph_k_dot_bb_d11, 0, NULL, NULL);
-    CHECK(err, "read partials k_dot_bb");
-    for (int g = 0; g < 1037; ++g) h_dot_bb_s += ph_k_dot_bb_d11[g];
-    err = clEnqueueReadBuffer(queues[12], part_k_dot_bb_d12, CL_TRUE, 0, 1037 * sizeof(double), ph_k_dot_bb_d12, 0, NULL, NULL);
-    CHECK(err, "read partials k_dot_bb");
-    for (int g = 0; g < 1037; ++g) h_dot_bb_s += ph_k_dot_bb_d12[g];
-    err = clEnqueueReadBuffer(queues[13], part_k_dot_bb_d13, CL_TRUE, 0, 1037 * sizeof(double), ph_k_dot_bb_d13, 0, NULL, NULL);
-    CHECK(err, "read partials k_dot_bb");
-    for (int g = 0; g < 1037; ++g) h_dot_bb_s += ph_k_dot_bb_d13[g];
-    err = clEnqueueReadBuffer(queues[14], part_k_dot_bb_d14, CL_TRUE, 0, 1037 * sizeof(double), ph_k_dot_bb_d14, 0, NULL, NULL);
-    CHECK(err, "read partials k_dot_bb");
-    for (int g = 0; g < 1037; ++g) h_dot_bb_s += ph_k_dot_bb_d14[g];
-    err = clEnqueueReadBuffer(queues[15], part_k_dot_bb_d15, CL_TRUE, 0, 1037 * sizeof(double), ph_k_dot_bb_d15, 0, NULL, NULL);
-    CHECK(err, "read partials k_dot_bb");
-    for (int g = 0; g < 1037; ++g) h_dot_bb_s += ph_k_dot_bb_d15[g];
-    /* loop loop: until h_loop_relres <= 1e-10 */
+    run_step(step_0, 16);
+    run_step(step_1, 16);
+    run_step(step_2, 16);
+    h_dot_bb_s = sum_doubles(step_2, 16);
+    /* loop loop: until h_loop_relres < 1e-10 */
     converged = 0;
     while (iters < 132651) {
-        {
-            const cl_int first = 0;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rr, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rr, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rr, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 4, sizeof(cl_mem), &part_k_loop_dot_rr_d0);
-            err = clEnqueueNDRangeKernel(queues[0], k_loop_dot_rr, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rr");
-        }
-        {
-            const cl_int first = 8291;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rr, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rr, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rr, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 4, sizeof(cl_mem), &part_k_loop_dot_rr_d1);
-            err = clEnqueueNDRangeKernel(queues[1], k_loop_dot_rr, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rr");
-        }
-        {
-            const cl_int first = 16582;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rr, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rr, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rr, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 4, sizeof(cl_mem), &part_k_loop_dot_rr_d2);
-            err = clEnqueueNDRangeKernel(queues[2], k_loop_dot_rr, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rr");
-        }
-        {
-            const cl_int first = 24873;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rr, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rr, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rr, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 4, sizeof(cl_mem), &part_k_loop_dot_rr_d3);
-            err = clEnqueueNDRangeKernel(queues[3], k_loop_dot_rr, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rr");
-        }
-        {
-            const cl_int first = 33164;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rr, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rr, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rr, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 4, sizeof(cl_mem), &part_k_loop_dot_rr_d4);
-            err = clEnqueueNDRangeKernel(queues[4], k_loop_dot_rr, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rr");
-        }
-        {
-            const cl_int first = 41455;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rr, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rr, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rr, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 4, sizeof(cl_mem), &part_k_loop_dot_rr_d5);
-            err = clEnqueueNDRangeKernel(queues[5], k_loop_dot_rr, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rr");
-        }
-        {
-            const cl_int first = 49746;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rr, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rr, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rr, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 4, sizeof(cl_mem), &part_k_loop_dot_rr_d6);
-            err = clEnqueueNDRangeKernel(queues[6], k_loop_dot_rr, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rr");
-        }
-        {
-            const cl_int first = 58037;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rr, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rr, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rr, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 4, sizeof(cl_mem), &part_k_loop_dot_rr_d7);
-            err = clEnqueueNDRangeKernel(queues[7], k_loop_dot_rr, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rr");
-        }
-        {
-            const cl_int first = 66328;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rr, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rr, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rr, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 4, sizeof(cl_mem), &part_k_loop_dot_rr_d8);
-            err = clEnqueueNDRangeKernel(queues[8], k_loop_dot_rr, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rr");
-        }
-        {
-            const cl_int first = 74619;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rr, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rr, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rr, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 4, sizeof(cl_mem), &part_k_loop_dot_rr_d9);
-            err = clEnqueueNDRangeKernel(queues[9], k_loop_dot_rr, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rr");
-        }
-        {
-            const cl_int first = 82910;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rr, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rr, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rr, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 4, sizeof(cl_mem), &part_k_loop_dot_rr_d10);
-            err = clEnqueueNDRangeKernel(queues[10], k_loop_dot_rr, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rr");
-        }
-        {
-            const cl_int first = 91201;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rr, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rr, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rr, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 4, sizeof(cl_mem), &part_k_loop_dot_rr_d11);
-            err = clEnqueueNDRangeKernel(queues[11], k_loop_dot_rr, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rr");
-        }
-        {
-            const cl_int first = 99491;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rr, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rr, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rr, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 4, sizeof(cl_mem), &part_k_loop_dot_rr_d12);
-            err = clEnqueueNDRangeKernel(queues[12], k_loop_dot_rr, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rr");
-        }
-        {
-            const cl_int first = 107781;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rr, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rr, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rr, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 4, sizeof(cl_mem), &part_k_loop_dot_rr_d13);
-            err = clEnqueueNDRangeKernel(queues[13], k_loop_dot_rr, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rr");
-        }
-        {
-            const cl_int first = 116071;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rr, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rr, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rr, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 4, sizeof(cl_mem), &part_k_loop_dot_rr_d14);
-            err = clEnqueueNDRangeKernel(queues[14], k_loop_dot_rr, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rr");
-        }
-        {
-            const cl_int first = 124361;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rr, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rr, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rr, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rr, 4, sizeof(cl_mem), &part_k_loop_dot_rr_d15);
-            err = clEnqueueNDRangeKernel(queues[15], k_loop_dot_rr, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rr");
-        }
-        clFinish(queues[0]);
-        clFinish(queues[1]);
-        clFinish(queues[2]);
-        clFinish(queues[3]);
-        clFinish(queues[4]);
-        clFinish(queues[5]);
-        clFinish(queues[6]);
-        clFinish(queues[7]);
-        clFinish(queues[8]);
-        clFinish(queues[9]);
-        clFinish(queues[10]);
-        clFinish(queues[11]);
-        clFinish(queues[12]);
-        clFinish(queues[13]);
-        clFinish(queues[14]);
-        clFinish(queues[15]);
-        h_loop_dot_rr_s = 0.0;
-        err = clEnqueueReadBuffer(queues[0], part_k_loop_dot_rr_d0, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rr_d0, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rr");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rr_s += ph_k_loop_dot_rr_d0[g];
-        err = clEnqueueReadBuffer(queues[1], part_k_loop_dot_rr_d1, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rr_d1, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rr");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rr_s += ph_k_loop_dot_rr_d1[g];
-        err = clEnqueueReadBuffer(queues[2], part_k_loop_dot_rr_d2, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rr_d2, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rr");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rr_s += ph_k_loop_dot_rr_d2[g];
-        err = clEnqueueReadBuffer(queues[3], part_k_loop_dot_rr_d3, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rr_d3, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rr");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rr_s += ph_k_loop_dot_rr_d3[g];
-        err = clEnqueueReadBuffer(queues[4], part_k_loop_dot_rr_d4, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rr_d4, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rr");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rr_s += ph_k_loop_dot_rr_d4[g];
-        err = clEnqueueReadBuffer(queues[5], part_k_loop_dot_rr_d5, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rr_d5, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rr");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rr_s += ph_k_loop_dot_rr_d5[g];
-        err = clEnqueueReadBuffer(queues[6], part_k_loop_dot_rr_d6, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rr_d6, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rr");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rr_s += ph_k_loop_dot_rr_d6[g];
-        err = clEnqueueReadBuffer(queues[7], part_k_loop_dot_rr_d7, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rr_d7, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rr");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rr_s += ph_k_loop_dot_rr_d7[g];
-        err = clEnqueueReadBuffer(queues[8], part_k_loop_dot_rr_d8, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rr_d8, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rr");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rr_s += ph_k_loop_dot_rr_d8[g];
-        err = clEnqueueReadBuffer(queues[9], part_k_loop_dot_rr_d9, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rr_d9, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rr");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rr_s += ph_k_loop_dot_rr_d9[g];
-        err = clEnqueueReadBuffer(queues[10], part_k_loop_dot_rr_d10, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rr_d10, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rr");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rr_s += ph_k_loop_dot_rr_d10[g];
-        err = clEnqueueReadBuffer(queues[11], part_k_loop_dot_rr_d11, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rr_d11, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rr");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rr_s += ph_k_loop_dot_rr_d11[g];
-        err = clEnqueueReadBuffer(queues[12], part_k_loop_dot_rr_d12, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rr_d12, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rr");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rr_s += ph_k_loop_dot_rr_d12[g];
-        err = clEnqueueReadBuffer(queues[13], part_k_loop_dot_rr_d13, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rr_d13, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rr");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rr_s += ph_k_loop_dot_rr_d13[g];
-        err = clEnqueueReadBuffer(queues[14], part_k_loop_dot_rr_d14, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rr_d14, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rr");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rr_s += ph_k_loop_dot_rr_d14[g];
-        err = clEnqueueReadBuffer(queues[15], part_k_loop_dot_rr_d15, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rr_d15, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rr");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rr_s += ph_k_loop_dot_rr_d15[g];
-        {
-            const cl_int first = 0;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_spmv, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_spmv, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_spmv, 2, sizeof(cl_mem), &buf_rowptr);
-            clSetKernelArg(k_loop_spmv, 3, sizeof(cl_mem), &buf_colidx);
-            clSetKernelArg(k_loop_spmv, 4, sizeof(cl_mem), &buf_values);
-            clSetKernelArg(k_loop_spmv, 5, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_spmv, 6, sizeof(cl_mem), &buf_loop_spmv_y);
-            err = clEnqueueNDRangeKernel(queues[0], k_loop_spmv, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_spmv");
-        }
-        {
-            const cl_int first = 8291;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_spmv, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_spmv, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_spmv, 2, sizeof(cl_mem), &buf_rowptr);
-            clSetKernelArg(k_loop_spmv, 3, sizeof(cl_mem), &buf_colidx);
-            clSetKernelArg(k_loop_spmv, 4, sizeof(cl_mem), &buf_values);
-            clSetKernelArg(k_loop_spmv, 5, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_spmv, 6, sizeof(cl_mem), &buf_loop_spmv_y);
-            err = clEnqueueNDRangeKernel(queues[1], k_loop_spmv, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_spmv");
-        }
-        {
-            const cl_int first = 16582;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_spmv, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_spmv, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_spmv, 2, sizeof(cl_mem), &buf_rowptr);
-            clSetKernelArg(k_loop_spmv, 3, sizeof(cl_mem), &buf_colidx);
-            clSetKernelArg(k_loop_spmv, 4, sizeof(cl_mem), &buf_values);
-            clSetKernelArg(k_loop_spmv, 5, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_spmv, 6, sizeof(cl_mem), &buf_loop_spmv_y);
-            err = clEnqueueNDRangeKernel(queues[2], k_loop_spmv, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_spmv");
-        }
-        {
-            const cl_int first = 24873;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_spmv, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_spmv, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_spmv, 2, sizeof(cl_mem), &buf_rowptr);
-            clSetKernelArg(k_loop_spmv, 3, sizeof(cl_mem), &buf_colidx);
-            clSetKernelArg(k_loop_spmv, 4, sizeof(cl_mem), &buf_values);
-            clSetKernelArg(k_loop_spmv, 5, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_spmv, 6, sizeof(cl_mem), &buf_loop_spmv_y);
-            err = clEnqueueNDRangeKernel(queues[3], k_loop_spmv, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_spmv");
-        }
-        {
-            const cl_int first = 33164;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_spmv, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_spmv, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_spmv, 2, sizeof(cl_mem), &buf_rowptr);
-            clSetKernelArg(k_loop_spmv, 3, sizeof(cl_mem), &buf_colidx);
-            clSetKernelArg(k_loop_spmv, 4, sizeof(cl_mem), &buf_values);
-            clSetKernelArg(k_loop_spmv, 5, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_spmv, 6, sizeof(cl_mem), &buf_loop_spmv_y);
-            err = clEnqueueNDRangeKernel(queues[4], k_loop_spmv, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_spmv");
-        }
-        {
-            const cl_int first = 41455;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_spmv, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_spmv, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_spmv, 2, sizeof(cl_mem), &buf_rowptr);
-            clSetKernelArg(k_loop_spmv, 3, sizeof(cl_mem), &buf_colidx);
-            clSetKernelArg(k_loop_spmv, 4, sizeof(cl_mem), &buf_values);
-            clSetKernelArg(k_loop_spmv, 5, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_spmv, 6, sizeof(cl_mem), &buf_loop_spmv_y);
-            err = clEnqueueNDRangeKernel(queues[5], k_loop_spmv, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_spmv");
-        }
-        {
-            const cl_int first = 49746;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_spmv, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_spmv, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_spmv, 2, sizeof(cl_mem), &buf_rowptr);
-            clSetKernelArg(k_loop_spmv, 3, sizeof(cl_mem), &buf_colidx);
-            clSetKernelArg(k_loop_spmv, 4, sizeof(cl_mem), &buf_values);
-            clSetKernelArg(k_loop_spmv, 5, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_spmv, 6, sizeof(cl_mem), &buf_loop_spmv_y);
-            err = clEnqueueNDRangeKernel(queues[6], k_loop_spmv, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_spmv");
-        }
-        {
-            const cl_int first = 58037;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_spmv, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_spmv, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_spmv, 2, sizeof(cl_mem), &buf_rowptr);
-            clSetKernelArg(k_loop_spmv, 3, sizeof(cl_mem), &buf_colidx);
-            clSetKernelArg(k_loop_spmv, 4, sizeof(cl_mem), &buf_values);
-            clSetKernelArg(k_loop_spmv, 5, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_spmv, 6, sizeof(cl_mem), &buf_loop_spmv_y);
-            err = clEnqueueNDRangeKernel(queues[7], k_loop_spmv, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_spmv");
-        }
-        {
-            const cl_int first = 66328;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_spmv, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_spmv, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_spmv, 2, sizeof(cl_mem), &buf_rowptr);
-            clSetKernelArg(k_loop_spmv, 3, sizeof(cl_mem), &buf_colidx);
-            clSetKernelArg(k_loop_spmv, 4, sizeof(cl_mem), &buf_values);
-            clSetKernelArg(k_loop_spmv, 5, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_spmv, 6, sizeof(cl_mem), &buf_loop_spmv_y);
-            err = clEnqueueNDRangeKernel(queues[8], k_loop_spmv, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_spmv");
-        }
-        {
-            const cl_int first = 74619;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_spmv, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_spmv, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_spmv, 2, sizeof(cl_mem), &buf_rowptr);
-            clSetKernelArg(k_loop_spmv, 3, sizeof(cl_mem), &buf_colidx);
-            clSetKernelArg(k_loop_spmv, 4, sizeof(cl_mem), &buf_values);
-            clSetKernelArg(k_loop_spmv, 5, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_spmv, 6, sizeof(cl_mem), &buf_loop_spmv_y);
-            err = clEnqueueNDRangeKernel(queues[9], k_loop_spmv, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_spmv");
-        }
-        {
-            const cl_int first = 82910;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_spmv, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_spmv, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_spmv, 2, sizeof(cl_mem), &buf_rowptr);
-            clSetKernelArg(k_loop_spmv, 3, sizeof(cl_mem), &buf_colidx);
-            clSetKernelArg(k_loop_spmv, 4, sizeof(cl_mem), &buf_values);
-            clSetKernelArg(k_loop_spmv, 5, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_spmv, 6, sizeof(cl_mem), &buf_loop_spmv_y);
-            err = clEnqueueNDRangeKernel(queues[10], k_loop_spmv, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_spmv");
-        }
-        {
-            const cl_int first = 91201;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_spmv, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_spmv, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_spmv, 2, sizeof(cl_mem), &buf_rowptr);
-            clSetKernelArg(k_loop_spmv, 3, sizeof(cl_mem), &buf_colidx);
-            clSetKernelArg(k_loop_spmv, 4, sizeof(cl_mem), &buf_values);
-            clSetKernelArg(k_loop_spmv, 5, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_spmv, 6, sizeof(cl_mem), &buf_loop_spmv_y);
-            err = clEnqueueNDRangeKernel(queues[11], k_loop_spmv, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_spmv");
-        }
-        {
-            const cl_int first = 99491;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_spmv, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_spmv, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_spmv, 2, sizeof(cl_mem), &buf_rowptr);
-            clSetKernelArg(k_loop_spmv, 3, sizeof(cl_mem), &buf_colidx);
-            clSetKernelArg(k_loop_spmv, 4, sizeof(cl_mem), &buf_values);
-            clSetKernelArg(k_loop_spmv, 5, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_spmv, 6, sizeof(cl_mem), &buf_loop_spmv_y);
-            err = clEnqueueNDRangeKernel(queues[12], k_loop_spmv, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_spmv");
-        }
-        {
-            const cl_int first = 107781;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_spmv, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_spmv, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_spmv, 2, sizeof(cl_mem), &buf_rowptr);
-            clSetKernelArg(k_loop_spmv, 3, sizeof(cl_mem), &buf_colidx);
-            clSetKernelArg(k_loop_spmv, 4, sizeof(cl_mem), &buf_values);
-            clSetKernelArg(k_loop_spmv, 5, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_spmv, 6, sizeof(cl_mem), &buf_loop_spmv_y);
-            err = clEnqueueNDRangeKernel(queues[13], k_loop_spmv, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_spmv");
-        }
-        {
-            const cl_int first = 116071;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_spmv, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_spmv, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_spmv, 2, sizeof(cl_mem), &buf_rowptr);
-            clSetKernelArg(k_loop_spmv, 3, sizeof(cl_mem), &buf_colidx);
-            clSetKernelArg(k_loop_spmv, 4, sizeof(cl_mem), &buf_values);
-            clSetKernelArg(k_loop_spmv, 5, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_spmv, 6, sizeof(cl_mem), &buf_loop_spmv_y);
-            err = clEnqueueNDRangeKernel(queues[14], k_loop_spmv, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_spmv");
-        }
-        {
-            const cl_int first = 124361;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_spmv, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_spmv, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_spmv, 2, sizeof(cl_mem), &buf_rowptr);
-            clSetKernelArg(k_loop_spmv, 3, sizeof(cl_mem), &buf_colidx);
-            clSetKernelArg(k_loop_spmv, 4, sizeof(cl_mem), &buf_values);
-            clSetKernelArg(k_loop_spmv, 5, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_spmv, 6, sizeof(cl_mem), &buf_loop_spmv_y);
-            err = clEnqueueNDRangeKernel(queues[15], k_loop_spmv, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_spmv");
-        }
-        clFinish(queues[0]);
-        clFinish(queues[1]);
-        clFinish(queues[2]);
-        clFinish(queues[3]);
-        clFinish(queues[4]);
-        clFinish(queues[5]);
-        clFinish(queues[6]);
-        clFinish(queues[7]);
-        clFinish(queues[8]);
-        clFinish(queues[9]);
-        clFinish(queues[10]);
-        clFinish(queues[11]);
-        clFinish(queues[12]);
-        clFinish(queues[13]);
-        clFinish(queues[14]);
-        clFinish(queues[15]);
-        {
-            const cl_int first = 0;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_pap, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_pap, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_pap, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_dot_pap, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_dot_pap, 4, sizeof(cl_mem), &part_k_loop_dot_pap_d0);
-            err = clEnqueueNDRangeKernel(queues[0], k_loop_dot_pap, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_pap");
-        }
-        {
-            const cl_int first = 8291;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_pap, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_pap, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_pap, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_dot_pap, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_dot_pap, 4, sizeof(cl_mem), &part_k_loop_dot_pap_d1);
-            err = clEnqueueNDRangeKernel(queues[1], k_loop_dot_pap, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_pap");
-        }
-        {
-            const cl_int first = 16582;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_pap, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_pap, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_pap, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_dot_pap, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_dot_pap, 4, sizeof(cl_mem), &part_k_loop_dot_pap_d2);
-            err = clEnqueueNDRangeKernel(queues[2], k_loop_dot_pap, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_pap");
-        }
-        {
-            const cl_int first = 24873;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_pap, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_pap, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_pap, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_dot_pap, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_dot_pap, 4, sizeof(cl_mem), &part_k_loop_dot_pap_d3);
-            err = clEnqueueNDRangeKernel(queues[3], k_loop_dot_pap, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_pap");
-        }
-        {
-            const cl_int first = 33164;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_pap, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_pap, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_pap, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_dot_pap, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_dot_pap, 4, sizeof(cl_mem), &part_k_loop_dot_pap_d4);
-            err = clEnqueueNDRangeKernel(queues[4], k_loop_dot_pap, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_pap");
-        }
-        {
-            const cl_int first = 41455;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_pap, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_pap, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_pap, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_dot_pap, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_dot_pap, 4, sizeof(cl_mem), &part_k_loop_dot_pap_d5);
-            err = clEnqueueNDRangeKernel(queues[5], k_loop_dot_pap, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_pap");
-        }
-        {
-            const cl_int first = 49746;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_pap, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_pap, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_pap, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_dot_pap, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_dot_pap, 4, sizeof(cl_mem), &part_k_loop_dot_pap_d6);
-            err = clEnqueueNDRangeKernel(queues[6], k_loop_dot_pap, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_pap");
-        }
-        {
-            const cl_int first = 58037;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_pap, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_pap, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_pap, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_dot_pap, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_dot_pap, 4, sizeof(cl_mem), &part_k_loop_dot_pap_d7);
-            err = clEnqueueNDRangeKernel(queues[7], k_loop_dot_pap, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_pap");
-        }
-        {
-            const cl_int first = 66328;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_pap, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_pap, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_pap, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_dot_pap, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_dot_pap, 4, sizeof(cl_mem), &part_k_loop_dot_pap_d8);
-            err = clEnqueueNDRangeKernel(queues[8], k_loop_dot_pap, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_pap");
-        }
-        {
-            const cl_int first = 74619;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_pap, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_pap, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_pap, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_dot_pap, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_dot_pap, 4, sizeof(cl_mem), &part_k_loop_dot_pap_d9);
-            err = clEnqueueNDRangeKernel(queues[9], k_loop_dot_pap, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_pap");
-        }
-        {
-            const cl_int first = 82910;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_pap, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_pap, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_pap, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_dot_pap, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_dot_pap, 4, sizeof(cl_mem), &part_k_loop_dot_pap_d10);
-            err = clEnqueueNDRangeKernel(queues[10], k_loop_dot_pap, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_pap");
-        }
-        {
-            const cl_int first = 91201;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_pap, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_pap, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_pap, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_dot_pap, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_dot_pap, 4, sizeof(cl_mem), &part_k_loop_dot_pap_d11);
-            err = clEnqueueNDRangeKernel(queues[11], k_loop_dot_pap, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_pap");
-        }
-        {
-            const cl_int first = 99491;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_pap, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_pap, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_pap, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_dot_pap, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_dot_pap, 4, sizeof(cl_mem), &part_k_loop_dot_pap_d12);
-            err = clEnqueueNDRangeKernel(queues[12], k_loop_dot_pap, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_pap");
-        }
-        {
-            const cl_int first = 107781;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_pap, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_pap, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_pap, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_dot_pap, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_dot_pap, 4, sizeof(cl_mem), &part_k_loop_dot_pap_d13);
-            err = clEnqueueNDRangeKernel(queues[13], k_loop_dot_pap, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_pap");
-        }
-        {
-            const cl_int first = 116071;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_pap, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_pap, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_pap, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_dot_pap, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_dot_pap, 4, sizeof(cl_mem), &part_k_loop_dot_pap_d14);
-            err = clEnqueueNDRangeKernel(queues[14], k_loop_dot_pap, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_pap");
-        }
-        {
-            const cl_int first = 124361;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_pap, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_pap, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_pap, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_dot_pap, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_dot_pap, 4, sizeof(cl_mem), &part_k_loop_dot_pap_d15);
-            err = clEnqueueNDRangeKernel(queues[15], k_loop_dot_pap, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_pap");
-        }
-        clFinish(queues[0]);
-        clFinish(queues[1]);
-        clFinish(queues[2]);
-        clFinish(queues[3]);
-        clFinish(queues[4]);
-        clFinish(queues[5]);
-        clFinish(queues[6]);
-        clFinish(queues[7]);
-        clFinish(queues[8]);
-        clFinish(queues[9]);
-        clFinish(queues[10]);
-        clFinish(queues[11]);
-        clFinish(queues[12]);
-        clFinish(queues[13]);
-        clFinish(queues[14]);
-        clFinish(queues[15]);
-        h_loop_dot_pap_s = 0.0;
-        err = clEnqueueReadBuffer(queues[0], part_k_loop_dot_pap_d0, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_pap_d0, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_pap");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_pap_s += ph_k_loop_dot_pap_d0[g];
-        err = clEnqueueReadBuffer(queues[1], part_k_loop_dot_pap_d1, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_pap_d1, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_pap");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_pap_s += ph_k_loop_dot_pap_d1[g];
-        err = clEnqueueReadBuffer(queues[2], part_k_loop_dot_pap_d2, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_pap_d2, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_pap");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_pap_s += ph_k_loop_dot_pap_d2[g];
-        err = clEnqueueReadBuffer(queues[3], part_k_loop_dot_pap_d3, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_pap_d3, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_pap");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_pap_s += ph_k_loop_dot_pap_d3[g];
-        err = clEnqueueReadBuffer(queues[4], part_k_loop_dot_pap_d4, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_pap_d4, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_pap");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_pap_s += ph_k_loop_dot_pap_d4[g];
-        err = clEnqueueReadBuffer(queues[5], part_k_loop_dot_pap_d5, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_pap_d5, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_pap");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_pap_s += ph_k_loop_dot_pap_d5[g];
-        err = clEnqueueReadBuffer(queues[6], part_k_loop_dot_pap_d6, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_pap_d6, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_pap");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_pap_s += ph_k_loop_dot_pap_d6[g];
-        err = clEnqueueReadBuffer(queues[7], part_k_loop_dot_pap_d7, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_pap_d7, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_pap");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_pap_s += ph_k_loop_dot_pap_d7[g];
-        err = clEnqueueReadBuffer(queues[8], part_k_loop_dot_pap_d8, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_pap_d8, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_pap");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_pap_s += ph_k_loop_dot_pap_d8[g];
-        err = clEnqueueReadBuffer(queues[9], part_k_loop_dot_pap_d9, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_pap_d9, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_pap");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_pap_s += ph_k_loop_dot_pap_d9[g];
-        err = clEnqueueReadBuffer(queues[10], part_k_loop_dot_pap_d10, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_pap_d10, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_pap");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_pap_s += ph_k_loop_dot_pap_d10[g];
-        err = clEnqueueReadBuffer(queues[11], part_k_loop_dot_pap_d11, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_pap_d11, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_pap");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_pap_s += ph_k_loop_dot_pap_d11[g];
-        err = clEnqueueReadBuffer(queues[12], part_k_loop_dot_pap_d12, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_pap_d12, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_pap");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_pap_s += ph_k_loop_dot_pap_d12[g];
-        err = clEnqueueReadBuffer(queues[13], part_k_loop_dot_pap_d13, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_pap_d13, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_pap");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_pap_s += ph_k_loop_dot_pap_d13[g];
-        err = clEnqueueReadBuffer(queues[14], part_k_loop_dot_pap_d14, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_pap_d14, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_pap");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_pap_s += ph_k_loop_dot_pap_d14[g];
-        err = clEnqueueReadBuffer(queues[15], part_k_loop_dot_pap_d15, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_pap_d15, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_pap");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_pap_s += ph_k_loop_dot_pap_d15[g];
+        run_step(step_3, 16);
+        h_loop_dot_rr_s = sum_doubles(step_3, 16);
+        run_step(step_4, 16);
+        run_step(step_5, 16);
+        h_loop_dot_pap_s = sum_doubles(step_5, 16);
         h_loop_alpha_q = h_loop_dot_rr_s / h_loop_dot_pap_s;
         h_loop_neg_alpha_z = -h_loop_alpha_q;
-        {
-            const cl_int first = 0;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_x, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_x, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_x, 2, sizeof(cl_mem), &buf_x);
-            clSetKernelArg(k_loop_axpy_x, 3, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_x, 4, sizeof(double), &h_loop_alpha_q);
-            err = clEnqueueNDRangeKernel(queues[0], k_loop_axpy_x, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_x");
-        }
-        {
-            const cl_int first = 8291;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_x, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_x, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_x, 2, sizeof(cl_mem), &buf_x);
-            clSetKernelArg(k_loop_axpy_x, 3, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_x, 4, sizeof(double), &h_loop_alpha_q);
-            err = clEnqueueNDRangeKernel(queues[1], k_loop_axpy_x, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_x");
-        }
-        {
-            const cl_int first = 16582;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_x, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_x, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_x, 2, sizeof(cl_mem), &buf_x);
-            clSetKernelArg(k_loop_axpy_x, 3, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_x, 4, sizeof(double), &h_loop_alpha_q);
-            err = clEnqueueNDRangeKernel(queues[2], k_loop_axpy_x, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_x");
-        }
-        {
-            const cl_int first = 24873;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_x, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_x, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_x, 2, sizeof(cl_mem), &buf_x);
-            clSetKernelArg(k_loop_axpy_x, 3, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_x, 4, sizeof(double), &h_loop_alpha_q);
-            err = clEnqueueNDRangeKernel(queues[3], k_loop_axpy_x, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_x");
-        }
-        {
-            const cl_int first = 33164;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_x, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_x, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_x, 2, sizeof(cl_mem), &buf_x);
-            clSetKernelArg(k_loop_axpy_x, 3, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_x, 4, sizeof(double), &h_loop_alpha_q);
-            err = clEnqueueNDRangeKernel(queues[4], k_loop_axpy_x, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_x");
-        }
-        {
-            const cl_int first = 41455;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_x, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_x, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_x, 2, sizeof(cl_mem), &buf_x);
-            clSetKernelArg(k_loop_axpy_x, 3, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_x, 4, sizeof(double), &h_loop_alpha_q);
-            err = clEnqueueNDRangeKernel(queues[5], k_loop_axpy_x, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_x");
-        }
-        {
-            const cl_int first = 49746;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_x, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_x, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_x, 2, sizeof(cl_mem), &buf_x);
-            clSetKernelArg(k_loop_axpy_x, 3, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_x, 4, sizeof(double), &h_loop_alpha_q);
-            err = clEnqueueNDRangeKernel(queues[6], k_loop_axpy_x, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_x");
-        }
-        {
-            const cl_int first = 58037;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_x, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_x, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_x, 2, sizeof(cl_mem), &buf_x);
-            clSetKernelArg(k_loop_axpy_x, 3, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_x, 4, sizeof(double), &h_loop_alpha_q);
-            err = clEnqueueNDRangeKernel(queues[7], k_loop_axpy_x, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_x");
-        }
-        {
-            const cl_int first = 66328;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_x, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_x, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_x, 2, sizeof(cl_mem), &buf_x);
-            clSetKernelArg(k_loop_axpy_x, 3, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_x, 4, sizeof(double), &h_loop_alpha_q);
-            err = clEnqueueNDRangeKernel(queues[8], k_loop_axpy_x, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_x");
-        }
-        {
-            const cl_int first = 74619;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_x, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_x, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_x, 2, sizeof(cl_mem), &buf_x);
-            clSetKernelArg(k_loop_axpy_x, 3, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_x, 4, sizeof(double), &h_loop_alpha_q);
-            err = clEnqueueNDRangeKernel(queues[9], k_loop_axpy_x, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_x");
-        }
-        {
-            const cl_int first = 82910;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_x, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_x, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_x, 2, sizeof(cl_mem), &buf_x);
-            clSetKernelArg(k_loop_axpy_x, 3, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_x, 4, sizeof(double), &h_loop_alpha_q);
-            err = clEnqueueNDRangeKernel(queues[10], k_loop_axpy_x, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_x");
-        }
-        {
-            const cl_int first = 91201;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_x, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_x, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_x, 2, sizeof(cl_mem), &buf_x);
-            clSetKernelArg(k_loop_axpy_x, 3, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_x, 4, sizeof(double), &h_loop_alpha_q);
-            err = clEnqueueNDRangeKernel(queues[11], k_loop_axpy_x, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_x");
-        }
-        {
-            const cl_int first = 99491;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_x, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_x, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_x, 2, sizeof(cl_mem), &buf_x);
-            clSetKernelArg(k_loop_axpy_x, 3, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_x, 4, sizeof(double), &h_loop_alpha_q);
-            err = clEnqueueNDRangeKernel(queues[12], k_loop_axpy_x, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_x");
-        }
-        {
-            const cl_int first = 107781;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_x, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_x, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_x, 2, sizeof(cl_mem), &buf_x);
-            clSetKernelArg(k_loop_axpy_x, 3, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_x, 4, sizeof(double), &h_loop_alpha_q);
-            err = clEnqueueNDRangeKernel(queues[13], k_loop_axpy_x, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_x");
-        }
-        {
-            const cl_int first = 116071;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_x, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_x, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_x, 2, sizeof(cl_mem), &buf_x);
-            clSetKernelArg(k_loop_axpy_x, 3, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_x, 4, sizeof(double), &h_loop_alpha_q);
-            err = clEnqueueNDRangeKernel(queues[14], k_loop_axpy_x, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_x");
-        }
-        {
-            const cl_int first = 124361;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_x, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_x, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_x, 2, sizeof(cl_mem), &buf_x);
-            clSetKernelArg(k_loop_axpy_x, 3, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_x, 4, sizeof(double), &h_loop_alpha_q);
-            err = clEnqueueNDRangeKernel(queues[15], k_loop_axpy_x, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_x");
-        }
-        clFinish(queues[0]);
-        clFinish(queues[1]);
-        clFinish(queues[2]);
-        clFinish(queues[3]);
-        clFinish(queues[4]);
-        clFinish(queues[5]);
-        clFinish(queues[6]);
-        clFinish(queues[7]);
-        clFinish(queues[8]);
-        clFinish(queues[9]);
-        clFinish(queues[10]);
-        clFinish(queues[11]);
-        clFinish(queues[12]);
-        clFinish(queues[13]);
-        clFinish(queues[14]);
-        clFinish(queues[15]);
-        {
-            const cl_int first = 0;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_r, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_r, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_r, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_axpy_r, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_axpy_r, 4, sizeof(double), &h_loop_neg_alpha_z);
-            err = clEnqueueNDRangeKernel(queues[0], k_loop_axpy_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_r");
-        }
-        {
-            const cl_int first = 8291;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_r, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_r, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_r, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_axpy_r, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_axpy_r, 4, sizeof(double), &h_loop_neg_alpha_z);
-            err = clEnqueueNDRangeKernel(queues[1], k_loop_axpy_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_r");
-        }
-        {
-            const cl_int first = 16582;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_r, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_r, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_r, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_axpy_r, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_axpy_r, 4, sizeof(double), &h_loop_neg_alpha_z);
-            err = clEnqueueNDRangeKernel(queues[2], k_loop_axpy_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_r");
-        }
-        {
-            const cl_int first = 24873;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_r, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_r, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_r, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_axpy_r, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_axpy_r, 4, sizeof(double), &h_loop_neg_alpha_z);
-            err = clEnqueueNDRangeKernel(queues[3], k_loop_axpy_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_r");
-        }
-        {
-            const cl_int first = 33164;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_r, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_r, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_r, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_axpy_r, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_axpy_r, 4, sizeof(double), &h_loop_neg_alpha_z);
-            err = clEnqueueNDRangeKernel(queues[4], k_loop_axpy_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_r");
-        }
-        {
-            const cl_int first = 41455;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_r, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_r, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_r, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_axpy_r, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_axpy_r, 4, sizeof(double), &h_loop_neg_alpha_z);
-            err = clEnqueueNDRangeKernel(queues[5], k_loop_axpy_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_r");
-        }
-        {
-            const cl_int first = 49746;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_r, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_r, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_r, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_axpy_r, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_axpy_r, 4, sizeof(double), &h_loop_neg_alpha_z);
-            err = clEnqueueNDRangeKernel(queues[6], k_loop_axpy_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_r");
-        }
-        {
-            const cl_int first = 58037;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_r, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_r, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_r, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_axpy_r, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_axpy_r, 4, sizeof(double), &h_loop_neg_alpha_z);
-            err = clEnqueueNDRangeKernel(queues[7], k_loop_axpy_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_r");
-        }
-        {
-            const cl_int first = 66328;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_r, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_r, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_r, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_axpy_r, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_axpy_r, 4, sizeof(double), &h_loop_neg_alpha_z);
-            err = clEnqueueNDRangeKernel(queues[8], k_loop_axpy_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_r");
-        }
-        {
-            const cl_int first = 74619;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_r, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_r, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_r, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_axpy_r, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_axpy_r, 4, sizeof(double), &h_loop_neg_alpha_z);
-            err = clEnqueueNDRangeKernel(queues[9], k_loop_axpy_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_r");
-        }
-        {
-            const cl_int first = 82910;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_r, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_r, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_r, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_axpy_r, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_axpy_r, 4, sizeof(double), &h_loop_neg_alpha_z);
-            err = clEnqueueNDRangeKernel(queues[10], k_loop_axpy_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_r");
-        }
-        {
-            const cl_int first = 91201;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_r, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_r, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_r, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_axpy_r, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_axpy_r, 4, sizeof(double), &h_loop_neg_alpha_z);
-            err = clEnqueueNDRangeKernel(queues[11], k_loop_axpy_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_r");
-        }
-        {
-            const cl_int first = 99491;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_r, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_r, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_r, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_axpy_r, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_axpy_r, 4, sizeof(double), &h_loop_neg_alpha_z);
-            err = clEnqueueNDRangeKernel(queues[12], k_loop_axpy_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_r");
-        }
-        {
-            const cl_int first = 107781;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_r, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_r, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_r, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_axpy_r, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_axpy_r, 4, sizeof(double), &h_loop_neg_alpha_z);
-            err = clEnqueueNDRangeKernel(queues[13], k_loop_axpy_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_r");
-        }
-        {
-            const cl_int first = 116071;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_r, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_r, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_r, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_axpy_r, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_axpy_r, 4, sizeof(double), &h_loop_neg_alpha_z);
-            err = clEnqueueNDRangeKernel(queues[14], k_loop_axpy_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_r");
-        }
-        {
-            const cl_int first = 124361;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_r, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_r, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_r, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_axpy_r, 3, sizeof(cl_mem), &buf_loop_spmv_y);
-            clSetKernelArg(k_loop_axpy_r, 4, sizeof(double), &h_loop_neg_alpha_z);
-            err = clEnqueueNDRangeKernel(queues[15], k_loop_axpy_r, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_r");
-        }
-        clFinish(queues[0]);
-        clFinish(queues[1]);
-        clFinish(queues[2]);
-        clFinish(queues[3]);
-        clFinish(queues[4]);
-        clFinish(queues[5]);
-        clFinish(queues[6]);
-        clFinish(queues[7]);
-        clFinish(queues[8]);
-        clFinish(queues[9]);
-        clFinish(queues[10]);
-        clFinish(queues[11]);
-        clFinish(queues[12]);
-        clFinish(queues[13]);
-        clFinish(queues[14]);
-        clFinish(queues[15]);
-        {
-            const cl_int first = 0;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rrn, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rrn, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rrn, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 4, sizeof(cl_mem), &part_k_loop_dot_rrn_d0);
-            err = clEnqueueNDRangeKernel(queues[0], k_loop_dot_rrn, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rrn");
-        }
-        {
-            const cl_int first = 8291;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rrn, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rrn, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rrn, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 4, sizeof(cl_mem), &part_k_loop_dot_rrn_d1);
-            err = clEnqueueNDRangeKernel(queues[1], k_loop_dot_rrn, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rrn");
-        }
-        {
-            const cl_int first = 16582;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rrn, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rrn, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rrn, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 4, sizeof(cl_mem), &part_k_loop_dot_rrn_d2);
-            err = clEnqueueNDRangeKernel(queues[2], k_loop_dot_rrn, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rrn");
-        }
-        {
-            const cl_int first = 24873;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rrn, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rrn, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rrn, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 4, sizeof(cl_mem), &part_k_loop_dot_rrn_d3);
-            err = clEnqueueNDRangeKernel(queues[3], k_loop_dot_rrn, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rrn");
-        }
-        {
-            const cl_int first = 33164;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rrn, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rrn, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rrn, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 4, sizeof(cl_mem), &part_k_loop_dot_rrn_d4);
-            err = clEnqueueNDRangeKernel(queues[4], k_loop_dot_rrn, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rrn");
-        }
-        {
-            const cl_int first = 41455;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rrn, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rrn, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rrn, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 4, sizeof(cl_mem), &part_k_loop_dot_rrn_d5);
-            err = clEnqueueNDRangeKernel(queues[5], k_loop_dot_rrn, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rrn");
-        }
-        {
-            const cl_int first = 49746;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rrn, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rrn, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rrn, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 4, sizeof(cl_mem), &part_k_loop_dot_rrn_d6);
-            err = clEnqueueNDRangeKernel(queues[6], k_loop_dot_rrn, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rrn");
-        }
-        {
-            const cl_int first = 58037;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rrn, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rrn, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rrn, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 4, sizeof(cl_mem), &part_k_loop_dot_rrn_d7);
-            err = clEnqueueNDRangeKernel(queues[7], k_loop_dot_rrn, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rrn");
-        }
-        {
-            const cl_int first = 66328;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rrn, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rrn, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rrn, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 4, sizeof(cl_mem), &part_k_loop_dot_rrn_d8);
-            err = clEnqueueNDRangeKernel(queues[8], k_loop_dot_rrn, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rrn");
-        }
-        {
-            const cl_int first = 74619;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rrn, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rrn, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rrn, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 4, sizeof(cl_mem), &part_k_loop_dot_rrn_d9);
-            err = clEnqueueNDRangeKernel(queues[9], k_loop_dot_rrn, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rrn");
-        }
-        {
-            const cl_int first = 82910;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rrn, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rrn, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rrn, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 4, sizeof(cl_mem), &part_k_loop_dot_rrn_d10);
-            err = clEnqueueNDRangeKernel(queues[10], k_loop_dot_rrn, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rrn");
-        }
-        {
-            const cl_int first = 91201;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rrn, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rrn, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rrn, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 4, sizeof(cl_mem), &part_k_loop_dot_rrn_d11);
-            err = clEnqueueNDRangeKernel(queues[11], k_loop_dot_rrn, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rrn");
-        }
-        {
-            const cl_int first = 99491;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rrn, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rrn, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rrn, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 4, sizeof(cl_mem), &part_k_loop_dot_rrn_d12);
-            err = clEnqueueNDRangeKernel(queues[12], k_loop_dot_rrn, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rrn");
-        }
-        {
-            const cl_int first = 107781;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rrn, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rrn, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rrn, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 4, sizeof(cl_mem), &part_k_loop_dot_rrn_d13);
-            err = clEnqueueNDRangeKernel(queues[13], k_loop_dot_rrn, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rrn");
-        }
-        {
-            const cl_int first = 116071;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rrn, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rrn, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rrn, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 4, sizeof(cl_mem), &part_k_loop_dot_rrn_d14);
-            err = clEnqueueNDRangeKernel(queues[14], k_loop_dot_rrn, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rrn");
-        }
-        {
-            const cl_int first = 124361;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_dot_rrn, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_dot_rrn, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_dot_rrn, 2, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 3, sizeof(cl_mem), &buf_init_r_dst);
-            clSetKernelArg(k_loop_dot_rrn, 4, sizeof(cl_mem), &part_k_loop_dot_rrn_d15);
-            err = clEnqueueNDRangeKernel(queues[15], k_loop_dot_rrn, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_dot_rrn");
-        }
-        clFinish(queues[0]);
-        clFinish(queues[1]);
-        clFinish(queues[2]);
-        clFinish(queues[3]);
-        clFinish(queues[4]);
-        clFinish(queues[5]);
-        clFinish(queues[6]);
-        clFinish(queues[7]);
-        clFinish(queues[8]);
-        clFinish(queues[9]);
-        clFinish(queues[10]);
-        clFinish(queues[11]);
-        clFinish(queues[12]);
-        clFinish(queues[13]);
-        clFinish(queues[14]);
-        clFinish(queues[15]);
-        h_loop_dot_rrn_s = 0.0;
-        err = clEnqueueReadBuffer(queues[0], part_k_loop_dot_rrn_d0, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rrn_d0, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rrn");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rrn_s += ph_k_loop_dot_rrn_d0[g];
-        err = clEnqueueReadBuffer(queues[1], part_k_loop_dot_rrn_d1, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rrn_d1, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rrn");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rrn_s += ph_k_loop_dot_rrn_d1[g];
-        err = clEnqueueReadBuffer(queues[2], part_k_loop_dot_rrn_d2, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rrn_d2, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rrn");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rrn_s += ph_k_loop_dot_rrn_d2[g];
-        err = clEnqueueReadBuffer(queues[3], part_k_loop_dot_rrn_d3, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rrn_d3, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rrn");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rrn_s += ph_k_loop_dot_rrn_d3[g];
-        err = clEnqueueReadBuffer(queues[4], part_k_loop_dot_rrn_d4, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rrn_d4, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rrn");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rrn_s += ph_k_loop_dot_rrn_d4[g];
-        err = clEnqueueReadBuffer(queues[5], part_k_loop_dot_rrn_d5, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rrn_d5, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rrn");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rrn_s += ph_k_loop_dot_rrn_d5[g];
-        err = clEnqueueReadBuffer(queues[6], part_k_loop_dot_rrn_d6, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rrn_d6, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rrn");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rrn_s += ph_k_loop_dot_rrn_d6[g];
-        err = clEnqueueReadBuffer(queues[7], part_k_loop_dot_rrn_d7, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rrn_d7, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rrn");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rrn_s += ph_k_loop_dot_rrn_d7[g];
-        err = clEnqueueReadBuffer(queues[8], part_k_loop_dot_rrn_d8, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rrn_d8, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rrn");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rrn_s += ph_k_loop_dot_rrn_d8[g];
-        err = clEnqueueReadBuffer(queues[9], part_k_loop_dot_rrn_d9, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rrn_d9, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rrn");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rrn_s += ph_k_loop_dot_rrn_d9[g];
-        err = clEnqueueReadBuffer(queues[10], part_k_loop_dot_rrn_d10, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rrn_d10, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rrn");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rrn_s += ph_k_loop_dot_rrn_d10[g];
-        err = clEnqueueReadBuffer(queues[11], part_k_loop_dot_rrn_d11, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rrn_d11, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rrn");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rrn_s += ph_k_loop_dot_rrn_d11[g];
-        err = clEnqueueReadBuffer(queues[12], part_k_loop_dot_rrn_d12, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rrn_d12, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rrn");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rrn_s += ph_k_loop_dot_rrn_d12[g];
-        err = clEnqueueReadBuffer(queues[13], part_k_loop_dot_rrn_d13, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rrn_d13, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rrn");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rrn_s += ph_k_loop_dot_rrn_d13[g];
-        err = clEnqueueReadBuffer(queues[14], part_k_loop_dot_rrn_d14, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rrn_d14, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rrn");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rrn_s += ph_k_loop_dot_rrn_d14[g];
-        err = clEnqueueReadBuffer(queues[15], part_k_loop_dot_rrn_d15, CL_TRUE, 0, 1037 * sizeof(double), ph_k_loop_dot_rrn_d15, 0, NULL, NULL);
-        CHECK(err, "read partials k_loop_dot_rrn");
-        for (int g = 0; g < 1037; ++g) h_loop_dot_rrn_s += ph_k_loop_dot_rrn_d15[g];
+        run_step(step_6, 16);
+        run_step(step_7, 16);
+        run_step(step_8, 16);
+        h_loop_dot_rrn_s = sum_doubles(step_8, 16);
         h_loop_relres = sqrt(h_loop_dot_rrn_s) / sqrt(h_dot_bb_s);
         h_loop_beta_q = h_loop_dot_rrn_s / h_loop_dot_rr_s;
-        {
-            const cl_int first = 0;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_scale_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_scale_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_scale_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_scale_p, 3, sizeof(double), &h_loop_beta_q);
-            err = clEnqueueNDRangeKernel(queues[0], k_loop_scale_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_scale_p");
-        }
-        {
-            const cl_int first = 8291;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_scale_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_scale_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_scale_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_scale_p, 3, sizeof(double), &h_loop_beta_q);
-            err = clEnqueueNDRangeKernel(queues[1], k_loop_scale_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_scale_p");
-        }
-        {
-            const cl_int first = 16582;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_scale_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_scale_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_scale_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_scale_p, 3, sizeof(double), &h_loop_beta_q);
-            err = clEnqueueNDRangeKernel(queues[2], k_loop_scale_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_scale_p");
-        }
-        {
-            const cl_int first = 24873;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_scale_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_scale_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_scale_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_scale_p, 3, sizeof(double), &h_loop_beta_q);
-            err = clEnqueueNDRangeKernel(queues[3], k_loop_scale_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_scale_p");
-        }
-        {
-            const cl_int first = 33164;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_scale_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_scale_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_scale_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_scale_p, 3, sizeof(double), &h_loop_beta_q);
-            err = clEnqueueNDRangeKernel(queues[4], k_loop_scale_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_scale_p");
-        }
-        {
-            const cl_int first = 41455;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_scale_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_scale_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_scale_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_scale_p, 3, sizeof(double), &h_loop_beta_q);
-            err = clEnqueueNDRangeKernel(queues[5], k_loop_scale_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_scale_p");
-        }
-        {
-            const cl_int first = 49746;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_scale_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_scale_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_scale_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_scale_p, 3, sizeof(double), &h_loop_beta_q);
-            err = clEnqueueNDRangeKernel(queues[6], k_loop_scale_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_scale_p");
-        }
-        {
-            const cl_int first = 58037;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_scale_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_scale_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_scale_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_scale_p, 3, sizeof(double), &h_loop_beta_q);
-            err = clEnqueueNDRangeKernel(queues[7], k_loop_scale_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_scale_p");
-        }
-        {
-            const cl_int first = 66328;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_scale_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_scale_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_scale_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_scale_p, 3, sizeof(double), &h_loop_beta_q);
-            err = clEnqueueNDRangeKernel(queues[8], k_loop_scale_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_scale_p");
-        }
-        {
-            const cl_int first = 74619;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_scale_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_scale_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_scale_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_scale_p, 3, sizeof(double), &h_loop_beta_q);
-            err = clEnqueueNDRangeKernel(queues[9], k_loop_scale_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_scale_p");
-        }
-        {
-            const cl_int first = 82910;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_scale_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_scale_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_scale_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_scale_p, 3, sizeof(double), &h_loop_beta_q);
-            err = clEnqueueNDRangeKernel(queues[10], k_loop_scale_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_scale_p");
-        }
-        {
-            const cl_int first = 91201;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_scale_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_scale_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_scale_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_scale_p, 3, sizeof(double), &h_loop_beta_q);
-            err = clEnqueueNDRangeKernel(queues[11], k_loop_scale_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_scale_p");
-        }
-        {
-            const cl_int first = 99491;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_scale_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_scale_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_scale_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_scale_p, 3, sizeof(double), &h_loop_beta_q);
-            err = clEnqueueNDRangeKernel(queues[12], k_loop_scale_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_scale_p");
-        }
-        {
-            const cl_int first = 107781;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_scale_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_scale_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_scale_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_scale_p, 3, sizeof(double), &h_loop_beta_q);
-            err = clEnqueueNDRangeKernel(queues[13], k_loop_scale_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_scale_p");
-        }
-        {
-            const cl_int first = 116071;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_scale_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_scale_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_scale_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_scale_p, 3, sizeof(double), &h_loop_beta_q);
-            err = clEnqueueNDRangeKernel(queues[14], k_loop_scale_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_scale_p");
-        }
-        {
-            const cl_int first = 124361;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_scale_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_scale_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_scale_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_scale_p, 3, sizeof(double), &h_loop_beta_q);
-            err = clEnqueueNDRangeKernel(queues[15], k_loop_scale_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_scale_p");
-        }
-        clFinish(queues[0]);
-        clFinish(queues[1]);
-        clFinish(queues[2]);
-        clFinish(queues[3]);
-        clFinish(queues[4]);
-        clFinish(queues[5]);
-        clFinish(queues[6]);
-        clFinish(queues[7]);
-        clFinish(queues[8]);
-        clFinish(queues[9]);
-        clFinish(queues[10]);
-        clFinish(queues[11]);
-        clFinish(queues[12]);
-        clFinish(queues[13]);
-        clFinish(queues[14]);
-        clFinish(queues[15]);
-        {
-            const cl_int first = 0;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_p, 3, sizeof(cl_mem), &buf_init_r_dst);
-            err = clEnqueueNDRangeKernel(queues[0], k_loop_axpy_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_p");
-        }
-        {
-            const cl_int first = 8291;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_p, 3, sizeof(cl_mem), &buf_init_r_dst);
-            err = clEnqueueNDRangeKernel(queues[1], k_loop_axpy_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_p");
-        }
-        {
-            const cl_int first = 16582;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_p, 3, sizeof(cl_mem), &buf_init_r_dst);
-            err = clEnqueueNDRangeKernel(queues[2], k_loop_axpy_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_p");
-        }
-        {
-            const cl_int first = 24873;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_p, 3, sizeof(cl_mem), &buf_init_r_dst);
-            err = clEnqueueNDRangeKernel(queues[3], k_loop_axpy_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_p");
-        }
-        {
-            const cl_int first = 33164;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_p, 3, sizeof(cl_mem), &buf_init_r_dst);
-            err = clEnqueueNDRangeKernel(queues[4], k_loop_axpy_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_p");
-        }
-        {
-            const cl_int first = 41455;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_p, 3, sizeof(cl_mem), &buf_init_r_dst);
-            err = clEnqueueNDRangeKernel(queues[5], k_loop_axpy_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_p");
-        }
-        {
-            const cl_int first = 49746;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_p, 3, sizeof(cl_mem), &buf_init_r_dst);
-            err = clEnqueueNDRangeKernel(queues[6], k_loop_axpy_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_p");
-        }
-        {
-            const cl_int first = 58037;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_p, 3, sizeof(cl_mem), &buf_init_r_dst);
-            err = clEnqueueNDRangeKernel(queues[7], k_loop_axpy_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_p");
-        }
-        {
-            const cl_int first = 66328;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_p, 3, sizeof(cl_mem), &buf_init_r_dst);
-            err = clEnqueueNDRangeKernel(queues[8], k_loop_axpy_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_p");
-        }
-        {
-            const cl_int first = 74619;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_p, 3, sizeof(cl_mem), &buf_init_r_dst);
-            err = clEnqueueNDRangeKernel(queues[9], k_loop_axpy_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_p");
-        }
-        {
-            const cl_int first = 82910;
-            const cl_int count = 8291;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_p, 3, sizeof(cl_mem), &buf_init_r_dst);
-            err = clEnqueueNDRangeKernel(queues[10], k_loop_axpy_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_p");
-        }
-        {
-            const cl_int first = 91201;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_p, 3, sizeof(cl_mem), &buf_init_r_dst);
-            err = clEnqueueNDRangeKernel(queues[11], k_loop_axpy_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_p");
-        }
-        {
-            const cl_int first = 99491;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_p, 3, sizeof(cl_mem), &buf_init_r_dst);
-            err = clEnqueueNDRangeKernel(queues[12], k_loop_axpy_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_p");
-        }
-        {
-            const cl_int first = 107781;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_p, 3, sizeof(cl_mem), &buf_init_r_dst);
-            err = clEnqueueNDRangeKernel(queues[13], k_loop_axpy_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_p");
-        }
-        {
-            const cl_int first = 116071;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_p, 3, sizeof(cl_mem), &buf_init_r_dst);
-            err = clEnqueueNDRangeKernel(queues[14], k_loop_axpy_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_p");
-        }
-        {
-            const cl_int first = 124361;
-            const cl_int count = 8290;
-            const size_t global_size = 8296;
-            const size_t local_size = 8;
-            clSetKernelArg(k_loop_axpy_p, 0, sizeof(cl_int), &first);
-            clSetKernelArg(k_loop_axpy_p, 1, sizeof(cl_int), &count);
-            clSetKernelArg(k_loop_axpy_p, 2, sizeof(cl_mem), &buf_init_p_dst);
-            clSetKernelArg(k_loop_axpy_p, 3, sizeof(cl_mem), &buf_init_r_dst);
-            err = clEnqueueNDRangeKernel(queues[15], k_loop_axpy_p, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-            CHECK(err, "enqueue k_loop_axpy_p");
-        }
-        clFinish(queues[0]);
-        clFinish(queues[1]);
-        clFinish(queues[2]);
-        clFinish(queues[3]);
-        clFinish(queues[4]);
-        clFinish(queues[5]);
-        clFinish(queues[6]);
-        clFinish(queues[7]);
-        clFinish(queues[8]);
-        clFinish(queues[9]);
-        clFinish(queues[10]);
-        clFinish(queues[11]);
-        clFinish(queues[12]);
-        clFinish(queues[13]);
-        clFinish(queues[14]);
-        clFinish(queues[15]);
+        run_step(step_9, 16);
+        run_step(step_10, 16);
         ++iters;
-        if (h_loop_relres <= 1e-10) { converged = 1; break; }
+        if (h_loop_relres < 1e-10) { converged = 1; break; }
     }
 
     /* read back and store outputs */
@@ -3001,145 +544,8 @@ int main(void)
     clReleaseMemObject(buf_init_p_dst);
     clReleaseMemObject(buf_x);
     clReleaseMemObject(buf_loop_spmv_y);
-    clReleaseMemObject(part_k_dot_bb_d0);
-    free(ph_k_dot_bb_d0);
-    clReleaseMemObject(part_k_dot_bb_d1);
-    free(ph_k_dot_bb_d1);
-    clReleaseMemObject(part_k_dot_bb_d2);
-    free(ph_k_dot_bb_d2);
-    clReleaseMemObject(part_k_dot_bb_d3);
-    free(ph_k_dot_bb_d3);
-    clReleaseMemObject(part_k_dot_bb_d4);
-    free(ph_k_dot_bb_d4);
-    clReleaseMemObject(part_k_dot_bb_d5);
-    free(ph_k_dot_bb_d5);
-    clReleaseMemObject(part_k_dot_bb_d6);
-    free(ph_k_dot_bb_d6);
-    clReleaseMemObject(part_k_dot_bb_d7);
-    free(ph_k_dot_bb_d7);
-    clReleaseMemObject(part_k_dot_bb_d8);
-    free(ph_k_dot_bb_d8);
-    clReleaseMemObject(part_k_dot_bb_d9);
-    free(ph_k_dot_bb_d9);
-    clReleaseMemObject(part_k_dot_bb_d10);
-    free(ph_k_dot_bb_d10);
-    clReleaseMemObject(part_k_dot_bb_d11);
-    free(ph_k_dot_bb_d11);
-    clReleaseMemObject(part_k_dot_bb_d12);
-    free(ph_k_dot_bb_d12);
-    clReleaseMemObject(part_k_dot_bb_d13);
-    free(ph_k_dot_bb_d13);
-    clReleaseMemObject(part_k_dot_bb_d14);
-    free(ph_k_dot_bb_d14);
-    clReleaseMemObject(part_k_dot_bb_d15);
-    free(ph_k_dot_bb_d15);
-    clReleaseMemObject(part_k_loop_dot_rr_d0);
-    free(ph_k_loop_dot_rr_d0);
-    clReleaseMemObject(part_k_loop_dot_rr_d1);
-    free(ph_k_loop_dot_rr_d1);
-    clReleaseMemObject(part_k_loop_dot_rr_d2);
-    free(ph_k_loop_dot_rr_d2);
-    clReleaseMemObject(part_k_loop_dot_rr_d3);
-    free(ph_k_loop_dot_rr_d3);
-    clReleaseMemObject(part_k_loop_dot_rr_d4);
-    free(ph_k_loop_dot_rr_d4);
-    clReleaseMemObject(part_k_loop_dot_rr_d5);
-    free(ph_k_loop_dot_rr_d5);
-    clReleaseMemObject(part_k_loop_dot_rr_d6);
-    free(ph_k_loop_dot_rr_d6);
-    clReleaseMemObject(part_k_loop_dot_rr_d7);
-    free(ph_k_loop_dot_rr_d7);
-    clReleaseMemObject(part_k_loop_dot_rr_d8);
-    free(ph_k_loop_dot_rr_d8);
-    clReleaseMemObject(part_k_loop_dot_rr_d9);
-    free(ph_k_loop_dot_rr_d9);
-    clReleaseMemObject(part_k_loop_dot_rr_d10);
-    free(ph_k_loop_dot_rr_d10);
-    clReleaseMemObject(part_k_loop_dot_rr_d11);
-    free(ph_k_loop_dot_rr_d11);
-    clReleaseMemObject(part_k_loop_dot_rr_d12);
-    free(ph_k_loop_dot_rr_d12);
-    clReleaseMemObject(part_k_loop_dot_rr_d13);
-    free(ph_k_loop_dot_rr_d13);
-    clReleaseMemObject(part_k_loop_dot_rr_d14);
-    free(ph_k_loop_dot_rr_d14);
-    clReleaseMemObject(part_k_loop_dot_rr_d15);
-    free(ph_k_loop_dot_rr_d15);
-    clReleaseMemObject(part_k_loop_dot_pap_d0);
-    free(ph_k_loop_dot_pap_d0);
-    clReleaseMemObject(part_k_loop_dot_pap_d1);
-    free(ph_k_loop_dot_pap_d1);
-    clReleaseMemObject(part_k_loop_dot_pap_d2);
-    free(ph_k_loop_dot_pap_d2);
-    clReleaseMemObject(part_k_loop_dot_pap_d3);
-    free(ph_k_loop_dot_pap_d3);
-    clReleaseMemObject(part_k_loop_dot_pap_d4);
-    free(ph_k_loop_dot_pap_d4);
-    clReleaseMemObject(part_k_loop_dot_pap_d5);
-    free(ph_k_loop_dot_pap_d5);
-    clReleaseMemObject(part_k_loop_dot_pap_d6);
-    free(ph_k_loop_dot_pap_d6);
-    clReleaseMemObject(part_k_loop_dot_pap_d7);
-    free(ph_k_loop_dot_pap_d7);
-    clReleaseMemObject(part_k_loop_dot_pap_d8);
-    free(ph_k_loop_dot_pap_d8);
-    clReleaseMemObject(part_k_loop_dot_pap_d9);
-    free(ph_k_loop_dot_pap_d9);
-    clReleaseMemObject(part_k_loop_dot_pap_d10);
-    free(ph_k_loop_dot_pap_d10);
-    clReleaseMemObject(part_k_loop_dot_pap_d11);
-    free(ph_k_loop_dot_pap_d11);
-    clReleaseMemObject(part_k_loop_dot_pap_d12);
-    free(ph_k_loop_dot_pap_d12);
-    clReleaseMemObject(part_k_loop_dot_pap_d13);
-    free(ph_k_loop_dot_pap_d13);
-    clReleaseMemObject(part_k_loop_dot_pap_d14);
-    free(ph_k_loop_dot_pap_d14);
-    clReleaseMemObject(part_k_loop_dot_pap_d15);
-    free(ph_k_loop_dot_pap_d15);
-    clReleaseMemObject(part_k_loop_dot_rrn_d0);
-    free(ph_k_loop_dot_rrn_d0);
-    clReleaseMemObject(part_k_loop_dot_rrn_d1);
-    free(ph_k_loop_dot_rrn_d1);
-    clReleaseMemObject(part_k_loop_dot_rrn_d2);
-    free(ph_k_loop_dot_rrn_d2);
-    clReleaseMemObject(part_k_loop_dot_rrn_d3);
-    free(ph_k_loop_dot_rrn_d3);
-    clReleaseMemObject(part_k_loop_dot_rrn_d4);
-    free(ph_k_loop_dot_rrn_d4);
-    clReleaseMemObject(part_k_loop_dot_rrn_d5);
-    free(ph_k_loop_dot_rrn_d5);
-    clReleaseMemObject(part_k_loop_dot_rrn_d6);
-    free(ph_k_loop_dot_rrn_d6);
-    clReleaseMemObject(part_k_loop_dot_rrn_d7);
-    free(ph_k_loop_dot_rrn_d7);
-    clReleaseMemObject(part_k_loop_dot_rrn_d8);
-    free(ph_k_loop_dot_rrn_d8);
-    clReleaseMemObject(part_k_loop_dot_rrn_d9);
-    free(ph_k_loop_dot_rrn_d9);
-    clReleaseMemObject(part_k_loop_dot_rrn_d10);
-    free(ph_k_loop_dot_rrn_d10);
-    clReleaseMemObject(part_k_loop_dot_rrn_d11);
-    free(ph_k_loop_dot_rrn_d11);
-    clReleaseMemObject(part_k_loop_dot_rrn_d12);
-    free(ph_k_loop_dot_rrn_d12);
-    clReleaseMemObject(part_k_loop_dot_rrn_d13);
-    free(ph_k_loop_dot_rrn_d13);
-    clReleaseMemObject(part_k_loop_dot_rrn_d14);
-    free(ph_k_loop_dot_rrn_d14);
-    clReleaseMemObject(part_k_loop_dot_rrn_d15);
-    free(ph_k_loop_dot_rrn_d15);
-    clReleaseKernel(k_init_r);
-    clReleaseKernel(k_init_p);
-    clReleaseKernel(k_dot_bb);
-    clReleaseKernel(k_loop_dot_rr);
-    clReleaseKernel(k_loop_spmv);
-    clReleaseKernel(k_loop_dot_pap);
-    clReleaseKernel(k_loop_axpy_x);
-    clReleaseKernel(k_loop_axpy_r);
-    clReleaseKernel(k_loop_dot_rrn);
-    clReleaseKernel(k_loop_scale_p);
-    clReleaseKernel(k_loop_axpy_p);
+    for (int d = 0; d < DEVICE_COUNT; ++d) clReleaseMemObject(partials[d]);
+    for (int k = 0; k < KERNEL_COUNT; ++k) clReleaseKernel(kernels[k]);
     clReleaseProgram(program);
     free(source);
     for (int d = 0; d < DEVICE_COUNT; ++d) clReleaseCommandQueue(queues[d]);

@@ -5,10 +5,11 @@
 
 #pragma OPENCL EXTENSION cl_khr_fp64 : enable
 
-__kernel void k_init_r(const int first,
-                       const int count,
-                       __global const double* src,
-                       __global double* dst)
+/* copy: init_r, init_p */
+__kernel void k_copy_f64(const int first,
+                         const int count,
+                         __global const double* src,
+                         __global double* dst)
 {
     const int gid = get_global_id(0);
     if (gid >= count) return;
@@ -16,22 +17,12 @@ __kernel void k_init_r(const int first,
     dst[i] = src[i];
 }
 
-__kernel void k_init_p(const int first,
-                       const int count,
-                       __global const double* src,
-                       __global double* dst)
-{
-    const int gid = get_global_id(0);
-    if (gid >= count) return;
-    const int i = first + gid;
-    dst[i] = src[i];
-}
-
-__kernel void k_dot_bb(const int first,
-                       const int count,
-                       __global const double* a,
-                       __global const double* b,
-                       __global double* partials)
+/* dot_partial: dot_bb, loop.dot_rr, loop.dot_pap, loop.dot_rrn */
+__kernel void k_dot_partial_f64(const int first,
+                                const int count,
+                                __global const double* a,
+                                __global const double* b,
+                                __global double* partials)
 {
     const int gid = get_global_id(0);
     if (gid >= count) return;
@@ -45,31 +36,14 @@ __kernel void k_dot_bb(const int first,
     partials[get_group_id(0)] = acc;
 }
 
-__kernel void k_loop_dot_rr(const int first,
-                            const int count,
-                            __global const double* a,
-                            __global const double* b,
-                            __global double* partials)
-{
-    const int gid = get_global_id(0);
-    if (gid >= count) return;
-    if (get_local_id(0) != 0) return;
-    int lim = gid + (int)get_local_size(0);
-    if (lim > count) lim = count;
-    double acc = 0.0;
-    for (int k = gid; k < lim; ++k) {
-        acc += a[first + k] * b[first + k];
-    }
-    partials[get_group_id(0)] = acc;
-}
-
-__kernel void k_loop_spmv(const int first,
-                          const int count,
-                          __global const int* rowptr,
-                          __global const int* colidx,
-                          __global const double* values,
-                          __global const double* x,
-                          __global double* y)
+/* spmv_csr: loop.spmv */
+__kernel void k_spmv_csr_i32_f64(const int first,
+                                 const int count,
+                                 __global const int* rowptr,
+                                 __global const int* colidx,
+                                 __global const double* values,
+                                 __global const double* x,
+                                 __global double* y)
 {
     const int gid = get_global_id(0);
     if (gid >= count) return;
@@ -81,29 +55,12 @@ __kernel void k_loop_spmv(const int first,
     y[i] = acc;
 }
 
-__kernel void k_loop_dot_pap(const int first,
-                             const int count,
-                             __global const double* a,
-                             __global const double* b,
-                             __global double* partials)
-{
-    const int gid = get_global_id(0);
-    if (gid >= count) return;
-    if (get_local_id(0) != 0) return;
-    int lim = gid + (int)get_local_size(0);
-    if (lim > count) lim = count;
-    double acc = 0.0;
-    for (int k = gid; k < lim; ++k) {
-        acc += a[first + k] * b[first + k];
-    }
-    partials[get_group_id(0)] = acc;
-}
-
-__kernel void k_loop_axpy_x(const int first,
-                            const int count,
-                            __global double* y,
-                            __global const double* x,
-                            const double a)
+/* axpy: loop.axpy_x, loop.axpy_r */
+__kernel void k_axpy_f64(const int first,
+                         const int count,
+                         __global double* y,
+                         __global const double* x,
+                         const double a)
 {
     const int gid = get_global_id(0);
     if (gid >= count) return;
@@ -111,40 +68,11 @@ __kernel void k_loop_axpy_x(const int first,
     y[i] += a * x[i];
 }
 
-__kernel void k_loop_axpy_r(const int first,
-                            const int count,
-                            __global double* y,
-                            __global const double* x,
-                            const double a)
-{
-    const int gid = get_global_id(0);
-    if (gid >= count) return;
-    const int i = first + gid;
-    y[i] += a * x[i];
-}
-
-__kernel void k_loop_dot_rrn(const int first,
-                             const int count,
-                             __global const double* a,
-                             __global const double* b,
-                             __global double* partials)
-{
-    const int gid = get_global_id(0);
-    if (gid >= count) return;
-    if (get_local_id(0) != 0) return;
-    int lim = gid + (int)get_local_size(0);
-    if (lim > count) lim = count;
-    double acc = 0.0;
-    for (int k = gid; k < lim; ++k) {
-        acc += a[first + k] * b[first + k];
-    }
-    partials[get_group_id(0)] = acc;
-}
-
-__kernel void k_loop_scale_p(const int first,
-                             const int count,
-                             __global double* y,
-                             const double a)
+/* scale: loop.scale_p */
+__kernel void k_scale_f64(const int first,
+                          const int count,
+                          __global double* y,
+                          const double a)
 {
     const int gid = get_global_id(0);
     if (gid >= count) return;
@@ -152,10 +80,11 @@ __kernel void k_loop_scale_p(const int first,
     y[i] *= a;
 }
 
-__kernel void k_loop_axpy_p(const int first,
-                            const int count,
-                            __global double* y,
-                            __global const double* x)
+/* axpy: loop.axpy_p */
+__kernel void k_axpy_f64_2(const int first,
+                           const int count,
+                           __global double* y,
+                           __global const double* x)
 {
     const int gid = get_global_id(0);
     if (gid >= count) return;

@@ -74,9 +74,198 @@ static void store_floats(const char* path, const float* data, long count)
     fclose(f);
 }
 
+enum { DEVICE_COUNT = 2 };
+static cl_command_queue queues[DEVICE_COUNT];
+
+/* the kernels of intrinsics_kernels.cl */
+enum {
+    k_spmv_csr_i32_f64,
+    k_dot_partial_f64,
+    k_copy_f64,
+    k_axpy_f64,
+    k_scale_f64,
+    k_axpy_f64_2,
+    k_sub_f32,
+    KERNEL_COUNT
+};
+static const char* const kernel_names[KERNEL_COUNT] = {
+    "k_spmv_csr_i32_f64",
+    "k_dot_partial_f64",
+    "k_copy_f64",
+    "k_axpy_f64",
+    "k_scale_f64",
+    "k_axpy_f64_2",
+    "k_sub_f32",
+};
+static cl_kernel kernels[KERNEL_COUNT];
+
+/* a kernel argument after first and count, as clSetKernelArg takes it */
+typedef struct { size_t size; const void* value; } arg_t;
+
+/* one launch: a row of its device step's table */
+typedef struct {
+    int kernel;
+    int queue;
+    cl_int first, count;
+    size_t global_size, local_size;
+    const arg_t* args;          /* ends at the first of size 0 */
+    const cl_mem* partials;     /* a reduction's partials buffer, or NULL */
+} launch_t;
+
+/* Set each row's arguments and enqueue it, then wait for every row's
+ * queue.  Kernel arguments are captured at enqueue (OpenCL 1.1, 5.7.2),
+ * so one cl_kernel serves all the rows of its kernel. */
+static void run_step(const launch_t* rows, int count)
+{
+    for (int r = 0; r < count; ++r) {
+        const launch_t* row = &rows[r];
+        cl_kernel kernel = kernels[row->kernel];
+        cl_uint index = 0;
+        cl_int err = clSetKernelArg(kernel, index++, sizeof(cl_int), &row->first);
+        if (err == CL_SUCCESS) err = clSetKernelArg(kernel, index++, sizeof(cl_int), &row->count);
+        for (const arg_t* arg = row->args; err == CL_SUCCESS && arg->size; ++arg)
+            err = clSetKernelArg(kernel, index++, arg->size, arg->value);
+        if (err == CL_SUCCESS && row->partials)
+            err = clSetKernelArg(kernel, index, sizeof(cl_mem), row->partials);
+        CHECK(err, "clSetKernelArg");
+        err = clEnqueueNDRangeKernel(queues[row->queue], kernel, 1, NULL, &row->global_size,
+                                     &row->local_size, 0, NULL, NULL);
+        CHECK(err, kernel_names[row->kernel]);
+    }
+    for (int r = 0; r < count; ++r) clFinish(queues[rows[r].queue]);
+}
+
+/* host-resident scalars */
+static double h_dot_bb_s;
+static double h_dot_by_s;
+static double h_ratio_q;
+static double h_minus_z;
+static double h_relres;
+
+/* one buffer per device-side data allocation */
+static cl_mem buf_rowptr;
+static cl_mem buf_colidx;
+static cl_mem buf_b;
+static cl_mem buf_f;
+static cl_mem buf_g;
+static cl_mem buf_spmv_y;
+static cl_mem buf_init_dst;
+static cl_mem buf_diff_z;
+static cl_mem buf_values;
+
+/* work-group partials: one buffer per device, reused by every reduction */
+static cl_mem partials[DEVICE_COUNT];
+
+/* a reduction step's result: its partials summed row by row, from 0 */
+static double sum_doubles(const launch_t* rows, int count)
+{
+    static double staged[2];
+    double sum = 0;
+    for (int r = 0; r < count; ++r) {
+        size_t groups = rows[r].global_size / rows[r].local_size;
+        cl_int err = clEnqueueReadBuffer(queues[rows[r].queue], *rows[r].partials, CL_TRUE, 0,
+                                         groups * sizeof(double), staged, 0, NULL, NULL);
+        CHECK(err, "read partials");
+        for (size_t g = 0; g < groups; ++g) sum += staged[g];
+    }
+    return sum;
+}
+
+/* step 0: spmv */
+static const arg_t args_0[] = {
+    {sizeof(cl_mem), &buf_rowptr},
+    {sizeof(cl_mem), &buf_colidx},
+    {sizeof(cl_mem), &buf_values},
+    {sizeof(cl_mem), &buf_b},
+    {sizeof(cl_mem), &buf_spmv_y},
+    {0, NULL}
+};
+static const launch_t step_0[] = {
+    {k_spmv_csr_i32_f64, 0, 0, 8, 8, 4, args_0, NULL},
+    {k_spmv_csr_i32_f64, 1, 8, 8, 8, 4, args_0, NULL},
+};
+
+/* step 1: dot_bb */
+static const arg_t args_1[] = {
+    {sizeof(cl_mem), &buf_b},
+    {sizeof(cl_mem), &buf_b},
+    {0, NULL}
+};
+static const launch_t step_1[] = {
+    {k_dot_partial_f64, 0, 0, 8, 8, 4, args_1, &partials[0]},
+    {k_dot_partial_f64, 1, 8, 8, 8, 4, args_1, &partials[1]},
+};
+
+/* step 2: dot_by */
+static const arg_t args_2[] = {
+    {sizeof(cl_mem), &buf_b},
+    {sizeof(cl_mem), &buf_spmv_y},
+    {0, NULL}
+};
+static const launch_t step_2[] = {
+    {k_dot_partial_f64, 0, 0, 8, 8, 4, args_2, &partials[0]},
+    {k_dot_partial_f64, 1, 8, 8, 8, 4, args_2, &partials[1]},
+};
+
+/* step 3: init */
+static const arg_t args_3[] = {
+    {sizeof(cl_mem), &buf_b},
+    {sizeof(cl_mem), &buf_init_dst},
+    {0, NULL}
+};
+static const launch_t step_3[] = {
+    {k_copy_f64, 0, 0, 8, 8, 4, args_3, NULL},
+    {k_copy_f64, 1, 8, 8, 8, 4, args_3, NULL},
+};
+
+/* step 4: update */
+static const arg_t args_4[] = {
+    {sizeof(cl_mem), &buf_init_dst},
+    {sizeof(cl_mem), &buf_spmv_y},
+    {sizeof(double), &h_minus_z},
+    {0, NULL}
+};
+static const launch_t step_4[] = {
+    {k_axpy_f64, 0, 0, 8, 8, 4, args_4, NULL},
+    {k_axpy_f64, 1, 8, 8, 8, 4, args_4, NULL},
+};
+
+/* step 5: damp */
+static const arg_t args_5[] = {
+    {sizeof(cl_mem), &buf_init_dst},
+    {sizeof(double), &h_ratio_q},
+    {0, NULL}
+};
+static const launch_t step_5[] = {
+    {k_scale_f64, 0, 0, 8, 8, 4, args_5, NULL},
+    {k_scale_f64, 1, 8, 8, 8, 4, args_5, NULL},
+};
+
+/* step 6: bump */
+static const arg_t args_6[] = {
+    {sizeof(cl_mem), &buf_init_dst},
+    {sizeof(cl_mem), &buf_b},
+    {0, NULL}
+};
+static const launch_t step_6[] = {
+    {k_axpy_f64_2, 0, 0, 8, 8, 4, args_6, NULL},
+    {k_axpy_f64_2, 1, 8, 8, 8, 4, args_6, NULL},
+};
+
+/* step 7: diff */
+static const arg_t args_7[] = {
+    {sizeof(cl_mem), &buf_f},
+    {sizeof(cl_mem), &buf_g},
+    {sizeof(cl_mem), &buf_diff_z},
+    {0, NULL}
+};
+static const launch_t step_7[] = {
+    {k_sub_f32, 0, 0, 8, 8, 4, args_7, NULL},
+    {k_sub_f32, 1, 8, 8, 8, 4, args_7, NULL},
+};
+
 int main(void)
 {
-    enum { DEVICE_COUNT = 2 };
     cl_int err;
     cl_platform_id cl_platform;
     err = clGetPlatformIDs(1, &cl_platform, NULL);
@@ -86,7 +275,6 @@ int main(void)
     CHECK(err, "clGetDeviceIDs");
     cl_context context = clCreateContext(NULL, DEVICE_COUNT, devices, NULL, NULL, &err);
     CHECK(err, "clCreateContext");
-    cl_command_queue queues[DEVICE_COUNT];
     for (int d = 0; d < DEVICE_COUNT; ++d) {
         queues[d] = clCreateCommandQueue(context, devices[d], 0, &err);
         CHECK(err, "clCreateCommandQueue");
@@ -94,68 +282,38 @@ int main(void)
 
     size_t source_size;
     char* source = read_text_file("intrinsics_kernels.cl", &source_size);
-    cl_program program = clCreateProgramWithSource(context, 1, (const char**)&source, &source_size, &err);
+    cl_program program = clCreateProgramWithSource(context, 1, (const char**)&source,
+                                                   &source_size, &err);
     CHECK(err, "clCreateProgramWithSource");
     err = clBuildProgram(program, DEVICE_COUNT, devices, NULL, NULL, NULL);
     CHECK(err, "clBuildProgram");
+    for (int k = 0; k < KERNEL_COUNT; ++k) {
+        kernels[k] = clCreateKernel(program, kernel_names[k], &err);
+        CHECK(err, kernel_names[k]);
+    }
 
-    cl_kernel k_spmv = clCreateKernel(program, "k_spmv", &err);
-    CHECK(err, "clCreateKernel k_spmv");
-    cl_kernel k_dot_bb = clCreateKernel(program, "k_dot_bb", &err);
-    CHECK(err, "clCreateKernel k_dot_bb");
-    cl_kernel k_dot_by = clCreateKernel(program, "k_dot_by", &err);
-    CHECK(err, "clCreateKernel k_dot_by");
-    cl_kernel k_init = clCreateKernel(program, "k_init", &err);
-    CHECK(err, "clCreateKernel k_init");
-    cl_kernel k_update = clCreateKernel(program, "k_update", &err);
-    CHECK(err, "clCreateKernel k_update");
-    cl_kernel k_damp = clCreateKernel(program, "k_damp", &err);
-    CHECK(err, "clCreateKernel k_damp");
-    cl_kernel k_bump = clCreateKernel(program, "k_bump", &err);
-    CHECK(err, "clCreateKernel k_bump");
-    cl_kernel k_diff = clCreateKernel(program, "k_diff", &err);
-    CHECK(err, "clCreateKernel k_diff");
-
-    /* host-resident scalars */
-    double h_dot_bb_s = 0.0;
-    double h_dot_by_s = 0.0;
-    double h_ratio_q = 0.0;
-    double h_minus_z = 0.0;
-    double h_relres = 0.0;
-
-    /* one buffer per device-side data allocation */
-    cl_mem buf_rowptr = clCreateBuffer(context, CL_MEM_READ_WRITE, 68, NULL, &err);
+    buf_rowptr = clCreateBuffer(context, CL_MEM_READ_WRITE, 68, NULL, &err);
     CHECK(err, "clCreateBuffer rowptr");
-    cl_mem buf_colidx = clCreateBuffer(context, CL_MEM_READ_WRITE, 256, NULL, &err);
+    buf_colidx = clCreateBuffer(context, CL_MEM_READ_WRITE, 256, NULL, &err);
     CHECK(err, "clCreateBuffer colidx");
-    cl_mem buf_b = clCreateBuffer(context, CL_MEM_READ_WRITE, 128, NULL, &err);
+    buf_b = clCreateBuffer(context, CL_MEM_READ_WRITE, 128, NULL, &err);
     CHECK(err, "clCreateBuffer b");
-    cl_mem buf_f = clCreateBuffer(context, CL_MEM_READ_WRITE, 64, NULL, &err);
+    buf_f = clCreateBuffer(context, CL_MEM_READ_WRITE, 64, NULL, &err);
     CHECK(err, "clCreateBuffer f");
-    cl_mem buf_g = clCreateBuffer(context, CL_MEM_READ_WRITE, 64, NULL, &err);
+    buf_g = clCreateBuffer(context, CL_MEM_READ_WRITE, 64, NULL, &err);
     CHECK(err, "clCreateBuffer g");
-    cl_mem buf_spmv_y = clCreateBuffer(context, CL_MEM_READ_WRITE, 128, NULL, &err);
+    buf_spmv_y = clCreateBuffer(context, CL_MEM_READ_WRITE, 128, NULL, &err);
     CHECK(err, "clCreateBuffer spmv_y");
-    cl_mem buf_init_dst = clCreateBuffer(context, CL_MEM_READ_WRITE, 128, NULL, &err);
+    buf_init_dst = clCreateBuffer(context, CL_MEM_READ_WRITE, 128, NULL, &err);
     CHECK(err, "clCreateBuffer init_dst");
-    cl_mem buf_diff_z = clCreateBuffer(context, CL_MEM_READ_WRITE, 64, NULL, &err);
+    buf_diff_z = clCreateBuffer(context, CL_MEM_READ_WRITE, 64, NULL, &err);
     CHECK(err, "clCreateBuffer diff_z");
-    cl_mem buf_values = clCreateBuffer(context, CL_MEM_READ_WRITE, 512, NULL, &err);
+    buf_values = clCreateBuffer(context, CL_MEM_READ_WRITE, 512, NULL, &err);
     CHECK(err, "clCreateBuffer values");
-
-    /* work-group partial buffers for dot reductions */
-    cl_mem part_k_dot_bb_d0 = clCreateBuffer(context, CL_MEM_READ_WRITE, 2 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_dot_bb_d0 = (double*)malloc(2 * sizeof(double));
-    cl_mem part_k_dot_bb_d1 = clCreateBuffer(context, CL_MEM_READ_WRITE, 2 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_dot_bb_d1 = (double*)malloc(2 * sizeof(double));
-    cl_mem part_k_dot_by_d0 = clCreateBuffer(context, CL_MEM_READ_WRITE, 2 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_dot_by_d0 = (double*)malloc(2 * sizeof(double));
-    cl_mem part_k_dot_by_d1 = clCreateBuffer(context, CL_MEM_READ_WRITE, 2 * sizeof(double), NULL, &err);
-    CHECK(err, "clCreateBuffer partials");
-    double* ph_k_dot_by_d1 = (double*)malloc(2 * sizeof(double));
+    for (int d = 0; d < DEVICE_COUNT; ++d) {
+        partials[d] = clCreateBuffer(context, CL_MEM_READ_WRITE, 16, NULL, &err);
+        CHECK(err, "clCreateBuffer partials");
+    }
 
     /* load and upload input data */
     int* in_rowptr = (int*)malloc(68);
@@ -186,245 +344,19 @@ int main(void)
     int iters = 0;
     int converged = 1;
 
-    {
-        const cl_int first = 0;
-        const cl_int count = 8;
-        const size_t global_size = 8;
-        const size_t local_size = 4;
-        clSetKernelArg(k_spmv, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_spmv, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_spmv, 2, sizeof(cl_mem), &buf_rowptr);
-        clSetKernelArg(k_spmv, 3, sizeof(cl_mem), &buf_colidx);
-        clSetKernelArg(k_spmv, 4, sizeof(cl_mem), &buf_values);
-        clSetKernelArg(k_spmv, 5, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_spmv, 6, sizeof(cl_mem), &buf_spmv_y);
-        err = clEnqueueNDRangeKernel(queues[0], k_spmv, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_spmv");
-    }
-    {
-        const cl_int first = 8;
-        const cl_int count = 8;
-        const size_t global_size = 8;
-        const size_t local_size = 4;
-        clSetKernelArg(k_spmv, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_spmv, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_spmv, 2, sizeof(cl_mem), &buf_rowptr);
-        clSetKernelArg(k_spmv, 3, sizeof(cl_mem), &buf_colidx);
-        clSetKernelArg(k_spmv, 4, sizeof(cl_mem), &buf_values);
-        clSetKernelArg(k_spmv, 5, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_spmv, 6, sizeof(cl_mem), &buf_spmv_y);
-        err = clEnqueueNDRangeKernel(queues[1], k_spmv, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_spmv");
-    }
-    clFinish(queues[0]);
-    clFinish(queues[1]);
-    {
-        const cl_int first = 0;
-        const cl_int count = 8;
-        const size_t global_size = 8;
-        const size_t local_size = 4;
-        clSetKernelArg(k_dot_bb, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_dot_bb, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_dot_bb, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 3, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 4, sizeof(cl_mem), &part_k_dot_bb_d0);
-        err = clEnqueueNDRangeKernel(queues[0], k_dot_bb, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_dot_bb");
-    }
-    {
-        const cl_int first = 8;
-        const cl_int count = 8;
-        const size_t global_size = 8;
-        const size_t local_size = 4;
-        clSetKernelArg(k_dot_bb, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_dot_bb, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_dot_bb, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 3, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_bb, 4, sizeof(cl_mem), &part_k_dot_bb_d1);
-        err = clEnqueueNDRangeKernel(queues[1], k_dot_bb, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_dot_bb");
-    }
-    clFinish(queues[0]);
-    clFinish(queues[1]);
-    h_dot_bb_s = 0.0;
-    err = clEnqueueReadBuffer(queues[0], part_k_dot_bb_d0, CL_TRUE, 0, 2 * sizeof(double), ph_k_dot_bb_d0, 0, NULL, NULL);
-    CHECK(err, "read partials k_dot_bb");
-    for (int g = 0; g < 2; ++g) h_dot_bb_s += ph_k_dot_bb_d0[g];
-    err = clEnqueueReadBuffer(queues[1], part_k_dot_bb_d1, CL_TRUE, 0, 2 * sizeof(double), ph_k_dot_bb_d1, 0, NULL, NULL);
-    CHECK(err, "read partials k_dot_bb");
-    for (int g = 0; g < 2; ++g) h_dot_bb_s += ph_k_dot_bb_d1[g];
-    {
-        const cl_int first = 0;
-        const cl_int count = 8;
-        const size_t global_size = 8;
-        const size_t local_size = 4;
-        clSetKernelArg(k_dot_by, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_dot_by, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_dot_by, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_by, 3, sizeof(cl_mem), &buf_spmv_y);
-        clSetKernelArg(k_dot_by, 4, sizeof(cl_mem), &part_k_dot_by_d0);
-        err = clEnqueueNDRangeKernel(queues[0], k_dot_by, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_dot_by");
-    }
-    {
-        const cl_int first = 8;
-        const cl_int count = 8;
-        const size_t global_size = 8;
-        const size_t local_size = 4;
-        clSetKernelArg(k_dot_by, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_dot_by, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_dot_by, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_dot_by, 3, sizeof(cl_mem), &buf_spmv_y);
-        clSetKernelArg(k_dot_by, 4, sizeof(cl_mem), &part_k_dot_by_d1);
-        err = clEnqueueNDRangeKernel(queues[1], k_dot_by, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_dot_by");
-    }
-    clFinish(queues[0]);
-    clFinish(queues[1]);
-    h_dot_by_s = 0.0;
-    err = clEnqueueReadBuffer(queues[0], part_k_dot_by_d0, CL_TRUE, 0, 2 * sizeof(double), ph_k_dot_by_d0, 0, NULL, NULL);
-    CHECK(err, "read partials k_dot_by");
-    for (int g = 0; g < 2; ++g) h_dot_by_s += ph_k_dot_by_d0[g];
-    err = clEnqueueReadBuffer(queues[1], part_k_dot_by_d1, CL_TRUE, 0, 2 * sizeof(double), ph_k_dot_by_d1, 0, NULL, NULL);
-    CHECK(err, "read partials k_dot_by");
-    for (int g = 0; g < 2; ++g) h_dot_by_s += ph_k_dot_by_d1[g];
+    run_step(step_0, 2);
+    run_step(step_1, 2);
+    h_dot_bb_s = sum_doubles(step_1, 2);
+    run_step(step_2, 2);
+    h_dot_by_s = sum_doubles(step_2, 2);
     h_ratio_q = h_dot_by_s / h_dot_bb_s;
     h_minus_z = -h_ratio_q;
     h_relres = sqrt(h_dot_by_s) / sqrt(h_dot_bb_s);
-    {
-        const cl_int first = 0;
-        const cl_int count = 8;
-        const size_t global_size = 8;
-        const size_t local_size = 4;
-        clSetKernelArg(k_init, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_init, 3, sizeof(cl_mem), &buf_init_dst);
-        err = clEnqueueNDRangeKernel(queues[0], k_init, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init");
-    }
-    {
-        const cl_int first = 8;
-        const cl_int count = 8;
-        const size_t global_size = 8;
-        const size_t local_size = 4;
-        clSetKernelArg(k_init, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_init, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_init, 2, sizeof(cl_mem), &buf_b);
-        clSetKernelArg(k_init, 3, sizeof(cl_mem), &buf_init_dst);
-        err = clEnqueueNDRangeKernel(queues[1], k_init, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_init");
-    }
-    clFinish(queues[0]);
-    clFinish(queues[1]);
-    {
-        const cl_int first = 0;
-        const cl_int count = 8;
-        const size_t global_size = 8;
-        const size_t local_size = 4;
-        clSetKernelArg(k_update, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_update, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_update, 2, sizeof(cl_mem), &buf_init_dst);
-        clSetKernelArg(k_update, 3, sizeof(cl_mem), &buf_spmv_y);
-        clSetKernelArg(k_update, 4, sizeof(double), &h_minus_z);
-        err = clEnqueueNDRangeKernel(queues[0], k_update, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_update");
-    }
-    {
-        const cl_int first = 8;
-        const cl_int count = 8;
-        const size_t global_size = 8;
-        const size_t local_size = 4;
-        clSetKernelArg(k_update, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_update, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_update, 2, sizeof(cl_mem), &buf_init_dst);
-        clSetKernelArg(k_update, 3, sizeof(cl_mem), &buf_spmv_y);
-        clSetKernelArg(k_update, 4, sizeof(double), &h_minus_z);
-        err = clEnqueueNDRangeKernel(queues[1], k_update, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_update");
-    }
-    clFinish(queues[0]);
-    clFinish(queues[1]);
-    {
-        const cl_int first = 0;
-        const cl_int count = 8;
-        const size_t global_size = 8;
-        const size_t local_size = 4;
-        clSetKernelArg(k_damp, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_damp, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_damp, 2, sizeof(cl_mem), &buf_init_dst);
-        clSetKernelArg(k_damp, 3, sizeof(double), &h_ratio_q);
-        err = clEnqueueNDRangeKernel(queues[0], k_damp, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_damp");
-    }
-    {
-        const cl_int first = 8;
-        const cl_int count = 8;
-        const size_t global_size = 8;
-        const size_t local_size = 4;
-        clSetKernelArg(k_damp, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_damp, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_damp, 2, sizeof(cl_mem), &buf_init_dst);
-        clSetKernelArg(k_damp, 3, sizeof(double), &h_ratio_q);
-        err = clEnqueueNDRangeKernel(queues[1], k_damp, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_damp");
-    }
-    clFinish(queues[0]);
-    clFinish(queues[1]);
-    {
-        const cl_int first = 0;
-        const cl_int count = 8;
-        const size_t global_size = 8;
-        const size_t local_size = 4;
-        clSetKernelArg(k_bump, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_bump, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_bump, 2, sizeof(cl_mem), &buf_init_dst);
-        clSetKernelArg(k_bump, 3, sizeof(cl_mem), &buf_b);
-        err = clEnqueueNDRangeKernel(queues[0], k_bump, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_bump");
-    }
-    {
-        const cl_int first = 8;
-        const cl_int count = 8;
-        const size_t global_size = 8;
-        const size_t local_size = 4;
-        clSetKernelArg(k_bump, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_bump, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_bump, 2, sizeof(cl_mem), &buf_init_dst);
-        clSetKernelArg(k_bump, 3, sizeof(cl_mem), &buf_b);
-        err = clEnqueueNDRangeKernel(queues[1], k_bump, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_bump");
-    }
-    clFinish(queues[0]);
-    clFinish(queues[1]);
-    {
-        const cl_int first = 0;
-        const cl_int count = 8;
-        const size_t global_size = 8;
-        const size_t local_size = 4;
-        clSetKernelArg(k_diff, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_diff, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_diff, 2, sizeof(cl_mem), &buf_f);
-        clSetKernelArg(k_diff, 3, sizeof(cl_mem), &buf_g);
-        clSetKernelArg(k_diff, 4, sizeof(cl_mem), &buf_diff_z);
-        err = clEnqueueNDRangeKernel(queues[0], k_diff, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_diff");
-    }
-    {
-        const cl_int first = 8;
-        const cl_int count = 8;
-        const size_t global_size = 8;
-        const size_t local_size = 4;
-        clSetKernelArg(k_diff, 0, sizeof(cl_int), &first);
-        clSetKernelArg(k_diff, 1, sizeof(cl_int), &count);
-        clSetKernelArg(k_diff, 2, sizeof(cl_mem), &buf_f);
-        clSetKernelArg(k_diff, 3, sizeof(cl_mem), &buf_g);
-        clSetKernelArg(k_diff, 4, sizeof(cl_mem), &buf_diff_z);
-        err = clEnqueueNDRangeKernel(queues[1], k_diff, 1, NULL, &global_size, &local_size, 0, NULL, NULL);
-        CHECK(err, "enqueue k_diff");
-    }
-    clFinish(queues[0]);
-    clFinish(queues[1]);
+    run_step(step_3, 2);
+    run_step(step_4, 2);
+    run_step(step_5, 2);
+    run_step(step_6, 2);
+    run_step(step_7, 2);
 
     /* read back and store outputs */
     double* out_init_dst = (double*)malloc(128);
@@ -447,22 +379,8 @@ int main(void)
     clReleaseMemObject(buf_init_dst);
     clReleaseMemObject(buf_diff_z);
     clReleaseMemObject(buf_values);
-    clReleaseMemObject(part_k_dot_bb_d0);
-    free(ph_k_dot_bb_d0);
-    clReleaseMemObject(part_k_dot_bb_d1);
-    free(ph_k_dot_bb_d1);
-    clReleaseMemObject(part_k_dot_by_d0);
-    free(ph_k_dot_by_d0);
-    clReleaseMemObject(part_k_dot_by_d1);
-    free(ph_k_dot_by_d1);
-    clReleaseKernel(k_spmv);
-    clReleaseKernel(k_dot_bb);
-    clReleaseKernel(k_dot_by);
-    clReleaseKernel(k_init);
-    clReleaseKernel(k_update);
-    clReleaseKernel(k_damp);
-    clReleaseKernel(k_bump);
-    clReleaseKernel(k_diff);
+    for (int d = 0; d < DEVICE_COUNT; ++d) clReleaseMemObject(partials[d]);
+    for (int k = 0; k < KERNEL_COUNT; ++k) clReleaseKernel(kernels[k]);
     clReleaseProgram(program);
     free(source);
     for (int d = 0; d < DEVICE_COUNT; ++d) clReleaseCommandQueue(queues[d]);

@@ -5,13 +5,14 @@
 
 #pragma OPENCL EXTENSION cl_khr_fp64 : enable
 
-__kernel void k_spmv(const int first,
-                     const int count,
-                     __global const int* rowptr,
-                     __global const int* colidx,
-                     __constant double* values,
-                     __global const double* x,
-                     __global double* y)
+/* spmv_csr: spmv */
+__kernel void k_spmv_csr_i32_f64(const int first,
+                                 const int count,
+                                 __global const int* rowptr,
+                                 __global const int* colidx,
+                                 __constant double* values,
+                                 __global const double* x,
+                                 __global double* y)
 {
     const int gid = get_global_id(0);
     if (gid >= count) return;
@@ -23,11 +24,12 @@ __kernel void k_spmv(const int first,
     y[i] = acc;
 }
 
-__kernel void k_dot_bb(const int first,
-                       const int count,
-                       __global const double* a,
-                       __global const double* b,
-                       __global double* partials)
+/* dot_partial: dot_bb, dot_by */
+__kernel void k_dot_partial_f64(const int first,
+                                const int count,
+                                __global const double* a,
+                                __global const double* b,
+                                __global double* partials)
 {
     const int gid = get_global_id(0);
     if (gid >= count) return;
@@ -41,28 +43,11 @@ __kernel void k_dot_bb(const int first,
     partials[get_group_id(0)] = acc;
 }
 
-__kernel void k_dot_by(const int first,
-                       const int count,
-                       __global const double* a,
-                       __global const double* b,
-                       __global double* partials)
-{
-    const int gid = get_global_id(0);
-    if (gid >= count) return;
-    if (get_local_id(0) != 0) return;
-    int lim = gid + (int)get_local_size(0);
-    if (lim > count) lim = count;
-    double acc = 0.0;
-    for (int k = gid; k < lim; ++k) {
-        acc += a[first + k] * b[first + k];
-    }
-    partials[get_group_id(0)] = acc;
-}
-
-__kernel void k_init(const int first,
-                     const int count,
-                     __global const double* src,
-                     __global double* dst)
+/* copy: init */
+__kernel void k_copy_f64(const int first,
+                         const int count,
+                         __global const double* src,
+                         __global double* dst)
 {
     const int gid = get_global_id(0);
     if (gid >= count) return;
@@ -70,11 +55,12 @@ __kernel void k_init(const int first,
     dst[i] = src[i];
 }
 
-__kernel void k_update(const int first,
-                       const int count,
-                       __global double* y,
-                       __global const double* x,
-                       const double a)
+/* axpy: update */
+__kernel void k_axpy_f64(const int first,
+                         const int count,
+                         __global double* y,
+                         __global const double* x,
+                         const double a)
 {
     const int gid = get_global_id(0);
     if (gid >= count) return;
@@ -82,10 +68,11 @@ __kernel void k_update(const int first,
     y[i] += a * x[i];
 }
 
-__kernel void k_damp(const int first,
-                     const int count,
-                     __global double* y,
-                     const double a)
+/* scale: damp */
+__kernel void k_scale_f64(const int first,
+                          const int count,
+                          __global double* y,
+                          const double a)
 {
     const int gid = get_global_id(0);
     if (gid >= count) return;
@@ -93,10 +80,11 @@ __kernel void k_damp(const int first,
     y[i] *= a;
 }
 
-__kernel void k_bump(const int first,
-                     const int count,
-                     __global double* y,
-                     __global const double* x)
+/* axpy: bump */
+__kernel void k_axpy_f64_2(const int first,
+                           const int count,
+                           __global double* y,
+                           __global const double* x)
 {
     const int gid = get_global_id(0);
     if (gid >= count) return;
@@ -104,11 +92,12 @@ __kernel void k_bump(const int first,
     y[i] += x[i];
 }
 
-__kernel void k_diff(const int first,
-                     const int count,
-                     __global const float* x,
-                     __global const float* y,
-                     __global float* z)
+/* sub: diff */
+__kernel void k_sub_f32(const int first,
+                        const int count,
+                        __global const float* x,
+                        __global const float* y,
+                        __global float* z)
 {
     const int gid = get_global_id(0);
     if (gid >= count) return;

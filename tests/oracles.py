@@ -53,7 +53,7 @@ def reference_cg(row_ptr, col_idx, values, b, tol, max_iter):
         r += (-alpha) * Ap
         rr_new = float(np.dot(r, r))
         iters += 1
-        if math.sqrt(rr_new) / bnorm <= tol:
+        if math.sqrt(rr_new) / bnorm < tol:
             converged = True
             break
         beta = rr_new / rr
@@ -102,7 +102,7 @@ def partitioned_cg(row_ptr, col_idx, values, b, tol, max_iter, ranges, history=N
 
     Each dot is one np.dot partial per (offset, count) range, summed from
     0.0 in ascending range order, as the schedule's host reduction does;
-    the loop stops when ||r||/||b|| <= tol, checked after each iteration.
+    the loop stops when ||r||/||b|| < tol, checked after each iteration.
     Returns (x, iterations, final relative residual); each iteration's
     relative residual is also appended to history when it is a list.
     """
@@ -128,7 +128,7 @@ def partitioned_cg(row_ptr, col_idx, values, b, tol, max_iter, ranges, history=N
         relres = math.sqrt(rr_new) / math.sqrt(bb)
         if history is not None:
             history.append(relres)
-        if relres <= tol:
+        if relres < tol:
             break
         p *= rr_new / rr
         p += r

@@ -15,12 +15,13 @@ import pytest
 import gmodelc
 from gmodelc import refexec
 from gmodelc.cli import main
-from gmodelc.codegen import generate_host, generate_kernels, kernel_name
+from gmodelc.codegen import generate_host, generate_kernels
 from gmodelc.dsl import parse_model, serialize_model
 from gmodelc.memmap import CapacityExceeded, build_memory_maps, emit_memory_map_report
 from gmodelc.metamodel import CompileContext, MemoryRole, validate_conformance
 from gmodelc.partition import build_schedule, partition_equally
 
+import emitted
 from conftest import golden_path
 from matrices import csr_from_dense, csr_to_dense, matrix_to_coordinate_text, poisson_2d
 from modelgen import random_model
@@ -183,7 +184,11 @@ def test_criterion_6_codegen_fidelity(cg_model, cg_maps, cg_schedule_d4):
     assert host.contents == golden_path("cg_host_d4.c").read_text()
 
     device_steps = cg_schedule_d4.device_steps()
-    assert kern.contents.count("__kernel void") == len(device_steps) == 11
+    assert len(device_steps) == 11
+    kernel_of = emitted.kernel_of_task(kern.contents)
+    assert sorted(kernel_of) == sorted(s.task_path for s in device_steps)
+    signatures = {emitted.signature(cg_model, cg_maps, s.task_path) for s in device_steps}
+    assert kern.contents.count("__kernel void") == len(signatures) == 6
 
     # one address-space keyword check per port-derived parameter
     node_space = {}
@@ -194,7 +199,7 @@ def test_criterion_6_codegen_fidelity(cg_model, cg_maps, cg_schedule_d4):
                 if role is not MemoryRole.HOST_RAM:
                     node_space[node] = alloc.space_address.value
     for step in device_steps:
-        kname = kernel_name(step.task_path)
+        kname = kernel_of[step.task_path]
         sig = re.search(rf"__kernel\s+void\s+{kname}\s*\(([^)]*)\)", kern.contents,
                         re.S).group(1)
         for param in (p.strip() for p in sig.split(",")):
@@ -208,11 +213,15 @@ def test_criterion_6_codegen_fidelity(cg_model, cg_maps, cg_schedule_d4):
                 assert param.startswith({"global": "__global", "constant": "__constant",
                                          "local": "__local", "private": ""}[space]), param
 
-    assert host.contents.count("clEnqueueNDRangeKernel") == 4 * len(device_steps)
-    for offset in (0, 33163, 66326, 99489):
-        assert f"const cl_int first = {offset};" in host.contents
-    _report(6, "goldens byte-identical; 11 kernels (one per repetitive task); "
-               "qualifiers match allocations; 4 enqueues per step at offsets "
+    rows = emitted.rows(host.contents)
+    assert len(rows) == 4 * len(device_steps)
+    for i, step in enumerate(device_steps):
+        step_rows = [r for r in rows if r.step == i]
+        assert {r.kernel for r in step_rows} == {kernel_of[step.task_path]}
+        assert [(r.queue, r.first) for r in step_rows] == [
+            (0, 0), (1, 33163), (2, 66326), (3, 99489)]
+    _report(6, "goldens byte-identical; 6 kernels (one per signature) for 11 tasks; "
+               "qualifiers match allocations; 4 launch-table rows per step at offsets "
                "[0, 33163, 66326, 99489]")
 
 

@@ -12,6 +12,7 @@ from gmodelc.intrinsics import IntrinsicShapeMismatch
 from gmodelc.memmap import build_memory_maps
 from gmodelc.partition import UnallocatedTask, build_schedule
 
+import emitted
 from conftest import golden_path
 from matrices import matrix_to_coordinate_text, poisson_2d
 from oracles import partitioned_cg
@@ -192,9 +193,12 @@ def test_every_command_stops_at_the_same_stage(workdir, capsys, old, new, error)
     assert not out_dir.exists()
 
 
-def test_check_generates_the_code_to_reject_what_codegen_rejects(workdir, capsys):
-    """Root task loop_axpy_p and loop.axpy_p get one kernel name, which only
-    code generation finds: check generates the code and discards it."""
+def test_tasks_whose_paths_flatten_alike_get_their_own_rows(workdir, capsys):
+    """Root task loop_axpy_p and loop.axpy_p would have one C identifier if
+    identifiers came from task paths.  They come from step indices, so check
+    and codegen accept the model, and each task has its own launch table
+    over the same kernel.  The allocations named after loop_axpy_p.x and
+    loop.axpy_p.x get two names, so each task's x has its own buffer."""
     tmp_path, _ = workdir
     text = gmodelc.bundled_model_text()
     for old, new in (("    part loop : CgLoop\n",
@@ -202,17 +206,33 @@ def test_check_generates_the_code_to_reject_what_codegen_rejects(workdir, capsys
                      ("allocate task init_r onto device.c\n",
                       "allocate task init_r onto device.c\nallocate task loop_axpy_p onto "
                       "device.c\nallocate data loop_axpy_p.y onto device.gmem\n"
-                      "allocate data loop_axpy_p.x onto device.gmem\n")):
+                      "allocate data loop_axpy_p.x onto device.gmem\n"),
+                     ("allocate data rowptr onto device.gmem\n",
+                      "allocate data loop.axpy_p.x onto device.gmem\n"
+                      "allocate data rowptr onto device.gmem\n")):
         assert old in text
         text = text.replace(old, new)
     path = tmp_path / "collide.gmodel"
     path.write_text(text)
-    message = ("error: kernel name 'k_loop_axpy_p' generated for both 'loop.axpy_p' "
-               "and 'loop_axpy_p'\n")
-    for argv in (["check"], ["codegen"]):
-        assert main(argv + [str(path), "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr() == ("", message)
-    assert not (tmp_path / "out").exists()
+    out_dir = tmp_path / "out"
+    assert main(["check", str(path)]) == 0
+    assert main(["codegen", str(path), "--devices", "2", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    kernels = (out_dir / "cg_kernels.cl").read_text()
+    host = (out_dir / "cg_host.c").read_text()
+    paths = emitted.step_paths(host)
+    steps = {path: step for step, path in paths.items()}
+    assert len(paths) == 12 and {"loop_axpy_p", "loop.axpy_p"} <= set(steps)
+    kernel_of = emitted.kernel_of_task(kernels)
+    assert kernel_of["loop_axpy_p"] == kernel_of["loop.axpy_p"] == "k_axpy_f64_2"
+    for task, x in (("loop_axpy_p", "buf_loop_axpy_p_x_2"), ("loop.axpy_p", "buf_loop_axpy_p_x")):
+        rows = [r for r in emitted.rows(host) if r.step == steps[task]]
+        assert [(r.kernel, r.queue) for r in rows] == [("k_axpy_f64_2", 0), ("k_axpy_f64_2", 1)]
+        assert f"static const arg_t args_{steps[task]}[] = {{\n" in host
+        args = host.split(f"static const arg_t args_{steps[task]}[] = {{\n")[1].split("};")[0]
+        assert args.splitlines()[1] == f"    {{sizeof(cl_mem), &{x}}},"
+    for buffer in ("buf_loop_axpy_p_x", "buf_loop_axpy_p_x_2", "buf_loop_axpy_p_y"):
+        assert f"static cl_mem {buffer};" in host
 
 
 HOST_ONLY_ROOT_PORT = (
@@ -582,6 +602,24 @@ def test_run_duplicate_sum_overflow_exit_two(workdir, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_rhs_near_overflow_names_its_scale_exit_three(workdir, capsys):
+    """A right-hand side whose squared norm is finite, but whose curvature
+    p.Ap overflows, stops the run with one line that puts the breakdown
+    down to the scale of b, and no numpy warning, with exit 3."""
+    tmp_path, model_path = workdir
+    mtx, A = _write_poisson(tmp_path, 4)
+    rhs_path = tmp_path / "rhs.txt"
+    rhs_path.write_text("3e153\n" * A.n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", model_path, "--matrix", mtx, "--rhs", str(rhs_path),
+                     "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr() == ("", (
+        "error: task 'loop.alpha': den = inf, but it must be finite and > 0: the solve "
+        "overflowed at the scale of the right-hand side (max |b| = 3e+153); scale b down\n"))
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("token", ["nan", "-inf", "1e400"])
 def test_run_non_finite_rhs_exit_two(workdir, capsys, token):
     tmp_path, model_path = workdir
@@ -681,6 +719,25 @@ def test_tol_override(workdir, capsys):
     tight = capsys.readouterr().out
     tight_iters = int(tight.split()[0].split("=")[1])
     assert loose_iters < tight_iters
+
+
+def test_stop_is_strict(workdir, capsys):
+    """The loop runs `until relres < tol`: with --tol equal to iteration
+    k's relres, the run does not stop at k but at k + 1."""
+    tmp_path, model_path = workdir
+    mtx, A = _write_poisson(tmp_path, 8)
+    history = refexec.run_cg(A, np.ones(A.n), refexec.SolverConfig(1e-10, A.n)).residual_history
+    # an iteration whose relres is below every earlier one and above the next
+    k = next(k for k in range(len(history) // 2, len(history))
+             if history[k - 1] < min(history[:k - 1]) and history[k] < history[k - 1])
+
+    def run(*options):
+        main(["run", model_path, "--matrix", mtx, *options, "--out", str(tmp_path / "out")])
+        iters, relres, _ = (field.split("=")[1] for field in capsys.readouterr().out.split())
+        return int(iters), float(relres)
+
+    assert run("--max-iter", str(k)) == (k, history[k - 1])
+    assert run("--tol", repr(history[k - 1])) == (k + 1, history[k])
 
 
 def test_one_computation_per_model_in_codegen_and_run(workdir, monkeypatch, capsys):

@@ -1,14 +1,18 @@
 import re
+import shutil
+import subprocess
+from pathlib import Path
 
 import pytest
 
 import gmodelc
-from gmodelc.codegen import generate_host, generate_kernels, kernel_name
+from gmodelc.codegen import generate_host, generate_kernels
 from gmodelc.intrinsics import INTRINSICS, UnknownIntrinsic, deployment_diagnostics
 from gmodelc.memmap import build_memory_maps
-from gmodelc.metamodel import AddressSpace, CompileContext, MemoryRole
+from gmodelc.metamodel import AddressSpace, CompileContext, ComponentKind, MemoryRole
 from gmodelc.partition import DeviceStep, Schedule, build_schedule
 
+import emitted
 from conftest import golden_path
 
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -51,14 +55,18 @@ def test_golden_host_d16(cg_model, cg_maps):
 
 
 @pytest.fixture(scope="module")
-def intrinsics_units():
+def intrinsics_model():
     model = gmodelc.parse_model(golden_path("intrinsics.gmodel").read_text())
     assert gmodelc.validate_conformance(model) == []
     assert deployment_diagnostics(model) == []
     assert {c.elementary_op for c in model.application_components.values()} \
         == set(INTRINSICS) | {None}
-    maps = build_memory_maps(model)
-    schedule = build_schedule(model, 2)
+    return model, build_memory_maps(model), build_schedule(model, 2)
+
+
+@pytest.fixture(scope="module")
+def intrinsics_units(intrinsics_model):
+    model, maps, schedule = intrinsics_model
     return generate_kernels(model, maps, schedule), generate_host(model, maps, schedule, 2)
 
 
@@ -86,12 +94,30 @@ def test_determinism(cg_model, cg_maps, cg_schedule_d4, cg_units):
     assert generate_host(cg_model, cg_maps, cg_schedule_d4, 4).contents == host.contents
 
 
-def test_one_kernel_per_repetitive_task(cg_units, cg_schedule_d4):
-    kern, _ = cg_units
-    names = set(_kernel_signatures(kern.contents))
-    expected = {kernel_name(s.task_path) for s in cg_schedule_d4.device_steps()}
-    assert names == expected
-    assert len(names) == 11
+def _check_one_kernel_per_signature(model, maps, schedule, text, count):
+    """Each device task is listed by exactly one kernel, all the tasks of a
+    kernel share one signature, and there are as many kernels as
+    signatures."""
+    kernels = emitted.kernels(text)
+    listed = [path for kernel in kernels.values() for path in kernel.paths]
+    paths = [s.task_path for s in schedule.device_steps()]
+    assert sorted(listed) == sorted(paths)
+    for kernel in kernels.values():
+        assert len({emitted.signature(model, maps, p) for p in kernel.paths}) == 1
+        assert {model.context.component_at(ComponentKind.APPLICATION, p).elementary_op
+                for p in kernel.paths} == {kernel.intrinsic}
+    assert len(kernels) == len({emitted.signature(model, maps, p) for p in paths}) == count
+
+
+def test_one_kernel_per_signature(cg_model, cg_maps, cg_units, cg_schedule_d4,
+                                  intrinsics_model, intrinsics_units):
+    _check_one_kernel_per_signature(cg_model, cg_maps, cg_schedule_d4, cg_units[0].contents, 6)
+    model, maps, schedule = intrinsics_model
+    _check_one_kernel_per_signature(model, maps, schedule, intrinsics_units[0].contents, 7)
+    names = set(emitted.kernels(cg_units[0].contents))
+    assert {"k_copy_f64", "k_dot_partial_f64", "k_spmv_csr_i32_f64", "k_axpy_f64",
+            "k_axpy_f64_2", "k_scale_f64"} == names
+    assert "k_sub_f32" in emitted.kernels(intrinsics_units[0].contents)
 
 
 def test_every_kernel_guards_range(cg_units):
@@ -114,15 +140,22 @@ def test_emitted_identifiers_are_legal(cg_units):
         assert _IDENT.match(name)
         for param in params:
             assert _IDENT.match(param.split()[-1].lstrip("*")), param
-    for m in re.finditer(r"(?:cl_mem|double\*?|cl_kernel)\s+(\w+)\s*=", host.contents):
-        assert _IDENT.match(m.group(1))
+    declared = re.findall(r"^(?:static )?(?:const )?(?:cl_mem|double|int|launch_t|arg_t)\*? "
+                          r"(\w+)(?:\[\w*\])? *[=;]", host.contents, re.M)
+    assert len(declared) > 30
+    for name in declared:
+        assert _IDENT.match(name), name
 
 
 def test_host_references_only_existing_kernels(cg_units):
+    """The host creates every defined kernel by name, and each launch-table
+    row names one of them."""
     kern, host = cg_units
     defined = set(_kernel_signatures(kern.contents))
-    used = set(re.findall(r'clCreateKernel\(program, "(\w+)"', host.contents))
-    assert used == defined
+    names = re.search(r"kernel_names\[KERNEL_COUNT\] = \{([^}]*)\}", host.contents).group(1)
+    assert re.findall(r'"(\w+)"', names) == list(emitted.kernels(kern.contents))
+    assert set(re.findall(r'"(\w+)"', names)) == defined
+    assert {row.kernel for row in emitted.rows(host.contents)} == defined
 
 
 def _space_keyword(param: str) -> str:
@@ -133,9 +166,11 @@ def _space_keyword(param: str) -> str:
 
 
 def test_qualifier_fidelity(cg_model, cg_maps, cg_units, cg_schedule_d4):
-    """Every port-derived kernel parameter carries the keyword its allocation implies."""
+    """Every port-derived parameter of each task's kernel carries the
+    keyword its allocation implies."""
     kern, _ = cg_units
     signatures = _kernel_signatures(kern.contents)
+    kernel_of = emitted.kernel_of_task(kern.contents)
     node_space = {}
     for mm in cg_maps:
         role = CompileContext(cg_model).memory_role_of(mm.owner_path)
@@ -146,7 +181,7 @@ def test_qualifier_fidelity(cg_model, cg_maps, cg_units, cg_schedule_d4):
                    AddressSpace.LOCAL: "__local", AddressSpace.PRIVATE: ""}
     checked = 0
     for step in cg_schedule_d4.device_steps():
-        params = signatures[kernel_name(step.task_path)]
+        params = signatures[kernel_of[step.task_path]]
         by_name = {p.split()[-1].lstrip("*"): p for p in params}
         for pname, param in by_name.items():
             if pname in ("first", "count", "partials"):
@@ -163,7 +198,7 @@ def test_qualifier_fidelity(cg_model, cg_maps, cg_units, cg_schedule_d4):
 
 def test_buffer_completeness(cg_model, cg_maps, cg_units):
     _, host = cg_units
-    created = re.findall(r"cl_mem buf_(\w+) = clCreateBuffer", host.contents)
+    created = re.findall(r"\bbuf_(\w+) = clCreateBuffer", host.contents)
     device_allocs = []
     for mm in cg_maps:
         if CompileContext(cg_model).memory_role_of(mm.owner_path) is not MemoryRole.HOST_RAM:
@@ -173,28 +208,68 @@ def test_buffer_completeness(cg_model, cg_maps, cg_units):
         assert created.count(name) == 1
 
 
+def _check_rows(kern: str, host: str, schedule):
+    """One table row per launch, in launch order, with the launch's device,
+    range and sizes and its task's kernel, and one run_step call per step:
+    the enqueues of the host program."""
+    steps = schedule.device_steps()
+    kernel_of = emitted.kernel_of_task(kern)
+    assert emitted.step_paths(host) == {i: s.task_path for i, s in enumerate(steps)}
+    rows = emitted.rows(host)
+    assert [(r.step, r.kernel, r.queue, r.first, r.count, r.global_size, r.local_size)
+            for r in rows] == [
+        (i, kernel_of[s.task_path], l.device_index, l.range.offset, l.range.count,
+         l.global_size, l.local_size) for i, s in enumerate(steps) for l in s.launches]
+    for i, step in enumerate(steps):
+        assert host.count(f"run_step(step_{i}, {len(step.launches)});") == 1
+    assert host.count("clEnqueueNDRangeKernel(") == 1       # in run_step's loop
+    return rows
+
+
 def test_four_enqueues_per_step_with_paper_offsets(cg_units, cg_schedule_d4):
-    _, host = cg_units
+    kern, host = cg_units
+    rows = _check_rows(kern.contents, host.contents, cg_schedule_d4)
     steps = cg_schedule_d4.device_steps()
-    for step in steps:
-        kname = kernel_name(step.task_path)
-        assert host.contents.count(f"clEnqueueNDRangeKernel(queues[{0}], {kname},") == 1
-    total = host.contents.count("clEnqueueNDRangeKernel")
-    assert total == 4 * len(steps)
-    for offset in (0, 33163, 66326, 99489):
-        assert f"const cl_int first = {offset};" in host.contents
+    assert len(rows) == 4 * len(steps)
+    for i in range(len(steps)):
+        assert [r.first for r in rows if r.step == i] == [0, 33163, 66326, 99489]
+    # a reduction launch passes its device's partials buffer, other launches none
+    reductions = [r for r in rows if steps[r.step].op == "dot_partial"]
+    assert len(reductions) == 16
+    assert all(r.partials == r.queue for r in reductions)
+    assert all(r.partials is None for r in rows if r not in reductions)
 
 
 def test_one_enqueue_per_step_single_device(cg_model, cg_maps, cg_schedule_d1):
-    host = generate_host(cg_model, cg_maps, cg_schedule_d1, 1)
-    steps = cg_schedule_d1.device_steps()
-    assert host.contents.count("clEnqueueNDRangeKernel") == len(steps)
+    kern = generate_kernels(cg_model, cg_maps, cg_schedule_d1).contents
+    host = generate_host(cg_model, cg_maps, cg_schedule_d1, 1).contents
+    assert len(_check_rows(kern, host, cg_schedule_d1)) == len(cg_schedule_d1.device_steps())
+
+
+def test_host_grows_by_one_row_per_launch(cg_model, cg_maps, cg_units):
+    """Past one device, the host program grows by one line, a table row,
+    per extra launch, and the 16-device host is less than twice the size
+    of the one-device host."""
+    kern = cg_units[0].contents
+    lines, launches = {}, {}
+    for devices in (1, 2, 4, 16):
+        schedule = build_schedule(cg_model, devices)
+        host = generate_host(cg_model, cg_maps, schedule, devices).contents
+        _check_rows(kern, host, schedule)
+        lines[devices] = host.count("\n")
+        launches[devices] = sum(len(s.launches) for s in schedule.device_steps())
+    for devices in (2, 4, 16):
+        assert lines[devices] - lines[1] == launches[devices] - launches[1]
+    d1, d16 = (len(golden_path(f"cg_host_d{d}.c").read_bytes()) for d in (1, 16))
+    assert d16 < 2 * d1
 
 
 def test_loop_emits_while_with_cap_and_threshold(cg_units):
     _, host = cg_units
     assert "while (iters < 132651) {" in host.contents
-    assert "if (h_loop_relres <= 1e-10) { converged = 1; break; }" in host.contents
+    assert "if (h_loop_relres < 1e-10) { converged = 1; break; }" in host.contents
+    assert "/* loop loop: until h_loop_relres < 1e-10 */" in host.contents
+    assert "<=" not in host.contents
 
 
 def test_straight_line_host_without_loop():
@@ -345,11 +420,20 @@ def test_float32_host_data_stays_float32():
     assert 'if (fscanf(f, "%f", &out[i]) != 1)' in host
     assert 'load_floats("sc_i.txt", in_i, 64);' in host
     assert 'store_floats("sc_o_out.txt", out_i, 64);' in host
-    assert "float h_f = 0.0;" in host and "float h_dt_s = 0.0;" in host
-    assert "clSetKernelArg(k_t, 3, sizeof(float), &h_f);" in host
-    assert "float* ph_k_dt_d1 = (float*)malloc(4 * sizeof(float));" in host
-    assert ("clEnqueueReadBuffer(queues[1], part_k_dt_d1, CL_TRUE, 0, 4 * sizeof(float), "
-            "ph_k_dt_d1, 0, NULL, NULL);") in host
+    assert "static float h_f;" in host and "static float h_dt_s;" in host
+    # the scale task's scalar argument, passed by value with its type's size
+    assert "static const arg_t args_1[] = {\n    {sizeof(cl_mem), &buf_i},\n" \
+           "    {sizeof(float), &h_f},\n    {0, NULL}\n};" in host
+    # the dot's partials: float buffers, staged and summed as float
+    assert "partials[d] = clCreateBuffer(context, CL_MEM_READ_WRITE, 16, NULL, &err);" in host
+    assert "static float sum_floats(const launch_t* rows, int count)" in host
+    assert "    static float staged[4];\n    float sum = 0;\n" in host
+    assert "groups * sizeof(float), staged, 0, NULL, NULL);" in host
+    assert "h_dt_s = sum_floats(step_0, 2);" in host
+    kern = generate_kernels(model, maps, build_schedule(model, 2)).contents
+    assert "__global float* partials" in kern and "const float a" in kern
+    # the dot body accumulates in double, which OpenCL 1.1 needs cl_khr_fp64 for
+    assert "double acc" in kern and "#pragma OPENCL EXTENSION cl_khr_fp64 : enable" in kern
     assert "sizeof(double)" not in host
     assert "load_longs" not in host and "store_ints" not in host
     cg_host = golden_path("cg_host_d4.c").read_text()
@@ -365,8 +449,8 @@ def test_host_resident_root_ports_are_loaded_and_stored():
     load = 'load_floats("sc_f.txt", &h_f, 1);'
     store = 'store_floats("sc_d_out.txt", &h_dt_s, 1);'
     assert host.count(load) == 1 and host.count(store) == 1
-    assert host.index(load) < host.index("clEnqueueNDRangeKernel")
-    assert host.index(store) > host.rindex("clEnqueueNDRangeKernel")
+    assert host.index(load) < host.index("    run_step(step_")
+    assert host.index(store) > host.rindex("    run_step(step_")
 
 
 def test_int64_csr_ports_load_as_long(cg_text):
@@ -377,3 +461,33 @@ def test_int64_csr_ports_load_as_long(cg_text):
     assert 'load_longs("cg_rowptr.txt", in_rowptr, 132652);' in host
     assert 'load_longs("cg_colidx.txt", in_colidx, 3442951);' in host
     assert "load_floats" not in host and "store_floats" not in host
+
+
+CLSTUB = Path(__file__).parent / "clstub"
+GCC = shutil.which("gcc")
+SYNTAX_ONLY = ["-std=c99", "-Wall", "-Werror", "-fsyntax-only"]
+
+
+@pytest.mark.skipif(GCC is None, reason="gcc is not installed")
+@pytest.mark.parametrize("model_file, devices", [
+    (None, 1), (None, 4), (None, 16), ("intrinsics.gmodel", 2)])
+def test_emitted_c_compiles(tmp_path, cg_text, model_file, devices):
+    """The host program compiles as C99 against the OpenCL 1.1 declarations
+    of tests/clstub/CL/cl.h, and the kernels compile as C99 once
+    tests/clstub/opencl_c.h has defined the OpenCL C qualifiers away, with
+    every gcc warning an error."""
+    text = cg_text if model_file is None else golden_path(model_file).read_text()
+    model = gmodelc.parse_model(text)
+    maps = build_memory_maps(model)
+    schedule = build_schedule(model, devices)
+    paths = []
+    for unit in (generate_kernels(model, maps, schedule),
+                 generate_host(model, maps, schedule, devices)):
+        paths.append(tmp_path / unit.file_name)
+        paths[-1].write_text(unit.contents)
+    kernels, host = paths
+    for argv in ([GCC, *SYNTAX_ONLY, "-I", str(CLSTUB), str(host)],
+                 [GCC, *SYNTAX_ONLY, "-include", str(CLSTUB / "opencl_c.h"), "-x", "c",
+                  str(kernels)]):
+        done = subprocess.run(argv, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
