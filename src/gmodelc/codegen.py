@@ -78,8 +78,7 @@ def _port_param(index: _AllocIndex, task_path: str, port) -> _Param:
     alloc = index.device.get(node)
     if alloc is None:
         # host-resident scalar, passed by value
-        return _Param(f"const {ctype} {port.name}", "scalar", index.host.get(node),
-                      port.data_type)
+        return _Param(f"const {ctype} {port.name}", "scalar", index.host[node], port.data_type)
     space = alloc.space_address
     const = "const " if space is AddressSpace.GLOBAL and port.direction is Direction.IN else ""
     return _Param(f"{_SPACE_KEYWORDS[space]}{const}{ctype}* {port.name}",
@@ -99,8 +98,7 @@ def _task_params(index: _AllocIndex, task_path: str, comp: Component,
             continue
         params.append(_port_param(index, task_path, port))
     if spec.reduce:
-        # partials have the type of the reduced operands, the first port
-        dtype = comp.port(spec.ports[0].name).data_type
+        dtype = comp.port(spec.acc).data_type
         params.append(_Param(f"__global {_C_TYPES[dtype]}* partials", "partials", None, dtype))
     return params
 
@@ -138,7 +136,9 @@ def _device_tasks(ctx: CompileContext, maps: list[MemoryMap],
             comp = ctx.component_at(ComponentKind.APPLICATION, path)
             spec = deployed_intrinsic(ctx, path, on_host=False)
             params = _task_params(index, path, comp, spec)
-            task = tasks[path] = _Task(spec, params, (spec.name, spec.kernel_body(comp),
+            acc = _C_TYPES[comp.port(spec.acc).data_type] if spec.acc else ""
+            body = tuple(line.replace("acc_t", acc) for line in spec.kernel_body(comp))
+            task = tasks[path] = _Task(spec, params, (spec.name, body,
                                                       tuple(p.text for p in params)))
         kernel = kernels.get(task.signature)
         if kernel is None:
@@ -338,14 +338,9 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
     ctx = model.context
     name = model.application_root
     index, steps, kernels = _device_tasks(ctx, maps, schedule)
-
-    allocs: dict[str, tuple[DataAllocate, bool]] = {}    # each allocation once, by name
-    for mm in maps:
-        on_host = ctx.memory_role_of(mm.owner_path) is MemoryRole.HOST_RAM
-        for alloc in mm.data_allocations:
-            allocs.setdefault(alloc.name, (alloc, on_host))
-    device_allocs = [alloc for alloc, on_host in allocs.values() if not on_host]
-    host_allocs = [alloc for alloc, on_host in allocs.values() if on_host]
+    # each allocation backing a port once, by name, in map order
+    device_allocs, host_allocs = ({alloc.name: alloc for alloc in found.values()}.values()
+                                  for found in (index.device, index.host))
 
     # the body of main, from the kernels on; the types the root's in ports
     # are loaded as and its out ports stored as, to emit their routines
@@ -421,16 +416,16 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
                 call = f"(step_{i}, {len(step.launches)});"
                 body.append(f"{pad}run_step{call}")
                 if task.spec.reduce:
-                    s = index.host.get(f"{step.task_path}.{task.spec.reduce}").name
+                    s = index.host[f"{step.task_path}.{task.spec.reduce}"].name
                     body.append(f"{pad}h_{s} = sum_{_C_IO[task.params[-1].dtype][0]}{call}")
             elif isinstance(step, HostOp):
                 comp = ctx.component_at(ComponentKind.APPLICATION, step.task_path)
                 spec = deployed_intrinsic(ctx, step.task_path, on_host=True)
-                names = {port.name: f"h_{index.host.get(f'{step.task_path}.{port.name}').name}"
+                names = {port.name: f"h_{index.host[f'{step.task_path}.{port.name}'].name}"
                          for port in comp.ports}
                 body.append(pad + spec.host_c.format_map(names))
             elif isinstance(step, LoopStep):
-                relres = f"h_{index.host.get(step.relres_port).name}"
+                relres = f"h_{index.host[step.relres_port].name}"
                 tol = _float_literal(step.tolerance)
                 body.append(f"{pad}/* loop {step.task_path}: until {relres} < {tol} */")
                 body.extend((f"{pad}converged = 0;",
@@ -445,7 +440,7 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
     final_relres = "0.0"
     for step in schedule.steps:
         if isinstance(step, LoopStep):
-            final_relres = f"h_{index.host.get(step.relres_port).name}"
+            final_relres = f"h_{index.host[step.relres_port].name}"
     body += stores
     body += [f'printf("iters=%d relres=%.17g converged=%s\\n", iters, {final_relres}, '
              'converged ? "true" : "false");', ""]

@@ -24,8 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .metamodel import (AllocKind, CompileContext, Component, ComponentKind, Diagnostic,
-                        Direction, MemoryRole, Model, iter_instances)
+from .metamodel import (CompileContext, Component, ComponentKind, Diagnostic, Direction, Home,
+                        Model, iter_instances)
 from .partition import UnallocatedTask
 
 
@@ -75,6 +75,9 @@ class IntrinsicSpec:
     reduce: str | None = None
     # the kernel body of a task that omits the optional ports
     bare: tuple[str, ...] = ()
+    # the port whose element type the kernel's accumulator, acc_t in its
+    # body, takes; a reduction's partials take it too
+    acc: str = ""
 
     def port_spec(self, name: str) -> PortSpec | None:
         for spec in self.ports:
@@ -201,12 +204,12 @@ INTRINSICS: dict[str, IntrinsicSpec] = {
             PortSpec("x", _IN),
             PortSpec("y", _OUT),
         ), kernel=RANGE_PROLOGUE + (
-            "double acc = 0.0;",
+            "acc_t acc = 0.0;",
             "for (int k = rowptr[i]; k < rowptr[i + 1]; ++k) {",
             "    acc += values[k] * x[colidx[k]];",
             "}",
             "y[i] = acc;",
-        ), launch=_spmv_launch),
+        ), launch=_spmv_launch, acc="y"),
         # per-work-group partial dot products, reduced to s on the host.
         # One accumulator work-item per work-group: no barriers, so the
         # range guard may return early without deadlocking the group.
@@ -218,12 +221,12 @@ INTRINSICS: dict[str, IntrinsicSpec] = {
             "if (get_local_id(0) != 0) return;",
             "int lim = gid + (int)get_local_size(0);",
             "if (lim > count) lim = count;",
-            "double acc = 0.0;",
+            "acc_t acc = 0.0;",
             "for (int k = gid; k < lim; ++k) {",
             "    acc += a[first + k] * b[first + k];",
             "}",
             "partials[get_group_id(0)] = acc;",
-        ), launch=_dot_partial, reduce="s"),
+        ), launch=_dot_partial, reduce="s", acc="a"),
         # y += a * x; with the a port omitted the increment is plain y += x
         IntrinsicSpec("axpy", "device", (
             PortSpec("y", _INOUT),
@@ -349,33 +352,49 @@ def deployed_intrinsic(ctx: CompileContext, task_path: str, on_host: bool) -> In
 
 
 def deployment_diagnostics(model: Model) -> list[Diagnostic]:
-    """One error per leaf task that codegen and `run` would reject, with
-    the message of deployed_intrinsic or the schedule: first each allocated
-    task in allocation order (an unknown intrinsic, a port signature, a
-    processor kind or an output aliasing an input), then each unallocated
-    one in pre-order.  Then one error per root port of more
-    than one element whose storage is allocated to host memory alone: the
-    host program keeps one scalar for it.  Expects a model without
-    conformance errors."""
+    """The errors that codegen and `run` would meet past conformance: per
+    allocated task, in allocation order, the error of deployed_intrinsic or
+    one per port whose group's Home cannot serve it; then, in pre-order,
+    each unallocated leaf task and each loop's until port; then each root
+    port.  The host program reads and writes host ports, reductions' out
+    ports and until ports; a device task's in scalar in host memory is
+    passed by value, and its other ports need device memory; a root port of
+    more than one element in host memory alone would be one scalar there.
+    Expects a model without conformance errors."""
     ctx = model.context
     diags: list[Diagnostic] = []
+
+    def need(node: str, homes: Home, what: str):
+        if not ctx.homes[ctx.port_groups[node]] & homes:
+            memory = {Home.HOST: "host-memory", Home.DEVICE: "device-memory"}.get(homes, "data")
+            diags.append(Diagnostic("error", node, f"{what} has no {memory} allocation "
+                                                   "(directly or via connected ports)"))
+
     for task_path, target in ctx.task_targets.items():
+        on_host = ctx.is_host_processor(target)
         try:
-            deployed_intrinsic(ctx, task_path, ctx.is_host_processor(target))
+            spec = deployed_intrinsic(ctx, task_path, on_host)
         except (UnknownIntrinsic, IntrinsicShapeMismatch) as exc:
             diags.append(Diagnostic("error", task_path, str(exc)))
-    for task_path, comp in iter_instances(model, ComponentKind.APPLICATION):
-        if task_path and comp.is_leaf_task and task_path not in ctx.task_targets:
-            diags.append(Diagnostic("error", task_path, str(UnallocatedTask(task_path))))
-    on_host: set[str] = set()
-    on_device: set[str] = set()
-    for link in model.allocations:
-        if link.kind is AllocKind.DATA:
-            host = ctx.memory_role_of(link.target_path) is MemoryRole.HOST_RAM
-            (on_host if host else on_device).add(link.source_path)
+            continue
+        for port in ctx.component_at(ComponentKind.APPLICATION, task_path).ports:
+            node, what = f"{task_path}.{port.name}", f"{port.direction.value} port of a "
+            if on_host or port.name == spec.reduce:
+                need(node, Home.HOST, what + ("host task" if on_host else "reduction"))
+            elif port.shape.total > 1 and Home.HOST in ctx.homes[ctx.port_groups[node]]:
+                diags.append(Diagnostic("error", node, "host-memory allocation for a device "
+                                                       "task port must be scalar"))
+            elif port.direction is Direction.IN and spec.port_spec(port.name).scalar:
+                need(node, Home.HOST | Home.DEVICE, what + "device task")
+            else:
+                need(node, Home.DEVICE, what + "device task")
+    for path, comp in iter_instances(model, ComponentKind.APPLICATION):
+        if path and comp.is_leaf_task and path not in ctx.task_targets:
+            diags.append(Diagnostic("error", path, str(UnallocatedTask(path))))
+        elif path and comp.until is not None:
+            need(f"{path}.{comp.until.port}", Home.HOST, "until port of a loop")
     for port in model.root(ComponentKind.APPLICATION).ports:
-        group = ctx.port_groups[port.name]
-        if port.shape.total > 1 and group & on_host and not group & on_device:
+        if port.shape.total > 1 and ctx.homes[ctx.port_groups[port.name]] == Home.HOST:
             diags.append(Diagnostic(
                 "error", port.name,
                 f"root port '{port.name}' has {port.shape.total} elements but is allocated "

@@ -62,6 +62,13 @@ class MemoryRole(str, enum.Enum):
     DEVICE_PRIVATE = "devicePrivate"
 
 
+class Home(enum.Flag):
+    """Where the data allocations of a port group put it: in host RAM, in
+    device memory, in both, or, as Home(0), nowhere."""
+    HOST = enum.auto()
+    DEVICE = enum.auto()
+
+
 # Each memory role admits exactly one address-space qualifier; hostRam
 # allocations are host-side staging and are tagged as global space.
 QUALIFIER_FOR_ROLE = {
@@ -267,7 +274,8 @@ def _part_index(model: Model, kind: ComponentKind) -> dict[str, tuple]:
 class CompileContext:
     """What a compile derives from one Model, each part computed on first
     use: per side, the _part_index of instance paths; each component's
-    resolved connector endpoints; the port groups; each leaf task's
+    resolved connector endpoints; the port groups and their placement
+    table, homes, that all placement rules read; each leaf task's
     deployed IntrinsicSpec; the digest; and codegen's kernel parameters
     and signature of each device task.
 
@@ -351,6 +359,16 @@ class CompileContext:
     @functools.cached_property
     def port_groups(self) -> dict[str, frozenset[str]]:
         return connected_port_groups(self.model)
+
+    @functools.cached_property
+    def homes(self) -> dict[frozenset[str], Home]:
+        """The placement table: each port group -> its Home."""
+        homes = dict.fromkeys(self.port_groups.values(), Home(0))
+        for link in self.model.allocations:
+            if link.kind is AllocKind.DATA:
+                on_host = self.memory_role_of(link.target_path) is MemoryRole.HOST_RAM
+                homes[self.port_groups[link.source_path]] |= Home.HOST if on_host else Home.DEVICE
+        return homes
 
     @functools.cached_property
     def task_targets(self) -> dict[str, str]:
@@ -629,18 +647,12 @@ def validate_conformance(model: Model) -> list[Diagnostic]:
     app_ok = resolvable[ComponentKind.APPLICATION]
 
     seen_data_allocs: set[tuple[str, str]] = set()
-    device_tasks: list[str] = []
-    # each distinct allocation target, resolved once: (element, its stereotype)
-    targets: dict[str, tuple] = {}
     for idx, link in enumerate(model.allocations):
         apath = f"allocation[{idx}]"
         source = ctx.element_at(ComponentKind.APPLICATION, link.source_path) if app_ok else None
-        if link.target_path not in targets:
-            target = ctx.element_at(ComponentKind.PLATFORM, link.target_path) if plat_ok else None
-            target_comp = ctx.component_at(ComponentKind.PLATFORM, link.target_path) \
-                if plat_ok else None
-            targets[link.target_path] = (target, target_comp.stereotype if target_comp else None)
-        target, target_st = targets[link.target_path]
+        target = ctx.element_at(ComponentKind.PLATFORM, link.target_path) if plat_ok else None
+        target_comp = ctx.component_at(ComponentKind.PLATFORM, link.target_path) if plat_ok else None
+        target_st = target_comp.stereotype if target_comp else None
         if source is None:
             diags.append(Diagnostic("error", apath,
                                     f"allocation source '{link.source_path}' does not resolve"))
@@ -671,36 +683,8 @@ def validate_conformance(model: Model) -> list[Diagnostic]:
                 comp = ctx.component_at(ComponentKind.APPLICATION, link.source_path)
                 if comp is None or not comp.is_leaf_task:
                     diags.append(Diagnostic("error", apath, "task allocation source must be a leaf task part"))
-                elif target_st is not None:
-                    device_tasks.append(link.source_path)
             if target is not None and (target_st is None or target_st.kind is not StereotypeKind.PROCESSOR):
                 diags.append(Diagnostic("error", apath, "allocation target not a processor"))
-
-    if plat_ok and app_ok:
-        groups = ctx.port_groups
-        allocated_nodes = {link.source_path for link in model.allocations if link.kind is AllocKind.DATA}
-        host_alloc_nodes = {
-            link.source_path for link in model.allocations
-            if link.kind is AllocKind.DATA and targets[link.target_path][1] is not None
-            and targets[link.target_path][1].memory_role is MemoryRole.HOST_RAM
-        }
-        for task_path in device_tasks:
-            if ctx.is_host_processor(ctx.task_targets[task_path]):
-                continue
-            comp = ctx.component_at(ComponentKind.APPLICATION, task_path)
-            if comp is None:
-                continue
-            for port in comp.ports:
-                node = _port_node(task_path, port.name)
-                group = groups.get(node, frozenset({node}))
-                if port.direction in (Direction.IN, Direction.INOUT) \
-                        and not (group & allocated_nodes):
-                    diags.append(Diagnostic("error", node,
-                                            "input port of a device task has no data allocation "
-                                            "(directly or via connected ports)"))
-                if port.shape.total > 1 and group & host_alloc_nodes:
-                    diags.append(Diagnostic("error", node,
-                                            "host-memory allocation for a device task port must be scalar"))
 
     diags.sort(key=lambda d: (d.path, d.message))
     return diags

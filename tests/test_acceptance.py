@@ -18,7 +18,7 @@ from gmodelc.cli import main
 from gmodelc.codegen import generate_host, generate_kernels
 from gmodelc.dsl import parse_model, serialize_model
 from gmodelc.memmap import CapacityExceeded, build_memory_maps, emit_memory_map_report
-from gmodelc.metamodel import CompileContext, MemoryRole, validate_conformance
+from gmodelc.metamodel import validate_conformance
 from gmodelc.partition import build_schedule, partition_equally
 
 import emitted
@@ -191,13 +191,7 @@ def test_criterion_6_codegen_fidelity(cg_model, cg_maps, cg_schedule_d4):
     assert kern.contents.count("__kernel void") == len(signatures) == 6
 
     # one address-space keyword check per port-derived parameter
-    node_space = {}
-    for mm in cg_maps:
-        role = CompileContext(cg_model).memory_role_of(mm.owner_path)
-        for alloc in mm.data_allocations:
-            for node in alloc.associated_parts:
-                if role is not MemoryRole.HOST_RAM:
-                    node_space[node] = alloc.space_address.value
+    node_space = emitted.device_spaces(cg_model, cg_maps)
     for step in device_steps:
         kname = kernel_of[step.task_path]
         sig = re.search(rf"__kernel\s+void\s+{kname}\s*\(([^)]*)\)", kern.contents,

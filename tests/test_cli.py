@@ -109,6 +109,16 @@ def _error(task, message):
      [_error("loop.spmv", "rowptr extent must be row count + 1")]),
     ((("port colidx in int32 [3442951]", "port colidx in int32 [3442950]"),),
      [_error("loop.spmv", "colidx and values extents differ")]),
+    # b's port group, which feeds three device tasks, has no data allocation
+    ((("allocate data b onto device.gmem\n", ""),),
+     [f"error: {port}: in port of a device task has no device-memory allocation "
+      "(directly or via connected ports)" for port in ("init_r.src", "dot_bb.a", "dot_bb.b")]),
+    # the loop tests a port that nothing writes and the host does not hold
+    ((("    port relres out float64 [1]\n    part dot_rr",
+       "    port relres out float64 [1]\n    port stop out float64 [1]\n    part dot_rr"),
+      ("until relres < 1e-10", "until stop < 1e-10")),
+     ["error: loop.stop: until port of a loop has no host-memory allocation "
+      "(directly or via connected ports)"]),
 ])
 def test_check_reports_deployment_errors(workdir, capsys, edit, errors):
     tmp_path, _ = workdir
@@ -120,6 +130,44 @@ def test_check_reports_deployment_errors(workdir, capsys, edit, errors):
     path.write_text(text)
     assert main(["check", str(path)]) == 1
     assert capsys.readouterr().err.splitlines() == errors
+
+
+# the cg ports whose port groups the host program reads or writes
+HOST_RAM_PORTS = ("dot_bb.s", "loop.dot_rr.s", "loop.dot_pap.s", "loop.alpha.q",
+                  "loop.neg_alpha.z", "loop.dot_rrn.s", "loop.relres", "loop.beta.q")
+
+
+@pytest.mark.parametrize("model_file, port, new", [
+    *((None, port, "") for port in HOST_RAM_PORTS),
+    *((None, port, f"allocate data {port} onto device.gmem\n") for port in HOST_RAM_PORTS),
+    ("intrinsics.gmodel", "diff.z", ""),
+], ids=[*(f"delete-{p}" for p in HOST_RAM_PORTS), *(f"move-{p}" for p in HOST_RAM_PORTS),
+        "delete-diff.z"])
+def test_placement_errors_same_in_check_codegen_and_run(tmp_path, capsys, model_file, port, new):
+    """A port group that loses its allocation, or moves from host to device
+    memory, fails check, codegen and run alike: exit 1 and the same
+    diagnostics, each naming a port of that group."""
+    text = gmodelc.bundled_model_text() if model_file is None \
+        else golden_path(model_file).read_text()
+    old, = (line + "\n" for line in text.splitlines()
+            if line.startswith(f"allocate data {port} onto "))
+    model = gmodelc.parse_model(text)
+    group = model.context.port_groups[port]
+    path = tmp_path / "edited.gmodel"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    path.write_text(text.replace(old, new))
+    mtx, _ = _write_poisson(tmp_path, 4)
+    errs = []
+    for argv in (["check"], ["codegen", "--devices", "4"], ["run", "--matrix", mtx]):
+        assert main(argv + [str(path), "--out", str(tmp_path / "out")]) == 1
+        errs.append(capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+    err = errs[0]
+    assert errs == [err] * 3 and err and "Traceback" not in err
+    for line in err.splitlines():
+        assert line.startswith("error: ") and line.split(": ")[1] in group, line
 
 
 def test_check_reports_unallocated_leaf_task(workdir, capsys):

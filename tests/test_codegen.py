@@ -9,7 +9,7 @@ import gmodelc
 from gmodelc.codegen import generate_host, generate_kernels
 from gmodelc.intrinsics import INTRINSICS, UnknownIntrinsic, deployment_diagnostics
 from gmodelc.memmap import build_memory_maps
-from gmodelc.metamodel import AddressSpace, CompileContext, ComponentKind, MemoryRole
+from gmodelc.metamodel import CompileContext, ComponentKind, MemoryRole
 from gmodelc.partition import DeviceStep, Schedule, build_schedule
 
 import emitted
@@ -171,14 +171,9 @@ def test_qualifier_fidelity(cg_model, cg_maps, cg_units, cg_schedule_d4):
     kern, _ = cg_units
     signatures = _kernel_signatures(kern.contents)
     kernel_of = emitted.kernel_of_task(kern.contents)
-    node_space = {}
-    for mm in cg_maps:
-        role = CompileContext(cg_model).memory_role_of(mm.owner_path)
-        for alloc in mm.data_allocations:
-            for node in alloc.associated_parts:
-                node_space.setdefault(node, []).append((role, alloc.space_address))
-    expected_kw = {AddressSpace.GLOBAL: "__global", AddressSpace.CONSTANT: "__constant",
-                   AddressSpace.LOCAL: "__local", AddressSpace.PRIVATE: ""}
+    node_space = emitted.device_spaces(cg_model, cg_maps)
+    expected_kw = {"global": "__global", "constant": "__constant", "local": "__local",
+                   "private": ""}
     checked = 0
     for step in cg_schedule_d4.device_steps():
         params = signatures[kernel_of[step.task_path]]
@@ -186,12 +181,11 @@ def test_qualifier_fidelity(cg_model, cg_maps, cg_units, cg_schedule_d4):
         for pname, param in by_name.items():
             if pname in ("first", "count", "partials"):
                 continue
-            entries = node_space[f"{step.task_path}.{pname}"]
-            device = [(r, s) for r, s in entries if r is not MemoryRole.HOST_RAM]
-            if not device:
+            space = node_space.get(f"{step.task_path}.{pname}")
+            if space is None:
                 assert _space_keyword(param) == "", param  # by-value scalar
             else:
-                assert _space_keyword(param) == expected_kw[device[0][1]], param
+                assert _space_keyword(param) == expected_kw[space], param
             checked += 1
     assert checked >= 25
 
@@ -432,8 +426,9 @@ def test_float32_host_data_stays_float32():
     assert "h_dt_s = sum_floats(step_0, 2);" in host
     kern = generate_kernels(model, maps, build_schedule(model, 2)).contents
     assert "__global float* partials" in kern and "const float a" in kern
-    # the dot body accumulates in double, which OpenCL 1.1 needs cl_khr_fp64 for
-    assert "double acc" in kern and "#pragma OPENCL EXTENSION cl_khr_fp64 : enable" in kern
+    # the dot body accumulates in float, as refexec sums a float32 dot, so
+    # the kernels need no cl_khr_fp64
+    assert "float acc = 0.0;" in kern and "double" not in kern and "cl_khr_fp64" not in kern
     assert "sizeof(double)" not in host
     assert "load_longs" not in host and "store_ints" not in host
     cg_host = golden_path("cg_host_d4.c").read_text()
@@ -470,13 +465,14 @@ SYNTAX_ONLY = ["-std=c99", "-Wall", "-Werror", "-fsyntax-only"]
 
 @pytest.mark.skipif(GCC is None, reason="gcc is not installed")
 @pytest.mark.parametrize("model_file, devices", [
-    (None, 1), (None, 4), (None, 16), ("intrinsics.gmodel", 2)])
+    (None, 1), (None, 4), (None, 16), ("intrinsics.gmodel", 2), ("FLOAT32_MODEL", 2)])
 def test_emitted_c_compiles(tmp_path, cg_text, model_file, devices):
     """The host program compiles as C99 against the OpenCL 1.1 declarations
     of tests/clstub/CL/cl.h, and the kernels compile as C99 once
     tests/clstub/opencl_c.h has defined the OpenCL C qualifiers away, with
     every gcc warning an error."""
-    text = cg_text if model_file is None else golden_path(model_file).read_text()
+    text = {None: cg_text, "FLOAT32_MODEL": FLOAT32_MODEL}.get(model_file) \
+        or golden_path(model_file).read_text()
     model = gmodelc.parse_model(text)
     maps = build_memory_maps(model)
     schedule = build_schedule(model, devices)

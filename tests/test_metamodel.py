@@ -227,9 +227,6 @@ MUTATIONS = [
         + (dataclasses.replace(m.allocations[7], target_path="device.cmem"),)
         + m.allocations[8:]),
      "allocation[7]"),
-    ("unallocated_device_input", lambda m: dataclasses.replace(
-        m, allocations=m.allocations[:3] + m.allocations[4:]),
-     "init_r.src"),
     ("missing_root", lambda m: dataclasses.replace(m, application_root="nothing"),
      "application"),
 ]
