@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .intrinsics import IntrinsicSpec, deployed_intrinsic
 from .memmap import DataAllocate, MemoryMap
 from .metamodel import (AddressSpace, CompileContext, Component, ComponentKind, DataType,
-                        Direction, MemoryRole, Model)
+                        Direction, Home, Model)
 from .partition import DeviceStep, HostOp, LoopStep, Schedule
 
 
@@ -48,21 +48,7 @@ _C_IO = {DataType.FLOAT64: ("doubles", "%lf", "%.17g"),
 
 
 _SPACE_KEYWORDS = {AddressSpace.GLOBAL: "__global ", AddressSpace.CONSTANT: "__constant ",
-                   AddressSpace.LOCAL: "__local ", AddressSpace.PRIVATE: ""}
-
-
-class _AllocIndex:
-    """The first device and the first host allocation backing each port."""
-
-    def __init__(self, ctx: CompileContext, maps: list[MemoryMap]):
-        self.device: dict[str, DataAllocate] = {}
-        self.host: dict[str, DataAllocate] = {}
-        for mm in maps:
-            on_host = ctx.memory_role_of(mm.owner_path) is MemoryRole.HOST_RAM
-            found = self.host if on_host else self.device
-            for alloc in mm.data_allocations:
-                for node in alloc.associated_parts:
-                    found.setdefault(node, alloc)
+                   AddressSpace.LOCAL: "__local "}
 
 
 class _Param(NamedTuple):
@@ -72,31 +58,25 @@ class _Param(NamedTuple):
     dtype: DataType = DataType.INT32
 
 
-def _port_param(index: _AllocIndex, task_path: str, port) -> _Param:
-    node = f"{task_path}.{port.name}"
-    ctype = _C_TYPES[port.data_type]
-    alloc = index.device.get(node)
-    if alloc is None:
-        # host-resident scalar, passed by value
-        return _Param(f"const {ctype} {port.name}", "scalar", index.host[node], port.data_type)
-    space = alloc.space_address
-    const = "const " if space is AddressSpace.GLOBAL and port.direction is Direction.IN else ""
-    return _Param(f"{_SPACE_KEYWORDS[space]}{const}{ctype}* {port.name}",
-                  "local" if space is AddressSpace.LOCAL else "buffer", alloc, port.data_type)
-
-
-def _task_params(index: _AllocIndex, task_path: str, comp: Component,
-                 spec: IntrinsicSpec) -> list[_Param]:
+def _task_params(ctx: CompileContext, allocs: dict[str, DataAllocate], task_path: str,
+                 comp: Component, spec: IntrinsicSpec) -> list[_Param]:
     params = [_Param("const int first", "range", None), _Param("const int count", "range", None)]
     for pspec in spec.ports:
         port = comp.port(pspec.name)
         if port is None:
             continue
-        if port.direction is Direction.OUT and f"{task_path}.{port.name}" not in index.device:
-            # host-resident result (a reduction's scalar): delivered via the
-            # partials buffer and the host reduction, not a kernel parameter
-            continue
-        params.append(_port_param(index, task_path, port))
+        node, ctype = f"{task_path}.{port.name}", _C_TYPES[port.data_type]
+        alloc, space = allocs[node], allocs[node].space_address
+        if ctx.home(node) is not Home.HOST:
+            read_only = space is AddressSpace.GLOBAL and port.direction is Direction.IN
+            const = "const " if read_only else ""
+            params.append(_Param(f"{_SPACE_KEYWORDS[space]}{const}{ctype}* {port.name}",
+                                 "local" if space is AddressSpace.LOCAL else "buffer", alloc,
+                                 port.data_type))
+        elif port.direction is not Direction.OUT:
+            # an in scalar in host memory is passed by value; an out port
+            # there is a reduction's sum, which the host makes from partials
+            params.append(_Param(f"const {ctype} {port.name}", "scalar", alloc, port.data_type))
     if spec.reduce:
         dtype = comp.port(spec.acc).data_type
         params.append(_Param(f"__global {_C_TYPES[dtype]}* partials", "partials", None, dtype))
@@ -119,13 +99,14 @@ class _Kernel:
 
 
 def _device_tasks(ctx: CompileContext, maps: list[MemoryMap],
-                  schedule: Schedule) -> tuple[_AllocIndex, list, list[_Kernel]]:
-    """The allocation index of maps, each device step with its _Task and
-    _Kernel, and the kernels in order of first use.  The index and each
+                  schedule: Schedule) -> tuple[dict[str, DataAllocate], list, list[_Kernel]]:
+    """Each port node's allocation in maps, each device step with its _Task
+    and _Kernel, and the kernels in order of first use.  The first and each
     task's _Task are computed once per (model, maps) and kept on ctx."""
     if ctx.device_tasks is None or ctx.device_tasks[0] is not maps:
-        ctx.device_tasks = (maps, _AllocIndex(ctx, maps), {})
-    _, index, tasks = ctx.device_tasks
+        ctx.device_tasks = (maps, {node: alloc for mm in maps for alloc in mm.data_allocations
+                                   for node in alloc.associated_parts}, {})
+    _, allocs, tasks = ctx.device_tasks
     kernels: dict[tuple, _Kernel] = {}
     names: set[str] = set()
     steps = []
@@ -135,7 +116,7 @@ def _device_tasks(ctx: CompileContext, maps: list[MemoryMap],
         if task is None:
             comp = ctx.component_at(ComponentKind.APPLICATION, path)
             spec = deployed_intrinsic(ctx, path, on_host=False)
-            params = _task_params(index, path, comp, spec)
+            params = _task_params(ctx, allocs, path, comp, spec)
             acc = _C_TYPES[comp.port(spec.acc).data_type] if spec.acc else ""
             body = tuple(line.replace("acc_t", acc) for line in spec.kernel_body(comp))
             task = tasks[path] = _Task(spec, params, (spec.name, body,
@@ -152,7 +133,7 @@ def _device_tasks(ctx: CompileContext, maps: list[MemoryMap],
             kernel = kernels[task.signature] = _Kernel(name, task)
         kernel.paths.append(path)
         steps.append((step, task, kernel))
-    return index, steps, list(kernels.values())
+    return allocs, steps, list(kernels.values())
 
 
 def _comment(text: str) -> list[str]:
@@ -337,10 +318,11 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
         raise ValueError("device_count must be positive")
     ctx = model.context
     name = model.application_root
-    index, steps, kernels = _device_tasks(ctx, maps, schedule)
-    # each allocation backing a port once, by name, in map order
-    device_allocs, host_allocs = ({alloc.name: alloc for alloc in found.values()}.values()
-                                  for found in (index.device, index.host))
+    allocs, steps, kernels = _device_tasks(ctx, maps, schedule)
+    # each allocation in map order, on the side of its group's Home
+    homes = [(ctx.home(a.associated_parts[0]), a) for mm in maps for a in mm.data_allocations]
+    device_allocs, host_allocs = ([a for home, a in homes if home is side]
+                                  for side in (Home.DEVICE, Home.HOST))
 
     # the body of main, from the kernels on; the types the root's in ports
     # are loaded as and its out ports stored as, to emit their routines
@@ -375,8 +357,7 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
     loaded, stored = {DataType.FLOAT64, DataType.INT32}, {DataType.FLOAT64}
     uploaded: set[str] = set()
     for port in model.root(ComponentKind.APPLICATION).ports:
-        device = index.device.get(port.name)
-        alloc = device or index.host.get(port.name)
+        alloc = allocs.get(port.name)
         if alloc is None or port.direction is Direction.INOUT:
             continue
         n, dtype, c = alloc.dim_allocation.total, alloc.type_allocation, alloc.name
@@ -386,7 +367,7 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
                 continue
             uploaded.add(c)
             loaded.add(dtype)
-            if device is None:
+            if ctx.home(port.name) is Home.HOST:
                 body.append(f'load_{suffix}("{name}_{port.name}.txt", &h_{c}, 1);')
                 continue
             body += [f"{ctype}* in_{c} = ({ctype}*)malloc({alloc.size_bytes});",
@@ -396,7 +377,7 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
                      f'CHECK(err, "write {c}");']
             continue
         stored.add(dtype)
-        if device is None:
+        if ctx.home(port.name) is Home.HOST:
             stores.append(f'store_{suffix}("{name}_{port.name}_out.txt", &h_{c}, 1);')
             continue
         stores += [f"{ctype}* out_{c} = ({ctype}*)malloc({alloc.size_bytes});",
@@ -416,16 +397,16 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
                 call = f"(step_{i}, {len(step.launches)});"
                 body.append(f"{pad}run_step{call}")
                 if task.spec.reduce:
-                    s = index.host[f"{step.task_path}.{task.spec.reduce}"].name
+                    s = allocs[f"{step.task_path}.{task.spec.reduce}"].name
                     body.append(f"{pad}h_{s} = sum_{_C_IO[task.params[-1].dtype][0]}{call}")
             elif isinstance(step, HostOp):
                 comp = ctx.component_at(ComponentKind.APPLICATION, step.task_path)
                 spec = deployed_intrinsic(ctx, step.task_path, on_host=True)
-                names = {port.name: f"h_{index.host[f'{step.task_path}.{port.name}'].name}"
+                names = {port.name: f"h_{allocs[f'{step.task_path}.{port.name}'].name}"
                          for port in comp.ports}
                 body.append(pad + spec.host_c.format_map(names))
             elif isinstance(step, LoopStep):
-                relres = f"h_{index.host[step.relres_port].name}"
+                relres = f"h_{allocs[step.relres_port].name}"
                 tol = _float_literal(step.tolerance)
                 body.append(f"{pad}/* loop {step.task_path}: until {relres} < {tol} */")
                 body.extend((f"{pad}converged = 0;",
@@ -440,7 +421,7 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
     final_relres = "0.0"
     for step in schedule.steps:
         if isinstance(step, LoopStep):
-            final_relres = f"h_{index.host[step.relres_port].name}"
+            final_relres = f"h_{allocs[step.relres_port].name}"
     body += stores
     body += [f'printf("iters=%d relres=%.17g converged=%s\\n", iters, {final_relres}, '
              'converged ? "true" : "false");', ""]

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .metamodel import (CompileContext, Component, ComponentKind, Diagnostic, Direction, Home,
-                        Model, iter_instances)
+                        MemoryRole, Model, iter_instances)
 from .partition import UnallocatedTask
 
 
@@ -353,19 +353,36 @@ def deployed_intrinsic(ctx: CompileContext, task_path: str, on_host: bool) -> In
 
 def deployment_diagnostics(model: Model) -> list[Diagnostic]:
     """The errors that codegen and `run` would meet past conformance: per
-    allocated task, in allocation order, the error of deployed_intrinsic or
-    one per port whose group's Home cannot serve it; then, in pre-order,
-    each unallocated leaf task and each loop's until port; then each root
-    port.  The host program reads and writes host ports, reductions' out
-    ports and until ports; a device task's in scalar in host memory is
-    passed by value, and its other ports need device memory; a root port of
-    more than one element in host memory alone would be one scalar there.
-    Expects a model without conformance errors."""
+    group of the placement table, each link to a second memory, each linked
+    port in private memory (no kernel argument can be) and each port but
+    an `in` one in constant memory; per allocated task, the error of
+    deployed_intrinsic or one per port whose group's Home cannot serve it;
+    in pre-order, each unallocated leaf task and each loop's until port;
+    then each root port.  The host program reads and writes host ports,
+    reductions' out ports and until ports; a device task's in scalar in
+    host memory is passed by value, and its other ports need device memory;
+    a root port of more than one element in host memory would be one scalar
+    there.  Expects a model without conformance errors."""
     ctx = model.context
     diags: list[Diagnostic] = []
 
+    for group, (memory, role, linked, strays) in ctx.placements.items():
+        diags += [Diagnostic("error", port, f"data allocation onto '{other}' names a second "
+                                            f"memory: its port group lives in '{memory}'")
+                  for port, other in strays]
+        if role is MemoryRole.DEVICE_PRIVATE:
+            diags += [Diagnostic("error", port, f"port group in private memory '{memory}': a "
+                                                "kernel argument must be in global, constant "
+                                                "or local memory") for port in linked]
+        elif role is MemoryRole.DEVICE_CONSTANT:
+            ports = ((node, ctx.element_at(ComponentKind.APPLICATION, node))
+                     for node in sorted(group))
+            diags += [Diagnostic("error", node, f"{port.direction.value} port in constant memory "
+                                                f"'{memory}', which kernels only read")
+                      for node, port in ports if port.direction is not Direction.IN]
+
     def need(node: str, homes: Home, what: str):
-        if not ctx.homes[ctx.port_groups[node]] & homes:
+        if not ctx.home(node) & homes:
             memory = {Home.HOST: "host-memory", Home.DEVICE: "device-memory"}.get(homes, "data")
             diags.append(Diagnostic("error", node, f"{what} has no {memory} allocation "
                                                    "(directly or via connected ports)"))
@@ -381,7 +398,7 @@ def deployment_diagnostics(model: Model) -> list[Diagnostic]:
             node, what = f"{task_path}.{port.name}", f"{port.direction.value} port of a "
             if on_host or port.name == spec.reduce:
                 need(node, Home.HOST, what + ("host task" if on_host else "reduction"))
-            elif port.shape.total > 1 and Home.HOST in ctx.homes[ctx.port_groups[node]]:
+            elif port.shape.total > 1 and ctx.home(node) is Home.HOST:
                 diags.append(Diagnostic("error", node, "host-memory allocation for a device "
                                                        "task port must be scalar"))
             elif port.direction is Direction.IN and spec.port_spec(port.name).scalar:
@@ -394,9 +411,9 @@ def deployment_diagnostics(model: Model) -> list[Diagnostic]:
         elif path and comp.until is not None:
             need(f"{path}.{comp.until.port}", Home.HOST, "until port of a loop")
     for port in model.root(ComponentKind.APPLICATION).ports:
-        if port.shape.total > 1 and ctx.homes[ctx.port_groups[port.name]] == Home.HOST:
+        if port.shape.total > 1 and ctx.home(port.name) is Home.HOST:
             diags.append(Diagnostic(
                 "error", port.name,
-                f"root port '{port.name}' has {port.shape.total} elements but is allocated "
-                "to host memory alone, where the host program keeps one scalar"))
+                f"root port '{port.name}' has {port.shape.total} elements but lives in host "
+                "memory, where the host program keeps one scalar"))
     return diags

@@ -1,18 +1,17 @@
 """Memory-mapping transformation: packs data allocations into per-memory maps.
 
-For every memory instance targeted by data-allocation links, builds an
-ordered map of packed allocation records.  Connector-connected ports
-share one record; bases are byte offsets from the start of the memory
-region, assigned first-fit in link declaration order and rounded up to
-the element type size.
+For every memory of the model's placement table, builds an ordered map
+of packed allocation records.  Connector-connected ports share one
+record; bases are byte offsets from the start of the memory region,
+assigned first-fit in link declaration order and rounded up to the
+element type size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .metamodel import (AddressSpace, AllocKind, ComponentKind, DataType, FlowPort, Model,
-                        QUALIFIER_FOR_ROLE, Shape)
+from .metamodel import AddressSpace, ComponentKind, DataType, Model, QUALIFIER_FOR_ROLE, Shape
 
 
 class CapacityExceeded(ValueError):
@@ -59,22 +58,19 @@ def _round_up(value: int, align: int) -> int:
 def build_memory_maps(model: Model) -> list[MemoryMap]:
     """Run the memory-mapping transformation over a conformant model.
 
-    One MemoryMap per memory with data allocations, ordered by first
-    link appearance.  Within a map, each connector-connected port group
-    gets a single DataAllocate named after its first linked port, its dots
-    made underscores; bases pack upward from zero.  A name is an
-    identifier of the generated code, so where two port groups would get
-    one name, as `a_b.c` and `a.b_c` do, the later group's gets a suffix
-    `_2` (`_3`, ...).  Raises CapacityExceeded when a memory with a
-    declared capacity overflows.
+    One MemoryMap per memory of the placement table, ordered by first
+    link appearance.  Within a map, each port group placed there gets a
+    single DataAllocate named after its first linked port, its dots made
+    underscores; bases pack upward from zero.  A name is an identifier of
+    the generated code, so where two port groups would get one name, as
+    `a_b.c` and `a.b_c` do, the later group's gets a suffix `_2` (`_3`,
+    ...).  Raises CapacityExceeded when a memory with a declared capacity
+    overflows.
     """
     ctx = model.context
-    groups = ctx.port_groups
-
-    per_memory: dict[str, list[str]] = {}       # in order of first link
-    for link in model.allocations:
-        if link.kind is AllocKind.DATA:
-            per_memory.setdefault(link.target_path, []).append(link.source_path)
+    per_memory: dict[str, list] = {}       # memory -> its (group, linked ports) in link order
+    for group, placement in ctx.placements.items():
+        per_memory.setdefault(placement.memory, []).append((group, placement.linked))
 
     names: dict[str, frozenset[str]] = {}       # allocation name -> its port group
 
@@ -87,31 +83,24 @@ def build_memory_maps(model: Model) -> list[MemoryMap]:
         return name
 
     maps: list[MemoryMap] = []
-    for owner, port_paths in per_memory.items():
+    for owner, placed in per_memory.items():
         space = QUALIFIER_FOR_ROLE[ctx.memory_role_of(owner)]
         capacity = ctx.component_at(ComponentKind.PLATFORM, owner).stereotype.capacity_bytes
-
         cursor = 0
-        # each group's linked ports, base and first linked port, in packing order
-        placed: dict[frozenset[str], tuple[list[str], int, FlowPort]] = {}
-        for port_path in port_paths:
-            group = groups.get(port_path, frozenset({port_path}))
-            if group in placed:
-                placed[group][0].append(port_path)
-                continue
-            port = ctx.element_at(ComponentKind.APPLICATION, port_path)
+        allocs = []
+        for group, linked in placed:
+            port = ctx.element_at(ComponentKind.APPLICATION, linked[0])
             align = port.data_type.size_bytes
             base = _round_up(cursor, align)
             cursor = base + port.shape.total * align
-            placed[group] = ([port_path], base, port)
+            allocs.append(DataAllocate(
+                name=unique_name(linked[0], group), space_address=space, base_address=base,
+                dim_allocation=port.shape, type_allocation=port.data_type,
+                associated_parts=linked + tuple(sorted(group - set(linked)))))
         if capacity is not None and cursor > capacity:
             raise CapacityExceeded(owner, cursor, capacity)
-        maps.append(MemoryMap(owner_path=owner, capacity_bytes=capacity, data_allocations=tuple(
-            DataAllocate(name=unique_name(linked[0], group), space_address=space,
-                         base_address=base, dim_allocation=port.shape,
-                         type_allocation=port.data_type,
-                         associated_parts=tuple(linked + sorted(group - set(linked))))
-            for group, (linked, base, port) in placed.items())))
+        maps.append(MemoryMap(owner_path=owner, capacity_bytes=capacity,
+                              data_allocations=tuple(allocs)))
     return maps
 
 

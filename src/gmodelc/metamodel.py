@@ -18,6 +18,7 @@ import types
 import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class Direction(str, enum.Enum):
@@ -64,13 +65,13 @@ class MemoryRole(str, enum.Enum):
 
 class Home(enum.Flag):
     """Where the data allocations of a port group put it: in host RAM, in
-    device memory, in both, or, as Home(0), nowhere."""
+    device memory or, as Home(0), nowhere."""
     HOST = enum.auto()
     DEVICE = enum.auto()
 
 
 # Each memory role admits exactly one address-space qualifier; hostRam
-# allocations are host-side staging and are tagged as global space.
+# allocations, which the host program holds, are tagged as global space.
 QUALIFIER_FOR_ROLE = {
     MemoryRole.HOST_RAM: AddressSpace.GLOBAL,
     MemoryRole.DEVICE_GLOBAL: AddressSpace.GLOBAL,
@@ -198,6 +199,15 @@ class AllocationLink:
     target_path: str
 
 
+class Placement(NamedTuple):
+    """A port group's row of the placement table: the memory its first data link
+    names, its role, the ports linked to it and each other (port, memory) link."""
+    memory: str
+    role: MemoryRole | None
+    linked: tuple[str, ...]
+    strays: tuple[tuple[str, str], ...]
+
+
 @dataclass(frozen=True)
 class Model:
     platform_components: Mapping[str, Component]
@@ -275,9 +285,8 @@ class CompileContext:
     """What a compile derives from one Model, each part computed on first
     use: per side, the _part_index of instance paths; each component's
     resolved connector endpoints; the port groups and their placement
-    table, homes, that all placement rules read; each leaf task's
-    deployed IntrinsicSpec; the digest; and codegen's kernel parameters
-    and signature of each device task.
+    table; each leaf task's deployed IntrinsicSpec; the digest; and
+    codegen's kernel parameters and signature of each device task.
 
     Each Model owns one, as `Model.context`, which every stage takes.  It
     stays valid because a Model cannot be edited: its component tables are
@@ -293,8 +302,8 @@ class CompileContext:
         self._endpoints: dict[int, tuple] = {}
         # intrinsics.deployed_intrinsic's checked specs, by (task path, on host)
         self.intrinsics: dict[tuple[str, bool], object] = {}
-        # codegen's (maps, allocation index, {task path: its intrinsic,
-        # kernel parameters and kernel signature})
+        # codegen's (maps, {port node: its DataAllocate}, {task path: its
+        # intrinsic, kernel parameters and kernel signature})
         self.device_tasks: tuple | None = None
 
     @property
@@ -361,14 +370,27 @@ class CompileContext:
         return connected_port_groups(self.model)
 
     @functools.cached_property
-    def homes(self) -> dict[frozenset[str], Home]:
-        """The placement table: each port group -> its Home."""
-        homes = dict.fromkeys(self.port_groups.values(), Home(0))
+    def placements(self) -> dict[frozenset[str], Placement]:
+        """The placement table, which the placement rules, the memory maps
+        and codegen read: each port group with a data allocation -> its
+        Placement, in order of the group's first data link."""
+        rows: dict[frozenset[str], tuple[str, list, list]] = {}
         for link in self.model.allocations:
             if link.kind is AllocKind.DATA:
-                on_host = self.memory_role_of(link.target_path) is MemoryRole.HOST_RAM
-                homes[self.port_groups[link.source_path]] |= Home.HOST if on_host else Home.DEVICE
-        return homes
+                memory, linked, strays = rows.setdefault(
+                    self.port_groups[link.source_path], (link.target_path, [], []))
+                if link.target_path == memory:
+                    linked.append(link.source_path)
+                else:
+                    strays.append((link.source_path, link.target_path))
+        return {group: Placement(memory, self.memory_role_of(memory), tuple(linked), tuple(strays))
+                for group, (memory, linked, strays) in rows.items()}
+
+    def home(self, node: str) -> Home:
+        """The Home of a port node's group, from the role of its memory."""
+        placement = self.placements.get(self.port_groups[node])
+        return Home(0) if placement is None else \
+            Home.HOST if placement.role is MemoryRole.HOST_RAM else Home.DEVICE
 
     @functools.cached_property
     def task_targets(self) -> dict[str, str]:
@@ -491,29 +513,28 @@ def _effective_endpoint(model: Model, comp: Component, endpoint: str):
 
 
 def _type_graph_cycles(comps: Mapping[str, Component]) -> set[str]:
-    """Names of components that participate in a part-instantiation cycle."""
+    """Names of components that participate in a part-instantiation cycle,
+    by a depth-first walk that keeps its own stack: no depth of nesting
+    meets Python's recursion limit."""
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {name: WHITE for name in comps}
     in_cycle: set[str] = set()
-
-    def visit(name: str, stack: list[str]):
-        color[name] = GRAY
-        stack.append(name)
-        for part in comps[name].parts:
-            ref = part.type_ref
-            if ref not in comps:
-                continue
-            if color[ref] == GRAY:
-                idx = stack.index(ref)
-                in_cycle.update(stack[idx:])
-            elif color[ref] == WHITE:
-                visit(ref, stack)
-        stack.pop()
-        color[name] = BLACK
-
     for name in comps:
-        if color[name] == WHITE:
-            visit(name, [])
+        if color[name] != WHITE:
+            continue
+        color[name] = GRAY
+        stack, todo = [name], [iter(comps[name].parts)]     # the gray path; its parts left
+        while todo:
+            part = next(todo[-1], None)
+            if part is None:
+                todo.pop()
+                color[stack.pop()] = BLACK
+            elif color.get(part.type_ref) == GRAY:
+                in_cycle.update(stack[stack.index(part.type_ref):])
+            elif color.get(part.type_ref) == WHITE:
+                color[part.type_ref] = GRAY
+                stack.append(part.type_ref)
+                todo.append(iter(comps[part.type_ref].parts))
     return in_cycle
 
 
@@ -665,7 +686,6 @@ def validate_conformance(model: Model) -> list[Diagnostic]:
         if link.kind is AllocKind.DATA:
             if source is not None and not isinstance(source, FlowPort):
                 diags.append(Diagnostic("error", apath, "data allocation source must be a port"))
-                source = None
             if target is not None and (target_st is None or target_st.kind is not StereotypeKind.MEMORY):
                 diags.append(Diagnostic("error", apath, "allocation target not a memory"))
             key = (link.source_path, link.target_path)
@@ -673,11 +693,6 @@ def validate_conformance(model: Model) -> list[Diagnostic]:
                 diags.append(Diagnostic("error", apath,
                                         f"duplicate data allocation of '{link.source_path}' onto '{link.target_path}'"))
             seen_data_allocs.add(key)
-            role = target_st.memory_role if target_st else None
-            if isinstance(source, FlowPort) and role is MemoryRole.DEVICE_CONSTANT \
-                    and source.direction is not Direction.IN:
-                diags.append(Diagnostic("error", apath,
-                                        "constant-space allocation requires an input (read-only) port"))
         else:
             if source is not None:
                 comp = ctx.component_at(ComponentKind.APPLICATION, link.source_path)

@@ -211,36 +211,39 @@ def build_schedule(model: Model, device_count: int) -> Schedule:
                                    else _pe_local_size(ctx, target))
         return local_sizes[target]
 
-    def schedule_component(comp: Component, prefix: str) -> list:
-        steps: list = []
-        for part in _order_parts(model, comp, prefix):
-            sub = model.component(ComponentKind.APPLICATION, part.type_ref)
-            path = f"{prefix}.{part.name}" if prefix else part.name
-            if sub.is_leaf_task:
-                target = ctx.task_targets.get(path)
-                if target is None:
-                    raise UnallocatedTask(path)
-                local = local_size(target)
-                if local is None:
-                    steps.append(HostOp(task_path=path, op=sub.elementary_op))
-                else:
-                    total = sub.repetition_space.total if sub.repetition_space else 1
-                    key = (total, local)
-                    if key not in launches_of:
-                        launches_of[key] = _launches(partition_equally(total, device_count),
-                                                     local)
-                    steps.append(DeviceStep(task_path=path, op=sub.elementary_op,
-                                            launches=launches_of[key]))
-            elif sub.until is not None:
-                body = schedule_component(sub, path)
-                steps.append(LoopStep(task_path=path, body=tuple(body),
-                                      tolerance=sub.until.tolerance,
-                                      max_iterations=sub.repetition_space.total,
-                                      relres_port=f"{path}.{sub.until.port}"))
-            else:
-                steps.extend(schedule_component(sub, path))
-        return steps
-
-    steps = schedule_component(model.root(ComponentKind.APPLICATION), "")
-    del schedule_component  # a recursive closure is a cycle: it would keep the model for the collector
+    # the structured tasks being scheduled, as (parts left, path, component,
+    # the list its steps go to): no depth of nesting meets the recursion limit
+    steps: list = []
+    root = model.root(ComponentKind.APPLICATION)
+    frames = [(iter(_order_parts(model, root, "")), "", root, steps)]
+    while frames:
+        parts, prefix, comp, out = frames[-1]
+        part = next(parts, None)
+        if part is None:
+            frames.pop()
+            if frames and comp.until is not None:
+                frames[-1][3].append(LoopStep(task_path=prefix, body=tuple(out),
+                                              tolerance=comp.until.tolerance,
+                                              max_iterations=comp.repetition_space.total,
+                                              relres_port=f"{prefix}.{comp.until.port}"))
+            continue
+        sub = model.component(ComponentKind.APPLICATION, part.type_ref)
+        path = f"{prefix}.{part.name}" if prefix else part.name
+        if not sub.is_leaf_task:
+            frames.append((iter(_order_parts(model, sub, path)), path, sub,
+                           [] if sub.until is not None else out))
+            continue
+        target = ctx.task_targets.get(path)
+        if target is None:
+            raise UnallocatedTask(path)
+        local = local_size(target)
+        if local is None:
+            out.append(HostOp(task_path=path, op=sub.elementary_op))
+        else:
+            total = sub.repetition_space.total if sub.repetition_space else 1
+            key = (total, local)
+            if key not in launches_of:
+                launches_of[key] = _launches(partition_equally(total, device_count), local)
+            out.append(DeviceStep(task_path=path, op=sub.elementary_op,
+                                  launches=launches_of[key]))
     return Schedule(steps=tuple(steps))

@@ -1,7 +1,8 @@
 /*
  * Reads an OpenCL C kernel file as C99, for syntax checks of the generated
- * kernels: the address-space and kernel qualifiers expand to nothing and
- * the work-item functions are declared.  Include it first (gcc -include).
+ * kernels: the address-space and kernel qualifiers expand to nothing, but
+ * __constant to const, and the work-item functions are declared.  Include
+ * it first (gcc -include).
  */
 #ifndef GMODELC_CLSTUB_OPENCL_C_H
 #define GMODELC_CLSTUB_OPENCL_C_H
@@ -13,7 +14,8 @@
 
 #define __kernel
 #define __global
-#define __constant
+/* constant memory is read-only to a kernel: a store through it fails */
+#define __constant const
 #define __local
 
 size_t get_global_id(unsigned dim);

@@ -119,6 +119,12 @@ def _error(task, message):
       ("until relres < 1e-10", "until stop < 1e-10")),
      ["error: loop.stop: until port of a loop has no host-memory allocation "
       "(directly or via connected ports)"]),
+    # a port group in constant memory whose ports kernels write: the root
+    # out port x, and the loop's x and axpy_x.y that update it in place
+    ((("allocate data x onto device.gmem", "allocate data x onto device.cmem"),),
+     [f"error: {port}: {direction} port in constant memory 'device.cmem', which kernels "
+      "only read" for port, direction in (("loop.axpy_x.y", "inout"), ("loop.x", "inout"),
+                                          ("x", "out"))]),
 ])
 def test_check_reports_deployment_errors(workdir, capsys, edit, errors):
     tmp_path, _ = workdir
@@ -137,15 +143,29 @@ HOST_RAM_PORTS = ("dot_bb.s", "loop.dot_rr.s", "loop.dot_pap.s", "loop.alpha.q",
                   "loop.neg_alpha.z", "loop.dot_rrn.s", "loop.relres", "loop.beta.q")
 
 
+# edits of cg's allocations that leave each line's port group in memory
+# that no generated program could use: (port, its lines' new text)
+MISPLACED = {
+    "second-memory-host": ("loop.alpha.q", "allocate data loop.alpha.q onto host.ram\n"
+                                           "allocate data loop.alpha.q onto device.gmem\n"),
+    "second-memory-device": ("values", "allocate data values onto device.gmem\n"
+                                       "allocate data values onto device.cmem\n"),
+    "constant-written": ("loop.spmv.y", "allocate data loop.dot_pap.b onto device.cmem\n"),
+    "private": ("loop.spmv.y", "allocate data loop.spmv.y onto device.c.pe.pmem\n"),
+}
+
+
 @pytest.mark.parametrize("model_file, port, new", [
     *((None, port, "") for port in HOST_RAM_PORTS),
     *((None, port, f"allocate data {port} onto device.gmem\n") for port in HOST_RAM_PORTS),
     ("intrinsics.gmodel", "diff.z", ""),
+    *((None, port, new) for port, new in MISPLACED.values()),
 ], ids=[*(f"delete-{p}" for p in HOST_RAM_PORTS), *(f"move-{p}" for p in HOST_RAM_PORTS),
-        "delete-diff.z"])
+        "delete-diff.z", *MISPLACED])
 def test_placement_errors_same_in_check_codegen_and_run(tmp_path, capsys, model_file, port, new):
-    """A port group that loses its allocation, or moves from host to device
-    memory, fails check, codegen and run alike: exit 1 and the same
+    """A port group that loses its allocation, moves from host to device
+    memory, names a second memory, is written in constant memory or sits in
+    private memory fails check, codegen and run alike: exit 1 and the same
     diagnostics, each naming a port of that group."""
     text = gmodelc.bundled_model_text() if model_file is None \
         else golden_path(model_file).read_text()
@@ -168,6 +188,8 @@ def test_placement_errors_same_in_check_codegen_and_run(tmp_path, capsys, model_
     assert errs == [err] * 3 and err and "Traceback" not in err
     for line in err.splitlines():
         assert line.startswith("error: ") and line.split(": ")[1] in group, line
+    if (port, new) in MISPLACED.values():       # one broken port each
+        assert len(err.splitlines()) == 1
 
 
 def test_check_reports_unallocated_leaf_task(workdir, capsys):
@@ -306,8 +328,8 @@ def test_host_only_root_port_rejected_by_check_codegen_and_run(tmp_path, capsys)
     would be one scalar in the host program: every command stops on it."""
     path = _intrinsics_model_with(tmp_path, HOST_ONLY_ROOT_PORT)
     mtx, _ = _write_poisson(tmp_path, 4)
-    message = ("error: w: root port 'w' has 4 elements but is allocated to host "
-               "memory alone, where the host program keeps one scalar\n")
+    message = ("error: w: root port 'w' has 4 elements but lives in host memory, "
+               "where the host program keeps one scalar\n")
     for argv in (["check", path], ["codegen", path, "--devices", "2"],
                  ["run", path, "--matrix", mtx]):
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
@@ -315,14 +337,52 @@ def test_host_only_root_port_rejected_by_check_codegen_and_run(tmp_path, capsys)
     assert not (tmp_path / "out").exists()
 
 
-def test_staged_root_port_accepted(tmp_path, capsys):
-    """A root port that resides in host and device memory is uploaded from
-    its device allocation."""
-    path = _intrinsics_model_with(tmp_path, HOST_ONLY_ROOT_PORT + (
-        ("allocate data w onto host.ram\n",
-         "allocate data w onto host.ram\nallocate data w onto device.gmem\n"),))
-    assert main(["check", path]) == 0
+def test_staged_root_port_rejected(tmp_path, capsys):
+    """A root port allocated to device memory as well as host memory is
+    rejected: a port group lives in one memory, and every device-resident
+    root in port is loaded through host memory and uploaded anyway."""
+    path = _intrinsics_model_with(tmp_path, (HOST_ONLY_ROOT_PORT[0], (
+        "allocate data relres onto host.ram\n",
+        "allocate data relres onto host.ram\nallocate data w onto device.gmem\n"
+        "allocate data w onto host.ram\n")))
+    mtx, _ = _write_poisson(tmp_path, 4)
+    message = ("error: w: data allocation onto 'host.ram' names a second memory: its port "
+               "group lives in 'device.gmem'\n")
+    for argv in (["check", path], ["codegen", path, "--devices", "2"],
+                 ["run", path, "--matrix", mtx]):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()
+
+
+def _nested_model(depth: int, reverse: bool) -> str:
+    """A copy task under `depth` wrapper components, W<i> holding W<i - 1>,
+    declared from W0 up or, with reverse, from W<depth> down."""
+    wrappers = [f"  component W{i} {{\n    part k : W{i - 1}\n  }}\n" for i in range(1, depth + 1)]
+    task = ".".join(["k"] * (depth + 1))
+    return ("platform p {\n  component Cu : hwProcessor {\n    processor pe : hwProcessor shaped "
+            "[8]\n  }\n  component Dev {\n    processor cu : Cu shaped [4]\n    memory gmem : "
+            "hwMemory role=deviceGlobal\n  }\n  component p {\n    part dev : Dev\n  }\n}\n"
+            "application a {\n  component W0 {\n    port src in float64 [16]\n    port dst out "
+            "float64 [16]\n    repeat [16]\n    deploy copy\n  }\n"
+            + "".join(wrappers[::-1] if reverse else wrappers)
+            + f"  component a {{\n    part k : W{depth}\n  }}\n}}\n"
+            f"allocate data {task}.src onto dev.gmem\nallocate data {task}.dst onto dev.gmem\n"
+            f"allocate task {task} onto dev.cu\n")
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_deeply_nested_model_passes_check(tmp_path, capsys, reverse):
+    """Conformance's type-graph walk and the schedule's walk keep their own
+    stacks, so nesting deeper than Python's recursion limit (1000 by
+    default) is no error."""
+    text = _nested_model(1200, reverse)
+    path = tmp_path / "nested.gmodel"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 0
     assert capsys.readouterr().err == ""
+    steps = build_schedule(gmodelc.parse_model(text), 1).device_steps()
+    assert [step.task_path for step in steps] == [".".join(["k"] * 1201)]
 
 
 def test_non_ascii_model_exit_two(tmp_path, capsys):
@@ -809,7 +869,7 @@ def test_one_computation_per_model_in_codegen_and_run(workdir, monkeypatch, caps
 
     count("groups", metamodel, "connected_port_groups", lambda model: model)
     count("digest", dsl, "serialize_model", lambda model: model)
-    count("params", codegen, "_task_params", lambda index, task_path, comp, spec: task_path)
+    count("params", codegen, "_task_params", lambda ctx, allocs, task_path, comp, spec: task_path)
 
     tmp_path, model_path = workdir
     assert main(["codegen", model_path, "--devices", "4", "--out", str(tmp_path / "cg")]) == 0

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import gmodelc
+from gmodelc.intrinsics import deployment_diagnostics
 from gmodelc.memmap import CapacityExceeded, build_memory_maps, emit_memory_map_report
 from gmodelc.metamodel import AddressSpace, DataType, Shape, validate_conformance
 
@@ -184,8 +185,8 @@ def test_cg_map_properties(cg_maps):
     check_map_properties(cg_maps)
 
 
-def test_port_may_reside_in_two_memories():
-    # staged residence: one port allocated to both host ram and device global
+def test_port_in_two_memories_is_rejected():
+    # a port group lives in one memory: the one its first data link names
     model = _model_with_ports(
         ["x in float64 [1]", "z out float64 [16]"],
         "allocate data k.x onto host.ram\n"
@@ -193,11 +194,11 @@ def test_port_may_reside_in_two_memories():
         "allocate data k.z onto dev.gmem\n"
         "allocate task k onto dev.cu\n")
     assert validate_conformance(model) == []
+    assert "error: k.x: data allocation onto 'dev.gmem' names a second memory: its port " \
+           "group lives in 'host.ram'" in map(str, deployment_diagnostics(model))
     maps = build_memory_maps(model)
-    owners = {m.owner_path for m in maps}
-    assert owners == {"host.ram", "dev.gmem"}
-    for mm in maps:
-        assert any(a.associated_parts[0] == "k.x" for a in mm.data_allocations)
+    assert [(m.owner_path, [a.associated_parts for a in m.data_allocations]) for m in maps] \
+        == [("host.ram", [("k.x",)]), ("dev.gmem", [("k.z",)])]
 
 
 def test_duplicate_allocation_same_memory_is_diagnosed():

@@ -222,11 +222,6 @@ MUTATIONS = [
             stereotype=HwStereotype(StereotypeKind.PROCESSOR,
                                     memory_role=MemoryRole.HOST_RAM))),
      "platform.ComputeUnit"),
-    ("constant_space_needs_input", lambda m: dataclasses.replace(
-        m, allocations=m.allocations[:7]
-        + (dataclasses.replace(m.allocations[7], target_path="device.cmem"),)
-        + m.allocations[8:]),
-     "allocation[7]"),
     ("missing_root", lambda m: dataclasses.replace(m, application_root="nothing"),
      "application"),
 ]
