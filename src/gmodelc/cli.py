@@ -227,7 +227,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         result = refexec.solve(model, schedule, A, rhs, tol=args.tol, max_iter=args.max_iter)
     except refexec.BreakdownDetected as exc:
         raise Failure(EXIT_NUMERIC, f"error: {exc}") from None
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise Failure(EXIT_VALIDATION, f"error: {exc}") from None
     iterations, converged = result.iterations, result.converged
     relres = result.final_relres if result.final_relres is not None else 0.0

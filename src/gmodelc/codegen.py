@@ -1,14 +1,14 @@
 """OpenCL 1.1 source generation: one kernel file and one host file per model.
 
 Code is emitted as data.  The kernel file holds one kernel per signature:
-the intrinsic, its kernel body and its parameter declarations, whose
-address-space keywords come from the ports' data allocations.  A kernel
-is named from its intrinsic and element types, as k_copy_f64 (k_copy_f64_2
-for a second signature of that name), and its comment lists the tasks
-that use it.  The host file holds a static const table per device step,
-one row per launch, that run_step enqueues row by row; identifiers come
-from step indices, and task paths go into comments.  A reduction is
-two-stage: per-work-group partials on the device, summed on the host in
+the intrinsic, its kernel body and its parameter declarations, which come
+from the task's deployment record and ports alone.  A kernel is named
+from its intrinsic and element types, as k_copy_f64 (k_copy_f64_2 for a
+second signature of that name), and its comment lists the tasks that use
+it.  The host file holds a static const table per device step, one row
+per launch, that run_step enqueues row by row; identifiers come from step
+indices and the memory maps (buf_*, h_*), and task paths go into
+comments.  A reduction is two-stage: per-work-group partials on the device, summed on the host in
 ascending device order.  Element types are kept in loads, stores,
 scalars and partials, and output is byte-deterministic.
 """
@@ -16,13 +16,13 @@ scalars and partials, and output is byte-deterministic.
 from __future__ import annotations
 
 import textwrap
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
-from .intrinsics import IntrinsicSpec, deployed_intrinsic
-from .memmap import DataAllocate, MemoryMap
-from .metamodel import (AddressSpace, CompileContext, Component, ComponentKind, DataType,
-                        Direction, Home, Model)
+from .intrinsics import IntrinsicSpec, Passing, deployed_intrinsic
+from .memmap import MemoryMap
+from .metamodel import (CompileContext, ComponentKind, DataType, Direction, FlowPort, MemoryRole,
+                        Model)
 from .partition import DeviceStep, HostOp, LoopStep, Schedule
 
 
@@ -47,93 +47,76 @@ _C_IO = {DataType.FLOAT64: ("doubles", "%lf", "%.17g"),
          DataType.INT64: ("longs", "%ld", "%ld")}
 
 
-_SPACE_KEYWORDS = {AddressSpace.GLOBAL: "__global ", AddressSpace.CONSTANT: "__constant ",
-                   AddressSpace.LOCAL: "__local "}
-
-
-class _Param(NamedTuple):
-    text: str                  # parameter declaration in the kernel signature
-    kind: str                  # "range" | "buffer" | "scalar" | "local" | "partials"
-    alloc: DataAllocate | None
-    dtype: DataType = DataType.INT32
-
-
-def _task_params(ctx: CompileContext, allocs: dict[str, DataAllocate], task_path: str,
-                 comp: Component, spec: IntrinsicSpec) -> list[_Param]:
-    params = [_Param("const int first", "range", None), _Param("const int count", "range", None)]
-    for pspec in spec.ports:
-        port = comp.port(pspec.name)
-        if port is None:
-            continue
-        node, ctype = f"{task_path}.{port.name}", _C_TYPES[port.data_type]
-        alloc, space = allocs[node], allocs[node].space_address
-        if ctx.home(node) is not Home.HOST:
-            read_only = space is AddressSpace.GLOBAL and port.direction is Direction.IN
-            const = "const " if read_only else ""
-            params.append(_Param(f"{_SPACE_KEYWORDS[space]}{const}{ctype}* {port.name}",
-                                 "local" if space is AddressSpace.LOCAL else "buffer", alloc,
-                                 port.data_type))
-        elif port.direction is not Direction.OUT:
-            # an in scalar in host memory is passed by value; an out port
-            # there is a reduction's sum, which the host makes from partials
-            params.append(_Param(f"const {ctype} {port.name}", "scalar", alloc, port.data_type))
-    if spec.reduce:
-        dtype = comp.port(spec.acc).data_type
-        params.append(_Param(f"__global {_C_TYPES[dtype]}* partials", "partials", None, dtype))
-    return params
+_KEYWORDS = {Passing.GLOBAL: "__global ", Passing.CONSTANT: "__constant ",
+             Passing.LOCAL: "__local "}
 
 
 class _Task(NamedTuple):
-    """A device task as codegen sees it: its intrinsic, its kernel
-    parameters and its kernel signature (intrinsic, body, declarations)."""
+    """A device task's intrinsic, kernel arguments (port, Passing) in spec
+    order, partials type and signature (intrinsic, body, declarations)."""
     spec: IntrinsicSpec
-    params: list[_Param]
+    args: tuple[tuple[FlowPort, Passing], ...]
+    partials: DataType | None
     signature: tuple
 
 
-@dataclass
-class _Kernel:
+def _kernel_task(ctx: CompileContext, task_path: str) -> _Task:
+    """A device task's _Task, from its deployment record and its ports."""
+    comp = ctx.component_at(ComponentKind.APPLICATION, task_path)
+    record = deployed_intrinsic(ctx, task_path)
+    spec = record.spec
+    args, decls = [], ["const int first", "const int count"]
+    for pspec in spec.ports:
+        how = record.ports.get(pspec.name)
+        if how is None or how is Passing.HOST:      # omitted, or a sum the host makes
+            continue
+        port = comp.port(pspec.name)
+        args.append((port, how))
+        ctype = _C_TYPES[port.data_type]
+        if how is Passing.VALUE:
+            decls.append(f"const {ctype} {port.name}")
+        else:
+            read_only = how is Passing.GLOBAL and port.direction is Direction.IN
+            decls.append(f"{_KEYWORDS[how]}{'const ' if read_only else ''}{ctype}* {port.name}")
+    partials = comp.port(spec.acc).data_type if spec.reduce else None
+    if partials:
+        decls.append(f"__global {_C_TYPES[partials]}* partials")
+    acc = _C_TYPES[comp.port(spec.acc).data_type] if spec.acc else ""
+    body = tuple(line.replace("acc_t", acc) for line in spec.kernel_body(comp))
+    return _Task(spec, tuple(args), partials, (spec.name, body, tuple(decls)))
+
+
+class _Kernel(NamedTuple):
     name: str
     task: _Task                 # the first task of its signature
-    paths: list[str] = field(default_factory=list)
+    paths: list[str]
 
 
-def _device_tasks(ctx: CompileContext, maps: list[MemoryMap],
-                  schedule: Schedule) -> tuple[dict[str, DataAllocate], list, list[_Kernel]]:
-    """Each port node's allocation in maps, each device step with its _Task
-    and _Kernel, and the kernels in order of first use.  The first and each
-    task's _Task are computed once per (model, maps) and kept on ctx."""
-    if ctx.device_tasks is None or ctx.device_tasks[0] is not maps:
-        ctx.device_tasks = (maps, {node: alloc for mm in maps for alloc in mm.data_allocations
-                                   for node in alloc.associated_parts}, {})
-    _, allocs, tasks = ctx.device_tasks
+def _device_steps(ctx: CompileContext, schedule: Schedule) -> tuple[list, list[_Kernel]]:
+    """Each device step with its _Task, kept on ctx, and _Kernel, and the
+    kernels in order of first use."""
     kernels: dict[tuple, _Kernel] = {}
     names: set[str] = set()
     steps = []
     for step in schedule.device_steps():
         path = step.task_path
-        task = tasks.get(path)
+        task = ctx.kernels.get(path)
         if task is None:
-            comp = ctx.component_at(ComponentKind.APPLICATION, path)
-            spec = deployed_intrinsic(ctx, path, on_host=False)
-            params = _task_params(ctx, allocs, path, comp, spec)
-            acc = _C_TYPES[comp.port(spec.acc).data_type] if spec.acc else ""
-            body = tuple(line.replace("acc_t", acc) for line in spec.kernel_body(comp))
-            task = tasks[path] = _Task(spec, params, (spec.name, body,
-                                                      tuple(p.text for p in params)))
+            task = ctx.kernels[path] = _kernel_task(ctx, path)
         kernel = kernels.get(task.signature)
         if kernel is None:
-            tags = dict.fromkeys(_TYPE_TAGS[p.dtype] for p in task.params if p.kind != "range")
+            tags = dict.fromkeys(_TYPE_TAGS[dtype] for dtype in (
+                *(port.data_type for port, _ in task.args), task.partials) if dtype)
             base = "_".join(("k", task.spec.name, *tags))
             name, n = base, 1
             while name in names:
                 n += 1
                 name = f"{base}_{n}"
             names.add(name)
-            kernel = kernels[task.signature] = _Kernel(name, task)
+            kernel = kernels[task.signature] = _Kernel(name, task, [])
         kernel.paths.append(path)
         steps.append((step, task, kernel))
-    return allocs, steps, list(kernels.values())
+    return steps, list(kernels.values())
 
 
 def _comment(text: str) -> list[str]:
@@ -146,11 +129,12 @@ def _comment(text: str) -> list[str]:
 
 
 def generate_kernels(model: Model, maps: list[MemoryMap], schedule: Schedule) -> GeneratedUnit:
-    """Emit the kernel source file: one entry point per distinct signature."""
+    """Emit the kernel source file: one entry point per distinct signature.
+    Kernels name no allocation, so maps is not read."""
     name = model.application_root
     out = ["/*", f" * OpenCL kernels for model '{name}'.",
            f" * generated by gmodelc; model digest sha256:{model.context.digest}", " */"]
-    _, _, kernels = _device_tasks(model.context, maps, schedule)
+    _, kernels = _device_steps(model.context, schedule)
     if any("double" in text for k in kernels for text in (*k.task.signature[1],
                                                          *k.task.signature[2])):
         out += ["", "#pragma OPENCL EXTENSION cl_khr_fp64 : enable"]
@@ -302,13 +286,13 @@ int main(void)
 """
 
 
-def _arg(param: _Param) -> str:
-    """A step's argument entry for a kernel parameter after first and count."""
-    if param.kind == "scalar":
-        return f"{{sizeof({_C_TYPES[param.dtype]}), &h_{param.alloc.name}}}"
-    if param.kind == "local":
-        return f"{{{param.alloc.size_bytes}, NULL}}"
-    return f"{{sizeof(cl_mem), &buf_{param.alloc.name}}}"
+def _arg(name: str, port: FlowPort, how: Passing) -> str:
+    """A step's argument entry for a port whose allocation is named name."""
+    if how is Passing.VALUE:
+        return f"{{sizeof({_C_TYPES[port.data_type]}), &h_{name}}}"
+    if how is Passing.LOCAL:
+        return f"{{{port.shape.total * port.data_type.size_bytes}, NULL}}"
+    return f"{{sizeof(cl_mem), &buf_{name}}}"
 
 
 def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
@@ -318,11 +302,14 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
         raise ValueError("device_count must be positive")
     ctx = model.context
     name = model.application_root
-    allocs, steps, kernels = _device_tasks(ctx, maps, schedule)
-    # each allocation in map order, on the side of its group's Home
-    homes = [(ctx.home(a.associated_parts[0]), a) for mm in maps for a in mm.data_allocations]
-    device_allocs, host_allocs = ([a for home, a in homes if home is side]
-                                  for side in (Home.DEVICE, Home.HOST))
+    steps, kernels = _device_steps(ctx, schedule)
+    # each port node's allocation name; each allocation, on its memory's side
+    names = {node: alloc.name for mm in maps for alloc in mm.data_allocations
+             for node in alloc.associated_parts}
+    host_allocs, device_allocs = [], []
+    for mm in maps:
+        on_host = ctx.memory_role_of(mm.owner_path) is MemoryRole.HOST_RAM
+        (host_allocs if on_host else device_allocs).extend(mm.data_allocations)
 
     # the body of main, from the kernels on; the types the root's in ports
     # are loaded as and its out ports stored as, to emit their routines
@@ -339,8 +326,8 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
                  f'CHECK(err, "clCreateBuffer {alloc.name}");']
     # one partials buffer per device, for the largest of the reduction
     # launches; each reduction is read back before the next runs
-    reduced = {task.params[-1].dtype for _, task, _ in steps if task.spec.reduce}
-    groups = max((l.global_size // l.local_size for step, task, _ in steps if task.spec.reduce
+    reduced = {task.partials for _, task, _ in steps if task.partials}
+    groups = max((l.global_size // l.local_size for step, task, _ in steps if task.partials
                   for l in step.launches), default=0)
     if reduced:
         size = groups * max(dtype.size_bytes for dtype in reduced)
@@ -351,40 +338,35 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
                  "}"]
     # each root in port's allocation is loaded once, and each out port
     # stored: a device allocation is uploaded and read back, a host one
-    # loaded into and stored from h_<name>
+    # loaded into and stored from h_<name>; check rejects an inout root port
     body += ["", "/* load and upload input data */"]
     stores = ["", "/* read back and store outputs */"]
     loaded, stored = {DataType.FLOAT64, DataType.INT32}, {DataType.FLOAT64}
     uploaded: set[str] = set()
     for port in model.root(ComponentKind.APPLICATION).ports:
-        alloc = allocs.get(port.name)
-        if alloc is None or port.direction is Direction.INOUT:
+        c = names.get(port.name)
+        if c is None:
             continue
-        n, dtype, c = alloc.dim_allocation.total, alloc.type_allocation, alloc.name
-        ctype, suffix = _C_TYPES[dtype], _C_IO[dtype][0]
-        if port.direction is Direction.IN:
-            if c in uploaded:
-                continue
+        n, dtype = port.shape.total, port.data_type
+        ctype, suffix, size = _C_TYPES[dtype], _C_IO[dtype][0], n * dtype.size_bytes
+        on_host = ctx.home(port.name) is MemoryRole.HOST_RAM
+        if port.direction is not Direction.IN:
+            stored.add(dtype)
+            stores += [f'store_{suffix}("{name}_{port.name}_out.txt", &h_{c}, 1);'] if on_host \
+                else [f"{ctype}* out_{c} = ({ctype}*)malloc({size});",
+                      f"err = clEnqueueReadBuffer(queues[0], buf_{c}, CL_TRUE, 0, "
+                      f"{size}, out_{c}, 0, NULL, NULL);",
+                      f'CHECK(err, "read {c}");',
+                      f'store_{suffix}("{name}_{port.name}_out.txt", out_{c}, {n});']
+        elif c not in uploaded:
             uploaded.add(c)
             loaded.add(dtype)
-            if ctx.home(port.name) is Home.HOST:
-                body.append(f'load_{suffix}("{name}_{port.name}.txt", &h_{c}, 1);')
-                continue
-            body += [f"{ctype}* in_{c} = ({ctype}*)malloc({alloc.size_bytes});",
-                     f'load_{suffix}("{name}_{port.name}.txt", in_{c}, {n});',
-                     f"err = clEnqueueWriteBuffer(queues[0], buf_{c}, CL_TRUE, 0, "
-                     f"{alloc.size_bytes}, in_{c}, 0, NULL, NULL);",
-                     f'CHECK(err, "write {c}");']
-            continue
-        stored.add(dtype)
-        if ctx.home(port.name) is Home.HOST:
-            stores.append(f'store_{suffix}("{name}_{port.name}_out.txt", &h_{c}, 1);')
-            continue
-        stores += [f"{ctype}* out_{c} = ({ctype}*)malloc({alloc.size_bytes});",
-                   f"err = clEnqueueReadBuffer(queues[0], buf_{c}, CL_TRUE, 0, "
-                   f"{alloc.size_bytes}, out_{c}, 0, NULL, NULL);",
-                   f'CHECK(err, "read {c}");',
-                   f'store_{suffix}("{name}_{port.name}_out.txt", out_{c}, {n});']
+            body += [f'load_{suffix}("{name}_{port.name}.txt", &h_{c}, 1);'] if on_host \
+                else [f"{ctype}* in_{c} = ({ctype}*)malloc({size});",
+                      f'load_{suffix}("{name}_{port.name}.txt", in_{c}, {n});',
+                      f"err = clEnqueueWriteBuffer(queues[0], buf_{c}, CL_TRUE, 0, "
+                      f"{size}, in_{c}, 0, NULL, NULL);",
+                      f'CHECK(err, "write {c}");']
     body += ["", "int iters = 0;", "int converged = 1;", ""]
 
     step_index = {id(step): i for i, (step, _, _) in enumerate(steps)}
@@ -396,17 +378,15 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
                 task = steps[i][1]
                 call = f"(step_{i}, {len(step.launches)});"
                 body.append(f"{pad}run_step{call}")
-                if task.spec.reduce:
-                    s = allocs[f"{step.task_path}.{task.spec.reduce}"].name
-                    body.append(f"{pad}h_{s} = sum_{_C_IO[task.params[-1].dtype][0]}{call}")
+                if task.partials:
+                    s = names[f"{step.task_path}.{task.spec.reduce}"]
+                    body.append(f"{pad}h_{s} = sum_{_C_IO[task.partials][0]}{call}")
             elif isinstance(step, HostOp):
-                comp = ctx.component_at(ComponentKind.APPLICATION, step.task_path)
-                spec = deployed_intrinsic(ctx, step.task_path, on_host=True)
-                names = {port.name: f"h_{allocs[f'{step.task_path}.{port.name}'].name}"
-                         for port in comp.ports}
-                body.append(pad + spec.host_c.format_map(names))
+                record = deployed_intrinsic(ctx, step.task_path)
+                body.append(pad + record.spec.host_c.format_map(
+                    {port: f"h_{names[f'{step.task_path}.{port}']}" for port in record.ports}))
             elif isinstance(step, LoopStep):
-                relres = f"h_{allocs[step.relres_port].name}"
+                relres = f"h_{names[step.relres_port]}"
                 tol = _float_literal(step.tolerance)
                 body.append(f"{pad}/* loop {step.task_path}: until {relres} < {tol} */")
                 body.extend((f"{pad}converged = 0;",
@@ -418,10 +398,8 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
 
     emit(schedule.steps, "")
     del emit    # a recursive closure is a cycle: it would keep the context for the collector
-    final_relres = "0.0"
-    for step in schedule.steps:
-        if isinstance(step, LoopStep):
-            final_relres = f"h_{allocs[step.relres_port].name}"
+    loops = [step for step in schedule.steps if isinstance(step, LoopStep)]
+    final_relres = f"h_{names[loops[-1].relres_port]}" if loops else "0.0"
     body += stores
     body += [f'printf("iters=%d relres=%.17g converged=%s\\n", iters, {final_relres}, '
              'converged ? "true" : "false");', ""]
@@ -466,12 +444,13 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
     for i, (step, task, kernel) in enumerate(steps):
         out += ["", *_comment(f"step {i}: {step.task_path}"),
                 f"static const arg_t args_{i}[] = {{",
-                *(f"    {_arg(p)}," for p in task.params if p.kind not in ("range", "partials")),
+                *(f"    {_arg(names[f'{step.task_path}.{port.name}'], port, how)},"
+                  for port, how in task.args),
                 "    {0, NULL}", "};",
                 f"static const launch_t step_{i}[] = {{"]
         for launch in step.launches:
             d = launch.device_index
-            partials = f"&partials[{d}]" if task.spec.reduce else "NULL"
+            partials = f"&partials[{d}]" if task.partials else "NULL"
             out.append(f"    {{{kernel.name}, {d}, {launch.range.offset}, {launch.range.count}, "
                        f"{launch.global_size}, {launch.local_size}, args_{i}, {partials}}},")
         out.append("};")

@@ -11,20 +11,21 @@ check` know of it:
 - a host intrinsic's host-C statement and the scalar function the
   reference executor applies
 
-Adding an intrinsic touches this module alone.  deployed_intrinsic is
-the one check, and the one error message, shared by codegen, `run` and
-`check`.
+Adding an intrinsic touches this module alone.  deployed_intrinsic, the
+one record of a task's intrinsic, side and port passing, is the one check
+and error message shared by codegen, `run` and `check`.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .metamodel import (CompileContext, Component, ComponentKind, Diagnostic, Direction, Home,
+from .metamodel import (CompileContext, Component, ComponentKind, Diagnostic, Direction, FlowPort,
                         MemoryRole, Model, iter_instances)
 from .partition import UnallocatedTask
 
@@ -322,18 +323,60 @@ def check_task_signature(task_path: str, comp: Component) -> IntrinsicSpec:
     return spec
 
 
-def deployed_intrinsic(ctx: CompileContext, task_path: str, on_host: bool) -> IntrinsicSpec:
-    """The spec of a leaf task's intrinsic, with its signature checked, its
-    kind matched against the processor the task is allocated to, and no
-    output port connected to one of its input ports, which would make them
-    one array; checked once per context.
+class Passing(enum.Enum):
+    """How a port reaches the task it belongs to."""
+    HOST = "host"           # a host scalar: a host task's port or a reduction's sum
+    VALUE = "value"         # a device task's in scalar in host RAM, passed by value
+    GLOBAL = "global"       # a buffer in device global memory
+    CONSTANT = "constant"   # a buffer in constant memory
+    LOCAL = "local"         # work-group local memory of the port's size
 
-    Raises UnknownIntrinsic or IntrinsicShapeMismatch.
-    """
-    key = (task_path, on_host)
-    if key not in ctx.intrinsics:
+
+class Deployment(NamedTuple):
+    """An allocated leaf task's deployment record: its intrinsic, its side and,
+    per port in declaration order, its Passing or why its memory cannot serve it."""
+    spec: IntrinsicSpec
+    on_host: bool
+    ports: dict[str, Passing | str]
+
+
+_MISSING = "{} port of a {} has no {} allocation (directly or via connected ports)"
+_DEVICE_PASSING = {MemoryRole.DEVICE_CONSTANT: Passing.CONSTANT,
+                   MemoryRole.DEVICE_LOCAL: Passing.LOCAL}
+
+
+def port_passing(ctx: CompileContext, node: str, port: FlowPort, spec: IntrinsicSpec,
+                 on_host: bool) -> Passing | str:
+    """The one port-passing rule (README, "Deployment intrinsics"), from the
+    role of the memory the port's group lives in; a problem is the message
+    of a diagnostic.  Private memory passes as global: the placement rules
+    reject it for the whole port group."""
+    role = ctx.home(node)
+    if on_host or port.name == spec.reduce:
+        return Passing.HOST if role is MemoryRole.HOST_RAM else _MISSING.format(
+            port.direction.value, "host task" if on_host else "reduction", "host-memory")
+    in_scalar = port.direction is Direction.IN and spec.port_spec(port.name).scalar
+    if role is MemoryRole.HOST_RAM and port.shape.total > 1:
+        return "host-memory allocation for a device task port must be scalar"
+    if role is MemoryRole.HOST_RAM and in_scalar:
+        return Passing.VALUE
+    if role in (None, MemoryRole.HOST_RAM):
+        return _MISSING.format(port.direction.value, "device task",
+                               "data" if in_scalar else "device-memory")
+    return _DEVICE_PASSING.get(role, Passing.GLOBAL)
+
+
+def deployed_intrinsic(ctx: CompileContext, task_path: str) -> Deployment:
+    """An allocated leaf task's Deployment, built once per context: its
+    intrinsic with its signature checked, its kind matched against its
+    processor's side, as the schedule decides it, and no output port
+    connected to an input port, which would make them one array.  Raises
+    UnknownIntrinsic or IntrinsicShapeMismatch."""
+    record = ctx.deployments.get(task_path)
+    if record is None:
         comp = ctx.component_at(ComponentKind.APPLICATION, task_path)
         spec = check_task_signature(task_path, comp)
+        on_host = ctx.is_host_processor(ctx.task_targets[task_path])
         where = "host" if on_host else "device"
         if spec.kind != where:
             raise IntrinsicShapeMismatch(
@@ -347,8 +390,10 @@ def deployed_intrinsic(ctx: CompileContext, task_path: str, on_host: bool) -> In
                     raise IntrinsicShapeMismatch(
                         f"task '{task_path}': output port '{out.name}' aliases "
                         f"input port '{other.name}'")
-        ctx.intrinsics[key] = spec
-    return ctx.intrinsics[key]
+        record = ctx.deployments[task_path] = Deployment(spec, on_host, {
+            port.name: port_passing(ctx, f"{task_path}.{port.name}", port, spec, on_host)
+            for port in comp.ports})
+    return record
 
 
 def deployment_diagnostics(model: Model) -> list[Diagnostic]:
@@ -356,13 +401,10 @@ def deployment_diagnostics(model: Model) -> list[Diagnostic]:
     group of the placement table, each link to a second memory, each linked
     port in private memory (no kernel argument can be) and each port but
     an `in` one in constant memory; per allocated task, the error of
-    deployed_intrinsic or one per port whose group's Home cannot serve it;
-    in pre-order, each unallocated leaf task and each loop's until port;
-    then each root port.  The host program reads and writes host ports,
-    reductions' out ports and until ports; a device task's in scalar in
-    host memory is passed by value, and its other ports need device memory;
-    a root port of more than one element in host memory would be one scalar
-    there.  Expects a model without conformance errors."""
+    deployed_intrinsic or each problem of its Deployment; in pre-order,
+    each unallocated leaf task and each loop's until port not in host RAM;
+    then each root port that is inout or has more than one element in host
+    RAM.  Expects a model without conformance errors."""
     ctx = model.context
     diags: list[Diagnostic] = []
 
@@ -381,39 +423,28 @@ def deployment_diagnostics(model: Model) -> list[Diagnostic]:
                                                 f"'{memory}', which kernels only read")
                       for node, port in ports if port.direction is not Direction.IN]
 
-    def need(node: str, homes: Home, what: str):
-        if not ctx.home(node) & homes:
-            memory = {Home.HOST: "host-memory", Home.DEVICE: "device-memory"}.get(homes, "data")
-            diags.append(Diagnostic("error", node, f"{what} has no {memory} allocation "
-                                                   "(directly or via connected ports)"))
-
-    for task_path, target in ctx.task_targets.items():
-        on_host = ctx.is_host_processor(target)
+    for task_path in ctx.task_targets:
         try:
-            spec = deployed_intrinsic(ctx, task_path, on_host)
+            record = deployed_intrinsic(ctx, task_path)
         except (UnknownIntrinsic, IntrinsicShapeMismatch) as exc:
             diags.append(Diagnostic("error", task_path, str(exc)))
             continue
-        for port in ctx.component_at(ComponentKind.APPLICATION, task_path).ports:
-            node, what = f"{task_path}.{port.name}", f"{port.direction.value} port of a "
-            if on_host or port.name == spec.reduce:
-                need(node, Home.HOST, what + ("host task" if on_host else "reduction"))
-            elif port.shape.total > 1 and ctx.home(node) is Home.HOST:
-                diags.append(Diagnostic("error", node, "host-memory allocation for a device "
-                                                       "task port must be scalar"))
-            elif port.direction is Direction.IN and spec.port_spec(port.name).scalar:
-                need(node, Home.HOST | Home.DEVICE, what + "device task")
-            else:
-                need(node, Home.DEVICE, what + "device task")
+        diags += [Diagnostic("error", f"{task_path}.{name}", how)
+                  for name, how in record.ports.items() if isinstance(how, str)]
     for path, comp in iter_instances(model, ComponentKind.APPLICATION):
         if path and comp.is_leaf_task and path not in ctx.task_targets:
             diags.append(Diagnostic("error", path, str(UnallocatedTask(path))))
         elif path and comp.until is not None:
-            need(f"{path}.{comp.until.port}", Home.HOST, "until port of a loop")
+            node = f"{path}.{comp.until.port}"
+            if ctx.home(node) is not MemoryRole.HOST_RAM:
+                diags.append(Diagnostic("error", node,
+                                        _MISSING.format("until", "loop", "host-memory")))
     for port in model.root(ComponentKind.APPLICATION).ports:
-        if port.shape.total > 1 and ctx.home(port.name) is Home.HOST:
-            diags.append(Diagnostic(
-                "error", port.name,
-                f"root port '{port.name}' has {port.shape.total} elements but lives in host "
-                "memory, where the host program keeps one scalar"))
+        if port.direction is Direction.INOUT:
+            diags.append(Diagnostic("error", port.name, f"root port '{port.name}' is inout, but "
+                                    "the host program only loads in ports and stores out ports"))
+        elif port.shape.total > 1 and ctx.home(port.name) is MemoryRole.HOST_RAM:
+            diags.append(Diagnostic("error", port.name, f"root port '{port.name}' has "
+                                    f"{port.shape.total} elements but lives in host memory, "
+                                    "where the host program keeps one scalar"))
     return diags

@@ -63,13 +63,6 @@ class MemoryRole(str, enum.Enum):
     DEVICE_PRIVATE = "devicePrivate"
 
 
-class Home(enum.Flag):
-    """Where the data allocations of a port group put it: in host RAM, in
-    device memory or, as Home(0), nowhere."""
-    HOST = enum.auto()
-    DEVICE = enum.auto()
-
-
 # Each memory role admits exactly one address-space qualifier; hostRam
 # allocations, which the host program holds, are tagged as global space.
 QUALIFIER_FOR_ROLE = {
@@ -285,8 +278,9 @@ class CompileContext:
     """What a compile derives from one Model, each part computed on first
     use: per side, the _part_index of instance paths; each component's
     resolved connector endpoints; the port groups and their placement
-    table; each leaf task's deployed IntrinsicSpec; the digest; and
-    codegen's kernel parameters and signature of each device task.
+    table; each allocated leaf task's Deployment (intrinsic, side and
+    port passing); the digest; and codegen's kernel arguments and
+    signature of each device task, made from its Deployment and ports.
 
     Each Model owns one, as `Model.context`, which every stage takes.  It
     stays valid because a Model cannot be edited: its component tables are
@@ -300,11 +294,10 @@ class CompileContext:
         self._parts: dict[ComponentKind, dict[str, tuple]] = {}
         # id(component) -> (component, its endpoints(), kept to pin the id)
         self._endpoints: dict[int, tuple] = {}
-        # intrinsics.deployed_intrinsic's checked specs, by (task path, on host)
-        self.intrinsics: dict[tuple[str, bool], object] = {}
-        # codegen's (maps, {port node: its DataAllocate}, {task path: its
-        # intrinsic, kernel parameters and kernel signature})
-        self.device_tasks: tuple | None = None
+        self._host_side: dict[str, bool] = {}       # processor path -> is_host_processor
+        # by task path: intrinsics.deployed_intrinsic's records, codegen's _Tasks
+        self.deployments: dict[str, object] = {}
+        self.kernels: dict[str, object] = {}
 
     @property
     def model(self) -> Model:
@@ -333,20 +326,16 @@ class CompileContext:
         return comp.port(name) if comp is not None else None
 
     def is_host_processor(self, target_path: str) -> bool:
-        """A processor part is host-side when a sibling memory has the hostRam role.
-
-        Device processors (compute units) sit next to device-global/constant
-        memories instead.
-        """
-        owner_path = target_path.rpartition(".")[0]
-        owner = self.component_at(ComponentKind.PLATFORM, owner_path) if owner_path \
-            else self.model.root(ComponentKind.PLATFORM)
-        for sibling in owner.parts if owner is not None else ():
-            sub = self.model.component(ComponentKind.PLATFORM, sibling.type_ref)
-            st = sub.stereotype if sub else None
-            if st and st.kind is StereotypeKind.MEMORY and st.memory_role is MemoryRole.HOST_RAM:
-                return True
-        return False
+        """A processor part is host-side when a sibling memory has the hostRam
+        role, as no compute unit's has; decided once per path."""
+        if target_path not in self._host_side:
+            owner_path = target_path.rpartition(".")[0]
+            owner = self.component_at(ComponentKind.PLATFORM, owner_path) if owner_path \
+                else self.model.root(ComponentKind.PLATFORM)
+            self._host_side[target_path] = any(
+                self.memory_role_of(f"{owner_path}.{part.name}" if owner_path else part.name)
+                is MemoryRole.HOST_RAM for part in (owner.parts if owner is not None else ()))
+        return self._host_side[target_path]
 
     def memory_role_of(self, target_path: str) -> MemoryRole | None:
         comp = self.component_at(ComponentKind.PLATFORM, target_path)
@@ -386,11 +375,10 @@ class CompileContext:
         return {group: Placement(memory, self.memory_role_of(memory), tuple(linked), tuple(strays))
                 for group, (memory, linked, strays) in rows.items()}
 
-    def home(self, node: str) -> Home:
-        """The Home of a port node's group, from the role of its memory."""
+    def home(self, node: str) -> MemoryRole | None:
+        """The role of the memory a port node's group lives in, if it has one."""
         placement = self.placements.get(self.port_groups[node])
-        return Home(0) if placement is None else \
-            Home.HOST if placement.role is MemoryRole.HOST_RAM else Home.DEVICE
+        return None if placement is None else placement.role
 
     @functools.cached_property
     def task_targets(self) -> dict[str, str]:

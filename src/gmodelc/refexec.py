@@ -63,7 +63,7 @@ from .dsl import parse_model
 from .intrinsics import IntrinsicSpec, deployed_intrinsic
 from .metamodel import (CompileContext, Component, ComponentKind, DataType, Direction, Model,
                         Shape, iter_instances)
-from .partition import HostOp, LoopStep, Schedule, build_schedule
+from .partition import LoopStep, Schedule, build_schedule
 
 
 class DimensionMismatch(ValueError):
@@ -84,7 +84,7 @@ class NonSymmetricMatrix(ValueError):
     pass
 
 
-class MissingBinding(KeyError):
+class MissingBinding(ValueError):
     pass
 
 
@@ -688,10 +688,16 @@ def _check_finite_entries(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
 @dataclass
 class ExecutionResult:
     outputs: dict[str, np.ndarray]
-    iterations: int
-    final_relres: float | None
     converged: bool
     residual_history: list[float]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history)
+
+    @property
+    def final_relres(self) -> float | None:
+        return self.residual_history[-1] if self.residual_history else None
 
 
 class _Storage:
@@ -812,9 +818,9 @@ class _Compiler:
                 program.append(self.loop(step))
                 continue
             comp = self.ctx.component_at(ComponentKind.APPLICATION, step.task_path)
-            spec = deployed_intrinsic(self.ctx, step.task_path, on_host=isinstance(step, HostOp))
+            spec, on_host, _ = deployed_intrinsic(self.ctx, step.task_path)
             arrays = self.storage.task_arrays(step.task_path, comp)
-            if isinstance(step, HostOp):
+            if on_host:
                 program.append(_host_op(step.task_path, spec, arrays))
                 continue
             ranges = [(l.range.offset, l.range.offset + l.range.count) for l in step.launches]
@@ -861,11 +867,8 @@ def execute_schedule(model: Model, schedule: Schedule, bindings: dict[str, np.nd
     root = model.root(ComponentKind.APPLICATION)
     outputs = {port.name: storage.array(port.name).copy()
                for port in root.ports if port.direction is Direction.OUT}
-    history = compiler.history
-    return ExecutionResult(outputs=outputs, iterations=len(history),
-                           final_relres=history[-1] if history else None,
-                           converged=all(compiler.loops_converged),
-                           residual_history=history)
+    return ExecutionResult(outputs=outputs, converged=all(compiler.loops_converged),
+                           residual_history=compiler.history)
 
 
 def spmv_task(model: Model) -> tuple[str, Component]:
@@ -957,8 +960,7 @@ def solve(model: Model, schedule: Schedule, A: CsrMatrix, b: np.ndarray, *,
         root = model.root(ComponentKind.APPLICATION)
         zeros = {port.name: np.zeros(port.shape.total, dtype=_NUMPY_TYPES[port.data_type])
                  for port in root.ports if port.direction is Direction.OUT}
-        return ExecutionResult(outputs=zeros, iterations=0, final_relres=None,
-                               converged=True, residual_history=[])
+        return ExecutionResult(outputs=zeros, converged=True, residual_history=[])
     _check_rhs_norm("rhs b", b)
     try:
         with np.errstate(over="ignore"):

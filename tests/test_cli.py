@@ -1,5 +1,7 @@
+import random
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +127,19 @@ def _error(task, message):
      [f"error: {port}: {direction} port in constant memory 'device.cmem', which kernels "
       "only read" for port, direction in (("loop.axpy_x.y", "inout"), ("loop.x", "inout"),
                                           ("x", "out"))]),
+    ((("deploy neg", "deploy frobnicate"),),
+     ["error: loop.neg_alpha: task 'loop.neg_alpha' deploys unknown intrinsic 'frobnicate'"]),
+    # a group of host-task ports and a device task's in scalar, and one of a
+    # reduction's sum and a host-task port, each without an allocation
+    ((("allocate data loop.alpha.q onto host.ram\n", ""),),
+     [f"error: {port}: {what} has no {memory} allocation (directly or via connected ports)"
+      for port, what, memory in (("loop.alpha.q", "out port of a host task", "host-memory"),
+                                 ("loop.neg_alpha.a", "in port of a host task", "host-memory"),
+                                 ("loop.axpy_x.a", "in port of a device task", "data"))]),
+    ((("allocate data dot_bb.s onto host.ram\n", ""),),
+     [f"error: {port}: {what} has no host-memory allocation (directly or via connected ports)"
+      for port, what in (("dot_bb.s", "out port of a reduction"),
+                         ("loop.relres_calc.den", "in port of a host task"))]),
 ])
 def test_check_reports_deployment_errors(workdir, capsys, edit, errors):
     tmp_path, _ = workdir
@@ -464,6 +479,79 @@ def test_run_iteration_invariance_across_devices(workdir, capsys):
     assert all(line.endswith("converged=true") for line in lines)
 
 
+def _grid_file(tmp_path, name: str, diagonal, neighbour: float, seed: int | None = None) -> str:
+    """The 5-point operator of a 12 x 12 grid as a general Matrix Market
+    file: diagonal(row) on the main diagonal, neighbour off it, its rows
+    and columns renumbered by a permutation of a fixed seed when given."""
+    k = 12
+    n = k * k
+    perm = random.Random(seed).sample(range(n), n) if seed is not None else range(n)
+    entries = [(perm[i * k + j], perm[(i + a) * k + j + b],
+                diagonal(i * k + j) if a == b == 0 else neighbour)
+               for i in range(k) for j in range(k)
+               for a, b in ((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0))
+               if 0 <= i + a < k and 0 <= j + b < k]
+    path = tmp_path / f"{name}.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real general\n{n} {n} {len(entries)}\n"
+                    + "".join(f"{r + 1} {c + 1} {v!r}\n" for r, c, v in entries))
+    return str(path)
+
+
+@pytest.mark.parametrize("name, diagonal, neighbour, seed, devices", [
+    ("poisson", lambda row: 4.0, -1.0, None, "16"),
+    # no longer banded: its spmv block takes the jagged form, not the diagonal one
+    ("permuted", lambda row: 4.0, -1.0, 7, "4"),
+    # the only main diagonal here kept as a value array, not as one scalar
+    ("varcoef", lambda row: 4.0 + row % 3, -1.0, None, "4"),
+    # SPD, as the grid's adjacency eigenvalues lie in (-4, 4): +1.0 diagonals
+    # are added to the row sums without a product
+    ("plus", lambda row: 5.0, 1.0, None, "16"),
+], ids=["poisson", "permuted", "varcoef", "plus"])
+def test_run_iterations_same_on_one_and_many_devices(workdir, capsys, name, diagonal,
+                                                     neighbour, seed, devices):
+    tmp_path, model_path = workdir
+    mtx = _grid_file(tmp_path, name, diagonal, neighbour, seed)
+    iters = []
+    for d in ("1", devices):
+        assert main(["run", model_path, "--matrix", mtx, "--devices", d,
+                     "--out", str(tmp_path / f"run{d}")]) == 0
+        iters.append(capsys.readouterr().out.split()[0])
+    assert iters[0] == iters[1] and iters[0] != "iters=0"
+
+
+def test_run_same_answer_from_shuffled_and_symmetric_crlf_files(workdir, capsys):
+    """The same 12 x 12 Poisson matrix three ways: row-ordered; shuffled by a
+    fixed seed with one diagonal 4.0 split into 2.0 + 2.0, which takes the
+    sorting CSR build that the row-ordered file skips; and its lower
+    triangle as a symmetric file with CRLF line ends, which takes the
+    mirrors, that sort and CR normalisation.  On 4 devices each gives the
+    same result line and a byte-identical solution file."""
+    tmp_path, model_path = workdir
+    mtx, _ = _write_poisson(tmp_path, 12)
+    header, size, *lines = Path(mtx).read_text().splitlines()
+    dims = size.rsplit(" ", 1)[0]
+    entries = lines.copy()
+    random.Random(3).shuffle(entries)
+    k = next(k for k, e in enumerate(entries) if e.split()[0] == e.split()[1])
+    row = entries[k].split()[0]
+    entries[k] = f"{row} {row} 2.0"
+    shuffled = tmp_path / "shuffled.mtx"
+    shuffled.write_text("\n".join([header, f"{dims} {len(entries) + 1}", *entries,
+                                   entries[k]]) + "\n")
+    lower = [e for e in lines if int(e.split()[0]) >= int(e.split()[1])]
+    symmetric = tmp_path / "symmetric.mtx"
+    symmetric.write_bytes("\r\n".join([header.replace("general", "symmetric"),
+                                        f"{dims} {len(lower)}", *lower]).encode() + b"\r\n")
+    results = []
+    for i, path in enumerate((mtx, str(shuffled), str(symmetric))):
+        assert main(["run", model_path, "--matrix", path, "--devices", "4",
+                     "--out", str(tmp_path / f"out{i}")]) == 0
+        results.append((capsys.readouterr().out,
+                        (tmp_path / f"out{i}" / "cg_solution.txt").read_bytes()))
+    assert results[0][0].endswith("converged=true\n")
+    assert results == [results[0]] * 3
+
+
 def test_run_matches_oracle_cg(workdir, capsys):
     tmp_path, model_path = workdir
     mtx, A = _write_poisson(tmp_path, 10)
@@ -601,6 +689,9 @@ def test_run_zero_rhs_short_circuits(workdir, capsys):
                  "--out", str(out_dir)]) == 0
     assert capsys.readouterr().out == "iters=0 relres=0.0 converged=true\n"
     assert np.count_nonzero(np.loadtxt(out_dir / "cg_solution.txt")) == 0
+    assert main(["run", model_path, "--matrix", mtx, "--rhs", str(rhs_path), "--devices", "4",
+                 "--out", str(tmp_path / "zero_d4")]) == 0
+    assert capsys.readouterr().out == "iters=0 relres=0.0 converged=true\n"
 
 
 def test_run_bad_matrix_exit_two(workdir, capsys):
@@ -850,8 +941,9 @@ def test_stop_is_strict(workdir, capsys):
 
 def test_one_computation_per_model_in_codegen_and_run(workdir, monkeypatch, capsys):
     """One `codegen` and one `run` compute the port groups and the digest at
-    most once per Model instance, and each device task's kernel parameter
-    list once: every stage of a command shares one compile context."""
+    most once per Model instance, and each device task's kernel arguments
+    and signature once, from its deployment record: every stage of a
+    command shares one compile context."""
     from gmodelc import codegen, dsl, metamodel
     calls: dict[str, list] = {"groups": [], "digest": [], "params": []}
 
@@ -869,7 +961,7 @@ def test_one_computation_per_model_in_codegen_and_run(workdir, monkeypatch, caps
 
     count("groups", metamodel, "connected_port_groups", lambda model: model)
     count("digest", dsl, "serialize_model", lambda model: model)
-    count("params", codegen, "_task_params", lambda ctx, allocs, task_path, comp, spec: task_path)
+    count("params", codegen, "_kernel_task", lambda ctx, task_path: task_path)
 
     tmp_path, model_path = workdir
     assert main(["codegen", model_path, "--devices", "4", "--out", str(tmp_path / "cg")]) == 0
@@ -886,3 +978,54 @@ def test_one_computation_per_model_in_codegen_and_run(workdir, monkeypatch, caps
     assert parsed is not instantiated
     assert calls["digest"] == [] and calls["params"] == []
     capsys.readouterr()
+
+
+def test_root_inout_port_rejected_by_check_and_run(workdir, capsys):
+    """The host program loads a root in port and stores a root out port, so
+    an inout one would be neither: check, codegen and run stop on it with
+    one unquoted error line and exit 1."""
+    tmp_path, _ = workdir
+    text = gmodelc.bundled_model_text()
+    old = "    port x out float64 [132651]\n"
+    assert old in text
+    path = tmp_path / "inout.gmodel"
+    path.write_text(text.replace(old, old.replace("out", "inout")))
+    mtx, _ = _write_poisson(tmp_path, 4)
+    message = ("error: x: root port 'x' is inout, but the host program only loads in ports "
+               "and stores out ports\n")
+    for argv in (["check"], ["codegen", "--devices", "4"], ["run", "--matrix", mtx]):
+        assert main(argv + [str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", message)
+    assert not (tmp_path / "out").exists()
+
+
+CG_MEMORIES = ("host.ram", "device.gmem", "device.cmem", "device.c.lmem")
+
+
+def test_placement_sweep_check_passes_iff_codegen_does(tmp_path, capsys):
+    """Each of cg.gmodel's data allocations moved, one at a time, onto each
+    memory that can hold data: check and codegen pass or fail together, and
+    a failure prints only error lines, never a traceback.  Some moves pass
+    (the read-only CSR ports and b in constant memory), most fail."""
+    text = gmodelc.bundled_model_text()
+    lines = [line for line in text.splitlines() if line.startswith("allocate data ")]
+    assert len(lines) == 16
+    path, passed = tmp_path / "moved.gmodel", []
+    for line in lines:
+        port = line.split()[2]
+        for memory in CG_MEMORIES:
+            moved = f"allocate data {port} onto {memory}"
+            if moved == line:
+                continue
+            path.write_text(text.replace(line + "\n", moved + "\n"))
+            status = main(["check", str(path)])
+            check_err = capsys.readouterr().err
+            assert main(["codegen", str(path), "--out", str(tmp_path / "out")]) == status, moved
+            codegen_err = capsys.readouterr().err
+            assert codegen_err == check_err, moved
+            assert (status == 0) == (check_err == ""), moved
+            assert all(err.startswith("error: ") for err in check_err.splitlines()), moved
+            if status == 0:
+                passed.append(moved)
+    assert passed == [f"allocate data {port} onto device.cmem"
+                      for port in ("rowptr", "colidx", "values", "b")]

@@ -487,3 +487,18 @@ def test_emitted_c_compiles(tmp_path, cg_text, model_file, devices):
                   str(kernels)]):
         done = subprocess.run(argv, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
+
+
+def test_one_element_vector_port_in_host_memory_is_not_a_scalar():
+    """Only an `in` port that the intrinsic declares scalar is passed by
+    value from host RAM: a device task's vector ports of one element still
+    need device memory, whatever their direction."""
+    text = COPY_MODEL.replace("[64]", "[1]")
+    for port in ("i", "t.dst"):
+        text = text.replace(f"allocate data {port} onto dev.gmem",
+                            f"allocate data {port} onto host.ram")
+    model = gmodelc.parse_model(text)
+    assert gmodelc.validate_conformance(model) == []
+    assert [str(d) for d in deployment_diagnostics(model)] == [
+        f"error: t.{port}: {direction} port of a device task has no device-memory allocation "
+        "(directly or via connected ports)" for port, direction in (("src", "in"), ("dst", "out"))]

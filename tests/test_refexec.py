@@ -1619,8 +1619,9 @@ def test_execute_schedule_leaves_bound_arrays_unchanged(writeable):
 def test_missing_binding():
     sized, A, b, bindings = _cg_setup(4)
     del bindings["b"]
-    with pytest.raises(MissingBinding):
+    with pytest.raises(MissingBinding) as missing:
         execute_schedule(sized, build_schedule(sized, 1), bindings)
+    assert str(missing.value) == "no binding for input port 'b'"    # a ValueError: unquoted
 
 
 def test_binding_shape_mismatch_reported():
