@@ -12,9 +12,9 @@ generates no code.  So `check` rejects whatever `map`, `codegen` and
 Exit codes: 0 success, 1 validation/model errors, 2 I/O or parse
 failures, a matrix that is non-symmetric or has no stored entries and a
 --rhs that is not finite or is nonzero with a squared norm of 0.0 or
-inf, 3 on a CG breakdown (a curvature p.Ap that is not finite and > 0)
-and when run's loop ends unconverged or with a residual that is not
-finite.  Reports go to stdout, diagnostics to stderr; all file outputs
+inf, 3 on a breakdown (a host op's bounded operand out of its bound,
+such as a CG curvature p.Ap that is not finite and > 0) and when one of
+run's loops ends unconverged or with a residual that is not finite.  Reports go to stdout, diagnostics to stderr; all file outputs
 are deterministic.
 """
 

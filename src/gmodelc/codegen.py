@@ -8,9 +8,12 @@ second signature of that name), and its comment lists the tasks that use
 it.  The host file holds a static const table per device step, one row
 per launch, that run_step enqueues row by row; identifiers come from step
 indices and the memory maps (buf_*, h_*), and task paths go into
-comments.  A reduction is two-stage: per-work-group partials on the device, summed on the host in
-ascending device order.  Element types are kept in loads, stores,
-scalars and partials, and output is byte-deterministic.
+comments.  Each loop of the schedule is a for loop with its own counter,
+bounded by its repeat count; iters counts every body run of every loop,
+and converged holds when every loop ended below its tolerance.  A
+reduction is two-stage: per-work-group partials on the device, summed on
+the host in ascending device order.  Element types are kept in loads,
+stores, scalars and partials, and output is byte-deterministic.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .intrinsics import IntrinsicSpec, Passing, deployed_intrinsic
 from .memmap import MemoryMap
 from .metamodel import (CompileContext, ComponentKind, DataType, Direction, FlowPort, MemoryRole,
                         Model)
-from .partition import DeviceStep, HostOp, LoopStep, Schedule
+from .partition import HostOp, LoopStep, Schedule
 
 
 @dataclass(frozen=True)
@@ -369,35 +372,31 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
                       f'CHECK(err, "write {c}");']
     body += ["", "int iters = 0;", "int converged = 1;", ""]
 
-    step_index = {id(step): i for i, (step, _, _) in enumerate(steps)}
-
-    def emit(items, pad: str):
-        for step in items:
-            if isinstance(step, DeviceStep):
-                i = step_index[id(step)]
-                task = steps[i][1]
-                call = f"(step_{i}, {len(step.launches)});"
-                body.append(f"{pad}run_step{call}")
-                if task.partials:
-                    s = names[f"{step.task_path}.{task.spec.reduce}"]
-                    body.append(f"{pad}h_{s} = sum_{_C_IO[task.partials][0]}{call}")
-            elif isinstance(step, HostOp):
+    # device steps are numbered in device_steps() order, which is this walk's
+    number = 0
+    for top in schedule.steps:
+        loop = top if isinstance(top, LoopStep) else None
+        pad = "    " if loop else ""
+        if loop:
+            relres, tol = f"h_{names[loop.relres_port]}", _float_literal(loop.tolerance)
+            body += [f"/* loop {loop.task_path}: until {relres} < {tol} */",
+                     f"for (int it = 0; it < {loop.max_iterations}; ++it) {{"]
+        for step in loop.body if loop else (top,):
+            if isinstance(step, HostOp):
                 record = deployed_intrinsic(ctx, step.task_path)
                 body.append(pad + record.spec.host_c.format_map(
                     {port: f"h_{names[f'{step.task_path}.{port}']}" for port in record.ports}))
-            elif isinstance(step, LoopStep):
-                relres = f"h_{names[step.relres_port]}"
-                tol = _float_literal(step.tolerance)
-                body.append(f"{pad}/* loop {step.task_path}: until {relres} < {tol} */")
-                body.extend((f"{pad}converged = 0;",
-                             f"{pad}while (iters < {step.max_iterations}) {{"))
-                emit(step.body, pad + "    ")
-                body.extend((f"{pad}    ++iters;",
-                             f"{pad}    if ({relres} < {tol}) {{ converged = 1; break; }}",
-                             f"{pad}}}"))
-
-    emit(schedule.steps, "")
-    del emit    # a recursive closure is a cycle: it would keep the context for the collector
+                continue
+            task = steps[number][1]
+            call = f"(step_{number}, {len(step.launches)});"
+            body.append(f"{pad}run_step{call}")
+            if task.partials:
+                s = names[f"{step.task_path}.{task.spec.reduce}"]
+                body.append(f"{pad}h_{s} = sum_{_C_IO[task.partials][0]}{call}")
+            number += 1
+        if loop:
+            body += ["    ++iters;", f"    if ({relres} < {tol}) break;", "}",
+                     f"converged = converged && {relres} < {tol};"]
     loops = [step for step in schedule.steps if isinstance(step, LoopStep)]
     final_relres = f"h_{names[loops[-1].relres_port]}" if loops else "0.0"
     body += stores

@@ -482,10 +482,14 @@ def _format_capacity(value: int) -> str:
     return str(value)
 
 
-def _stereo_text(st: HwStereotype) -> str:
+def _stereo_text(st: HwStereotype, shaped: Shape | None = None) -> str:
+    """A stereotype's attributes in canonical order; an inline hardware
+    part's shape, when given, follows the role."""
     parts = [st.kind.value]
     if st.memory_role is not None:
         parts.append(f"role={st.memory_role.value}")
+    if shaped is not None:
+        parts.append(f"shaped {shaped}")
     if st.frequency_mhz is not None:
         parts.append(f"frequency={st.frequency_mhz}")
     if st.capacity_bytes is not None:
@@ -529,17 +533,9 @@ def _emit_component(out: list[str], comp: Component, comps: dict[str, Component]
                    f"{port.data_type.value} {port.shape}")
     for part in comp.parts:
         target = comps.get(part.type_ref)
-        if part.type_ref in inline and inline[part.type_ref] == f"{comp.name}.{part.name}":
-            st = target.stereotype
-            text = f"    {_part_keyword(target)} {part.name} : {st.kind.value}"
-            if st.memory_role is not None:
-                text += f" role={st.memory_role.value}"
-            if part.shaped is not None:
-                text += f" shaped {part.shaped}"
-            if st.frequency_mhz is not None:
-                text += f" frequency={st.frequency_mhz}"
-            if st.capacity_bytes is not None:
-                text += f" capacity={_format_capacity(st.capacity_bytes)}"
+        if inline.get(part.type_ref) == f"{comp.name}.{part.name}":
+            text = (f"    {_part_keyword(target)} {part.name} : "
+                    f"{_stereo_text(target.stereotype, part.shaped)}")
         else:
             text = f"    {_part_keyword(target)} {part.name} : {part.type_ref}"
             if part.shaped is not None:

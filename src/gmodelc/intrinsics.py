@@ -48,7 +48,9 @@ class PortSpec:
     scalar: bool = False       # shape total must be exactly 1
     integer: bool = False      # int32/int64 expected instead of float
     optional: bool = False
-    positive: bool = False     # finite and > 0, else the executor's BreakdownDetected
+    # "> 0" or ">= 0": the one value must be finite and so bounded, else the
+    # executor raises BreakdownDetected before the host op runs
+    bound: str = ""
 
 
 @dataclass(frozen=True)
@@ -251,7 +253,7 @@ INTRINSICS: dict[str, IntrinsicSpec] = {
         # q = num / den, den finite and > 0: CG's p.Ap for alpha, r.r for beta
         IntrinsicSpec("div", "host", (
             PortSpec("num", _IN, scalar=True),
-            PortSpec("den", _IN, scalar=True, positive=True),
+            PortSpec("den", _IN, scalar=True, bound="> 0"),
             PortSpec("q", _OUT, scalar=True),
         ), host_c="{q} = {num} / {den};", scalar=lambda num, den: num[0] / den[0]),
         IntrinsicSpec("neg", "host", (
@@ -260,8 +262,8 @@ INTRINSICS: dict[str, IntrinsicSpec] = {
         ), host_c="{z} = -{a};", scalar=lambda a: -a[0]),
         # sqrt(num) / sqrt(den): relative norm from two squared norms
         IntrinsicSpec("rel_residual", "host", (
-            PortSpec("num", _IN, scalar=True),
-            PortSpec("den", _IN, scalar=True),
+            PortSpec("num", _IN, scalar=True, bound=">= 0"),
+            PortSpec("den", _IN, scalar=True, bound="> 0"),
             PortSpec("z", _OUT, scalar=True),
         ), host_c="{z} = sqrt({num}) / sqrt({den});",
             scalar=lambda num, den: math.sqrt(float(num[0])) / math.sqrt(float(den[0]))),

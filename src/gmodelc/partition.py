@@ -4,7 +4,10 @@ Repetition spaces are linearized row-major and split into contiguous,
 near-equal chunks, one per logical device; earlier devices take the
 remainder.  The schedule orders tasks by connector dataflow with a
 deterministic declaration-order tie-break; tasks reading a value precede
-the task that updates it in place.
+the task that updates it in place.  A structured task with an `until`
+condition is a loop: one LoopStep whose body holds the device steps and
+host ops of every leaf task beneath it.  Loops do not nest: a loop inside
+a loop raises NestedLoop.
 """
 
 from __future__ import annotations
@@ -21,6 +24,10 @@ class MissingGeometry(ValueError):
 
 
 class CyclicTaskGraph(ValueError):
+    pass
+
+
+class NestedLoop(ValueError):
     pass
 
 
@@ -83,17 +90,9 @@ class Schedule:
         return self._leaves(HostOp)
 
     def _leaves(self, kind: type) -> list:
-        found: list = []
-
-        def walk(steps):
-            for step in steps:
-                if isinstance(step, LoopStep):
-                    walk(step.body)
-                elif isinstance(step, kind):
-                    found.append(step)
-
-        walk(self.steps)
-        return found
+        return [leaf for step in self.steps
+                for leaf in (step.body if isinstance(step, LoopStep) else (step,))
+                if isinstance(leaf, kind)]
 
 
 def partition_equally(total_work: int, device_count: int) -> list[WorkRange]:
@@ -212,12 +211,13 @@ def build_schedule(model: Model, device_count: int) -> Schedule:
         return local_sizes[target]
 
     # the structured tasks being scheduled, as (parts left, path, component,
-    # the list its steps go to): no depth of nesting meets the recursion limit
+    # the list its steps go to, the path of the loop it is in or None): no
+    # depth of nesting meets the recursion limit
     steps: list = []
     root = model.root(ComponentKind.APPLICATION)
-    frames = [(iter(_order_parts(model, root, "")), "", root, steps)]
+    frames = [(iter(_order_parts(model, root, "")), "", root, steps, None)]
     while frames:
-        parts, prefix, comp, out = frames[-1]
+        parts, prefix, comp, out, loop = frames[-1]
         part = next(parts, None)
         if part is None:
             frames.pop()
@@ -230,8 +230,13 @@ def build_schedule(model: Model, device_count: int) -> Schedule:
         sub = model.component(ComponentKind.APPLICATION, part.type_ref)
         path = f"{prefix}.{part.name}" if prefix else part.name
         if not sub.is_leaf_task:
-            frames.append((iter(_order_parts(model, sub, path)), path, sub,
-                           [] if sub.until is not None else out))
+            if sub.until is None:
+                frames.append((iter(_order_parts(model, sub, path)), path, sub, out, loop))
+                continue
+            if loop is not None:
+                raise NestedLoop(f"loop '{path}' is nested in loop '{loop}', "
+                                 "but loops do not nest")
+            frames.append((iter(_order_parts(model, sub, path)), path, sub, [], path))
             continue
         target = ctx.task_targets.get(path)
         if target is None:

@@ -5,9 +5,11 @@ and holds every rule on such a system, and run_cg is solve over the
 bundled cg.gmodel's schedule.  execute_schedule first compiles the
 schedule into a flat list of closures, one per device step, host op and
 loop, each with its task's arrays, checks, [lo:hi] views and spmv
-products bound once; the run then only calls closures.  A task's
-closures come from its intrinsic's entry of intrinsics.INTRINSICS: the
-launch function of a device intrinsic, the scalar function of a host one.
+products bound once; the run then only calls closures.  A loop's closure
+calls its body's closures, which are all leaves: loops do not nest.  A
+task's closures come from its intrinsic's entry of intrinsics.INTRINSICS:
+the launch function of a device intrinsic, the scalar function of a host
+one.
 
 A launch of an intrinsic without a reduction is separable over its
 range: a launch over [lo:hi) writes the same bytes as launches over any
@@ -71,9 +73,9 @@ class DimensionMismatch(ValueError):
 
 
 class BreakdownDetected(ArithmeticError):
-    """A host op's operand declared positive is not finite and > 0, as CG's
-    curvature p.Ap is on a matrix that is not positive definite; value is
-    that operand's value."""
+    """A host op's bounded operand is not finite and within its bound, as
+    CG's curvature p.Ap is not > 0 on a matrix that is not positive
+    definite; value is that operand's value."""
 
     def __init__(self, message: str, value: float):
         super().__init__(message)
@@ -770,18 +772,18 @@ def spmv_launch(a: dict[str, np.ndarray], lo: int, hi: int):
 
 def _host_op(task_path: str, spec: IntrinsicSpec, arrays: dict[str, np.ndarray]):
     """A closure applying a host intrinsic's scalar function once each
-    operand its spec declares positive is found finite and > 0."""
+    operand its spec bounds is found finite and within its bound."""
     (out,) = [arrays[p.name] for p in spec.ports if p.direction is Direction.OUT]
     operands = [arrays[p.name] for p in spec.ports if p.direction is Direction.IN]
-    positive = [(p.name, arrays[p.name]) for p in spec.ports if p.positive]
+    bounded = [(p.name, arrays[p.name], p.bound) for p in spec.ports if p.bound]
     scalar = spec.scalar
 
     def run():
-        for name, array in positive:
+        for name, array, bound in bounded:
             value = float(array[0])
-            if not 0.0 < value < math.inf:      # nan included
-                raise BreakdownDetected(
-                    f"task '{task_path}': {name} = {value!r}, but it must be finite and > 0",
+            if not (value < math.inf and (value > 0.0 if bound == "> 0" else value >= 0.0)):
+                raise BreakdownDetected(       # nan included
+                    f"task '{task_path}': {name} = {value!r}, but it must be finite and {bound}",
                     value)
         out[0] = scalar(*operands)
     return run
@@ -797,56 +799,19 @@ def _tiled_range(task_path: str, ranges: list[tuple[int, int]]) -> tuple[int, in
     return ranges[0][0], ranges[-1][1]
 
 
-class _Compiler:
-    """Compiles schedule steps once into a flat list of closures: one per
-    device step or host op, and one per loop, which runs its body's list
-    and records each iteration's relative residual.  A non-reduction
-    step's closure covers the whole range its launches tile; a reduction
-    step's closure keeps one partial per launch range."""
-
-    def __init__(self, ctx: CompileContext, storage: _Storage, tol: float | None,
-                 max_iter: int | None):
-        self.ctx, self.storage = ctx, storage
-        self.tol, self.max_iter = tol, max_iter
-        self.history: list[float] = []            # each loop iteration's relres
-        self.loops_converged: list[bool] = []
-
-    def steps(self, steps) -> list:
-        program = []
-        for step in steps:
-            if isinstance(step, LoopStep):
-                program.append(self.loop(step))
-                continue
-            comp = self.ctx.component_at(ComponentKind.APPLICATION, step.task_path)
-            spec, on_host, _ = deployed_intrinsic(self.ctx, step.task_path)
-            arrays = self.storage.task_arrays(step.task_path, comp)
-            if on_host:
-                program.append(_host_op(step.task_path, spec, arrays))
-                continue
-            ranges = [(l.range.offset, l.range.offset + l.range.count) for l in step.launches]
-            if spec.reduce:
-                program.append(spec.launch(arrays, ranges))
-            else:
-                program.append(spec.launch(arrays, *_tiled_range(step.task_path, ranges)))
-        return program
-
-    def loop(self, step: LoopStep):
-        body = self.steps(step.body)
-        tol = self.tol if self.tol is not None else step.tolerance
-        max_iter = self.max_iter if self.max_iter is not None else step.max_iterations
-        relres = self.storage.array(step.relres_port)
-        history, loops_converged = self.history, self.loops_converged
-
-        def run():
-            for _ in range(max(1, max_iter)):     # the body runs at least once
-                for launch in body:
-                    launch()
-                history.append(float(relres[0]))
-                if history[-1] < tol:
-                    loops_converged.append(True)
-                    return
-            loops_converged.append(False)
-        return run
+def _leaf(ctx: CompileContext, storage: _Storage, step):
+    """A device step's or host op's closure.  A non-reduction step's closure
+    covers the whole range its launches tile; a reduction step's closure
+    keeps one partial per launch range."""
+    comp = ctx.component_at(ComponentKind.APPLICATION, step.task_path)
+    spec, on_host, _ = deployed_intrinsic(ctx, step.task_path)
+    arrays = storage.task_arrays(step.task_path, comp)
+    if on_host:
+        return _host_op(step.task_path, spec, arrays)
+    ranges = [(l.range.offset, l.range.offset + l.range.count) for l in step.launches]
+    if spec.reduce:
+        return spec.launch(arrays, ranges)
+    return spec.launch(arrays, *_tiled_range(step.task_path, ranges))
 
 
 def execute_schedule(model: Model, schedule: Schedule, bindings: dict[str, np.ndarray],
@@ -854,21 +819,47 @@ def execute_schedule(model: Model, schedule: Schedule, bindings: dict[str, np.nd
     """Run a schedule over bound arrays, one simulated device per launch.
 
     Produces the arrays of the application root's out ports plus loop
-    bookkeeping.  tol and max_iter, when given, override every loop
-    step's own continue-condition.  Raises NonFiniteInput, before the first
-    step, when a bound floating-point array holds nan or an infinite value,
-    and BreakdownDetected from a host op whose positive operand is not.
+    bookkeeping.  Each loop runs its body to its own bound: until its
+    relative residual is below its tolerance, at most its repeat count of
+    times and at least once; tol and max_iter, when given, override every
+    loop's tolerance and repeat count.  The iterations are every body run
+    of every loop, and the run converged when every loop did.  Raises
+    NonFiniteInput, before the first step, when a bound floating-point
+    array holds nan or an infinite value, and BreakdownDetected from a
+    host op whose bounded operand is out of its bound.
     """
-    storage = _Storage(model.context, bindings)
-    compiler = _Compiler(model.context, storage, tol, max_iter)
-    for run in compiler.steps(schedule.steps):
+    ctx = model.context
+    storage = _Storage(ctx, bindings)
+    history: list[float] = []            # each loop iteration's relres
+    loops_converged: list[bool] = []
+
+    def loop(step: LoopStep):
+        body = [_leaf(ctx, storage, leaf) for leaf in step.body]
+        bound = tol if tol is not None else step.tolerance
+        count = max(1, max_iter if max_iter is not None else step.max_iterations)
+        relres = storage.array(step.relres_port)
+
+        def run():
+            for _ in range(count):
+                for launch in body:
+                    launch()
+                history.append(float(relres[0]))
+                if history[-1] < bound:
+                    loops_converged.append(True)
+                    return
+            loops_converged.append(False)
+        return run
+
+    program = [loop(step) if isinstance(step, LoopStep) else _leaf(ctx, storage, step)
+               for step in schedule.steps]
+    for run in program:
         run()
 
     root = model.root(ComponentKind.APPLICATION)
     outputs = {port.name: storage.array(port.name).copy()
                for port in root.ports if port.direction is Direction.OUT}
-    return ExecutionResult(outputs=outputs, converged=all(compiler.loops_converged),
-                           residual_history=compiler.history)
+    return ExecutionResult(outputs=outputs, converged=all(loops_converged),
+                           residual_history=history)
 
 
 def spmv_task(model: Model) -> tuple[str, Component]:

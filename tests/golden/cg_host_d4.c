@@ -376,8 +376,7 @@ int main(void)
     run_step(step_2, 4);
     h_dot_bb_s = sum_doubles(step_2, 4);
     /* loop loop: until h_loop_relres < 1e-10 */
-    converged = 0;
-    while (iters < 132651) {
+    for (int it = 0; it < 132651; ++it) {
         run_step(step_3, 4);
         h_loop_dot_rr_s = sum_doubles(step_3, 4);
         run_step(step_4, 4);
@@ -394,8 +393,9 @@ int main(void)
         run_step(step_9, 4);
         run_step(step_10, 4);
         ++iters;
-        if (h_loop_relres < 1e-10) { converged = 1; break; }
+        if (h_loop_relres < 1e-10) break;
     }
+    converged = converged && h_loop_relres < 1e-10;
 
     /* read back and store outputs */
     double* out_x = (double*)malloc(1061208);

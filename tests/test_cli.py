@@ -15,6 +15,7 @@ from gmodelc.memmap import build_memory_maps
 from gmodelc.partition import UnallocatedTask, build_schedule
 
 import emitted
+import loopmodels
 from conftest import golden_path
 from matrices import matrix_to_coordinate_text, poisson_2d
 from oracles import partitioned_cg
@@ -400,6 +401,44 @@ def test_deeply_nested_model_passes_check(tmp_path, capsys, reverse):
     assert [step.task_path for step in steps] == [".".join(["k"] * 1201)]
 
 
+@pytest.mark.parametrize("depth", [2, 1200])
+def test_nested_loops_rejected_by_check_and_codegen(tmp_path, capsys, depth):
+    """A loop inside a loop stops the schedule at the outermost pair, with
+    one error line and exit 1, however deep the loops nest: 1200 is deeper
+    than Python's recursion limit (1000 by default)."""
+    path = tmp_path / "nested.gmodel"
+    path.write_text(loopmodels.nested_loops(depth))
+    message = "error: loop 'k.k' is nested in loop 'k', but loops do not nest\n"
+    for argv in (["check"], ["codegen", "--devices", "2"]):
+        assert main(argv + [str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", message)
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_the_cg_loop_wrapped_in_a_loop(workdir, capsys):
+    """cg.gmodel with its CgLoop as the one part of a second loop: run
+    stops at the schedule with one error line and exit 1."""
+    tmp_path, _ = workdir
+    text = gmodelc.bundled_model_text()
+    ports = text[text.index("  component CgLoop {"):text.index("    part dot_rr")]
+    outer = (ports.replace("CgLoop", "Outer") + "    part inner : CgLoop\n"
+             + "".join(f"    connect {p} -> inner.{p}\n"
+                       for p in ("rowptr", "colidx", "values", "bb", "x", "r", "p"))
+             + "    connect inner.relres -> relres\n    repeat [2]\n"
+             "    until relres < 1e-10\n  }\n")
+    text = text.replace("  component cg {", outer + "  component cg {")
+    text = text.replace("part loop : CgLoop", "part loop : Outer")
+    head, allocations = text.split("\nallocate ", 1)
+    text = head + "\nallocate " + allocations.replace(" loop.", " loop.inner.")
+    path = tmp_path / "wrapped.gmodel"
+    path.write_text(text)
+    mtx, _ = _write_poisson(tmp_path, 4)
+    assert main(["run", str(path), "--matrix", mtx, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == (
+        "", "error: loop 'loop.inner' is nested in loop 'loop', but loops do not nest\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_ascii_model_exit_two(tmp_path, capsys):
     path = tmp_path / "latin1.gmodel"
     path.write_bytes(gmodelc.bundled_model_text().encode("ascii") + b"# caf\xe9\n")
@@ -676,6 +715,20 @@ def test_run_indefinite_matrix_is_a_breakdown_exit_three(workdir, capsys):
     assert err.startswith("error: task 'loop.alpha': den = -")
     assert err.endswith(", but it must be finite and > 0\n")
     assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_negative_rel_residual_operand_is_a_breakdown_exit_three(tmp_path, capsys):
+    """On diag(-1, ..., -1) the intrinsics model's rel task gets b.Ab = -16
+    as the squared norm it takes the root of: a breakdown, named with its
+    task and operand, on one line."""
+    mtx = tmp_path / "minus.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n16 16 16\n"
+                   + "".join(f"{i} {i} -1.0\n" for i in range(1, 17)))
+    assert main(["run", str(golden_path("intrinsics.gmodel")), "--matrix", str(mtx),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr() == (
+        "", "error: task 'rel': num = -16.0, but it must be finite and >= 0\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -3,6 +3,7 @@ import shutil
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gmodelc
@@ -11,8 +12,10 @@ from gmodelc.intrinsics import INTRINSICS, UnknownIntrinsic, deployment_diagnost
 from gmodelc.memmap import build_memory_maps
 from gmodelc.metamodel import CompileContext, ComponentKind, MemoryRole
 from gmodelc.partition import DeviceStep, Schedule, build_schedule
+from gmodelc.refexec import execute_schedule
 
 import emitted
+import loopmodels
 from conftest import golden_path
 
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -258,10 +261,11 @@ def test_host_grows_by_one_row_per_launch(cg_model, cg_maps, cg_units):
     assert d16 < 2 * d1
 
 
-def test_loop_emits_while_with_cap_and_threshold(cg_units):
+def test_loop_emits_for_with_cap_and_threshold(cg_units):
     _, host = cg_units
-    assert "while (iters < 132651) {" in host.contents
-    assert "if (h_loop_relres < 1e-10) { converged = 1; break; }" in host.contents
+    assert "    for (int it = 0; it < 132651; ++it) {" in host.contents
+    assert "        if (h_loop_relres < 1e-10) break;" in host.contents
+    assert "    converged = converged && h_loop_relres < 1e-10;" in host.contents
     assert "/* loop loop: until h_loop_relres < 1e-10 */" in host.contents
     assert "<=" not in host.contents
 
@@ -273,6 +277,7 @@ def test_straight_line_host_without_loop():
     schedule = build_schedule(model, 2)
     host = generate_host(model, maps, schedule, 2)
     assert "while" not in host.contents.replace("while (0)", "")  # CHECK macro only
+    assert "for (int it" not in host.contents
 
 
 COPY_MODEL = """\
@@ -465,13 +470,15 @@ SYNTAX_ONLY = ["-std=c99", "-Wall", "-Werror", "-fsyntax-only"]
 
 @pytest.mark.skipif(GCC is None, reason="gcc is not installed")
 @pytest.mark.parametrize("model_file, devices", [
-    (None, 1), (None, 4), (None, 16), ("intrinsics.gmodel", 2), ("FLOAT32_MODEL", 2)])
+    (None, 1), (None, 4), (None, 16), ("intrinsics.gmodel", 2), ("FLOAT32_MODEL", 2),
+    ("TWO_LOOPS", 2)])
 def test_emitted_c_compiles(tmp_path, cg_text, model_file, devices):
     """The host program compiles as C99 against the OpenCL 1.1 declarations
     of tests/clstub/CL/cl.h, and the kernels compile as C99 once
     tests/clstub/opencl_c.h has defined the OpenCL C qualifiers away, with
     every gcc warning an error."""
-    text = {None: cg_text, "FLOAT32_MODEL": FLOAT32_MODEL}.get(model_file) \
+    text = {None: cg_text, "FLOAT32_MODEL": FLOAT32_MODEL,
+            "TWO_LOOPS": loopmodels.TWO_LOOPS}.get(model_file) \
         or golden_path(model_file).read_text()
     model = gmodelc.parse_model(text)
     maps = build_memory_maps(model)
@@ -487,6 +494,92 @@ def test_emitted_c_compiles(tmp_path, cg_text, model_file, devices):
                   str(kernels)]):
         done = subprocess.run(argv, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
+
+
+def _two_loops_units(devices: int):
+    model = gmodelc.parse_model(loopmodels.TWO_LOOPS)
+    maps, schedule = build_memory_maps(model), build_schedule(model, devices)
+    return model, schedule, (generate_kernels(model, maps, schedule),
+                             generate_host(model, maps, schedule, devices))
+
+
+def test_host_bounds_each_loop_by_its_own_count():
+    """Loop first repeats at most 3 times and loop second at most 2: each
+    has its own counter, and iters and converged add up over both."""
+    _, _, (_, host) = _two_loops_units(2)
+    loops = host.contents[host.contents.index("    int iters = 0;"):
+                          host.contents.index("    /* read back")]
+    assert loops == """\
+    int iters = 0;
+    int converged = 1;
+
+    /* loop first: until h_y < 0.5 */
+    for (int it = 0; it < 3; ++it) {
+        h_y = -h_a;
+        ++iters;
+        if (h_y < 0.5) break;
+    }
+    converged = converged && h_y < 0.5;
+    /* loop second: until h_w < 0.5 */
+    for (int it = 0; it < 2; ++it) {
+        h_w = -h_c;
+        ++iters;
+        if (h_w < 0.5) break;
+    }
+    converged = converged && h_w < 0.5;
+
+"""
+
+
+# The OpenCL calls of a host program without kernels, each succeeding with
+# a dummy handle: enough to run its host ops and loops on no device.
+CL_NO_DEVICE = r"""
+#include <CL/cl.h>
+#define HANDLE(type) ((type)(intptr_t)1)
+cl_int clGetPlatformIDs(cl_uint n, cl_platform_id* p, cl_uint* m) { return CL_SUCCESS; }
+cl_int clGetDeviceIDs(cl_platform_id p, cl_device_type t, cl_uint n, cl_device_id* d,
+                      cl_uint* m) { return CL_SUCCESS; }
+cl_context clCreateContext(const cl_context_properties* p, cl_uint n, const cl_device_id* d,
+                           void (*f)(const char*, const void*, size_t, void*), void* u,
+                           cl_int* e) { *e = CL_SUCCESS; return HANDLE(cl_context); }
+cl_command_queue clCreateCommandQueue(cl_context c, cl_device_id d,
+                                      cl_command_queue_properties p, cl_int* e)
+{ *e = CL_SUCCESS; return HANDLE(cl_command_queue); }
+cl_program clCreateProgramWithSource(cl_context c, cl_uint n, const char** s,
+                                     const size_t* l, cl_int* e)
+{ *e = CL_SUCCESS; return HANDLE(cl_program); }
+cl_int clBuildProgram(cl_program p, cl_uint n, const cl_device_id* d, const char* o,
+                      void (*f)(cl_program, void*), void* u) { return CL_SUCCESS; }
+cl_int clReleaseProgram(cl_program p) { return CL_SUCCESS; }
+cl_int clReleaseCommandQueue(cl_command_queue q) { return CL_SUCCESS; }
+cl_int clReleaseContext(cl_context c) { return CL_SUCCESS; }
+"""
+
+
+@pytest.mark.skipif(GCC is None, reason="gcc is not installed")
+@pytest.mark.parametrize("a, c", [(-1.0, -1.0), (-1.0, -0.25), (-0.25, -1.0), (-0.25, -0.25)])
+def test_emitted_host_runs_its_loops_as_execute_schedule_does(tmp_path, a, c):
+    """The two-loop model's host program, built against CL_NO_DEVICE and
+    run, prints the iterations, residual and convergence that
+    execute_schedule reports, stores the same outputs and exits 3 unless
+    every loop converged."""
+    model, schedule, units = _two_loops_units(1)
+    for unit in units:
+        (tmp_path / unit.file_name).write_text(unit.contents)
+    (tmp_path / "cl.c").write_text(CL_NO_DEVICE)
+    for port, value in (("a", a), ("c", c)):
+        (tmp_path / f"two_{port}.txt").write_text(f"{value!r}\n")
+    build = subprocess.run([GCC, "-std=c99", "-I", str(CLSTUB), "two_host.c", "cl.c", "-lm",
+                            "-o", "host"], cwd=tmp_path, capture_output=True, text=True)
+    assert build.returncode == 0, build.stderr
+    done = subprocess.run([str(tmp_path / "host")], cwd=tmp_path, capture_output=True, text=True)
+    result = execute_schedule(model, schedule, {"a": np.array([a]), "c": np.array([c])})
+    iters, relres, converged = (field.split("=")[1] for field in done.stdout.split())
+    assert (int(iters), float(relres), converged) == (
+        result.iterations, result.final_relres, "true" if result.converged else "false")
+    assert done.returncode == (0 if result.converged else 3)
+    for port in ("y", "w"):
+        assert float((tmp_path / f"two_{port}_out.txt").read_text()) == result.outputs[port][0]
 
 
 def test_one_element_vector_port_in_host_memory_is_not_a_scalar():

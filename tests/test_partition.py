@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 import gmodelc
 from gmodelc.metamodel import CompileContext
 from gmodelc.partition import (CyclicTaskGraph, DeviceStep, HostOp, LoopStep,
-                               MissingGeometry, UnallocatedTask, WorkRange, _launches,
-                               _pe_local_size, build_schedule, partition_equally)
+                               MissingGeometry, NestedLoop, UnallocatedTask, WorkRange,
+                               _launches, _pe_local_size, build_schedule, partition_equally)
 
+import loopmodels
 from oracles import balanced_split
 
 
@@ -229,6 +230,20 @@ allocate task t3 onto host.cpu
     with pytest.raises(CyclicTaskGraph,
                        match=r"^connector cycle among tasks of '<root>': t1, t2, t3$"):
         build_schedule(model, 1)
+
+
+def test_loops_do_not_nest():
+    """A loop's body holds leaves only: a loop inside one is a NestedLoop,
+    naming both loop paths, and two loops side by side are two LoopSteps."""
+    model = gmodelc.parse_model(loopmodels.nested_loops(3))
+    assert gmodelc.validate_conformance(model) == []
+    with pytest.raises(NestedLoop,
+                       match=r"^loop 'k\.k' is nested in loop 'k', but loops do not nest$"):
+        build_schedule(model, 1)
+    schedule = build_schedule(gmodelc.parse_model(loopmodels.TWO_LOOPS), 1)
+    assert [(s.task_path, s.max_iterations, [leaf.task_path for leaf in s.body])
+            for s in schedule.steps] == [("first", 3, ["first.k"]), ("second", 2, ["second.k"])]
+    assert [op.task_path for op in schedule.host_ops()] == ["first.k", "second.k"]
 
 
 def test_unallocated_task():

@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import random
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -28,6 +29,7 @@ from gmodelc.refexec import (BreakdownDetected, CsrMatrix, DimensionMismatch,
                              load_matrix_market, run_cg, spmv_csr,
                              spmv_range)
 
+import loopmodels
 from conftest import golden_path
 from matrices import (csr_from_dense, csr_to_dense, matrix_to_coordinate_text, poisson_1d,
                       poisson_2d, poisson_3d, random_spd)
@@ -1208,6 +1210,45 @@ def _single_task_model(op, ports, root_ports, conns, allocs, n=64, edit=None):
     return model
 
 
+@pytest.mark.parametrize("a, c, iterations, converged", [
+    (-1.0, -1.0, 5, False), (-1.0, -0.25, 4, False), (-0.25, -1.0, 3, False),
+    (-0.25, -0.25, 2, True)])
+def test_each_loop_runs_to_its_own_bound(a, c, iterations, converged):
+    """Loop first (repeat [3]) then loop second (repeat [2]), r = -a in each:
+    every loop runs until r < 0.5 or its own count, the iterations are every
+    body run and the run converged only when every loop did."""
+    model = gmodelc.parse_model(loopmodels.TWO_LOOPS)
+    result = execute_schedule(model, build_schedule(model, 1),
+                              {"a": np.array([a]), "c": np.array([c])})
+    assert (result.iterations, result.converged) == (iterations, converged)
+    assert result.final_relres == -c
+
+
+REL_RESIDUAL = (["num in float64 [1]", "den in float64 [1]", "z out float64 [1]"],
+                ["n in float64 [1]", "d in float64 [1]", "o out float64 [1]"],
+                ["n -> t.num", "d -> t.den", "t.z -> o"],
+                [f"allocate data {port} onto host.ram" for port in "ndo"]
+                + ["allocate task t onto host.cpu"])
+
+
+@pytest.mark.parametrize("num, den, message", [
+    (-16.0, 4.0, "num = -16.0, but it must be finite and >= 0"),
+    (4.0, 0.0, "den = 0.0, but it must be finite and > 0"),
+    (4.0, -0.0, "den = -0.0, but it must be finite and > 0"),
+    (4.0, -1.0, "den = -1.0, but it must be finite and > 0")])
+def test_rel_residual_that_cannot_be_computed_is_a_breakdown(num, den, message):
+    """sqrt(num) / sqrt(den) needs num >= 0 and den > 0: otherwise the host
+    op raises BreakdownDetected naming its task and operand, not the bare
+    ValueError or ZeroDivisionError of the root or the division."""
+    model = _single_task_model("rel_residual", *REL_RESIDUAL, n=1)
+    with pytest.raises(BreakdownDetected, match=f"^task 't': {re.escape(message)}$"):
+        execute_schedule(model, build_schedule(model, 1),
+                         {"n": np.array([num]), "d": np.array([den])})
+    result = execute_schedule(model, build_schedule(model, 1),
+                              {"n": np.array([0.0]), "d": np.array([4.0])})
+    assert result.outputs["o"].tolist() == [0.0]
+
+
 def test_copy_schedule_is_bitwise_identity():
     model = _single_task_model(
         "copy",
@@ -1636,7 +1677,7 @@ def test_schedule_rejects_non_finite_binding_before_the_first_step(monkeypatch):
     bindings["b"] = b.copy()
     bindings["b"][7] = -np.inf
     steps = []
-    monkeypatch.setattr(refexec._Compiler, "steps", lambda self, s: steps.append(s))
+    monkeypatch.setattr(refexec, "_leaf", lambda *args: steps.append(args))
     with pytest.raises(NonFiniteInput, match=r"binding 'b': element 7 \(-inf\) is not finite"):
         execute_schedule(sized, build_schedule(sized, 1), bindings)
     assert steps == []
