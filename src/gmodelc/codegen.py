@@ -1,32 +1,25 @@
 """OpenCL 1.1 source generation: one kernel file and one host file per model.
 
-Code is emitted as data.  The kernel file holds one kernel per signature:
-the intrinsic, its kernel body and its parameter declarations, which come
-from the task's deployment record and ports alone.  A kernel is named
-from its intrinsic and element types, as k_copy_f64 (k_copy_f64_2 for a
-second signature of that name), and its comment lists the tasks that use
-it.  The host file holds a static const table per device step, one row
-per launch, that run_step enqueues row by row; identifiers come from step
-indices and the memory maps (buf_*, h_*), and task paths go into
-comments.  Each loop of the schedule is a for loop with its own counter,
-bounded by its repeat count; iters counts every body run of every loop,
-and converged holds when every loop ended below its tolerance.  A
-reduction is two-stage: per-work-group partials on the device, summed on
-the host in ascending device order.  Element types are kept in loads,
-stores, scalars and partials, and output is byte-deterministic.
+lower decides once everything the two files say, as a Program whose items
+keep the task paths they come from; generate_kernels and generate_host
+only print it, as data: one kernel per signature (intrinsic, body,
+parameter declarations), and per device step a static const table of one
+row per launch, that run_step enqueues.  Identifiers come from
+intrinsics, step indices and the memory maps (buf_*, h_*).  Each loop
+runs to its own repeat bound; iters counts every body run, and converged
+holds when every loop ended below its tolerance.  The host defines only
+the text-file routines and sums it calls.  Output is byte-deterministic.
 """
 
 from __future__ import annotations
 
 import textwrap
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .intrinsics import IntrinsicSpec, Passing, deployed_intrinsic
-from .memmap import MemoryMap
-from .metamodel import (CompileContext, ComponentKind, DataType, Direction, FlowPort, MemoryRole,
-                        Model)
-from .partition import HostOp, LoopStep, Schedule
+from .intrinsics import Passing, deployed_intrinsic
+from .memmap import DataAllocate, MemoryMap
+from .metamodel import ComponentKind, DataType, Direction, MemoryRole, Model
+from .partition import HostOp, KernelLaunch, LoopStep, Schedule
 
 
 @dataclass(frozen=True)
@@ -38,10 +31,6 @@ class GeneratedUnit:
 _C_TYPES = {DataType.FLOAT32: "float", DataType.FLOAT64: "double",
             DataType.INT32: "int", DataType.INT64: "long"}
 
-# kernel name suffixes
-_TYPE_TAGS = {DataType.FLOAT32: "f32", DataType.FLOAT64: "f64",
-              DataType.INT32: "i32", DataType.INT64: "i64"}
-
 # The host's text-file routines per element type, in the order they are
 # emitted: name suffix, fscanf format, fprintf format.
 _C_IO = {DataType.FLOAT64: ("doubles", "%lf", "%.17g"),
@@ -49,77 +38,150 @@ _C_IO = {DataType.FLOAT64: ("doubles", "%lf", "%.17g"),
          DataType.INT32: ("ints", "%d", "%d"),
          DataType.INT64: ("longs", "%ld", "%ld")}
 
-
 _KEYWORDS = {Passing.GLOBAL: "__global ", Passing.CONSTANT: "__constant ",
              Passing.LOCAL: "__local "}
 
 
-class _Task(NamedTuple):
-    """A device task's intrinsic, kernel arguments (port, Passing) in spec
-    order, partials type and signature (intrinsic, body, declarations)."""
-    spec: IntrinsicSpec
-    args: tuple[tuple[FlowPort, Passing], ...]
-    partials: DataType | None
-    signature: tuple
-
-
-def _kernel_task(ctx: CompileContext, task_path: str) -> _Task:
-    """A device task's _Task, from its deployment record and its ports."""
-    comp = ctx.component_at(ComponentKind.APPLICATION, task_path)
-    record = deployed_intrinsic(ctx, task_path)
-    spec = record.spec
-    args, decls = [], ["const int first", "const int count"]
-    for pspec in spec.ports:
-        how = record.ports.get(pspec.name)
-        if how is None or how is Passing.HOST:      # omitted, or a sum the host makes
-            continue
-        port = comp.port(pspec.name)
-        args.append((port, how))
-        ctype = _C_TYPES[port.data_type]
-        if how is Passing.VALUE:
-            decls.append(f"const {ctype} {port.name}")
-        else:
-            read_only = how is Passing.GLOBAL and port.direction is Direction.IN
-            decls.append(f"{_KEYWORDS[how]}{'const ' if read_only else ''}{ctype}* {port.name}")
-    partials = comp.port(spec.acc).data_type if spec.reduce else None
-    if partials:
-        decls.append(f"__global {_C_TYPES[partials]}* partials")
-    acc = _C_TYPES[comp.port(spec.acc).data_type] if spec.acc else ""
-    body = tuple(line.replace("acc_t", acc) for line in spec.kernel_body(comp))
-    return _Task(spec, tuple(args), partials, (spec.name, body, tuple(decls)))
-
-
-class _Kernel(NamedTuple):
+@dataclass(frozen=True)
+class Kernel:
+    """An entry point of the kernel file, shared by the tasks of its signature."""
     name: str
-    task: _Task                 # the first task of its signature
-    paths: list[str]
+    intrinsic: str
+    params: tuple[str, ...]     # parameter declarations
+    body: tuple[str, ...]
+    paths: tuple[str, ...]      # the tasks that use it, in schedule order
 
 
-def _device_steps(ctx: CompileContext, schedule: Schedule) -> tuple[list, list[_Kernel]]:
-    """Each device step with its _Task, kept on ctx, and _Kernel, and the
-    kernels in order of first use."""
-    kernels: dict[tuple, _Kernel] = {}
-    names: set[str] = set()
-    steps = []
-    for step in schedule.device_steps():
+@dataclass(frozen=True)
+class Step:
+    """A device step of the host program: its launch table and run_step call."""
+    index: int
+    task_path: str
+    kernel: str
+    args: tuple[str, ...]       # argument entries after first and count
+    launches: tuple[KernelLaunch, ...]
+    sum_into: str | None        # a reduction's host scalar, summed from partials
+    partials: DataType | None   # and the partials' element type
+
+
+@dataclass(frozen=True)
+class HostStatement:
+    task_path: str
+    code: str                   # its C statement
+
+
+@dataclass(frozen=True)
+class Loop:
+    task_path: str
+    bound: int
+    tolerance: float
+    relres: str                 # the host scalar of its until port
+    body: tuple                 # Steps and HostStatements
+
+
+@dataclass(frozen=True)
+class RootPort:
+    """A root in port loaded from its file, or an out port stored to it."""
+    port: str
+    file_name: str
+    data_type: DataType
+    count: int
+    allocation: str
+    on_host: bool               # a host scalar h_<allocation>, else buf_<allocation>
+
+
+@dataclass(frozen=True)
+class Program:
+    name: str
+    digest: str
+    kernels: tuple[Kernel, ...]
+    sequence: tuple             # Steps, HostStatements and Loops, in schedule order
+    steps: tuple[Step, ...]     # the Steps of sequence, by index
+    host_scalars: tuple[DataAllocate, ...]
+    buffers: tuple[DataAllocate, ...]
+    partial_groups: int         # each device's partials hold this many groups,
+    partial_bytes: int          # in this many bytes; 0 without a reduction
+    inputs: tuple[RootPort, ...]
+    outputs: tuple[RootPort, ...]
+
+
+def lower(model: Model, maps: list[MemoryMap], schedule: Schedule) -> Program:
+    """The Program of a model, its memory maps and its schedule: kernels from
+    each task's deployment record and ports, buffer and scalar names from the maps."""
+    ctx, name = model.context, model.application_root
+    names = {node: alloc.name for mm in maps for alloc in mm.data_allocations
+             for node in alloc.associated_parts}
+    sides: dict[bool, list] = {True: [], False: []}     # is their memory host RAM?
+    for mm in maps:
+        sides[ctx.memory_role_of(mm.owner_path) is MemoryRole.HOST_RAM] += mm.data_allocations
+    kernels: dict[tuple, tuple[str, list]] = {}     # (intrinsic, params, body) -> (name, paths)
+    steps: list[Step] = []
+
+    def lowered(step):
         path = step.task_path
-        task = ctx.kernels.get(path)
-        if task is None:
-            task = ctx.kernels[path] = _kernel_task(ctx, path)
-        kernel = kernels.get(task.signature)
-        if kernel is None:
-            tags = dict.fromkeys(_TYPE_TAGS[dtype] for dtype in (
-                *(port.data_type for port, _ in task.args), task.partials) if dtype)
-            base = "_".join(("k", task.spec.name, *tags))
-            name, n = base, 1
-            while name in names:
+        spec, _, passing = deployed_intrinsic(ctx, path)
+        if isinstance(step, HostOp):
+            return HostStatement(path, spec.host_c.format_map(
+                {port: f"h_{names[f'{path}.{port}']}" for port in passing}))
+        comp = ctx.component_at(ComponentKind.APPLICATION, path)
+        params, args, types = ["const int first", "const int count"], [], []
+        for pspec in spec.ports:
+            how = passing.get(pspec.name)
+            if how is None or how is Passing.HOST:      # omitted, or a sum the host makes
+                continue
+            port = comp.port(pspec.name)
+            ctype, alloc = _C_TYPES[port.data_type], names[f"{path}.{port.name}"]
+            types.append(port.data_type)
+            if how is Passing.VALUE:
+                params.append(f"const {ctype} {port.name}")
+                args.append(f"{{sizeof({ctype}), &h_{alloc}}}")
+                continue
+            read_only = how is Passing.GLOBAL and port.direction is Direction.IN
+            params.append(f"{_KEYWORDS[how]}{'const ' if read_only else ''}{ctype}* {port.name}")
+            args.append(f"{{{port.shape.total * port.data_type.size_bytes}, NULL}}"
+                        if how is Passing.LOCAL else f"{{sizeof(cl_mem), &buf_{alloc}}}")
+        partials = comp.port(spec.acc).data_type if spec.reduce else None
+        if partials:
+            params.append(f"__global {_C_TYPES[partials]}* partials")
+            types.append(partials)
+        acc = _C_TYPES[comp.port(spec.acc).data_type] if spec.acc else ""
+        body = tuple(line.replace("acc_t", acc) for line in spec.kernel_body(comp))
+        key = (spec.name, tuple(params), body)
+        if key not in kernels:
+            # named from the intrinsic and element types, as k_spmv_csr_i32_f64
+            tags = dict.fromkeys(dtype.value[0] + dtype.value[-2:] for dtype in types)
+            base = kname = "_".join(("k", spec.name, *tags))
+            taken, n = {kname for kname, _ in kernels.values()}, 1
+            while kname in taken:
                 n += 1
-                name = f"{base}_{n}"
-            names.add(name)
-            kernel = kernels[task.signature] = _Kernel(name, task, [])
-        kernel.paths.append(path)
-        steps.append((step, task, kernel))
-    return steps, list(kernels.values())
+                kname = f"{base}_{n}"
+            kernels[key] = (kname, [])
+        kernels[key][1].append(path)
+        steps.append(Step(len(steps), path, kernels[key][0], tuple(args), step.launches,
+                          names[f"{path}.{spec.reduce}"] if partials else None, partials))
+        return steps[-1]
+
+    sequence = tuple(Loop(top.task_path, top.max_iterations, top.tolerance,
+                          names[top.relres_port], tuple(map(lowered, top.body)))
+                     if isinstance(top, LoopStep) else lowered(top) for top in schedule.steps)
+    # one partials buffer per device, for the largest reduction launch
+    reductions = [step for step in steps if step.partials]
+    groups = max((l.global_size // l.local_size for step in reductions
+                  for l in step.launches), default=0)
+    # each root in port's allocation is loaded once; each out port is stored
+    inputs, outputs = [], []
+    for port in model.root(ComponentKind.APPLICATION).ports:
+        alloc = names.get(port.name)
+        out = port.direction is not Direction.IN
+        if alloc is not None and (out or all(p.allocation != alloc for p in inputs)):
+            (outputs if out else inputs).append(RootPort(
+                port.name, f"{name}_{port.name}{'_out' if out else ''}.txt", port.data_type,
+                port.shape.total, alloc, ctx.home(port.name) is MemoryRole.HOST_RAM))
+    return Program(name, ctx.digest, tuple(Kernel(kname, *key, tuple(paths))
+                                           for key, (kname, paths) in kernels.items()),
+                   sequence, tuple(steps), tuple(sides[True]), tuple(sides[False]), groups,
+                   groups * max((step.partials.size_bytes for step in reductions), default=0),
+                   tuple(inputs), tuple(outputs))
 
 
 def _comment(text: str) -> list[str]:
@@ -132,30 +194,21 @@ def _comment(text: str) -> list[str]:
 
 
 def generate_kernels(model: Model, maps: list[MemoryMap], schedule: Schedule) -> GeneratedUnit:
-    """Emit the kernel source file: one entry point per distinct signature.
-    Kernels name no allocation, so maps is not read."""
-    name = model.application_root
-    out = ["/*", f" * OpenCL kernels for model '{name}'.",
-           f" * generated by gmodelc; model digest sha256:{model.context.digest}", " */"]
-    _, kernels = _device_steps(model.context, schedule)
-    if any("double" in text for k in kernels for text in (*k.task.signature[1],
-                                                         *k.task.signature[2])):
+    """Print the kernel file of the model's Program: one kernel per signature."""
+    program = lower(model, maps, schedule)
+    out = ["/*", f" * OpenCL kernels for model '{program.name}'.",
+           f" * generated by gmodelc; model digest sha256:{program.digest}", " */"]
+    if any("double" in text for k in program.kernels for text in (*k.body, *k.params)):
         out += ["", "#pragma OPENCL EXTENSION cl_khr_fp64 : enable"]
-    for kernel in kernels:
-        spec_name, body, decls = kernel.task.signature
+    for kernel in program.kernels:
         head = f"__kernel void {kernel.name}("
-        out += ["", *_comment(f"{spec_name}: {', '.join(kernel.paths)}"),
-                head + (",\n" + " " * len(head)).join(decls) + ")",
-                "{", *("    " + line for line in body), "}"]
-    return GeneratedUnit(file_name=f"{name}_kernels.cl", contents="\n".join(out) + "\n")
+        out += ["", *_comment(f"{kernel.intrinsic}: {', '.join(kernel.paths)}"),
+                head + (",\n" + " " * len(head)).join(kernel.params) + ")",
+                "{", *("    " + line for line in kernel.body), "}"]
+    return GeneratedUnit(file_name=f"{program.name}_kernels.cl", contents="\n".join(out) + "\n")
 
 
 # -- host program -------------------------------------------------------------
-
-
-def _float_literal(value: float) -> str:
-    text = repr(float(value))
-    return text if any(c in text for c in ".einf") else text + ".0"
 
 
 _HOST_PRELUDE = r"""#include <CL/cl.h>
@@ -191,7 +244,7 @@ static void load_{suffix}(const char* path, {ctype}* out, long count)
     FILE* f = fopen(path, "r");
     if (!f) {{ fprintf(stderr, "cannot open %s\\n", path); exit(2); }}
     for (long i = 0; i < count; ++i) {{
-        if (fscanf(f, "{scan}", &out[i]) != 1) {{ fclose(f); exit(2); }}
+        if (fscanf(f, "{fmt}", &out[i]) != 1) {{ fclose(f); exit(2); }}
     }}
     fclose(f);
 }}
@@ -202,7 +255,7 @@ static void store_{suffix}(const char* path, const {ctype}* data, long count)
 {{
     FILE* f = fopen(path, "w");
     if (!f) {{ fprintf(stderr, "cannot open %s\\n", path); exit(2); }}
-    for (long i = 0; i < count; ++i) fprintf(f, "{show}\\n", data[i]);
+    for (long i = 0; i < count; ++i) fprintf(f, "{fmt}\\n", data[i]);
     fclose(f);
 }}
 """
@@ -289,171 +342,116 @@ int main(void)
 """
 
 
-def _arg(name: str, port: FlowPort, how: Passing) -> str:
-    """A step's argument entry for a port whose allocation is named name."""
-    if how is Passing.VALUE:
-        return f"{{sizeof({_C_TYPES[port.data_type]}), &h_{name}}}"
-    if how is Passing.LOCAL:
-        return f"{{{port.shape.total * port.data_type.size_bytes}, NULL}}"
-    return f"{{sizeof(cl_mem), &buf_{name}}}"
-
-
 def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
                   device_count: int) -> GeneratedUnit:
-    """Emit the host orchestration source for device_count logical devices."""
+    """Print the host program of the model's Program for device_count devices."""
     if device_count < 1:
         raise ValueError("device_count must be positive")
-    ctx = model.context
-    name = model.application_root
-    steps, kernels = _device_steps(ctx, schedule)
-    # each port node's allocation name; each allocation, on its memory's side
-    names = {node: alloc.name for mm in maps for alloc in mm.data_allocations
-             for node in alloc.associated_parts}
-    host_allocs, device_allocs = [], []
-    for mm in maps:
-        on_host = ctx.memory_role_of(mm.owner_path) is MemoryRole.HOST_RAM
-        (host_allocs if on_host else device_allocs).extend(mm.data_allocations)
+    program = lower(model, maps, schedule)
+    sums = [dtype for dtype in _C_IO if any(step.partials is dtype for step in program.steps)]
 
-    # the body of main, from the kernels on; the types the root's in ports
-    # are loaded as and its out ports stored as, to emit their routines
-    body = []
-    if kernels:
-        body += ["for (int k = 0; k < KERNEL_COUNT; ++k) {",
-                 "    kernels[k] = clCreateKernel(program, kernel_names[k], &err);",
-                 "    CHECK(err, kernel_names[k]);",
-                 "}"]
-    body.append("")
-    for alloc in device_allocs:
+    # the body of main, from the kernels on
+    body = ["for (int k = 0; k < KERNEL_COUNT; ++k) {",
+            "    kernels[k] = clCreateKernel(program, kernel_names[k], &err);",
+            "    CHECK(err, kernel_names[k]);",
+            "}", ""] if program.kernels else [""]
+    for alloc in program.buffers:
         body += [f"buf_{alloc.name} = clCreateBuffer(context, CL_MEM_READ_WRITE, "
                  f"{alloc.size_bytes}, NULL, &err);",
                  f'CHECK(err, "clCreateBuffer {alloc.name}");']
-    # one partials buffer per device, for the largest of the reduction
-    # launches; each reduction is read back before the next runs
-    reduced = {task.partials for _, task, _ in steps if task.partials}
-    groups = max((l.global_size // l.local_size for step, task, _ in steps if task.partials
-                  for l in step.launches), default=0)
-    if reduced:
-        size = groups * max(dtype.size_bytes for dtype in reduced)
+    if sums:
         body += ["for (int d = 0; d < DEVICE_COUNT; ++d) {",
-                 f"    partials[d] = clCreateBuffer(context, CL_MEM_READ_WRITE, {size}, "
-                 "NULL, &err);",
+                 "    partials[d] = clCreateBuffer(context, CL_MEM_READ_WRITE, "
+                 f"{program.partial_bytes}, NULL, &err);",
                  '    CHECK(err, "clCreateBuffer partials");',
                  "}"]
-    # each root in port's allocation is loaded once, and each out port
-    # stored: a device allocation is uploaded and read back, a host one
-    # loaded into and stored from h_<name>; check rejects an inout root port
+    # a device allocation is uploaded and read back, a host one is h_<name>
     body += ["", "/* load and upload input data */"]
-    stores = ["", "/* read back and store outputs */"]
-    loaded, stored = {DataType.FLOAT64, DataType.INT32}, {DataType.FLOAT64}
-    uploaded: set[str] = set()
-    for port in model.root(ComponentKind.APPLICATION).ports:
-        c = names.get(port.name)
-        if c is None:
-            continue
-        n, dtype = port.shape.total, port.data_type
-        ctype, suffix, size = _C_TYPES[dtype], _C_IO[dtype][0], n * dtype.size_bytes
-        on_host = ctx.home(port.name) is MemoryRole.HOST_RAM
-        if port.direction is not Direction.IN:
-            stored.add(dtype)
-            stores += [f'store_{suffix}("{name}_{port.name}_out.txt", &h_{c}, 1);'] if on_host \
-                else [f"{ctype}* out_{c} = ({ctype}*)malloc({size});",
-                      f"err = clEnqueueReadBuffer(queues[0], buf_{c}, CL_TRUE, 0, "
-                      f"{size}, out_{c}, 0, NULL, NULL);",
-                      f'CHECK(err, "read {c}");',
-                      f'store_{suffix}("{name}_{port.name}_out.txt", out_{c}, {n});']
-        elif c not in uploaded:
-            uploaded.add(c)
-            loaded.add(dtype)
-            body += [f'load_{suffix}("{name}_{port.name}.txt", &h_{c}, 1);'] if on_host \
-                else [f"{ctype}* in_{c} = ({ctype}*)malloc({size});",
-                      f'load_{suffix}("{name}_{port.name}.txt", in_{c}, {n});',
-                      f"err = clEnqueueWriteBuffer(queues[0], buf_{c}, CL_TRUE, 0, "
-                      f"{size}, in_{c}, 0, NULL, NULL);",
-                      f'CHECK(err, "write {c}");']
+    for port in program.inputs:
+        ctype, suffix, c = _C_TYPES[port.data_type], _C_IO[port.data_type][0], port.allocation
+        size = port.count * port.data_type.size_bytes
+        body += [f'load_{suffix}("{port.file_name}", &h_{c}, 1);'] if port.on_host \
+            else [f"{ctype}* in_{c} = ({ctype}*)malloc({size});",
+                  f'load_{suffix}("{port.file_name}", in_{c}, {port.count});',
+                  f"err = clEnqueueWriteBuffer(queues[0], buf_{c}, CL_TRUE, 0, "
+                  f"{size}, in_{c}, 0, NULL, NULL);",
+                  f'CHECK(err, "write {c}");']
     body += ["", "int iters = 0;", "int converged = 1;", ""]
-
-    # device steps are numbered in device_steps() order, which is this walk's
-    number = 0
-    for top in schedule.steps:
-        loop = top if isinstance(top, LoopStep) else None
-        pad = "    " if loop else ""
+    final_relres = "0.0"        # the last loop's
+    for top in program.sequence:
+        loop, pad = (top, "    ") if isinstance(top, Loop) else (None, "")
         if loop:
-            relres, tol = f"h_{names[loop.relres_port]}", _float_literal(loop.tolerance)
+            final_relres = relres = f"h_{loop.relres}"
+            tol = repr(float(loop.tolerance))
             body += [f"/* loop {loop.task_path}: until {relres} < {tol} */",
-                     f"for (int it = 0; it < {loop.max_iterations}; ++it) {{"]
-        for step in loop.body if loop else (top,):
-            if isinstance(step, HostOp):
-                record = deployed_intrinsic(ctx, step.task_path)
-                body.append(pad + record.spec.host_c.format_map(
-                    {port: f"h_{names[f'{step.task_path}.{port}']}" for port in record.ports}))
+                     f"for (int it = 0; it < {loop.bound}; ++it) {{"]
+        for item in loop.body if loop else (top,):
+            if isinstance(item, HostStatement):
+                body.append(pad + item.code)
                 continue
-            task = steps[number][1]
-            call = f"(step_{number}, {len(step.launches)});"
+            call = f"(step_{item.index}, {len(item.launches)});"
             body.append(f"{pad}run_step{call}")
-            if task.partials:
-                s = names[f"{step.task_path}.{task.spec.reduce}"]
-                body.append(f"{pad}h_{s} = sum_{_C_IO[task.partials][0]}{call}")
-            number += 1
+            if item.sum_into:
+                body.append(f"{pad}h_{item.sum_into} = sum_{_C_IO[item.partials][0]}{call}")
         if loop:
             body += ["    ++iters;", f"    if ({relres} < {tol}) break;", "}",
                      f"converged = converged && {relres} < {tol};"]
-    loops = [step for step in schedule.steps if isinstance(step, LoopStep)]
-    final_relres = f"h_{names[loops[-1].relres_port]}" if loops else "0.0"
-    body += stores
+    body += ["", "/* read back and store outputs */"]
+    for port in program.outputs:
+        ctype, suffix, c = _C_TYPES[port.data_type], _C_IO[port.data_type][0], port.allocation
+        size = port.count * port.data_type.size_bytes
+        body += [f'store_{suffix}("{port.file_name}", &h_{c}, 1);'] if port.on_host \
+            else [f"{ctype}* out_{c} = ({ctype}*)malloc({size});",
+                  f"err = clEnqueueReadBuffer(queues[0], buf_{c}, CL_TRUE, 0, "
+                  f"{size}, out_{c}, 0, NULL, NULL);",
+                  f'CHECK(err, "read {c}");',
+                  f'store_{suffix}("{port.file_name}", out_{c}, {port.count});']
     body += [f'printf("iters=%d relres=%.17g converged=%s\\n", iters, {final_relres}, '
              'converged ? "true" : "false");', ""]
-    body += [f"clReleaseMemObject(buf_{alloc.name});" for alloc in device_allocs]
-    if reduced:
+    body += [f"clReleaseMemObject(buf_{alloc.name});" for alloc in program.buffers]
+    if sums:
         body.append("for (int d = 0; d < DEVICE_COUNT; ++d) clReleaseMemObject(partials[d]);")
-    if kernels:
+    if program.kernels:
         body.append("for (int k = 0; k < KERNEL_COUNT; ++k) clReleaseKernel(kernels[k]);")
-    body += ["clReleaseProgram(program);",
-             "free(source);",
+    body += ["clReleaseProgram(program);", "free(source);",
              "for (int d = 0; d < DEVICE_COUNT; ++d) clReleaseCommandQueue(queues[d]);",
-             "clReleaseContext(context);",
-             "return converged ? 0 : 3;"]
+             "clReleaseContext(context);", "return converged ? 0 : 3;"]
 
-    out = ["/*",
-           f" * OpenCL host program for model '{name}' on {device_count} device(s).",
-           f" * generated by gmodelc; model digest sha256:{ctx.digest}",
-           " */",
+    out = ["/*", f" * OpenCL host program for model '{program.name}' on {device_count} device(s).",
+           f" * generated by gmodelc; model digest sha256:{program.digest}", " */",
            _HOST_PRELUDE.rstrip("\n")]
-    out += [_LOAD.format(suffix=suffix, ctype=_C_TYPES[dtype], scan=scan).rstrip()
-            for dtype, (suffix, scan, _) in _C_IO.items() if dtype in loaded]
-    out += [_STORE.format(suffix=suffix, ctype=_C_TYPES[dtype], show=show).rstrip()
-            for dtype, (suffix, _, show) in _C_IO.items() if dtype in stored]
+    for template, ports, fmt in ((_LOAD, program.inputs, 1), (_STORE, program.outputs, 2)):
+        out += [template.format(suffix=io[0], ctype=_C_TYPES[dtype], fmt=io[fmt]).rstrip()
+                for dtype, io in _C_IO.items() if any(port.data_type is dtype for port in ports)]
     out += ["", f"enum {{ DEVICE_COUNT = {device_count} }};",
             "static cl_command_queue queues[DEVICE_COUNT];"]
-    if kernels:
-        out += ["", f"/* the kernels of {name}_kernels.cl */",
-                "enum {", *(f"    {k.name}," for k in kernels), "    KERNEL_COUNT", "};",
+    if program.kernels:
+        out += ["", f"/* the kernels of {program.name}_kernels.cl */",
+                "enum {", *(f"    {k.name}," for k in program.kernels), "    KERNEL_COUNT", "};",
                 "static const char* const kernel_names[KERNEL_COUNT] = {",
-                *(f'    "{k.name}",' for k in kernels), "};",
+                *(f'    "{k.name}",' for k in program.kernels), "};",
                 "static cl_kernel kernels[KERNEL_COUNT];",
                 _LAUNCH_TABLES.rstrip()]
     out += ["", "/* host-resident scalars */",
-            *(f"static {_C_TYPES[alloc.type_allocation]} h_{alloc.name};" for alloc in host_allocs),
+            *(f"static {_C_TYPES[alloc.type_allocation]} h_{alloc.name};"
+              for alloc in program.host_scalars),
             "", "/* one buffer per device-side data allocation */",
-            *(f"static cl_mem buf_{alloc.name};" for alloc in device_allocs)]
-    if reduced:
+            *(f"static cl_mem buf_{alloc.name};" for alloc in program.buffers)]
+    if sums:
         out += ["", "/* work-group partials: one buffer per device, reused by every reduction */",
                 "static cl_mem partials[DEVICE_COUNT];"]
-        out += [_SUM.format(ctype=_C_TYPES[dtype], suffix=_C_IO[dtype][0], groups=groups).rstrip()
-                for dtype in _C_IO if dtype in reduced]
-    for i, (step, task, kernel) in enumerate(steps):
-        out += ["", *_comment(f"step {i}: {step.task_path}"),
-                f"static const arg_t args_{i}[] = {{",
-                *(f"    {_arg(names[f'{step.task_path}.{port.name}'], port, how)},"
-                  for port, how in task.args),
-                "    {0, NULL}", "};",
-                f"static const launch_t step_{i}[] = {{"]
-        for launch in step.launches:
-            d = launch.device_index
-            partials = f"&partials[{d}]" if task.partials else "NULL"
-            out.append(f"    {{{kernel.name}, {d}, {launch.range.offset}, {launch.range.count}, "
-                       f"{launch.global_size}, {launch.local_size}, args_{i}, {partials}}},")
-        out.append("};")
-    out.append(_MAIN.format(name=name).rstrip())
+        out += [_SUM.format(ctype=_C_TYPES[dtype], suffix=_C_IO[dtype][0],
+                            groups=program.partial_groups).rstrip() for dtype in sums]
+    for step in program.steps:
+        partials = "&partials[{}]" if step.partials else "NULL"
+        out += ["", *_comment(f"step {step.index}: {step.task_path}"),
+                f"static const arg_t args_{step.index}[] = {{",
+                *(f"    {arg}," for arg in step.args), "    {0, NULL}", "};",
+                f"static const launch_t step_{step.index}[] = {{",
+                *(f"    {{{step.kernel}, {l.device_index}, {l.range.offset}, {l.range.count}, "
+                  f"{l.global_size}, {l.local_size}, args_{step.index}, "
+                  f"{partials.format(l.device_index)}}}," for l in step.launches), "};"]
+    out.append(_MAIN.format(name=program.name).rstrip())
     out += ["    " + line if line else "" for line in body]
     out.append("}")
-    return GeneratedUnit(file_name=f"{name}_host.c", contents="\n".join(out) + "\n")
+    return GeneratedUnit(file_name=f"{program.name}_host.c", contents="\n".join(out) + "\n")

@@ -279,8 +279,7 @@ class CompileContext:
     use: per side, the _part_index of instance paths; each component's
     resolved connector endpoints; the port groups and their placement
     table; each allocated leaf task's Deployment (intrinsic, side and
-    port passing); the digest; and codegen's kernel arguments and
-    signature of each device task, made from its Deployment and ports.
+    port passing); and the digest.
 
     Each Model owns one, as `Model.context`, which every stage takes.  It
     stays valid because a Model cannot be edited: its component tables are
@@ -295,9 +294,8 @@ class CompileContext:
         # id(component) -> (component, its endpoints(), kept to pin the id)
         self._endpoints: dict[int, tuple] = {}
         self._host_side: dict[str, bool] = {}       # processor path -> is_host_processor
-        # by task path: intrinsics.deployed_intrinsic's records, codegen's _Tasks
+        # by task path: intrinsics.deployed_intrinsic's records
         self.deployments: dict[str, object] = {}
-        self.kernels: dict[str, object] = {}
 
     @property
     def model(self) -> Model:

@@ -7,7 +7,7 @@ deterministic declaration-order tie-break; tasks reading a value precede
 the task that updates it in place.  A structured task with an `until`
 condition is a loop: one LoopStep whose body holds the device steps and
 host ops of every leaf task beneath it.  Loops do not nest: a loop inside
-a loop raises NestedLoop.
+a loop, or on the application root, which runs once, raises NestedLoop.
 """
 
 from __future__ import annotations
@@ -215,13 +215,16 @@ def build_schedule(model: Model, device_count: int) -> Schedule:
     # depth of nesting meets the recursion limit
     steps: list = []
     root = model.root(ComponentKind.APPLICATION)
+    if root.until is not None:
+        raise NestedLoop(f"loop '{model.application_root}' is the application root, "
+                         "but only its parts may loop")
     frames = [(iter(_order_parts(model, root, "")), "", root, steps, None)]
     while frames:
         parts, prefix, comp, out, loop = frames[-1]
         part = next(parts, None)
         if part is None:
             frames.pop()
-            if frames and comp.until is not None:
+            if comp.until is not None:      # the root has none: rejected above
                 frames[-1][3].append(LoopStep(task_path=prefix, body=tuple(out),
                                               tolerance=comp.until.tolerance,
                                               max_iterations=comp.repetition_space.total,

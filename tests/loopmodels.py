@@ -45,3 +45,8 @@ TWO_LOOPS = (_PLATFORM + "application two {\n" + _NEG + _loop("First", "Neg", "z
              "    connect first.r -> y\n    connect second.r -> w\n  }\n}\n"
              + "".join(f"allocate data {port} onto host.ram\n" for port in "acyw")
              + "allocate task first.k onto host.cpu\nallocate task second.k onto host.cpu\n")
+
+# TWO_LOOPS with a repeat and an until on its root, which runs once
+ROOT_LOOP = TWO_LOOPS.replace(
+    "    connect second.r -> w\n  }\n",
+    "    connect second.r -> w\n    repeat [4]\n    until y < 0.5\n  }\n")

@@ -15,7 +15,7 @@ import pytest
 import gmodelc
 from gmodelc import refexec
 from gmodelc.cli import main
-from gmodelc.codegen import generate_host, generate_kernels
+from gmodelc.codegen import generate_host, generate_kernels, lower
 from gmodelc.dsl import parse_model, serialize_model
 from gmodelc.memmap import CapacityExceeded, build_memory_maps, emit_memory_map_report
 from gmodelc.metamodel import validate_conformance
@@ -183,20 +183,19 @@ def test_criterion_6_codegen_fidelity(cg_model, cg_maps, cg_schedule_d4):
     assert kern.contents == golden_path("cg_kernels.cl").read_text()
     assert host.contents == golden_path("cg_host_d4.c").read_text()
 
-    device_steps = cg_schedule_d4.device_steps()
+    program = lower(cg_model, cg_maps, cg_schedule_d4)
+    device_steps = program.steps
     assert len(device_steps) == 11
-    kernel_of = emitted.kernel_of_task(kern.contents)
-    assert sorted(kernel_of) == sorted(s.task_path for s in device_steps)
+    kernel_of = {path: kernel for kernel in program.kernels for path in kernel.paths}
+    assert sorted(kernel_of) == sorted(s.task_path for s in cg_schedule_d4.device_steps())
     signatures = {emitted.signature(cg_model, cg_maps, s.task_path) for s in device_steps}
-    assert kern.contents.count("__kernel void") == len(signatures) == 6
+    assert kern.contents.count("__kernel void") == len(program.kernels) == len(signatures) == 6
 
     # one address-space keyword check per port-derived parameter
     node_space = emitted.device_spaces(cg_model, cg_maps)
     for step in device_steps:
-        kname = kernel_of[step.task_path]
-        sig = re.search(rf"__kernel\s+void\s+{kname}\s*\(([^)]*)\)", kern.contents,
-                        re.S).group(1)
-        for param in (p.strip() for p in sig.split(",")):
+        assert step.kernel == kernel_of[step.task_path].name
+        for param in kernel_of[step.task_path].params:
             pname = param.split()[-1].lstrip("*")
             if pname in ("first", "count", "partials"):
                 continue
@@ -207,13 +206,10 @@ def test_criterion_6_codegen_fidelity(cg_model, cg_maps, cg_schedule_d4):
                 assert param.startswith({"global": "__global", "constant": "__constant",
                                          "local": "__local", "private": ""}[space]), param
 
-    rows = emitted.rows(host.contents)
-    assert len(rows) == 4 * len(device_steps)
-    for i, step in enumerate(device_steps):
-        step_rows = [r for r in rows if r.step == i]
-        assert {r.kernel for r in step_rows} == {kernel_of[step.task_path]}
-        assert [(r.queue, r.first) for r in step_rows] == [
+    for step in device_steps:
+        assert [(l.device_index, l.range.offset) for l in step.launches] == [
             (0, 0), (1, 33163), (2, 66326), (3, 99489)]
+        assert host.contents.count(f", args_{step.index}, ") == 4     # one row per launch
     _report(6, "goldens byte-identical; 6 kernels (one per signature) for 11 tasks; "
                "qualifiers match allocations; 4 launch-table rows per step at offsets "
                "[0, 33163, 66326, 99489]")

@@ -9,12 +9,11 @@ import pytest
 import gmodelc
 from gmodelc import cli, refexec
 from gmodelc.cli import main
-from gmodelc.codegen import generate_host, generate_kernels
+from gmodelc.codegen import generate_host, generate_kernels, lower
 from gmodelc.intrinsics import IntrinsicShapeMismatch
 from gmodelc.memmap import build_memory_maps
 from gmodelc.partition import UnallocatedTask, build_schedule
 
-import emitted
 import loopmodels
 from conftest import golden_path
 from matrices import matrix_to_coordinate_text, poisson_2d
@@ -304,19 +303,22 @@ def test_tasks_whose_paths_flatten_alike_get_their_own_rows(workdir, capsys):
     assert main(["check", str(path)]) == 0
     assert main(["codegen", str(path), "--devices", "2", "--out", str(out_dir)]) == 0
     capsys.readouterr()
-    kernels = (out_dir / "cg_kernels.cl").read_text()
     host = (out_dir / "cg_host.c").read_text()
-    paths = emitted.step_paths(host)
-    steps = {path: step for step, path in paths.items()}
-    assert len(paths) == 12 and {"loop_axpy_p", "loop.axpy_p"} <= set(steps)
-    kernel_of = emitted.kernel_of_task(kernels)
+    model = gmodelc.parse_model(text)
+    maps, schedule = build_memory_maps(model), build_schedule(model, 2)
+    assert generate_host(model, maps, schedule, 2).contents == host
+    program = lower(model, maps, schedule)
+    steps = {step.task_path: step for step in program.steps}
+    assert len(steps) == 12 and {"loop_axpy_p", "loop.axpy_p"} <= set(steps)
+    kernel_of = {path: kernel.name for kernel in program.kernels for path in kernel.paths}
     assert kernel_of["loop_axpy_p"] == kernel_of["loop.axpy_p"] == "k_axpy_f64_2"
     for task, x in (("loop_axpy_p", "buf_loop_axpy_p_x_2"), ("loop.axpy_p", "buf_loop_axpy_p_x")):
-        rows = [r for r in emitted.rows(host) if r.step == steps[task]]
-        assert [(r.kernel, r.queue) for r in rows] == [("k_axpy_f64_2", 0), ("k_axpy_f64_2", 1)]
-        assert f"static const arg_t args_{steps[task]}[] = {{\n" in host
-        args = host.split(f"static const arg_t args_{steps[task]}[] = {{\n")[1].split("};")[0]
-        assert args.splitlines()[1] == f"    {{sizeof(cl_mem), &{x}}},"
+        step = steps[task]
+        assert step.kernel == "k_axpy_f64_2"
+        assert [launch.device_index for launch in step.launches] == [0, 1]
+        assert step.args[1] == f"{{sizeof(cl_mem), &{x}}}"
+        assert f"/* step {step.index}: {task} */\nstatic const arg_t args_{step.index}[] = {{\n" \
+            + "".join(f"    {arg},\n" for arg in step.args) in host
     for buffer in ("buf_loop_axpy_p_x", "buf_loop_axpy_p_x_2", "buf_loop_axpy_p_y"):
         assert f"static cl_mem {buffer};" in host
 
@@ -412,6 +414,29 @@ def test_nested_loops_rejected_by_check_and_codegen(tmp_path, capsys, depth):
     for argv in (["check"], ["codegen", "--devices", "2"]):
         assert main(argv + [str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr() == ("", message)
+    assert not (tmp_path / "out").exists()
+
+
+def test_loop_on_the_application_root_rejected(workdir, capsys):
+    """A repeat and an until on the root, which runs once, fail check,
+    codegen and run at the schedule with one error line and exit 1."""
+    tmp_path, _ = workdir
+    path = tmp_path / "root_loop.gmodel"
+    path.write_text(loopmodels.ROOT_LOOP)
+    out = ["--out", str(tmp_path / "out")]
+    message = "error: loop 'two' is the application root, but only its parts may loop\n"
+    for argv in (["check"], ["codegen", "--devices", "2"]):
+        assert main(argv + [str(path)] + out) == 1
+        assert capsys.readouterr() == ("", message)
+    # cg.gmodel's root made a loop, for run
+    text = gmodelc.bundled_model_text().replace(
+        "    connect loop.x -> x\n  }\n", "    connect loop.x -> x\n    repeat [2]\n"
+        "    until x < 1e-10\n  }\n")
+    path.write_text(text)
+    mtx = tmp_path / "p.mtx"
+    mtx.write_text(matrix_to_coordinate_text(poisson_2d(4)))
+    assert main(["run", str(path), "--matrix", str(mtx)] + out) == 1
+    assert capsys.readouterr() == ("", message.replace("'two'", "'cg'"))
     assert not (tmp_path / "out").exists()
 
 
@@ -993,12 +1018,13 @@ def test_stop_is_strict(workdir, capsys):
 
 
 def test_one_computation_per_model_in_codegen_and_run(workdir, monkeypatch, capsys):
-    """One `codegen` and one `run` compute the port groups and the digest at
-    most once per Model instance, and each device task's kernel arguments
-    and signature once, from its deployment record: every stage of a
-    command shares one compile context."""
-    from gmodelc import codegen, dsl, metamodel
-    calls: dict[str, list] = {"groups": [], "digest": [], "params": []}
+    """One `codegen` and one `run` compute the port groups, the digest and
+    each allocated task's deployment record at most once per Model
+    instance: every stage of a command shares one compile context.
+    `codegen` lowers the model once per file it prints, and `run` not at
+    all."""
+    from gmodelc import codegen, dsl, intrinsics, metamodel
+    calls: dict[str, list] = {"groups": [], "digest": [], "records": [], "lower": []}
 
     def count(name, module, attr, key):
         """Count calls to module.attr, through every gmodelc module that
@@ -1014,14 +1040,16 @@ def test_one_computation_per_model_in_codegen_and_run(workdir, monkeypatch, caps
 
     count("groups", metamodel, "connected_port_groups", lambda model: model)
     count("digest", dsl, "serialize_model", lambda model: model)
-    count("params", codegen, "_kernel_task", lambda ctx, task_path: task_path)
+    count("records", intrinsics, "check_task_signature", lambda task_path, comp: task_path)
+    count("lower", codegen, "lower", lambda model, maps, schedule: model)
 
     tmp_path, model_path = workdir
     assert main(["codegen", model_path, "--devices", "4", "--out", str(tmp_path / "cg")]) == 0
     (model,) = calls["groups"]
     assert calls["digest"] == [model]
-    device_tasks = {s.task_path for s in build_schedule(model, 4).device_steps()}
-    assert sorted(calls["params"]) == sorted(device_tasks) and len(device_tasks) == 11
+    tasks = sorted(model.context.task_targets)
+    assert sorted(calls["records"]) == tasks and len(tasks) == 15
+    assert calls["lower"] == [model, model]
 
     for name in calls:
         calls[name].clear()
@@ -1029,7 +1057,8 @@ def test_one_computation_per_model_in_codegen_and_run(workdir, monkeypatch, caps
     assert main(["run", model_path, "--matrix", mtx, "--out", str(tmp_path / "run")]) == 0
     parsed, instantiated = calls["groups"]
     assert parsed is not instantiated
-    assert calls["digest"] == [] and calls["params"] == []
+    assert calls["digest"] == [] and calls["lower"] == []
+    assert sorted(calls["records"]) == sorted(tasks * 2)      # the parsed and the re-sized
     capsys.readouterr()
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gmodelc
-from gmodelc.codegen import generate_host, generate_kernels
+from gmodelc.codegen import generate_host, generate_kernels, lower
 from gmodelc.intrinsics import INTRINSICS, UnknownIntrinsic, deployment_diagnostics
 from gmodelc.memmap import build_memory_maps
 from gmodelc.metamodel import CompileContext, ComponentKind, MemoryRole
@@ -19,12 +19,6 @@ import loopmodels
 from conftest import golden_path
 
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_KERNEL_DEF = re.compile(r"__kernel\s+void\s+(\w+)\s*\(([^)]*)\)", re.S)
-
-
-def _kernel_signatures(text):
-    return {m.group(1): [p.strip() for p in m.group(2).split(",")]
-            for m in _KERNEL_DEF.finditer(text)}
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +26,16 @@ def cg_units(cg_model, cg_maps, cg_schedule_d4):
     kern = generate_kernels(cg_model, cg_maps, cg_schedule_d4)
     host = generate_host(cg_model, cg_maps, cg_schedule_d4, 4)
     return kern, host
+
+
+@pytest.fixture(scope="module")
+def cg_program(cg_model, cg_maps, cg_schedule_d4):
+    return lower(cg_model, cg_maps, cg_schedule_d4)
+
+
+def _param_name(decl: str) -> str:
+    """The name a kernel parameter declaration declares."""
+    return decl.split()[-1].lstrip("*")
 
 
 def test_golden_kernels(cg_units):
@@ -97,37 +101,32 @@ def test_determinism(cg_model, cg_maps, cg_schedule_d4, cg_units):
     assert generate_host(cg_model, cg_maps, cg_schedule_d4, 4).contents == host.contents
 
 
-def _check_one_kernel_per_signature(model, maps, schedule, text, count):
+def _check_one_kernel_per_signature(model, maps, schedule, count):
     """Each device task is listed by exactly one kernel, all the tasks of a
     kernel share one signature, and there are as many kernels as
     signatures."""
-    kernels = emitted.kernels(text)
-    listed = [path for kernel in kernels.values() for path in kernel.paths]
+    kernels = lower(model, maps, schedule).kernels
+    listed = [path for kernel in kernels for path in kernel.paths]
     paths = [s.task_path for s in schedule.device_steps()]
     assert sorted(listed) == sorted(paths)
-    for kernel in kernels.values():
+    for kernel in kernels:
         assert len({emitted.signature(model, maps, p) for p in kernel.paths}) == 1
         assert {model.context.component_at(ComponentKind.APPLICATION, p).elementary_op
                 for p in kernel.paths} == {kernel.intrinsic}
     assert len(kernels) == len({emitted.signature(model, maps, p) for p in paths}) == count
+    return {kernel.name for kernel in kernels}
 
 
-def test_one_kernel_per_signature(cg_model, cg_maps, cg_units, cg_schedule_d4,
-                                  intrinsics_model, intrinsics_units):
-    _check_one_kernel_per_signature(cg_model, cg_maps, cg_schedule_d4, cg_units[0].contents, 6)
-    model, maps, schedule = intrinsics_model
-    _check_one_kernel_per_signature(model, maps, schedule, intrinsics_units[0].contents, 7)
-    names = set(emitted.kernels(cg_units[0].contents))
+def test_one_kernel_per_signature(cg_model, cg_maps, cg_schedule_d4, intrinsics_model):
+    names = _check_one_kernel_per_signature(cg_model, cg_maps, cg_schedule_d4, 6)
     assert {"k_copy_f64", "k_dot_partial_f64", "k_spmv_csr_i32_f64", "k_axpy_f64",
             "k_axpy_f64_2", "k_scale_f64"} == names
-    assert "k_sub_f32" in emitted.kernels(intrinsics_units[0].contents)
+    assert "k_sub_f32" in _check_one_kernel_per_signature(*intrinsics_model, 7)
 
 
-def test_every_kernel_guards_range(cg_units):
-    kern, _ = cg_units
-    bodies = kern.contents.split("__kernel")[1:]
-    for body in bodies:
-        assert "if (gid >= count) return;" in body
+def test_every_kernel_guards_range(cg_program):
+    for kernel in cg_program.kernels:
+        assert "if (gid >= count) return;" in kernel.body
 
 
 def test_structural_well_formedness(cg_units):
@@ -137,28 +136,31 @@ def test_structural_well_formedness(cg_units):
         assert unit.contents.count("(") == unit.contents.count(")")
 
 
-def test_emitted_identifiers_are_legal(cg_units):
-    kern, host = cg_units
-    for name, params in _kernel_signatures(kern.contents).items():
-        assert _IDENT.match(name)
-        for param in params:
-            assert _IDENT.match(param.split()[-1].lstrip("*")), param
-    declared = re.findall(r"^(?:static )?(?:const )?(?:cl_mem|double|int|launch_t|arg_t)\*? "
-                          r"(\w+)(?:\[\w*\])? *[=;]", host.contents, re.M)
+def test_emitted_identifiers_are_legal(cg_program):
+    for kernel in cg_program.kernels:
+        assert _IDENT.match(kernel.name)
+        for param in kernel.params:
+            assert _IDENT.match(_param_name(param)), param
+    declared = [*(f"h_{alloc.name}" for alloc in cg_program.host_scalars),
+                *(f"buf_{alloc.name}" for alloc in cg_program.buffers),
+                *(f"{table}_{step.index}" for step in cg_program.steps
+                  for table in ("args", "step"))]
     assert len(declared) > 30
     for name in declared:
         assert _IDENT.match(name), name
 
 
-def test_host_references_only_existing_kernels(cg_units):
-    """The host creates every defined kernel by name, and each launch-table
-    row names one of them."""
+def test_host_references_only_existing_kernels(cg_units, cg_program):
+    """The host creates every defined kernel by name, in the order the
+    kernel file defines them, and each launch-table row names one of them."""
     kern, host = cg_units
-    defined = set(_kernel_signatures(kern.contents))
-    names = re.search(r"kernel_names\[KERNEL_COUNT\] = \{([^}]*)\}", host.contents).group(1)
-    assert re.findall(r'"(\w+)"', names) == list(emitted.kernels(kern.contents))
-    assert set(re.findall(r'"(\w+)"', names)) == defined
-    assert {row.kernel for row in emitted.rows(host.contents)} == defined
+    names = [kernel.name for kernel in cg_program.kernels]
+    assert kern.contents.count("__kernel void ") == len(names)
+    for name in names:
+        assert kern.contents.count(f"__kernel void {name}(") == 1
+    assert "static const char* const kernel_names[KERNEL_COUNT] = {\n" \
+        + "".join(f'    "{name}",\n' for name in names) + "};" in host.contents
+    assert {step.kernel for step in cg_program.steps} == set(names)
 
 
 def _space_keyword(param: str) -> str:
@@ -168,19 +170,18 @@ def _space_keyword(param: str) -> str:
     return ""
 
 
-def test_qualifier_fidelity(cg_model, cg_maps, cg_units, cg_schedule_d4):
+def test_qualifier_fidelity(cg_model, cg_maps, cg_program):
     """Every port-derived parameter of each task's kernel carries the
     keyword its allocation implies."""
-    kern, _ = cg_units
-    signatures = _kernel_signatures(kern.contents)
-    kernel_of = emitted.kernel_of_task(kern.contents)
+    kernel_of = {path: kernel for kernel in cg_program.kernels for path in kernel.paths}
     node_space = emitted.device_spaces(cg_model, cg_maps)
     expected_kw = {"global": "__global", "constant": "__constant", "local": "__local",
                    "private": ""}
     checked = 0
-    for step in cg_schedule_d4.device_steps():
-        params = signatures[kernel_of[step.task_path]]
-        by_name = {p.split()[-1].lstrip("*"): p for p in params}
+    for step in cg_program.steps:
+        kernel = kernel_of[step.task_path]
+        assert kernel.name == step.kernel
+        by_name = {_param_name(p): p for p in kernel.params}
         for pname, param in by_name.items():
             if pname in ("first", "count", "partials"):
                 continue
@@ -193,66 +194,70 @@ def test_qualifier_fidelity(cg_model, cg_maps, cg_units, cg_schedule_d4):
     assert checked >= 25
 
 
-def test_buffer_completeness(cg_model, cg_maps, cg_units):
+def test_buffer_completeness(cg_model, cg_maps, cg_units, cg_program):
     _, host = cg_units
-    created = re.findall(r"\bbuf_(\w+) = clCreateBuffer", host.contents)
     device_allocs = []
     for mm in cg_maps:
         if CompileContext(cg_model).memory_role_of(mm.owner_path) is not MemoryRole.HOST_RAM:
             device_allocs.extend(a.name for a in mm.data_allocations)
-    assert sorted(created) == sorted(device_allocs)
+    assert sorted(a.name for a in cg_program.buffers) == sorted(device_allocs)
     for name in device_allocs:
-        assert created.count(name) == 1
+        assert host.contents.count(f"buf_{name} = clCreateBuffer(") == 1
 
 
-def _check_rows(kern: str, host: str, schedule):
-    """One table row per launch, in launch order, with the launch's device,
-    range and sizes and its task's kernel, and one run_step call per step:
-    the enqueues of the host program."""
+def _check_rows(program, host: str, schedule):
+    """One step per device step, its launches the schedule's, in launch
+    order, with its task's kernel; in the host program, one table row per
+    launch, with the launch's device, range and sizes, its step's kernel
+    and, for a reduction, its device's partials buffer, and one run_step
+    call per step: the enqueues of the host program.  Returns the
+    (step, launch) rows."""
     steps = schedule.device_steps()
-    kernel_of = emitted.kernel_of_task(kern)
-    assert emitted.step_paths(host) == {i: s.task_path for i, s in enumerate(steps)}
-    rows = emitted.rows(host)
-    assert [(r.step, r.kernel, r.queue, r.first, r.count, r.global_size, r.local_size)
-            for r in rows] == [
-        (i, kernel_of[s.task_path], l.device_index, l.range.offset, l.range.count,
-         l.global_size, l.local_size) for i, s in enumerate(steps) for l in s.launches]
-    for i, step in enumerate(steps):
-        assert host.count(f"run_step(step_{i}, {len(step.launches)});") == 1
+    assert [(s.index, s.task_path, s.launches) for s in program.steps] == [
+        (i, s.task_path, s.launches) for i, s in enumerate(steps)]
+    for step in program.steps:
+        (kernel,) = [k for k in program.kernels if step.task_path in k.paths]
+        assert step.kernel == kernel.name
+        assert host.count(f", args_{step.index}, ") == len(step.launches)
+        for l in step.launches:
+            partials = f"&partials[{l.device_index}]" if step.partials else "NULL"
+            assert host.count(f"    {{{step.kernel}, {l.device_index}, {l.range.offset}, "
+                              f"{l.range.count}, {l.global_size}, {l.local_size}, "
+                              f"args_{step.index}, {partials}}},\n") == 1
+        assert host.count(f"run_step(step_{step.index}, {len(step.launches)});") == 1
     assert host.count("clEnqueueNDRangeKernel(") == 1       # in run_step's loop
-    return rows
+    return [(step, launch) for step in program.steps for launch in step.launches]
 
 
-def test_four_enqueues_per_step_with_paper_offsets(cg_units, cg_schedule_d4):
-    kern, host = cg_units
-    rows = _check_rows(kern.contents, host.contents, cg_schedule_d4)
-    steps = cg_schedule_d4.device_steps()
+def test_four_enqueues_per_step_with_paper_offsets(cg_units, cg_program, cg_schedule_d4):
+    _, host = cg_units
+    rows = _check_rows(cg_program, host.contents, cg_schedule_d4)
+    steps = cg_program.steps
     assert len(rows) == 4 * len(steps)
-    for i in range(len(steps)):
-        assert [r.first for r in rows if r.step == i] == [0, 33163, 66326, 99489]
+    for step in steps:
+        assert [l.range.offset for l in step.launches] == [0, 33163, 66326, 99489]
     # a reduction launch passes its device's partials buffer, other launches none
-    reductions = [r for r in rows if steps[r.step].op == "dot_partial"]
-    assert len(reductions) == 16
-    assert all(r.partials == r.queue for r in reductions)
-    assert all(r.partials is None for r in rows if r not in reductions)
+    ops = [step.op for step in cg_schedule_d4.device_steps()]
+    assert sum(ops[s.index] == "dot_partial" for s, _ in rows) == 16
+    assert all((s.partials is not None) == (ops[s.index] == "dot_partial") for s, _ in rows)
+    assert host.contents.count(", &partials[") == 16
 
 
 def test_one_enqueue_per_step_single_device(cg_model, cg_maps, cg_schedule_d1):
-    kern = generate_kernels(cg_model, cg_maps, cg_schedule_d1).contents
     host = generate_host(cg_model, cg_maps, cg_schedule_d1, 1).contents
-    assert len(_check_rows(kern, host, cg_schedule_d1)) == len(cg_schedule_d1.device_steps())
+    program = lower(cg_model, cg_maps, cg_schedule_d1)
+    assert len(_check_rows(program, host, cg_schedule_d1)) == len(cg_schedule_d1.device_steps())
 
 
-def test_host_grows_by_one_row_per_launch(cg_model, cg_maps, cg_units):
+def test_host_grows_by_one_row_per_launch(cg_model, cg_maps):
     """Past one device, the host program grows by one line, a table row,
     per extra launch, and the 16-device host is less than twice the size
     of the one-device host."""
-    kern = cg_units[0].contents
     lines, launches = {}, {}
     for devices in (1, 2, 4, 16):
         schedule = build_schedule(cg_model, devices)
         host = generate_host(cg_model, cg_maps, schedule, devices).contents
-        _check_rows(kern, host, schedule)
+        _check_rows(lower(cg_model, cg_maps, schedule), host, schedule)
         lines[devices] = host.count("\n")
         launches[devices] = sum(len(s.launches) for s in schedule.device_steps())
     for devices in (2, 4, 16):
@@ -435,7 +440,10 @@ def test_float32_host_data_stays_float32():
     # the kernels need no cl_khr_fp64
     assert "float acc = 0.0;" in kern and "double" not in kern and "cl_khr_fp64" not in kern
     assert "sizeof(double)" not in host
-    assert "load_longs" not in host and "store_ints" not in host
+    # only the text-file routines of its ports' types
+    assert [routine for routine in ("load_doubles", "load_floats", "load_ints", "load_longs",
+                                    "store_doubles", "store_floats", "store_ints", "store_longs")
+            if f"static void {routine}(" in host] == ["load_floats", "store_floats"]
     cg_host = golden_path("cg_host_d4.c").read_text()
     assert "load_floats" not in cg_host and "store_floats" not in cg_host
 
@@ -443,9 +451,17 @@ def test_float32_host_data_stays_float32():
 def test_host_resident_root_ports_are_loaded_and_stored():
     """A root in port on host RAM is read from its file into its host
     scalar before the first launch; a root out port on host RAM is written
-    from its host scalar."""
+    from its host scalar.  The Program names each root port's file, type,
+    count, allocation and side."""
     model = gmodelc.parse_model(FLOAT32_MODEL)
-    host = generate_host(model, build_memory_maps(model), build_schedule(model, 2), 2).contents
+    maps, schedule = build_memory_maps(model), build_schedule(model, 2)
+    program = lower(model, maps, schedule)
+    assert [(p.port, p.file_name, p.data_type.value, p.count, p.allocation, p.on_host)
+            for p in (*program.inputs, *program.outputs)] == [
+        ("i", "sc_i.txt", "float32", 64, "i", False), ("f", "sc_f.txt", "float32", 1, "f", True),
+        ("o", "sc_o_out.txt", "float32", 64, "i", False),
+        ("d", "sc_d_out.txt", "float32", 1, "dt_s", True)]
+    host = generate_host(model, maps, schedule, 2).contents
     load = 'load_floats("sc_f.txt", &h_f, 1);'
     store = 'store_floats("sc_d_out.txt", &h_dt_s, 1);'
     assert host.count(load) == 1 and host.count(store) == 1
@@ -465,7 +481,7 @@ def test_int64_csr_ports_load_as_long(cg_text):
 
 CLSTUB = Path(__file__).parent / "clstub"
 GCC = shutil.which("gcc")
-SYNTAX_ONLY = ["-std=c99", "-Wall", "-Werror", "-fsyntax-only"]
+STRICT = ["-std=c99", "-Wall", "-Werror", "-c"]
 
 
 @pytest.mark.skipif(GCC is None, reason="gcc is not installed")
@@ -473,10 +489,11 @@ SYNTAX_ONLY = ["-std=c99", "-Wall", "-Werror", "-fsyntax-only"]
     (None, 1), (None, 4), (None, 16), ("intrinsics.gmodel", 2), ("FLOAT32_MODEL", 2),
     ("TWO_LOOPS", 2)])
 def test_emitted_c_compiles(tmp_path, cg_text, model_file, devices):
-    """The host program compiles as C99 against the OpenCL 1.1 declarations
-    of tests/clstub/CL/cl.h, and the kernels compile as C99 once
-    tests/clstub/opencl_c.h has defined the OpenCL C qualifiers away, with
-    every gcc warning an error."""
+    """The host program compiles to an object file as C99 against the
+    OpenCL 1.1 declarations of tests/clstub/CL/cl.h, and the kernels do
+    once tests/clstub/opencl_c.h has defined the OpenCL C qualifiers away,
+    with every gcc warning an error: a routine defined but not called, as
+    an unused loader, fails the build."""
     text = {None: cg_text, "FLOAT32_MODEL": FLOAT32_MODEL,
             "TWO_LOOPS": loopmodels.TWO_LOOPS}.get(model_file) \
         or golden_path(model_file).read_text()
@@ -489,9 +506,9 @@ def test_emitted_c_compiles(tmp_path, cg_text, model_file, devices):
         paths.append(tmp_path / unit.file_name)
         paths[-1].write_text(unit.contents)
     kernels, host = paths
-    for argv in ([GCC, *SYNTAX_ONLY, "-I", str(CLSTUB), str(host)],
-                 [GCC, *SYNTAX_ONLY, "-include", str(CLSTUB / "opencl_c.h"), "-x", "c",
-                  str(kernels)]):
+    for argv in ([GCC, *STRICT, "-I", str(CLSTUB), str(host), "-o", str(tmp_path / "host.o")],
+                 [GCC, *STRICT, "-include", str(CLSTUB / "opencl_c.h"), "-x", "c",
+                  str(kernels), "-o", str(tmp_path / "kernels.o")]):
         done = subprocess.run(argv, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
 
@@ -499,14 +516,14 @@ def test_emitted_c_compiles(tmp_path, cg_text, model_file, devices):
 def _two_loops_units(devices: int):
     model = gmodelc.parse_model(loopmodels.TWO_LOOPS)
     maps, schedule = build_memory_maps(model), build_schedule(model, devices)
-    return model, schedule, (generate_kernels(model, maps, schedule),
-                             generate_host(model, maps, schedule, devices))
+    return model, schedule, lower(model, maps, schedule), (
+        generate_kernels(model, maps, schedule), generate_host(model, maps, schedule, devices))
 
 
 def test_host_bounds_each_loop_by_its_own_count():
     """Loop first repeats at most 3 times and loop second at most 2: each
     has its own counter, and iters and converged add up over both."""
-    _, _, (_, host) = _two_loops_units(2)
+    _, _, _, (_, host) = _two_loops_units(2)
     loops = host.contents[host.contents.index("    int iters = 0;"):
                           host.contents.index("    /* read back")]
     assert loops == """\
@@ -560,26 +577,32 @@ cl_int clReleaseContext(cl_context c) { return CL_SUCCESS; }
 @pytest.mark.parametrize("a, c", [(-1.0, -1.0), (-1.0, -0.25), (-0.25, -1.0), (-0.25, -0.25)])
 def test_emitted_host_runs_its_loops_as_execute_schedule_does(tmp_path, a, c):
     """The two-loop model's host program, built against CL_NO_DEVICE and
-    run, prints the iterations, residual and convergence that
-    execute_schedule reports, stores the same outputs and exits 3 unless
-    every loop converged."""
-    model, schedule, units = _two_loops_units(1)
+    run on the input files its Program names, prints the iterations,
+    residual and convergence that execute_schedule reports, stores the
+    same outputs to the files its Program names and exits 3 unless every
+    loop converged."""
+    model, schedule, program, units = _two_loops_units(1)
     for unit in units:
         (tmp_path / unit.file_name).write_text(unit.contents)
     (tmp_path / "cl.c").write_text(CL_NO_DEVICE)
-    for port, value in (("a", a), ("c", c)):
-        (tmp_path / f"two_{port}.txt").write_text(f"{value!r}\n")
+    inputs = {"a": np.array([a]), "c": np.array([c])}
+    assert sorted(port.port for port in program.inputs) == sorted(inputs)
+    for port in program.inputs:
+        (tmp_path / port.file_name).write_text(
+            "".join(f"{value!r}\n" for value in inputs[port.port].tolist()))
     build = subprocess.run([GCC, "-std=c99", "-I", str(CLSTUB), "two_host.c", "cl.c", "-lm",
                             "-o", "host"], cwd=tmp_path, capture_output=True, text=True)
     assert build.returncode == 0, build.stderr
     done = subprocess.run([str(tmp_path / "host")], cwd=tmp_path, capture_output=True, text=True)
-    result = execute_schedule(model, schedule, {"a": np.array([a]), "c": np.array([c])})
+    result = execute_schedule(model, schedule, inputs)
     iters, relres, converged = (field.split("=")[1] for field in done.stdout.split())
     assert (int(iters), float(relres), converged) == (
         result.iterations, result.final_relres, "true" if result.converged else "false")
     assert done.returncode == (0 if result.converged else 3)
-    for port in ("y", "w"):
-        assert float((tmp_path / f"two_{port}_out.txt").read_text()) == result.outputs[port][0]
+    assert sorted(port.port for port in program.outputs) == sorted(result.outputs) == ["w", "y"]
+    for port in program.outputs:
+        stored = np.array((tmp_path / port.file_name).read_text().split(), dtype=np.float64)
+        assert stored.tolist() == result.outputs[port.port].tolist()
 
 
 def test_one_element_vector_port_in_host_memory_is_not_a_scalar():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gmodelc
+from gmodelc.intrinsics import deployment_diagnostics
 from gmodelc.metamodel import CompileContext
 from gmodelc.partition import (CyclicTaskGraph, DeviceStep, HostOp, LoopStep,
                                MissingGeometry, NestedLoop, UnallocatedTask, WorkRange,
@@ -234,12 +235,18 @@ allocate task t3 onto host.cpu
 
 def test_loops_do_not_nest():
     """A loop's body holds leaves only: a loop inside one is a NestedLoop,
-    naming both loop paths, and two loops side by side are two LoopSteps."""
-    model = gmodelc.parse_model(loopmodels.nested_loops(3))
-    assert gmodelc.validate_conformance(model) == []
-    with pytest.raises(NestedLoop,
-                       match=r"^loop 'k\.k' is nested in loop 'k', but loops do not nest$"):
-        build_schedule(model, 1)
+    naming both loop paths, and so is a loop on the application root, which
+    runs once; two loops side by side are two LoopSteps."""
+    for text, message in (
+            (loopmodels.nested_loops(3),
+             r"^loop 'k\.k' is nested in loop 'k', but loops do not nest$"),
+            (loopmodels.ROOT_LOOP,
+             r"^loop 'two' is the application root, but only its parts may loop$")):
+        model = gmodelc.parse_model(text)
+        assert gmodelc.validate_conformance(model) == []
+        assert deployment_diagnostics(model) == []
+        with pytest.raises(NestedLoop, match=message):
+            build_schedule(model, 1)
     schedule = build_schedule(gmodelc.parse_model(loopmodels.TWO_LOOPS), 1)
     assert [(s.task_path, s.max_iterations, [leaf.task_path for leaf in s.body])
             for s in schedule.steps] == [("first", 3, ["first.k"]), ("second", 2, ["second.k"])]
