@@ -1,18 +1,22 @@
 """OpenCL 1.1 source generation: one kernel file and one host file per model.
 
 lower decides once everything the two files say, as a Program whose items
-keep the task paths they come from; generate_kernels and generate_host
-only print it, as data: one kernel per signature (intrinsic, body,
-parameter declarations), and per device step a static const table of one
-row per launch, that run_step enqueues.  Identifiers come from
-intrinsics, step indices and the memory maps (buf_*, h_*).  Each loop
-runs to its own repeat bound; iters counts every body run, and converged
-holds when every loop ended below its tolerance.  The host defines only
-the text-file routines and sums it calls.  Output is byte-deterministic.
+keep the task paths they come from.  The model's context keeps the last
+Program, so generate_kernels and generate_host, given the same maps and
+schedule, lower once between them; each only prints it, as data: one
+kernel per signature (intrinsic, body, parameter declarations), and per
+device step a static const table of one row per launch, that run_step
+enqueues, each shared launch tuple's rows formatted once.  Identifiers
+come from intrinsics, step indices and the memory maps (buf_*, h_*).  Each
+loop runs to its own repeat bound; iters counts every body run, and
+converged holds when every loop ended below its tolerance.  The host
+defines only the text-file routines and sums it calls.  Output is
+byte-deterministic.
 """
 
 from __future__ import annotations
 
+import operator
 import textwrap
 from dataclasses import dataclass
 
@@ -107,7 +111,18 @@ class Program:
 
 def lower(model: Model, maps: list[MemoryMap], schedule: Schedule) -> Program:
     """The Program of a model, its memory maps and its schedule: kernels from
-    each task's deployment record and ports, buffer and scalar names from the maps."""
+    each task's deployment record and ports, buffer and scalar names from the
+    maps.  The model's context keeps the last one, which is returned again
+    while the schedule is the same object and the maps the same records."""
+    ctx, maps = model.context, tuple(maps)
+    memo = ctx.program
+    if not (memo and memo[0] is schedule and len(memo[1]) == len(maps)
+            and all(map(operator.is_, memo[1], maps))):
+        memo = ctx.program = (schedule, maps, _lower(model, maps, schedule))
+    return memo[2]
+
+
+def _lower(model: Model, maps: tuple[MemoryMap, ...], schedule: Schedule) -> Program:
     ctx, name = model.context, model.application_root
     names = {node: alloc.name for mm in maps for alloc in mm.data_allocations
              for node in alloc.associated_parts}
@@ -344,7 +359,8 @@ int main(void)
 
 def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
                   device_count: int) -> GeneratedUnit:
-    """Print the host program of the model's Program for device_count devices."""
+    """Print the host program of the model's Program for device_count
+    devices; a schedule that launches on a later device is rejected."""
     if device_count < 1:
         raise ValueError("device_count must be positive")
     program = lower(model, maps, schedule)
@@ -442,15 +458,27 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
                 "static cl_mem partials[DEVICE_COUNT];"]
         out += [_SUM.format(ctype=_C_TYPES[dtype], suffix=_C_IO[dtype][0],
                             groups=program.partial_groups).rstrip() for dtype in sums]
+    # id(launches) -> each row's (queue to local size, partials entry): the
+    # schedule shares one launch tuple among every step of a geometry
+    geometry: dict[int, tuple[tuple[str, str], ...]] = {}
     for step in program.steps:
-        partials = "&partials[{}]" if step.partials else "NULL"
+        rows = geometry.get(id(step.launches))
+        if rows is None:
+            for l in step.launches:
+                if l.device_index >= device_count:
+                    raise ValueError(f"step {step.index} ({step.task_path}) launches on device "
+                                     f"{l.device_index}, but the host program is for "
+                                     f"{device_count} device(s)")
+            rows = geometry[id(step.launches)] = tuple(
+                (f"{l.device_index}, {l.range.offset}, {l.range.count}, {l.global_size}, "
+                 f"{l.local_size}", f"&partials[{l.device_index}]") for l in step.launches)
+        args = f"args_{step.index}"
         out += ["", *_comment(f"step {step.index}: {step.task_path}"),
-                f"static const arg_t args_{step.index}[] = {{",
+                f"static const arg_t {args}[] = {{",
                 *(f"    {arg}," for arg in step.args), "    {0, NULL}", "};",
                 f"static const launch_t step_{step.index}[] = {{",
-                *(f"    {{{step.kernel}, {l.device_index}, {l.range.offset}, {l.range.count}, "
-                  f"{l.global_size}, {l.local_size}, args_{step.index}, "
-                  f"{partials.format(l.device_index)}}}," for l in step.launches), "};"]
+                *(f"    {{{step.kernel}, {where}, {args}, "
+                  f"{partials if step.partials else 'NULL'}}}," for where, partials in rows), "};"]
     out.append(_MAIN.format(name=program.name).rstrip())
     out += ["    " + line if line else "" for line in body]
     out.append("}")

@@ -279,7 +279,8 @@ class CompileContext:
     use: per side, the _part_index of instance paths; each component's
     resolved connector endpoints; the port groups and their placement
     table; each allocated leaf task's Deployment (intrinsic, side and
-    port passing); and the digest.
+    port passing); the digest; and codegen.lower's last Program, with the
+    memory maps and schedule it was lowered from.
 
     Each Model owns one, as `Model.context`, which every stage takes.  It
     stays valid because a Model cannot be edited: its component tables are
@@ -296,6 +297,8 @@ class CompileContext:
         self._host_side: dict[str, bool] = {}       # processor path -> is_host_processor
         # by task path: intrinsics.deployed_intrinsic's records
         self.deployments: dict[str, object] = {}
+        # codegen.lower's last (schedule, maps, Program)
+        self.program: tuple | None = None
 
     @property
     def model(self) -> Model:

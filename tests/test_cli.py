@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gmodelc
-from gmodelc import cli, refexec
+from gmodelc import cli, codegen, refexec
 from gmodelc.cli import main
 from gmodelc.codegen import generate_host, generate_kernels, lower
 from gmodelc.intrinsics import IntrinsicShapeMismatch
@@ -45,6 +45,30 @@ def test_check_bundled_model(workdir, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == ""
+
+
+def test_each_command_lowers_once(workdir, capsys, monkeypatch):
+    """check and codegen lower the model once, shared by the kernel and host
+    printers, as do the paired generate_kernels and generate_host calls of
+    a compile from the library; map lowers nothing."""
+    tmp_path, model_path = workdir
+    calls = []
+    body = codegen._lower
+    monkeypatch.setattr(codegen, "_lower", lambda *args: calls.append(args) or body(*args))
+    for argv, count in ((["check", model_path], 1),
+                        (["codegen", model_path, "--devices", "4", "--out", str(tmp_path)], 1),
+                        (["map", model_path, "--out", str(tmp_path)], 0)):
+        calls.clear()
+        assert main(argv) == 0
+        assert len(calls) == count, argv
+    capsys.readouterr()
+    calls.clear()
+    model = gmodelc.parse_model(gmodelc.bundled_model_text())
+    maps, schedule = build_memory_maps(model), build_schedule(model, 4)
+    generate_kernels(model, maps, schedule)
+    assert generate_host(model, maps, schedule, 4).contents \
+        == golden_path("cg_host_d4.c").read_text()
+    assert len(calls) == 1
 
 
 def test_check_reports_type_mismatch(workdir, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import shutil
 import subprocess
@@ -59,6 +60,43 @@ def test_golden_host_d16(cg_model, cg_maps):
     schedule = build_schedule(cg_model, 16)
     host = generate_host(cg_model, cg_maps, schedule, 16)
     assert host.contents == golden_path("cg_host_d16.c").read_text()
+
+
+def test_lowering_memo_never_serves_a_stale_program(cg_text):
+    """The model's context keeps one Program: for the same schedule object
+    and the same map records.  Another schedule or another maps list lowers
+    again, so interleaved device counts still print their goldens."""
+    model = gmodelc.parse_model(cg_text)
+    maps = build_memory_maps(model)
+    schedules = {devices: build_schedule(model, devices) for devices in (1, 4, 16)}
+    kernels = golden_path("cg_kernels.cl").read_text()
+    for devices in (16, 1, 4, 16):
+        schedule = schedules[devices]
+        assert generate_kernels(model, maps, schedule).contents == kernels
+        assert generate_host(model, maps, schedule, devices).contents \
+            == golden_path(f"cg_host_d{devices}.c").read_text()
+    schedule = schedules[16]
+    program = lower(model, maps, schedule)
+    assert lower(model, maps, schedule) is program
+    assert lower(model, tuple(maps), schedule) is program
+    first = maps[0].data_allocations[0]
+    renamed = list(maps)
+    renamed[0] = dataclasses.replace(maps[0], data_allocations=(
+        dataclasses.replace(first, name="renamed"), *maps[0].data_allocations[1:]))
+    other = lower(model, renamed, schedule)
+    names = {alloc.name for alloc in other.buffers + other.host_scalars}
+    assert other is not program and "renamed" in names and first.name not in names
+    assert lower(model, maps, schedule) is not other
+    assert lower(model, maps, schedule) == program
+
+
+def test_host_rejects_a_schedule_for_more_devices(cg_model, cg_maps):
+    """A schedule built for 16 devices launches on queues 4..15, which a host
+    program for 4 devices does not create."""
+    with pytest.raises(ValueError) as exc:
+        generate_host(cg_model, cg_maps, build_schedule(cg_model, 16), 4)
+    assert str(exc.value) == \
+        "step 0 (init_r) launches on device 4, but the host program is for 4 device(s)"
 
 
 @pytest.fixture(scope="module")
