@@ -130,7 +130,7 @@ def _generate(model: Model, devices: int) -> list[codegen.GeneratedUnit]:
     maps, schedule = _front_end(model, devices)
     with _rejecting():
         return [codegen.generate_kernels(model, maps, schedule),
-                codegen.generate_host(model, maps, schedule, devices)]
+                codegen.generate_host(model, maps, schedule, schedule.device_count)]
 
 
 # lines of the solution file formatted and written at a time

@@ -360,9 +360,10 @@ int main(void)
 def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
                   device_count: int) -> GeneratedUnit:
     """Print the host program of the model's Program for device_count
-    devices; a schedule that launches on a later device is rejected."""
-    if device_count < 1:
-        raise ValueError("device_count must be positive")
+    devices, the count the schedule was built for."""
+    if device_count != schedule.device_count:
+        raise ValueError(f"the host program is for {device_count} device(s), but the "
+                         f"schedule is for {schedule.device_count}")
     program = lower(model, maps, schedule)
     sums = [dtype for dtype in _C_IO if any(step.partials is dtype for step in program.steps)]
 
@@ -464,11 +465,6 @@ def generate_host(model: Model, maps: list[MemoryMap], schedule: Schedule,
     for step in program.steps:
         rows = geometry.get(id(step.launches))
         if rows is None:
-            for l in step.launches:
-                if l.device_index >= device_count:
-                    raise ValueError(f"step {step.index} ({step.task_path}) launches on device "
-                                     f"{l.device_index}, but the host program is for "
-                                     f"{device_count} device(s)")
             rows = geometry[id(step.launches)] = tuple(
                 (f"{l.device_index}, {l.range.offset}, {l.range.count}, {l.global_size}, "
                  f"{l.local_size}", f"&partials[{l.device_index}]") for l in step.launches)

@@ -250,27 +250,30 @@ class PathNotFound(LookupError):
 
 
 def _part_index(model: Model, kind: ComponentKind) -> dict[str, tuple]:
-    """Every dotted part path below the root of one side, by one walk:
-    path -> (part, its component or None).
+    """Every dotted part path below the root of one side, in pre-order, by
+    one walk: path -> (part, its component or None).  component_at,
+    element_at and iter_instances all read it.
 
     A path resolves as a walk segment by segment would: each segment names
-    a part, and a duplicated name keeps its first declaration.  On a type
-    cycle, which conformance rejects, the walk stops at the first repeated
-    component.
+    a part, and a duplicated name keeps its first declaration.  The walk
+    does not enter a component already on the path, so it ends on a type
+    cycle, which conformance rejects.
     """
     index: dict[str, tuple] = {}
     root_name = model.platform_root if kind is ComponentKind.PLATFORM else model.application_root
     root = model.root(kind)
-    stack = [("", root, frozenset({root_name}))] if root is not None else []
+    # the open path: (its dotted prefix, its components, its parts left)
+    stack = [("", frozenset({root_name}), iter(root.parts))] if root is not None else []
     while stack:
-        prefix, comp, above = stack.pop()
-        for part in comp.parts:
-            path = prefix + part.name
-            if path not in index:
-                sub = model.component(kind, part.type_ref)
-                index[path] = (part, sub)
-                if sub is not None and sub.parts and part.type_ref not in above:
-                    stack.append((path + ".", sub, above | {part.type_ref}))
+        prefix, above, parts = stack[-1]
+        part = next(parts, None)
+        if part is None:
+            stack.pop()
+        elif (path := prefix + part.name) not in index:
+            sub = model.component(kind, part.type_ref)
+            index[path] = (part, sub)
+            if sub is not None and sub.parts and part.type_ref not in above:
+                stack.append((path + ".", above | {part.type_ref}, iter(sub.parts)))
     return index
 
 
@@ -419,22 +422,16 @@ def resolve_path(model: Model, path: str):
 
 
 def iter_instances(model: Model, kind: ComponentKind):
-    """Yield (instance_path, component) for the root ("" path) and every nested part.
-
-    Stops descending on dangling type refs; assumes an acyclic type graph.
-    """
+    """Yield (instance_path, component) for the root ("" path) and then, in
+    the pre-order of the context's index, every part of a declared type.
+    It ends on a type cycle, as the index does."""
     root = model.root(kind)
     if root is None:
         return
-    stack = [("", root)]
-    while stack:
-        path, comp = stack.pop()
-        yield path, comp
-        for part in reversed(comp.parts):
-            sub = model.component(kind, part.type_ref)
-            if sub is not None:
-                child = f"{path}.{part.name}" if path else part.name
-                stack.append((child, sub))
+    yield "", root
+    for path, (_, comp) in model.context._index(kind).items():
+        if comp is not None:
+            yield path, comp
 
 
 def _port_node(instance_path: str, port_name: str) -> str:
@@ -445,7 +442,7 @@ def connected_port_groups(model: Model) -> dict[str, frozenset[str]]:
     """Group application port nodes (instance-path-qualified) by connector reachability.
 
     Two ports in one group share storage, and each group is one frozenset
-    object.  Requires a resolvable, acyclic application model; dangling
+    object.  It walks iter_instances, so it ends on a type cycle; dangling
     connector endpoints are ignored.
     """
     ctx = model.context
@@ -532,13 +529,13 @@ def validate_conformance(model: Model) -> list[Diagnostic]:
 
     Returns a deterministic, (path, message)-sorted list of diagnostics;
     an empty list means the model conforms.  Never raises on any
-    structurally parsed model, however broken its paths are.  Paths of a
-    side resolve through the model's context only when that side's type
-    graph is acyclic.
+    structurally parsed model, however broken its paths are.  Allocation
+    paths resolve through the model's context on both sides, whose index
+    ends on a type cycle: a cycle is reported once per member, and the
+    paths through it still resolve.
     """
     ctx = model.context
     diags: list[Diagnostic] = []
-    resolvable: dict[ComponentKind, bool] = {}
     sides = ((ComponentKind.PLATFORM, model.platform_components, model.platform_root),
              (ComponentKind.APPLICATION, model.application_components, model.application_root))
 
@@ -640,9 +637,7 @@ def validate_conformance(model: Model) -> list[Diagnostic]:
                     diags.append(Diagnostic("error", f"{base}.{target}",
                                             f"port has {count} feeding connectors (at most one allowed)"))
 
-        cyclic = _type_graph_cycles(comps)
-        resolvable[kind] = root_name in comps and not cyclic
-        for name in sorted(cyclic):
+        for name in sorted(_type_graph_cycles(comps)):
             diags.append(Diagnostic("error", f"{side}.{name}", "component participates in an instantiation cycle"))
 
         referenced = {root_name}
@@ -653,15 +648,12 @@ def validate_conformance(model: Model) -> list[Diagnostic]:
             if name not in referenced:
                 diags.append(Diagnostic("warning", f"{side}.{name}", "component is never instantiated"))
 
-    plat_ok = resolvable[ComponentKind.PLATFORM]
-    app_ok = resolvable[ComponentKind.APPLICATION]
-
     seen_data_allocs: set[tuple[str, str]] = set()
     for idx, link in enumerate(model.allocations):
         apath = f"allocation[{idx}]"
-        source = ctx.element_at(ComponentKind.APPLICATION, link.source_path) if app_ok else None
-        target = ctx.element_at(ComponentKind.PLATFORM, link.target_path) if plat_ok else None
-        target_comp = ctx.component_at(ComponentKind.PLATFORM, link.target_path) if plat_ok else None
+        source = ctx.element_at(ComponentKind.APPLICATION, link.source_path)
+        target = ctx.element_at(ComponentKind.PLATFORM, link.target_path)
+        target_comp = ctx.component_at(ComponentKind.PLATFORM, link.target_path)
         target_st = target_comp.stereotype if target_comp else None
         if source is None:
             diags.append(Diagnostic("error", apath,

@@ -80,6 +80,7 @@ class LoopStep:
 @dataclass(frozen=True)
 class Schedule:
     steps: tuple
+    device_count: int       # the devices its launches were partitioned over
 
     def device_steps(self) -> list[DeviceStep]:
         """All DeviceSteps in schedule order, descending into loops."""
@@ -254,4 +255,4 @@ def build_schedule(model: Model, device_count: int) -> Schedule:
                 launches_of[key] = _launches(partition_equally(total, device_count), local)
             out.append(DeviceStep(task_path=path, op=sub.elementary_op,
                                   launches=launches_of[key]))
-    return Schedule(steps=tuple(steps))
+    return Schedule(steps=tuple(steps), device_count=device_count)

@@ -217,6 +217,33 @@ def reference_element_at(model, kind, path):
     return part if part is not None else comp.port(segments[-1])
 
 
+def reference_instances(model, kind):
+    """(path, component) for the root ("" path) and every part of a declared
+    type beneath it, by a recursive pre-order walk in declaration order: a
+    duplicated part name is walked once, as its first declaration, and a
+    component already on the path is listed but not entered again."""
+    root_name = model.platform_root if kind is ComponentKind.PLATFORM else model.application_root
+    root = model.root(kind)
+    found = [("", root)] if root is not None else []
+
+    def walk(prefix, comp, above):
+        seen = set()
+        for part in comp.parts:
+            if part.name in seen:
+                continue
+            seen.add(part.name)
+            sub = model.component(kind, part.type_ref)
+            if sub is None:
+                continue
+            found.append((prefix + part.name, sub))
+            if part.type_ref not in above:
+                walk(prefix + part.name + ".", sub, above | {part.type_ref})
+
+    if root is not None:
+        walk("", root, {root_name})
+    return found
+
+
 # -- DSL tokenizer ------------------------------------------------------------
 # The original tokenizer, kept as the reference: one regex match per token or
 # whitespace run from the current position, one error per character that

@@ -283,13 +283,33 @@ def test_placement_mismatch_same_message_in_check_codegen_and_run(workdir, capsy
      "error: no processing-element instance found inside the device processor"),
     ("connect init_r.dst -> init_p.src\n", "connect init_p.dst -> init_p.src\n",
      "error: init_p: task 'init_p': output port 'dst' aliases input port 'src'"),
-], ids=["connector-cycle", "no-pe-geometry", "output-aliases-input"])
+    ("capacity=16K", "capacity=0",
+     "error: platform.ComputeUnit_lmem: capacity must be positive"),
+    ("role=hostRam", "role=hostRam frequency=5",
+     "error: platform.Host_ram: frequency is only valid for hwProcessor"),
+    ("frequency=2260", "frequency=0", "error: platform.Host_cpu: frequency must be positive"),
+    ("    deploy copy\n", "    deploy copy\n    until dst < 0.5\n",
+     "error: application.VecCopy: until condition requires a structured task"),
+    ("    repeat [132651]\n    until", "    until",
+     "error: application.CgLoop: until condition requires a repetition space (iteration bound)"),
+    ("connect init_r.dst -> init_p.src\n",
+     "connect init_r.dst -> init_p.src\nconnect b -> init_p.src\n",
+     "error: application.cg.init_p.src: port has 2 feeding connectors (at most one allowed)"),
+    ("allocate task init_r onto device.c\n",
+     "allocate task init_r onto device.c\nallocate task loop onto device.c\n",
+     "error: allocation[17]: task allocation source must be a leaf task part"),
+    ("    part axpy_p : AxpyUnit\n", "    part axpy_p : AxpyUnit\n    part again : cg\n",
+     "error: application.cg: component participates in an instantiation cycle"),
+], ids=["connector-cycle", "no-pe-geometry", "output-aliases-input", "zero-capacity",
+        "memory-frequency", "zero-frequency", "until-on-a-leaf", "until-without-repeat",
+        "port-fed-twice", "structured-task-allocation", "type-cycle"])
 def test_every_command_stops_at_the_same_stage(workdir, capsys, old, new, error):
-    """A model that fails in the schedule or in a deployment fails check,
-    map, codegen and run alike, with the same last line and exit 1."""
+    """A model that fails in conformance, in a deployment or in the schedule
+    fails check, map, codegen and run alike, with the same last line and
+    exit 1."""
     tmp_path, _ = workdir
     text = gmodelc.bundled_model_text()
-    assert old in text
+    assert text.count(old) == 1
     path = tmp_path / "edited.gmodel"
     path.write_text(text.replace(old, new))
     mtx, _ = _write_poisson(tmp_path, 4)
@@ -503,6 +523,28 @@ def test_parse_failure_exit_two(workdir, capsys):
     path.write_text("platform ??? {\n")
     assert main(["check", str(path)]) == 2
     assert capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, error", [
+    ("  component Device {\n", "  component Host {\n  }\n  component Device {\n",
+     "17:13: expected a unique component name, found duplicate component 'Host'"),
+    ("  component Host {\n", "  component Host_ram {\n  }\n  component Host {\n",
+     "10:12: expected a part name not colliding with component 'Host_ram', found 'ram'"),
+    ("port bb in float64 [1]", "port bb in float64 [1.0]",
+     "92:25: expected a dimension, found '1.0'"),
+    ("until relres < 1e-10", "until relres < 1K", "138:20: expected a tolerance, found '1K'"),
+    ("}\n\napplication cg {", "} x\n\napplication cg {",
+     "27:3: expected end of line, found 'x'"),
+], ids=["duplicate-component", "inline-part-name-collides", "float-dimension",
+        "suffixed-tolerance", "text-after-a-section"])
+def test_parse_rejections_give_one_line(workdir, capsys, old, new, error):
+    tmp_path, _ = workdir
+    text = gmodelc.bundled_model_text()
+    assert text.count(old) == 1
+    path = tmp_path / "edited.gmodel"
+    path.write_text(text.replace(old, new))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"{path}:{error}\n")
 
 
 def test_missing_file_exit_two(tmp_path, capsys):
@@ -930,6 +972,41 @@ def test_run_non_finite_rhs_exit_two(workdir, capsys, token):
     assert main(["run", model_path, "--matrix", mtx, "--rhs", str(rhs_path),
                  "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {rhs_path}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_missing_matrix_or_rhs_file_exit_two(workdir, capsys):
+    tmp_path, model_path = workdir
+    mtx, _ = _write_poisson(tmp_path, 4)
+    missing = tmp_path / "missing"
+    for argv, line in ((["--matrix", str(missing)],
+                        f"error: [Errno 2] No such file or directory: '{missing}'"),
+                       (["--matrix", mtx, "--rhs", str(missing)],
+                        f"error: {missing} not found.")):
+        assert main(["run", model_path, *argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", line + "\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_an_input_it_cannot_bind(workdir, capsys):
+    """run binds the CSR ports and then the right-hand side to every other
+    float input; an int32 root input in host RAM passes check, but run has
+    nothing to bind it to.  Today's contract, until root ports name their
+    roles in the model."""
+    tmp_path, _ = workdir
+    text = gmodelc.bundled_model_text()
+    for old, new in (("    port x out float64 [132651]\n    part init_r",
+                      "    port x out float64 [132651]\n    port k in int32 [1]\n    part init_r"),
+                     ("allocate data b onto",
+                      "allocate data k onto host.ram\nallocate data b onto")):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    path = tmp_path / "k.gmodel"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 0
+    mtx, _ = _write_poisson(tmp_path, 4)
+    assert main(["run", str(path), "--matrix", mtx, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == ("", "error: cannot infer a binding for input port 'k'\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -91,12 +91,14 @@ def test_lowering_memo_never_serves_a_stale_program(cg_text):
 
 
 def test_host_rejects_a_schedule_for_more_devices(cg_model, cg_maps):
-    """A schedule built for 16 devices launches on queues 4..15, which a host
-    program for 4 devices does not create."""
-    with pytest.raises(ValueError) as exc:
-        generate_host(cg_model, cg_maps, build_schedule(cg_model, 16), 4)
-    assert str(exc.value) == \
-        "step 0 (init_r) launches on device 4, but the host program is for 4 device(s)"
+    """A host program is for the devices its schedule was built for: one
+    built for 16 launches on queues 4..15, which a host for 4 does not
+    create, and one built for 4 leaves 12 of 16 created devices idle."""
+    for built, asked in ((16, 4), (4, 16)):
+        with pytest.raises(ValueError) as exc:
+            generate_host(cg_model, cg_maps, build_schedule(cg_model, built), asked)
+        assert str(exc.value) == \
+            f"the host program is for {asked} device(s), but the schedule is for {built}"
 
 
 @pytest.fixture(scope="module")
@@ -375,7 +377,7 @@ def test_constant_space_parameter():
 
 
 def test_empty_schedule_emits_header_only(cg_model, cg_maps):
-    kern = generate_kernels(cg_model, cg_maps, Schedule(steps=()))
+    kern = generate_kernels(cg_model, cg_maps, Schedule(steps=(), device_count=1))
     assert kern.contents.startswith("/*")
     assert "__kernel" not in kern.contents
     assert kern.contents

@@ -46,6 +46,11 @@ def test_capacity_suffixes():
     assert model.platform_components[part.type_ref].stereotype.capacity_bytes == 2097152
 
 
+def test_capacity_without_a_suffix_round_trips_as_written():
+    text = MINI.replace("capacity=16384", "capacity=1000")
+    assert "capacity=1000\n" in serialize_model(parse_model(text))
+
+
 MINI = """\
 platform p {
   component Dev {

@@ -14,7 +14,7 @@ from gmodelc.metamodel import (AllocKind, AllocationLink, CompileContext, Compon
                                iter_instances, resolve_path, validate_conformance)
 
 from modelgen import random_model
-from oracles import reference_element_at
+from oracles import reference_element_at, reference_instances
 
 
 def test_shape_total_examples():
@@ -308,7 +308,7 @@ def _probe_paths(model) -> list[str]:
     """Every instance and port path of both sides, and near misses of each."""
     paths = {"", ".", "nosuch"}
     for kind in (ComponentKind.PLATFORM, ComponentKind.APPLICATION):
-        for inst, comp in iter_instances(model, kind):
+        for inst, comp in reference_instances(model, kind):
             prefix = f"{inst}." if inst else ""
             for name in [p.name for p in comp.parts] + [p.name for p in comp.ports]:
                 path = prefix + name
@@ -319,7 +319,8 @@ def _probe_paths(model) -> list[str]:
 
 @pytest.mark.parametrize("seed", range(12))
 def test_context_index_matches_a_segment_walk(cg_model, seed):
-    """CompileContext resolves every path as a walk from the root does, on
+    """CompileContext resolves every path as a walk from the root does, and
+    iter_instances lists the instances in that walk's pre-order, on
     generated models, the bundled one and one with duplicated names."""
     models = [random_model(random.Random(seed))]
     if seed == 0:
@@ -330,6 +331,7 @@ def test_context_index_matches_a_segment_walk(cg_model, seed):
     for model in models:
         ctx = CompileContext(model)
         for kind in (ComponentKind.PLATFORM, ComponentKind.APPLICATION):
+            assert list(iter_instances(model, kind)) == reference_instances(model, kind), kind
             for path in _probe_paths(model):
                 expected = reference_element_at(model, kind, path)
                 assert ctx.element_at(kind, path) is expected, (kind, path)
@@ -338,7 +340,10 @@ def test_context_index_matches_a_segment_walk(cg_model, seed):
                 assert ctx.component_at(kind, path) is comp, (kind, path)
 
 
-def test_context_index_terminates_on_a_type_cycle():
+def test_context_index_terminates_on_a_type_cycle(cg_text):
+    """The index, and every walk that reads it, ends on a type cycle: with cg
+    a part of its own loop, conformance reports the two members of the
+    cycle alone, and the instance walk and the port groups return."""
     text = MINI_MODEL.replace("  component a {", "  component Loop {\n    part again : Loop\n"
                               "  }\n  component a {\n    part loop : Loop", 1)
     model = gmodelc.parse_model(text)
@@ -347,18 +352,30 @@ def test_context_index_terminates_on_a_type_cycle():
     assert ctx.component_at(ComponentKind.APPLICATION, "loop.again") is \
         model.application_components["Loop"]
 
+    old = "    part axpy_p : AxpyUnit\n"
+    model = gmodelc.parse_model(cg_text.replace(old, old + "    part again : cg\n"))
+    cycle = "component participates in an instantiation cycle"
+    assert validate_conformance(model) == [
+        Diagnostic("error", f"application.{name}", cycle) for name in ("CgLoop", "cg")]
+    instances = list(iter_instances(model, ComponentKind.APPLICATION))
+    assert instances == reference_instances(model, ComponentKind.APPLICATION)
+    assert ("loop.again", model.application_components["cg"]) in instances
+    assert "loop.again.loop" not in dict(instances)
+    groups = connected_port_groups(model)
+    assert groups["b"] is groups["init_r.src"]
 
-def test_allocation_targets_on_a_cyclic_platform_do_not_resolve():
-    """A side with a type cycle resolves no allocation path, so no rule that
-    reads a resolved target applies: here, the constant-space rule."""
+
+def test_allocation_targets_on_a_cyclic_platform_resolve():
+    """The index of a side ends on a type cycle, so its allocation paths
+    still resolve: the cycle is the only error, not one per allocation."""
     text = MINI_MODEL.replace("    memory gmem : hwMemory role=deviceGlobal\n",
-                              "    memory gmem : hwMemory role=deviceConstant\n"
+                              "    memory gmem : hwMemory role=deviceGlobal\n"
                               "    part again : Dev\n")
-    diags = validate_conformance(gmodelc.parse_model(text))
-    allocation_messages = {d.message for d in diags if d.path.startswith("allocation[")}
-    assert allocation_messages == {f"allocation target '{target}' does not resolve"
-                                   for target in ("dev.gmem", "dev.cu")}
-    assert any("instantiation cycle" in d.message for d in diags)
+    model = gmodelc.parse_model(text)
+    assert validate_conformance(model) == [
+        Diagnostic("error", "platform.Dev", "component participates in an instantiation cycle")]
+    assert model.context.component_at(ComponentKind.PLATFORM, "dev.again") \
+        is model.platform_components["Dev"]
 
 
 def test_port_groups_join_a_port_fed_from_two_levels():

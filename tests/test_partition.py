@@ -5,10 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 import gmodelc
 from gmodelc.intrinsics import deployment_diagnostics
-from gmodelc.metamodel import CompileContext
+from gmodelc.metamodel import CompileContext, ComponentKind
 from gmodelc.partition import (CyclicTaskGraph, DeviceStep, HostOp, LoopStep,
                                MissingGeometry, NestedLoop, UnallocatedTask, WorkRange,
-                               _launches, _pe_local_size, build_schedule, partition_equally)
+                               _launches, _order_parts, _pe_local_size, build_schedule,
+                               partition_equally)
 
 import loopmodels
 from oracles import balanced_split
@@ -296,13 +297,53 @@ def test_readers_precede_inplace_writers(cg_schedule_d1):
         assert order.index(reader) < order.index("loop.scale_p")
 
 
+def test_inplace_writers_of_one_value_run_in_declaration_order():
+    """first and second both update v in place: second, declared later, runs
+    after first, although second is ready before it (first waits on s)."""
+    model = gmodelc.parse_model("""\
+platform p {
+  component p {
+  }
+}
+application a {
+  component W {
+    port y inout float64 [4]
+    port a in float64 [1]
+    deploy scale
+  }
+  component S {
+    port num in float64 [1]
+    port den in float64 [1]
+    port q out float64 [1]
+    deploy div
+  }
+  component a {
+    port v inout float64 [4]
+    port n in float64 [1]
+    part first : W
+    part second : W
+    part s : S
+    connect v -> first.y
+    connect v -> second.y
+    connect s.q -> first.a
+    connect n -> second.a
+    connect n -> s.num
+    connect n -> s.den
+  }
+}
+""")
+    assert gmodelc.validate_conformance(model) == []
+    root = model.root(ComponentKind.APPLICATION)
+    assert [part.name for part in _order_parts(model, root, "")] == ["s", "first", "second"]
+
+
 def test_invalid_device_count(cg_model):
     with pytest.raises(ValueError):
         build_schedule(cg_model, 0)
 
 
 def test_every_leaf_task_scheduled_exactly_once(cg_model, cg_schedule_d1):
-    from gmodelc.metamodel import ComponentKind, iter_instances
+    from gmodelc.metamodel import iter_instances
 
     expected = set()
     for path, comp in iter_instances(cg_model, ComponentKind.APPLICATION):

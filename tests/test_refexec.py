@@ -1107,6 +1107,11 @@ def _solve_on(devices: int, A: CsrMatrix, b: np.ndarray):
                          tol=1e-10, max_iter=10 * A.n)
 
 
+def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
+    with pytest.raises(DimensionMismatch, match=r"^rhs length 3 != matrix size 4$"):
+        _solve_on(1, poisson_1d(4), np.ones(3))
+
+
 def _random_symmetric(n: int, rng) -> np.ndarray:
     S = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4)
     return np.triu(S) + np.triu(S, 1).T
@@ -1521,7 +1526,8 @@ def test_launch_ranges_that_do_not_tile_one_range_are_rejected():
     (step,) = build_schedule(model, 2).steps
     first, second = step.launches
     gap = dataclasses.replace(second, range=WorkRange(33, 31))
-    schedule = Schedule(steps=(dataclasses.replace(step, launches=(first, gap)),))
+    schedule = Schedule(steps=(dataclasses.replace(step, launches=(first, gap)),),
+                        device_count=2)
     with pytest.raises(ValueError, match="task 't': launch ranges .* do not tile one range"):
         execute_schedule(model, schedule, {"i": np.ones(64)})
 
