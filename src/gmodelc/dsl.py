@@ -31,12 +31,15 @@ Capacity accepts K (1024) and M (1048576) suffixes.
 
 The lexer builds no object per token.  One regex substitution drops the
 comments, and one findall per line returns its lexemes as plain strings;
-a lexeme's kind is read off its first character.  Only when the lexemes do
-not cover every non-blank character is the text scanned again, to report
-each illegal character.  A number's value is parsed where the grammar
-reads one, and a lexeme's column is found again only when a ParseError
-needs its span.  Names resolve through dicts: the parser's component
-table while parsing; once the model is built, the metamodel's
+a lexeme's kind is read off its first character.  A path written without
+blanks (`loop.spmv.x`) is one lexeme, and a name is a path of one
+identifier.  Where the grammar reads a path it also joins path lexemes
+across `.` lexemes, so `loop . spmv.x` is the same path.  Only when the
+lexemes do not cover every non-blank character is the text scanned again,
+to report each illegal character.  A number's value is parsed where the
+grammar reads one, and a lexeme's column is found again only when a
+ParseError needs its span.  Names resolve through dicts: the parser's
+component table while parsing; once the model is built, the metamodel's
 name-indexed `Component.part`/`.port` and the `Model.context` index of
 instance paths.
 """
@@ -81,11 +84,15 @@ class ParseFailure(ValueError):
         self.errors = errors
 
 
-# A lexeme is an identifier, a number (fraction, exponent and K/M suffix
-# optional), the arrow or one symbol.  Its first character tells its kind:
-# identifiers are the lexemes str.isidentifier accepts, numbers start with a
-# digit.  A `#` comment runs to the end of its line.
-_LEX_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?[KM]?|->|[{}\[\]:=,.<]")
+# A lexeme is a path (identifiers joined by dots, without blanks), a number
+# (fraction, exponent and K/M suffix optional), the arrow or one symbol.  Its
+# first character tells its kind: a path starts with a letter or `_`, and is
+# an identifier when str.isidentifier accepts it whole; a number starts with
+# a digit.  A `#` comment runs to the end of its line.  The identifier
+# classes are spelled out rather than set by re.ASCII, which would also
+# narrow \d to the ASCII digits.
+_LEX_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*"
+                     r"|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?[KM]?|->|[{}\[\]:=,.<]")
 _COMMENT_RE = re.compile(r"#[^\n]*")
 _BAD_RE = re.compile(r"[^ \t\r]")
 
@@ -97,6 +104,7 @@ _PART_KEYWORDS = ("part", "processor", "memory", "bus")
 _DIRECTIONS = {d.value: d for d in Direction}
 _TYPES = {t.value: t for t in DataType}
 _ROLES = {r.value: r for r in MemoryRole}
+_ALLOC_KINDS = {k.value: k for k in AllocKind}
 
 
 def _lex(text: str, errors: list[ParseError]) -> tuple[list[str], list[list[str]]]:
@@ -161,9 +169,11 @@ class _Line:
                                     expected, "end of line"))
 
     def take(self, text: str):
-        if self.peek() != text:
+        i = self.i
+        if i < len(self.toks) and self.toks[i] == text:
+            self.i = i + 1
+        else:
             self.fail(f"'{text}'")
-        self.i += 1
 
     def word(self, expected: str = "an identifier") -> str:
         i = self.i
@@ -210,15 +220,15 @@ class _Line:
         return Shape(tuple(dims))
 
     def path(self) -> str:
-        """identifier ('.' identifier)*, returned as its lexemes joined."""
+        """A path lexeme, or several joined by '.' lexemes, returned joined:
+        `a.b`, `a . b` and `a.b .c` are one path."""
         toks, first = self.toks, self.i
-        i = first
-        while i < len(toks) and toks[i].isidentifier():
-            if i + 1 < len(toks) and toks[i + 1] == ".":
-                i += 2
-            else:
+        i, n = first, len(toks)
+        while i < n and toks[i][0].isidentifier():
+            if i + 1 == n or toks[i + 1] != ".":
                 self.i = i + 1
-                return "".join(toks[first:i + 1])
+                return toks[i] if i == first else "".join(toks[first:i + 1])
+            i += 2
         self.i = i
         self.fail("a path" if i == first else "a path segment")
 
@@ -376,22 +386,22 @@ class _Parser:
                     self.errors.append(err.error)
                 break
             try:
-                head = body.toks[0]
-                if not head.isidentifier():
-                    body.fail("a component statement")
-                if head == "port":
-                    ports.append(self._port(body))
-                elif head in _PART_KEYWORDS:
-                    part = self._part(body, name, kind, comps)
-                    if part is not None:
-                        parts.append(part)
-                elif head == "connect":
+                head = body.toks[0]     # the most frequent statement first
+                if head == "connect":
                     body.i += 1
                     src = body.path()
                     body.take("->")
                     dst = body.path()
                     body.end()
                     connectors.append(Connector(src, dst))
+                elif not head.isidentifier():
+                    body.fail("a component statement")
+                elif head in _PART_KEYWORDS:
+                    part = self._part(body, name, kind, comps)
+                    if part is not None:
+                        parts.append(part)
+                elif head == "port":
+                    ports.append(self._port(body))
                 elif head == "repeat":
                     body.i += 1
                     repetition = body.shape()
@@ -457,14 +467,14 @@ class _Parser:
 
     def _allocation(self, line: _Line):
         line.i = 1      # past `allocate`
-        k = line.word("'data' or 'task'")
-        if k not in ("data", "task"):
+        kind = _ALLOC_KINDS.get(line.word("'data' or 'task'"))
+        if kind is None:
             raise line.error(1, "'data' or 'task'")
         src = line.path()
         line.take("onto")
         dst = line.path()
         line.end()
-        self.allocations.append(AllocationLink(AllocKind(k), src, dst))
+        self.allocations.append(AllocationLink(kind, src, dst))
 
 
 def parse_model(text: str) -> Model:

@@ -373,11 +373,18 @@ def deployed_intrinsic(ctx: CompileContext, task_path: str) -> Deployment:
     intrinsic with its signature checked, its kind matched against its
     processor's side, as the schedule decides it, and no output port
     connected to an input port, which would make them one array.  Raises
-    UnknownIntrinsic or IntrinsicShapeMismatch."""
+    UnknownIntrinsic or IntrinsicShapeMismatch.
+
+    The signature depends only on the task's component, so it is checked
+    once per leaf type: a passing check is kept in ctx.signatures by
+    component name, and a failing one runs, and raises with the task's own
+    path, for each task of that type."""
     record = ctx.deployments.get(task_path)
     if record is None:
         comp = ctx.component_at(ComponentKind.APPLICATION, task_path)
-        spec = check_task_signature(task_path, comp)
+        spec = ctx.signatures.get(comp.name)
+        if spec is None:
+            spec = ctx.signatures[comp.name] = check_task_signature(task_path, comp)
         on_host = ctx.is_host_processor(ctx.task_targets[task_path])
         where = "host" if on_host else "device"
         if spec.kind != where:

@@ -282,8 +282,9 @@ class CompileContext:
     use: per side, the _part_index of instance paths; each component's
     resolved connector endpoints; the port groups and their placement
     table; each allocated leaf task's Deployment (intrinsic, side and
-    port passing); the digest; and codegen.lower's last Program, with the
-    memory maps and schedule it was lowered from.
+    port passing), and each leaf type's checked intrinsic signature; the
+    digest; and codegen.lower's last Program, with the memory maps and
+    schedule it was lowered from.
 
     Each Model owns one, as `Model.context`, which every stage takes.  It
     stays valid because a Model cannot be edited: its component tables are
@@ -300,6 +301,9 @@ class CompileContext:
         self._host_side: dict[str, bool] = {}       # processor path -> is_host_processor
         # by task path: intrinsics.deployed_intrinsic's records
         self.deployments: dict[str, object] = {}
+        # by component name: the IntrinsicSpec of each leaf type whose
+        # signature intrinsics.check_task_signature accepted
+        self.signatures: dict[str, object] = {}
         # codegen.lower's last (schedule, maps, Program)
         self.program: tuple | None = None
 
@@ -442,8 +446,11 @@ def connected_port_groups(model: Model) -> dict[str, frozenset[str]]:
     """Group application port nodes (instance-path-qualified) by connector reachability.
 
     Two ports in one group share storage, and each group is one frozenset
-    object.  It walks iter_instances, so it ends on a type cycle; dangling
-    connector endpoints are ignored.
+    object.  The result's order is the order of discovery: nodes in
+    iter_instances order, each group's members in breadth-first order from
+    its first node, so it does not depend on the string hash seed.  It
+    walks iter_instances, so it ends on a type cycle; dangling connector
+    endpoints are ignored.
     """
     ctx = model.context
     adjacent: dict[str, list[str]] = {}
@@ -459,14 +466,13 @@ def connected_port_groups(model: Model) -> dict[str, frozenset[str]]:
     groups: dict[str, frozenset[str]] = {}
     for node in adjacent:
         if node not in groups:
-            members = {node}
-            todo = [node]
-            while todo:
-                for other in adjacent[todo.pop()]:
-                    if other not in members:
-                        members.add(other)
-                        todo.append(other)
-            group = frozenset(members)
+            found, members = {node}, [node]     # members grows as the search finds them
+            for member in members:
+                for other in adjacent[member]:
+                    if other not in found:
+                        found.add(other)
+                        members.append(other)
+            group = frozenset(found)
             for member in members:
                 groups[member] = group
     return groups
@@ -532,16 +538,19 @@ def validate_conformance(model: Model) -> list[Diagnostic]:
     structurally parsed model, however broken its paths are.  Allocation
     paths resolve through the model's context on both sides, whose index
     ends on a type cycle: a cycle is reported once per member, and the
-    paths through it still resolve.
+    paths through it still resolve.  A side whose root is not declared
+    gets that one error: no path resolves on it, so its allocation ends
+    and its never-instantiated components go unreported.
     """
     ctx = model.context
     diags: list[Diagnostic] = []
     sides = ((ComponentKind.PLATFORM, model.platform_components, model.platform_root),
              (ComponentKind.APPLICATION, model.application_components, model.application_root))
 
+    rooted = {kind: root_name in comps for kind, comps, root_name in sides}
     for kind, comps, root_name in sides:
         side = kind.value
-        if root_name not in comps:
+        if not rooted[kind]:
             diags.append(Diagnostic("error", side, f"root component '{root_name}' is not declared"))
         for comp in comps.values():
             base = f"{side}.{comp.name}"
@@ -640,13 +649,15 @@ def validate_conformance(model: Model) -> list[Diagnostic]:
         for name in sorted(_type_graph_cycles(comps)):
             diags.append(Diagnostic("error", f"{side}.{name}", "component participates in an instantiation cycle"))
 
-        referenced = {root_name}
-        for comp in comps.values():
-            for part in comp.parts:
-                referenced.add(part.type_ref)
-        for name in comps:
-            if name not in referenced:
-                diags.append(Diagnostic("warning", f"{side}.{name}", "component is never instantiated"))
+        if rooted[kind]:
+            referenced = {root_name}
+            for comp in comps.values():
+                for part in comp.parts:
+                    referenced.add(part.type_ref)
+            for name in comps:
+                if name not in referenced:
+                    diags.append(Diagnostic("warning", f"{side}.{name}",
+                                            "component is never instantiated"))
 
     seen_data_allocs: set[tuple[str, str]] = set()
     for idx, link in enumerate(model.allocations):
@@ -655,10 +666,10 @@ def validate_conformance(model: Model) -> list[Diagnostic]:
         target = ctx.element_at(ComponentKind.PLATFORM, link.target_path)
         target_comp = ctx.component_at(ComponentKind.PLATFORM, link.target_path)
         target_st = target_comp.stereotype if target_comp else None
-        if source is None:
+        if source is None and rooted[ComponentKind.APPLICATION]:
             diags.append(Diagnostic("error", apath,
                                     f"allocation source '{link.source_path}' does not resolve"))
-        if target is None:
+        if target is None and rooted[ComponentKind.PLATFORM]:
             diags.append(Diagnostic("error", apath,
                                     f"allocation target '{link.target_path}' does not resolve"))
         if target is not None and not isinstance(target, PartInstance):

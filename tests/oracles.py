@@ -247,11 +247,13 @@ def reference_instances(model, kind):
 # -- DSL tokenizer ------------------------------------------------------------
 # The original tokenizer, kept as the reference: one regex match per token or
 # whitespace run from the current position, one error per character that
-# starts no token.
+# starts no token.  A path is identifiers joined by dots with no blank
+# between them; a word is a path of one identifier.
 
 _REFERENCE_TOKEN_RE = re.compile(
     r"(?P<ws>[ \t\r]+)"
     r"|(?P<comment>#.*)"
+    r"|(?P<path>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)+)"
     r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?[KM]?)"
     r"|(?P<arrow>->)"
@@ -261,7 +263,7 @@ _REFERENCE_TOKEN_RE = re.compile(
 
 @dataclass(frozen=True)
 class ReferenceTok:
-    kind: str   # word | num | arrow | sym
+    kind: str   # word | path | num | arrow | sym
     text: str
     line: int
     col: int

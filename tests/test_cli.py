@@ -12,6 +12,7 @@ from gmodelc.cli import main
 from gmodelc.codegen import generate_host, generate_kernels, lower
 from gmodelc.intrinsics import IntrinsicShapeMismatch
 from gmodelc.memmap import build_memory_maps
+from gmodelc.metamodel import ComponentKind
 from gmodelc.partition import UnallocatedTask, build_schedule
 
 import loopmodels
@@ -322,6 +323,25 @@ def test_every_command_stops_at_the_same_stage(workdir, capsys, old, new, error)
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("old, new, error", [
+    ("  component cg {\n", "  component cgx {\n",
+     "error: application: root component 'cg' is not declared\n"),
+    ("  component machine {\n", "  component machinex {\n",
+     "error: platform: root component 'machine' is not declared\n"),
+], ids=["application", "platform"])
+def test_undeclared_root_gets_one_line(workdir, capsys, old, new, error):
+    """No path resolves on a side whose root is not declared, so check
+    reports the root alone: no allocation end of that side that does not
+    resolve, and no warning on the component left unreferenced."""
+    tmp_path, _ = workdir
+    text = gmodelc.bundled_model_text()
+    assert text.count(old) == 1
+    path = tmp_path / "edited.gmodel"
+    path.write_text(text.replace(old, new))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr() == ("", error)
+
+
 def test_tasks_whose_paths_flatten_alike_get_their_own_rows(workdir, capsys):
     """Root task loop_axpy_p and loop.axpy_p would have one C identifier if
     identifiers came from task paths.  They come from step indices, so check
@@ -535,8 +555,10 @@ def test_parse_failure_exit_two(workdir, capsys):
     ("until relres < 1e-10", "until relres < 1K", "138:20: expected a tolerance, found '1K'"),
     ("}\n\napplication cg {", "} x\n\napplication cg {",
      "27:3: expected end of line, found 'x'"),
+    ("port bb in float64 [1]", "port bb.c in float64 [1]",
+     "92:10: expected a port name, found 'bb.c'"),
 ], ids=["duplicate-component", "inline-part-name-collides", "float-dimension",
-        "suffixed-tolerance", "text-after-a-section"])
+        "suffixed-tolerance", "text-after-a-section", "dotted-port-name"])
 def test_parse_rejections_give_one_line(workdir, capsys, old, new, error):
     tmp_path, _ = workdir
     text = gmodelc.bundled_model_text()
@@ -1121,11 +1143,13 @@ def test_stop_is_strict(workdir, capsys):
 def test_one_computation_per_model_in_codegen_and_run(workdir, monkeypatch, capsys):
     """One `codegen` and one `run` compute the port groups, the digest and
     each allocated task's deployment record at most once per Model
-    instance: every stage of a command shares one compile context.
-    `codegen` lowers the model once per file it prints, and `run` not at
-    all."""
+    instance, and check each leaf component type's intrinsic signature
+    once, however many tasks share it: every stage of a command shares one
+    compile context.  `codegen` lowers the model once per file it prints,
+    and `run` not at all."""
     from gmodelc import codegen, dsl, intrinsics, metamodel
-    calls: dict[str, list] = {"groups": [], "digest": [], "records": [], "lower": []}
+    calls: dict[str, list] = {"groups": [], "digest": [], "signatures": [], "records": [],
+                              "lower": []}
 
     def count(name, module, attr, key):
         """Count calls to module.attr, through every gmodelc module that
@@ -1141,7 +1165,8 @@ def test_one_computation_per_model_in_codegen_and_run(workdir, monkeypatch, caps
 
     count("groups", metamodel, "connected_port_groups", lambda model: model)
     count("digest", dsl, "serialize_model", lambda model: model)
-    count("records", intrinsics, "check_task_signature", lambda task_path, comp: task_path)
+    count("signatures", intrinsics, "check_task_signature", lambda task_path, comp: comp.name)
+    count("records", intrinsics, "Deployment", lambda spec, on_host, ports: spec.name)
     count("lower", codegen, "lower", lambda model, maps, schedule: model)
 
     tmp_path, model_path = workdir
@@ -1149,7 +1174,11 @@ def test_one_computation_per_model_in_codegen_and_run(workdir, monkeypatch, caps
     (model,) = calls["groups"]
     assert calls["digest"] == [model]
     tasks = sorted(model.context.task_targets)
-    assert sorted(calls["records"]) == tasks and len(tasks) == 15
+    types = sorted({model.context.component_at(ComponentKind.APPLICATION, task).name
+                    for task in tasks})
+    assert len(tasks) == 15 and len(types) == 9
+    assert sorted(calls["signatures"]) == types
+    assert len(calls["records"]) == len(tasks) and sorted(model.context.deployments) == tasks
     assert calls["lower"] == [model, model]
 
     for name in calls:
@@ -1159,7 +1188,9 @@ def test_one_computation_per_model_in_codegen_and_run(workdir, monkeypatch, caps
     parsed, instantiated = calls["groups"]
     assert parsed is not instantiated
     assert calls["digest"] == [] and calls["lower"] == []
-    assert sorted(calls["records"]) == sorted(tasks * 2)      # the parsed and the re-sized
+    # the parsed and the re-sized model
+    assert sorted(calls["signatures"]) == sorted(types * 2)
+    assert len(calls["records"]) == len(tasks) * 2
     capsys.readouterr()
 
 

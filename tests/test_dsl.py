@@ -1,4 +1,7 @@
+import importlib.util
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -183,6 +186,33 @@ def test_round_trip_generated_models():
         assert serialize_model(parse_model(text)) == text
 
 
+_PATH_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
+
+
+def _benchmark_models() -> list[str]:
+    """The benchmark's three generated models, of 400, 600 and 800 tasks."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).parents[1] / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [inputs.generate_model(1000 + i, f"gen{i}", tasks)
+            for i, tasks in enumerate((400, 600, 800))]
+
+
+def test_a_spaced_path_parses_as_the_path(cg_text):
+    """A dotted path is one lexeme, but `a . b` still reads as `a.b`: every
+    path of cg.gmodel or of a generated model spaced out at its dots parses
+    to the same model, and the model round-trips through its canonical
+    text."""
+    texts = [serialize_model(random_model(random.Random(seed))) for seed in range(20)]
+    for text in [cg_text] + texts + _benchmark_models():
+        spaced = _PATH_RE.sub(lambda m: m[0].replace(".", " . "), text)
+        assert spaced != text
+        model = parse_model(text)
+        assert parse_model(spaced) == model
+        assert parse_model(serialize_model(model)) == model
+
+
 def test_parse_is_pure(cg_text):
     assert parse_model(cg_text) == parse_model(cg_text)
 
@@ -216,25 +246,28 @@ _TOKEN_FIELDS = ("kind", "text", "line", "col", "is_float", "value", "suffix")
 # Fragments that tokenize differently depending on their neighbours: blanks
 # and carriage returns, comments, illegal characters, the arrow and its
 # halves, numbers with fractions, exponents and K/M suffixes, identifiers
-# with digits and underscores.
+# with digits and underscores, and dots that do or do not join them into
+# a path.
 _FRAGMENTS = st.sampled_from([
     " ", "  ", "\t", "\r", " \t ", "#", "# note -> x", "@", "$", "!", "?", "-", ">",
     "->", "{", "}", "[", "]", ":", "=", ",", ".", "<", "0", "7", "12", "1.5", "3.",
     ".5", "2e3", "2E-3", "4e+", "1.25e10", "16K", "2M", "1.5K", "7e2M", "K", "M",
     "e", "E", "x", "_", "a1", "port_9", "_b2_", "hwMemory", "capacity=16K",
-    "a.b.c", "x -> y.z", "\u00e9", "\u00a0",
+    "a.b.c", "x -> y.z", "a . b", "a. b", "a .b", "_._", "p.q9", "x.1", "1.x", "a.b.",
+    "\u00e9", "\u00a0", "\u0663",
 ])
 
 
 def _lexer_tokens(code: str, toks: list[str], line_no: int) -> list[tuple]:
     """The lexer's lexemes of one line, with the fields the parser derives
-    from them: the kind from the first character, the column by rescanning
-    the line, and a number's value, float form and suffix."""
+    from them: the kind from the first character (a path that is one
+    identifier is a word), the column by rescanning the line, and a
+    number's value, float form and suffix."""
     line = _Line(toks, line_no, code)
     view = []
     for i, text in enumerate(toks):
-        kind = ("word" if text.isidentifier() else "num" if text[0].isdigit()
-                else "arrow" if text == "->" else "sym")
+        kind = ("word" if text.isidentifier() else "path" if text[0].isidentifier()
+                else "num" if text[0].isdigit() else "arrow" if text == "->" else "sym")
         value, is_float, suffix = _number(text) if kind == "num" else (0.0, False, "")
         view.append((kind, text, line_no, line.span(i).column, is_float, value, suffix))
     return view

@@ -1,7 +1,12 @@
 import dataclasses
 import gc
+import json
+import os
 import random
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -405,6 +410,33 @@ application a {
     groups = connected_port_groups(model)
     assert groups["x"] is groups["c.p"] is groups["c.l.z"]
     assert groups["x"] == {"x", "c.p", "c.l.z"}
+
+
+_ORDER_SCRIPT = """\
+import json
+import numpy as np
+import gmodelc
+from gmodelc import refexec
+from matrices import poisson_2d
+A = poisson_2d(4)
+model = refexec.instantiate_for_matrix(gmodelc.parse_model(gmodelc.bundled_model_text()),
+                                       A.n, A.nnz)
+storage = refexec._Storage(model.context, refexec._matrix_bindings(model, A, np.ones(A.n)))
+print(json.dumps([list(model.context.port_groups), [sorted(g) for g in storage.arrays]]))
+"""
+
+
+def test_port_group_order_does_not_depend_on_the_hash_seed():
+    """The port groups of cg.gmodel, and the order in which the executor
+    allocates their arrays, are the same under two string hash seeds."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(gmodelc.__file__).parents[1]), str(Path(__file__).parent)])}
+    runs = [subprocess.run([sys.executable, "-c", _ORDER_SCRIPT], check=True, text=True,
+                           capture_output=True, env={**env, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "2")]
+    groups, arrays = json.loads(runs[0])
+    assert len(groups) > len(arrays) > 1
+    assert runs[0] == runs[1]
 
 
 def test_one_compile_chain_derives_each_table_once(cg_text, monkeypatch):
