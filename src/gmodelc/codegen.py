@@ -130,31 +130,30 @@ def _lower(model: Model, maps: tuple[MemoryMap, ...], schedule: Schedule) -> Pro
     for mm in maps:
         sides[ctx.memory_role_of(mm.owner_path) is MemoryRole.HOST_RAM] += mm.data_allocations
     kernels: dict[tuple, tuple[str, list]] = {}     # (intrinsic, params, body) -> (name, paths)
+    forms: dict[tuple, tuple] = {}      # (leaf type, port passing) -> launch_form
     steps: list[Step] = []
 
-    def lowered(step):
-        path = step.task_path
-        spec, _, passing = deployed_intrinsic(ctx, path)
-        if isinstance(step, HostOp):
-            return HostStatement(path, spec.host_c.format_map(
-                {port: f"h_{names[f'{path}.{port}']}" for port in passing}))
-        comp = ctx.component_at(ComponentKind.APPLICATION, path)
+    def launch_form(comp, spec, passing):
+        """((kernel name, its paths), argument forms, partials type), the same
+        for every task of one leaf type and port passing.  An argument form
+        is (entry, None), or (head, port) for the entry head + the task's
+        allocation of port + '}'."""
         params, args, types = ["const int first", "const int count"], [], []
         for pspec in spec.ports:
             how = passing.get(pspec.name)
             if how is None or how is Passing.HOST:      # omitted, or a sum the host makes
                 continue
             port = comp.port(pspec.name)
-            ctype, alloc = _C_TYPES[port.data_type], names[f"{path}.{port.name}"]
+            ctype = _C_TYPES[port.data_type]
             types.append(port.data_type)
             if how is Passing.VALUE:
                 params.append(f"const {ctype} {port.name}")
-                args.append(f"{{sizeof({ctype}), &h_{alloc}}}")
+                args.append((f"{{sizeof({ctype}), &h_", port.name))
                 continue
             read_only = how is Passing.GLOBAL and port.direction is Direction.IN
             params.append(f"{_KEYWORDS[how]}{'const ' if read_only else ''}{ctype}* {port.name}")
-            args.append(f"{{{port.shape.total * port.data_type.size_bytes}, NULL}}"
-                        if how is Passing.LOCAL else f"{{sizeof(cl_mem), &buf_{alloc}}}")
+            args.append((f"{{{port.shape.total * port.data_type.size_bytes}, NULL}}", None)
+                        if how is Passing.LOCAL else ("{sizeof(cl_mem), &buf_", port.name))
         partials = comp.port(spec.acc).data_type if spec.reduce else None
         if partials:
             params.append(f"__global {_C_TYPES[partials]}* partials")
@@ -171,8 +170,23 @@ def _lower(model: Model, maps: tuple[MemoryMap, ...], schedule: Schedule) -> Pro
                 n += 1
                 kname = f"{base}_{n}"
             kernels[key] = (kname, [])
-        kernels[key][1].append(path)
-        steps.append(Step(len(steps), path, kernels[key][0], tuple(args), step.launches,
+        return kernels[key], tuple(args), partials
+
+    def lowered(step):
+        path = step.task_path
+        spec, _, passing = deployed_intrinsic(ctx, path)
+        if isinstance(step, HostOp):
+            return HostStatement(path, spec.host_c.format_map(
+                {port: f"h_{names[f'{path}.{port}']}" for port in passing}))
+        comp = ctx.component_at(ComponentKind.APPLICATION, path)
+        form_key = (comp.name, tuple(passing.items()))
+        if form_key not in forms:
+            forms[form_key] = launch_form(comp, spec, passing)
+        (kname, paths), arg_forms, partials = forms[form_key]
+        paths.append(path)
+        args = tuple(entry if port is None else f"{entry}{names[f'{path}.{port}']}}}"
+                     for entry, port in arg_forms)
+        steps.append(Step(len(steps), path, kname, args, step.launches,
                           names[f"{path}.{spec.reduce}"] if partials else None, partials))
         return steps[-1]
 

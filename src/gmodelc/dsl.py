@@ -88,11 +88,12 @@ class ParseFailure(ValueError):
 # (fraction, exponent and K/M suffix optional), the arrow or one symbol.  Its
 # first character tells its kind: a path starts with a letter or `_`, and is
 # an identifier when str.isidentifier accepts it whole; a number starts with
-# a digit.  A `#` comment runs to the end of its line.  The identifier
-# classes are spelled out rather than set by re.ASCII, which would also
-# narrow \d to the ASCII digits.
+# a digit.  A `#` comment runs to the end of its line.  Every class is
+# ASCII, digits included, so that the library reads the language that the
+# CLI, which decodes a model file as ASCII, reads: a digit such as U+0663
+# is a bad character, not part of a number.
 _LEX_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*"
-                     r"|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?[KM]?|->|[{}\[\]:=,.<]")
+                     r"|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?[KM]?|->|[{}\[\]:=,.<]")
 _COMMENT_RE = re.compile(r"#[^\n]*")
 _BAD_RE = re.compile(r"[^ \t\r]")
 

@@ -57,7 +57,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -255,6 +255,41 @@ def _jagged_block(row_ptr, col_idx, values, x, out, lo, hi):
     return run
 
 
+# Stored entries that a diagonal form's build analyses at a time: its scans
+# hold a few arrays of this length, not of the block's.
+DIAGONAL_SCAN_ENTRIES = 1 << 14
+
+
+def _entry_scans(row_ptr, lo, hi):
+    """(start, stop, row_of) for consecutive runs of at most
+    DIAGONAL_SCAN_ENTRIES of the stored entries of rows lo..hi-1: entries
+    start..stop-1 and, as int32, the row of each, counted from lo."""
+    bounds = row_ptr[lo:hi + 1]
+    if bounds[-1] - bounds[0] <= DIAGONAL_SCAN_ENTRIES:     # one scan, no row cut
+        yield int(bounds[0]), int(bounds[-1]), np.repeat(np.arange(hi - lo, dtype=np.int32),
+                                                         np.diff(bounds))
+        return
+    starts = np.arange(bounds[0], bounds[-1], DIAGONAL_SCAN_ENTRIES, dtype=bounds.dtype)
+    stops = np.append(starts[1:], bounds[-1])
+    # the rows that hold entry start and entry stop - 1
+    firsts = np.searchsorted(bounds, starts, side="right") - 1
+    lasts = np.searchsorted(bounds, stops, side="left")
+    for start, stop, r0, r1 in zip(starts.tolist(), stops.tolist(), firsts.tolist(),
+                                   lasts.tolist()):
+        counts = np.diff(np.clip(bounds[r0:r1 + 1], start, stop))
+        yield start, stop, np.repeat(np.arange(r0, r1, dtype=np.int32), counts)
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of keys, ascending, found by one sort (np.unique
+    hashes, which is slower on these small integer arrays)."""
+    keys = np.sort(keys)
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return keys[new]
+
+
 # A constant factor of exactly 1.0 or -1.0 adds or subtracts x itself
 _UNIT_OPS = {1.0: np.add, -1.0: np.subtract}
 
@@ -283,39 +318,55 @@ def _diagonal_block(row_ptr, col_idx, values, x, out, lo, hi):
     their slots, applies the offset and puts the sums back: 0.0 plus any
     product or x raises no warning, where a kept sum of 1e308 or inf plus
     x could overflow or make nan.
+
+    The build reads the entries in _entry_scans of DIAGONAL_SCAN_ENTRIES.
+    One pass finds the distinct offsets, each offset's factor, whether its
+    bits vary and which rows hold it, widening its tables when a scan meets
+    a new offset and stopping once the offsets are too many; a second, only
+    when some offset needs a value array, fills those arrays.  So beside
+    what the closure keeps the build holds one bool per offset and row (at
+    most 2 bytes per stored entry) and a few arrays of a scan's length, not
+    arrays of the block's.
     """
     first, last = int(row_ptr[lo]), int(row_ptr[hi])
     rows = hi - lo
-    cols = col_idx[first:last]
-    row_of = np.repeat(np.arange(rows, dtype=np.int32), np.diff(row_ptr[lo:hi + 1]))
-    keys = cols - row_of        # d + lo, ascending in each row
-    sorted_keys = np.sort(keys)
-    new = np.empty(len(keys), dtype=bool)
-    new[:1] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
-    distinct = sorted_keys[new]
-    del sorted_keys, new
-    if len(distinct) * rows > 2 * (last - first):
-        return None
-    if len(cols) and not (0 <= cols.min() and cols.max() < len(x)):
-        raise IndexError(f"column index outside a vector of length {len(x)}")
-    slot = np.searchsorted(distinct, keys)      # each entry's offset, then its slot
-    del keys
-    # an offset's value in one of its entries, and whether every entry has
-    # its bits (0.0 and -0.0 differ)
     vals = values[first:last]
     bits = vals.view(f"i{vals.itemsize}")
-    one = np.empty(len(distinct), dtype=bits.dtype)
-    one[slot] = bits
-    varies = np.zeros(len(distinct), dtype=bool)
-    varies[slot[bits != one[slot]]] = True
+    # the keys d + lo = col - row met so far, ascending; for each, the bits
+    # of one of its entries, whether every entry has them (0.0 and -0.0
+    # differ) and which rows hold it
+    distinct = np.zeros(0, dtype=np.int32)
+    one = np.zeros(0, dtype=bits.dtype)
+    varies = np.zeros(0, dtype=bool)
+    present = np.zeros((0, rows), dtype=bool)
+    for start, stop, row_of in _entry_scans(row_ptr, lo, hi):
+        keys = col_idx[start:stop] - row_of
+        slot = np.searchsorted(distinct, keys)
+        scan_bits = bits[start - first:stop - first]
+        if not len(distinct) or (distinct.take(slot, mode="clip") != keys).any():
+            # keys no earlier scan met: each table grows a row per new key,
+            # whose bits are taken from this scan
+            grown = _distinct(np.concatenate([distinct, keys]))
+            if len(grown) * rows > 2 * (last - first):
+                return None
+            moved = np.searchsorted(grown, distinct)    # the earlier keys' rows
+            slot = np.searchsorted(grown, keys)
+            distinct, earlier = grown, (one, varies, present)
+            one = np.empty(len(distinct), dtype=bits.dtype)
+            one[slot] = scan_bits
+            varies = np.zeros(len(distinct), dtype=bool)
+            present = np.zeros((len(distinct), rows), dtype=bool)
+            one[moved], varies[moved], present[moved] = earlier
+            del earlier
+        if not varies.all():
+            varies[slot[scan_bits != one[slot]]] = True
+        slot *= rows
+        slot += row_of
+        present.ravel()[slot] = True
+    cols = col_idx[first:last]
+    if len(cols) and not (0 <= cols.min() and cols.max() < len(x)):
+        raise IndexError(f"column index outside a vector of length {len(x)}")
     constants = one.view(vals.dtype).tolist()
-    del bits, one
-    slot *= rows
-    slot += row_of
-    del row_of
-    present = np.zeros((len(distinct), rows), dtype=bool)
-    present.ravel()[slot] = True
     spans = []
     for j, key in enumerate(distinct.tolist()):
         r0, r1 = max(0, -key), min(rows, len(x) - key)
@@ -330,11 +381,20 @@ def _diagonal_block(row_ptr, col_idx, values, x, out, lo, hi):
     if arrays:
         # 1.0 in a missing slot of a value array: its product with any x
         # raises no warning, no 0 * inf and no overflow
-        diagonals = np.ones((len(distinct), rows), dtype=values.dtype)
-        diagonals.ravel()[slot] = vals
-        value_rows = dict(zip(arrays, diagonals[arrays]))   # a copy of those rows alone
-        del diagonals
-    del slot
+        diagonals = np.ones((len(arrays), rows), dtype=values.dtype)
+        row_at = np.full(len(distinct), -1)     # an offset's row of diagonals
+        row_at[arrays] = np.arange(len(arrays))
+        for start, stop, row_of in _entry_scans(row_ptr, lo, hi):
+            slot = np.searchsorted(distinct, col_idx[start:stop] - row_of)
+            scan_vals = values[start:stop]
+            if len(arrays) < len(distinct):
+                slot = row_at[slot]
+                wanted = slot >= 0
+                slot, row_of, scan_vals = slot[wanted], row_of[wanted], scan_vals[wanted]
+            slot *= rows
+            slot += row_of
+            diagonals.ravel()[slot] = scan_vals
+        value_rows = dict(zip(arrays, diagonals))
     # dtype: a float factor times a float32 x multiplies in float64 when the
     # values do, as their array would; sums add in what out += product does
     dtype = np.result_type(values, x)
@@ -448,7 +508,9 @@ def _sample_symmetry(A: CsrMatrix, samples: int = 64):
 
 
 def read_matrix_market(path: str) -> CsrMatrix:
-    """load_matrix_market of the file at path, read as bytes.
+    """load_matrix_market of the file at path, opened in binary mode, so
+    that its body is parsed block by block and its bytes are never held
+    whole beside the entries.
 
     The file must be ASCII: any other byte raises UnicodeDecodeError.  Its
     line ends are read as text mode reads them: CRLF and a lone CR end a
@@ -458,30 +520,53 @@ def read_matrix_market(path: str) -> CsrMatrix:
         return load_matrix_market(f)
 
 
+# Bytes of a matrix file's body read at a time: each block, cut at its last
+# line end, is parsed by one np.loadtxt, so it and its record array are the
+# only scratch beside the entry columns.
+MATRIX_BLOCK_BYTES = 1 << 20
+
+
 def load_matrix_market(source: str | IO) -> CsrMatrix:
     """Parse Matrix Market coordinate text (real, general or symmetric).
 
-    source is the text or a file, binary or text mode.  All are read by one
-    path, as ASCII bytes: a str, given or read, is encoded on entry, so
-    that a character outside ASCII raises UnicodeEncodeError, as such a byte
-    in a binary file raises UnicodeDecodeError, and a lone CR or a CRLF
-    ends a line, as LF does.
-    The bytes are dropped once the entries are parsed, before the matrix
-    is built.  A clean body is parsed by one np.loadtxt into a record
-    array; otherwise the line parser reads it.  Symmetric inputs are
-    expanded to full storage, duplicates are summed and each row is sorted
-    by column.  Raises MalformedHeader (NonFiniteValue for a nan or
-    infinite value), NonSquare or IndexOutOfRange; an error in an entry
-    line names that line.
+    source is the text or a file, binary or text mode, read as ASCII bytes:
+    a str, given or read from a text-mode file, is encoded on entry, so that
+    a character outside ASCII raises UnicodeEncodeError, as such a byte in a
+    binary file raises UnicodeDecodeError, and a lone CR or a CRLF ends a
+    line, as LF does.  A binary file that cannot seek is read whole first.
+
+    The header is read line by line and the body block by block
+    (MATRIX_BLOCK_BYTES at a time), each block parsed by one np.loadtxt and
+    copied into int32, int32 and float64 columns of the declared length,
+    which the matrix build then takes as they stand: a seekable binary
+    file's bytes are never held whole beside the entries.  On any doubt (a
+    lone CR in the header, a `%` or a byte outside ASCII in the body, a
+    token numpy refuses, a count the body cannot hold or does not match,
+    an index out of range or a value that is not finite) the source is read
+    again from where it started, whole, by the line parser, which alone
+    raises every error.  Symmetric inputs are expanded to full storage,
+    duplicates are summed and each row is sorted by column.  Raises
+    MalformedHeader (NonFiniteValue for a nan or infinite value), NonSquare
+    or IndexOutOfRange; an error in an entry line names that line.
     """
-    data = source if isinstance(source, str) else source.read()
-    if isinstance(data, str):
-        data = data.encode("ascii")
-    if not data.isascii():
-        data.decode("ascii")    # raises UnicodeDecodeError at the first such byte
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    banner_line, start = _line_at(data, 0)
+    if isinstance(source, str) or isinstance(source.read(0), str) or not source.seekable():
+        data = source if isinstance(source, str) else source.read()
+        source = io.BytesIO(data.encode("ascii") if isinstance(data, str) else data)
+    origin = source.tell()
+    parsed = _parsed_streaming(source)
+    if parsed is None:
+        source.seek(origin)
+        parsed = _parsed_by_line(source.read())
+    sym, n, (ii, jj, vv) = parsed
+    if sym == "symmetric":
+        ii, jj, vv = _with_mirrors(ii, jj, vv)
+    return csr_from_coo(n, ii, jj, vv)
+
+
+def _header(lines: Iterator[str]) -> tuple[str, int, int, int]:
+    """(symmetry, n, declared entry count, 0-based number of the first body
+    line) of a file's lines, read up to its size line."""
+    banner_line = next(lines, "")
     if not banner_line.startswith("%%MatrixMarket"):
         raise MalformedHeader("missing %%MatrixMarket banner")
     banner = banner_line.split()
@@ -494,16 +579,11 @@ def load_matrix_market(source: str | IO) -> CsrMatrix:
         raise MalformedHeader(f"only real values are supported, got '{fld}'")
     if sym not in ("general", "symmetric"):
         raise MalformedHeader(f"only general or symmetric, got '{sym}'")
-
-    pos = 1     # 0-based line number of `line`
-    while True:
-        if start > len(data):
-            raise MalformedHeader("missing size line")
-        line, body = _line_at(data, start)
+    for pos, line in enumerate(lines, 1):   # 0-based line number of `line`
         if line.strip() and not line.lstrip().startswith("%"):
             break
-        pos += 1
-        start = body
+    else:
+        raise MalformedHeader("missing size line")
     size_fields = line.split()
     if len(size_fields) != 3:
         raise MalformedHeader(f"line {pos + 1}: size line needs 'rows cols nnz'")
@@ -515,57 +595,118 @@ def load_matrix_market(source: str | IO) -> CsrMatrix:
         raise NonSquare(f"{rows}x{cols} matrix is not square")
     if rows < 1:
         raise MalformedHeader("matrix size must be positive")
-
-    entries = _entries_vectorised(data, body, rows, declared)
-    if entries is None:
-        entries = _entries_by_line(data.decode("ascii").split("\n"), pos + 1, rows, declared)
-    del data    # the file's bytes, before the matrix is built
-    ii, jj, vv = entries
-    if sym == "symmetric":
-        ii, jj, vv = _with_mirrors(ii, jj, vv)
-    return csr_from_coo(rows, ii, jj, vv)
+    return sym, rows, declared, pos + 1
 
 
-def _line_at(data: bytes, start: int) -> tuple[str, int]:
-    """The line that begins at offset start, and the offset after its newline."""
-    stop = data.find(b"\n", start)
-    if stop < 0:
-        stop = len(data)
-    return data[start:stop].decode("ascii"), stop + 1
+def _parsed_by_line(data: bytes):
+    """(symmetry, n, entries) of a whole file's bytes, by the line parser:
+    the reference, which raises every error of a load."""
+    if not data.isascii():
+        data.decode("ascii")    # raises UnicodeDecodeError at the first such byte
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    lines = data.decode("ascii").split("\n")
+    del data
+    sym, n, declared, first = _header(iter(lines))
+    return sym, n, _entries_by_line(lines, first, n, declared)
+
+
+def _parsed_streaming(stream: IO[bytes]):
+    """(symmetry, n, entries) of a seekable binary stream, its header read
+    line by line and its body by _entries_streamed, or None on any doubt."""
+    try:
+        sym, n, declared, _ = _header(_header_lines(stream))
+    except ValueError:      # _parsed_by_line raises it again, or the error before it
+        return None
+    entries = _entries_streamed(stream, n, declared)
+    return None if entries is None else (sym, n, entries)
+
+
+def _header_lines(stream: IO[bytes]) -> Iterator[str]:
+    """The stream's lines as _parsed_by_line splits them, each read when
+    asked for: the last one has no line end, and may be empty.  Raises
+    UnicodeDecodeError at a byte outside ASCII and ValueError at a CR that
+    does not end a line with its LF: a lone CR ends a line that readline
+    does not end."""
+    while True:
+        line = stream.readline()
+        ended = line.endswith(b"\n")
+        line = line[:-2] if line.endswith(b"\r\n") else line[:-1] if ended else line
+        if b"\r" in line:
+            raise ValueError("a lone CR in the header")
+        yield line.decode("ascii")
+        if not ended:
+            return
 
 
 _ENTRY = np.dtype([("i", np.int32), ("j", np.int32), ("v", np.float64)])
 
 
-def _entries_vectorised(data: bytes, body: int, n: int, declared: int):
-    """0-based (rows, cols, values) of the entries from offset body on, parsed
-    in one pass: views of one (int32, int32, float64) record array.
+def _entries_streamed(stream: IO[bytes], n: int, declared: int):
+    """0-based (rows, cols, values) of the entries from the stream's
+    position on, parsed MATRIX_BLOCK_BYTES at a time into contiguous int32,
+    int32 and float64 columns of the declared length.
 
-    Returns None, leaving the result or the error to _entries_by_line, on
-    any doubt: a `%` in the body, a numpy parse error or warning (numpy
-    refuses, rather than misreads, the tokens that int() and float() accept
-    and it does not, such as `1_0`, `1.0` as an index and non-ASCII digits,
-    and an index that does not fit int32), a wrong count, an index out of
-    range or a value that is not finite.
+    Each block is read, its CR line ends made LF as _parsed_by_line makes
+    them (a CRLF cut between two blocks becomes a blank line, which both
+    parsers skip), and cut after its last LF; the partial line goes on into
+    the next block.  Returns None, leaving the result or the error to the
+    line parser, on any doubt: a declared count that is negative or more
+    than the rest of the stream can hold (so no column is allocated for
+    it), a `%` or a byte outside ASCII in a block, a numpy parse error or
+    warning (numpy refuses, rather than misreads, the tokens that int()
+    and float() accept and it does not, such as `1_0`, `1.0` as an index
+    and non-ASCII digits, and an index that does not fit int32), a wrong
+    count, an index out of range or a value that is not finite.
     """
-    if data.find(b"%", body) >= 0:
+    start = stream.tell()
+    size = stream.seek(0, io.SEEK_END) - start
+    stream.seek(start)
+    # the shortest entry line is "1 1 1\n": a body of b bytes holds at most
+    # (b + 1) // 6 entries, the last one without a line end
+    if not 0 <= declared <= (size + 1) // 6:
         return None
-    try:
-        stream = io.BytesIO(data)   # shares the bytes, no copy
-        stream.seek(body)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            entries = np.loadtxt(stream, dtype=_ENTRY, comments=None, ndmin=1)
-    except (ValueError, Warning):
+    rows = np.empty(declared, dtype=np.int32)
+    cols = np.empty(declared, dtype=np.int32)
+    vals = np.empty(declared, dtype=np.float64)
+    filled = 0
+    carry = b""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        while True:
+            block = stream.read(MATRIX_BLOCK_BYTES)
+            last = not block
+            if b"\r" in block:
+                block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            block = carry + block
+            cut = len(block) if last else block.rfind(b"\n") + 1
+            block, carry = block[:cut], block[cut:]
+            if block and not block.isspace():
+                if b"%" in block or not block.isascii():
+                    return None
+                try:
+                    entries = np.loadtxt(io.BytesIO(block), dtype=_ENTRY, comments=None,
+                                         ndmin=1)
+                except (ValueError, Warning):
+                    return None
+                end = filled + len(entries)
+                if end > declared:
+                    return None
+                ii, jj, vv = rows[filled:end], cols[filled:end], vals[filled:end]
+                np.subtract(entries["i"], 1, out=ii)
+                np.subtract(entries["j"], 1, out=jj)
+                vv[:] = entries["v"]
+                del entries     # before the next block is parsed
+                if not np.isfinite(vv).all() \
+                        or min(ii.min(initial=0), jj.min(initial=0)) < 0 \
+                        or max(ii.max(initial=0), jj.max(initial=0)) >= n:
+                    return None
+                filled = end
+            if last:
+                break
+    if filled != declared:
         return None
-    ii, jj, vv = entries["i"], entries["j"], entries["v"]
-    ii -= 1
-    jj -= 1
-    if len(entries) != declared or not np.isfinite(vv).all() \
-            or min(ii.min(initial=0), jj.min(initial=0)) < 0 \
-            or max(ii.max(initial=0), jj.max(initial=0)) >= n:
-        return None
-    return ii, jj, vv
+    return rows, cols, vals
 
 
 def _entries_by_line(lines: list[str], first: int, n: int, declared: int):

@@ -255,7 +255,7 @@ _REFERENCE_TOKEN_RE = re.compile(
     r"|(?P<comment>#.*)"
     r"|(?P<path>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)+)"
     r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?[KM]?)"
+    r"|(?P<num>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?[KM]?)"
     r"|(?P<arrow>->)"
     r"|(?P<sym>[{}\[\]:=,.<])"
 )

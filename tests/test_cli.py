@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gmodelc
-from gmodelc import cli, codegen, refexec
+from gmodelc import cli, codegen, dsl, refexec
 from gmodelc.cli import main
 from gmodelc.codegen import generate_host, generate_kernels, lower
 from gmodelc.intrinsics import IntrinsicShapeMismatch
@@ -929,6 +929,38 @@ def test_run_rejects_a_template_whose_sizes_collide(workdir, capsys, nnz, n_plus
         "", f"error: cannot re-size the model: its spmv task has N = 4 and NNZ = {nnz}, "
             "but N, N + 1 and NNZ must all differ\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_run_matrix_declaring_more_entries_than_it_can_hold_exit_two(workdir, capsys):
+    """A size line declaring 10^12 entries over a two-entry body is a
+    one-line count error, not a MemoryError: the loader sizes its entry
+    columns by the declared count only when the body can hold that many."""
+    tmp_path, model_path = workdir
+    mtx = tmp_path / "huge.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n"
+                   "2 2 1000000000000\n1 1 1.0\n2 2 1.0\n")
+    assert main(["run", model_path, "--matrix", str(mtx),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {mtx}: declared 1000000000000 entries, found 2\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_non_ascii_digit_is_rejected_by_the_library_as_by_the_cli(workdir, capsys):
+    """`repeat [132651]` written in Arabic-Indic digits: the CLI, reading
+    the model as ASCII, exits 2 with one line, and parse_model rejects the
+    same text rather than reading it as 132651."""
+    tmp_path, _ = workdir
+    digits = "\u0661\u0663\u0662\u0666\u0665\u0661"
+    text = gmodelc.bundled_model_text().replace("repeat [132651]", f"repeat [{digits}]", 1)
+    path = tmp_path / "digits.gmodel"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: 'ascii' codec can't decode") and err.count("\n") == 1
+    with pytest.raises(dsl.ParseFailure) as exc:
+        dsl.parse_model(text)
+    assert str(exc.value.errors[0]) == f"33:13: expected a token, found '{digits[0]}'"
 
 
 def test_run_non_ascii_matrix_exit_two(workdir, capsys):

@@ -223,24 +223,31 @@ def _load_outcome(source):
 
 
 @settings(max_examples=400, deadline=None)
-@given(matrix_market_texts())
-def test_vectorised_loader_matches_line_loop(case):
+@given(matrix_market_texts(), st.integers(2, 16))
+def test_streamed_loader_matches_line_loop(case, small_block):
+    """At the default block size and at blocks of a few bytes, cut inside
+    lines, CRLF pairs (always, at one byte) and the final line, the
+    streamed loader gives the line loop's arrays or error, and takes every
+    clean body itself."""
     text, clean = case
-    original = refexec._entries_vectorised
-    parsed = []
-
-    def spy(*args):
-        entries = original(*args)
-        parsed.append(entries is not None)
-        return entries
-
-    with mock.patch.object(refexec, "_entries_vectorised", spy):
-        got = _load_outcome(text)
-    with mock.patch.object(refexec, "_entries_vectorised", return_value=None):
+    original = refexec._entries_streamed
+    with mock.patch.object(refexec, "_entries_streamed", return_value=None):
         want = _load_outcome(text)
-    assert got == want
-    if clean and parsed:
-        assert parsed == [True], "a clean body fell back to the line loop"
+    for block_bytes in (refexec.MATRIX_BLOCK_BYTES, 1, small_block):
+        parsed = []
+
+        def spy(*args):
+            entries = original(*args)
+            parsed.append(entries is not None)
+            return entries
+
+        with mock.patch.object(refexec, "_entries_streamed", spy), \
+                mock.patch.object(refexec, "MATRIX_BLOCK_BYTES", block_bytes):
+            got = _load_outcome(text)
+        assert got == want, f"{block_bytes}-byte blocks"
+        if clean and parsed:
+            assert parsed == [True], \
+                f"a clean body fell back to the line loop at {block_bytes}-byte blocks"
 
 
 LINE_ENDING_TEXT = (
@@ -299,12 +306,14 @@ def test_non_ascii_matrix_file_raises_unicode_error(tmp_path):
             load_matrix_market(text)
 
 
-def test_matrix_file_load_peaks_below_five_times_the_csr(tmp_path):
+def test_matrix_file_load_peaks_below_twice_the_csr(tmp_path):
     """Loading holds each large array about once: the file's bytes are
-    dropped before the matrix is built, and the build frees its temporaries."""
-    A = poisson_3d(24)
+    read a block at a time, never whole, and the build frees its
+    temporaries.  The file (7.2 MB) spans several blocks."""
+    A = poisson_3d(40)
     path = tmp_path / "poisson3d.mtx"
     path.write_text(matrix_to_coordinate_text(A))
+    assert path.stat().st_size > 4 * refexec.MATRIX_BLOCK_BYTES
     tracemalloc.start()
     try:
         B = refexec.read_matrix_market(str(path))
@@ -313,11 +322,31 @@ def test_matrix_file_load_peaks_below_five_times_the_csr(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(B.row_ptr, A.row_ptr) and np.array_equal(B.values, A.values)
     csr_bytes = B.row_ptr.nbytes + B.col_idx.nbytes + B.values.nbytes
-    assert peak <= 5 * csr_bytes, f"peak {peak} B is {peak / csr_bytes:.2f}x the CSR"
+    assert peak <= 2 * csr_bytes, f"peak {peak} B is {peak / csr_bytes:.2f}x the CSR"
+
+
+def test_a_declared_count_the_body_cannot_hold_is_a_count_error(tmp_path, monkeypatch):
+    """The streamed loader gives up, without allocating the declared 10^12
+    entries, so the line parser reports the count."""
+    path = tmp_path / "huge.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    "2 2 1000000000000\n1 1 1.0\n2 2 1.0\n")
+    sizes = []
+    empty = np.empty
+
+    def spy(shape, *args, **kwargs):
+        sizes.append(shape)
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", spy)
+    with pytest.raises(MalformedHeader) as exc:
+        refexec.read_matrix_market(str(path))
+    assert str(exc.value) == "declared 1000000000000 entries, found 2"
+    assert 1000000000000 not in sizes
 
 
 def _row_ordered_entries(A: CsrMatrix) -> np.ndarray:
-    """A's entries in CSR order, in the vectorised loader's record array."""
+    """A's entries in CSR order, as views of one record array."""
     entries = np.empty(A.nnz, dtype=refexec._ENTRY)
     entries["i"] = np.repeat(np.arange(A.n), np.diff(A.row_ptr))
     entries["j"] = A.col_idx
@@ -357,8 +386,8 @@ def test_row_ordered_entries_never_reach_argsort(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "argsort", spy)
     entries = _row_ordered_entries(A)
     loaded = [refexec.csr_from_coo(A.n, entries["i"], entries["j"], entries["v"]),
-              refexec.read_matrix_market(str(path))]    # the vectorised loader
-    with mock.patch.object(refexec, "_entries_vectorised", return_value=None):
+              refexec.read_matrix_market(str(path))]    # the streamed loader
+    with mock.patch.object(refexec, "_entries_streamed", return_value=None):
         loaded.append(load_matrix_market(text))         # the line loader
     assert sorted_lengths == []
     for B in loaded:
@@ -394,7 +423,7 @@ def csr_entry_sets(draw):
 
 def _csr_outcome(n, entries, index_dtype):
     """csr_from_coo of (row, col, value) triples: its arrays' bytes or its error."""
-    if index_dtype is np.int32:     # views of one record array, as the vectorised loader
+    if index_dtype is np.int32:     # int32 indices, as the streamed loader
         arrays = np.array(entries, dtype=refexec._ENTRY)
         rows, cols, vals = arrays["i"], arrays["j"], arrays["v"]
     else:                           # separate int64 arrays, as the line loader
@@ -707,7 +736,8 @@ def _csr_of_entries(n: int, entries: list[tuple[int, int, float]]) -> CsrMatrix:
 def test_spmv_diagonal_form_bitwise(monkeypatch):
     """Both block forms give spmv_loop's bytes, sign bits included, over the
     whole matrix and over sub-ranges, in one block and in blocks of at most
-    8 entries, and each block takes the form the 2x rule gives.  No
+    8 entries, and each block takes the form the 2x rule gives, also when a
+    diagonal block's build scans its entries 3 at a time, cutting rows.  No
     warning is raised: no missing slot multiplies 0 by an infinite x."""
     rng = np.random.default_rng(18)
     blocks = _record_blocks(monkeypatch)
@@ -719,8 +749,10 @@ def test_spmv_diagonal_form_bitwise(monkeypatch):
         ranges += [tuple(sorted(int(v) for v in rng.integers(0, A.n + 1, 2))) for _ in range(4)]
         if name == "empty-rows":
             ranges.append((16, 20))
-        for block_entries in (one_block, 8):
+        for block_entries, scan_entries in ((one_block, refexec.DIAGONAL_SCAN_ENTRIES),
+                                            (8, refexec.DIAGONAL_SCAN_ENTRIES), (one_block, 3)):
             monkeypatch.setattr(refexec, "SPMV_BLOCK_ENTRIES", block_entries)
+            monkeypatch.setattr(refexec, "DIAGONAL_SCAN_ENTRIES", scan_entries)
             for lo, hi in ranges:
                 blocks.clear()
                 part = spmv_range(A.row_ptr, A.col_idx, A.values, x, lo, hi,
@@ -768,7 +800,8 @@ def test_banded_products_with_unit_diagonals_match_the_loop(n, diagonals, hole_r
     """Banded matrices whose diagonals are +1.0, -1.0, one ulp past -1.0 or
     random, with random holes, over an x holding inf, nan, +-0.0 and
     +-1e308: csr_product gives spmv_loop's bytes over the whole matrix and a
-    sub-range, in one block and in blocks of 8 entries, but for the sign
+    sub-range, in one block and in blocks of 8 entries whose diagonal-form
+    builds scan 3 entries at a time, but for the sign
     and payload of a nan: where two nans meet, numpy's add keeps either one
     (+nan from x against the -nan of inf - inf, at the parent too).  It
     raises a floating-point warning only where the loop itself overflows or
@@ -788,8 +821,10 @@ def test_banded_products_with_unit_diagonals_match_the_loop(n, diagonals, hole_r
     hi = data.draw(st.integers(lo + 1, n))
     flags = "ignore" if _loop_raises_a_flag(A, x) else "warn"
     block_entries = 8 if small_blocks else refexec.SPMV_BLOCK_ENTRIES
+    scan_entries = 3 if small_blocks else refexec.DIAGONAL_SCAN_ENTRIES
     with warnings.catch_warnings(), np.errstate(all=flags), \
-            mock.patch.object(refexec, "SPMV_BLOCK_ENTRIES", block_entries):
+            mock.patch.object(refexec, "SPMV_BLOCK_ENTRIES", block_entries), \
+            mock.patch.object(refexec, "DIAGONAL_SCAN_ENTRIES", scan_entries):
         warnings.simplefilter("error", RuntimeWarning)
         for start, stop in ((0, n), (lo, hi)):
             out = np.full(stop - start, np.nan)
@@ -830,6 +865,34 @@ def test_spmv_product_of_a_stencil_keeps_scalars_not_value_rows():
         f"kept {kept} B is {kept / A.values.nbytes:.2f}x the values"
     run()
     assert out.tobytes() == spmv_loop(A.row_ptr, A.col_idx, A.values, x).tobytes()
+
+
+@pytest.mark.parametrize("varied", [False, True], ids=["constant", "varied"])
+def test_diagonal_block_build_holds_a_few_bytes_per_entry(varied):
+    """A diagonal-form block's build analyses its entries
+    DIAGONAL_SCAN_ENTRIES at a time: beside what its closure keeps (value
+    rows included, for diagonals whose values vary), it holds at most 4
+    bytes per stored entry of a full block, where one pass over the whole
+    block's entries held about 20."""
+    A = poisson_3d(40)
+    values = A.values * (1.0 + np.arange(A.nnz) % 3) if varied else A.values
+    lo, hi = refexec._row_blocks(A.row_ptr, 0, A.n)[0]
+    entries = int(A.row_ptr[hi] - A.row_ptr[lo])
+    assert entries > refexec.SPMV_BLOCK_ENTRIES - 8
+    x = np.random.default_rng(24).standard_normal(A.n)
+    out = np.empty(hi - lo)
+    tracemalloc.start()
+    try:
+        run = refexec.csr_product(A.row_ptr, A.col_idx, values, x, out, lo, hi)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    scratch = (peak - kept) / entries
+    assert scratch <= 4, f"the build held {scratch:.2f} B per entry beyond what it keeps"
+    run()
+    jagged = np.empty(hi - lo)
+    refexec._jagged_block(A.row_ptr, A.col_idx, values, x, jagged, lo, hi)()
+    assert out.tobytes() == jagged.tobytes()
 
 
 @pytest.mark.parametrize("matrix, form", [
